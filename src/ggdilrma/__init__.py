@@ -7,35 +7,19 @@ the sub-Gaussian shape beta = 4 uses a majorization-based direction/scale
 update with guaranteed monotone cost descent.
 """
 
-from .cost import audit_descent, ggd_cost
-from .demix_homogeneous import (
-    HomogeneousObjective,
-    direction_scale_step,
-    optimal_scale,
-    quartic_majorizer,
-    quartic_objective,
-    quartic_update_filter,
-)
-from .demix_ip import WeightedCovariance, am_gm_gap, ip_update_filter, weighted_covariance
+from .cost import audit_descent, ggd_cost_arrays
+from .demix_homogeneous import quartic_majorizer, quartic_sweep
+from .demix_ip import ip_sweep
 from .errors import SeparationError
-from .metrics import align_permutation, sdr_improvement, si_sdr
+from .metrics import align_permutation, si_sdr
 from .mixsim import MixingSpec, mix, read_wav, synth_source, write_wav
 from .pipeline import RunResult, back_project, initialize, run
-from .source_model import (
-    ScaleField,
-    compute_scale_field,
-    ggd_log_density,
-    nmf_majorizer_gap,
-    update_activations,
-    update_bases,
-)
+from .source_model import ggd_log_density, update_activations_arrays, update_bases_arrays
 from .stft import StftPlan, istft, stft
 from .types import (
     ConvergenceTrace,
-    DemixingSet,
     GgdConfig,
     MixtureSpectrogram,
-    NmfModel,
     SourceSpectrogram,
     validate_problem,
 )
@@ -44,44 +28,31 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceTrace",
-    "DemixingSet",
     "GgdConfig",
-    "HomogeneousObjective",
     "MixingSpec",
     "MixtureSpectrogram",
-    "NmfModel",
     "RunResult",
-    "ScaleField",
     "SeparationError",
     "SourceSpectrogram",
     "StftPlan",
-    "WeightedCovariance",
     "align_permutation",
-    "am_gm_gap",
     "audit_descent",
     "back_project",
-    "compute_scale_field",
-    "direction_scale_step",
-    "ggd_cost",
+    "ggd_cost_arrays",
     "ggd_log_density",
     "initialize",
-    "ip_update_filter",
+    "ip_sweep",
     "istft",
     "mix",
-    "nmf_majorizer_gap",
-    "optimal_scale",
     "quartic_majorizer",
-    "quartic_objective",
-    "quartic_update_filter",
+    "quartic_sweep",
     "read_wav",
     "run",
-    "sdr_improvement",
     "si_sdr",
     "stft",
     "synth_source",
-    "update_activations",
-    "update_bases",
+    "update_activations_arrays",
+    "update_bases_arrays",
     "validate_problem",
-    "weighted_covariance",
     "write_wav",
 ]

@@ -14,8 +14,8 @@ from typing import List, Optional
 import numpy as np
 
 from . import pipeline
-from .cost import audit_cost_sequence
-from .demix_homogeneous import quartic_majorizer, quartic_objective
+from .cost import audit_descent
+from .demix_homogeneous import quartic_majorizer
 from .mixsim import MixingSpec, mix, synth_source
 from .types import GgdConfig, MixtureSpectrogram
 from .workflows import evaluate_separation, separate_audio
@@ -43,10 +43,17 @@ def descent_trial(beta: float, seed: int, iterations: int = 50) -> np.ndarray:
     return result.trace.costs()
 
 
+def _quartic_cost(x: np.ndarray, r: np.ndarray, w: np.ndarray) -> float:
+    """One bin's quartic cost ``(1/J) sum_j |w^H x_j|^4 / r_j^4``."""
+    return float(np.sum(np.abs((x @ w.conj()) / r) ** 4)) / x.shape[0]
+
+
 def majorizer_trial(seed: int, n_draws: int = 1000) -> tuple[float, float]:
     """Monte-Carlo margins for the quartic surrogate bound.
 
-    Returns ``(worst_gap, worst_equality)``: the most negative value of
+    Each draw is a one-bin problem given to the batched
+    :func:`quartic_majorizer` that the quartic sweep runs.  Returns
+    ``(worst_gap, worst_equality)``: the most negative value of
     ``g(w) - f(w)`` over random draws (should be >= -1e-10) and the
     largest relative mismatch of ``g`` and ``f`` at the anchor (should be
     ~0).
@@ -63,13 +70,11 @@ def majorizer_trial(seed: int, n_draws: int = 1000) -> tuple[float, float]:
         w_ref /= np.linalg.norm(w_ref)
         w = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         w /= np.linalg.norm(w)
-        obj = quartic_objective(x, r)
-        G = quartic_majorizer(x, r, w_ref)
-        g_at = float((w.conj() @ G @ w).real) ** 2
-        f_at = obj.evaluate(w)
-        worst_gap = min(worst_gap, g_at - f_at)
-        g_ref = float((w_ref.conj() @ G @ w_ref).real) ** 2
-        f_ref = obj.evaluate(w_ref)
+        G, _ = quartic_majorizer(x[None], (x @ w_ref.conj())[None], r[None])
+        g_at = float((w.conj() @ G[0] @ w).real) ** 2
+        worst_gap = min(worst_gap, g_at - _quartic_cost(x, r, w))
+        g_ref = float((w_ref.conj() @ G[0] @ w_ref).real) ** 2
+        f_ref = _quartic_cost(x, r, w_ref)
         worst_eq = max(worst_eq, abs(g_ref - f_ref) / max(1.0, f_ref))
     return float(worst_gap), float(worst_eq)
 
@@ -144,7 +149,7 @@ def run_suite(
                 # Test hook: corrupt one recorded cost so the audit must fire.
                 costs = costs.copy()
                 costs[len(costs) // 2] += 1.0
-            violations += len(audit_cost_sequence(costs))
+            violations += len(audit_descent(costs).violations)
         ok = violations == 0
         report.add(
             f"descent beta={beta}",

@@ -83,7 +83,6 @@ def _build_parser() -> _Parser:
     sep.add_argument("--hop-ms", type=float, default=64.0, help="hop (default 64 ms)")
     sep.add_argument("--ref-channel", type=int, default=1, help="1-based back-projection channel")
     sep.add_argument("--trace", default=None, help="write per-iteration JSONL trace here")
-    sep.add_argument("--threads", type=int, default=0, help="cap BLAS workers (0 = auto)")
 
     sim = sub.add_parser("simulate", help="mix given or synthesized sources")
     sim.add_argument("--sources", nargs="+", default=None, help="source WAV paths")
@@ -113,24 +112,12 @@ def _build_parser() -> _Parser:
     bench.add_argument("--seed", type=int, default=0, help="suite seed (default 0)")
     bench.add_argument("--e2e-duration-s", type=float, default=3.0, help="end-to-end audio length")
     bench.add_argument("--e2e-iters", type=int, default=120, help="end-to-end iterations")
-    bench.add_argument("--threads", type=int, default=0, help="cap BLAS workers (0 = auto)")
     bench.add_argument(
         "--inject-fault",
         action="store_true",
         help="test hook: corrupt one audited trace to verify failure detection",
     )
     return parser
-
-
-def _cap_threads(n: int) -> None:
-    if n and n > 0:
-        try:
-            import threadpoolctl
-
-            threadpoolctl.threadpool_limits(limits=n)
-        except ImportError:
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-                os.environ[var] = str(n)
 
 
 def _sorted_wavs(directory: str) -> List[str]:
@@ -141,7 +128,6 @@ def _sorted_wavs(directory: str) -> List[str]:
 
 
 def _cmd_separate(args) -> int:
-    _cap_threads(args.threads)
     samples, rate = read_wav(args.input)
     cfg = GgdConfig(
         beta=args.beta,
@@ -163,17 +149,7 @@ def _cmd_separate(args) -> int:
         if trace_fh is not None:
 
             def on_record(rec):
-                trace_fh.write(
-                    json.dumps(
-                        {
-                            "iter": rec.iteration,
-                            "cost": rec.cost,
-                            "elapsed_ms": rec.elapsed_ms,
-                            "skipped_updates": rec.skipped_updates,
-                        }
-                    )
-                    + "\n"
-                )
+                trace_fh.write(rec.to_json() + "\n")
                 trace_fh.flush()
 
         estimates, _ = separate_audio(
@@ -240,8 +216,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     est = [read_wav(p)[0][:, 0] for p in _sorted_wavs(args.est)]
-    ref = [read_wav(p)[0][:, 0] for p in _sorted_wavs(args.ref)]
     mixture, _ = read_wav(args.mix)
+    # `simulate` writes the mixture next to its references; it is not one.
+    ref_paths = [p for p in _sorted_wavs(args.ref) if not os.path.samefile(p, args.mix)]
+    ref = [read_wav(p)[0][:, 0] for p in ref_paths]
     if not (1 <= args.ref_channel <= mixture.shape[1]):
         raise DegenerateShape(
             f"--ref-channel {args.ref_channel} outside 1..{mixture.shape[1]}"
@@ -276,7 +254,6 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    _cap_threads(args.threads)
     report = benchmark.run_suite(
         trials=args.trials,
         seed=args.seed,

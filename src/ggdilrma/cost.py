@@ -7,50 +7,38 @@ The cost (additive constant omitted) is
 
 with ``y = W x`` and ``S = sum_k t v``.  Every update rule in the package
 is expected to leave this non-increasing; :func:`audit_descent` verifies
-that on a recorded trace.
+that on a recorded cost sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
 from .errors import SingularDemixing
-from .source_model import model_cost_terms
-from .types import ConvergenceTrace, GgdConfig, MixtureSpectrogram, NmfModel
+from .source_model import model_cost_terms, scale_field
 
 #: Relative slack used when flagging cost increases.
 DESCENT_SLACK = 1e-9
 
 
-def ggd_cost(
-    x: MixtureSpectrogram, W: np.ndarray, model: NmfModel, cfg: GgdConfig
-) -> float:
-    """Cost of a demixing/source-model pair on a mixture."""
-    return ggd_cost_arrays(
-        x.data, W, model.bases, model.activations, cfg.beta, cfg.domain, cfg.eps_det
-    )
-
-
-def ggd_cost_arrays(xd, W, T, V, beta, domain, eps_det=0.0) -> float:
+def ggd_cost_arrays(xd, W, T, V, beta, domain) -> float:
     """Cost on raw arrays; ``W`` is ``(I, N, N)``, factors per-source stacks."""
     J = xd.shape[1]
     sign, logdet = np.linalg.slogdet(W)
     if not np.all(np.isfinite(logdet)) or np.any(np.abs(sign) == 0.0):
         raise SingularDemixing("demixing matrix is singular")
-    if eps_det > 0.0 and np.any(logdet < np.log(eps_det)):
-        raise SingularDemixing("|det W_i| below determinant floor")
     yd = np.einsum("inm,ijm->ijn", W, xd)
-    S = np.moveaxis(T @ V, 0, 2)  # (I, J, N)
+    S = scale_field(T, V)
     terms = model_cost_terms(np.abs(yd), S, beta, domain)
     return float(-2.0 * J * np.sum(logdet) + np.sum(terms))
 
 
 @dataclass(frozen=True)
 class DescentViolation:
-    """One audited cost increase."""
+    """One audited cost increase (``iteration`` is 1-based)."""
 
     iteration: int
     previous: float
@@ -63,7 +51,7 @@ class DescentViolation:
 
 @dataclass(frozen=True)
 class DescentReport:
-    """Outcome of auditing a convergence trace."""
+    """Outcome of auditing a cost sequence."""
 
     violations: List[DescentViolation]
     n_steps: int
@@ -73,29 +61,16 @@ class DescentReport:
         return not self.violations
 
 
-def audit_descent(trace: ConvergenceTrace, slack: float = DESCENT_SLACK) -> DescentReport:
-    """Flag every recorded iteration whose cost rose beyond tolerance.
+def audit_descent(costs, slack: float = DESCENT_SLACK) -> DescentReport:
+    """Flag every iteration whose cost rose beyond tolerance.
 
-    An increase counts when ``cost_k > cost_{k-1} + slack * (1 + |cost_{k-1}|)``.
+    ``costs[k]`` is the cost after iteration ``k + 1``.  An increase counts
+    when ``cost_k > cost_{k-1} + slack * (1 + |cost_{k-1}|)``.
     """
-    costs = trace.costs()
+    costs = np.asarray(costs, dtype=np.float64)
     violations = []
     for k in range(1, len(costs)):
         prev, cur = costs[k - 1], costs[k]
         if cur > prev + slack * (1.0 + abs(prev)):
-            violations.append(
-                DescentViolation(
-                    iteration=trace.records[k].iteration, previous=prev, current=cur
-                )
-            )
+            violations.append(DescentViolation(iteration=k + 1, previous=prev, current=cur))
     return DescentReport(violations=violations, n_steps=max(len(costs) - 1, 0))
-
-
-def audit_cost_sequence(costs, slack: float = DESCENT_SLACK) -> List[Tuple[int, float]]:
-    """Indices and sizes of increases in a bare cost sequence."""
-    costs = np.asarray(costs, dtype=np.float64)
-    out = []
-    for k in range(1, len(costs)):
-        if costs[k] > costs[k - 1] + slack * (1.0 + abs(costs[k - 1])):
-            out.append((k, float(costs[k] - costs[k - 1])))
-    return out

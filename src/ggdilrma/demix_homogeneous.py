@@ -1,4 +1,4 @@
-"""Direction/scale-decomposed demixing updates for homogeneous source costs.
+"""Direction/scale-decomposed demixing update for the quartic source cost.
 
 When the per-filter cost ``f_in`` is differentiable, has convex sublevel
 sets, and is homogeneous of degree ``d`` (``f(c w) = c^d f(w)``), the
@@ -31,151 +31,54 @@ O(J N^2) form -- the J x J matrix ``Q~`` is never materialized::
 
 The scale step then uses the true ``f``, which minimizes the exact cost
 along the ray, so every update decreases the quartic cost.
+
+The per-filter forms of this update (``quartic_update_filter``,
+``direction_scale_step``, the homogeneous objectives, ``optimal_scale``)
+and the direct O(J^2) majorizer live in ``tests/reference_quartic.py`` as
+test oracles for :func:`quartic_majorizer` and :func:`quartic_sweep`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
-from .demix_ip import det_below_floor
-from .errors import (
-    DegenerateDirection,
-    SingularDemixing,
-    SingularMajorizer,
-    SolverFailure,
-)
+from .errors import SingularDemixing
 from .types import EPS_DET
 
-DEGREE_QUARTIC = 4.0
 
-
-@dataclass(frozen=True)
-class HomogeneousObjective:
-    """A per-filter cost: degree-``d`` homogeneous with convex sublevels."""
-
-    degree: float
-    evaluate: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
-
-
-def quadratic_objective(F: np.ndarray) -> HomogeneousObjective:
-    """``f(w) = w^H F w`` for Hermitian PSD ``F`` (degree 2)."""
-    return HomogeneousObjective(
-        degree=2.0,
-        evaluate=lambda w: float((w.conj() @ F @ w).real),
-        gradient=lambda w: F @ w,
-    )
-
-
-def quartic_objective(x_slab: np.ndarray, r_col: np.ndarray) -> HomogeneousObjective:
-    """``f(w) = (1/J) sum_j |w^H x_j|^4 / r_j^4`` (degree 4).
+def quartic_majorizer(xd: np.ndarray, y: np.ndarray, radius: np.ndarray):
+    """Streamed majorizer matrices ``G`` for one source, batched over bins.
 
     Args:
-        x_slab: observation slab ``(J, M)`` at one frequency bin.
-        r_col: positive scale parameters ``(J,)``.
+        xd: mixture ``(I, J, M)``.
+        y: anchor outputs ``y[i, j] = w~_i^H x_ij`` of the filter being
+            majorized, shaped ``(I, J)``.
+        radius: that source's scale parameters ``r`` shaped ``(I, J)``.
+
+    Returns:
+        ``(G, good)``: ``(I, M, M)`` Hermitian PSD matrices such that
+        ``(w^H G_i w)^2`` upper-bounds the quartic cost at bin ``i``, tight
+        at the anchor, and the mask of bins whose anchor projection ``q~``
+        is finite and nonzero (``G_i`` is not a majorizer elsewhere).
     """
-    Xr = x_slab / r_col[:, None]
-    J = x_slab.shape[0]
-
-    def evaluate(w: np.ndarray) -> float:
-        q = Xr.conj() @ w
-        return float(np.sum(np.abs(q) ** 4)) / J
-
-    def gradient(w: np.ndarray) -> np.ndarray:
-        q = Xr.conj() @ w
-        return (2.0 / J) * (Xr.T @ (np.abs(q) ** 2 * q))
-
-    return HomogeneousObjective(degree=4.0, evaluate=evaluate, gradient=gradient)
-
-
-def optimal_scale(degree: float) -> float:
-    """Minimizer of ``-2 log(eta) + eta**degree`` over positive ``eta``."""
-    return (2.0 / degree) ** (1.0 / degree)
-
-
-def direction_scale_step(
-    obj: HomogeneousObjective,
-    W_i: np.ndarray,
-    n: int,
-    direction_solver: Callable[[HomogeneousObjective, np.ndarray, int], np.ndarray],
-) -> np.ndarray:
-    """One filter update: solver-provided direction, closed-form scale.
-
-    The solver must return ``w'`` whose objective gradient is parallel to
-    ``W_i^{-1} e_n``; the returned filter satisfies ``f(w) = 2/degree``.
-    """
-    w_dir = direction_solver(obj, W_i, n)
-    f_val = obj.evaluate(w_dir)
-    if not np.isfinite(f_val) or f_val <= 0.0:
-        raise SolverFailure(f"direction has non-positive objective value {f_val}")
-    return w_dir * (2.0 / (obj.degree * f_val)) ** (1.0 / obj.degree)
-
-
-def quartic_majorizer(
-    x_slab: np.ndarray, r_col: np.ndarray, w_ref: np.ndarray
-) -> np.ndarray:
-    """Streamed majorizer matrix ``G`` anchored at ``w_ref`` (one bin).
-
-    Returns the ``(M, M)`` Hermitian PSD matrix such that
-    ``(w^H G w)^2`` upper-bounds the quartic cost, tight at ``w_ref``.
-    """
-    J = x_slab.shape[0]
-    Xr = x_slab / r_col[:, None]
-    q = Xr.conj() @ w_ref
+    J = xd.shape[1]
+    Xr = xd / radius[:, :, None]
+    q = y.conj() / radius
     aq2 = np.abs(q) ** 2
-    s4 = float(np.sum(aq2**2))
-    if not np.isfinite(s4) or s4 <= 0.0:
-        raise DegenerateDirection("reference projection q~ is identically zero")
-    norm_q2 = float(np.sum(aq2))
+    s4 = np.sum(aq2**2, axis=1)
+    norm_q2 = np.sum(aq2, axis=1)
+    good = np.isfinite(s4) & (s4 > 0.0)
+
     # ||q~||^2 C + D folded into a single weighted accumulation.
-    weights = norm_q2 + aq2
-    CD = np.einsum("j,ja,jb->ab", weights, Xr, Xr.conj())
-    u = Xr.T @ q
-    return (CD - np.outer(u, u.conj())) / np.sqrt(J * s4)
+    weights = norm_q2[:, None] + aq2
+    CD = np.einsum("ij,ija,ijb->iab", weights, Xr, Xr.conj())
+    u = np.einsum("ij,ijm->im", q, Xr)
+    denom = np.sqrt(J * np.where(good, s4, 1.0))
+    G = (CD - u[:, :, None] * u.conj()[:, None, :]) / denom[:, None, None]
+    return G, good
 
 
-def quartic_update_filter(
-    x_slab: np.ndarray,
-    r_col: np.ndarray,
-    W_i: np.ndarray,
-    n: int,
-    eps_det: float = EPS_DET,
-) -> np.ndarray:
-    """Majorize-then-update of one filter for the quartic source cost.
-
-    Builds ``G`` at the current filter (row ``n`` of ``W_i``), solves the
-    direction ``G^{-1} W_i^{-1} e_n``, then rescales with the true quartic
-    cost so that ``f(w) = 1/2``.
-    """
-    w_cur = W_i[n].conj()
-    G = quartic_majorizer(x_slab, r_col, w_cur)
-
-    def solver(obj, W, row):
-        if det_below_floor(G[None], eps_det)[0]:
-            raise SingularMajorizer("majorizer below determinant floor")
-        if np.abs(np.linalg.det(W)) <= eps_det:
-            raise SingularDemixing("demixing matrix below determinant floor")
-        e_n = np.zeros(W.shape[0], dtype=np.complex128)
-        e_n[row] = 1.0
-        try:
-            return np.linalg.solve(W @ G, e_n)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMajorizer(str(exc)) from exc
-
-    obj = quartic_objective(x_slab, r_col)
-    return direction_scale_step(obj, W_i, n, solver)
-
-
-def quartic_sweep(
-    xd: np.ndarray,
-    yd: np.ndarray,
-    W: np.ndarray,
-    radius: np.ndarray,
-    eps_det: float = EPS_DET,
-):
+def quartic_sweep(xd: np.ndarray, yd: np.ndarray, W: np.ndarray, radius: np.ndarray):
     """One full quartic update of all filters, batched over bins.
 
     Bins whose majorizer is degenerate or below the determinant floor are
@@ -200,20 +103,8 @@ def quartic_sweep(
     n_skipped = 0
     for n in range(N):
         rn = radius[:, :, n]
-        Xr = xd / rn[:, :, None]
-        q = yd[:, :, n].conj() / rn
-        aq2 = np.abs(q) ** 2
-        s4 = np.sum(aq2**2, axis=1)
-        norm_q2 = np.sum(aq2, axis=1)
-        good = np.isfinite(s4) & (s4 > 0.0)
-
-        weights = norm_q2[:, None] + aq2
-        CD = np.einsum("ij,ija,ijb->iab", weights, Xr, Xr.conj())
-        u = np.einsum("ij,ijm->im", q, Xr)
-        denom = np.sqrt(J * np.where(good, s4, 1.0))
-        G = (CD - u[:, :, None] * u.conj()[:, None, :]) / denom[:, None, None]
-
-        good &= ~det_below_floor(G, eps_det)
+        G, good = quartic_majorizer(xd, yd[:, :, n], rn)
+        good &= ~(np.abs(np.linalg.det(G)) <= EPS_DET)
         G_solve = np.where(good[:, None, None], G, eye)
         rhs = np.broadcast_to(eye[n][:, None], (I, N, 1))
         try:

@@ -15,93 +15,25 @@ coordinate-descent update::
 At ``beta = p = 2`` this is exactly the Itakura-Saito variant.  Frequency
 bins are independent; within one bin the sources are updated sequentially
 against the freshest demixing matrix.
+
+The per-filter form of this update (``ip_update_filter``), the weighted
+covariance it solves against (``weighted_covariance``) and the AM-GM gap
+(``am_gm_gap``) live in ``tests/reference_ip.py`` as test oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BetaOutOfRange, SingularCovariance, SingularDemixing
-from .source_model import ScaleField, _whitened_ratio
-from .types import EPS_DET, EPS_Y, GgdConfig, MixtureSpectrogram, SourceSpectrogram
+from .source_model import _whitened_ratio
+from .types import EPS_DET, EPS_Y
 
 
-@dataclass(frozen=True)
-class WeightedCovariance:
-    """Hermitian PSD weighted covariances, shaped ``(I, N, M, M)``."""
-
-    matrices: np.ndarray
-
-
-def det_below_floor(matrices: np.ndarray, eps_det: float) -> np.ndarray:
-    """Singularity mask for stacked matrices: ``|det| <= eps_det``."""
-    return np.abs(np.linalg.det(matrices)) <= eps_det
-
-
-def _ip_weights(abs_y, S, beta, domain, eps_y):
+def _ip_weights(abs_y, S, beta, domain):
     """Per-frame weights ``1 / (|y|^(2-beta) S^(beta/p))`` with |y| floored."""
-    ay = np.maximum(abs_y, eps_y)
+    ay = np.maximum(abs_y, EPS_Y)
     return _whitened_ratio(ay, S, beta, domain) / ay**2
-
-
-def weighted_covariance(
-    x: MixtureSpectrogram,
-    y: SourceSpectrogram,
-    scale: ScaleField,
-    cfg: GgdConfig,
-) -> WeightedCovariance:
-    """Weighted covariance of the observation for every (bin, source)."""
-    if not (0.0 < cfg.beta <= 2.0):
-        raise BetaOutOfRange(f"iterative projection requires 0 < beta <= 2, got {cfg.beta}")
-    xd = x.data
-    I, J, M = xd.shape
-    N = y.data.shape[2]
-    F = np.empty((I, N, M, M), dtype=np.complex128)
-    for n in range(N):
-        w = _ip_weights(np.abs(y.data[:, :, n]), scale.r_pow_p[:, :, n], cfg.beta, cfg.domain, cfg.eps_y)
-        F[:, n] = (cfg.beta / (2.0 * J)) * np.einsum("ija,ij,ijb->iab", xd, w, xd.conj())
-    return WeightedCovariance(matrices=F)
-
-
-def ip_update_filter(
-    W_i: np.ndarray, F_in: np.ndarray, n: int, eps_det: float = EPS_DET
-) -> np.ndarray:
-    """Closed-form update of one demixing filter at one frequency bin.
-
-    Returns the new filter ``w`` (so row ``n`` of ``W_i`` becomes
-    ``w.conj()``), normalized so that ``w^H F_in w = 1``.
-    """
-    if det_below_floor(F_in[None], eps_det)[0]:
-        raise SingularCovariance("weighted covariance below determinant floor")
-    if np.abs(np.linalg.det(W_i)) <= eps_det:
-        raise SingularDemixing("demixing matrix below determinant floor")
-    e_n = np.zeros(W_i.shape[0], dtype=np.complex128)
-    e_n[n] = 1.0
-    try:
-        w = np.linalg.solve(W_i @ F_in, e_n)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance(str(exc)) from exc
-    denom = float((w.conj() @ F_in @ w).real)
-    if denom <= 0.0:
-        raise SingularCovariance("non-positive normalization w^H F w")
-    return w / np.sqrt(denom)
-
-
-def am_gm_gap(y_abs, alpha, beta):
-    """Surrogate-minus-target for the AM-GM bound on ``|y|^beta``.
-
-    ``(beta/2) y^2 / alpha^(2-beta) + (1 - beta/2) alpha^beta - y^beta``;
-    nonnegative for 0 < beta <= 2 and zero iff ``alpha = y``.
-    """
-    y_abs = np.asarray(y_abs, dtype=np.float64)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    return (
-        0.5 * beta * y_abs**2 / alpha ** (2.0 - beta)
-        + (1.0 - 0.5 * beta) * alpha**beta
-        - y_abs**beta
-    )
 
 
 def ip_sweep(
@@ -111,8 +43,6 @@ def ip_sweep(
     S: np.ndarray,
     beta: float,
     domain: float,
-    eps_y: float = EPS_Y,
-    eps_det: float = EPS_DET,
 ):
     """One full update of all filters, batched over frequency bins.
 
@@ -134,7 +64,7 @@ def ip_sweep(
     eye = np.eye(N, dtype=np.complex128)
     norm_check = np.empty((I, N))
     for n in range(N):
-        wgt = _ip_weights(np.abs(yd[:, :, n]), S[:, :, n], beta, domain, eps_y)
+        wgt = _ip_weights(np.abs(yd[:, :, n]), S[:, :, n], beta, domain)
         # F = A^H A with A the weighted observation; solving through the
         # triangular factor of A halves the condition number of a direct
         # F solve and keeps w^H F w = ||R w||^2 nonnegative by
@@ -142,7 +72,7 @@ def ip_sweep(
         A = np.sqrt(wgt * (beta / (2.0 * J)))[:, :, None] * xd.conj()
         R = np.linalg.qr(A, mode="r")
         absdet_F = np.prod(np.abs(np.diagonal(R, axis1=1, axis2=2)), axis=1) ** 2
-        if np.any(absdet_F <= eps_det):
+        if np.any(absdet_F <= EPS_DET):
             bad = int(np.argmin(absdet_F))
             raise SingularCovariance(
                 f"weighted covariance singular at bin {bad}, source {n}"

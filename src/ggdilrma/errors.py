@@ -38,10 +38,6 @@ class NonPositiveScale(SeparationError):
     """Scale parameter must be strictly positive."""
 
 
-class InvalidAuxiliary(SeparationError):
-    """Auxiliary variables violate their feasibility constraints."""
-
-
 # --- demixing updates ---------------------------------------------------
 
 
@@ -55,18 +51,6 @@ class SingularCovariance(SeparationError):
 
 class SingularDemixing(SeparationError):
     """Demixing matrix not invertible above the determinant floor."""
-
-
-class SingularMajorizer(SeparationError):
-    """Majorizer matrix not invertible above the determinant floor."""
-
-
-class DegenerateDirection(SeparationError):
-    """Reference projection is identically zero; majorizer undefined."""
-
-
-class SolverFailure(SeparationError):
-    """Direction solver returned an unusable vector."""
 
 
 # --- audio I/O and simulation -------------------------------------------

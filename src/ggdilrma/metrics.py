@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -85,21 +85,3 @@ def align_permutation(
     return Alignment(
         permutation=perm, sdr_db=tuple(pairwise[n, perm[n]] for n in range(N))
     )
-
-
-def sdr_improvement(
-    estimates: Sequence[np.ndarray],
-    references: Sequence[np.ndarray],
-    mixture_at_ref_channel: np.ndarray,
-) -> List[float]:
-    """Per-source SI-SDR gain over the unprocessed mixture channel.
-
-    Estimates are aligned first; each source's improvement is its aligned
-    SI-SDR minus the SI-SDR of the raw mixture channel against the same
-    reference.
-    """
-    alignment = align_permutation(estimates, references)
-    return [
-        alignment.sdr_db[n] - si_sdr(mixture_at_ref_channel, references[n])
-        for n in range(len(references))
-    ]

@@ -20,13 +20,12 @@ from .cost import ggd_cost_arrays
 from .demix_homogeneous import quartic_sweep
 from .demix_ip import ip_sweep
 from .errors import SingularDemixing
-from .source_model import update_activations_arrays, update_bases_arrays
+from .source_model import scale_field, update_activations_arrays, update_bases_arrays
 from .types import (
+    EPS_NMF,
     ConvergenceTrace,
-    DemixingSet,
     GgdConfig,
     MixtureSpectrogram,
-    NmfModel,
     ProblemShape,
     SourceSpectrogram,
     TraceRecord,
@@ -36,31 +35,38 @@ from .types import (
 
 @dataclass(frozen=True)
 class RunResult:
-    """Everything produced by one separation run."""
+    """Everything produced by one separation run.
+
+    Attributes:
+        sources: back-projected source estimates.
+        W: final demixing matrices ``(I, N, N)``.
+        T: final NMF bases ``(N, I, K)``.
+        V: final NMF activations ``(N, K, J)``.
+        trace: per-iteration cost record.
+    """
 
     sources: SourceSpectrogram
-    demixing: DemixingSet
-    model: NmfModel
+    W: np.ndarray
+    T: np.ndarray
+    V: np.ndarray
     trace: ConvergenceTrace
 
 
-def initialize(
-    cfg: GgdConfig, shape: ProblemShape, seed: Optional[int] = None
-) -> tuple[DemixingSet, NmfModel]:
+def initialize(cfg: GgdConfig, shape: ProblemShape, seed: Optional[int] = None):
     """Identity demixing matrices and uniform-random positive factors.
 
-    Factor entries are i.i.d. uniform on ``(eps_nmf, 1]``; the draw is
+    Factor entries are i.i.d. uniform on ``(EPS_NMF, 1]``; the draw is
     deterministic for a given seed (bases first, then activations).
+    Returns ``(W, T, V)``.
     """
     if seed is None:
         seed = cfg.seed
     I, J, N, K = shape.n_bins, shape.n_frames, shape.n_sources, shape.n_bases
     W = np.tile(np.eye(N, dtype=np.complex128), (I, 1, 1))
     rng = np.random.default_rng(seed)
-    eps = cfg.eps_nmf
-    T = eps + (1.0 - eps) * (1.0 - rng.random((N, I, K)))
-    V = eps + (1.0 - eps) * (1.0 - rng.random((N, K, J)))
-    return DemixingSet(matrices=W), NmfModel(bases=T, activations=V)
+    T = EPS_NMF + (1.0 - EPS_NMF) * (1.0 - rng.random((N, I, K)))
+    V = EPS_NMF + (1.0 - EPS_NMF) * (1.0 - rng.random((N, K, J)))
+    return W, T, V
 
 
 def separate(xd: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -68,23 +74,17 @@ def separate(xd: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.einsum("inm,ijm->ijn", W, xd)
 
 
-def back_project(
-    y: SourceSpectrogram,
-    W: DemixingSet,
-    x: MixtureSpectrogram,
-    reference_channel: int = 0,
-) -> SourceSpectrogram:
+def back_project(yd: np.ndarray, W: np.ndarray, reference_channel: int = 0) -> np.ndarray:
     """Fix the per-source scale by projecting onto a reference channel.
 
     ``y_hat[i, j, n] = inv(W_i)[ref, n] * y[i, j, n]``; summing the result
     over sources reconstructs the reference channel of the observation.
     """
-    Wm = W.matrices
     try:
-        coeff = np.linalg.inv(Wm)[:, reference_channel, :]  # (I, N)
+        coeff = np.linalg.inv(W)[:, reference_channel, :]  # (I, N)
     except np.linalg.LinAlgError as exc:
         raise SingularDemixing(str(exc)) from exc
-    return SourceSpectrogram(data=y.data * coeff[:, None, :])
+    return yd * coeff[:, None, :]
 
 
 def iteration_step(xd: np.ndarray, W: np.ndarray, T: np.ndarray, V: np.ndarray, cfg: GgdConfig):
@@ -94,18 +94,18 @@ def iteration_step(xd: np.ndarray, W: np.ndarray, T: np.ndarray, V: np.ndarray, 
     basis update, activation update.  Returns ``(W, T, V, cost, skipped)``.
     """
     beta, p = cfg.beta, cfg.domain
-    S = np.moveaxis(T @ V, 0, 2)  # scale field r**p, (I, J, N)
+    S = scale_field(T, V)  # r**p, (I, J, N)
     yd = separate(xd, W)
     skipped = 0
     if cfg.update_scheme == "ip":
-        W, yd, _ = ip_sweep(xd, yd, W, S, beta, p, cfg.eps_y, cfg.eps_det)
+        W, yd, _ = ip_sweep(xd, yd, W, S, beta, p)
     else:
         radius = S ** (1.0 / p)
-        W, yd, _, skipped = quartic_sweep(xd, yd, W, radius, cfg.eps_det)
+        W, yd, _, skipped = quartic_sweep(xd, yd, W, radius)
     yd = separate(xd, W)
     abs_y = np.abs(np.moveaxis(yd, 2, 0))
-    T, V = update_bases_arrays(T, V, abs_y, beta, p, cfg.eps_nmf, cfg.eps_y)
-    T, V = update_activations_arrays(T, V, abs_y, beta, p, cfg.eps_nmf, cfg.eps_y)
+    T, V = update_bases_arrays(T, V, abs_y, beta, p)
+    T, V = update_activations_arrays(T, V, abs_y, beta, p)
     cost = ggd_cost_arrays(xd, W, T, V, beta, p)
     return W, T, V, cost, skipped
 
@@ -119,19 +119,14 @@ def run(
     """Run the configured number of alternating update iterations.
 
     Returns the back-projected source estimates together with the final
-    demixing matrices, source model, and per-iteration convergence trace.
+    demixing matrices, NMF factors, and per-iteration convergence trace.
     ``on_record`` is invoked with each trace record as it is produced
     (lets callers flush the trace even if a later iteration fails).
     Deterministic for fixed input, configuration, and seed.
     """
-    cfg.validate()
     shape = validate_problem(x, cfg)
-    demix0, model0 = initialize(cfg, shape)
-
+    W, T, V = initialize(cfg, shape)
     xd = np.ascontiguousarray(x.data, dtype=np.complex128)
-    W = demix0.matrices.copy()
-    T = model0.bases.copy()
-    V = model0.activations.copy()
 
     records = []
     for it in range(1, cfg.iterations + 1):
@@ -147,13 +142,11 @@ def run(
         if on_record is not None:
             on_record(record)
 
-    demixing = DemixingSet(matrices=W)
-    model = NmfModel(bases=T, activations=V)
-    y = SourceSpectrogram(data=separate(xd, W))
-    projected = back_project(y, demixing, x, reference_channel)
+    projected = back_project(separate(xd, W), W, reference_channel)
     return RunResult(
-        sources=projected,
-        demixing=demixing,
-        model=model,
+        sources=SourceSpectrogram(data=projected),
+        W=W,
+        T=T,
+        V=V,
         trace=ConvergenceTrace(records=records),
     )

@@ -16,32 +16,20 @@ updates::
 with ``S = sum_k t v``; activations mirror the rule with roles of ``t``
 and ``v`` (and the frame/bin sums) exchanged.  One sweep of both updates
 never increases the negative log-likelihood for a fixed demixing system.
+
+The per-entry Jensen + tangent-line majorizer behind these updates, and
+its equality auxiliaries, live in ``tests/reference_nmf.py`` as a test
+oracle, together with a per-source loop form of both updates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidAuxiliary, NonPositiveScale
-from .types import GgdConfig, NmfModel, SourceSpectrogram
-
-
-@dataclass(frozen=True)
-class ScaleField:
-    """Scale parameter raised to the domain power, shaped ``(I, J, N)``.
-
-    Entry ``(i, j, n)`` holds ``sum_k t_ikn v_kjn`` which equals
-    ``r_ijn ** p``; the scale itself is recovered via :meth:`radius`.
-    """
-
-    r_pow_p: np.ndarray
-
-    def radius(self, domain: float) -> np.ndarray:
-        """Scale parameter ``r = (r**p) ** (1/p)``."""
-        return self.r_pow_p ** (1.0 / domain)
+from .errors import NonPositiveScale
+from .types import EPS_NMF, EPS_Y
 
 
 def ggd_log_density(z: complex, beta: float, r: float) -> float:
@@ -62,10 +50,9 @@ def ggd_log_density(z: complex, beta: float, r: float) -> float:
     return log_norm - (abs(z) / r) ** beta
 
 
-def compute_scale_field(model: NmfModel) -> ScaleField:
-    """Evaluate ``r**p = sum_k t v`` for every (i, j, n)."""
-    power = model.low_rank_power()  # (N, I, J)
-    return ScaleField(r_pow_p=np.ascontiguousarray(np.moveaxis(power, 0, 2)))
+def scale_field(T: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Scale field ``r**p = sum_k t v`` shaped ``(I, J, N)``."""
+    return np.moveaxis(T @ V, 0, 2)
 
 
 def _whitened_ratio(abs_y: np.ndarray, S: np.ndarray, beta: float, domain: float) -> np.ndarray:
@@ -77,52 +64,24 @@ def _whitened_ratio(abs_y: np.ndarray, S: np.ndarray, beta: float, domain: float
     return (abs_y**domain / S) ** (beta / domain)
 
 
-def update_bases(model: NmfModel, y: SourceSpectrogram, cfg: GgdConfig) -> NmfModel:
-    """One multiplicative update of every basis matrix."""
-    T, V = update_bases_arrays(
-        model.bases,
-        model.activations,
-        np.abs(np.moveaxis(y.data, 2, 0)),
-        cfg.beta,
-        cfg.domain,
-        cfg.eps_nmf,
-        cfg.eps_y,
-    )
-    return NmfModel(bases=T, activations=V)
-
-
-def update_activations(model: NmfModel, y: SourceSpectrogram, cfg: GgdConfig) -> NmfModel:
-    """One multiplicative update of every activation matrix."""
-    T, V = update_activations_arrays(
-        model.bases,
-        model.activations,
-        np.abs(np.moveaxis(y.data, 2, 0)),
-        cfg.beta,
-        cfg.domain,
-        cfg.eps_nmf,
-        cfg.eps_y,
-    )
-    return NmfModel(bases=T, activations=V)
-
-
-def update_bases_arrays(T, V, abs_y, beta, domain, eps_nmf, eps_y):
-    """Basis update on raw arrays; ``abs_y`` is ``(N, I, J)``."""
+def update_bases_arrays(T, V, abs_y, beta, domain):
+    """Multiplicative update of every basis matrix; ``abs_y`` is ``(N, I, J)``."""
     S = T @ V  # (N, I, J)
-    ratio = _whitened_ratio(np.maximum(abs_y, eps_y), S, beta, domain)
+    ratio = _whitened_ratio(np.maximum(abs_y, EPS_Y), S, beta, domain)
     num = beta * np.einsum("nij,nkj->nik", ratio / S, V)
     den = 2.0 * np.einsum("nij,nkj->nik", 1.0 / S, V)
     T = T * (num / den) ** (domain / (beta + domain))
-    return np.maximum(T, eps_nmf), V
+    return np.maximum(T, EPS_NMF), V
 
 
-def update_activations_arrays(T, V, abs_y, beta, domain, eps_nmf, eps_y):
-    """Activation update on raw arrays; sums run over frequency bins."""
+def update_activations_arrays(T, V, abs_y, beta, domain):
+    """Multiplicative update of every activation matrix; sums run over bins."""
     S = T @ V  # (N, I, J)
-    ratio = _whitened_ratio(np.maximum(abs_y, eps_y), S, beta, domain)
+    ratio = _whitened_ratio(np.maximum(abs_y, EPS_Y), S, beta, domain)
     num = beta * np.einsum("nij,nik->nkj", ratio / S, T)
     den = 2.0 * np.einsum("nij,nik->nkj", 1.0 / S, T)
     V = V * (num / den) ** (domain / (beta + domain))
-    return T, np.maximum(V, eps_nmf)
+    return T, np.maximum(V, EPS_NMF)
 
 
 def model_cost_terms(abs_y, S, beta, domain):
@@ -132,57 +91,3 @@ def model_cost_terms(abs_y, S, beta, domain):
     the negative log-likelihood, additive constant omitted.
     """
     return _whitened_ratio(abs_y, S, beta, domain) + (2.0 / domain) * np.log(S)
-
-
-def nmf_majorizer_gap(
-    model: NmfModel,
-    y: SourceSpectrogram,
-    cfg: GgdConfig,
-    phi: np.ndarray,
-    psi: np.ndarray,
-) -> float:
-    """Majorizer-minus-cost for the Jensen + tangent-line surrogate.
-
-    The surrogate replaces ``S^(-beta/p)`` by the Jensen bound
-    ``sum_k phi_k^(beta/p + 1) (t_k v_k)^(-beta/p)`` (``phi`` a simplex
-    point over k) and ``log S`` by its tangent at ``psi``:
-    ``S/psi - 1 + log psi``.  The gap is nonnegative and vanishes when
-    ``phi_k = t_k v_k / S`` and ``psi = S``.
-
-    Args:
-        phi: ``(I, J, N, K)`` positive weights summing to 1 over k.
-        psi: ``(I, J, N)`` positive tangent points.
-
-    Returns:
-        Scalar gap (same additive-constant convention as the cost).
-    """
-    phi = np.asarray(phi, dtype=np.float64)
-    psi = np.asarray(psi, dtype=np.float64)
-    if np.any(phi <= 0.0):
-        raise InvalidAuxiliary("phi entries must be strictly positive")
-    if np.any(np.abs(phi.sum(axis=-1) - 1.0) > 1e-8):
-        raise InvalidAuxiliary("phi must sum to 1 over the basis axis")
-    if np.any(psi <= 0.0):
-        raise InvalidAuxiliary("psi entries must be strictly positive")
-
-    beta, p = cfg.beta, cfg.domain
-    T, V = model.bases, model.activations
-    abs_y = np.abs(y.data)  # (I, J, N)
-    S = np.moveaxis(T @ V, 0, 2)  # (I, J, N)
-
-    # t_ikn * v_kjn per (i, j, n, k)
-    tv = np.einsum("nik,nkj->ijnk", T, V)
-    jensen = np.sum(phi ** (beta / p + 1.0) * tv ** (-beta / p), axis=-1)
-    maj = np.sum(abs_y**beta * jensen) + (2.0 / p) * np.sum(
-        S / psi - 1.0 + np.log(psi)
-    )
-    cost = np.sum(abs_y**beta * S ** (-beta / p)) + (2.0 / p) * np.sum(np.log(S))
-    return float(maj - cost)
-
-
-def equality_auxiliaries(model: NmfModel) -> tuple[np.ndarray, np.ndarray]:
-    """Auxiliary variables at which the surrogate touches the cost."""
-    T, V = model.bases, model.activations
-    tv = np.einsum("nik,nkj->ijnk", T, V)
-    S = tv.sum(axis=-1)
-    return tv / S[..., None], S

@@ -72,15 +72,6 @@ class StftPlan:
             window=window, hop=hop_len, fft_size=frame_len, synthesis_window=synthesis
         )
 
-    def overlap_add_identity_error(self) -> float:
-        """Max deviation of sum_f w[t]*ws[t] from 1 over one hop period."""
-        prod = self.window * self.synthesis_window
-        acc = np.zeros(self.hop)
-        for offset in range(0, self.frame_len, self.hop):
-            seg = prod[offset : offset + self.hop]
-            acc[: len(seg)] += seg
-        return float(np.max(np.abs(acc - 1.0)))
-
 
 def _as_2d(signal: np.ndarray) -> np.ndarray:
     signal = np.asarray(signal, dtype=np.float64)

@@ -12,31 +12,25 @@ Complex spectrogram tensors are stored ``(I, J, channels)`` in row-major
 order so that a per-frequency slab ``data[i]`` is contiguous.  Demixing
 matrices are stored ``(I, N, N)`` where row ``n`` of ``W[i]`` holds the
 Hermitian transpose of the demixing filter, i.e. ``y[i, j, n] =
-W[i, n, :] @ x[i, j, :]``.
+W[i, n, :] @ x[i, j, :]``.  NMF factors are per-source stacks: bases
+``T`` shaped ``(N, I, K)`` and activations ``V`` shaped ``(N, K, J)``.
 
 All containers are frozen dataclasses treated as immutable values after
-construction; invariants are checked by :func:`validate_problem` (and the
-containers' ``validate`` methods) rather than on every construction.
+construction; invariants are checked once per run by
+:func:`validate_problem` rather than on every construction.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass, field
-from typing import IO, List, Sequence, Union
+from typing import List
 
 import numpy as np
 
-from .errors import (
-    DegenerateShape,
-    IoFailure,
-    NonFiniteInput,
-    SingularDemixing,
-    UnsupportedBeta,
-)
+from .errors import DegenerateShape, NonFiniteInput, UnsupportedBeta
 
-#: Default numerical floors: NMF entries, |y| in denominators, |det| guard.
+#: Numerical floors: NMF entries, |y| in denominators, |det| guard.
 EPS_NMF = 1e-12
 EPS_Y = 1e-12
 EPS_DET = 1e-12
@@ -58,126 +52,12 @@ class MixtureSpectrogram:
     frame_len: int
     hop_len: int
 
-    @property
-    def n_bins(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def n_channels(self) -> int:
-        return self.data.shape[2]
-
-    def validate(self) -> None:
-        _check_spectrogram_tensor(self.data, "mixture")
-        if self.frame_len // 2 + 1 != self.n_bins:
-            raise DegenerateShape(
-                f"I={self.n_bins} inconsistent with frame_len={self.frame_len}"
-            )
-        if not (1 <= self.hop_len <= self.frame_len):
-            raise DegenerateShape(f"hop_len={self.hop_len} outside [1, frame_len]")
-
 
 @dataclass(frozen=True)
 class SourceSpectrogram:
     """Complex spectrogram tensor of N separated sources, shaped ``(I, J, N)``."""
 
     data: np.ndarray
-
-    @property
-    def n_bins(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def n_sources(self) -> int:
-        return self.data.shape[2]
-
-    def validate(self) -> None:
-        _check_spectrogram_tensor(self.data, "source")
-
-
-@dataclass(frozen=True)
-class DemixingSet:
-    """Per-frequency demixing matrices, shaped ``(I, N, N)``.
-
-    Row ``n`` of ``matrices[i]`` is the Hermitian transpose of the filter
-    extracting source ``n`` at bin ``i``.
-    """
-
-    matrices: np.ndarray
-
-    @property
-    def n_bins(self) -> int:
-        return self.matrices.shape[0]
-
-    @property
-    def n_sources(self) -> int:
-        return self.matrices.shape[1]
-
-    def filters(self, i: int) -> np.ndarray:
-        """Demixing filters (columns w_n) at bin ``i``: conj of the rows."""
-        return self.matrices[i].conj()
-
-    def validate(self, eps_det: float = EPS_DET) -> None:
-        W = self.matrices
-        if W.ndim != 3 or W.shape[1] != W.shape[2]:
-            raise DegenerateShape(f"demixing tensor must be (I, N, N), got {W.shape}")
-        if not np.iscomplexobj(W):
-            raise DegenerateShape("demixing matrices must be complex")
-        if not np.all(np.isfinite(W)):
-            raise NonFiniteInput("demixing matrices contain NaN/Inf")
-        absdet = np.abs(np.linalg.det(W))
-        if np.any(absdet <= eps_det):
-            bad = int(np.argmin(absdet))
-            raise SingularDemixing(
-                f"|det W_i| = {absdet[bad]:.3e} at bin {bad} is below {eps_det:g}"
-            )
-
-
-@dataclass(frozen=True)
-class NmfModel:
-    """Low-rank source model: nonnegative bases and activations.
-
-    Attributes:
-        bases: ``(N, I, K)`` nonnegative basis matrices.
-        activations: ``(N, K, J)`` nonnegative activation matrices.
-    """
-
-    bases: np.ndarray
-    activations: np.ndarray
-
-    @property
-    def n_sources(self) -> int:
-        return self.bases.shape[0]
-
-    @property
-    def n_bases(self) -> int:
-        return self.bases.shape[2]
-
-    def low_rank_power(self) -> np.ndarray:
-        """Model spectrogram ``sum_k t_ikn v_kjn`` shaped ``(N, I, J)``."""
-        return self.bases @ self.activations
-
-    def validate(self, eps_nmf: float = EPS_NMF) -> None:
-        T, V = self.bases, self.activations
-        if T.ndim != 3 or V.ndim != 3:
-            raise DegenerateShape("bases/activations must be 3-d (per-source stacks)")
-        if T.shape[0] != V.shape[0] or T.shape[2] != V.shape[1]:
-            raise DegenerateShape(
-                f"bases {T.shape} and activations {V.shape} are inconsistent"
-            )
-        if T.shape[2] < 1:
-            raise DegenerateShape("at least one basis is required")
-        if not (np.all(np.isfinite(T)) and np.all(np.isfinite(V))):
-            raise NonFiniteInput("NMF factors contain NaN/Inf")
-        if np.any(T < eps_nmf) or np.any(V < eps_nmf):
-            raise DegenerateShape(f"NMF entries must be >= {eps_nmf:g}")
 
 
 @dataclass(frozen=True)
@@ -197,28 +77,29 @@ class GgdConfig:
     n_bases: int = 20
     iterations: int = 1000
     seed: int = 0
-    eps_nmf: float = EPS_NMF
-    eps_y: float = EPS_Y
-    eps_det: float = EPS_DET
 
     @property
     def update_scheme(self) -> str:
         """``"ip"`` for 0 < beta <= 2, ``"quartic"`` for beta == 4."""
         return "ip" if self.beta <= 2.0 else "quartic"
 
-    def validate(self) -> None:
+    def violations(self) -> list[tuple[type, str]]:
+        """Every violated setting as ``(error class, message)``, in check order."""
+        found = []
         if not (0.0 < self.beta <= 2.0 or self.beta == 4.0):
-            raise UnsupportedBeta(
-                f"beta={self.beta} unsupported; valid range is (0, 2] or exactly 4"
+            found.append(
+                (UnsupportedBeta, f"beta={self.beta} unsupported; valid range is (0, 2] or exactly 4")
             )
         if self.domain <= 0.0:
-            raise UnsupportedBeta(f"domain parameter must be > 0, got {self.domain}")
+            found.append((UnsupportedBeta, f"domain parameter must be > 0, got {self.domain}"))
         if self.n_bases < 1:
-            raise DegenerateShape("n_bases must be >= 1")
+            found.append((DegenerateShape, "n_bases must be >= 1"))
         if self.iterations < 0:
-            raise DegenerateShape("iterations must be >= 0")
-        if min(self.eps_nmf, self.eps_y, self.eps_det) <= 0.0:
-            raise DegenerateShape("floors must be strictly positive")
+            found.append((DegenerateShape, "iterations must be >= 0"))
+        return found
+
+    def validate(self) -> None:
+        _raise_violations(self.violations())
 
 
 @dataclass(frozen=True)
@@ -240,6 +121,17 @@ class TraceRecord:
     elapsed_ms: float
     skipped_updates: int = 0
 
+    def to_json(self) -> str:
+        """One trace line: ``iter``, ``cost``, ``elapsed_ms``, ``skipped_updates``."""
+        return json.dumps(
+            {
+                "iter": self.iteration,
+                "cost": self.cost,
+                "elapsed_ms": self.elapsed_ms,
+                "skipped_updates": self.skipped_updates,
+            }
+        )
+
 
 @dataclass(frozen=True)
 class ConvergenceTrace:
@@ -250,52 +142,12 @@ class ConvergenceTrace:
     def costs(self) -> np.ndarray:
         return np.array([r.cost for r in self.records], dtype=np.float64)
 
-    def total_skipped(self) -> int:
-        return sum(r.skipped_updates for r in self.records)
 
-    def to_jsonl(self) -> str:
-        """Serialize as line-delimited records."""
-        lines = [
-            json.dumps(
-                {
-                    "iter": r.iteration,
-                    "cost": r.cost,
-                    "elapsed_ms": r.elapsed_ms,
-                    "skipped_updates": r.skipped_updates,
-                }
-            )
-            for r in self.records
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "ConvergenceTrace":
-        records = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            records.append(
-                TraceRecord(
-                    iteration=int(obj["iter"]),
-                    cost=float(obj["cost"]),
-                    elapsed_ms=float(obj["elapsed_ms"]),
-                    skipped_updates=int(obj.get("skipped_updates", 0)),
-                )
-            )
-        return cls(records=records)
-
-
-def _check_spectrogram_tensor(data: np.ndarray, what: str) -> None:
-    if data.ndim != 3:
-        raise DegenerateShape(f"{what} tensor must be 3-d (I, J, C), got {data.ndim}-d")
-    if min(data.shape) < 1:
-        raise DegenerateShape(f"{what} tensor has an empty dimension: {data.shape}")
-    if not np.iscomplexobj(data):
-        raise DegenerateShape(f"{what} tensor must be complex-valued")
-    if not np.all(np.isfinite(data)):
-        raise NonFiniteInput(f"{what} tensor contains NaN/Inf entries")
+def _raise_violations(violations: list[tuple[type, str]]) -> None:
+    """Raise the first violation's error with a message listing all of them."""
+    if violations:
+        err_cls = violations[0][0]
+        raise err_cls("; ".join(msg for _, msg in violations))
 
 
 def validate_problem(x: MixtureSpectrogram, cfg: GgdConfig) -> ProblemShape:
@@ -303,7 +155,8 @@ def validate_problem(x: MixtureSpectrogram, cfg: GgdConfig) -> ProblemShape:
 
     Returns the checked ``(I, J, N, K)`` descriptor with ``N = M``
     (determined case), or raises the error for the first violated
-    invariant with a message listing all violations.
+    invariant (mixture first, then configuration) with a message listing
+    all violations.
     """
     violations: list[tuple[type, str]] = []
 
@@ -314,69 +167,7 @@ def validate_problem(x: MixtureSpectrogram, cfg: GgdConfig) -> ProblemShape:
         )
     if shape_ok and not np.all(np.isfinite(x.data)):
         violations.append((NonFiniteInput, "mixture contains NaN/Inf entries"))
-    if not (0.0 < cfg.beta <= 2.0 or cfg.beta == 4.0):
-        violations.append(
-            (UnsupportedBeta, f"beta={cfg.beta} outside (0, 2] and {{4}}")
-        )
-    if cfg.domain <= 0.0:
-        violations.append((UnsupportedBeta, f"domain={cfg.domain} must be > 0"))
-    if cfg.n_bases < 1:
-        violations.append((DegenerateShape, "n_bases must be >= 1"))
-
-    if violations:
-        err_cls = violations[0][0]
-        raise err_cls("; ".join(msg for _, msg in violations))
+    _raise_violations(violations + cfg.violations())
 
     I, J, M = x.data.shape
     return ProblemShape(n_bins=I, n_frames=J, n_sources=M, n_bases=cfg.n_bases)
-
-
-# --- debug spectrogram dump ----------------------------------------------
-
-_DUMP_MAGIC = b"ILRT"
-_DUMP_HEADER = struct.Struct("<4sIII")
-
-
-def dump_spectrogram(data: np.ndarray, target: Union[str, IO[bytes]]) -> None:
-    """Write a complex tensor to the little-endian debug format.
-
-    Layout: header ``{magic "ILRT", u32 I, u32 J, u32 C}`` followed by
-    ``I*J*C`` complex64 ``(re, im)`` pairs in (i-major, j, c) order.
-    Values are stored at complex64 precision.
-    """
-    if data.ndim != 3:
-        raise DegenerateShape(f"dump expects a 3-d tensor, got {data.ndim}-d")
-    payload = np.ascontiguousarray(data).astype("<c8").tobytes()
-    header = _DUMP_HEADER.pack(_DUMP_MAGIC, *data.shape)
-    if isinstance(target, str):
-        try:
-            with open(target, "wb") as fh:
-                fh.write(header)
-                fh.write(payload)
-        except OSError as exc:
-            raise IoFailure(str(exc)) from exc
-    else:
-        target.write(header)
-        target.write(payload)
-
-
-def load_spectrogram(source: Union[str, IO[bytes]]) -> np.ndarray:
-    """Read a tensor written by :func:`dump_spectrogram` (complex64)."""
-    if isinstance(source, str):
-        try:
-            with open(source, "rb") as fh:
-                raw = fh.read()
-        except OSError as exc:
-            raise IoFailure(str(exc)) from exc
-    else:
-        raw = source.read()
-    if len(raw) < _DUMP_HEADER.size:
-        raise IoFailure("truncated spectrogram dump")
-    magic, I, J, C = _DUMP_HEADER.unpack_from(raw)
-    if magic != _DUMP_MAGIC:
-        raise IoFailure(f"bad magic {magic!r}")
-    expect = _DUMP_HEADER.size + 8 * I * J * C
-    if len(raw) != expect:
-        raise IoFailure(f"dump size {len(raw)} != expected {expect}")
-    flat = np.frombuffer(raw, dtype="<c8", offset=_DUMP_HEADER.size)
-    return flat.reshape(I, J, C).copy()

@@ -1,27 +1,25 @@
-"""Iterative-projection update: covariance oracle, normalization, descent."""
+"""Iterative-projection update: covariance oracle, normalization, descent.
+
+The batched ``ip_sweep`` is pinned to the per-filter oracle in
+``reference_ip.py``; the oracle's covariance and AM-GM bound are checked
+against naive loops and the inequality itself.
+"""
 
 import numpy as np
 import pytest
+from reference_ip import am_gm_gap, ip_update_filter, weighted_covariance
 
-from ggdilrma.demix_ip import (
-    am_gm_gap,
-    ip_sweep,
-    ip_update_filter,
-    weighted_covariance,
-)
+from ggdilrma.demix_ip import ip_sweep
 from ggdilrma.errors import BetaOutOfRange, SingularCovariance
-from ggdilrma.source_model import ScaleField, compute_scale_field
-from ggdilrma.types import GgdConfig, MixtureSpectrogram, NmfModel, SourceSpectrogram
+from ggdilrma.source_model import scale_field
 
 
 def random_instance(I=3, J=8, M=2, K=2, seed=0):
+    """Mixture ``xd``, outputs ``yd = W x``, scale field ``S`` and ``W``."""
     rng = np.random.default_rng(seed)
     xd = rng.standard_normal((I, J, M)) + 1j * rng.standard_normal((I, J, M))
-    x = MixtureSpectrogram(data=xd, sample_rate=16000, frame_len=2 * (I - 1), hop_len=I - 1)
-    model = NmfModel(
-        bases=rng.uniform(0.3, 1.2, size=(M, I, K)),
-        activations=rng.uniform(0.3, 1.2, size=(M, K, J)),
-    )
+    T = rng.uniform(0.3, 1.2, size=(M, I, K))
+    V = rng.uniform(0.3, 1.2, size=(M, K, J))
     W = np.stack(
         [
             np.eye(M) + 0.3 * (rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M)))
@@ -29,69 +27,62 @@ def random_instance(I=3, J=8, M=2, K=2, seed=0):
         ]
     ).astype(np.complex128)
     yd = np.einsum("inm,ijm->ijn", W, xd)
-    return x, SourceSpectrogram(data=yd), compute_scale_field(model), W
+    return xd, yd, scale_field(T, V), W
 
 
 class TestWeightedCovariance:
     def test_gaussian_weights_ignore_y(self):
         # beta=p=2: the |y| exponent is zero, weight is 1/S
-        x, y, scale, _ = random_instance(seed=1)
-        cfg = GgdConfig(beta=2.0, domain=2.0, n_bases=2)
-        F = weighted_covariance(x, y, scale, cfg).matrices
-        I, J, M = x.data.shape
+        xd, yd, S, _ = random_instance(seed=1)
+        F = weighted_covariance(xd, yd, S, 2.0, 2.0)
+        I, J, M = xd.shape
         for i in range(I):
             for n in range(M):
                 direct = np.zeros((M, M), dtype=np.complex128)
                 for j in range(J):
-                    xx = np.outer(x.data[i, j], x.data[i, j].conj())
-                    direct += xx / scale.r_pow_p[i, j, n]
+                    xx = np.outer(xd[i, j], xd[i, j].conj())
+                    direct += xx / S[i, j, n]
                 direct /= J
                 np.testing.assert_allclose(F[i, n], direct, rtol=1e-13, atol=1e-13)
 
     def test_single_frame_outer_product(self):
         xd = np.zeros((1, 1, 2), dtype=np.complex128)
         xd[0, 0] = [1.0, 0.0]
-        x = MixtureSpectrogram(data=xd, sample_rate=16000, frame_len=0, hop_len=0)
-        y = SourceSpectrogram(data=np.full((1, 1, 2), 2.0 + 0j))
-        scale = ScaleField(r_pow_p=np.full((1, 1, 2), 0.7))
+        yd = np.full((1, 1, 2), 2.0 + 0j)
+        S = np.full((1, 1, 2), 0.7)
         beta, p = 1.0, 0.5
-        cfg = GgdConfig(beta=beta, domain=p, n_bases=1)
-        F = weighted_covariance(x, y, scale, cfg).matrices
+        F = weighted_covariance(xd, yd, S, beta, p)
         w1 = 1.0 / (2.0 ** (2 - beta) * 0.7 ** (beta / p))
         expected = (beta / 2.0) * w1 * np.array([[1.0, 0.0], [0.0, 0.0]])
         np.testing.assert_allclose(F[0, 0], expected, rtol=1e-13)
 
     def test_naive_loop_oracle(self):
-        x, y, scale, _ = random_instance(I=2, J=6, seed=2)
+        xd, yd, S, _ = random_instance(I=2, J=6, seed=2)
         beta, p = 1.3, 0.5
-        cfg = GgdConfig(beta=beta, domain=p, n_bases=2)
-        F = weighted_covariance(x, y, scale, cfg).matrices
-        I, J, M = x.data.shape
+        F = weighted_covariance(xd, yd, S, beta, p)
+        I, J, M = xd.shape
         for i in range(I):
             for n in range(M):
                 direct = np.zeros((M, M), dtype=np.complex128)
                 for j in range(J):
-                    w = 1.0 / (
-                        abs(y.data[i, j, n]) ** (2 - beta)
-                        * scale.r_pow_p[i, j, n] ** (beta / p)
-                    )
-                    direct += w * np.outer(x.data[i, j], x.data[i, j].conj())
+                    w = 1.0 / (abs(yd[i, j, n]) ** (2 - beta) * S[i, j, n] ** (beta / p))
+                    direct += w * np.outer(xd[i, j], xd[i, j].conj())
                 direct *= beta / (2 * J)
                 np.testing.assert_allclose(F[i, n], direct, rtol=1e-13)
 
     def test_hermitian_psd(self):
-        x, y, scale, _ = random_instance(seed=3)
-        cfg = GgdConfig(beta=1.5, domain=0.5, n_bases=2)
-        F = weighted_covariance(x, y, scale, cfg).matrices
+        xd, yd, S, _ = random_instance(seed=3)
+        F = weighted_covariance(xd, yd, S, 1.5, 0.5)
         asym = np.max(np.abs(F - F.conj().transpose(0, 1, 3, 2)))
         assert asym < 1e-12
         eigs = np.linalg.eigvalsh(F.reshape(-1, 2, 2))
         assert eigs.min() > -1e-10
 
     def test_rejects_beta_above_two(self):
-        x, y, scale, _ = random_instance()
+        # the AM-GM weights need beta <= 2, so the sweep refuses beta = 4
+        xd, yd, S, W = random_instance()
         with pytest.raises(BetaOutOfRange):
-            weighted_covariance(x, y, scale, GgdConfig(beta=4.0, domain=0.5, n_bases=2))
+            ip_sweep(xd, yd, W, S, 4.0, 0.5)
 
 
 class TestIpUpdateFilter:
@@ -162,47 +153,36 @@ class TestIpSweep:
         p = 0.5
         failures = 0
         for seed in range(30):
-            x, y, scale, W = random_instance(seed=seed)
+            xd, yd, _, W = random_instance(seed=seed)
             rng = np.random.default_rng(1000 + seed)
             T = rng.uniform(0.3, 1.2, size=(2, 3, 2))
             V = rng.uniform(0.3, 1.2, size=(2, 2, 8))
-            S = np.moveaxis(T @ V, 0, 2)
-            before = ggd_cost_arrays(x.data, W, T, V, beta, p)
-            W2 = W.copy()
-            yd = np.einsum("inm,ijm->ijn", W2, x.data)
-            W2, yd, _ = ip_sweep(x.data, yd, W2, S, beta, p)
-            after = ggd_cost_arrays(x.data, W2, T, V, beta, p)
+            S = scale_field(T, V)
+            before = ggd_cost_arrays(xd, W, T, V, beta, p)
+            W2, yd, _ = ip_sweep(xd, yd, W.copy(), S, beta, p)
+            after = ggd_cost_arrays(xd, W2, T, V, beta, p)
             if after > before + 1e-9 * (1 + abs(before)):
                 failures += 1
         assert failures == 0
 
     def test_sweep_matches_single_bin_op(self):
-        x, y, scale, W = random_instance(I=4, J=10, seed=7)
+        xd, yd, S, W = random_instance(I=4, J=10, seed=7)
         beta, p = 1.5, 0.5
-        cfg = GgdConfig(beta=beta, domain=p, n_bases=2)
-        S = scale.r_pow_p
-
-        W_sweep = W.copy()
-        yd = np.einsum("inm,ijm->ijn", W_sweep, x.data)
-        W_sweep, _, norm_check = ip_sweep(x.data, yd, W_sweep, S, beta, p)
+        W_sweep, _, norm_check = ip_sweep(xd, yd.copy(), W.copy(), S, beta, p)
 
         W_ref = W.copy()
-        yd_ref = np.einsum("inm,ijm->ijn", W_ref, x.data)
+        yd_ref = yd.copy()
         for n in range(2):
-            F = weighted_covariance(
-                x, SourceSpectrogram(data=yd_ref), ScaleField(r_pow_p=S), cfg
-            ).matrices
+            F = weighted_covariance(xd, yd_ref, S, beta, p)
             for i in range(4):
                 w = ip_update_filter(W_ref[i], F[i, n], n)
                 W_ref[i, n] = w.conj()
-            yd_ref[:, :, n] = np.einsum("ijm,im->ij", x.data, W_ref[:, n].conj())
+            yd_ref[:, :, n] = np.einsum("ijm,im->ij", xd, W_ref[:, n].conj())
 
         np.testing.assert_allclose(W_sweep, W_ref, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(norm_check, 1.0, atol=1e-10)
 
     def test_normalization_postcondition(self):
-        x, y, scale, W = random_instance(I=5, J=12, seed=8)
-        W2 = W.copy()
-        yd = np.einsum("inm,ijm->ijn", W2, x.data)
-        _, _, norm_check = ip_sweep(x.data, yd, W2, scale.r_pow_p, 1.0, 0.5)
+        xd, yd, S, W = random_instance(I=5, J=12, seed=8)
+        _, _, norm_check = ip_sweep(xd, yd, W.copy(), S, 1.0, 0.5)
         np.testing.assert_allclose(norm_check, 1.0, atol=1e-10)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from ggdilrma.errors import TooManySources, ZeroReference
-from ggdilrma.metrics import SDR_CAP_DB, align_permutation, sdr_improvement, si_sdr
+from ggdilrma.metrics import SDR_CAP_DB, align_permutation, si_sdr
+from ggdilrma.workflows import evaluate_separation
+
+
+def sdr_improvement(estimates, references, mixture_at_ref_channel):
+    rows = evaluate_separation(estimates, references, mixture_at_ref_channel)
+    return [row.sdr_improvement_db for row in rows]
 
 
 def tone(n, f, phase=0.0):

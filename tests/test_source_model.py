@@ -1,36 +1,45 @@
-"""GGD density values, scale-field oracle, NMF update laws, majorizer gap."""
+"""GGD density values, scale-field oracle, NMF update laws, majorizer gap.
+
+The batched NMF updates are pinned to the per-source oracle in
+``reference_nmf.py``, which also holds the Jensen + tangent majorizer.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from reference_nmf import (
+    equality_auxiliaries,
+    nmf_majorizer_gap,
+    update_activations_reference,
+    update_bases_reference,
+)
 
 from ggdilrma.cost import ggd_cost_arrays
-from ggdilrma.errors import InvalidAuxiliary, NonPositiveScale
+from ggdilrma.errors import NonPositiveScale
 from ggdilrma.source_model import (
-    compute_scale_field,
-    equality_auxiliaries,
     ggd_log_density,
-    nmf_majorizer_gap,
-    update_activations,
-    update_bases,
+    scale_field,
+    update_activations_arrays,
+    update_bases_arrays,
 )
-from ggdilrma.types import GgdConfig, NmfModel, SourceSpectrogram
+from ggdilrma.types import EPS_NMF
 
 
 def random_model(N, I, K, J, seed, low=0.2, high=1.5):
+    """Bases ``(N, I, K)`` and activations ``(N, K, J)``."""
     rng = np.random.default_rng(seed)
-    return NmfModel(
-        bases=rng.uniform(low, high, size=(N, I, K)),
-        activations=rng.uniform(low, high, size=(N, K, J)),
-    )
+    return rng.uniform(low, high, size=(N, I, K)), rng.uniform(low, high, size=(N, K, J))
 
 
 def random_sources(I, J, N, seed):
     rng = np.random.default_rng(seed)
-    return SourceSpectrogram(
-        data=rng.standard_normal((I, J, N)) + 1j * rng.standard_normal((I, J, N))
-    )
+    return rng.standard_normal((I, J, N)) + 1j * rng.standard_normal((I, J, N))
+
+
+def source_magnitudes(y):
+    """``|y|`` in the ``(N, I, J)`` layout the NMF updates take."""
+    return np.abs(np.moveaxis(y, 2, 0))
 
 
 class TestLogDensity:
@@ -65,138 +74,136 @@ class TestLogDensity:
 
 class TestScaleField:
     def test_single_term(self):
-        model = NmfModel(bases=np.full((1, 1, 1), 2.0), activations=np.full((1, 1, 1), 3.0))
-        field = compute_scale_field(model)
-        assert field.r_pow_p[0, 0, 0] == pytest.approx(6.0)
-        assert field.radius(0.5)[0, 0, 0] == pytest.approx(36.0)
+        field = scale_field(np.full((1, 1, 1), 2.0), np.full((1, 1, 1), 3.0))
+        assert field[0, 0, 0] == pytest.approx(6.0)
 
     def test_two_term_sum(self):
-        model = NmfModel(
-            bases=np.ones((1, 1, 2)), activations=np.ones((1, 2, 1))
-        )
-        assert compute_scale_field(model).r_pow_p[0, 0, 0] == pytest.approx(2.0)
+        assert scale_field(np.ones((1, 1, 2)), np.ones((1, 2, 1)))[0, 0, 0] == pytest.approx(2.0)
 
     def test_matches_triple_loop(self):
-        model = random_model(N=2, I=4, K=3, J=5, seed=0)
-        field = compute_scale_field(model)
-        T, V = model.bases, model.activations
+        T, V = random_model(N=2, I=4, K=3, J=5, seed=0)
+        field = scale_field(T, V)
         for n in range(2):
             for i in range(4):
                 for j in range(5):
                     direct = sum(T[n, i, k] * V[n, k, j] for k in range(3))
-                    assert abs(field.r_pow_p[i, j, n] - direct) <= 1e-14 * direct
+                    assert abs(field[i, j, n] - direct) <= 1e-14 * direct
 
 
 class TestNmfUpdates:
     def equal_ratio_instance(self, beta, p, N=1, I=3, K=2, J=4, seed=0):
         """|y|^beta == S^(beta/p) everywhere."""
-        model = random_model(N, I, K, J, seed)
-        S = np.moveaxis(model.low_rank_power(), 0, 2)
-        y = SourceSpectrogram(data=(S ** (1.0 / p)).astype(np.complex128))
-        return model, y
+        T, V = random_model(N, I, K, J, seed)
+        y = (scale_field(T, V) ** (1.0 / p)).astype(np.complex128)
+        return T, V, source_magnitudes(y)
 
     @pytest.mark.parametrize("beta,p", [(1.0, 0.5), (4.0, 0.5), (1.5, 2.0)])
     def test_equality_case_multiplies_by_constant(self, beta, p):
-        model, y = self.equal_ratio_instance(beta, p)
-        cfg = GgdConfig(beta=beta, domain=p, n_bases=2)
-        updated = update_bases(model, y, cfg)
+        T, V, abs_y = self.equal_ratio_instance(beta, p)
+        T_new, _ = update_bases_arrays(T, V, abs_y, beta, p)
         factor = (beta / 2.0) ** (p / (beta + p))
-        np.testing.assert_allclose(updated.bases, model.bases * factor, rtol=1e-12)
+        np.testing.assert_allclose(T_new, T * factor, rtol=1e-12)
 
     def test_gaussian_fixed_point(self):
         # at beta=2 the equality case is a fixed point of both updates
-        model, y = self.equal_ratio_instance(2.0, 2.0)
-        cfg = GgdConfig(beta=2.0, domain=2.0, n_bases=2)
-        up_t = update_bases(model, y, cfg)
-        np.testing.assert_allclose(up_t.bases, model.bases, rtol=1e-12)
-        up_v = update_activations(model, y, cfg)
-        np.testing.assert_allclose(up_v.activations, model.activations, rtol=1e-12)
+        T, V, abs_y = self.equal_ratio_instance(2.0, 2.0)
+        T_new, _ = update_bases_arrays(T, V, abs_y, 2.0, 2.0)
+        np.testing.assert_allclose(T_new, T, rtol=1e-12)
+        _, V_new = update_activations_arrays(T, V, abs_y, 2.0, 2.0)
+        np.testing.assert_allclose(V_new, V, rtol=1e-12)
 
     def test_is_nmf_square_root_exponent(self):
         # beta=p=2 exponent p/(beta+p) = 1/2: ratio**0.5 multiplicative form
-        model = random_model(N=1, I=4, K=2, J=5, seed=1)
+        T, V = random_model(N=1, I=4, K=2, J=5, seed=1)
         y = random_sources(4, 5, 1, seed=2)
-        cfg = GgdConfig(beta=2.0, domain=2.0, n_bases=2)
-        updated = update_bases(model, y, cfg)
+        T_new, _ = update_bases_arrays(T, V, source_magnitudes(y), 2.0, 2.0)
 
-        T, V = model.bases[0], model.activations[0]
-        S = T @ V
-        P = np.abs(y.data[:, :, 0]) ** 2
-        num = (P / S**2) @ V.T
-        den = (1.0 / S) @ V.T
-        np.testing.assert_allclose(updated.bases[0], T * np.sqrt(num / den), rtol=1e-12)
+        S = T[0] @ V[0]
+        P = np.abs(y[:, :, 0]) ** 2
+        num = (P / S**2) @ V[0].T
+        den = (1.0 / S) @ V[0].T
+        np.testing.assert_allclose(T_new[0], T[0] * np.sqrt(num / den), rtol=1e-12)
+
+    @pytest.mark.parametrize("beta,p", [(4.0, 0.5), (1.0, 0.5), (2.0, 2.0), (1.3, 0.7)])
+    def test_matches_per_source_oracle(self, beta, p):
+        T, V = random_model(N=2, I=4, K=3, J=6, seed=11)
+        abs_y = source_magnitudes(random_sources(4, 6, 2, seed=12))
+        T_new, _ = update_bases_arrays(T, V, abs_y, beta, p)
+        np.testing.assert_allclose(
+            T_new, update_bases_reference(T, V, abs_y, beta, p), rtol=1e-12
+        )
+        _, V_new = update_activations_arrays(T_new, V, abs_y, beta, p)
+        np.testing.assert_allclose(
+            V_new, update_activations_reference(T_new, V, abs_y, beta, p), rtol=1e-12
+        )
 
     @pytest.mark.parametrize("beta,p", [(4.0, 0.5), (1.0, 0.5), (2.0, 2.0), (1.99, 0.5)])
     def test_sweep_never_increases_cost(self, beta, p):
         # fixed demixing: a T sweep then V sweep must not increase the cost
         failures = 0
         for seed in range(100):
-            model = random_model(N=1, I=4, K=2, J=5, seed=seed)
+            T, V = random_model(N=1, I=4, K=2, J=5, seed=seed)
             y = random_sources(4, 5, 1, seed=1000 + seed)
-            cfg = GgdConfig(beta=beta, domain=p, n_bases=2)
+            abs_y = source_magnitudes(y)
             W = np.eye(1, dtype=np.complex128)[None]
-            xd = y.data  # with W = I the separated signal equals the input
-            before = ggd_cost_arrays(xd, W, model.bases, model.activations, beta, p)
-            m1 = update_bases(model, y, cfg)
-            mid = ggd_cost_arrays(xd, W, m1.bases, m1.activations, beta, p)
-            m2 = update_activations(m1, y, cfg)
-            after = ggd_cost_arrays(xd, W, m2.bases, m2.activations, beta, p)
+            xd = y  # with W = I the separated signal equals the input
+            before = ggd_cost_arrays(xd, W, T, V, beta, p)
+            T1, V1 = update_bases_arrays(T, V, abs_y, beta, p)
+            mid = ggd_cost_arrays(xd, W, T1, V1, beta, p)
+            T2, V2 = update_activations_arrays(T1, V1, abs_y, beta, p)
+            after = ggd_cost_arrays(xd, W, T2, V2, beta, p)
             slack = 1e-10 * (1.0 + abs(before))
             if mid > before + slack or after > mid + slack:
                 failures += 1
         assert failures == 0
 
     def test_nonnegativity_closure(self):
-        model = random_model(N=2, I=4, K=2, J=5, seed=3, low=1e-12, high=1e-11)
-        y = random_sources(4, 5, 2, seed=4)
-        cfg = GgdConfig(beta=1.0, domain=0.5, n_bases=2)
-        out = update_activations(update_bases(model, y, cfg), y, cfg)
-        assert np.all(out.bases >= cfg.eps_nmf)
-        assert np.all(out.activations >= cfg.eps_nmf)
+        T, V = random_model(N=2, I=4, K=2, J=5, seed=3, low=1e-12, high=1e-11)
+        abs_y = source_magnitudes(random_sources(4, 5, 2, seed=4))
+        T, V = update_bases_arrays(T, V, abs_y, 1.0, 0.5)
+        T, V = update_activations_arrays(T, V, abs_y, 1.0, 0.5)
+        assert np.all(T >= EPS_NMF)
+        assert np.all(V >= EPS_NMF)
 
     def test_model_scaling_invariance(self):
         # T -> cT, V -> V/c leaves the scale field unchanged exactly
-        model = random_model(N=1, I=4, K=2, J=5, seed=5)
+        T, V = random_model(N=1, I=4, K=2, J=5, seed=5)
         c = 4.0  # power of two: exact float scaling
-        scaled = NmfModel(bases=model.bases * c, activations=model.activations / c)
-        np.testing.assert_array_equal(
-            compute_scale_field(model).r_pow_p, compute_scale_field(scaled).r_pow_p
-        )
+        np.testing.assert_array_equal(scale_field(T, V), scale_field(T * c, V / c))
 
 
 class TestMajorizerGap:
     def setup_instance(self, seed=0, beta=4.0, p=0.5, I=3, J=4, N=2, K=2):
-        model = random_model(N, I, K, J, seed)
+        T, V = random_model(N, I, K, J, seed)
         y = random_sources(I, J, N, seed + 77)
-        cfg = GgdConfig(beta=beta, domain=p, n_bases=K)
-        return model, y, cfg
+        return T, V, y, beta, p
 
     def test_zero_at_equality_conditions(self):
-        model, y, cfg = self.setup_instance()
-        phi, psi = equality_auxiliaries(model)
-        assert abs(nmf_majorizer_gap(model, y, cfg, phi, psi)) <= 1e-10
+        T, V, y, beta, p = self.setup_instance()
+        phi, psi = equality_auxiliaries(T, V)
+        assert abs(nmf_majorizer_gap(T, V, y, beta, p, phi, psi)) <= 1e-10
 
     def test_nonnegative_on_random_feasible(self):
         rng = np.random.default_rng(9)
         for seed in range(200):
-            model, y, cfg = self.setup_instance(seed=seed)
+            T, V, y, beta, p = self.setup_instance(seed=seed)
             phi = rng.dirichlet(np.ones(2), size=(3, 4, 2))
             phi = np.maximum(phi, 1e-9)
             phi = phi / phi.sum(axis=-1, keepdims=True)
             psi = rng.uniform(0.1, 5.0, size=(3, 4, 2))
-            assert nmf_majorizer_gap(model, y, cfg, phi, psi) >= -1e-10
+            assert nmf_majorizer_gap(T, V, y, beta, p, phi, psi) >= -1e-10
 
     def test_single_basis_jensen_degenerate(self):
         # K=1 forces phi = 1; with psi at equality the gap vanishes
-        model, y, cfg = self.setup_instance(K=1)
-        phi, psi = equality_auxiliaries(model)
+        T, V, y, beta, p = self.setup_instance(K=1)
+        phi, psi = equality_auxiliaries(T, V)
         np.testing.assert_array_equal(phi, np.ones_like(phi))
-        assert abs(nmf_majorizer_gap(model, y, cfg, phi, psi)) <= 1e-10
+        assert abs(nmf_majorizer_gap(T, V, y, beta, p, phi, psi)) <= 1e-10
 
     def test_rejects_non_simplex_phi(self):
-        model, y, cfg = self.setup_instance()
-        phi, psi = equality_auxiliaries(model)
-        with pytest.raises(InvalidAuxiliary):
-            nmf_majorizer_gap(model, y, cfg, phi * 1.5, psi)
-        with pytest.raises(InvalidAuxiliary):
-            nmf_majorizer_gap(model, y, cfg, phi, -psi)
+        T, V, y, beta, p = self.setup_instance()
+        phi, psi = equality_auxiliaries(T, V)
+        with pytest.raises(ValueError):
+            nmf_majorizer_gap(T, V, y, beta, p, phi * 1.5, psi)
+        with pytest.raises(ValueError):
+            nmf_majorizer_gap(T, V, y, beta, p, phi, -psi)
