@@ -30,7 +30,7 @@ def ggd_cost_arrays(xd, W, T, V, beta, domain) -> float:
     sign, logdet = np.linalg.slogdet(W)
     if not np.all(np.isfinite(logdet)) or np.any(np.abs(sign) == 0.0):
         raise SingularDemixing("demixing matrix is singular")
-    yd = np.einsum("inm,ijm->ijn", W, xd)
+    yd = xd @ W.transpose(0, 2, 1)
     S = scale_field(T, V)
     terms = model_cost_terms(np.abs(yd), S, beta, domain)
     return float(-2.0 * J * np.sum(logdet) + np.sum(terms))

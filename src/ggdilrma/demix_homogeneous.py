@@ -23,11 +23,15 @@ iterate ``w~``, and
 the surrogate ``g(w) = (w^H G w)^2`` satisfies ``f(w) <= g(w)`` with
 equality at ``w = w~``, and its direction step is the linear solve
 ``w' = G^{-1} W_i^{-1} e_n``.  ``G`` is accumulated in streamed
-O(J N^2) form -- the J x J matrix ``Q~`` is never materialized::
+O(J N^2) form -- the J x J matrix ``Q~`` is never materialized.  With
+``X = [x_1, ..., x_J]`` the bin's ``(M, J)`` observation matrix, the
+``1/r_j^2`` of ``H`` is folded into real per-frame weights::
 
-    G = [ ||q~||^2 C - u u^H + D ] / sqrt(J sum_j |q~_j|^4),
-    C = sum_j x_j x_j^H / r_j^2,   u = sum_j (q~_j / r_j) x_j,
-    D = sum_j |q~_j|^2 x_j x_j^H / r_j^2.
+    G = [ X diag(c) X^H - u u^H ] / sqrt(J sum_j |q~_j|^4),
+    c_j = (||q~||^2 + |q~_j|^2) / r_j^2,   u = X b,   b_j = q~_j / r_j,
+
+so both accumulations are batched matrix products on one contiguous
+``(I, M, J)`` conjugate transpose of the mixture.
 
 The scale step then uses the true ``f``, which minimizes the exact cost
 along the ray, so every update decreases the quartic cost.
@@ -46,6 +50,12 @@ from .errors import SingularDemixing
 from .types import EPS_DET
 
 
+def _sum_abs4(y: np.ndarray, inv_r2: np.ndarray) -> np.ndarray:
+    """``sum_j |y_ij|^4 / r_ij^4`` per bin, as a squared ``|y|^2 / r^2``."""
+    a2 = np.abs(y) ** 2 * inv_r2
+    return np.sum(a2 * a2, axis=1)
+
+
 def quartic_majorizer(xd: np.ndarray, y: np.ndarray, radius: np.ndarray):
     """Streamed majorizer matrices ``G`` for one source, batched over bins.
 
@@ -62,17 +72,18 @@ def quartic_majorizer(xd: np.ndarray, y: np.ndarray, radius: np.ndarray):
         is finite and nonzero (``G_i`` is not a majorizer elsewhere).
     """
     J = xd.shape[1]
-    Xr = xd / radius[:, :, None]
-    q = y.conj() / radius
-    aq2 = np.abs(q) ** 2
-    s4 = np.sum(aq2**2, axis=1)
+    inv_r2 = 1.0 / radius**2
+    aq2 = np.abs(y) ** 2 * inv_r2  # |q~|^2
+    s4 = np.sum(aq2 * aq2, axis=1)
     norm_q2 = np.sum(aq2, axis=1)
     good = np.isfinite(s4) & (s4 > 0.0)
 
-    # ||q~||^2 C + D folded into a single weighted accumulation.
-    weights = norm_q2[:, None] + aq2
-    CD = np.einsum("ij,ija,ijb->iab", weights, Xr, Xr.conj())
-    u = np.einsum("ij,ijm->im", q, Xr)
+    # Xc = conj(X) per bin; u = X b = conj(Xc conj(b)) with conj(b) = y / r^2,
+    # and X diag(c) X^H = conj(Xc diag(c) X^T) with X^T = xd.
+    Xc = np.conjugate(xd.transpose(0, 2, 1), order="C")
+    u = (Xc @ (y * inv_r2)[:, :, None])[..., 0].conj()
+    Xc *= ((norm_q2[:, None] + aq2) * inv_r2)[:, None, :]
+    CD = (Xc @ xd).conj()
     denom = np.sqrt(J * np.where(good, s4, 1.0))
     G = (CD - u[:, :, None] * u.conj()[:, None, :]) / denom[:, None, None]
     return G, good
@@ -103,6 +114,7 @@ def quartic_sweep(xd: np.ndarray, yd: np.ndarray, W: np.ndarray, radius: np.ndar
     n_skipped = 0
     for n in range(N):
         rn = radius[:, :, n]
+        inv_r2 = 1.0 / rn**2
         G, good = quartic_majorizer(xd, yd[:, :, n], rn)
         good &= ~(np.abs(np.linalg.det(G)) <= EPS_DET)
         G_solve = np.where(good[:, None, None], G, eye)
@@ -112,14 +124,14 @@ def quartic_sweep(xd: np.ndarray, yd: np.ndarray, W: np.ndarray, radius: np.ndar
         except np.linalg.LinAlgError as exc:
             raise SingularDemixing(str(exc)) from exc
 
-        y_dir = np.einsum("ijm,im->ij", xd, w_dir.conj())
-        s4_dir = np.sum(np.abs(y_dir / rn) ** 4, axis=1)
+        y_dir = (xd @ w_dir.conj()[:, :, None])[..., 0]
+        s4_dir = _sum_abs4(y_dir, inv_r2)
         good &= np.isfinite(s4_dir) & (s4_dir > 0.0)
         scale = (J / (2.0 * np.where(good, s4_dir, 1.0))) ** 0.25
         w_new = w_dir * scale[:, None]
 
         W[good, n, :] = w_new[good].conj()
         yd[good, :, n] = (y_dir * scale[:, None])[good]
-        f_check[:, n] = np.sum(np.abs(yd[:, :, n] / rn) ** 4, axis=1) / J
+        f_check[:, n] = _sum_abs4(yd[:, :, n], inv_r2) / J
         n_skipped += int(np.sum(~good))
     return W, yd, f_check, n_skipped

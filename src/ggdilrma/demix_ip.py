@@ -84,9 +84,10 @@ def ip_sweep(
             raise SingularDemixing(str(exc)) from exc
         z = np.linalg.solve(R.conj().transpose(0, 2, 1), c[:, :, None])
         w = np.linalg.solve(R, z)[..., 0]
-        denom = np.sum(np.abs(np.einsum("iab,ib->ia", R, w)) ** 2, axis=1)
-        w /= np.sqrt(denom)[:, None]
+        Rw = (R @ w[:, :, None])[..., 0]  # w^H F w = ||R w||^2
+        norm = np.sqrt(np.sum(np.abs(Rw) ** 2, axis=1))
+        w /= norm[:, None]
         W[:, n, :] = w.conj()
-        yd[:, :, n] = np.einsum("ijm,im->ij", xd, w.conj())
-        norm_check[:, n] = np.sum(np.abs(np.einsum("iab,ib->ia", R, w)) ** 2, axis=1)
+        yd[:, :, n] = (xd @ w.conj()[:, :, None])[..., 0]
+        norm_check[:, n] = np.sum(np.abs(Rw / norm[:, None]) ** 2, axis=1)
     return W, yd, norm_check

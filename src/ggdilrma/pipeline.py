@@ -71,7 +71,7 @@ def initialize(cfg: GgdConfig, shape: ProblemShape, seed: Optional[int] = None):
 
 def separate(xd: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Apply per-bin demixing: ``y[i, j, n] = W[i, n, :] @ x[i, j, :]``."""
-    return np.einsum("inm,ijm->ijn", W, xd)
+    return xd @ W.transpose(0, 2, 1)
 
 
 def back_project(yd: np.ndarray, W: np.ndarray, reference_channel: int = 0) -> np.ndarray:

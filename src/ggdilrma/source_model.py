@@ -68,8 +68,9 @@ def update_bases_arrays(T, V, abs_y, beta, domain):
     """Multiplicative update of every basis matrix; ``abs_y`` is ``(N, I, J)``."""
     S = T @ V  # (N, I, J)
     ratio = _whitened_ratio(np.maximum(abs_y, EPS_Y), S, beta, domain)
-    num = beta * np.einsum("nij,nkj->nik", ratio / S, V)
-    den = 2.0 * np.einsum("nij,nkj->nik", 1.0 / S, V)
+    Vt = V.transpose(0, 2, 1)
+    num = beta * ((ratio / S) @ Vt)
+    den = 2.0 * ((1.0 / S) @ Vt)
     T = T * (num / den) ** (domain / (beta + domain))
     return np.maximum(T, EPS_NMF), V
 
@@ -78,8 +79,9 @@ def update_activations_arrays(T, V, abs_y, beta, domain):
     """Multiplicative update of every activation matrix; sums run over bins."""
     S = T @ V  # (N, I, J)
     ratio = _whitened_ratio(np.maximum(abs_y, EPS_Y), S, beta, domain)
-    num = beta * np.einsum("nij,nik->nkj", ratio / S, T)
-    den = 2.0 * np.einsum("nij,nik->nkj", 1.0 / S, T)
+    Tt = T.transpose(0, 2, 1)
+    num = beta * (Tt @ (ratio / S))
+    den = 2.0 * (Tt @ (1.0 / S))
     V = V * (num / den) ** (domain / (beta + domain))
     return T, np.maximum(V, EPS_NMF)
 
