@@ -5,9 +5,12 @@ The cost (additive constant omitted) is
     -2 J sum_i log|det W_i|
     + sum_{i,j,n} [ |y_ijn|^beta / S_ijn^(beta/p) + (2/p) log S_ijn ]
 
-with ``y = W x`` and ``S = sum_k t v``.  Every update rule in the package
-is expected to leave this non-increasing; :func:`audit_descent` verifies
-that on a recorded cost sequence.
+with ``y = W x`` and ``S = sum_k t v``.  The log-determinant term takes one
+``slogdet`` over every bin; the model terms are summed over blocks of bins
+(:func:`~ggdilrma.types.bin_blocks`), so ``y`` and ``S`` are never formed
+at full size.  Every update rule in the package is expected to leave this
+non-increasing; :func:`audit_descent` verifies that on a recorded cost
+sequence.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import numpy as np
 
 from .errors import SingularDemixing
 from .source_model import model_cost_terms, scale_field
+from .types import bin_blocks
 
 #: Relative slack used when flagging cost increases.
 DESCENT_SLACK = 1e-9
@@ -26,14 +30,16 @@ DESCENT_SLACK = 1e-9
 
 def ggd_cost_arrays(xd, W, T, V, beta, domain) -> float:
     """Cost on raw arrays; ``W`` is ``(I, N, N)``, factors per-source stacks."""
-    J = xd.shape[1]
+    I, J = xd.shape[:2]
     sign, logdet = np.linalg.slogdet(W)
     if not np.all(np.isfinite(logdet)) or np.any(np.abs(sign) == 0.0):
         raise SingularDemixing("demixing matrix is singular")
-    yd = xd @ W.transpose(0, 2, 1)
-    S = scale_field(T, V)
-    terms = model_cost_terms(np.abs(yd), S, beta, domain)
-    return float(-2.0 * J * np.sum(logdet) + np.sum(terms))
+    model = 0.0
+    for blk in bin_blocks(I, J):
+        yd = xd[blk] @ W[blk].transpose(0, 2, 1)
+        S = scale_field(T[:, blk], V)
+        model += np.sum(model_cost_terms(np.abs(yd), S, beta, domain))
+    return float(-2.0 * J * np.sum(logdet) + model)
 
 
 @dataclass(frozen=True)

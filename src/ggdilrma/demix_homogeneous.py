@@ -33,6 +33,12 @@ O(J N^2) form -- the J x J matrix ``Q~`` is never materialized.  With
 so both accumulations are batched matrix products on one contiguous
 ``(I, M, J)`` conjugate transpose of the mixture.
 
+Bins are independent, so :func:`quartic_sweep` streams over blocks of bins
+(:func:`~ggdilrma.types.bin_blocks`) and updates every source of a block
+before moving on: its temporaries stay cache-sized, the conjugate
+transpose is formed once per block and ``1/r^2`` once per source, and the
+result does not depend on the block size.
+
 The scale step then uses the true ``f``, which minimizes the exact cost
 along the ray, so every update decreases the quartic cost.
 
@@ -47,13 +53,32 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularDemixing
-from .types import EPS_DET
+from .types import EPS_DET, bin_blocks
 
 
 def _sum_abs4(y: np.ndarray, inv_r2: np.ndarray) -> np.ndarray:
     """``sum_j |y_ij|^4 / r_ij^4`` per bin, as a squared ``|y|^2 / r^2``."""
     a2 = np.abs(y) ** 2 * inv_r2
     return np.sum(a2 * a2, axis=1)
+
+
+def _majorizer(xd: np.ndarray, xh: np.ndarray, y: np.ndarray, inv_r2: np.ndarray):
+    """:func:`quartic_majorizer` given ``xh``, the C-ordered conjugate
+    transpose ``(I, M, J)`` of ``xd``, and ``inv_r2 = 1 / r**2``; also
+    returns the anchor's ``sum_j |y|^4 / r^4`` per bin."""
+    J = xd.shape[1]
+    aq2 = np.abs(y) ** 2 * inv_r2  # |q~|^2
+    s4 = np.sum(aq2 * aq2, axis=1)
+    norm_q2 = np.sum(aq2, axis=1)
+    good = np.isfinite(s4) & (s4 > 0.0)
+
+    # xh = conj(X) per bin; u = X b = conj(xh conj(b)) with conj(b) = y / r^2,
+    # and X diag(c) X^H = conj(xh diag(c) X^T) with X^T = xd.
+    u = (xh @ (y * inv_r2)[:, :, None])[..., 0].conj()
+    CD = ((xh * ((norm_q2[:, None] + aq2) * inv_r2)[:, None, :]) @ xd).conj()
+    denom = np.sqrt(J * np.where(good, s4, 1.0))
+    G = (CD - u[:, :, None] * u.conj()[:, None, :]) / denom[:, None, None]
+    return G, good, s4
 
 
 def quartic_majorizer(xd: np.ndarray, y: np.ndarray, radius: np.ndarray):
@@ -71,22 +96,8 @@ def quartic_majorizer(xd: np.ndarray, y: np.ndarray, radius: np.ndarray):
         at the anchor, and the mask of bins whose anchor projection ``q~``
         is finite and nonzero (``G_i`` is not a majorizer elsewhere).
     """
-    J = xd.shape[1]
-    inv_r2 = 1.0 / radius**2
-    aq2 = np.abs(y) ** 2 * inv_r2  # |q~|^2
-    s4 = np.sum(aq2 * aq2, axis=1)
-    norm_q2 = np.sum(aq2, axis=1)
-    good = np.isfinite(s4) & (s4 > 0.0)
-
-    # Xc = conj(X) per bin; u = X b = conj(Xc conj(b)) with conj(b) = y / r^2,
-    # and X diag(c) X^H = conj(Xc diag(c) X^T) with X^T = xd.
-    Xc = np.conjugate(xd.transpose(0, 2, 1), order="C")
-    u = (Xc @ (y * inv_r2)[:, :, None])[..., 0].conj()
-    Xc *= ((norm_q2[:, None] + aq2) * inv_r2)[:, None, :]
-    CD = (Xc @ xd).conj()
-    denom = np.sqrt(J * np.where(good, s4, 1.0))
-    G = (CD - u[:, :, None] * u.conj()[:, None, :]) / denom[:, None, None]
-    return G, good
+    xh = np.conjugate(xd.transpose(0, 2, 1), order="C")
+    return _majorizer(xd, xh, y, 1.0 / radius**2)[:2]
 
 
 def quartic_sweep(xd: np.ndarray, yd: np.ndarray, W: np.ndarray, radius: np.ndarray):
@@ -112,26 +123,29 @@ def quartic_sweep(xd: np.ndarray, yd: np.ndarray, W: np.ndarray, radius: np.ndar
     eye = np.eye(N, dtype=np.complex128)
     f_check = np.empty((I, N))
     n_skipped = 0
-    for n in range(N):
-        rn = radius[:, :, n]
-        inv_r2 = 1.0 / rn**2
-        G, good = quartic_majorizer(xd, yd[:, :, n], rn)
-        good &= ~(np.abs(np.linalg.det(G)) <= EPS_DET)
-        G_solve = np.where(good[:, None, None], G, eye)
-        rhs = np.broadcast_to(eye[n][:, None], (I, N, 1))
-        try:
-            w_dir = np.linalg.solve(W @ G_solve, rhs)[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularDemixing(str(exc)) from exc
+    for blk in bin_blocks(I, J):
+        xb, yb, Wb = xd[blk], yd[blk], W[blk]
+        xh = np.conjugate(xb.transpose(0, 2, 1), order="C")
+        for n in range(N):
+            inv_r2 = 1.0 / radius[blk, :, n] ** 2
+            G, good, s4 = _majorizer(xb, xh, yb[:, :, n], inv_r2)
+            good &= ~(np.abs(np.linalg.det(G)) <= EPS_DET)
+            G_solve = np.where(good[:, None, None], G, eye)
+            rhs = np.broadcast_to(eye[n][:, None], (len(G), N, 1))
+            try:
+                w_dir = np.linalg.solve(Wb @ G_solve, rhs)[..., 0]
+            except np.linalg.LinAlgError as exc:
+                raise SingularDemixing(str(exc)) from exc
 
-        y_dir = (xd @ w_dir.conj()[:, :, None])[..., 0]
-        s4_dir = _sum_abs4(y_dir, inv_r2)
-        good &= np.isfinite(s4_dir) & (s4_dir > 0.0)
-        scale = (J / (2.0 * np.where(good, s4_dir, 1.0))) ** 0.25
-        w_new = w_dir * scale[:, None]
+            y_dir = (xb @ w_dir.conj()[:, :, None])[..., 0]
+            s4_dir = _sum_abs4(y_dir, inv_r2)
+            good &= np.isfinite(s4_dir) & (s4_dir > 0.0)
+            scale = (J / (2.0 * np.where(good, s4_dir, 1.0))) ** 0.25
+            y_new = y_dir * scale[:, None]
 
-        W[good, n, :] = w_new[good].conj()
-        yd[good, :, n] = (y_dir * scale[:, None])[good]
-        f_check[:, n] = _sum_abs4(yd[:, :, n], inv_r2) / J
-        n_skipped += int(np.sum(~good))
+            # Skipped bins keep their filter, output and anchor cost s4.
+            np.copyto(Wb[:, n, :], (w_dir * scale[:, None]).conj(), where=good[:, None])
+            np.copyto(yb[:, :, n], y_new, where=good[:, None])
+            f_check[blk, n] = np.where(good, _sum_abs4(y_new, inv_r2), s4) / J
+            n_skipped += int(np.sum(~good))
     return W, yd, f_check, n_skipped

@@ -14,7 +14,10 @@ coordinate-descent update::
 
 At ``beta = p = 2`` this is exactly the Itakura-Saito variant.  Frequency
 bins are independent; within one bin the sources are updated sequentially
-against the freshest demixing matrix.
+against the freshest demixing matrix.  The sweep streams over blocks of
+bins (:func:`~ggdilrma.types.bin_blocks`), every source of a block in turn,
+so its temporaries stay cache-sized and its result does not depend on the
+block size; a singular bin is reported by its index in the whole problem.
 
 The per-filter form of this update (``ip_update_filter``), the weighted
 covariance it solves against (``weighted_covariance``) and the AM-GM gap
@@ -27,7 +30,7 @@ import numpy as np
 
 from .errors import BetaOutOfRange, SingularCovariance, SingularDemixing
 from .source_model import _whitened_ratio
-from .types import EPS_DET, EPS_Y
+from .types import EPS_DET, EPS_Y, bin_blocks
 
 
 def _ip_weights(abs_y, S, beta, domain):
@@ -63,31 +66,34 @@ def ip_sweep(
     N = W.shape[1]
     eye = np.eye(N, dtype=np.complex128)
     norm_check = np.empty((I, N))
-    for n in range(N):
-        wgt = _ip_weights(np.abs(yd[:, :, n]), S[:, :, n], beta, domain)
-        # F = A^H A with A the weighted observation; solving through the
-        # triangular factor of A halves the condition number of a direct
-        # F solve and keeps w^H F w = ||R w||^2 nonnegative by
-        # construction even when a single floored frame dominates.
-        A = np.sqrt(wgt * (beta / (2.0 * J)))[:, :, None] * xd.conj()
-        R = np.linalg.qr(A, mode="r")
-        absdet_F = np.prod(np.abs(np.diagonal(R, axis1=1, axis2=2)), axis=1) ** 2
-        if np.any(absdet_F <= EPS_DET):
-            bad = int(np.argmin(absdet_F))
-            raise SingularCovariance(
-                f"weighted covariance singular at bin {bad}, source {n}"
-            )
-        rhs = np.broadcast_to(eye[n][:, None], (I, N, 1))
-        try:
-            c = np.linalg.solve(W, rhs)[..., 0]  # W^{-1} e_n
-        except np.linalg.LinAlgError as exc:
-            raise SingularDemixing(str(exc)) from exc
-        z = np.linalg.solve(R.conj().transpose(0, 2, 1), c[:, :, None])
-        w = np.linalg.solve(R, z)[..., 0]
-        Rw = (R @ w[:, :, None])[..., 0]  # w^H F w = ||R w||^2
-        norm = np.sqrt(np.sum(np.abs(Rw) ** 2, axis=1))
-        w /= norm[:, None]
-        W[:, n, :] = w.conj()
-        yd[:, :, n] = (xd @ w.conj()[:, :, None])[..., 0]
-        norm_check[:, n] = np.sum(np.abs(Rw / norm[:, None]) ** 2, axis=1)
+    for blk in bin_blocks(I, J):
+        xb, yb, Wb = xd[blk], yd[blk], W[blk]
+        xc = xb.conj()
+        for n in range(N):
+            wgt = _ip_weights(np.abs(yb[:, :, n]), S[blk, :, n], beta, domain)
+            # F = A^H A with A the weighted observation; solving through the
+            # triangular factor of A halves the condition number of a direct
+            # F solve and keeps w^H F w = ||R w||^2 nonnegative by
+            # construction even when a single floored frame dominates.
+            A = np.sqrt(wgt * (beta / (2.0 * J)))[:, :, None] * xc
+            R = np.linalg.qr(A, mode="r")
+            absdet_F = np.prod(np.abs(np.diagonal(R, axis1=1, axis2=2)), axis=1) ** 2
+            if np.any(absdet_F <= EPS_DET):
+                bad = blk.start + int(np.argmin(absdet_F))
+                raise SingularCovariance(
+                    f"weighted covariance singular at bin {bad}, source {n}"
+                )
+            rhs = np.broadcast_to(eye[n][:, None], (len(R), N, 1))
+            try:
+                c = np.linalg.solve(Wb, rhs)[..., 0]  # W^{-1} e_n
+            except np.linalg.LinAlgError as exc:
+                raise SingularDemixing(str(exc)) from exc
+            z = np.linalg.solve(R.conj().transpose(0, 2, 1), c[:, :, None])
+            w = np.linalg.solve(R, z)[..., 0]
+            Rw = (R @ w[:, :, None])[..., 0]  # w^H F w = ||R w||^2
+            norm = np.sqrt(np.sum(np.abs(Rw) ** 2, axis=1))
+            w /= norm[:, None]
+            Wb[:, n, :] = w.conj()
+            yb[:, :, n] = (xb @ w.conj()[:, :, None])[..., 0]
+            norm_check[blk, n] = np.sum(np.abs(Rw / norm[:, None]) ** 2, axis=1)
     return W, yd, norm_check

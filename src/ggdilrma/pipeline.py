@@ -103,7 +103,7 @@ def iteration_step(xd: np.ndarray, W: np.ndarray, T: np.ndarray, V: np.ndarray, 
         radius = S ** (1.0 / p)
         W, yd, _, skipped = quartic_sweep(xd, yd, W, radius)
     yd = separate(xd, W)
-    abs_y = np.abs(np.moveaxis(yd, 2, 0))
+    abs_y = np.abs(np.moveaxis(yd, 2, 0), order="C")  # (N, I, J), contiguous per source
     T, V = update_bases_arrays(T, V, abs_y, beta, p)
     T, V = update_activations_arrays(T, V, abs_y, beta, p)
     cost = ggd_cost_arrays(xd, W, T, V, beta, p)

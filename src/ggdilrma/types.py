@@ -35,6 +35,22 @@ EPS_NMF = 1e-12
 EPS_Y = 1e-12
 EPS_DET = 1e-12
 
+#: (bin, frame) entries per block of frequency bins in the per-iteration
+#: layers.  Their temporaries then stay cache-sized and are reused from the
+#: allocator's free lists, instead of full-size arrays whose pages are
+#: handed back to the kernel and faulted in again on every call.
+BLOCK_ENTRIES = 2**15
+
+
+def bin_blocks(n_bins: int, entries_per_bin: int) -> list[slice]:
+    """Fewest consecutive slices covering ``range(n_bins)`` with at most
+    :data:`BLOCK_ENTRIES` entries of ``entries_per_bin`` each (and at least
+    one bin), their lengths differing by at most one bin."""
+    max_bins = max(1, BLOCK_ENTRIES // max(1, entries_per_bin))
+    n_blocks = -(-n_bins // max_bins)
+    stops = [k * n_bins // n_blocks for k in range(1, n_blocks + 1)]
+    return [slice(start, stop) for start, stop in zip([0] + stops, stops)]
+
 
 @dataclass(frozen=True)
 class MixtureSpectrogram:
