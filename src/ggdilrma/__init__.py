@@ -14,7 +14,7 @@ from .errors import SeparationError
 from .metrics import align_permutation, si_sdr
 from .mixsim import MixingSpec, mix, read_wav, synth_source, write_wav
 from .pipeline import RunResult, back_project, initialize, run
-from .source_model import ggd_log_density, update_activations_arrays, update_bases_arrays
+from .source_model import update_activations_arrays, update_bases_arrays
 from .stft import StftPlan, istft, stft
 from .types import (
     ConvergenceTrace,
@@ -39,7 +39,6 @@ __all__ = [
     "audit_descent",
     "back_project",
     "ggd_cost_arrays",
-    "ggd_log_density",
     "initialize",
     "ip_sweep",
     "istft",

@@ -9,14 +9,11 @@ with ``y = W x`` and ``S = sum_k t v``.  The log-determinant term takes one
 ``slogdet`` over every bin; the model terms are summed over blocks of bins
 (:func:`~ggdilrma.types.bin_blocks`), so ``y`` and ``S`` are never formed
 at full size.  Every update rule in the package is expected to leave this
-non-increasing; :func:`audit_descent` verifies that on a recorded cost
-sequence.
+non-increasing; :func:`audit_descent` lists the iterations of a recorded
+cost sequence where it rose.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -42,41 +39,15 @@ def ggd_cost_arrays(xd, W, T, V, beta, domain) -> float:
     return float(-2.0 * J * np.sum(logdet) + model)
 
 
-@dataclass(frozen=True)
-class DescentViolation:
-    """One audited cost increase (``iteration`` is 1-based)."""
-
-    iteration: int
-    previous: float
-    current: float
-
-    @property
-    def increase(self) -> float:
-        return self.current - self.previous
-
-
-@dataclass(frozen=True)
-class DescentReport:
-    """Outcome of auditing a cost sequence."""
-
-    violations: List[DescentViolation]
-    n_steps: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def audit_descent(costs, slack: float = DESCENT_SLACK) -> DescentReport:
-    """Flag every iteration whose cost rose beyond tolerance.
+def audit_descent(costs) -> list[int]:
+    """Iterations (1-based) whose cost rose beyond tolerance.
 
     ``costs[k]`` is the cost after iteration ``k + 1``.  An increase counts
-    when ``cost_k > cost_{k-1} + slack * (1 + |cost_{k-1}|)``.
+    when ``cost_k > cost_{k-1} + DESCENT_SLACK * (1 + |cost_{k-1}|)``.
     """
     costs = np.asarray(costs, dtype=np.float64)
-    violations = []
-    for k in range(1, len(costs)):
-        prev, cur = costs[k - 1], costs[k]
-        if cur > prev + slack * (1.0 + abs(prev)):
-            violations.append(DescentViolation(iteration=k + 1, previous=prev, current=cur))
-    return DescentReport(violations=violations, n_steps=max(len(costs) - 1, 0))
+    return [
+        k + 1
+        for k in range(1, len(costs))
+        if costs[k] > costs[k - 1] + DESCENT_SLACK * (1.0 + abs(costs[k - 1]))
+    ]

@@ -36,8 +36,8 @@ so both accumulations are batched matrix products on one contiguous
 Bins are independent, so :func:`quartic_sweep` streams over blocks of bins
 (:func:`~ggdilrma.types.bin_blocks`) and updates every source of a block
 before moving on: its temporaries stay cache-sized, the conjugate
-transpose is formed once per block and ``1/r^2`` once per source, and the
-result does not depend on the block size.
+transpose is formed once per block and ``1/r^2 = S^(-2/p)`` once per
+source, and the result does not depend on the block size.
 
 The scale step then uses the true ``f``, which minimizes the exact cost
 along the ray, so every update decreases the quartic cost.
@@ -100,7 +100,9 @@ def quartic_majorizer(xd: np.ndarray, y: np.ndarray, radius: np.ndarray):
     return _majorizer(xd, xh, y, 1.0 / radius**2)[:2]
 
 
-def quartic_sweep(xd: np.ndarray, yd: np.ndarray, W: np.ndarray, radius: np.ndarray):
+def quartic_sweep(
+    xd: np.ndarray, yd: np.ndarray, W: np.ndarray, S: np.ndarray, domain: float
+):
     """One full quartic update of all filters, batched over bins.
 
     Bins whose majorizer is degenerate or below the determinant floor are
@@ -111,7 +113,9 @@ def quartic_sweep(xd: np.ndarray, yd: np.ndarray, W: np.ndarray, radius: np.ndar
         xd: mixture ``(I, J, M)``.
         yd: current separated signal ``(I, J, N)``, updated in place.
         W: demixing matrices ``(I, N, N)``, updated in place.
-        radius: scale parameters ``r`` (not ``r**p``) shaped ``(I, J, N)``.
+        S: scale field ``r**p`` shaped ``(I, J, N)``.
+        domain: the exponent ``p``; ``1/r**2`` is formed from ``S`` one
+            block and source at a time.
 
     Returns:
         ``(W, yd, f_check, n_skipped)`` with ``f_check[i, n]`` the quartic
@@ -127,7 +131,7 @@ def quartic_sweep(xd: np.ndarray, yd: np.ndarray, W: np.ndarray, radius: np.ndar
         xb, yb, Wb = xd[blk], yd[blk], W[blk]
         xh = np.conjugate(xb.transpose(0, 2, 1), order="C")
         for n in range(N):
-            inv_r2 = 1.0 / radius[blk, :, n] ** 2
+            inv_r2 = 1.0 / (S[blk, :, n] ** (1.0 / domain)) ** 2
             G, good, s4 = _majorizer(xb, xh, yb[:, :, n], inv_r2)
             good &= ~(np.abs(np.linalg.det(G)) <= EPS_DET)
             G_solve = np.where(good[:, None, None], G, eye)

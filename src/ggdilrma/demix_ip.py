@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BetaOutOfRange, SingularCovariance, SingularDemixing
+from .errors import SingularCovariance, SingularDemixing, UnsupportedBeta
 from .source_model import _whitened_ratio
 from .types import EPS_DET, EPS_Y, bin_blocks
 
@@ -61,7 +61,7 @@ def ip_sweep(
         the updated filters (unit up to roundoff).
     """
     if not (0.0 < beta <= 2.0):
-        raise BetaOutOfRange(f"iterative projection requires 0 < beta <= 2, got {beta}")
+        raise UnsupportedBeta(f"iterative projection requires 0 < beta <= 2, got {beta}")
     I, J, M = xd.shape
     N = W.shape[1]
     eye = np.eye(N, dtype=np.complex128)

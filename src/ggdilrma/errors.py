@@ -13,7 +13,9 @@ class NonFiniteInput(SeparationError):
 
 
 class UnsupportedBeta(SeparationError):
-    """Shape parameter outside the supported set (0, 2] and {4}."""
+    """Shape parameter outside the supported set (0, 2] and {4}, a domain
+    parameter that is not finite and positive, or an update rule invoked
+    outside its shape range."""
 
 
 class DegenerateShape(SeparationError):
@@ -28,21 +30,11 @@ class SignalTooShort(SeparationError):
 
 
 class ShapeMismatch(SeparationError):
-    """Spectrogram shape inconsistent with the transform plan."""
-
-
-# --- source model -------------------------------------------------------
-
-
-class NonPositiveScale(SeparationError):
-    """Scale parameter must be strictly positive."""
+    """Spectrogram shape inconsistent with the transform plan, or a window
+    or hop duration that is not finite and positive."""
 
 
 # --- demixing updates ---------------------------------------------------
-
-
-class BetaOutOfRange(SeparationError):
-    """Update rule invoked outside its valid shape-parameter range."""
 
 
 class SingularCovariance(SeparationError):

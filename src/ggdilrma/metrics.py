@@ -6,7 +6,9 @@ compares target and residual energies::
     alpha = <est, ref> / ||ref||^2
     si_sdr = 10 log10( ||alpha ref||^2 / ||est - alpha ref||^2 )
 
-capped at +80 dB once the residual drops below 1e-8 of the target energy.
+clamped to [-80, +80] dB: +80 once the residual drops to 1e-8 of the
+target energy, -80 once the target drops to 1e-8 of the residual (a zero
+estimate, one orthogonal to the reference, or one with NaN/Inf samples).
 Output ordering of blind separation is arbitrary, so estimates are matched
 to references by the permutation maximizing the total SI-SDR.
 """
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import LengthMismatch, TooManySources, ZeroReference
 
-#: Cap applied when the residual energy is <= 1e-8 of the signal energy.
+#: Bound on |SI-SDR|, reached when one energy is <= 1e-8 of the other.
 SDR_CAP_DB = 80.0
 _CAP_RATIO = 1e-8
 
@@ -43,6 +45,8 @@ def si_sdr(estimate: np.ndarray, reference: np.ndarray) -> float:
     signal = float(target @ target)
     residual = est - target
     noise = float(residual @ residual)
+    if not signal > _CAP_RATIO * noise:  # zero, orthogonal or non-finite estimate
+        return -SDR_CAP_DB
     if noise <= _CAP_RATIO * signal:
         return SDR_CAP_DB
     return 10.0 * np.log10(signal / noise)

@@ -23,6 +23,9 @@ SOURCE_KINDS = ("subgaussian", "gaussian", "supergaussian", "low_rank_tonal")
 #: Target RMS of synthesized sources (leaves float32 WAV headroom).
 _TARGET_RMS = 0.125
 
+#: Sinusoids in a ``low_rank_tonal`` source (the rank of its spectrogram).
+_TONAL_RANK = 2
+
 #: Impulse-response file naming inside an IR directory (1-based indices).
 IR_NAME_TEMPLATE = "ir_m{m}_n{n}.wav"
 
@@ -66,18 +69,18 @@ def write_wav(path: str, samples: np.ndarray, sample_rate: int) -> None:
         raise IoFailure(str(exc)) from exc
 
 
-def synth_source(kind: str, length: int, seed: int, rank: int = 2) -> np.ndarray:
+def synth_source(kind: str, length: int, seed: int) -> np.ndarray:
     """Generate one synthetic test source.
 
     Kinds:
-        ``subgaussian``: uniform noise with a gentle rank-1 (<= ``rank``)
-            spectral envelope -- a two-tap tilt plus slow amplitude
-            modulation -- keeping the sample law platykurtic (empirical
-            excess kurtosis around -0.7).
+        ``subgaussian``: uniform noise with a gentle rank-1 spectral
+            envelope -- a two-tap tilt plus slow amplitude modulation --
+            keeping the sample law platykurtic (empirical excess kurtosis
+            around -0.7).
         ``gaussian``: white standard-normal noise.
         ``supergaussian``: white Laplacian noise (excess kurtosis 3).
-        ``low_rank_tonal``: sum of <= ``rank`` amplitude-modulated
-            sinusoids, giving a magnitude spectrogram of rank <= ``rank``.
+        ``low_rank_tonal``: sum of two amplitude-modulated sinusoids,
+            giving a magnitude spectrogram of rank <= 2.
 
     All outputs are scaled to a fixed RMS and deterministic per seed.
     """
@@ -95,6 +98,7 @@ def synth_source(kind: str, length: int, seed: int, rank: int = 2) -> np.ndarray
     elif kind == "supergaussian":
         x = rng.laplace(0.0, 1.0, size=length)
     elif kind == "low_rank_tonal":
+        rank = _TONAL_RANK
         freqs = 0.03 + 0.19 * (np.arange(rank) + rng.uniform(0.1, 0.9, size=rank)) / rank
         x = np.zeros(length)
         for k in range(rank):

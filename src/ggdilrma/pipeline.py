@@ -19,7 +19,7 @@ import numpy as np
 from .cost import ggd_cost_arrays
 from .demix_homogeneous import quartic_sweep
 from .demix_ip import ip_sweep
-from .errors import SingularDemixing
+from .errors import DegenerateShape, SingularDemixing
 from .source_model import scale_field, update_activations_arrays, update_bases_arrays
 from .types import (
     EPS_NMF,
@@ -52,18 +52,16 @@ class RunResult:
     trace: ConvergenceTrace
 
 
-def initialize(cfg: GgdConfig, shape: ProblemShape, seed: Optional[int] = None):
+def initialize(cfg: GgdConfig, shape: ProblemShape):
     """Identity demixing matrices and uniform-random positive factors.
 
     Factor entries are i.i.d. uniform on ``(EPS_NMF, 1]``; the draw is
-    deterministic for a given seed (bases first, then activations).
+    deterministic for ``cfg.seed`` (bases first, then activations).
     Returns ``(W, T, V)``.
     """
-    if seed is None:
-        seed = cfg.seed
     I, J, N, K = shape.n_bins, shape.n_frames, shape.n_sources, shape.n_bases
     W = np.tile(np.eye(N, dtype=np.complex128), (I, 1, 1))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     T = EPS_NMF + (1.0 - EPS_NMF) * (1.0 - rng.random((N, I, K)))
     V = EPS_NMF + (1.0 - EPS_NMF) * (1.0 - rng.random((N, K, J)))
     return W, T, V
@@ -100,8 +98,7 @@ def iteration_step(xd: np.ndarray, W: np.ndarray, T: np.ndarray, V: np.ndarray, 
     if cfg.update_scheme == "ip":
         W, yd, _ = ip_sweep(xd, yd, W, S, beta, p)
     else:
-        radius = S ** (1.0 / p)
-        W, yd, _, skipped = quartic_sweep(xd, yd, W, radius)
+        W, yd, _, skipped = quartic_sweep(xd, yd, W, S, p)
     yd = separate(xd, W)
     abs_y = np.abs(np.moveaxis(yd, 2, 0), order="C")  # (N, I, J), contiguous per source
     T, V = update_bases_arrays(T, V, abs_y, beta, p)
@@ -123,8 +120,15 @@ def run(
     ``on_record`` is invoked with each trace record as it is produced
     (lets callers flush the trace even if a later iteration fails).
     Deterministic for fixed input, configuration, and seed.
+    ``reference_channel`` must index a channel of ``x``
+    (:class:`~ggdilrma.errors.DegenerateShape` otherwise, before any
+    iteration runs).
     """
     shape = validate_problem(x, cfg)
+    if not 0 <= reference_channel < shape.n_sources:
+        raise DegenerateShape(
+            f"reference channel {reference_channel} outside 0..{shape.n_sources - 1}"
+        )
     W, T, V = initialize(cfg, shape)
     xd = np.ascontiguousarray(x.data, dtype=np.complex128)
 

@@ -27,35 +27,16 @@ and by the generic power otherwise.
 
 The per-entry Jensen + tangent-line majorizer behind these updates, and
 its equality auxiliaries, live in ``tests/reference_nmf.py`` as a test
-oracle, together with a per-source loop form of both updates.
+oracle, together with a per-source loop form of both updates.  The
+generalized-Gaussian log density that :func:`model_cost_terms` negates
+(up to a beta-only constant) lives in ``tests/reference_ggd.py``.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import NonPositiveScale
 from .types import EPS_NMF, EPS_Y, bin_blocks
-
-
-def ggd_log_density(z: complex, beta: float, r: float) -> float:
-    """Log of the isotropic complex generalized-Gaussian density.
-
-    ``log(beta / (2 pi r^2 Gamma(2/beta))) - |z|^beta / r^beta``.
-    """
-    if beta <= 0.0:
-        raise NonPositiveScale(f"shape parameter must be > 0, got {beta}")
-    if r <= 0.0:
-        raise NonPositiveScale(f"scale parameter must be > 0, got {r}")
-    log_norm = (
-        math.log(beta)
-        - math.log(2.0 * math.pi)
-        - 2.0 * math.log(r)
-        - math.lgamma(2.0 / beta)
-    )
-    return log_norm - (abs(z) / r) ** beta
 
 
 def scale_field(T: np.ndarray, V: np.ndarray) -> np.ndarray:

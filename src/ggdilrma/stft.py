@@ -7,8 +7,9 @@ Analysis uses a periodic Hamming window; synthesis uses the least-squares
 
 holds exactly for every interior sample.  Signals are zero-padded by
 ``frame_len - hop_len`` on both ends so every original sample is covered
-by a full set of frames.  Spectra are one-sided (``I = fft_size/2 + 1``)
-with conjugate symmetry restored at synthesis.
+by a full set of frames.  Each frame is transformed at its own length, so
+spectra are one-sided with ``I = frame_len/2 + 1`` bins; conjugate
+symmetry is restored at synthesis.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ class StftPlan:
 
     window: np.ndarray
     hop: int
-    fft_size: int
     synthesis_window: np.ndarray
 
     @property
@@ -50,7 +50,7 @@ class StftPlan:
 
     @property
     def n_bins(self) -> int:
-        return self.fft_size // 2 + 1
+        return self.frame_len // 2 + 1
 
     @classmethod
     def hamming(cls, frame_len: int, hop_len: int) -> "StftPlan":
@@ -68,9 +68,7 @@ class StftPlan:
             profile[: len(seg)] += seg
         denom = profile[np.arange(frame_len) % hop_len]
         synthesis = window / denom
-        return cls(
-            window=window, hop=hop_len, fft_size=frame_len, synthesis_window=synthesis
-        )
+        return cls(window=window, hop=hop_len, synthesis_window=synthesis)
 
 
 def _as_2d(signal: np.ndarray) -> np.ndarray:
@@ -112,7 +110,7 @@ def stft(signal: np.ndarray, plan: StftPlan, sample_rate: int) -> MixtureSpectro
 
     frames = np.lib.stride_tricks.sliding_window_view(padded, L, axis=0)[::hop]
     # frames: (J, C, L) -> windowed rfft along the last axis
-    spec = np.fft.rfft(frames * plan.window, n=plan.fft_size, axis=-1)
+    spec = np.fft.rfft(frames * plan.window, axis=-1)
     data = np.ascontiguousarray(spec.transpose(2, 0, 1))  # (I, J, C)
     return MixtureSpectrogram(
         data=data, sample_rate=sample_rate, frame_len=L, hop_len=hop
@@ -134,9 +132,9 @@ def istft(
         raise ShapeMismatch(f"spectrogram must be (I, J, C), got {data.ndim}-d")
     I, J, C = data.shape
     if I != plan.n_bins:
-        raise ShapeMismatch(f"{I} bins incompatible with fft_size {plan.fft_size}")
+        raise ShapeMismatch(f"{I} bins incompatible with frame_len {plan.frame_len}")
 
-    frames = np.fft.irfft(data.transpose(1, 2, 0), n=plan.fft_size, axis=-1)  # (J,C,L)
+    frames = np.fft.irfft(data.transpose(1, 2, 0), n=plan.frame_len, axis=-1)  # (J,C,L)
     frames *= plan.synthesis_window
     total = (J - 1) * plan.hop + plan.frame_len
     out = np.zeros((total, C))

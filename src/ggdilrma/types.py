@@ -83,8 +83,8 @@ class GgdConfig:
     ``beta`` is the generalized-Gaussian shape parameter.  Supported values
     are ``0 < beta <= 2`` (iterative projection) and ``beta == 4``
     (majorization-based quartic update); anything else is rejected because
-    no demixing update exists for it here.  ``domain`` is the exponent
-    linking the NMF factorization to the scale parameter
+    no demixing update exists for it here.  ``domain`` is the finite,
+    positive exponent linking the NMF factorization to the scale parameter
     (``r**domain = sum_k t v``).
     """
 
@@ -106,8 +106,10 @@ class GgdConfig:
             found.append(
                 (UnsupportedBeta, f"beta={self.beta} unsupported; valid range is (0, 2] or exactly 4")
             )
-        if self.domain <= 0.0:
-            found.append((UnsupportedBeta, f"domain parameter must be > 0, got {self.domain}"))
+        if not (0.0 < self.domain < np.inf):
+            found.append(
+                (UnsupportedBeta, f"domain parameter must be finite and > 0, got {self.domain}")
+            )
         if self.n_bases < 1:
             found.append((DegenerateShape, "n_bases must be >= 1"))
         if self.iterations < 0:

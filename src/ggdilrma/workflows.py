@@ -8,13 +8,21 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from . import pipeline
+from .errors import ShapeMismatch
 from .metrics import align_permutation, si_sdr
 from .stft import StftPlan, istft, stft
 from .types import GgdConfig
 
 
 def plan_from_ms(win_ms: float, hop_ms: float, sample_rate: int) -> StftPlan:
-    """Build a Hamming analysis plan from window/hop durations."""
+    """Build a Hamming analysis plan from window/hop durations.
+
+    Raises :class:`~ggdilrma.errors.ShapeMismatch` unless both durations
+    are finite and positive.
+    """
+    for name, ms in (("window", win_ms), ("hop", hop_ms)):
+        if not (0.0 < ms < np.inf):
+            raise ShapeMismatch(f"{name} duration must be finite and > 0 ms, got {ms}")
     frame_len = int(round(win_ms * 1e-3 * sample_rate))
     hop_len = int(round(hop_ms * 1e-3 * sample_rate))
     return StftPlan.hamming(frame_len, hop_len)

@@ -78,10 +78,10 @@ def test_bin_blocks_cover_every_bin_once(monkeypatch, n_bins, frames, budget, le
 def test_quartic_sweep_is_block_invariant(monkeypatch, bins, N):
     xd, W, T, V = instance(N, 1, silent_bin=I - 2)
     xd[3, :, 1] = xd[3, :, 0]  # rank-deficient bin: skipped, nonzero output
-    radius = scale_field(T, V) ** 2.0
+    S = scale_field(T, V)
 
     def sweep():
-        return quartic_sweep(xd, pipeline.separate(xd, W), W.copy(), radius)
+        return quartic_sweep(xd, pipeline.separate(xd, W), W.copy(), S, 0.5)
 
     W_ref, yd_ref, f_ref, skipped_ref = whole(sweep, monkeypatch)
     set_block_bins(monkeypatch, bins)
@@ -91,7 +91,7 @@ def test_quartic_sweep_is_block_invariant(monkeypatch, bins, N):
     np.testing.assert_array_equal(f_new, f_ref)
     assert skipped == skipped_ref == 2 * N  # every source of both degenerate bins
     # f_check is the quartic cost of the returned outputs, skipped bins included.
-    a2 = np.abs(yd_new) ** 2 / radius**2
+    a2 = np.abs(yd_new) ** 2 / S**4  # r = S**(1/p) at p = 1/2
     np.testing.assert_allclose(f_new, np.sum(a2 * a2, axis=1) / J, rtol=1e-13)
 
 
@@ -189,12 +189,11 @@ def test_layer_temporaries_stay_block_sized():
     yd = pipeline.separate(xd, W)
     abs_y = np.abs(np.moveaxis(yd, 2, 0), order="C")
     S = scale_field(T, V)
-    radius = S**2.0
     calls = {
         update_bases_arrays: (T, V, abs_y, 4.0, 0.5),
         update_activations_arrays: (T, V, abs_y, 4.0, 0.5),
         ggd_cost_arrays: (xd, W, T, V, 4.0, 0.5),
-        quartic_sweep: (xd, yd.copy(), W.copy(), radius),
+        quartic_sweep: (xd, yd.copy(), W.copy(), S, 0.5),
         ip_sweep: (xd, yd.copy(), W.copy(), S, 2.0, 2.0),
     }
     peaks = {}

@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from ggdilrma.cli import main
 from ggdilrma.cost import audit_descent
+from ggdilrma.mixsim import write_wav
 
 TRACE_KEYS = {"iter", "cost", "elapsed_ms", "skipped_updates"}
 
@@ -23,7 +25,7 @@ def test_simulate_separate_evaluate_compose(tmp_path):
     records = [json.loads(line) for line in trace.read_text().splitlines()]
     assert [r["iter"] for r in records] == [1, 2, 3, 4, 5]
     assert all(set(r) == TRACE_KEYS for r in records)
-    assert audit_descent([r["cost"] for r in records]).ok
+    assert audit_descent([r["cost"] for r in records]) == []
 
     # the mixture sits next to ref_1.wav and ref_2.wav but is not a reference
     evaluate = ["evaluate", "--est", str(est), "--ref", str(scene), "--mix", str(mixture)]
@@ -41,3 +43,27 @@ def test_simulate_separate_evaluate_compose(tmp_path):
 def test_threads_flag_is_a_usage_error(argv, capsys):
     assert main(argv) == 1
     assert "--threads" in capsys.readouterr().err
+
+
+def test_inject_fault_flag_is_a_usage_error(capsys):
+    assert main(["benchmark", "--inject-fault"]) == 1
+    assert "--inject-fault" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, error",
+    [
+        (["--p", "nan"], "UnsupportedBeta"),
+        (["--p", "inf"], "UnsupportedBeta"),
+        (["--win-ms", "nan"], "ShapeMismatch"),
+        (["--hop-ms", "inf"], "ShapeMismatch"),
+        (["--win-ms", "0"], "ShapeMismatch"),
+        (["--hop-ms", "-64"], "ShapeMismatch"),
+    ],
+)
+def test_non_finite_or_non_positive_setting_exits_1(flags, error, tmp_path, capsys):
+    clip = tmp_path / "clip.wav"
+    write_wav(str(clip), 0.1 * np.random.default_rng(0).standard_normal((16000, 2)), 16000)
+    argv = ["separate", "--input", str(clip), "--out-dir", str(tmp_path / "out")]
+    assert main(argv + ["--iters", "2", "--bases", "2"] + flags) == 1
+    assert error in capsys.readouterr().err

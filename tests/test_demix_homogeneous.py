@@ -187,6 +187,8 @@ class TestDirectionScaleStep:
 
 
 class TestQuarticUpdateFilter:
+    # quartic_sweep takes S = r**p; its calls here pass S = radius at p = 1.
+
     def random_state(self, I, J, N, seed):
         rng = np.random.default_rng(seed)
         xd = rng.standard_normal((I, J, N)) + 1j * rng.standard_normal((I, J, N))
@@ -211,7 +213,7 @@ class TestQuarticUpdateFilter:
         xd, radius, _ = self.random_state(1, 8, 1, seed=9)
         W = np.array([[[0.7 - 0.2j]]])
         yd = np.einsum("inm,ijm->ijn", W, xd)
-        W_new, _, _, skipped = quartic_sweep(xd, yd, W.copy(), radius)
+        W_new, _, _, skipped = quartic_sweep(xd, yd, W.copy(), radius, 1.0)
         assert skipped == 0
         w = W_new[0, 0].conj()
         obj = quartic_objective(xd[0], radius[0, :, 0])
@@ -247,7 +249,7 @@ class TestQuarticUpdateFilter:
         radius = np.abs(np.einsum("inm,ijm->ijn", W, xd)) + 0.1
         before = self.quartic_cost(xd, radius, W)
         yd = np.einsum("inm,ijm->ijn", W, xd)
-        W_new, _, _, skipped = quartic_sweep(xd, yd, W.copy(), radius)
+        W_new, _, _, skipped = quartic_sweep(xd, yd, W.copy(), radius, 1.0)
         assert skipped == 0
         after = self.quartic_cost(xd, radius, W_new)
         assert after <= before + 1e-9 * (1 + abs(before))
@@ -259,7 +261,7 @@ class TestQuarticUpdateFilter:
             before = self.quartic_cost(xd, radius, W)
             W2 = W.copy()
             yd = np.einsum("inm,ijm->ijn", W2, xd)
-            W2, yd, f_check, skipped = quartic_sweep(xd, yd, W2, radius)
+            W2, yd, f_check, skipped = quartic_sweep(xd, yd, W2, radius, 1.0)
             after = self.quartic_cost(xd, radius, W2)
             if after > before + 1e-9 * (1 + abs(before)) or skipped:
                 failures += 1
@@ -269,7 +271,7 @@ class TestQuarticUpdateFilter:
         xd, radius, W = self.random_state(5, 12, 2, seed=77)
         W_sweep = W.copy()
         yd = np.einsum("inm,ijm->ijn", W_sweep, xd)
-        W_sweep, _, f_check, skipped = quartic_sweep(xd, yd, W_sweep, radius)
+        W_sweep, _, f_check, skipped = quartic_sweep(xd, yd, W_sweep, radius, 1.0)
         assert skipped == 0
 
         W_ref = W.copy()
@@ -283,5 +285,5 @@ class TestQuarticUpdateFilter:
     def test_scale_postcondition_across_sweep(self):
         xd, radius, W = self.random_state(6, 20, 2, seed=13)
         yd = np.einsum("inm,ijm->ijn", W, xd)
-        _, yd, f_check, _ = quartic_sweep(xd, yd, W, radius)
+        _, yd, f_check, _ = quartic_sweep(xd, yd, W, radius, 1.0)
         np.testing.assert_allclose(f_check, 0.5, rtol=1e-9)

@@ -10,7 +10,7 @@ import pytest
 from reference_ip import am_gm_gap, ip_update_filter, weighted_covariance
 
 from ggdilrma.demix_ip import ip_sweep
-from ggdilrma.errors import BetaOutOfRange, SingularCovariance
+from ggdilrma.errors import SingularCovariance, UnsupportedBeta
 from ggdilrma.source_model import scale_field
 
 
@@ -81,7 +81,7 @@ class TestWeightedCovariance:
     def test_rejects_beta_above_two(self):
         # the AM-GM weights need beta <= 2, so the sweep refuses beta = 4
         xd, yd, S, W = random_instance()
-        with pytest.raises(BetaOutOfRange):
+        with pytest.raises(UnsupportedBeta):
             ip_sweep(xd, yd, W, S, 4.0, 0.5)
 
 

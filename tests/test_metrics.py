@@ -1,5 +1,7 @@
 """SI-SDR, permutation alignment, and improvement scoring."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,20 @@ class TestSiSdr:
         noise -= (noise @ ref) / (ref @ ref) * ref  # exactly orthogonal
         noise *= np.sqrt(0.01 * (ref @ ref) / (noise @ noise))
         assert si_sdr(ref + noise, ref) == pytest.approx(20.0, abs=0.1)
+
+    @pytest.mark.parametrize("kind", ["zero", "orthogonal", "tiny_target", "nan"])
+    def test_degenerate_estimate_scores_the_floor(self, kind):
+        ref = tone(4000, 0.01)
+        other = tone(4000, 0.01, phase=np.pi / 2)  # orthogonal over whole periods
+        est = {
+            "zero": np.zeros(4000),
+            "orthogonal": other - (other @ ref) / (ref @ ref) * ref,
+            "tiny_target": other + 1e-6 * ref,
+            "nan": np.full(4000, np.nan),
+        }[kind]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert si_sdr(est, ref) == -SDR_CAP_DB
 
     def test_zero_reference_rejected(self):
         with pytest.raises(ZeroReference):

@@ -77,7 +77,7 @@ class TestSynthSource:
         from ggdilrma.stft import StftPlan, stft
 
         for seed in range(3):
-            x = synth_source("low_rank_tonal", 160000, seed=seed, rank=2)
+            x = synth_source("low_rank_tonal", 160000, seed=seed)
             plan = StftPlan.hamming(2048, 1024)
             mags = np.abs(stft(x, plan, 16000).data[:, :, 0])
             sv = np.linalg.svd(mags, compute_uv=False)

@@ -1,10 +1,12 @@
 """The general pipeline against the stand-alone IS-ILRMA oracle."""
 
 import numpy as np
+import pytest
 from reference_is_ilrma import is_ilrma_reference
 
 from ggdilrma import pipeline
 from ggdilrma.benchmark import random_mixture
+from ggdilrma.errors import DegenerateShape
 from ggdilrma.types import GgdConfig
 
 
@@ -17,3 +19,15 @@ def test_gaussian_case_matches_is_ilrma_reference():
     np.testing.assert_allclose(result.trace.costs(), costs, rtol=1e-12, atol=0)
     np.testing.assert_allclose(result.W, W, rtol=1e-12, atol=0)
     np.testing.assert_allclose(result.T, T, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("channel", [-1, 2])
+def test_reference_channel_outside_the_mixture_is_rejected_first(channel, monkeypatch):
+    def no_initialize(*args):
+        raise AssertionError("initialize ran before the reference channel was checked")
+
+    monkeypatch.setattr(pipeline, "initialize", no_initialize)
+    x = random_mixture(5, 8, 2, seed=0)
+    cfg = GgdConfig(beta=2.0, domain=2.0, n_bases=2, iterations=2)
+    with pytest.raises(DegenerateShape, match="reference channel"):
+        pipeline.run(x, cfg, reference_channel=channel)

@@ -1,13 +1,16 @@
-"""GGD density values, scale-field oracle, NMF update laws, majorizer gap.
+"""GGD density values, model cost terms, scale field, NMF update laws,
+majorizer gap.
 
-The batched NMF updates are pinned to the per-source oracle in
-``reference_nmf.py``, which also holds the Jensen + tangent majorizer.
+The GGD log density is the oracle in ``reference_ggd.py``.  The batched NMF
+updates are pinned to the per-source oracle in ``reference_nmf.py``, which
+also holds the Jensen + tangent majorizer.
 """
 
 import math
 
 import numpy as np
 import pytest
+from reference_ggd import ggd_log_density, log_normalizer
 from reference_nmf import (
     equality_auxiliaries,
     nmf_majorizer_gap,
@@ -16,9 +19,8 @@ from reference_nmf import (
 )
 
 from ggdilrma.cost import ggd_cost_arrays
-from ggdilrma.errors import NonPositiveScale
 from ggdilrma.source_model import (
-    ggd_log_density,
+    model_cost_terms,
     scale_field,
     update_activations_arrays,
     update_bases_arrays,
@@ -66,10 +68,25 @@ class TestLogDensity:
         assert integral == pytest.approx(1.0, abs=1e-6)
 
     def test_rejects_nonpositive_scale(self):
-        with pytest.raises(NonPositiveScale):
+        with pytest.raises(ValueError):
             ggd_log_density(1.0, 2.0, 0.0)
-        with pytest.raises(NonPositiveScale):
+        with pytest.raises(ValueError):
             ggd_log_density(1.0, -1.0, 1.0)
+
+
+class TestModelCostTerms:
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.99, 2.0, 4.0])
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    def test_is_negative_log_density_up_to_a_beta_constant(self, beta, p):
+        rng = np.random.default_rng(11)
+        abs_y = rng.uniform(0.0, 3.0, (2, 3, 4))
+        S = rng.uniform(0.2, 2.0, (2, 3, 4))
+        got = model_cost_terms(abs_y, S, beta, p)
+        want = [
+            -ggd_log_density(a, beta, s ** (1.0 / p)) + log_normalizer(beta)
+            for a, s in zip(abs_y.ravel(), S.ravel())
+        ]
+        np.testing.assert_allclose(got.ravel(), want, rtol=1e-12, atol=1e-12)
 
 
 class TestScaleField:

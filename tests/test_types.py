@@ -71,6 +71,11 @@ class TestGgdConfig:
         with pytest.raises(UnsupportedBeta):
             GgdConfig(domain=0.0).validate()
 
+    @pytest.mark.parametrize("domain", [np.nan, np.inf, -np.inf])
+    def test_validate_rejects_non_finite_domain(self, domain):
+        with pytest.raises(UnsupportedBeta, match="finite"):
+            GgdConfig(domain=domain).validate()
+
     def test_validate_rejects_bad_rank(self):
         with pytest.raises(DegenerateShape):
             GgdConfig(n_bases=0).validate()
