@@ -170,18 +170,8 @@ def run_suite(
     t0 = time.perf_counter()
     means = {}
     for beta in (2.0, 4.0):
-        gains = np.array(
-            [
-                e2e_trial(
-                    seed=seed + trial,
-                    beta=beta,
-                    duration_s=e2e_duration_s,
-                    iterations=e2e_iterations,
-                )
-                for trial in range(trials)
-            ]
-        )
-        means[beta] = gains.mean(axis=0)
+        gains = [e2e_trial(seed + t, beta, e2e_duration_s, e2e_iterations) for t in range(trials)]
+        means[beta] = np.mean(gains, axis=0)
     ok = bool(np.all(means[4.0] > E2E_MIN_GAIN_DB)) and bool(
         np.all(means[4.0] >= means[2.0].min() - 1.0)
     )

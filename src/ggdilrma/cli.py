@@ -59,7 +59,7 @@ _INVALID_INPUT_ERRORS = (
     ZeroReference,
     TooManySources,
 )
-_IO_ERRORS = (IoFailure, UnsupportedFormat)
+_IO_ERRORS = (IoFailure, UnsupportedFormat, OSError)
 
 
 class _CliArgumentError(Exception):
@@ -131,11 +131,7 @@ def _sorted_wavs(directory: str) -> List[str]:
 def _cmd_separate(args) -> int:
     samples, rate = read_wav(args.input)
     cfg = GgdConfig(
-        beta=args.beta,
-        domain=args.p,
-        n_bases=args.bases,
-        iterations=args.iters,
-        seed=args.seed,
+        beta=args.beta, domain=args.p, n_bases=args.bases, iterations=args.iters, seed=args.seed
     )
     cfg.validate()
     if not (1 <= args.ref_channel <= samples.shape[1]):
@@ -240,17 +236,9 @@ def _cmd_evaluate(args) -> int:
         perm = [row.estimate_index for row in rows]
         with open(args.jsonl, "w") as fh:
             for row in rows:
-                fh.write(
-                    json.dumps(
-                        {
-                            "source": row.source,
-                            "sdr_db": row.sdr_db,
-                            "sdr_improvement_db": row.sdr_improvement_db,
-                            "perm": perm,
-                        }
-                    )
-                    + "\n"
-                )
+                record = {"source": row.source, "sdr_db": row.sdr_db}
+                record.update(sdr_improvement_db=row.sdr_improvement_db, perm=perm)
+                fh.write(json.dumps(record) + "\n")
     return 0
 
 
@@ -293,9 +281,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except _IO_ERRORS as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2
     except SeparationError as exc:

@@ -22,25 +22,25 @@ iterate ``w~``, and
 
 the surrogate ``g(w) = (w^H G w)^2`` satisfies ``f(w) <= g(w)`` with
 equality at ``w = w~``, and its direction step is the linear solve
-``w' = G^{-1} W_i^{-1} e_n``.  ``G`` is accumulated in streamed
-O(J N^2) form -- the J x J matrix ``Q~`` is never materialized.  With
-``X = [x_1, ..., x_J]`` the bin's ``(M, J)`` observation matrix, the
-``1/r_j^2`` of ``H`` is folded into real per-frame weights::
+``w' = G^{-1} W_i^{-1} e_n``.  The J x J matrix ``Q~`` is never formed:
+with ``X = [x_1, ..., x_J]`` the bin's ``(M, J)`` observation matrix,
 
-    G = [ X diag(c) X^H - u u^H ] / sqrt(J sum_j |q~_j|^4),
-    c_j = (||q~||^2 + |q~_j|^2) / r_j^2,   u = X b,   b_j = q~_j / r_j,
+    G = [ sum_j c_j x_j x_j^H - u u^H ] / sqrt(J sum_j |q~_j|^4),
+    c_j = (||q~||^2 + |q~_j|^2) / r_j^2,   u = X b,   b_j = q~_j / r_j.
 
-so both accumulations are batched matrix products on one contiguous
-``(I, M, J)`` conjugate transpose of the mixture.
-
-Bins are independent, so :func:`quartic_sweep` streams over blocks of bins
-(:func:`~ggdilrma.types.bin_blocks`) and updates every source of a block
-before moving on: its temporaries stay cache-sized, the conjugate
-transpose is formed once per block and ``1/r^2 = S^(-2/p)`` once per
-source, and the result does not depend on the block size.
-
-The scale step then uses the true ``f``, which minimizes the exact cost
+The outer products never change during a run, so :func:`mixture_gram`
+stores them once as ``M^2`` real features ``P_j`` per frame, and ``sum_j
+c_j x_j x_j^H`` is one real ``(M^2, J) @ (J,)`` matvec per bin.  So is the
+direction's cost ``sum_j |h x_j|^4 / r_j^4`` for a demixing row ``h``, as
+``|h x_j|^2 = a(h) . P_j`` with ``a(h)`` the coefficients of the Hermitian
+form.  The scale step uses this true ``f``, which minimizes the exact cost
 along the ray, so every update decreases the quartic cost.
+
+:func:`quartic_sweep` streams over blocks of bins
+(:func:`~ggdilrma.types.bin_blocks`), every source of a block in turn, so
+its temporaries stay cache-sized and its result does not depend on the
+block size.  It updates ``W`` only: a source's anchor outputs depend on its
+own filter alone, which no other source's update changes.
 
 The per-filter forms of this update (``quartic_update_filter``,
 ``direction_scale_step``, the homogeneous objectives, ``optimal_scale``)
@@ -50,34 +50,67 @@ test oracles for :func:`quartic_majorizer` and :func:`quartic_sweep`.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .errors import SingularDemixing
+from .source_model import block_scale
 from .types import EPS_DET, bin_blocks
 
 
-def _sum_abs4(y: np.ndarray, inv_r2: np.ndarray) -> np.ndarray:
-    """``sum_j |y_ij|^4 / r_ij^4`` per bin, as a squared ``|y|^2 / r^2``."""
-    a2 = np.abs(y) ** 2 * inv_r2
-    return np.sum(a2 * a2, axis=1)
+@cache
+def _pairs(M: int):
+    """Row and column indices of the channel pairs ``m < m'``, row-major."""
+    return np.triu_indices(M, 1)
 
 
-def _majorizer(xd: np.ndarray, xh: np.ndarray, y: np.ndarray, inv_r2: np.ndarray):
-    """:func:`quartic_majorizer` given ``xh``, the C-ordered conjugate
-    transpose ``(I, M, J)`` of ``xd``, and ``inv_r2 = 1 / r**2``; also
-    returns the anchor's ``sum_j |y|^4 / r^4`` per bin."""
-    J = xd.shape[1]
+def mixture_gram(xd: np.ndarray) -> np.ndarray:
+    """Real features ``(I, M**2, J)`` of the outer products ``x_j x_j^H``:
+    ``|x_m|^2`` for each channel, then ``Re`` and then ``Im`` of
+    ``x_m conj(x_m')`` for each pair ``m < m'`` in row-major order."""
+    I, J, M = xd.shape
+    rows, cols = _pairs(M)
+    gram = np.empty((I, M * M, J))
+    for blk in bin_blocks(I, J):
+        xt = xd[blk].transpose(0, 2, 1)
+        cross = xt[:, rows] * xt[:, cols].conj()
+        gram[blk] = np.concatenate([xt.real**2 + xt.imag**2, cross.real, cross.imag], axis=1)
+    return gram
+
+
+def _form_coeffs(h: np.ndarray) -> np.ndarray:
+    """Coefficients ``a(h)`` of ``|h x|^2 = a(h) . P`` for demixing rows ``h``."""
+    rows, cols = _pairs(h.shape[-1])
+    v = 2.0 * h[..., rows] * h[..., cols].conj()
+    return np.concatenate([h.real**2 + h.imag**2, v.real, -v.imag], axis=-1)
+
+
+def _hermitian(feat: np.ndarray, M: int) -> np.ndarray:
+    """The ``(..., M, M)`` Hermitian matrices whose features are ``feat``."""
+    rows, cols = _pairs(M)
+    upper = feat[..., M : M + len(rows)] + 1j * feat[..., M + len(rows) :]
+    H = np.empty(feat.shape[:-1] + (M, M), dtype=np.complex128)
+    H[..., range(M), range(M)] = feat[..., :M]
+    H[..., rows, cols] = upper
+    H[..., cols, rows] = upper.conj()
+    return H
+
+
+def _majorizer(xd: np.ndarray, gram: np.ndarray, y: np.ndarray, inv_r2: np.ndarray):
+    """:func:`quartic_majorizer` given the mixture's :func:`mixture_gram` and
+    ``inv_r2 = 1 / r**2``; also returns the anchor's ``sum_j |y|^4 / r^4``."""
+    J, M = xd.shape[1:]
     aq2 = np.abs(y) ** 2 * inv_r2  # |q~|^2
     s4 = np.sum(aq2 * aq2, axis=1)
     norm_q2 = np.sum(aq2, axis=1)
     good = np.isfinite(s4) & (s4 > 0.0)
 
-    # xh = conj(X) per bin; u = X b = conj(xh conj(b)) with conj(b) = y / r^2,
-    # and X diag(c) X^H = conj(xh diag(c) X^T) with X^T = xd.
-    u = (xh @ (y * inv_r2)[:, :, None])[..., 0].conj()
-    CD = ((xh * ((norm_q2[:, None] + aq2) * inv_r2)[:, None, :]) @ xd).conj()
+    u = ((y.conj() * inv_r2)[:, None, :] @ xd)[:, 0]  # (X b)^T = b^T X^T
+    c = (norm_q2[:, None] + aq2) * inv_r2
+    C = _hermitian((gram @ c[:, :, None])[..., 0], M)
     denom = np.sqrt(J * np.where(good, s4, 1.0))
-    G = (CD - u[:, :, None] * u.conj()[:, None, :]) / denom[:, None, None]
+    G = (C - u[:, :, None] * u.conj()[:, None, :]) / denom[:, None, None]
     return G, good, s4
 
 
@@ -96,13 +129,10 @@ def quartic_majorizer(xd: np.ndarray, y: np.ndarray, radius: np.ndarray):
         at the anchor, and the mask of bins whose anchor projection ``q~``
         is finite and nonzero (``G_i`` is not a majorizer elsewhere).
     """
-    xh = np.conjugate(xd.transpose(0, 2, 1), order="C")
-    return _majorizer(xd, xh, y, 1.0 / radius**2)[:2]
+    return _majorizer(xd, mixture_gram(xd), y, 1.0 / radius**2)[:2]
 
 
-def quartic_sweep(
-    xd: np.ndarray, yd: np.ndarray, W: np.ndarray, S: np.ndarray, domain: float
-):
+def quartic_sweep(xd, yd, W, T, V, domain: float, gram: np.ndarray):
     """One full quartic update of all filters, batched over bins.
 
     Bins whose majorizer is degenerate or below the determinant floor are
@@ -110,29 +140,28 @@ def quartic_sweep(
     counted.
 
     Args:
-        xd: mixture ``(I, J, M)``.
-        yd: current separated signal ``(I, J, N)``, updated in place.
+        xd: mixture ``(I, J, M)``, and ``gram`` its :func:`mixture_gram`.
+        yd: the anchors: separated signal ``(I, J, N)`` of ``W`` on entry.
         W: demixing matrices ``(I, N, N)``, updated in place.
-        S: scale field ``r**p`` shaped ``(I, J, N)``.
-        domain: the exponent ``p``; ``1/r**2`` is formed from ``S`` one
-            block and source at a time.
+        T, V: NMF factors; ``S = r**p = T V`` is formed a block at a time.
+        domain: the exponent ``p``.
 
     Returns:
-        ``(W, yd, f_check, n_skipped)`` with ``f_check[i, n]`` the quartic
-        cost of each updated filter (1/2 up to roundoff) and ``n_skipped``
-        the number of (bin, source) updates left untouched.
+        ``(W, yd, f_check, n_skipped)`` with ``yd`` as given, ``f_check[i, n]``
+        the quartic cost of each updated filter (1/2 up to roundoff; the
+        anchor's cost where skipped) and ``n_skipped`` the number of
+        (bin, source) updates left untouched.
     """
-    I, J, M = xd.shape
-    N = W.shape[1]
+    I, J, N = yd.shape
     eye = np.eye(N, dtype=np.complex128)
     f_check = np.empty((I, N))
     n_skipped = 0
     for blk in bin_blocks(I, J):
-        xb, yb, Wb = xd[blk], yd[blk], W[blk]
-        xh = np.conjugate(xb.transpose(0, 2, 1), order="C")
+        xb, yb, Wb, Pb = xd[blk], yd[blk], W[blk], gram[blk]
+        S = block_scale(T, V, blk)
         for n in range(N):
-            inv_r2 = 1.0 / (S[blk, :, n] ** (1.0 / domain)) ** 2
-            G, good, s4 = _majorizer(xb, xh, yb[:, :, n], inv_r2)
+            inv_r2 = 1.0 / (S[n] ** (1.0 / domain)) ** 2
+            G, good, s4 = _majorizer(xb, Pb, yb[:, :, n], inv_r2)
             good &= ~(np.abs(np.linalg.det(G)) <= EPS_DET)
             G_solve = np.where(good[:, None, None], G, eye)
             rhs = np.broadcast_to(eye[n][:, None], (len(G), N, 1))
@@ -141,15 +170,14 @@ def quartic_sweep(
             except np.linalg.LinAlgError as exc:
                 raise SingularDemixing(str(exc)) from exc
 
-            y_dir = (xb @ w_dir.conj()[:, :, None])[..., 0]
-            s4_dir = _sum_abs4(y_dir, inv_r2)
+            h_dir = w_dir.conj()  # the demixing row of the direction
+            a2 = (_form_coeffs(h_dir)[:, None, :] @ Pb)[:, 0] * inv_r2  # |y_dir|^2 / r^2
+            s4_dir = np.sum(a2 * a2, axis=1)
             good &= np.isfinite(s4_dir) & (s4_dir > 0.0)
             scale = (J / (2.0 * np.where(good, s4_dir, 1.0))) ** 0.25
-            y_new = y_dir * scale[:, None]
 
-            # Skipped bins keep their filter, output and anchor cost s4.
-            np.copyto(Wb[:, n, :], (w_dir * scale[:, None]).conj(), where=good[:, None])
-            np.copyto(yb[:, :, n], y_new, where=good[:, None])
-            f_check[blk, n] = np.where(good, _sum_abs4(y_new, inv_r2), s4) / J
+            # Skipped bins keep their filter and anchor cost s4.
+            np.copyto(Wb[:, n, :], h_dir * scale[:, None], where=good[:, None])
+            f_check[blk, n] = np.where(good, scale**4 * s4_dir, s4) / J
             n_skipped += int(np.sum(~good))
     return W, yd, f_check, n_skipped

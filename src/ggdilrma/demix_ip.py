@@ -18,6 +18,8 @@ against the freshest demixing matrix.  The sweep streams over blocks of
 bins (:func:`~ggdilrma.types.bin_blocks`), every source of a block in turn,
 so its temporaries stay cache-sized and its result does not depend on the
 block size; a singular bin is reported by its index in the whole problem.
+``S = T V`` is formed once per block, and only ``W`` is updated: source
+``n``'s weights read ``y_n`` alone, which no other source's update changes.
 
 The per-filter form of this update (``ip_update_filter``), the weighted
 covariance it solves against (``weighted_covariance``) and the AM-GM gap
@@ -29,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularCovariance, SingularDemixing, UnsupportedBeta
-from .source_model import _whitened_ratio
+from .source_model import _whitened_ratio, block_scale
 from .types import EPS_DET, EPS_Y, bin_blocks
 
 
@@ -39,43 +41,35 @@ def _ip_weights(abs_y, S, beta, domain):
     return _whitened_ratio(ay, S, beta, domain) / ay**2
 
 
-def ip_sweep(
-    xd: np.ndarray,
-    yd: np.ndarray,
-    W: np.ndarray,
-    S: np.ndarray,
-    beta: float,
-    domain: float,
-):
+def ip_sweep(xd, yd, W, T, V, beta: float, domain: float):
     """One full update of all filters, batched over frequency bins.
 
     Args:
         xd: mixture ``(I, J, M)``.
-        yd: current separated signal ``(I, J, N)``; updated in place
-            row-by-row as filters change.
+        yd: separated signal ``(I, J, N)`` of ``W`` on entry; read only.
         W: demixing matrices ``(I, N, N)``; updated in place.
-        S: scale field ``r**p`` shaped ``(I, J, N)``.
+        T, V: NMF factors; ``S = r**p = T V`` is formed a block at a time.
 
     Returns:
-        ``(W, yd, norm_check)`` where ``norm_check[i, n] = w^H F w`` for
-        the updated filters (unit up to roundoff).
+        ``(W, yd, norm_check)`` with ``yd`` as given and ``norm_check[i, n]
+        = w^H F w`` for the updated filters (unit up to roundoff).
     """
     if not (0.0 < beta <= 2.0):
         raise UnsupportedBeta(f"iterative projection requires 0 < beta <= 2, got {beta}")
-    I, J, M = xd.shape
-    N = W.shape[1]
+    I, J, N = yd.shape
     eye = np.eye(N, dtype=np.complex128)
     norm_check = np.empty((I, N))
     for blk in bin_blocks(I, J):
         xb, yb, Wb = xd[blk], yd[blk], W[blk]
-        xc = xb.conj()
+        S = block_scale(T, V, blk)
         for n in range(N):
-            wgt = _ip_weights(np.abs(yb[:, :, n]), S[blk, :, n], beta, domain)
+            wgt = _ip_weights(np.abs(yb[:, :, n]), S[n], beta, domain)
             # F = A^H A with A the weighted observation; solving through the
             # triangular factor of A halves the condition number of a direct
             # F solve and keeps w^H F w = ||R w||^2 nonnegative by
             # construction even when a single floored frame dominates.
-            A = np.sqrt(wgt * (beta / (2.0 * J)))[:, :, None] * xc
+            A = xb.conj()
+            A *= np.sqrt(wgt * (beta / (2.0 * J)))[:, :, None]
             R = np.linalg.qr(A, mode="r")
             absdet_F = np.prod(np.abs(np.diagonal(R, axis1=1, axis2=2)), axis=1) ** 2
             if np.any(absdet_F <= EPS_DET):
@@ -94,6 +88,5 @@ def ip_sweep(
             norm = np.sqrt(np.sum(np.abs(Rw) ** 2, axis=1))
             w /= norm[:, None]
             Wb[:, n, :] = w.conj()
-            yb[:, :, n] = (xb @ w.conj()[:, :, None])[..., 0]
             norm_check[blk, n] = np.sum(np.abs(Rw / norm[:, None]) ** 2, axis=1)
     return W, yd, norm_check

@@ -141,11 +141,6 @@ class MixingSpec:
             raise DegenerateShape(f"unknown mixing mode {self.mode!r}")
 
     @property
-    def n_channels(self) -> int:
-        src = self.matrix if self.mode == "instantaneous" else self.impulse_responses
-        return np.asarray(src).shape[0]
-
-    @property
     def n_sources(self) -> int:
         src = self.matrix if self.mode == "instantaneous" else self.impulse_responses
         return np.asarray(src).shape[1]

@@ -1,9 +1,10 @@
 """Full separation runs: init, alternating updates, projection, tracing.
 
-Each iteration performs, in order: (1) refresh the scale field from the
-current factors, (2) one demixing sweep (iterative projection for
-``beta <= 2``, quartic majorization for ``beta == 4``), (3) recompute the
-separated signal, (4) one basis update, (5) one activation update.  The
+Each iteration performs, in order: (1) one demixing sweep of ``W`` alone
+(iterative projection for ``beta <= 2``, quartic majorization on the
+mixture's per-frame outer products, cached per run, for ``beta == 4``), (2)
+recompute the separated signal, (3) one basis update, (4) one activation
+update; no full-size per-iteration array outlives its use.  The
 cost is recorded after every iteration; the final output is rescaled by
 back-projection onto a reference channel.
 """
@@ -17,10 +18,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cost import ggd_cost_arrays
-from .demix_homogeneous import quartic_sweep
+from .demix_homogeneous import mixture_gram, quartic_sweep
 from .demix_ip import ip_sweep
 from .errors import DegenerateShape, SingularDemixing
-from .source_model import scale_field, update_activations_arrays, update_bases_arrays
+from .source_model import update_activations_arrays, update_bases_arrays
 from .types import (
     EPS_NMF,
     ConvergenceTrace,
@@ -85,24 +86,25 @@ def back_project(yd: np.ndarray, W: np.ndarray, reference_channel: int = 0) -> n
     return yd * coeff[:, None, :]
 
 
-def iteration_step(xd: np.ndarray, W: np.ndarray, T: np.ndarray, V: np.ndarray, cfg: GgdConfig):
+def iteration_step(xd, W, T, V, cfg: GgdConfig, gram: Optional[np.ndarray]):
     """One alternating-update round on raw state arrays (updated in place).
 
-    Order: scale field refresh, demixing sweep, separated-signal refresh,
-    basis update, activation update.  Returns ``(W, T, V, cost, skipped)``.
+    Order: sweep of ``W`` alone, separated-signal refresh, basis update,
+    activation update; no full-size array outlives its use.  ``gram`` is
+    the quartic scheme's cached :func:`~ggdilrma.demix_homogeneous.mixture_gram`
+    of ``xd``.  Returns ``(W, T, V, cost, skipped)``.
     """
     beta, p = cfg.beta, cfg.domain
-    S = scale_field(T, V)  # r**p, (I, J, N)
-    yd = separate(xd, W)
     skipped = 0
     if cfg.update_scheme == "ip":
-        W, yd, _ = ip_sweep(xd, yd, W, S, beta, p)
+        W = ip_sweep(xd, separate(xd, W), W, T, V, beta, p)[0]
     else:
-        W, yd, _, skipped = quartic_sweep(xd, yd, W, S, p)
-    yd = separate(xd, W)
-    abs_y = np.abs(np.moveaxis(yd, 2, 0), order="C")  # (N, I, J), contiguous per source
+        # [::3] keeps W and the skip count; the anchor outputs are dropped.
+        W, skipped = quartic_sweep(xd, separate(xd, W), W, T, V, p, gram)[::3]
+    abs_y = np.abs(np.moveaxis(separate(xd, W), 2, 0), order="C")  # (N, I, J)
     T, V = update_bases_arrays(T, V, abs_y, beta, p)
     T, V = update_activations_arrays(T, V, abs_y, beta, p)
+    del abs_y
     cost = ggd_cost_arrays(xd, W, T, V, beta, p)
     return W, T, V, cost, skipped
 
@@ -131,21 +133,18 @@ def run(
         )
     W, T, V = initialize(cfg, shape)
     xd = np.ascontiguousarray(x.data, dtype=np.complex128)
+    gram = mixture_gram(xd) if cfg.update_scheme == "quartic" else None
 
     records = []
     for it in range(1, cfg.iterations + 1):
         t0 = time.perf_counter()
-        W, T, V, cost, skipped = iteration_step(xd, W, T, V, cfg)
-        record = TraceRecord(
-            iteration=it,
-            cost=cost,
-            elapsed_ms=(time.perf_counter() - t0) * 1e3,
-            skipped_updates=skipped,
-        )
+        W, T, V, cost, skipped = iteration_step(xd, W, T, V, cfg, gram)
+        record = TraceRecord(it, cost, (time.perf_counter() - t0) * 1e3, skipped)
         records.append(record)
         if on_record is not None:
             on_record(record)
 
+    del gram
     projected = back_project(separate(xd, W), W, reference_channel)
     return RunResult(
         sources=SourceSpectrogram(data=projected),

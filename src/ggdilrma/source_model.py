@@ -44,6 +44,12 @@ def scale_field(T: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.moveaxis(T @ V, 0, 2)
 
 
+def block_scale(T: np.ndarray, V: np.ndarray, blk: slice) -> np.ndarray:
+    """Scale field ``(N, b, J)`` of the bins ``blk``, one ``(K,) @ (K, J)`` product
+    per bin, so that a one-bin block rounds as a taller one (BLAS paths differ)."""
+    return (T[:, blk, None] @ V[:, None])[:, :, 0]
+
+
 def _int_power(x: np.ndarray, k: int) -> np.ndarray:
     """``x**k`` for an integer ``k >= 1`` by repeated squaring (``x`` itself for 1)."""
     result = None

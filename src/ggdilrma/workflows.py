@@ -8,24 +8,27 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from . import pipeline
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, SignalTooShort
 from .metrics import align_permutation, si_sdr
 from .stft import StftPlan, istft, stft
 from .types import GgdConfig
 
 
-def plan_from_ms(win_ms: float, hop_ms: float, sample_rate: int) -> StftPlan:
+def plan_from_ms(win_ms: float, hop_ms: float, sample_rate: int, n_samples=None) -> StftPlan:
     """Build a Hamming analysis plan from window/hop durations.
 
     Raises :class:`~ggdilrma.errors.ShapeMismatch` unless both durations
-    are finite and positive.
+    are finite and positive, and :class:`~ggdilrma.errors.SignalTooShort`,
+    before building a window, if it is longer than ``n_samples`` (if given).
     """
     for name, ms in (("window", win_ms), ("hop", hop_ms)):
         if not (0.0 < ms < np.inf):
             raise ShapeMismatch(f"{name} duration must be finite and > 0 ms, got {ms}")
-    frame_len = int(round(win_ms * 1e-3 * sample_rate))
+    frame_len = np.rint(win_ms * 1e-3 * sample_rate)  # a float: may be inf
+    if n_samples is not None and frame_len > n_samples:
+        raise SignalTooShort(f"signal length {n_samples} < frame length {frame_len:.0f}")
     hop_len = int(round(hop_ms * 1e-3 * sample_rate))
-    return StftPlan.hamming(frame_len, hop_len)
+    return StftPlan.hamming(int(frame_len), hop_len)
 
 
 def separate_audio(
@@ -42,10 +45,11 @@ def separate_audio(
     Returns ``(estimates, result)`` where estimates are time-domain
     sources shaped ``(n_samples, N)``.
     """
-    plan = plan_from_ms(win_ms, hop_ms, sample_rate)
+    n_samples = np.asarray(samples).shape[0]
+    plan = plan_from_ms(win_ms, hop_ms, sample_rate, n_samples)
     x = stft(samples, plan, sample_rate)
     result = pipeline.run(x, cfg, reference_channel=reference_channel, on_record=on_record)
-    estimates = istft(result.sources, plan, length=np.asarray(samples).shape[0])
+    estimates = istft(result.sources, plan, length=n_samples)
     return estimates, result
 
 

@@ -2,11 +2,11 @@
 
 Test oracle for the batched matrix products that ``ggdilrma`` runs in
 ``pipeline.separate``, ``cost.ggd_cost_arrays``,
-``demix_homogeneous.quartic_majorizer`` and the NMF updates in
-``source_model``.  Each function spells its sums out as an index
-expression on the raw operands, with the scale ``r`` divided into the
-observation (``Xr = x / r``) rather than folded into the weights, so it
-shares no layout or operand order with the package.
+``demix_homogeneous.quartic_majorizer``, ``demix_homogeneous.mixture_gram``
+and the NMF updates in ``source_model``.  Each function spells its sums
+out as an index expression on the raw operands, with the scale ``r``
+divided into the observation (``Xr = x / r``) rather than folded into the
+weights, so it shares no layout or operand order with the package.
 
 Conventions: mixtures and outputs are ``(I, J, M)``/``(I, J, N)``,
 demixing matrices ``(I, N, N)``, bases ``T`` ``(N, I, K)``, activations
@@ -22,6 +22,22 @@ EPS_Y = 1e-12
 def separate_einsum(xd, W):
     """``y[i, j, n] = sum_m W[i, n, m] x[i, j, m]``."""
     return np.einsum("inm,ijm->ijn", W, xd)
+
+
+def mixture_gram_einsum(xd):
+    """Features ``(I, M^2, J)`` of ``P_j = x_j x_j^H``: the diagonal of ``P``,
+    then the real and the imaginary parts of its strict upper triangle."""
+    M = xd.shape[2]
+    P = np.einsum("ijm,ijn->imnj", xd, xd.conj())
+    upper = [P[:, m, n] for m in range(M) for n in range(m + 1, M)]
+    diag = [P[:, m, m].real for m in range(M)]
+    return np.stack(diag + [u.real for u in upper] + [u.imag for u in upper], axis=1)
+
+
+def output_power_einsum(xd, W):
+    """``|y[i, j, n]|^2`` as the Hermitian form ``sum_mm' W_nm conj(W_nm') P_mm'``."""
+    P = np.einsum("ijm,ijn->ijmn", xd, xd.conj())
+    return np.einsum("ikm,ikn,ijmn->ijk", W, W.conj(), P).real
 
 
 def quartic_majorizer_einsum(xd, y, radius):

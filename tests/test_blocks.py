@@ -4,7 +4,8 @@ The per-iteration layers run over blocks of bins sized by
 ``types.BLOCK_ENTRIES``.  The demixing sweeps are per-bin, so their result
 must not depend on the block size at all; the NMF updates and the cost sum
 over blocks, so they agree to roundoff.  A ``tracemalloc`` guard keeps every
-layer's temporaries a fraction of the mixture's size.
+layer's temporaries a fraction of the mixture's size, and a second one
+bounds what a whole iteration holds at once.
 """
 
 import tracemalloc
@@ -14,7 +15,7 @@ import pytest
 
 from ggdilrma import pipeline, types
 from ggdilrma.cost import ggd_cost_arrays
-from ggdilrma.demix_homogeneous import quartic_sweep
+from ggdilrma.demix_homogeneous import mixture_gram, quartic_sweep
 from ggdilrma.demix_ip import ip_sweep
 from ggdilrma.errors import SingularCovariance
 from ggdilrma.source_model import (
@@ -23,7 +24,7 @@ from ggdilrma.source_model import (
     update_activations_arrays,
     update_bases_arrays,
 )
-from ggdilrma.types import GgdConfig, MixtureSpectrogram, bin_blocks
+from ggdilrma.types import GgdConfig, MixtureSpectrogram, ProblemShape, bin_blocks
 
 RTOL = 1e-12
 I, J, K = 10, 12, 3
@@ -78,20 +79,19 @@ def test_bin_blocks_cover_every_bin_once(monkeypatch, n_bins, frames, budget, le
 def test_quartic_sweep_is_block_invariant(monkeypatch, bins, N):
     xd, W, T, V = instance(N, 1, silent_bin=I - 2)
     xd[3, :, 1] = xd[3, :, 0]  # rank-deficient bin: skipped, nonzero output
-    S = scale_field(T, V)
+    gram = mixture_gram(xd)
 
     def sweep():
-        return quartic_sweep(xd, pipeline.separate(xd, W), W.copy(), S, 0.5)
+        return quartic_sweep(xd, pipeline.separate(xd, W), W.copy(), T, V, 0.5, gram)
 
-    W_ref, yd_ref, f_ref, skipped_ref = whole(sweep, monkeypatch)
+    W_ref, _, f_ref, skipped_ref = whole(sweep, monkeypatch)
     set_block_bins(monkeypatch, bins)
-    W_new, yd_new, f_new, skipped = sweep()
+    W_new, _, f_new, skipped = sweep()
     np.testing.assert_array_equal(W_new, W_ref)
-    np.testing.assert_array_equal(yd_new, yd_ref)
     np.testing.assert_array_equal(f_new, f_ref)
     assert skipped == skipped_ref == 2 * N  # every source of both degenerate bins
-    # f_check is the quartic cost of the returned outputs, skipped bins included.
-    a2 = np.abs(yd_new) ** 2 / S**4  # r = S**(1/p) at p = 1/2
+    # f_check is the quartic cost of the updated filters, skipped bins included.
+    a2 = np.abs(pipeline.separate(xd, W_new)) ** 2 / scale_field(T, V) ** 4  # r = S**2
     np.testing.assert_allclose(f_new, np.sum(a2 * a2, axis=1) / J, rtol=1e-13)
 
 
@@ -100,16 +100,14 @@ def test_quartic_sweep_is_block_invariant(monkeypatch, bins, N):
 @pytest.mark.parametrize("beta, p", [(2.0, 2.0), (1.0, 0.5)])
 def test_ip_sweep_is_block_invariant(monkeypatch, bins, N, beta, p):
     xd, W, T, V = instance(N, 2)
-    S = scale_field(T, V)
 
     def sweep():
-        return ip_sweep(xd, pipeline.separate(xd, W), W.copy(), S, beta, p)
+        return ip_sweep(xd, pipeline.separate(xd, W), W.copy(), T, V, beta, p)
 
-    W_ref, yd_ref, norm_ref = whole(sweep, monkeypatch)
+    W_ref, _, norm_ref = whole(sweep, monkeypatch)
     set_block_bins(monkeypatch, bins)
-    W_new, yd_new, norm_new = sweep()
+    W_new, _, norm_new = sweep()
     np.testing.assert_array_equal(W_new, W_ref)
-    np.testing.assert_array_equal(yd_new, yd_ref)
     np.testing.assert_array_equal(norm_new, norm_ref)
 
 
@@ -154,7 +152,7 @@ def test_singular_bin_is_named_by_its_global_index(monkeypatch, bins):
     xd, W, T, V = instance(2, 6, silent_bin=7)
     set_block_bins(monkeypatch, bins)
     with pytest.raises(SingularCovariance, match=r"at bin 7, source 0$"):
-        ip_sweep(xd, pipeline.separate(xd, W), W, scale_field(T, V), 2.0, 2.0)
+        ip_sweep(xd, pipeline.separate(xd, W), W, T, V, 2.0, 2.0)
 
 
 @pytest.mark.parametrize(
@@ -188,13 +186,13 @@ def test_layer_temporaries_stay_block_sized():
     V = rng.uniform(0.2, 1.5, (N, K, frames))
     yd = pipeline.separate(xd, W)
     abs_y = np.abs(np.moveaxis(yd, 2, 0), order="C")
-    S = scale_field(T, V)
+    gram = mixture_gram(xd)
     calls = {
         update_bases_arrays: (T, V, abs_y, 4.0, 0.5),
         update_activations_arrays: (T, V, abs_y, 4.0, 0.5),
         ggd_cost_arrays: (xd, W, T, V, 4.0, 0.5),
-        quartic_sweep: (xd, yd.copy(), W.copy(), S, 0.5),
-        ip_sweep: (xd, yd.copy(), W.copy(), S, 2.0, 2.0),
+        quartic_sweep: (xd, yd, W.copy(), T, V, 0.5, gram),
+        ip_sweep: (xd, yd, W.copy(), T, V, 2.0, 2.0),
     }
     peaks = {}
     for layer, args in calls.items():
@@ -207,3 +205,31 @@ def test_layer_temporaries_stay_block_sized():
             tracemalloc.stop()
     over = {name: round(peak, 2) for name, peak in peaks.items() if peak >= PEAK_FRACTION}
     assert not over, f"transient peak / xd.nbytes above {PEAK_FRACTION}: {over}"
+
+
+#: Bound on the transient allocation peak of one ``iteration_step``, as a
+#: fraction of the mixture's bytes.  Its only full-size arrays are the
+#: separated signal (the sweep's anchor, then the refreshed one: one at a
+#: time) and the magnitudes the NMF updates read: 1.5 in all, 1.6 with the
+#: IP sweep's block temporaries.  Keeping the scale field, the anchor and the
+#: refresh alive together reads 2.7.
+STEP_PEAK_FRACTION = 1.75
+
+
+@pytest.mark.parametrize("beta", [4.0, 2.0])
+@pytest.mark.parametrize("N", [2, 3])
+def test_iteration_holds_one_full_size_output_at_a_time(N, beta):
+    bins, frames = 1025, 158  # paper scale: 128 ms windows of 10 s at 16 kHz
+    rng = np.random.default_rng(9)
+    xd = rng.standard_normal((bins, frames, N)) + 1j * rng.standard_normal((bins, frames, N))
+    cfg = GgdConfig(beta=beta, domain=0.5, n_bases=K, iterations=1, seed=9)
+    W, T, V = pipeline.initialize(cfg, ProblemShape(bins, frames, N, K))
+    gram = mixture_gram(xd) if cfg.update_scheme == "quartic" else None  # cached per run
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pipeline.iteration_step(xd, W, T, V, cfg, gram)
+        peak = (tracemalloc.get_traced_memory()[1] - base) / xd.nbytes
+    finally:
+        tracemalloc.stop()
+    assert peak < STEP_PEAK_FRACTION, f"iteration peak / xd.nbytes = {peak:.2f}"

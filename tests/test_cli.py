@@ -67,3 +67,14 @@ def test_non_finite_or_non_positive_setting_exits_1(flags, error, tmp_path, caps
     argv = ["separate", "--input", str(clip), "--out-dir", str(tmp_path / "out")]
     assert main(argv + ["--iters", "2", "--bases", "2"] + flags) == 1
     assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("win_ms", ["1e30", "1e308"])
+def test_window_longer_than_the_signal_exits_1(win_ms, tmp_path, capsys):
+    # Checked before any window is built: a 1e30 ms window would need 1.6e31
+    # samples, and 1e308 ms overflows to an infinite frame length.
+    clip = tmp_path / "clip.wav"
+    write_wav(str(clip), 0.1 * np.random.default_rng(0).standard_normal((16000, 2)), 16000)
+    argv = ["separate", "--input", str(clip), "--out-dir", str(tmp_path / "out")]
+    assert main(argv + ["--iters", "2", "--bases", "2", "--win-ms", win_ms]) == 1
+    assert "SignalTooShort" in capsys.readouterr().err

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 from reference_contractions import (
     ggd_cost_einsum,
+    mixture_gram_einsum,
+    output_power_einsum,
     quartic_majorizer_einsum,
     separate_einsum,
     update_activations_einsum,
@@ -23,7 +25,7 @@ from reference_contractions import (
 
 import ggdilrma
 from ggdilrma.cost import ggd_cost_arrays
-from ggdilrma.demix_homogeneous import quartic_majorizer
+from ggdilrma.demix_homogeneous import _form_coeffs, mixture_gram, quartic_majorizer
 from ggdilrma.pipeline import separate
 from ggdilrma.source_model import update_activations_arrays, update_bases_arrays
 
@@ -60,6 +62,25 @@ def factors(N, I, K, J, seed):
 def test_separate_matches_einsum(N, J, layout):
     xd, W = mixture(I, J, N, layout, 1), demixing(I, N, 2)
     np.testing.assert_allclose(separate(xd, W), separate_einsum(xd, W), rtol=RTOL)
+
+
+@SHAPES
+@LAYOUTS
+def test_mixture_gram_matches_einsum(N, J, layout):
+    xd = mixture(I, J, N, layout, 11)
+    gram = mixture_gram(xd)
+    assert gram.shape == (I, N * N, J) and gram.dtype == np.float64
+    np.testing.assert_allclose(gram, mixture_gram_einsum(xd), rtol=RTOL)
+
+
+@SHAPES
+@LAYOUTS
+def test_quadratic_form_of_the_features_matches_einsum(N, J, layout):
+    # |W x|^2 = a(w) . P: one real product of the rows' coefficients and the features
+    xd, W = mixture(I, J, N, layout, 12), demixing(I, N, 13)
+    power = (_form_coeffs(W) @ mixture_gram(xd)).transpose(0, 2, 1)
+    np.testing.assert_allclose(power, output_power_einsum(xd, W), rtol=RTOL)
+    np.testing.assert_allclose(power, np.abs(separate_einsum(xd, W)) ** 2, rtol=RTOL)
 
 
 @SHAPES
@@ -114,7 +135,7 @@ HOT_PATH_MODULES = [
 MATMUL_FORMS = (
     "inm,ijm->ijn: xd @ W.transpose(0, 2, 1); "
     "ijm,im->ij: (xd @ w[:, :, None])[..., 0]; "
-    "ij,ija,ijb->iab: (conj(xd).transpose(0, 2, 1) * c[:, None, :]) @ xd, conjugated; "
+    "ij,ija,ijb->iab: mixture_gram(xd) @ c[:, :, None], as Hermitian features; "
     "nij,nkj->nik: A @ V.transpose(0, 2, 1); "
     "nij,nik->nkj: T.transpose(0, 2, 1) @ A"
 )

@@ -17,7 +17,7 @@ from reference_quartic import (
     quartic_update_filter,
 )
 
-from ggdilrma.demix_homogeneous import quartic_majorizer, quartic_sweep
+from ggdilrma.demix_homogeneous import mixture_gram, quartic_majorizer, quartic_sweep
 
 
 def random_slab(J, N, seed, r_low=0.5, r_high=2.0):
@@ -186,8 +186,19 @@ class TestDirectionScaleStep:
             assert obj.evaluate(w) == pytest.approx(0.5, rel=1e-10)
 
 
+def sweep(xd, W, radius):
+    """``quartic_sweep`` anchored at ``W``'s outputs, with scale field ``radius``.
+
+    The factors reproduce ``S = radius`` exactly at ``p = 1``: the bases are
+    its frames (``K = J``) and the activations the identity.
+    """
+    J, N = radius.shape[1:]
+    T, V = np.moveaxis(radius, 2, 0), np.broadcast_to(np.eye(J), (N, J, J))
+    yd = np.einsum("inm,ijm->ijn", W, xd)
+    return quartic_sweep(xd, yd, W, T, V, 1.0, mixture_gram(xd))
+
+
 class TestQuarticUpdateFilter:
-    # quartic_sweep takes S = r**p; its calls here pass S = radius at p = 1.
 
     def random_state(self, I, J, N, seed):
         rng = np.random.default_rng(seed)
@@ -212,8 +223,7 @@ class TestQuarticUpdateFilter:
         # N=1: the direction is fixed; only the closed-form scale applies
         xd, radius, _ = self.random_state(1, 8, 1, seed=9)
         W = np.array([[[0.7 - 0.2j]]])
-        yd = np.einsum("inm,ijm->ijn", W, xd)
-        W_new, _, _, skipped = quartic_sweep(xd, yd, W.copy(), radius, 1.0)
+        W_new, _, _, skipped = sweep(xd, W.copy(), radius)
         assert skipped == 0
         w = W_new[0, 0].conj()
         obj = quartic_objective(xd[0], radius[0, :, 0])
@@ -248,8 +258,7 @@ class TestQuarticUpdateFilter:
         W = np.eye(2, dtype=np.complex128)[None]
         radius = np.abs(np.einsum("inm,ijm->ijn", W, xd)) + 0.1
         before = self.quartic_cost(xd, radius, W)
-        yd = np.einsum("inm,ijm->ijn", W, xd)
-        W_new, _, _, skipped = quartic_sweep(xd, yd, W.copy(), radius, 1.0)
+        W_new, _, _, skipped = sweep(xd, W.copy(), radius)
         assert skipped == 0
         after = self.quartic_cost(xd, radius, W_new)
         assert after <= before + 1e-9 * (1 + abs(before))
@@ -259,9 +268,7 @@ class TestQuarticUpdateFilter:
         for seed in range(100):
             xd, radius, W = self.random_state(4, 16, 2, seed=seed)
             before = self.quartic_cost(xd, radius, W)
-            W2 = W.copy()
-            yd = np.einsum("inm,ijm->ijn", W2, xd)
-            W2, yd, f_check, skipped = quartic_sweep(xd, yd, W2, radius, 1.0)
+            W2, _, f_check, skipped = sweep(xd, W.copy(), radius)
             after = self.quartic_cost(xd, radius, W2)
             if after > before + 1e-9 * (1 + abs(before)) or skipped:
                 failures += 1
@@ -269,9 +276,7 @@ class TestQuarticUpdateFilter:
 
     def test_sweep_matches_single_bin_op(self):
         xd, radius, W = self.random_state(5, 12, 2, seed=77)
-        W_sweep = W.copy()
-        yd = np.einsum("inm,ijm->ijn", W_sweep, xd)
-        W_sweep, _, f_check, skipped = quartic_sweep(xd, yd, W_sweep, radius, 1.0)
+        W_sweep, _, f_check, skipped = sweep(xd, W.copy(), radius)
         assert skipped == 0
 
         W_ref = W.copy()
@@ -285,5 +290,10 @@ class TestQuarticUpdateFilter:
     def test_scale_postcondition_across_sweep(self):
         xd, radius, W = self.random_state(6, 20, 2, seed=13)
         yd = np.einsum("inm,ijm->ijn", W, xd)
-        _, yd, f_check, _ = quartic_sweep(xd, yd, W, radius, 1.0)
+        W_new, yd_out, f_check, _ = sweep(xd, W, radius)
+        np.testing.assert_array_equal(yd_out, yd)  # the anchor outputs, untouched
         np.testing.assert_allclose(f_check, 0.5, rtol=1e-9)
+        # f_check is the quartic cost of the updated filters' outputs.
+        y_new = np.einsum("inm,ijm->ijn", W_new, xd)
+        f_new = np.mean(np.abs(y_new / radius) ** 4, axis=1)
+        np.testing.assert_allclose(f_check, f_new, rtol=1e-12)

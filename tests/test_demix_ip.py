@@ -15,7 +15,7 @@ from ggdilrma.source_model import scale_field
 
 
 def random_instance(I=3, J=8, M=2, K=2, seed=0):
-    """Mixture ``xd``, outputs ``yd = W x``, scale field ``S`` and ``W``."""
+    """Mixture ``xd``, outputs ``yd = W x``, NMF factors ``(T, V)`` and ``W``."""
     rng = np.random.default_rng(seed)
     xd = rng.standard_normal((I, J, M)) + 1j * rng.standard_normal((I, J, M))
     T = rng.uniform(0.3, 1.2, size=(M, I, K))
@@ -27,13 +27,14 @@ def random_instance(I=3, J=8, M=2, K=2, seed=0):
         ]
     ).astype(np.complex128)
     yd = np.einsum("inm,ijm->ijn", W, xd)
-    return xd, yd, scale_field(T, V), W
+    return xd, yd, (T, V), W
 
 
 class TestWeightedCovariance:
     def test_gaussian_weights_ignore_y(self):
         # beta=p=2: the |y| exponent is zero, weight is 1/S
-        xd, yd, S, _ = random_instance(seed=1)
+        xd, yd, TV, _ = random_instance(seed=1)
+        S = scale_field(*TV)
         F = weighted_covariance(xd, yd, S, 2.0, 2.0)
         I, J, M = xd.shape
         for i in range(I):
@@ -57,7 +58,8 @@ class TestWeightedCovariance:
         np.testing.assert_allclose(F[0, 0], expected, rtol=1e-13)
 
     def test_naive_loop_oracle(self):
-        xd, yd, S, _ = random_instance(I=2, J=6, seed=2)
+        xd, yd, TV, _ = random_instance(I=2, J=6, seed=2)
+        S = scale_field(*TV)
         beta, p = 1.3, 0.5
         F = weighted_covariance(xd, yd, S, beta, p)
         I, J, M = xd.shape
@@ -71,8 +73,8 @@ class TestWeightedCovariance:
                 np.testing.assert_allclose(F[i, n], direct, rtol=1e-13)
 
     def test_hermitian_psd(self):
-        xd, yd, S, _ = random_instance(seed=3)
-        F = weighted_covariance(xd, yd, S, 1.5, 0.5)
+        xd, yd, TV, _ = random_instance(seed=3)
+        F = weighted_covariance(xd, yd, scale_field(*TV), 1.5, 0.5)
         asym = np.max(np.abs(F - F.conj().transpose(0, 1, 3, 2)))
         assert asym < 1e-12
         eigs = np.linalg.eigvalsh(F.reshape(-1, 2, 2))
@@ -80,9 +82,9 @@ class TestWeightedCovariance:
 
     def test_rejects_beta_above_two(self):
         # the AM-GM weights need beta <= 2, so the sweep refuses beta = 4
-        xd, yd, S, W = random_instance()
+        xd, yd, TV, W = random_instance()
         with pytest.raises(UnsupportedBeta):
-            ip_sweep(xd, yd, W, S, 4.0, 0.5)
+            ip_sweep(xd, yd, W, *TV, 4.0, 0.5)
 
 
 class TestIpUpdateFilter:
@@ -157,18 +159,19 @@ class TestIpSweep:
             rng = np.random.default_rng(1000 + seed)
             T = rng.uniform(0.3, 1.2, size=(2, 3, 2))
             V = rng.uniform(0.3, 1.2, size=(2, 2, 8))
-            S = scale_field(T, V)
             before = ggd_cost_arrays(xd, W, T, V, beta, p)
-            W2, yd, _ = ip_sweep(xd, yd, W.copy(), S, beta, p)
+            W2 = ip_sweep(xd, yd, W.copy(), T, V, beta, p)[0]
             after = ggd_cost_arrays(xd, W2, T, V, beta, p)
             if after > before + 1e-9 * (1 + abs(before)):
                 failures += 1
         assert failures == 0
 
     def test_sweep_matches_single_bin_op(self):
-        xd, yd, S, W = random_instance(I=4, J=10, seed=7)
+        xd, yd, TV, W = random_instance(I=4, J=10, seed=7)
         beta, p = 1.5, 0.5
-        W_sweep, _, norm_check = ip_sweep(xd, yd.copy(), W.copy(), S, beta, p)
+        W_sweep, yd_out, norm_check = ip_sweep(xd, yd.copy(), W.copy(), *TV, beta, p)
+        np.testing.assert_array_equal(yd_out, yd)  # the anchor outputs, untouched
+        S = scale_field(*TV)
 
         W_ref = W.copy()
         yd_ref = yd.copy()
@@ -183,6 +186,6 @@ class TestIpSweep:
         np.testing.assert_allclose(norm_check, 1.0, atol=1e-10)
 
     def test_normalization_postcondition(self):
-        xd, yd, S, W = random_instance(I=5, J=12, seed=8)
-        _, _, norm_check = ip_sweep(xd, yd, W.copy(), S, 1.0, 0.5)
+        xd, yd, TV, W = random_instance(I=5, J=12, seed=8)
+        _, _, norm_check = ip_sweep(xd, yd, W.copy(), *TV, 1.0, 0.5)
         np.testing.assert_allclose(norm_check, 1.0, atol=1e-10)
