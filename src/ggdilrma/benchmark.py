@@ -76,7 +76,7 @@ def majorizer_trial(seed: int, n_draws: int = 1000) -> tuple[float, float]:
         w_ref /= np.linalg.norm(w_ref)
         w = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         w /= np.linalg.norm(w)
-        G, _ = quartic_majorizer(x[None], (x @ w_ref.conj())[None], r[None])
+        G, _ = quartic_majorizer(x[None], w_ref[None], r[None])
         g_at = float((w.conj() @ G[0] @ w).real) ** 2
         worst_gap = min(worst_gap, g_at - _quartic_cost(x, r, w))
         g_ref = float((w_ref.conj() @ G[0] @ w_ref).real) ** 2

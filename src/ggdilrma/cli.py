@@ -73,6 +73,13 @@ class _Parser(argparse.ArgumentParser):
         raise _CliArgumentError(message)
 
 
+def non_negative_int(text: str) -> int:
+    """A ``--seed`` value: numpy's generators take only non-negative integers."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ggdilrma", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -84,7 +91,7 @@ def _build_parser() -> _Parser:
     sep.add_argument("--p", type=float, default=0.5, help="domain parameter (default 0.5)")
     sep.add_argument("--bases", type=int, default=20, help="NMF rank per source (default 20)")
     sep.add_argument("--iters", type=int, default=1000, help="iterations (default 1000)")
-    sep.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    sep.add_argument("--seed", type=non_negative_int, default=0, help="RNG seed (default 0)")
     sep.add_argument("--win-ms", type=float, default=128.0, help="analysis window (default 128 ms)")
     sep.add_argument("--hop-ms", type=float, default=64.0, help="hop (default 64 ms)")
     sep.add_argument("--ref-channel", type=int, default=1, help="1-based back-projection channel")
@@ -103,7 +110,7 @@ def _build_parser() -> _Parser:
         help="synthetic source kind(s); one value applies to all sources",
     )
     sim.add_argument("--len-s", type=float, default=10.0, help="synthetic length in seconds")
-    sim.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    sim.add_argument("--seed", type=non_negative_int, default=0, help="RNG seed (default 0)")
     sim.add_argument("--sample-rate", type=int, default=16000, help="synthetic rate (default 16 kHz)")
 
     ev = sub.add_parser("evaluate", help="score separated sources against references")
@@ -115,7 +122,7 @@ def _build_parser() -> _Parser:
 
     bench = sub.add_parser("benchmark", help="run the seeded property suite")
     bench.add_argument("--trials", type=int, default=10, help="trials per section (default 10)")
-    bench.add_argument("--seed", type=int, default=0, help="suite seed (default 0)")
+    bench.add_argument("--seed", type=non_negative_int, default=0, help="suite seed (default 0)")
     bench.add_argument("--e2e-duration-s", type=float, default=3.0, help="end-to-end audio length")
     bench.add_argument("--e2e-iters", type=int, default=120, help="end-to-end iterations")
     return parser
@@ -141,14 +148,12 @@ def _cmd_separate(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
 
     trace_fh = open(args.trace, "w") if args.trace else None
+
+    def on_record(rec):
+        trace_fh.write(rec.to_json() + "\n")
+        trace_fh.flush()
+
     try:
-        on_record = None
-        if trace_fh is not None:
-
-            def on_record(rec):
-                trace_fh.write(rec.to_json() + "\n")
-                trace_fh.flush()
-
         estimates, _ = separate_audio(
             samples,
             rate,
@@ -156,7 +161,7 @@ def _cmd_separate(args) -> int:
             win_ms=args.win_ms,
             hop_ms=args.hop_ms,
             reference_channel=args.ref_channel - 1,
-            on_record=on_record,
+            on_record=on_record if trace_fh else None,
         )
     finally:
         if trace_fh is not None:

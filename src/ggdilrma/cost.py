@@ -5,10 +5,11 @@ The cost (additive constant omitted) is
     -2 J sum_i log|det W_i|
     + sum_{i,j,n} [ |y_ijn|^beta / S_ijn^(beta/p) + (2/p) log S_ijn ]
 
-with ``y = W x`` and ``S = sum_k t v``.  The log-determinant term takes one
-``slogdet`` over every bin; the model terms are summed over blocks of bins
-(:func:`~ggdilrma.types.bin_blocks`), so ``y`` and ``S`` are never formed
-at full size.  Every update rule in the package is expected to leave this
+with ``y = W x`` and ``S = sum_k t v``.  It reads the iteration's ``|y|``,
+which the NMF updates read too, and never forms ``y``.  The log-determinant
+term takes one ``slogdet`` over every bin; the model terms are summed over
+blocks of bins (:func:`~ggdilrma.types.bin_blocks`), so ``S`` is never
+formed at full size.  Every update rule in the package is expected to leave this
 non-increasing; :func:`audit_descent` lists the iterations of a recorded
 cost sequence where it rose.
 """
@@ -18,25 +19,24 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularDemixing
-from .source_model import model_cost_terms, scale_field
+from .source_model import model_cost_terms
 from .types import bin_blocks
 
 #: Relative slack used when flagging cost increases.
 DESCENT_SLACK = 1e-9
 
 
-def ggd_cost_arrays(xd, W, T, V, beta, domain) -> float:
-    """Cost on raw arrays; ``W`` is ``(I, N, N)``, factors per-source stacks."""
-    I, J = xd.shape[:2]
+def ggd_cost_arrays(abs_y, W, T, V, beta, domain) -> float:
+    """Cost of ``W`` given its output magnitudes ``abs_y = |W x|`` shaped
+    ``(N, I, J)``; ``W`` is ``(I, N, N)``, factors per-source stacks."""
     sign, logdet = np.linalg.slogdet(W)
     if not np.all(np.isfinite(logdet)) or np.any(np.abs(sign) == 0.0):
         raise SingularDemixing("demixing matrix is singular")
     model = 0.0
-    for blk in bin_blocks(I, J):
-        yd = xd[blk] @ W[blk].transpose(0, 2, 1)
-        S = scale_field(T[:, blk], V)
-        model += np.sum(model_cost_terms(np.abs(yd), S, beta, domain))
-    return float(-2.0 * J * np.sum(logdet) + model)
+    for blk in bin_blocks(*abs_y.shape[1:]):
+        S = T[:, blk] @ V  # (N, b, J)
+        model += np.sum(model_cost_terms(abs_y[:, blk], S, beta, domain))
+    return float(-2.0 * abs_y.shape[2] * np.sum(logdet) + model)
 
 
 def audit_descent(costs) -> list[int]:

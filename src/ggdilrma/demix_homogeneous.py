@@ -23,24 +23,27 @@ iterate ``w~``, and
 the surrogate ``g(w) = (w^H G w)^2`` satisfies ``f(w) <= g(w)`` with
 equality at ``w = w~``, and its direction step is the linear solve
 ``w' = G^{-1} W_i^{-1} e_n``.  The J x J matrix ``Q~`` is never formed:
-with ``X = [x_1, ..., x_J]`` the bin's ``(M, J)`` observation matrix,
 
-    G = [ sum_j c_j x_j x_j^H - u u^H ] / sqrt(J sum_j |q~_j|^4),
-    c_j = (||q~||^2 + |q~_j|^2) / r_j^2,   u = X b,   b_j = q~_j / r_j.
+    G = [ C - u u^H ] / sqrt(J sum_j |q~_j|^4),   u = A w~,
+    C = sum_j c_j x_j x_j^H,   c_j = (||q~||^2 + |q~_j|^2) / r_j^2,
+    A = sum_j x_j x_j^H / r_j^2.
 
 The outer products never change during a run, so :func:`mixture_gram`
-stores them once as ``M^2`` real features ``P_j`` per frame, and ``sum_j
-c_j x_j x_j^H`` is one real ``(M^2, J) @ (J,)`` matvec per bin.  So is the
-direction's cost ``sum_j |h x_j|^4 / r_j^4`` for a demixing row ``h``, as
-``|h x_j|^2 = a(h) . P_j`` with ``a(h)`` the coefficients of the Hermitian
-form.  The scale step uses this true ``f``, which minimizes the exact cost
-along the ray, so every update decreases the quartic cost.
+stores them once as ``M^2`` real features ``P_j`` per frame, and the
+features of ``C`` and ``A`` come from one real ``(M^2, J) @ (J, 2)``
+matmul per bin against the weight columns ``[c, 1/r^2]``; ``u`` is then an
+``M x M`` matvec.  The direction's cost ``sum_j |h x_j|^4 / r_j^4`` for a
+demixing row ``h`` is a matvec too, as ``|h x_j|^2 = a(h) . P_j`` with
+``a(h)`` the coefficients of the Hermitian form.  The scale step uses
+this true ``f``, which minimizes the exact cost along the ray, so every
+update decreases the quartic cost.
 
 :func:`quartic_sweep` streams over blocks of bins
 (:func:`~ggdilrma.types.bin_blocks`), every source of a block in turn, so
 its temporaries stay cache-sized and its result does not depend on the
-block size.  It updates ``W`` only: a source's anchor outputs depend on its
-own filter alone, which no other source's update changes.
+block size.  It updates ``W`` only.  A source's anchor outputs (which give
+``|q~|^2``) and its row of ``W`` (read as ``w~`` before it is overwritten)
+depend on no other source's update.
 
 The per-filter forms of this update (``quartic_update_filter``,
 ``direction_scale_step``, the homogeneous objectives, ``optimal_scale``)
@@ -97,30 +100,28 @@ def _hermitian(feat: np.ndarray, M: int) -> np.ndarray:
     return H
 
 
-def _majorizer(xd: np.ndarray, gram: np.ndarray, y: np.ndarray, inv_r2: np.ndarray):
-    """:func:`quartic_majorizer` given the mixture's :func:`mixture_gram` and
-    ``inv_r2 = 1 / r**2``; also returns the anchor's ``sum_j |y|^4 / r^4``."""
-    J, M = xd.shape[1:]
-    aq2 = np.abs(y) ** 2 * inv_r2  # |q~|^2
+def _majorizer(gram: np.ndarray, aq2: np.ndarray, w: np.ndarray, inv_r2: np.ndarray):
+    """:func:`quartic_majorizer` from the :func:`mixture_gram`, the anchor's ``|q~|^2``,
+    its filters ``w`` and ``inv_r2 = 1 / r**2``; also returns ``sum_j |q~_j|^4``."""
+    J, M = gram.shape[2], w.shape[1]
     s4 = np.sum(aq2 * aq2, axis=1)
     norm_q2 = np.sum(aq2, axis=1)
     good = np.isfinite(s4) & (s4 > 0.0)
 
-    u = ((y.conj() * inv_r2)[:, None, :] @ xd)[:, 0]  # (X b)^T = b^T X^T
     c = (norm_q2[:, None] + aq2) * inv_r2
-    C = _hermitian((gram @ c[:, :, None])[..., 0], M)
+    CA = _hermitian((gram @ np.stack([c, inv_r2], axis=2)).transpose(0, 2, 1), M)
+    u = (CA[:, 1] @ w[:, :, None])[..., 0]  # A w~ = X b
     denom = np.sqrt(J * np.where(good, s4, 1.0))
-    G = (C - u[:, :, None] * u.conj()[:, None, :]) / denom[:, None, None]
+    G = (CA[:, 0] - u[:, :, None] * u.conj()[:, None, :]) / denom[:, None, None]
     return G, good, s4
 
 
-def quartic_majorizer(xd: np.ndarray, y: np.ndarray, radius: np.ndarray):
+def quartic_majorizer(xd: np.ndarray, w: np.ndarray, radius: np.ndarray):
     """Streamed majorizer matrices ``G`` for one source, batched over bins.
 
     Args:
         xd: mixture ``(I, J, M)``.
-        y: anchor outputs ``y[i, j] = w~_i^H x_ij`` of the filter being
-            majorized, shaped ``(I, J)``.
+        w: anchor filters ``w~`` shaped ``(I, M)``, with outputs ``y[i, j] = w~_i^H x_ij``.
         radius: that source's scale parameters ``r`` shaped ``(I, J)``.
 
     Returns:
@@ -129,7 +130,9 @@ def quartic_majorizer(xd: np.ndarray, y: np.ndarray, radius: np.ndarray):
         at the anchor, and the mask of bins whose anchor projection ``q~``
         is finite and nonzero (``G_i`` is not a majorizer elsewhere).
     """
-    return _majorizer(xd, mixture_gram(xd), y, 1.0 / radius**2)[:2]
+    gram, inv_r2 = mixture_gram(xd), 1.0 / radius**2
+    aq2 = (_form_coeffs(w.conj())[:, None, :] @ gram)[:, 0] * inv_r2  # |y~|^2 / r^2
+    return _majorizer(gram, aq2, w, inv_r2)[:2]
 
 
 def quartic_sweep(xd, yd, W, T, V, domain: float, gram: np.ndarray):
@@ -140,7 +143,7 @@ def quartic_sweep(xd, yd, W, T, V, domain: float, gram: np.ndarray):
     counted.
 
     Args:
-        xd: mixture ``(I, J, M)``, and ``gram`` its :func:`mixture_gram`.
+        xd: mixture ``(I, J, M)``, read only through ``gram``, its :func:`mixture_gram`.
         yd: the anchors: separated signal ``(I, J, N)`` of ``W`` on entry.
         W: demixing matrices ``(I, N, N)``, updated in place.
         T, V: NMF factors; ``S = r**p = T V`` is formed a block at a time.
@@ -157,11 +160,12 @@ def quartic_sweep(xd, yd, W, T, V, domain: float, gram: np.ndarray):
     f_check = np.empty((I, N))
     n_skipped = 0
     for blk in bin_blocks(I, J):
-        xb, yb, Wb, Pb = xd[blk], yd[blk], W[blk], gram[blk]
+        yb, Wb, Pb = yd[blk], W[blk], gram[blk]
         S = block_scale(T, V, blk)
         for n in range(N):
             inv_r2 = 1.0 / (S[n] ** (1.0 / domain)) ** 2
-            G, good, s4 = _majorizer(xb, Pb, yb[:, :, n], inv_r2)
+            y = yb[:, :, n]
+            G, good, s4 = _majorizer(Pb, (y.real**2 + y.imag**2) * inv_r2, Wb[:, n].conj(), inv_r2)
             good &= ~(np.abs(np.linalg.det(G)) <= EPS_DET)
             G_solve = np.where(good[:, None, None], G, eye)
             rhs = np.broadcast_to(eye[n][:, None], (len(G), N, 1))

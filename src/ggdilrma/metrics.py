@@ -77,15 +77,7 @@ def align_permutation(
         raise LengthMismatch(f"{len(estimates)} estimates vs {N} references")
     if N > MAX_ALIGN_SOURCES:
         raise TooManySources(f"exhaustive alignment supports at most {MAX_ALIGN_SOURCES}")
-    pairwise = np.array(
-        [[si_sdr(est, ref) for est in estimates] for ref in references]
-    )
-    best = None
-    for perm in permutations(range(N)):
-        total = float(sum(pairwise[n, perm[n]] for n in range(N)))
-        if best is None or total > best[0]:
-            best = (total, perm)
-    perm = best[1]
-    return Alignment(
-        permutation=perm, sdr_db=tuple(pairwise[n, perm[n]] for n in range(N))
-    )
+    pairwise = np.array([[si_sdr(est, ref) for est in estimates] for ref in references])
+    # The first of equally good permutations wins.
+    perm = max(permutations(range(N)), key=lambda p: sum(pairwise[n, p[n]] for n in range(N)))
+    return Alignment(permutation=perm, sdr_db=tuple(pairwise[n, perm[n]] for n in range(N)))

@@ -3,10 +3,11 @@
 Each iteration performs, in order: (1) one demixing sweep of ``W`` alone
 (iterative projection for ``beta <= 2``, quartic majorization on the
 mixture's per-frame outer products, cached per run, for ``beta == 4``), (2)
-recompute the separated signal, (3) one basis update, (4) one activation
-update; no full-size per-iteration array outlives its use.  The
-cost is recorded after every iteration; the final output is rescaled by
-back-projection onto a reference channel.
+recompute the separated magnitudes ``|y|``, which feed (3) one basis
+update, (4) one activation update and (5) the cost; no full-size
+per-iteration array outlives its use.  The cost is recorded after every
+iteration; the final output is rescaled by back-projection onto a
+reference channel.
 """
 
 from __future__ import annotations
@@ -89,8 +90,9 @@ def back_project(yd: np.ndarray, W: np.ndarray, reference_channel: int = 0) -> n
 def iteration_step(xd, W, T, V, cfg: GgdConfig, gram: Optional[np.ndarray]):
     """One alternating-update round on raw state arrays (updated in place).
 
-    Order: sweep of ``W`` alone, separated-signal refresh, basis update,
-    activation update; no full-size array outlives its use.  ``gram`` is
+    Order: sweep of ``W`` alone, refresh of the magnitudes ``abs_y``, which
+    feed the basis update, the activation update and the cost; no full-size
+    array outlives its use.  ``gram`` is
     the quartic scheme's cached :func:`~ggdilrma.demix_homogeneous.mixture_gram`
     of ``xd``.  Returns ``(W, T, V, cost, skipped)``.
     """
@@ -104,8 +106,7 @@ def iteration_step(xd, W, T, V, cfg: GgdConfig, gram: Optional[np.ndarray]):
     abs_y = np.abs(np.moveaxis(separate(xd, W), 2, 0), order="C")  # (N, I, J)
     T, V = update_bases_arrays(T, V, abs_y, beta, p)
     T, V = update_activations_arrays(T, V, abs_y, beta, p)
-    del abs_y
-    cost = ggd_cost_arrays(xd, W, T, V, beta, p)
+    cost = ggd_cost_arrays(abs_y, W, T, V, beta, p)
     return W, T, V, cost, skipped
 
 

@@ -39,11 +39,6 @@ import numpy as np
 from .types import EPS_NMF, EPS_Y, bin_blocks
 
 
-def scale_field(T: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Scale field ``r**p = sum_k t v`` shaped ``(I, J, N)``."""
-    return np.moveaxis(T @ V, 0, 2)
-
-
 def block_scale(T: np.ndarray, V: np.ndarray, blk: slice) -> np.ndarray:
     """Scale field ``(N, b, J)`` of the bins ``blk``, one ``(K,) @ (K, J)`` product
     per bin, so that a one-bin block rounds as a taller one (BLAS paths differ)."""

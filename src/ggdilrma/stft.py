@@ -137,11 +137,8 @@ def istft(
     frames = np.fft.irfft(data.transpose(1, 2, 0), n=plan.frame_len, axis=-1)  # (J,C,L)
     frames *= plan.synthesis_window
     total = (J - 1) * plan.hop + plan.frame_len
-    out = np.zeros((total, C))
+    out = np.zeros((max(total, plan.pad + length), C))  # zeros past the last frame
     for j in range(J):
         start = j * plan.hop
         out[start : start + plan.frame_len] += frames[j].T
-    signal = out[plan.pad : plan.pad + length]
-    if signal.shape[0] < length:
-        signal = np.vstack([signal, np.zeros((length - signal.shape[0], C))])
-    return signal
+    return out[plan.pad : plan.pad + length]

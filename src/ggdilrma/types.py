@@ -114,6 +114,8 @@ class GgdConfig:
             found.append((DegenerateShape, "n_bases must be >= 1"))
         if self.iterations < 0:
             found.append((DegenerateShape, "iterations must be >= 0"))
+        if self.seed < 0:
+            found.append((DegenerateShape, f"seed must be >= 0, got {self.seed}"))
         return found
 
     def validate(self) -> None:

@@ -18,8 +18,9 @@ def plan_from_ms(win_ms: float, hop_ms: float, sample_rate: int, n_samples=None)
     """Build a Hamming analysis plan from window/hop durations.
 
     Raises :class:`~ggdilrma.errors.ShapeMismatch` unless both durations
-    are finite and positive, and :class:`~ggdilrma.errors.SignalTooShort`,
-    before building a window, if it is longer than ``n_samples`` (if given).
+    are finite and positive and the hop is at most half the frame, and
+    :class:`~ggdilrma.errors.SignalTooShort`, before building a window, if
+    it is longer than ``n_samples`` (if given); lengths stay floats until then.
     """
     for name, ms in (("window", win_ms), ("hop", hop_ms)):
         if not (0.0 < ms < np.inf):
@@ -27,8 +28,10 @@ def plan_from_ms(win_ms: float, hop_ms: float, sample_rate: int, n_samples=None)
     frame_len = np.rint(win_ms * 1e-3 * sample_rate)  # a float: may be inf
     if n_samples is not None and frame_len > n_samples:
         raise SignalTooShort(f"signal length {n_samples} < frame length {frame_len:.0f}")
-    hop_len = int(round(hop_ms * 1e-3 * sample_rate))
-    return StftPlan.hamming(int(frame_len), hop_len)
+    hop_len = np.rint(hop_ms * 1e-3 * sample_rate)
+    if hop_len > frame_len / 2:
+        raise ShapeMismatch(f"hop {hop_len:.0f} longer than half the frame length {frame_len:.0f}")
+    return StftPlan.hamming(int(frame_len), int(hop_len))
 
 
 def separate_audio(

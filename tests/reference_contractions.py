@@ -24,6 +24,11 @@ def separate_einsum(xd, W):
     return np.einsum("inm,ijm->ijn", W, xd)
 
 
+def magnitudes_einsum(xd, W):
+    """``|y[i, j, n]|`` laid out ``(N, I, J)``, as the cost and NMF updates read it."""
+    return np.abs(np.einsum("inm,ijm->nij", W, xd))
+
+
 def mixture_gram_einsum(xd):
     """Features ``(I, M^2, J)`` of ``P_j = x_j x_j^H``: the diagonal of ``P``,
     then the real and the imaginary parts of its strict upper triangle."""
@@ -82,7 +87,7 @@ def update_activations_einsum(T, V, abs_y, beta, p):
 def ggd_cost_einsum(xd, W, T, V, beta, p):
     """``-2 J sum_i log|det W_i| + sum [|y|^beta / S^(beta/p) + (2/p) log S]``."""
     J = xd.shape[1]
-    abs_y = np.abs(np.einsum("inm,ijm->nij", W, xd))
+    abs_y = magnitudes_einsum(xd, W)
     S = np.einsum("nik,nkj->nij", T, V)
     terms = (abs_y**p / S) ** (beta / p) + (2.0 / p) * np.log(S)
     return float(-2.0 * J * np.sum(np.linalg.slogdet(W)[1]) + np.sum(terms))

@@ -1,9 +1,10 @@
 """Generalized-Gaussian NMF updates and their majorizer, source by source.
 
-Test oracle for ``ggdilrma.source_model``.  The updates loop over sources
-and write the rule with direct powers of ``S`` (the package uses a
-ratio-first form); the majorizer is the per-entry Jensen + tangent-line
-surrogate whose minimization yields the updates.
+Test oracle for ``ggdilrma.source_model``, with the full-size scale field
+that the package only forms a block of bins at a time.  The updates loop
+over sources and write the rule with direct powers of ``S`` (the package
+uses a ratio-first form); the majorizer is the per-entry Jensen +
+tangent-line surrogate whose minimization yields the updates.
 
 Conventions: bases ``T`` are ``(N, I, K)``, activations ``V`` are
 ``(N, K, J)``; update inputs ``abs_y`` are ``(N, I, J)``.
@@ -13,6 +14,11 @@ import numpy as np
 
 EPS_NMF = 1e-12
 EPS_Y = 1e-12
+
+
+def scale_field(T, V):
+    """Scale field ``r**p = sum_k t v`` shaped ``(I, J, N)``."""
+    return np.einsum("nik,nkj->ijn", T, V)
 
 
 def update_bases_reference(T, V, abs_y, beta, p):

@@ -12,6 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from reference_nmf import scale_field
 
 from ggdilrma import pipeline, types
 from ggdilrma.cost import ggd_cost_arrays
@@ -20,7 +21,6 @@ from ggdilrma.demix_ip import ip_sweep
 from ggdilrma.errors import SingularCovariance
 from ggdilrma.source_model import (
     _whitened_ratio,
-    scale_field,
     update_activations_arrays,
     update_bases_arrays,
 )
@@ -121,7 +121,7 @@ def test_nmf_updates_and_cost_are_block_invariant(monkeypatch, bins, beta, p):
         return (
             update_bases_arrays(T, V, abs_y, beta, p)[0],
             update_activations_arrays(T, V, abs_y, beta, p)[1],
-            ggd_cost_arrays(xd, W, T, V, beta, p),
+            ggd_cost_arrays(abs_y, W, T, V, beta, p),
         )
 
     T_ref, V_ref, cost_ref = whole(layers, monkeypatch)
@@ -190,7 +190,7 @@ def test_layer_temporaries_stay_block_sized():
     calls = {
         update_bases_arrays: (T, V, abs_y, 4.0, 0.5),
         update_activations_arrays: (T, V, abs_y, 4.0, 0.5),
-        ggd_cost_arrays: (xd, W, T, V, 4.0, 0.5),
+        ggd_cost_arrays: (abs_y, W, T, V, 4.0, 0.5),
         quartic_sweep: (xd, yd, W.copy(), T, V, 0.5, gram),
         ip_sweep: (xd, yd, W.copy(), T, V, 2.0, 2.0),
     }

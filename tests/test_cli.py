@@ -69,6 +69,34 @@ def test_non_finite_or_non_positive_setting_exits_1(flags, error, tmp_path, caps
     assert error in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("hop_ms", ["100", "1e30", "1e308"])
+def test_hop_longer_than_half_the_window_exits_1(hop_ms, tmp_path, capsys):
+    # 1e308 ms is an infinite hop in samples: rejected before any int().
+    clip = tmp_path / "clip.wav"
+    write_wav(str(clip), 0.1 * np.random.default_rng(0).standard_normal((16000, 2)), 16000)
+    argv = ["separate", "--input", str(clip), "--out-dir", str(tmp_path / "out")]
+    assert main(argv + ["--iters", "2", "--bases", "2", "--hop-ms", hop_ms]) == 1
+    err = capsys.readouterr().err
+    assert "ShapeMismatch" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["separate", "--input", "clip.wav", "--out-dir", "out", "--iters", "2", "--bases", "2"],
+        ["simulate", "--out", "mix.wav", "--matrix", "1,0.5;0.5,1", "--len-s", "1"],
+        ["benchmark", "--trials", "1", "--e2e-duration-s", "1", "--e2e-iters", "2"],
+    ],
+)
+def test_negative_seed_exits_1(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_wav("clip.wav", 0.1 * np.random.default_rng(0).standard_normal((16000, 2)), 16000)
+    assert main(argv + ["--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "--seed" in err and len(err.splitlines()) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["clip.wav"]  # nothing synthesized or written
+
+
 @pytest.mark.parametrize("win_ms", ["1e30", "1e308"])
 def test_window_longer_than_the_signal_exits_1(win_ms, tmp_path, capsys):
     # Checked before any window is built: a 1e30 ms window would need 1.6e31

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from reference_contractions import (
     ggd_cost_einsum,
+    magnitudes_einsum,
     mixture_gram_einsum,
     output_power_einsum,
     quartic_majorizer_einsum,
@@ -88,11 +89,11 @@ def test_quadratic_form_of_the_features_matches_einsum(N, J, layout):
 def test_quartic_majorizer_matches_einsum(N, J, layout):
     xd = mixture(I, J, N, layout, 3)
     rng = np.random.default_rng(4)
-    y = rng.standard_normal((I, J)) + 1j * rng.standard_normal((I, J))
-    y[0] = 0.0  # a degenerate anchor: flagged, and G = 0 there
+    w = rng.standard_normal((I, N)) + 1j * rng.standard_normal((I, N))
+    w[0] = 0.0  # a degenerate anchor: flagged, and G = 0 there
     radius = rng.uniform(0.3, 2.0, (I, J))
-    G, good = quartic_majorizer(xd, y, radius)
-    G_ref, good_ref = quartic_majorizer_einsum(xd, y, radius)
+    G, good = quartic_majorizer(xd, w, radius)
+    G_ref, good_ref = quartic_majorizer_einsum(xd, np.einsum("ijm,im->ij", xd, w.conj()), radius)
     np.testing.assert_array_equal(good, good_ref)
     assert not good[0] and good[1:].all()
     np.testing.assert_allclose(G, G_ref, rtol=RTOL)
@@ -119,7 +120,7 @@ def test_nmf_updates_match_einsum(N, J, layout, beta, p):
 def test_ggd_cost_matches_einsum(N, J, layout, beta, p):
     xd, W = mixture(I, J, N, layout, 8), demixing(I, N, 9)
     T, V = factors(N, I, K, J, 10)
-    cost = ggd_cost_arrays(xd, W, T, V, beta, p)
+    cost = ggd_cost_arrays(magnitudes_einsum(xd, W), W, T, V, beta, p)
     assert cost == pytest.approx(ggd_cost_einsum(xd, W, T, V, beta, p), rel=RTOL)
 
 
@@ -135,7 +136,7 @@ HOT_PATH_MODULES = [
 MATMUL_FORMS = (
     "inm,ijm->ijn: xd @ W.transpose(0, 2, 1); "
     "ijm,im->ij: (xd @ w[:, :, None])[..., 0]; "
-    "ij,ija,ijb->iab: mixture_gram(xd) @ c[:, :, None], as Hermitian features; "
+    "ij,ija,ijb->iab: mixture_gram(xd) @ weight columns, as Hermitian features; "
     "nij,nkj->nik: A @ V.transpose(0, 2, 1); "
     "nij,nik->nkj: T.transpose(0, 2, 1) @ A"
 )

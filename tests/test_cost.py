@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference_contractions import magnitudes_einsum
 
 from ggdilrma.cost import audit_descent, ggd_cost_arrays
 from ggdilrma.errors import SingularDemixing
@@ -10,17 +11,17 @@ from ggdilrma.types import GgdConfig
 
 class TestGgdCost:
     def test_zero_input_unit_model(self):
-        xd = np.zeros((1, 4, 1), dtype=np.complex128)
+        abs_y = np.zeros((1, 1, 4))  # |W x| for x = 0
         W = np.ones((1, 1, 1), dtype=np.complex128)
         T, V = np.ones((1, 1, 1)), np.ones((1, 1, 4))
-        assert ggd_cost_arrays(xd, W, T, V, 2.0, 2.0) == pytest.approx(0.0, abs=1e-14)
+        assert ggd_cost_arrays(abs_y, W, T, V, 2.0, 2.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_unit_instance(self):
         # I=J=N=K=1, |x|=1, t*v=1, beta=p=2 -> cost 1
-        xd = np.ones((1, 1, 1), dtype=np.complex128)
+        abs_y = np.ones((1, 1, 1))  # |W x| for W = x = 1
         W = np.ones((1, 1, 1), dtype=np.complex128)
         T, V = np.ones((1, 1, 1)), np.ones((1, 1, 1))
-        assert ggd_cost_arrays(xd, W, T, V, 2.0, 2.0) == pytest.approx(1.0, rel=1e-14)
+        assert ggd_cost_arrays(abs_y, W, T, V, 2.0, 2.0) == pytest.approx(1.0, rel=1e-14)
 
     @pytest.mark.parametrize("beta,p", [(2.0, 2.0), (1.0, 0.5), (4.0, 0.5)])
     def test_matches_naive_summation(self, beta, p):
@@ -35,7 +36,7 @@ class TestGgdCost:
         )
         T = rng.uniform(0.2, 1.0, (N, I, K))
         V = rng.uniform(0.2, 1.0, (N, K, J))
-        got = ggd_cost_arrays(xd, W, T, V, beta, p)
+        got = ggd_cost_arrays(magnitudes_einsum(xd, W), W, T, V, beta, p)
 
         naive = 0.0
         for i in range(I):
@@ -54,25 +55,28 @@ class TestGgdCost:
         W = np.stack([np.eye(N) + 0.1j * rng.standard_normal((N, N)) for _ in range(I)])
         T = rng.uniform(0.2, 1.0, (N, I, K))
         V = rng.uniform(0.2, 1.0, (N, K, J))
-        base = ggd_cost_arrays(xd, W, T, V, 2.0, 2.0)
 
+        def cost(W):
+            return ggd_cost_arrays(magnitudes_einsum(xd, W), W, T, V, 2.0, 2.0)
+
+        base = cost(W)
         # exactly representable unitary diagonal: entries in {1, -1, i, -i}
         D = np.diag([1j, -1.0])
-        exact = ggd_cost_arrays(xd, np.einsum("ab,ibc->iac", D, W), T, V, 2.0, 2.0)
+        exact = cost(np.einsum("ab,ibc->iac", D, W))
         assert exact == base  # multiplication by ±1/±i permutes re/im exactly
 
         theta = rng.uniform(0, 2 * np.pi, N)
         Dg = np.diag(np.exp(1j * theta))
-        generic = ggd_cost_arrays(xd, np.einsum("ab,ibc->iac", Dg, W), T, V, 2.0, 2.0)
+        generic = cost(np.einsum("ab,ibc->iac", Dg, W))
         assert generic == pytest.approx(base, rel=1e-12)
 
     def test_singular_demixing_rejected(self):
-        xd = np.ones((1, 2, 2), dtype=np.complex128)
+        abs_y = np.zeros((2, 1, 2))  # |W x| for W = 0
         W = np.zeros((1, 2, 2), dtype=np.complex128)
         T = np.ones((2, 1, 1))
         V = np.ones((2, 1, 2))
         with pytest.raises(SingularDemixing):
-            ggd_cost_arrays(xd, W, T, V, 2.0, 2.0)
+            ggd_cost_arrays(abs_y, W, T, V, 2.0, 2.0)
 
 
 class TestAuditDescent:

@@ -34,7 +34,7 @@ def unit_complex(N, rng):
 
 def batched_majorizer(x_slab, r_col, w_ref):
     """The pipeline's batched majorizer on a one-bin problem: ``(G, good)``."""
-    G, good = quartic_majorizer(x_slab[None], (x_slab @ w_ref.conj())[None], r_col[None])
+    G, good = quartic_majorizer(x_slab[None], w_ref[None], r_col[None])
     return G[0], bool(good[0])
 
 

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from reference_contractions import ggd_cost_einsum
 from reference_is_ilrma import is_ilrma_reference
 
 from ggdilrma import pipeline
 from ggdilrma.benchmark import random_mixture
+from ggdilrma.demix_homogeneous import mixture_gram
 from ggdilrma.errors import DegenerateShape
-from ggdilrma.types import GgdConfig
+from ggdilrma.types import GgdConfig, ProblemShape
 
 
 def test_gaussian_case_matches_is_ilrma_reference():
@@ -19,6 +21,20 @@ def test_gaussian_case_matches_is_ilrma_reference():
     np.testing.assert_allclose(result.trace.costs(), costs, rtol=1e-12, atol=0)
     np.testing.assert_allclose(result.W, W, rtol=1e-12, atol=0)
     np.testing.assert_allclose(result.T, T, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("beta", [4.0, 2.0])
+@pytest.mark.parametrize("N", [2, 3])
+def test_step_reports_the_cost_of_the_state_it_returns(N, beta):
+    # The cost reads the magnitudes the NMF updates read: those of the swept W.
+    I, J, K = 9, 40, 3
+    xd = random_mixture(I, J, N, seed=11).data
+    cfg = GgdConfig(beta=beta, domain=0.5, n_bases=K, iterations=3, seed=11)
+    W, T, V = pipeline.initialize(cfg, ProblemShape(I, J, N, K))
+    gram = mixture_gram(xd) if cfg.update_scheme == "quartic" else None
+    for _ in range(cfg.iterations):
+        W, T, V, cost, _ = pipeline.iteration_step(xd, W, T, V, cfg, gram)
+        assert cost == pytest.approx(ggd_cost_einsum(xd, W, T, V, beta, 0.5), rel=1e-12)
 
 
 @pytest.mark.parametrize("channel", [-1, 2])

@@ -14,14 +14,15 @@ from reference_ggd import ggd_log_density, log_normalizer
 from reference_nmf import (
     equality_auxiliaries,
     nmf_majorizer_gap,
+    scale_field,
     update_activations_reference,
     update_bases_reference,
 )
 
 from ggdilrma.cost import ggd_cost_arrays
 from ggdilrma.source_model import (
+    block_scale,
     model_cost_terms,
-    scale_field,
     update_activations_arrays,
     update_bases_arrays,
 )
@@ -90,21 +91,24 @@ class TestModelCostTerms:
 
 
 class TestScaleField:
+    """The package's scale field ``(N, b, J)`` over a block of bins."""
+
     def test_single_term(self):
-        field = scale_field(np.full((1, 1, 1), 2.0), np.full((1, 1, 1), 3.0))
+        field = block_scale(np.full((1, 1, 1), 2.0), np.full((1, 1, 1), 3.0), slice(None))
         assert field[0, 0, 0] == pytest.approx(6.0)
 
     def test_two_term_sum(self):
-        assert scale_field(np.ones((1, 1, 2)), np.ones((1, 2, 1)))[0, 0, 0] == pytest.approx(2.0)
+        field = block_scale(np.ones((1, 1, 2)), np.ones((1, 2, 1)), slice(None))
+        assert field[0, 0, 0] == pytest.approx(2.0)
 
     def test_matches_triple_loop(self):
         T, V = random_model(N=2, I=4, K=3, J=5, seed=0)
-        field = scale_field(T, V)
+        field = block_scale(T, V, slice(1, 4))
         for n in range(2):
-            for i in range(4):
+            for i in range(1, 4):
                 for j in range(5):
                     direct = sum(T[n, i, k] * V[n, k, j] for k in range(3))
-                    assert abs(field[i, j, n] - direct) <= 1e-14 * direct
+                    assert abs(field[n, i - 1, j] - direct) <= 1e-14 * direct
 
 
 class TestNmfUpdates:
@@ -162,13 +166,12 @@ class TestNmfUpdates:
             T, V = random_model(N=1, I=4, K=2, J=5, seed=seed)
             y = random_sources(4, 5, 1, seed=1000 + seed)
             abs_y = source_magnitudes(y)
-            W = np.eye(1, dtype=np.complex128)[None]
-            xd = y  # with W = I the separated signal equals the input
-            before = ggd_cost_arrays(xd, W, T, V, beta, p)
+            W = np.eye(1, dtype=np.complex128)[None]  # so |W x| = |y| with x = y
+            before = ggd_cost_arrays(abs_y, W, T, V, beta, p)
             T1, V1 = update_bases_arrays(T, V, abs_y, beta, p)
-            mid = ggd_cost_arrays(xd, W, T1, V1, beta, p)
+            mid = ggd_cost_arrays(abs_y, W, T1, V1, beta, p)
             T2, V2 = update_activations_arrays(T1, V1, abs_y, beta, p)
-            after = ggd_cost_arrays(xd, W, T2, V2, beta, p)
+            after = ggd_cost_arrays(abs_y, W, T2, V2, beta, p)
             slack = 1e-10 * (1.0 + abs(before))
             if mid > before + slack or after > mid + slack:
                 failures += 1
@@ -186,7 +189,8 @@ class TestNmfUpdates:
         # T -> cT, V -> V/c leaves the scale field unchanged exactly
         T, V = random_model(N=1, I=4, K=2, J=5, seed=5)
         c = 4.0  # power of two: exact float scaling
-        np.testing.assert_array_equal(scale_field(T, V), scale_field(T * c, V / c))
+        every = slice(None)
+        np.testing.assert_array_equal(block_scale(T, V, every), block_scale(T * c, V / c, every))
 
 
 class TestMajorizerGap:

@@ -80,6 +80,10 @@ class TestGgdConfig:
         with pytest.raises(DegenerateShape):
             GgdConfig(n_bases=0).validate()
 
+    def test_validate_rejects_negative_seed(self):
+        with pytest.raises(DegenerateShape, match="seed"):
+            GgdConfig(seed=-1).validate()
+
 
 class TestTrace:
     def test_jsonl_round_trip(self):
