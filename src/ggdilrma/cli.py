@@ -6,9 +6,10 @@ references by SI-SDR (clamped to [-80, +80] dB), and ``benchmark`` runs
 the seeded property suite, whose checks and pass bounds are fixed.
 
 Exit codes: 0 success, 1 invalid arguments or inputs (including a NaN,
-infinite or non-positive --p, --win-ms or --hop-ms), 2 I/O failure,
-3 numerical failure during separation (trace flushed first), 4 property
-suite failure.
+infinite or non-positive --p, --win-ms or --hop-ms), 2 I/O failure (an
+unreadable file, or a WAV that is malformed, cut short or neither 16-bit
+PCM nor 32-bit float), 3 numerical failure during separation (trace
+flushed first), 4 property suite failure.
 """
 
 from __future__ import annotations
@@ -286,7 +287,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except _IO_ERRORS as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
+        print(f"I/O error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except SeparationError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)

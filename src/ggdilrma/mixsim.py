@@ -1,5 +1,10 @@
 """WAV I/O plus synthetic source and mixture generation.
 
+WAV files are read and written with numpy and ``struct`` alone. Reading
+accepts 16-bit PCM and 32-bit IEEE float samples in RIFF (little-endian),
+RIFX (big-endian) and RF64 files, with a plain or ``WAVE_FORMAT_EXTENSIBLE``
+``fmt `` chunk; writing produces 32-bit float RIFF files.
+
 Generators are deterministic under a seed and cover the statistical
 regimes the separator is meant to handle: platykurtic (sub-Gaussian)
 noise, Gaussian noise, leptokurtic (super-Gaussian) noise, and tonal
@@ -10,11 +15,11 @@ from __future__ import annotations
 
 import os
 import re
+import struct
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import DegenerateShape, IoFailure, LengthMismatch, UnsupportedFormat
 
@@ -29,42 +34,127 @@ _TONAL_RANK = 2
 #: Impulse-response file naming inside an IR directory (1-based indices).
 IR_NAME_TEMPLATE = "ir_m{m}_n{n}.wav"
 
+#: WAVE format tags: integer PCM, IEEE float, and the extensible form
+#: whose sub-format GUID names one of the two.
+_PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+
+#: Last eight bytes of every sub-format GUID (stored big-endian in any file).
+_GUID_TAIL = b"\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
 
 def read_wav(path: str) -> Tuple[np.ndarray, int]:
-    """Read a PCM16 or float32 WAV file.
+    """Read a 16-bit PCM or 32-bit IEEE float WAV file.
 
-    Returns ``(samples, sample_rate)`` where samples are float64 in
-    [-1, 1] shaped ``(n_samples, n_channels)``.
+    Accepts RIFF (little-endian), RIFX (big-endian) and RF64 files, with a
+    plain or ``WAVE_FORMAT_EXTENSIBLE`` ``fmt `` chunk. Chunks before
+    ``data`` other than ``fmt `` are skipped (word-aligned), and a ``data``
+    chunk cut short keeps its whole frames. Returns ``(samples,
+    sample_rate)`` where samples are float64 shaped ``(n_samples,
+    n_channels)``; PCM16 is scaled by 1/32768.
+
+    Raises :class:`~ggdilrma.errors.IoFailure` if the file cannot be read
+    and :class:`~ggdilrma.errors.UnsupportedFormat` for anything else,
+    including a header cut short.
     """
     try:
-        rate, data = wavfile.read(path)
-    except FileNotFoundError as exc:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
         raise IoFailure(str(exc)) from exc
-    except ValueError as exc:
-        raise UnsupportedFormat(str(exc)) from exc
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.float32:
-        samples = data.astype(np.float64)
-    else:
-        raise UnsupportedFormat(f"unsupported WAV sample format {data.dtype}")
-    if samples.ndim == 1:
-        samples = samples[:, None]
-    return samples, int(rate)
+    data, rate = _decode_wav(raw)
+    if data.dtype.kind == "i":
+        return data / 32768.0, rate
+    return data.astype(np.float64), rate
+
+
+def _unpack(layout: str, raw: bytes, offset: int) -> tuple:
+    """``struct.unpack_from`` that raises UnsupportedFormat where ``raw`` ends."""
+    if offset + struct.calcsize(layout) > len(raw):
+        raise UnsupportedFormat(f"WAV file cut short: it ends at byte {len(raw)}")
+    return struct.unpack_from(layout, raw, offset)
+
+
+def _decode_wav(raw: bytes) -> Tuple[np.ndarray, int]:
+    """The ``(frames, channels)`` samples of a WAV file, in their stored
+    dtype (a read-only view of ``raw``), and its sample rate."""
+    magic, _, form = _unpack("<4sI4s", raw, 0)
+    if magic not in (b"RIFF", b"RIFX", b"RF64") or form != b"WAVE":
+        raise UnsupportedFormat(f"not a RIFF, RIFX or RF64 WAVE file: starts {raw[:12]!r}")
+    order = ">" if magic == b"RIFX" else "<"
+    pos, fmt = 12, None
+    if magic == b"RF64":
+        ds64, ds64_size, _, rf64_data_size = _unpack("<4sIQQ", raw, pos)
+        if ds64 != b"ds64" or ds64_size < 16:
+            raise UnsupportedFormat("RF64 file without a ds64 chunk after its header")
+        pos += 8 + ds64_size + ds64_size % 2
+    while True:
+        chunk_id, size = _unpack(order + "4sI", raw, pos)
+        body = pos + 8
+        if chunk_id == b"data":
+            break
+        if chunk_id == b"fmt ":
+            fmt = _decode_fmt(raw, body, size, order)
+        pos = body + size + size % 2
+    if fmt is None:
+        raise UnsupportedFormat("WAV data chunk before any fmt chunk")
+    channels, rate, dtype = fmt
+    if magic == b"RF64":
+        size = rf64_data_size
+    frames = min(size, len(raw) - body) // (channels * dtype.itemsize)
+    data = np.frombuffer(raw, dtype=dtype, count=frames * channels, offset=body)
+    return data.reshape(frames, channels), rate
+
+
+def _decode_fmt(raw: bytes, body: int, size: int, order: str) -> Tuple[int, int, np.dtype]:
+    """``(channels, sample_rate, sample dtype)`` of a ``fmt `` chunk."""
+    if size < 16:
+        raise UnsupportedFormat(f"WAV fmt chunk of {size} bytes; at least 16 expected")
+    tag, channels, rate, _, block_align, bits = _unpack(order + "HHIIHH", raw, body)
+    if tag == _EXTENSIBLE and size >= 40:
+        # The sub-format GUID {XXXXXXXX-0000-0010-8000-00AA00389B71}
+        # carries the format tag in its first field.
+        sub_tag, guid_tail = _unpack(order + "I12s", raw, body + 24)
+        if guid_tail == struct.pack(order + "HH", 0, 0x10) + _GUID_TAIL:
+            tag = sub_tag
+    if tag == _PCM and 9 <= bits <= 16 and block_align == 2 * channels > 0:
+        return channels, rate, np.dtype(order + "i2")
+    if tag == _IEEE_FLOAT and bits == 32 and block_align == 4 * channels > 0:
+        return channels, rate, np.dtype(order + "f4")
+    raise UnsupportedFormat(
+        f"unsupported WAV encoding: format tag {tag:#06x}, {bits} bits, "
+        f"{channels} channels, {block_align}-byte frames; "
+        "only 16-bit PCM and 32-bit IEEE float are read"
+    )
 
 
 def write_wav(path: str, samples: np.ndarray, sample_rate: int) -> None:
-    """Write samples as a float32 WAV file."""
+    """Write samples as a 32-bit IEEE float RIFF WAV file.
+
+    The layout is the common one for float WAV: an 18-byte ``fmt `` chunk,
+    a ``fact`` chunk holding the frame count, then ``data``.
+    """
     samples = np.asarray(samples)
     if samples.ndim == 1:
         samples = samples[:, None]
     if samples.ndim != 2:
         raise DegenerateShape("samples must be (n_samples,) or (n_samples, n_channels)")
-    data = samples.astype(np.float32)
-    if data.shape[1] == 1:
-        data = data[:, 0]
+    data = samples.astype("<f4")
+    frames, channels = data.shape
+    rate, frame_bytes = int(sample_rate), 4 * channels
+    fits = 0 < frame_bytes <= 0xFFFF and 0 < rate * frame_bytes <= 0xFFFFFFFF
+    if not fits or data.nbytes > 0xFFFFFFFF - 50:
+        raise UnsupportedFormat(
+            f"{channels} channels of {frames} samples at {rate} Hz do not fit a RIFF WAV header"
+        )
+    fmt = struct.pack("<HHIIHHH", _IEEE_FLOAT, channels, rate, rate * frame_bytes, frame_bytes, 32, 0)
+    header = b"RIFF" + struct.pack("<I", 50 + data.nbytes) + b"WAVE"
+    header += b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    header += b"fact" + struct.pack("<II", 4, frames)
+    header += b"data" + struct.pack("<I", data.nbytes)
     try:
-        wavfile.write(path, int(sample_rate), data)
+        with open(path, "wb") as fh:
+            fh.write(header)
+            data.tofile(fh)
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
 

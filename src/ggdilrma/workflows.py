@@ -18,9 +18,11 @@ def plan_from_ms(win_ms: float, hop_ms: float, sample_rate: int, n_samples=None)
     """Build a Hamming analysis plan from window/hop durations.
 
     Raises :class:`~ggdilrma.errors.ShapeMismatch` unless both durations
-    are finite and positive and the hop is at most half the frame, and
-    :class:`~ggdilrma.errors.SignalTooShort`, before building a window, if
-    it is longer than ``n_samples`` (if given); lengths stay floats until then.
+    are finite and positive, the frame length fits an array index and the
+    hop is at most half the frame, and
+    :class:`~ggdilrma.errors.SignalTooShort` if the frame is longer than
+    ``n_samples`` (if given). All checks run before a window is built;
+    lengths stay floats until then.
     """
     for name, ms in (("window", win_ms), ("hop", hop_ms)):
         if not (0.0 < ms < np.inf):
@@ -28,6 +30,8 @@ def plan_from_ms(win_ms: float, hop_ms: float, sample_rate: int, n_samples=None)
     frame_len = np.rint(win_ms * 1e-3 * sample_rate)  # a float: may be inf
     if n_samples is not None and frame_len > n_samples:
         raise SignalTooShort(f"signal length {n_samples} < frame length {frame_len:.0f}")
+    if not frame_len < np.iinfo(np.intp).max:  # strict: compared as a float
+        raise ShapeMismatch(f"frame length {frame_len:.0f} samples cannot index an array")
     hop_len = np.rint(hop_ms * 1e-3 * sample_rate)
     if hop_len > frame_len / 2:
         raise ShapeMismatch(f"hop {hop_len:.0f} longer than half the frame length {frame_len:.0f}")

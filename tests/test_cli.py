@@ -106,3 +106,13 @@ def test_window_longer_than_the_signal_exits_1(win_ms, tmp_path, capsys):
     argv = ["separate", "--input", str(clip), "--out-dir", str(tmp_path / "out")]
     assert main(argv + ["--iters", "2", "--bases", "2", "--win-ms", win_ms]) == 1
     assert "SignalTooShort" in capsys.readouterr().err
+
+
+def test_wav_cut_short_inside_its_fmt_chunk_exits_2(tmp_path, capsys):
+    clip = tmp_path / "clip.wav"
+    write_wav(str(clip), 0.1 * np.random.default_rng(0).standard_normal((16000, 2)), 16000)
+    clip.write_bytes(clip.read_bytes()[:20])
+    argv = ["separate", "--input", str(clip), "--out-dir", str(tmp_path / "out")]
+    assert main(argv + ["--iters", "2", "--bases", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "UnsupportedFormat" in err and len(err.splitlines()) == 1

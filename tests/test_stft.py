@@ -5,6 +5,7 @@ import pytest
 
 from ggdilrma.errors import ShapeMismatch, SignalTooShort
 from ggdilrma.stft import StftPlan, istft, n_frames_for, periodic_hamming, stft
+from ggdilrma.workflows import plan_from_ms
 
 
 def white_noise(n_samples, n_channels=2, seed=0):
@@ -32,6 +33,12 @@ class TestPlan:
     def test_rejects_hop_above_half(self):
         with pytest.raises(ShapeMismatch):
             StftPlan.hamming(2048, 1500)
+
+    @pytest.mark.parametrize("win_ms", [1e30, 1e308])
+    def test_frame_length_beyond_an_array_index_is_rejected_without_n_samples(self, win_ms):
+        # 1e30 ms is 1.6e31 samples at 16 kHz; 1e308 ms overflows to inf
+        with pytest.raises(ShapeMismatch, match="cannot index"):
+            plan_from_ms(win_ms, 64.0, 16000)
 
     def test_periodic_window(self):
         w = periodic_hamming(8)
