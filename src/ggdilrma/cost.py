@@ -6,10 +6,15 @@ The cost (additive constant omitted) is
     + sum_{i,j,n} [ |y_ijn|^beta / S_ijn^(beta/p) + (2/p) log S_ijn ]
 
 with ``y = W x`` and ``S = sum_k t v``.  It reads the iteration's ``|y|``,
-which the NMF updates read too, and never forms ``y``.  The log-determinant
-term takes one ``slogdet`` over every bin; the model terms are summed over
-blocks of bins (:func:`~ggdilrma.types.bin_blocks`), so ``S`` is never
-formed at full size.  Every update rule in the package is expected to leave this
+which the NMF updates read too, and never forms ``y``.  For two sources the
+log-determinant term is ``log|w_00 w_11 - w_01 w_10|`` in closed form, a few
+vector operations where batched LAPACK pays its per-matrix overhead on
+every bin; for more sources, and where the closed form is zero or outside
+the double range, it is one ``slogdet`` over every bin.  Either way a
+singular ``W_i`` raises :class:`~ggdilrma.errors.SingularDemixing` exactly
+where ``slogdet`` finds one.  The model terms are summed over blocks of
+bins (:func:`~ggdilrma.types.bin_blocks`), so ``S`` is never formed at full
+size.  Every update rule in the package is expected to leave this
 non-increasing; :func:`audit_descent` lists the iterations of a recorded
 cost sequence where it rose.
 """
@@ -20,18 +25,33 @@ import numpy as np
 
 from .errors import SingularDemixing
 from .source_model import model_cost_terms
-from .types import bin_blocks
+from .types import _det2, bin_blocks
 
 #: Relative slack used when flagging cost increases.
 DESCENT_SLACK = 1e-9
 
 
-def ggd_cost_arrays(abs_y, W, T, V, beta, domain) -> float:
-    """Cost of ``W`` given its output magnitudes ``abs_y = |W x|`` shaped
-    ``(N, I, J)``; ``W`` is ``(I, N, N)``, factors per-source stacks."""
+def _log_abs_det(W: np.ndarray) -> np.ndarray:
+    """``log|det W_i|`` per bin; raises ``SingularDemixing`` if any ``W_i`` is singular.
+
+    Two sources take the closed-form determinant.  Where it is zero or
+    outside the double range, ``slogdet`` decides, as it does for more sources.
+    """
+    if W.shape[1] == 2:
+        with np.errstate(over="ignore"):
+            absdet = np.abs(_det2(W))
+        if np.all(np.isfinite(absdet) & (absdet > 0.0)):
+            return np.log(absdet)
     sign, logdet = np.linalg.slogdet(W)
     if not np.all(np.isfinite(logdet)) or np.any(np.abs(sign) == 0.0):
         raise SingularDemixing("demixing matrix is singular")
+    return logdet
+
+
+def ggd_cost_arrays(abs_y, W, T, V, beta, domain) -> float:
+    """Cost of ``W`` given its output magnitudes ``abs_y = |W x|`` shaped
+    ``(N, I, J)``; ``W`` is ``(I, N, N)``, factors per-source stacks."""
+    logdet = _log_abs_det(W)
     model = 0.0
     for blk in bin_blocks(*abs_y.shape[1:]):
         S = T[:, blk] @ V  # (N, b, J)

@@ -30,13 +30,29 @@ equality at ``w = w~``, and its direction step is the linear solve
 
 The outer products never change during a run, so :func:`mixture_gram`
 stores them once as ``M^2`` real features ``P_j`` per frame, and the
-features of ``C`` and ``A`` come from one real ``(M^2, J) @ (J, 2)``
-matmul per bin against the weight columns ``[c, 1/r^2]``; ``u`` is then an
-``M x M`` matvec.  The direction's cost ``sum_j |h x_j|^4 / r_j^4`` for a
-demixing row ``h`` is a matvec too, as ``|h x_j|^2 = a(h) . P_j`` with
-``a(h)`` the coefficients of the Hermitian form.  The scale step uses
+features of ``C`` and ``A`` are real matvecs against the weights ``c`` and
+``1/r^2``; ``u`` is then an ``M x M`` matvec.  The direction's cost
+``sum_j |h x_j|^4 / r_j^4`` for a demixing row ``h`` is a matvec too, as
+``|h x_j|^2 = a(h) . P_j`` with ``a(h)`` the coefficients of the Hermitian
+form.  The scale step uses
 this true ``f``, which minimizes the exact cost along the ray, so every
 update decreases the quartic cost.
+
+For two sources (``N = 2``, the paper's stereo setting) ``G`` and ``W_i``
+are 2 x 2, and the sweep never forms them as matrices: ``G``'s three
+distinct entries (``g_00``, ``g_11`` real, ``g_01`` complex) come straight
+from the features of ``C`` and ``A`` (one ``(M^2, J) @ (J,)`` matvec each)
+and ``u``, and the direction is Cramer's rule,
+
+    w' = adj(G) adj(W_i) e_n / (det W_i det G),
+
+which is forward stable for 2 x 2 systems (Higham, *Accuracy and Stability
+of Numerical Algorithms*, 2nd ed., section 1.10.1) and costs a few vector
+operations per block where batched LAPACK pays its per-matrix overhead on
+every bin.  For ``N > 2`` the sweep assembles the ``(b, N, N)`` majorizers
+and takes ``det G`` and the solve of ``W_i G`` from batched LAPACK.  Both
+paths skip the same bins and raise ``SingularDemixing`` naming the bin of
+the whole problem where ``W_i`` is singular.
 
 :func:`quartic_sweep` streams over blocks of bins
 (:func:`~ggdilrma.types.bin_blocks`), every source of a block in turn, so
@@ -59,7 +75,7 @@ import numpy as np
 
 from .errors import SingularDemixing
 from .source_model import block_scale
-from .types import EPS_DET, bin_blocks
+from .types import EPS_DET, _det2, bin_blocks
 
 
 @cache
@@ -135,12 +151,61 @@ def quartic_majorizer(xd: np.ndarray, w: np.ndarray, radius: np.ndarray):
     return _majorizer(gram, aq2, w, inv_r2)[:2]
 
 
+def _singular(blk: slice, n: int, absdet: np.ndarray) -> SingularDemixing:
+    """The error for a singular demixing matrix, named by its bin in the whole problem."""
+    bad = blk.start + int(np.argmin(absdet))
+    return SingularDemixing(f"demixing matrix singular at bin {bad}, source {n}")
+
+
+def _direction_2x2(Pb, aq2, inv_r2, Wb, n, blk):
+    """Direction ``w' = G^{-1} W^{-1} e_n`` of source ``n`` for two sources, by
+    Cramer's rule; returns it with the majorizer's mask and ``sum_j |q~_j|^4``."""
+    J = Pb.shape[2]
+    s4 = np.vecdot(aq2, aq2)
+    good = np.isfinite(s4) & (s4 > 0.0)
+    fa = (Pb @ inv_r2[:, :, None])[..., 0]  # features of A
+    # features of C, with c_j = (||q~||^2 + |q~_j|^2) / r_j^2 split in two
+    fc = np.sum(aq2, axis=1)[:, None] * fa + (Pb @ (aq2 * inv_r2)[:, :, None])[..., 0]
+    w0, w1 = Wb[:, n, 0].conj(), Wb[:, n, 1].conj()  # the anchor filter w~
+    a01 = fa[:, 2] + 1j * fa[:, 3]
+    u0 = fa[:, 0] * w0 + a01 * w1  # u = A w~
+    u1 = a01.conj() * w0 + fa[:, 1] * w1
+    denom = np.sqrt(J * np.where(good, s4, 1.0))
+    g00 = (fc[:, 0] - (u0.real**2 + u0.imag**2)) / denom
+    g11 = (fc[:, 1] - (u1.real**2 + u1.imag**2)) / denom
+    g01 = (fc[:, 2] + 1j * fc[:, 3] - u0 * u1.conj()) / denom
+    det_g = g00 * g11 - (g01.real**2 + g01.imag**2)
+    good &= ~(np.abs(det_g) <= EPS_DET)
+    det_w = _det2(Wb)
+    if np.any(det_w == 0.0):
+        raise _singular(blk, n, np.abs(det_w))
+    # v = adj(W) e_n; skipped bins divide by 1 and are never written back
+    v0, v1 = (Wb[:, 1, 1], -Wb[:, 1, 0]) if n == 0 else (-Wb[:, 0, 1], Wb[:, 0, 0])
+    scale = det_w * np.where(good, det_g, 1.0)
+    w_dir = np.stack([g11 * v0 - g01 * v1, g00 * v1 - g01.conj() * v0], axis=1)
+    return w_dir / scale[:, None], good, s4
+
+
+def _direction_lapack(Pb, aq2, inv_r2, Wb, n, blk):
+    """:func:`_direction_2x2` for any number of sources, by batched LAPACK."""
+    N = Wb.shape[1]
+    G, good, s4 = _majorizer(Pb, aq2, Wb[:, n].conj(), inv_r2)
+    good &= ~(np.abs(np.linalg.det(G)) <= EPS_DET)
+    WG = Wb @ np.where(good[:, None, None], G, np.eye(N))
+    rhs = np.broadcast_to(np.eye(N)[n][:, None], (len(G), N, 1))
+    try:
+        return np.linalg.solve(WG, rhs)[..., 0], good, s4
+    except np.linalg.LinAlgError as exc:
+        raise _singular(blk, n, np.abs(np.linalg.det(WG))) from exc
+
+
 def quartic_sweep(xd, yd, W, T, V, domain: float, gram: np.ndarray):
     """One full quartic update of all filters, batched over bins.
 
     Bins whose majorizer is degenerate or below the determinant floor are
     skipped for the iteration (skipping cannot increase the cost) and
-    counted.
+    counted.  A singular ``W_i`` raises ``SingularDemixing`` naming its bin
+    and the source being updated.
 
     Args:
         xd: mixture ``(I, J, M)``, read only through ``gram``, its :func:`mixture_gram`.
@@ -156,27 +221,20 @@ def quartic_sweep(xd, yd, W, T, V, domain: float, gram: np.ndarray):
         (bin, source) updates left untouched.
     """
     I, J, N = yd.shape
-    eye = np.eye(N, dtype=np.complex128)
+    direction = _direction_2x2 if N == 2 else _direction_lapack
     f_check = np.empty((I, N))
     n_skipped = 0
     for blk in bin_blocks(I, J):
-        yb, Wb, Pb = yd[blk], W[blk], gram[blk]
-        S = block_scale(T, V, blk)
+        Wb, Pb = W[blk], gram[blk]
+        inv_r2 = 1.0 / (block_scale(T, V, blk) ** (1.0 / domain)) ** 2  # (N, b, J)
+        aq2 = np.abs(yd[blk].transpose(2, 0, 1), order="C")  # the anchors' |y~|^2 / r^2
+        aq2 *= aq2
+        aq2 *= inv_r2
         for n in range(N):
-            inv_r2 = 1.0 / (S[n] ** (1.0 / domain)) ** 2
-            y = yb[:, :, n]
-            G, good, s4 = _majorizer(Pb, (y.real**2 + y.imag**2) * inv_r2, Wb[:, n].conj(), inv_r2)
-            good &= ~(np.abs(np.linalg.det(G)) <= EPS_DET)
-            G_solve = np.where(good[:, None, None], G, eye)
-            rhs = np.broadcast_to(eye[n][:, None], (len(G), N, 1))
-            try:
-                w_dir = np.linalg.solve(Wb @ G_solve, rhs)[..., 0]
-            except np.linalg.LinAlgError as exc:
-                raise SingularDemixing(str(exc)) from exc
-
+            w_dir, good, s4 = direction(Pb, aq2[n], inv_r2[n], Wb, n, blk)
             h_dir = w_dir.conj()  # the demixing row of the direction
-            a2 = (_form_coeffs(h_dir)[:, None, :] @ Pb)[:, 0] * inv_r2  # |y_dir|^2 / r^2
-            s4_dir = np.sum(a2 * a2, axis=1)
+            a2 = (_form_coeffs(h_dir)[:, None, :] @ Pb)[:, 0] * inv_r2[n]  # |y_dir|^2 / r^2
+            s4_dir = np.vecdot(a2, a2)
             good &= np.isfinite(s4_dir) & (s4_dir > 0.0)
             scale = (J / (2.0 * np.where(good, s4_dir, 1.0))) ** 0.25
 

@@ -35,6 +35,11 @@ EPS_NMF = 1e-12
 EPS_Y = 1e-12
 EPS_DET = 1e-12
 
+
+def _det2(A: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of 2 x 2 matrices ``(..., 2, 2)``, in closed form."""
+    return A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+
 #: (bin, frame) entries per block of frequency bins in the per-iteration
 #: layers.  Their temporaries then stay cache-sized and are reused from the
 #: allocator's free lists, instead of full-size arrays whose pages are

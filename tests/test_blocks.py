@@ -18,7 +18,7 @@ from ggdilrma import pipeline, types
 from ggdilrma.cost import ggd_cost_arrays
 from ggdilrma.demix_homogeneous import mixture_gram, quartic_sweep
 from ggdilrma.demix_ip import ip_sweep
-from ggdilrma.errors import SingularCovariance
+from ggdilrma.errors import SingularCovariance, SingularDemixing
 from ggdilrma.source_model import (
     _whitened_ratio,
     update_activations_arrays,
@@ -153,6 +153,17 @@ def test_singular_bin_is_named_by_its_global_index(monkeypatch, bins):
     set_block_bins(monkeypatch, bins)
     with pytest.raises(SingularCovariance, match=r"at bin 7, source 0$"):
         ip_sweep(xd, pipeline.separate(xd, W), W, T, V, 2.0, 2.0)
+
+
+@BLOCK_BINS
+@pytest.mark.parametrize("N", [2, 3])  # the closed-form 2 x 2 path and batched LAPACK
+def test_singular_demixing_is_named_by_its_global_bin(monkeypatch, bins, N):
+    xd, W, T, V = instance(N, 6)
+    W[7] = 1.0
+    gram = mixture_gram(xd)
+    set_block_bins(monkeypatch, bins)
+    with pytest.raises(SingularDemixing, match=r"at bin 7, source 0$"):
+        quartic_sweep(xd, pipeline.separate(xd, W), W, T, V, 0.5, gram)
 
 
 @pytest.mark.parametrize(

@@ -26,27 +26,29 @@ class TestGgdCost:
     @pytest.mark.parametrize("beta,p", [(2.0, 2.0), (1.0, 0.5), (4.0, 0.5)])
     def test_matches_naive_summation(self, beta, p):
         rng = np.random.default_rng(5)
-        I, J, N, K = 3, 4, 2, 2
-        xd = rng.standard_normal((I, J, N)) + 1j * rng.standard_normal((I, J, N))
-        W = np.stack(
-            [
-                np.eye(N) + 0.2 * (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
-                for _ in range(I)
-            ]
-        )
-        T = rng.uniform(0.2, 1.0, (N, I, K))
-        V = rng.uniform(0.2, 1.0, (N, K, J))
-        got = ggd_cost_arrays(magnitudes_einsum(xd, W), W, T, V, beta, p)
+        I, J, K = 3, 4, 2
+        for N in (2, 3):  # the closed-form 2 x 2 determinant and slogdet
+            xd = rng.standard_normal((I, J, N)) + 1j * rng.standard_normal((I, J, N))
+            W = np.stack(
+                [
+                    np.eye(N)
+                    + 0.2 * (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
+                    for _ in range(I)
+                ]
+            )
+            T = rng.uniform(0.2, 1.0, (N, I, K))
+            V = rng.uniform(0.2, 1.0, (N, K, J))
+            got = ggd_cost_arrays(magnitudes_einsum(xd, W), W, T, V, beta, p)
 
-        naive = 0.0
-        for i in range(I):
-            naive += -2.0 * J * np.log(abs(np.linalg.det(W[i])))
-            for j in range(J):
-                y = W[i] @ xd[i, j]
-                for n in range(N):
-                    S = sum(T[n, i, k] * V[n, k, j] for k in range(K))
-                    naive += abs(y[n]) ** beta / S ** (beta / p) + (2 / p) * np.log(S)
-        assert got == pytest.approx(naive, rel=1e-12)
+            naive = 0.0
+            for i in range(I):
+                naive += -2.0 * J * np.log(abs(np.linalg.det(W[i])))
+                for j in range(J):
+                    y = W[i] @ xd[i, j]
+                    for n in range(N):
+                        S = sum(T[n, i, k] * V[n, k, j] for k in range(K))
+                        naive += abs(y[n]) ** beta / S ** (beta / p) + (2 / p) * np.log(S)
+            assert got == pytest.approx(naive, rel=1e-12)
 
     def test_diagonal_unitary_invariance(self):
         rng = np.random.default_rng(6)
@@ -78,6 +80,25 @@ class TestGgdCost:
         with pytest.raises(SingularDemixing):
             ggd_cost_arrays(abs_y, W, T, V, 2.0, 2.0)
 
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_rank_one_demixing_rejected(self, N):
+        # nonzero entries, exactly rank one: every elimination step is exact
+        u, v = np.array([1.0, 2.0, -1.0])[:N], np.array([1.0, 1j, 2.0])[:N]
+        W = np.stack([np.eye(N, dtype=np.complex128), np.outer(u, v)])
+        xd = np.ones((2, 3, N), dtype=np.complex128)
+        T, V = np.ones((N, 2, 1)), np.ones((N, 1, 3))
+        with pytest.raises(SingularDemixing):
+            ggd_cost_arrays(magnitudes_einsum(xd, W), W, T, V, 4.0, 0.5)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e160])
+    def test_two_source_log_det_outside_the_double_range(self, scale):
+        # det W underflows or overflows in closed form; slogdet still resolves it
+        W = scale * np.array([[[1.0, 0.5j], [0.25, 1.0]]])
+        abs_y = np.zeros((2, 1, 3))
+        T, V = np.ones((2, 1, 1)), np.ones((2, 1, 3))
+        expected = -2.0 * 3 * np.linalg.slogdet(W)[1][0]
+        assert ggd_cost_arrays(abs_y, W, T, V, 2.0, 2.0) == pytest.approx(expected, rel=1e-14)
+
 
 class TestAuditDescent:
     def test_strictly_decreasing_clean(self):
@@ -100,3 +121,4 @@ class TestAuditDescent:
         cfg = GgdConfig(beta=4.0, domain=0.5, n_bases=2, iterations=50, seed=123)
         result = pipeline.run(x, cfg)
         assert audit_descent(result.trace.costs()) == []
+

@@ -275,17 +275,20 @@ class TestQuarticUpdateFilter:
         assert failures == 0
 
     def test_sweep_matches_single_bin_op(self):
-        xd, radius, W = self.random_state(5, 12, 2, seed=77)
-        W_sweep, _, f_check, skipped = sweep(xd, W.copy(), radius)
-        assert skipped == 0
+        # N = 2 runs the closed-form 2 x 2 path, N = 3 batched LAPACK
+        for N in (2, 3):
+            for seed in range(77, 87):
+                xd, radius, W = self.random_state(5, 12, N, seed=seed)
+                W_sweep, _, f_check, skipped = sweep(xd, W.copy(), radius)
+                assert skipped == 0
 
-        W_ref = W.copy()
-        for n in range(2):
-            for i in range(5):
-                w = quartic_update_filter(xd[i], radius[i, :, n], W_ref[i], n)
-                W_ref[i, n] = w.conj()
-        np.testing.assert_allclose(W_sweep, W_ref, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(f_check, 0.5, rtol=1e-9)
+                W_ref = W.copy()
+                for n in range(N):
+                    for i in range(5):
+                        w = quartic_update_filter(xd[i], radius[i, :, n], W_ref[i], n)
+                        W_ref[i, n] = w.conj()
+                np.testing.assert_allclose(W_sweep, W_ref, rtol=1e-10, atol=1e-12)
+                np.testing.assert_allclose(f_check, 0.5, rtol=1e-9)
 
     def test_scale_postcondition_across_sweep(self):
         xd, radius, W = self.random_state(6, 20, 2, seed=13)

@@ -37,6 +37,30 @@ def test_step_reports_the_cost_of_the_state_it_returns(N, beta):
         assert cost == pytest.approx(ggd_cost_einsum(xd, W, T, V, beta, 0.5), rel=1e-12)
 
 
+class LinalgCalled(Exception):
+    pass
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_two_source_quartic_iteration_calls_no_linalg(N, monkeypatch):
+    # N = 2 takes the closed-form 2 x 2 sweep and cost; N = 3 shows the patch bites.
+    def no_linalg(*args, **kwargs):
+        raise LinalgCalled
+
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, no_linalg)
+    I, J, K = 9, 40, 3
+    xd = random_mixture(I, J, N, seed=12).data
+    cfg = GgdConfig(beta=4.0, domain=0.5, n_bases=K, iterations=1, seed=12)
+    W, T, V = pipeline.initialize(cfg, ProblemShape(I, J, N, K))
+    if N == 2:
+        pipeline.iteration_step(xd, W, T, V, cfg, mixture_gram(xd))
+    else:
+        with pytest.raises(LinalgCalled):
+            pipeline.iteration_step(xd, W, T, V, cfg, mixture_gram(xd))
+
+
 @pytest.mark.parametrize("channel", [-1, 2])
 def test_reference_channel_outside_the_mixture_is_rejected_first(channel, monkeypatch):
     def no_initialize(*args):
