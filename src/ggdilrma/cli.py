@@ -6,7 +6,8 @@ references by SI-SDR (clamped to [-80, +80] dB), and ``benchmark`` runs
 the seeded property suite, whose checks and pass bounds are fixed.
 
 Exit codes: 0 success, 1 invalid arguments or inputs (including a NaN,
-infinite or non-positive --p, --win-ms or --hop-ms), 2 I/O failure (an
+infinite or non-positive --p, --win-ms, --hop-ms, --len-s or
+--e2e-duration-s, and --trials below 1), 2 I/O failure (an
 unreadable file, or a WAV that is malformed, cut short or neither 16-bit
 PCM nor 32-bit float), 3 numerical failure during separation (trace
 flushed first), 4 property suite failure.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import math
 import os
 import sys
 from typing import List, Optional
@@ -81,6 +83,20 @@ def non_negative_int(text: str) -> int:
     return int(text)
 
 
+def positive_int(text: str) -> int:
+    """A ``--trials`` value: a section over no trials would pass without checking anything."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
+
+
+def positive_seconds(text: str) -> float:
+    """A duration in seconds, finite and > 0: it is converted to a sample count."""
+    if not 0.0 < float(text) < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return float(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ggdilrma", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -110,7 +126,9 @@ def _build_parser() -> _Parser:
         choices=SOURCE_KINDS,
         help="synthetic source kind(s); one value applies to all sources",
     )
-    sim.add_argument("--len-s", type=float, default=10.0, help="synthetic length in seconds")
+    sim.add_argument(
+        "--len-s", type=positive_seconds, default=10.0, help="synthetic length in seconds"
+    )
     sim.add_argument("--seed", type=non_negative_int, default=0, help="RNG seed (default 0)")
     sim.add_argument("--sample-rate", type=int, default=16000, help="synthetic rate (default 16 kHz)")
 
@@ -122,9 +140,13 @@ def _build_parser() -> _Parser:
     ev.add_argument("--jsonl", default=None, help="also write rows as JSONL here")
 
     bench = sub.add_parser("benchmark", help="run the seeded property suite")
-    bench.add_argument("--trials", type=int, default=10, help="trials per section (default 10)")
+    bench.add_argument(
+        "--trials", type=positive_int, default=10, help="trials per section (default 10)"
+    )
     bench.add_argument("--seed", type=non_negative_int, default=0, help="suite seed (default 0)")
-    bench.add_argument("--e2e-duration-s", type=float, default=3.0, help="end-to-end audio length")
+    bench.add_argument(
+        "--e2e-duration-s", type=positive_seconds, default=3.0, help="end-to-end audio length"
+    )
     bench.add_argument("--e2e-iters", type=int, default=120, help="end-to-end iterations")
     return parser
 

@@ -29,37 +29,46 @@ equality at ``w = w~``, and its direction step is the linear solve
     A = sum_j x_j x_j^H / r_j^2.
 
 The outer products never change during a run, so :func:`mixture_gram`
-stores them once as ``M^2`` real features ``P_j`` per frame, and the
-features of ``C`` and ``A`` are real matvecs against the weights ``c`` and
-``1/r^2``; ``u`` is then an ``M x M`` matvec.  The direction's cost
-``sum_j |h x_j|^4 / r_j^4`` for a demixing row ``h`` is a matvec too, as
-``|h x_j|^2 = a(h) . P_j`` with ``a(h)`` the coefficients of the Hermitian
-form.  The scale step uses
-this true ``f``, which minimizes the exact cost along the ray, so every
-update decreases the quartic cost.
+stores them once as ``M^2`` real features ``P_j`` per frame.  The features
+of ``A`` are ``P`` against the weights ``1/r^2``, and those of ``C`` are
+``||q~||^2`` times them plus ``P`` against ``|q~|^2 / r^2``; ``u`` is then
+an ``M x M`` matvec.  The direction's cost ``sum_j |h x_j|^4 / r_j^4`` for
+a demixing row ``h`` is a matvec too, as ``|h x_j|^2 = a(h) . P_j`` with
+``a(h)`` the coefficients of the Hermitian form.  The scale step uses this
+true ``f``, which minimizes the exact cost along the ray, so every update
+decreases the quartic cost.
+
+``G`` for source ``n`` reads only that source's anchor outputs ``|y~_n|``,
+its scale ``r_n`` and its row ``w~_n`` of ``W_i`` on entry; rows ``m != n``
+never enter it, and no other source's update changes any of the three.  So
+:func:`quartic_sweep` assembles the majorizers of every source of a block
+before updating any row: one ``(M^2, J) @ (J, 2N)`` product per bin takes
+the features of every ``A`` and ``C`` at once, and the guards on
+``sum_j |q~_j|^4`` and ``det G`` are taken for all sources together.  Only
+what reads rows already updated stays per source: ``det W_i`` and the
+solve, the direction's cost, the scale and the write-back.
 
 For two sources (``N = 2``, the paper's stereo setting) ``G`` and ``W_i``
 are 2 x 2, and the sweep never forms them as matrices: ``G``'s three
 distinct entries (``g_00``, ``g_11`` real, ``g_01`` complex) come straight
-from the features of ``C`` and ``A`` (one ``(M^2, J) @ (J,)`` matvec each)
-and ``u``, and the direction is Cramer's rule,
+from the features of ``C`` and ``A`` and ``u``, and the direction is
+Cramer's rule,
 
     w' = adj(G) adj(W_i) e_n / (det W_i det G),
 
 which is forward stable for 2 x 2 systems (Higham, *Accuracy and Stability
 of Numerical Algorithms*, 2nd ed., section 1.10.1) and costs a few vector
 operations per block where batched LAPACK pays its per-matrix overhead on
-every bin.  For ``N > 2`` the sweep assembles the ``(b, N, N)`` majorizers
-and takes ``det G`` and the solve of ``W_i G`` from batched LAPACK.  Both
-paths skip the same bins and raise ``SingularDemixing`` naming the bin of
-the whole problem where ``W_i`` is singular.
+every bin.  For ``N > 2`` the sweep assembles the ``(b, N, M, M)``
+majorizers, takes ``det G`` from one batched LAPACK call and solves
+``W_i G`` per source.  Both paths skip the same bins and raise
+``SingularDemixing`` naming the bin of the whole problem where ``W_i`` is
+singular.
 
 :func:`quartic_sweep` streams over blocks of bins
 (:func:`~ggdilrma.types.bin_blocks`), every source of a block in turn, so
 its temporaries stay cache-sized and its result does not depend on the
-block size.  It updates ``W`` only.  A source's anchor outputs (which give
-``|q~|^2``) and its row of ``W`` (read as ``w~`` before it is overwritten)
-depend on no other source's update.
+block size.  It updates ``W`` only.
 
 The per-filter forms of this update (``quartic_update_filter``,
 ``direction_scale_step``, the homogeneous objectives, ``optimal_scale``)
@@ -73,7 +82,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import SingularDemixing
+from .errors import singular_demixing
 from .source_model import block_scale
 from .types import EPS_DET, _det2, bin_blocks
 
@@ -116,24 +125,51 @@ def _hermitian(feat: np.ndarray, M: int) -> np.ndarray:
     return H
 
 
-def _majorizer(gram: np.ndarray, aq2: np.ndarray, w: np.ndarray, inv_r2: np.ndarray):
-    """:func:`quartic_majorizer` from the :func:`mixture_gram`, the anchor's ``|q~|^2``,
-    its filters ``w`` and ``inv_r2 = 1 / r**2``; also returns ``sum_j |q~_j|^4``."""
-    J, M = gram.shape[2], w.shape[1]
-    s4 = np.sum(aq2 * aq2, axis=1)
-    norm_q2 = np.sum(aq2, axis=1)
+def _block_features(Pb: np.ndarray, aq2: np.ndarray, wts: np.ndarray):
+    """Features ``(b, M**2, S)`` of ``A`` and ``C`` for ``S`` sources of a block, from
+    its :func:`mixture_gram` ``Pb``, the anchors' ``aq2 = |q~|^2`` ``(S, b, J)`` and
+    the C-ordered ``(2, S, b, J)`` ``wts`` holding ``1 / r**2`` (``wts[1]`` is
+    overwritten with ``aq2 / r**2``).  Also returns, ``(S, b)`` each, ``G``'s divisor,
+    the mask where ``s4 = sum_j |q~_j|^4`` is finite and nonzero, and ``s4``."""
+    S, b, J = aq2.shape
+    np.multiply(aq2, wts[0], out=wts[1])
+    # one (M^2, J) @ (J, 2S) product per bin, through a strided view of wts
+    feat = Pb @ wts.reshape(2 * S, b, J).transpose(1, 2, 0)
+    fa = feat[..., :S]
+    fc = np.sum(aq2, axis=2).T[:, None, :] * fa + feat[..., S:]  # ||q~||^2 A + ...
+    s4 = np.vecdot(aq2, aq2)
     good = np.isfinite(s4) & (s4 > 0.0)
+    return fa, fc, np.sqrt(J * np.where(good, s4, 1.0)), good, s4
 
-    c = (norm_q2[:, None] + aq2) * inv_r2
-    CA = _hermitian((gram @ np.stack([c, inv_r2], axis=2)).transpose(0, 2, 1), M)
-    u = (CA[:, 1] @ w[:, :, None])[..., 0]  # A w~ = X b
-    denom = np.sqrt(J * np.where(good, s4, 1.0))
-    G = (CA[:, 0] - u[:, :, None] * u.conj()[:, None, :]) / denom[:, None, None]
-    return G, good, s4
+
+def _majorizers(fa, fc, denom, w):
+    """The majorizers ``G`` ``(b, S, M, M)`` from :func:`_block_features` and the
+    anchor filters ``w~`` ``(b, S, M)``."""
+    M = w.shape[-1]
+    u = (_hermitian(fa.transpose(0, 2, 1), M) @ w[..., None])[..., 0]  # A w~
+    C = _hermitian(fc.transpose(0, 2, 1), M)
+    return (C - u[..., :, None] * u.conj()[..., None, :]) / denom.T[:, :, None, None]
+
+
+def _majorizers_2x2(fa, fc, denom, Wb):
+    """The distinct entries ``(g00, g11, g01, det G)``, ``(2, b)`` each, of both
+    sources' 2 x 2 majorizers, whose anchor filters are the rows of ``Wb``."""
+    fa, fc = fa.transpose(1, 2, 0), fc.transpose(1, 2, 0)  # (M**2, S, b)
+    w0, w1 = Wb[:, :, 0].conj().T, Wb[:, :, 1].conj().T  # the anchor filters w~
+    a01 = fa[2] + 1j * fa[3]
+    u0 = fa[0] * w0 + a01 * w1  # u = A w~
+    u1 = a01.conj() * w0 + fa[1] * w1
+    g00 = (fc[0] - (u0.real**2 + u0.imag**2)) / denom
+    g11 = (fc[1] - (u1.real**2 + u1.imag**2)) / denom
+    g01 = (fc[2] + 1j * fc[3] - u0 * u1.conj()) / denom
+    return g00, g11, g01, g00 * g11 - (g01.real**2 + g01.imag**2)
 
 
 def quartic_majorizer(xd: np.ndarray, w: np.ndarray, radius: np.ndarray):
-    """Streamed majorizer matrices ``G`` for one source, batched over bins.
+    """Majorizer matrices ``G`` for one source, batched over bins.
+
+    Built as :func:`quartic_sweep` builds them, from the :func:`mixture_gram`
+    features, without the J x J matrix ``Q~``.
 
     Args:
         xd: mixture ``(I, J, M)``.
@@ -146,57 +182,38 @@ def quartic_majorizer(xd: np.ndarray, w: np.ndarray, radius: np.ndarray):
         at the anchor, and the mask of bins whose anchor projection ``q~``
         is finite and nonzero (``G_i`` is not a majorizer elsewhere).
     """
-    gram, inv_r2 = mixture_gram(xd), 1.0 / radius**2
-    aq2 = (_form_coeffs(w.conj())[:, None, :] @ gram)[:, 0] * inv_r2  # |y~|^2 / r^2
-    return _majorizer(gram, aq2, w, inv_r2)[:2]
+    gram = mixture_gram(xd)
+    wts = np.empty((2, 1) + radius.shape)
+    np.divide(1.0, radius**2, out=wts[0, 0])
+    aq2 = (_form_coeffs(w.conj())[:, None, :] @ gram)[:, 0] * wts[0, 0]  # |y~|^2 / r^2
+    fa, fc, denom, good, _ = _block_features(gram, aq2[None], wts)
+    return _majorizers(fa, fc, denom, w[:, None])[:, 0], good[0]
 
 
-def _singular(blk: slice, n: int, absdet: np.ndarray) -> SingularDemixing:
-    """The error for a singular demixing matrix, named by its bin in the whole problem."""
-    bad = blk.start + int(np.argmin(absdet))
-    return SingularDemixing(f"demixing matrix singular at bin {bad}, source {n}")
-
-
-def _direction_2x2(Pb, aq2, inv_r2, Wb, n, blk):
+def _direction_2x2(G, good, Wb, n, blk):
     """Direction ``w' = G^{-1} W^{-1} e_n`` of source ``n`` for two sources, by
-    Cramer's rule; returns it with the majorizer's mask and ``sum_j |q~_j|^4``."""
-    J = Pb.shape[2]
-    s4 = np.vecdot(aq2, aq2)
-    good = np.isfinite(s4) & (s4 > 0.0)
-    fa = (Pb @ inv_r2[:, :, None])[..., 0]  # features of A
-    # features of C, with c_j = (||q~||^2 + |q~_j|^2) / r_j^2 split in two
-    fc = np.sum(aq2, axis=1)[:, None] * fa + (Pb @ (aq2 * inv_r2)[:, :, None])[..., 0]
-    w0, w1 = Wb[:, n, 0].conj(), Wb[:, n, 1].conj()  # the anchor filter w~
-    a01 = fa[:, 2] + 1j * fa[:, 3]
-    u0 = fa[:, 0] * w0 + a01 * w1  # u = A w~
-    u1 = a01.conj() * w0 + fa[:, 1] * w1
-    denom = np.sqrt(J * np.where(good, s4, 1.0))
-    g00 = (fc[:, 0] - (u0.real**2 + u0.imag**2)) / denom
-    g11 = (fc[:, 1] - (u1.real**2 + u1.imag**2)) / denom
-    g01 = (fc[:, 2] + 1j * fc[:, 3] - u0 * u1.conj()) / denom
-    det_g = g00 * g11 - (g01.real**2 + g01.imag**2)
-    good &= ~(np.abs(det_g) <= EPS_DET)
+    Cramer's rule, from the entries of :func:`_majorizers_2x2`."""
+    g00, g11, g01, det_g = (g[n] for g in G)
     det_w = _det2(Wb)
     if np.any(det_w == 0.0):
-        raise _singular(blk, n, np.abs(det_w))
+        raise singular_demixing(np.abs(det_w), blk.start, n)
     # v = adj(W) e_n; skipped bins divide by 1 and are never written back
     v0, v1 = (Wb[:, 1, 1], -Wb[:, 1, 0]) if n == 0 else (-Wb[:, 0, 1], Wb[:, 0, 0])
     scale = det_w * np.where(good, det_g, 1.0)
     w_dir = np.stack([g11 * v0 - g01 * v1, g00 * v1 - g01.conj() * v0], axis=1)
-    return w_dir / scale[:, None], good, s4
+    return w_dir / scale[:, None]
 
 
-def _direction_lapack(Pb, aq2, inv_r2, Wb, n, blk):
-    """:func:`_direction_2x2` for any number of sources, by batched LAPACK."""
+def _direction_lapack(G, good, Wb, n, blk):
+    """:func:`_direction_2x2` for any number of sources, from :func:`_majorizers`,
+    by batched LAPACK."""
     N = Wb.shape[1]
-    G, good, s4 = _majorizer(Pb, aq2, Wb[:, n].conj(), inv_r2)
-    good &= ~(np.abs(np.linalg.det(G)) <= EPS_DET)
-    WG = Wb @ np.where(good[:, None, None], G, np.eye(N))
-    rhs = np.broadcast_to(np.eye(N)[n][:, None], (len(G), N, 1))
+    WG = Wb @ np.where(good[:, None, None], G[:, n], np.eye(N))
+    rhs = np.broadcast_to(np.eye(N)[n][:, None], (len(WG), N, 1))
     try:
-        return np.linalg.solve(WG, rhs)[..., 0], good, s4
+        return np.linalg.solve(WG, rhs)[..., 0]
     except np.linalg.LinAlgError as exc:
-        raise _singular(blk, n, np.abs(np.linalg.det(WG))) from exc
+        raise singular_demixing(np.abs(np.linalg.det(WG)), blk.start, n) from exc
 
 
 def quartic_sweep(xd, yd, W, T, V, domain: float, gram: np.ndarray):
@@ -221,25 +238,35 @@ def quartic_sweep(xd, yd, W, T, V, domain: float, gram: np.ndarray):
         (bin, source) updates left untouched.
     """
     I, J, N = yd.shape
-    direction = _direction_2x2 if N == 2 else _direction_lapack
     f_check = np.empty((I, N))
     n_skipped = 0
     for blk in bin_blocks(I, J):
         Wb, Pb = W[blk], gram[blk]
-        inv_r2 = 1.0 / (block_scale(T, V, blk) ** (1.0 / domain)) ** 2  # (N, b, J)
+        wts = np.empty((2, N, len(Wb), J))  # 1 / r**2, then |y~|^2 / r**4
+        inv_r2 = wts[0]
+        np.divide(1.0, (block_scale(T, V, blk) ** (1.0 / domain)) ** 2, out=inv_r2)
         aq2 = np.abs(yd[blk].transpose(2, 0, 1), order="C")  # the anchors' |y~|^2 / r^2
         aq2 *= aq2
         aq2 *= inv_r2
+        fa, fc, denom, good, s4 = _block_features(Pb, aq2, wts)
+        # Every source's G reads W on entry only, so all are built before any update.
+        if N == 2:
+            G = _majorizers_2x2(fa, fc, denom, Wb)
+            good &= ~(np.abs(G[3]) <= EPS_DET)
+            direction = _direction_2x2
+        else:
+            G = _majorizers(fa, fc, denom, Wb.conj())
+            good &= ~(np.abs(np.linalg.det(G)) <= EPS_DET).T
+            direction = _direction_lapack
         for n in range(N):
-            w_dir, good, s4 = direction(Pb, aq2[n], inv_r2[n], Wb, n, blk)
-            h_dir = w_dir.conj()  # the demixing row of the direction
+            h_dir = direction(G, good[n], Wb, n, blk).conj()  # the direction's demixing row
             a2 = (_form_coeffs(h_dir)[:, None, :] @ Pb)[:, 0] * inv_r2[n]  # |y_dir|^2 / r^2
             s4_dir = np.vecdot(a2, a2)
-            good &= np.isfinite(s4_dir) & (s4_dir > 0.0)
-            scale = (J / (2.0 * np.where(good, s4_dir, 1.0))) ** 0.25
+            ok = good[n] & np.isfinite(s4_dir) & (s4_dir > 0.0)
+            scale = (J / (2.0 * np.where(ok, s4_dir, 1.0))) ** 0.25
 
             # Skipped bins keep their filter and anchor cost s4.
-            np.copyto(Wb[:, n, :], h_dir * scale[:, None], where=good[:, None])
-            f_check[blk, n] = np.where(good, scale**4 * s4_dir, s4) / J
-            n_skipped += int(np.sum(~good))
+            np.copyto(Wb[:, n, :], h_dir * scale[:, None], where=ok[:, None])
+            f_check[blk, n] = np.where(ok, scale**4 * s4_dir, s4[n]) / J
+            n_skipped += int(np.sum(~ok))
     return W, yd, f_check, n_skipped

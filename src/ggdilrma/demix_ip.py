@@ -17,7 +17,8 @@ bins are independent; within one bin the sources are updated sequentially
 against the freshest demixing matrix.  The sweep streams over blocks of
 bins (:func:`~ggdilrma.types.bin_blocks`), every source of a block in turn,
 so its temporaries stay cache-sized and its result does not depend on the
-block size; a singular bin is reported by its index in the whole problem.
+block size; a singular covariance or demixing matrix is reported by its
+bin in the whole problem and the source being updated.
 ``S = T V`` is formed once per block, and only ``W`` is updated: source
 ``n``'s weights read ``y_n`` alone, which no other source's update changes.
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularCovariance, SingularDemixing, UnsupportedBeta
+from .errors import SingularCovariance, UnsupportedBeta, singular_demixing
 from .source_model import _whitened_ratio, block_scale
 from .types import EPS_DET, EPS_Y, bin_blocks
 
@@ -81,7 +82,7 @@ def ip_sweep(xd, yd, W, T, V, beta: float, domain: float):
             try:
                 c = np.linalg.solve(Wb, rhs)[..., 0]  # W^{-1} e_n
             except np.linalg.LinAlgError as exc:
-                raise SingularDemixing(str(exc)) from exc
+                raise singular_demixing(np.abs(np.linalg.det(Wb)), blk.start, n) from exc
             z = np.linalg.solve(R.conj().transpose(0, 2, 1), c[:, :, None])
             w = np.linalg.solve(R, z)[..., 0]
             Rw = (R @ w[:, :, None])[..., 0]  # w^H F w = ||R w||^2

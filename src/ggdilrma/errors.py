@@ -1,5 +1,9 @@
 """Exception types raised across the toolkit."""
 
+from __future__ import annotations
+
+import numpy as np
+
 
 class SeparationError(Exception):
     """Base class for all toolkit errors."""
@@ -43,6 +47,16 @@ class SingularCovariance(SeparationError):
 
 class SingularDemixing(SeparationError):
     """Demixing matrix not invertible above the determinant floor."""
+
+
+def singular_demixing(absdet, first_bin: int = 0, source: int | None = None) -> SingularDemixing:
+    """The error for a singular demixing matrix, naming the bin of the smallest
+    ``absdet`` in the whole problem (``absdet[0]`` is bin ``first_bin``) and the
+    source being updated, if any."""
+    where = f"bin {first_bin + int(np.argmin(absdet))}"
+    if source is not None:
+        where += f", source {source}"
+    return SingularDemixing(f"demixing matrix singular at {where}")
 
 
 # --- audio I/O and simulation -------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from .cost import ggd_cost_arrays
 from .demix_homogeneous import mixture_gram, quartic_sweep
 from .demix_ip import ip_sweep
-from .errors import DegenerateShape, SingularDemixing
+from .errors import DegenerateShape, singular_demixing
 from .source_model import update_activations_arrays, update_bases_arrays
 from .types import (
     EPS_NMF,
@@ -79,11 +79,12 @@ def back_project(yd: np.ndarray, W: np.ndarray, reference_channel: int = 0) -> n
 
     ``y_hat[i, j, n] = inv(W_i)[ref, n] * y[i, j, n]``; summing the result
     over sources reconstructs the reference channel of the observation.
+    A singular ``W_i`` raises ``SingularDemixing`` naming its bin.
     """
     try:
         coeff = np.linalg.inv(W)[:, reference_channel, :]  # (I, N)
     except np.linalg.LinAlgError as exc:
-        raise SingularDemixing(str(exc)) from exc
+        raise singular_demixing(np.abs(np.linalg.det(W))) from exc
     return yd * coeff[:, None, :]
 
 

@@ -75,7 +75,7 @@ def test_bin_blocks_cover_every_bin_once(monkeypatch, n_bins, frames, budget, le
 
 
 @BLOCK_BINS
-@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("N", [2, 3, 4])
 def test_quartic_sweep_is_block_invariant(monkeypatch, bins, N):
     xd, W, T, V = instance(N, 1, silent_bin=I - 2)
     xd[3, :, 1] = xd[3, :, 0]  # rank-deficient bin: skipped, nonzero output
@@ -164,6 +164,24 @@ def test_singular_demixing_is_named_by_its_global_bin(monkeypatch, bins, N):
     set_block_bins(monkeypatch, bins)
     with pytest.raises(SingularDemixing, match=r"at bin 7, source 0$"):
         quartic_sweep(xd, pipeline.separate(xd, W), W, T, V, 0.5, gram)
+
+
+@BLOCK_BINS
+@pytest.mark.parametrize("N", [2, 3])
+def test_ip_singular_demixing_is_named_by_its_global_bin(monkeypatch, bins, N):
+    xd, W, T, V = instance(N, 6)
+    W[7] = 1.0
+    set_block_bins(monkeypatch, bins)
+    with pytest.raises(SingularDemixing, match=r"at bin 7, source 0$"):
+        ip_sweep(xd, pipeline.separate(xd, W), W, T, V, 2.0, 2.0)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_back_projection_names_its_singular_bin(N):
+    xd, W, _, _ = instance(N, 6)
+    W[7] = 1.0
+    with pytest.raises(SingularDemixing, match=r"singular at bin 7$"):
+        pipeline.back_project(pipeline.separate(xd, W), W)
 
 
 @pytest.mark.parametrize(

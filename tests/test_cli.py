@@ -97,6 +97,27 @@ def test_negative_seed_exits_1(argv, tmp_path, monkeypatch, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["clip.wav"]  # nothing synthesized or written
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--out", "mix.wav", "--matrix", "1,0.5;0.5,1", "--len-s", "nan"],
+        ["simulate", "--out", "mix.wav", "--matrix", "1,0.5;0.5,1", "--len-s", "inf"],
+        ["benchmark", "--trials", "1", "--e2e-iters", "2", "--e2e-duration-s", "nan"],
+        ["benchmark", "--trials", "1", "--e2e-iters", "2", "--e2e-duration-s", "inf"],
+        ["benchmark", "--e2e-duration-s", "1", "--e2e-iters", "2", "--trials", "0"],
+        ["benchmark", "--e2e-duration-s", "1", "--e2e-iters", "2", "--trials", "-1"],
+    ],
+)
+def test_non_finite_duration_or_no_trials_exits_1(argv, tmp_path, monkeypatch, capsys):
+    # Rejected at parse time: nothing is synthesized, run or written.
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert argv[-2] in captured.err and len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("win_ms", ["1e30", "1e308"])
 def test_window_longer_than_the_signal_exits_1(win_ms, tmp_path, capsys):
     # Checked before any window is built: a 1e30 ms window would need 1.6e31

@@ -275,8 +275,8 @@ class TestQuarticUpdateFilter:
         assert failures == 0
 
     def test_sweep_matches_single_bin_op(self):
-        # N = 2 runs the closed-form 2 x 2 path, N = 3 batched LAPACK
-        for N in (2, 3):
+        # N = 2 runs the closed-form 2 x 2 path, N = 3 and 4 batched LAPACK
+        for N in (2, 3, 4):
             for seed in range(77, 87):
                 xd, radius, W = self.random_state(5, 12, N, seed=seed)
                 W_sweep, _, f_check, skipped = sweep(xd, W.copy(), radius)
@@ -289,6 +289,25 @@ class TestQuarticUpdateFilter:
                         W_ref[i, n] = w.conj()
                 np.testing.assert_allclose(W_sweep, W_ref, rtol=1e-10, atol=1e-12)
                 np.testing.assert_allclose(f_check, 0.5, rtol=1e-9)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_non_finite_scale_skips_only_its_source(self, N):
+        # Source 0's r**2 at bin 4 overflows to inf: that update alone is
+        # skipped, and every other filter still matches the oracle.
+        xd, radius, W = self.random_state(5, 12, N, seed=41)
+        radius[4, :, 0] = 1e300
+        with np.errstate(over="ignore"):
+            W_sweep, _, f_check, skipped = sweep(xd, W.copy(), radius)
+        assert skipped == 1
+        np.testing.assert_array_equal(W_sweep[4, 0], W[4, 0])
+
+        W_ref = W.copy()
+        for n in range(N):
+            for i in range(5):
+                if (i, n) != (4, 0):
+                    W_ref[i, n] = quartic_update_filter(xd[i], radius[i, :, n], W_ref[i], n).conj()
+        np.testing.assert_allclose(W_sweep, W_ref, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(np.delete(f_check.ravel(), 4 * N), 0.5, rtol=1e-9)
 
     def test_scale_postcondition_across_sweep(self):
         xd, radius, W = self.random_state(6, 20, 2, seed=13)
