@@ -28,16 +28,11 @@ import numpy as np
 from . import benchmark
 from .errors import (
     DegenerateShape,
+    FileError,
+    InvalidInput,
     IoFailure,
     LengthMismatch,
-    NonFiniteInput,
     SeparationError,
-    SignalTooShort,
-    ShapeMismatch,
-    TooManySources,
-    UnsupportedBeta,
-    UnsupportedFormat,
-    ZeroReference,
 )
 from .mixsim import (
     MixingSpec,
@@ -51,18 +46,6 @@ from .mixsim import (
 )
 from .types import GgdConfig
 from .workflows import evaluate_separation, separate_audio
-
-_INVALID_INPUT_ERRORS = (
-    UnsupportedBeta,
-    DegenerateShape,
-    NonFiniteInput,
-    LengthMismatch,
-    SignalTooShort,
-    ShapeMismatch,
-    ZeroReference,
-    TooManySources,
-)
-_IO_ERRORS = (IoFailure, UnsupportedFormat, OSError)
 
 
 class _CliArgumentError(Exception):
@@ -305,10 +288,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _CliArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _INVALID_INPUT_ERRORS as exc:
+    except InvalidInput as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except _IO_ERRORS as exc:
+    except (FileError, OSError) as exc:
         print(f"I/O error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except SeparationError as exc:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularDemixing
+from .errors import singular_demixing
 from .source_model import model_cost_terms
 from .types import _det2, bin_blocks
 
@@ -32,7 +32,8 @@ DESCENT_SLACK = 1e-9
 
 
 def _log_abs_det(W: np.ndarray) -> np.ndarray:
-    """``log|det W_i|`` per bin; raises ``SingularDemixing`` if any ``W_i`` is singular.
+    """``log|det W_i|`` per bin; raises ``SingularDemixing`` naming the bin if any
+    ``W_i`` is singular.
 
     Two sources take the closed-form determinant.  Where it is zero or
     outside the double range, ``slogdet`` decides, as it does for more sources.
@@ -43,8 +44,9 @@ def _log_abs_det(W: np.ndarray) -> np.ndarray:
         if np.all(np.isfinite(absdet) & (absdet > 0.0)):
             return np.log(absdet)
     sign, logdet = np.linalg.slogdet(W)
-    if not np.all(np.isfinite(logdet)) or np.any(np.abs(sign) == 0.0):
-        raise SingularDemixing("demixing matrix is singular")
+    singular = ~np.isfinite(logdet) | (sign == 0.0)
+    if np.any(singular):
+        raise singular_demixing(~singular)  # names the first singular bin
     return logdet
 
 

@@ -52,14 +52,13 @@ def ip_sweep(xd, yd, W, T, V, beta: float, domain: float):
         T, V: NMF factors; ``S = r**p = T V`` is formed a block at a time.
 
     Returns:
-        ``(W, yd, norm_check)`` with ``yd`` as given and ``norm_check[i, n]
-        = w^H F w`` for the updated filters (unit up to roundoff).
+        ``W``, each updated filter normalized to ``w^H F w = 1`` against the
+        weighted covariance ``F`` of its source's outputs in ``yd``.
     """
     if not (0.0 < beta <= 2.0):
         raise UnsupportedBeta(f"iterative projection requires 0 < beta <= 2, got {beta}")
     I, J, N = yd.shape
     eye = np.eye(N, dtype=np.complex128)
-    norm_check = np.empty((I, N))
     for blk in bin_blocks(I, J):
         xb, yb, Wb = xd[blk], yd[blk], W[blk]
         S = block_scale(T, V, blk)
@@ -68,7 +67,11 @@ def ip_sweep(xd, yd, W, T, V, beta: float, domain: float):
             # F = A^H A with A the weighted observation; solving through the
             # triangular factor of A halves the condition number of a direct
             # F solve and keeps w^H F w = ||R w||^2 nonnegative by
-            # construction even when a single floored frame dominates.
+            # construction even when a single floored frame dominates.  An F
+            # formed from the mixture_gram features squares that condition
+            # number, and its det F drops below EPS_DET or turns negative once
+            # a scene collapses (test_pipeline's
+            # test_ip_runs_clean_on_collapsing_scenes; ROADMAP Direction 4).
             A = xb.conj()
             A *= np.sqrt(wgt * (beta / (2.0 * J)))[:, :, None]
             R = np.linalg.qr(A, mode="r")
@@ -89,5 +92,4 @@ def ip_sweep(xd, yd, W, T, V, beta: float, domain: float):
             norm = np.sqrt(np.sum(np.abs(Rw) ** 2, axis=1))
             w /= norm[:, None]
             Wb[:, n, :] = w.conj()
-            norm_check[blk, n] = np.sum(np.abs(Rw / norm[:, None]) ** 2, axis=1)
-    return W, yd, norm_check
+    return W

@@ -1,4 +1,9 @@
-"""Exception types raised across the toolkit."""
+"""Exception types raised across the toolkit.
+
+Each class's parent names its category, and the CLI maps the category to
+its exit code: :class:`InvalidInput` exits 1, :class:`FileError` exits 2,
+and every other :class:`SeparationError` (a numerical failure) exits 3.
+"""
 
 from __future__ import annotations
 
@@ -9,36 +14,44 @@ class SeparationError(Exception):
     """Base class for all toolkit errors."""
 
 
-# --- problem validation -------------------------------------------------
+class InvalidInput(SeparationError):
+    """An argument or input the toolkit cannot use (CLI exit 1)."""
 
 
-class NonFiniteInput(SeparationError):
+class FileError(SeparationError):
+    """An audio file that cannot be read, written or decoded (CLI exit 2)."""
+
+
+# --- problem validation: invalid input, exit 1 ---------------------------
+
+
+class NonFiniteInput(InvalidInput):
     """Input tensor contains NaN or Inf entries."""
 
 
-class UnsupportedBeta(SeparationError):
+class UnsupportedBeta(InvalidInput):
     """Shape parameter outside the supported set (0, 2] and {4}, a domain
     parameter that is not finite and positive, or an update rule invoked
     outside its shape range."""
 
 
-class DegenerateShape(SeparationError):
+class DegenerateShape(InvalidInput):
     """A tensor dimension that must be >= 1 is zero."""
 
 
-# --- STFT ---------------------------------------------------------------
+# --- STFT: invalid input, exit 1 -----------------------------------------
 
 
-class SignalTooShort(SeparationError):
+class SignalTooShort(InvalidInput):
     """Signal shorter than one analysis frame."""
 
 
-class ShapeMismatch(SeparationError):
+class ShapeMismatch(InvalidInput):
     """Spectrogram shape inconsistent with the transform plan, or a window
     or hop duration that is not finite and positive."""
 
 
-# --- demixing updates ---------------------------------------------------
+# --- demixing updates: numerical failure, exit 3 -------------------------
 
 
 class SingularCovariance(SeparationError):
@@ -59,27 +72,27 @@ def singular_demixing(absdet, first_bin: int = 0, source: int | None = None) -> 
     return SingularDemixing(f"demixing matrix singular at {where}")
 
 
-# --- audio I/O and simulation -------------------------------------------
+# --- audio I/O: file error, exit 2 ---------------------------------------
 
 
-class UnsupportedFormat(SeparationError):
+class UnsupportedFormat(FileError):
     """Audio file encoding not supported."""
 
 
-class IoFailure(SeparationError):
+class IoFailure(FileError):
     """File could not be read or written."""
 
 
-class LengthMismatch(SeparationError):
+# --- simulation and metrics: invalid input, exit 1 -----------------------
+
+
+class LengthMismatch(InvalidInput):
     """Waveforms that must share a length do not."""
 
 
-# --- metrics ------------------------------------------------------------
-
-
-class ZeroReference(SeparationError):
+class ZeroReference(InvalidInput):
     """Reference signal is identically zero."""
 
 
-class TooManySources(SeparationError):
+class TooManySources(InvalidInput):
     """Exhaustive permutation alignment limited to 6 sources."""

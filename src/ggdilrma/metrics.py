@@ -63,10 +63,6 @@ class Alignment:
     permutation: Tuple[int, ...]
     sdr_db: Tuple[float, ...]
 
-    @property
-    def total_db(self) -> float:
-        return float(sum(self.sdr_db))
-
 
 def align_permutation(
     estimates: Sequence[np.ndarray], references: Sequence[np.ndarray]

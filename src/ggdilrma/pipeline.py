@@ -100,13 +100,13 @@ def iteration_step(xd, W, T, V, cfg: GgdConfig, gram: Optional[np.ndarray]):
     beta, p = cfg.beta, cfg.domain
     skipped = 0
     if cfg.update_scheme == "ip":
-        W = ip_sweep(xd, separate(xd, W), W, T, V, beta, p)[0]
+        W = ip_sweep(xd, separate(xd, W), W, T, V, beta, p)
     else:
         # [::3] keeps W and the skip count; the anchor outputs are dropped.
         W, skipped = quartic_sweep(xd, separate(xd, W), W, T, V, p, gram)[::3]
     abs_y = np.abs(np.moveaxis(separate(xd, W), 2, 0), order="C")  # (N, I, J)
-    T, V = update_bases_arrays(T, V, abs_y, beta, p)
-    T, V = update_activations_arrays(T, V, abs_y, beta, p)
+    T = update_bases_arrays(T, V, abs_y, beta, p)
+    V = update_activations_arrays(T, V, abs_y, beta, p)
     cost = ggd_cost_arrays(abs_y, W, T, V, beta, p)
     return W, T, V, cost, skipped
 

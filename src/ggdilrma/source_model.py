@@ -73,7 +73,12 @@ def _whitened_ratio(abs_y: np.ndarray, S: np.ndarray, beta: float, domain: float
 
 
 def update_bases_arrays(T, V, abs_y, beta, domain):
-    """Multiplicative update of every basis matrix; ``abs_y`` is ``(N, I, J)``."""
+    """Multiplicative update of every basis matrix; ``abs_y`` is ``(N, I, J)``.
+
+    Returns:
+        The new bases, shaped as ``T`` and floored at ``EPS_NMF``; ``T`` and
+        ``V`` are not modified.
+    """
     Vt = V.transpose(0, 2, 1)
     T_new = np.empty_like(T)
     for blk in bin_blocks(T.shape[1], V.shape[2]):
@@ -84,11 +89,16 @@ def update_bases_arrays(T, V, abs_y, beta, domain):
         num = beta * (ratio @ Vt)
         den = 2.0 * ((1.0 / S) @ Vt)
         T_new[:, blk] = Tb * (num / den) ** (domain / (beta + domain))
-    return np.maximum(T_new, EPS_NMF), V
+    return np.maximum(T_new, EPS_NMF)
 
 
 def update_activations_arrays(T, V, abs_y, beta, domain):
-    """Multiplicative update of every activation matrix; sums run over bins."""
+    """Multiplicative update of every activation matrix; sums run over bins.
+
+    Returns:
+        The new activations, shaped as ``V`` and floored at ``EPS_NMF``;
+        ``T`` and ``V`` are not modified.
+    """
     num = np.zeros_like(V)
     den = np.zeros_like(V)
     for blk in bin_blocks(T.shape[1], V.shape[2]):
@@ -100,7 +110,7 @@ def update_activations_arrays(T, V, abs_y, beta, domain):
         num += Tt @ ratio
         den += Tt @ (1.0 / S)
     V = V * ((beta * num) / (2.0 * den)) ** (domain / (beta + domain))
-    return T, np.maximum(V, EPS_NMF)
+    return np.maximum(V, EPS_NMF)
 
 
 def model_cost_terms(abs_y, S, beta, domain):

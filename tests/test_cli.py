@@ -1,10 +1,12 @@
 """Command-line workflows: simulate -> separate -> evaluate compose."""
 
+import builtins
 import json
 
 import numpy as np
 import pytest
 
+from ggdilrma import cli, errors
 from ggdilrma.cli import main
 from ggdilrma.cost import audit_descent
 from ggdilrma.mixsim import write_wav
@@ -137,3 +139,45 @@ def test_wav_cut_short_inside_its_fmt_chunk_exits_2(tmp_path, capsys):
     assert main(argv + ["--iters", "2", "--bases", "2"]) == 2
     err = capsys.readouterr().err
     assert "UnsupportedFormat" in err and len(err.splitlines()) == 1
+
+
+#: The README's exit code of every error the CLI can meet.
+EXIT_CODES = {
+    "NonFiniteInput": 1,
+    "UnsupportedBeta": 1,
+    "DegenerateShape": 1,
+    "SignalTooShort": 1,
+    "ShapeMismatch": 1,
+    "LengthMismatch": 1,
+    "ZeroReference": 1,
+    "TooManySources": 1,
+    "UnsupportedFormat": 2,
+    "IoFailure": 2,
+    "FileNotFoundError": 2,
+    "SingularCovariance": 3,
+    "SingularDemixing": 3,
+}
+
+
+def test_every_error_class_has_an_exit_code():
+    classes = {
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.SeparationError)
+    }
+    categories = {"SeparationError", "InvalidInput", "FileError"}
+    assert classes - categories == set(EXIT_CODES) - {"FileNotFoundError"}
+
+
+@pytest.mark.parametrize("name, code", sorted(EXIT_CODES.items()))
+def test_each_error_exits_with_its_documented_code(name, code, tmp_path, monkeypatch, capsys):
+    error = getattr(errors, name, None) or getattr(builtins, name)
+
+    def fail(path):
+        raise error("raised for the test")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "read_wav", fail)
+    assert main(["separate", "--input", "in.wav", "--out-dir", "out"]) == code
+    err = capsys.readouterr().err
+    assert name in err and len(err.splitlines()) == 1

@@ -106,12 +106,13 @@ def test_nmf_updates_match_einsum(N, J, layout, beta, p):
     T, V = factors(N, I, K, J, 5)
     yd = separate_einsum(mixture(I, J, N, layout, 6), demixing(I, N, 7))
     abs_y = np.abs(np.moveaxis(yd, 2, 0))
-    T_new, V_same = update_bases_arrays(T, V, abs_y, beta, p)
-    assert V_same is V
+    T0, V0 = T.copy(), V.copy()
+    T_new = update_bases_arrays(T, V, abs_y, beta, p)
     np.testing.assert_allclose(T_new, update_bases_einsum(T, V, abs_y, beta, p), rtol=RTOL)
-    T_same, V_new = update_activations_arrays(T, V, abs_y, beta, p)
-    assert T_same is T
+    V_new = update_activations_arrays(T, V, abs_y, beta, p)
     np.testing.assert_allclose(V_new, update_activations_einsum(T, V, abs_y, beta, p), rtol=RTOL)
+    np.testing.assert_array_equal(T, T0)  # both updates leave their inputs as given
+    np.testing.assert_array_equal(V, V0)
 
 
 @SHAPES

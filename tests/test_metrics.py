@@ -90,8 +90,8 @@ class TestAlignment:
         rng = np.random.default_rng(3)
         refs = [rng.standard_normal(500) for _ in range(3)]
         ests = [r + 0.1 * rng.standard_normal(500) for r in refs]
-        t1 = align_permutation(ests, refs).total_db
-        t2 = align_permutation(ests[::-1], refs).total_db
+        t1 = sum(align_permutation(ests, refs).sdr_db)
+        t2 = sum(align_permutation(ests[::-1], refs).sdr_db)
         assert t1 == pytest.approx(t2, abs=1e-9)
 
     def test_too_many_sources(self):

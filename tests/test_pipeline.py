@@ -6,10 +6,12 @@ from reference_contractions import ggd_cost_einsum
 from reference_is_ilrma import is_ilrma_reference
 
 from ggdilrma import pipeline
-from ggdilrma.benchmark import random_mixture
+from ggdilrma.benchmark import SAMPLE_RATE, make_test_scene, random_mixture
+from ggdilrma.cost import audit_descent
 from ggdilrma.demix_homogeneous import mixture_gram
 from ggdilrma.errors import DegenerateShape
 from ggdilrma.types import GgdConfig, ProblemShape
+from ggdilrma.workflows import separate_audio
 
 
 def test_gaussian_case_matches_is_ilrma_reference():
@@ -71,3 +73,14 @@ def test_reference_channel_outside_the_mixture_is_rejected_first(channel, monkey
     cfg = GgdConfig(beta=2.0, domain=2.0, n_bases=2, iterations=2)
     with pytest.raises(DegenerateShape, match="reference channel"):
         pipeline.run(x, cfg, reference_channel=channel)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ip_runs_clean_on_collapsing_scenes(seed):
+    # 2 s property-suite scenes that collapse under IP; an F formed from the
+    # mixture_gram features raises SingularCovariance on each of them, while
+    # the QR assembly of ip_sweep keeps det F above the floor and descends.
+    _, mixture = make_test_scene(seed, 2.0)
+    cfg = GgdConfig(beta=2.0, domain=0.5, n_bases=20, iterations=20, seed=seed)
+    _, result = separate_audio(mixture, SAMPLE_RATE, cfg, win_ms=64.0, hop_ms=32.0)
+    assert audit_descent(result.trace.costs()) == []

@@ -121,23 +121,23 @@ class TestNmfUpdates:
     @pytest.mark.parametrize("beta,p", [(1.0, 0.5), (4.0, 0.5), (1.5, 2.0)])
     def test_equality_case_multiplies_by_constant(self, beta, p):
         T, V, abs_y = self.equal_ratio_instance(beta, p)
-        T_new, _ = update_bases_arrays(T, V, abs_y, beta, p)
+        T_new = update_bases_arrays(T, V, abs_y, beta, p)
         factor = (beta / 2.0) ** (p / (beta + p))
         np.testing.assert_allclose(T_new, T * factor, rtol=1e-12)
 
     def test_gaussian_fixed_point(self):
         # at beta=2 the equality case is a fixed point of both updates
         T, V, abs_y = self.equal_ratio_instance(2.0, 2.0)
-        T_new, _ = update_bases_arrays(T, V, abs_y, 2.0, 2.0)
+        T_new = update_bases_arrays(T, V, abs_y, 2.0, 2.0)
         np.testing.assert_allclose(T_new, T, rtol=1e-12)
-        _, V_new = update_activations_arrays(T, V, abs_y, 2.0, 2.0)
+        V_new = update_activations_arrays(T, V, abs_y, 2.0, 2.0)
         np.testing.assert_allclose(V_new, V, rtol=1e-12)
 
     def test_is_nmf_square_root_exponent(self):
         # beta=p=2 exponent p/(beta+p) = 1/2: ratio**0.5 multiplicative form
         T, V = random_model(N=1, I=4, K=2, J=5, seed=1)
         y = random_sources(4, 5, 1, seed=2)
-        T_new, _ = update_bases_arrays(T, V, source_magnitudes(y), 2.0, 2.0)
+        T_new = update_bases_arrays(T, V, source_magnitudes(y), 2.0, 2.0)
 
         S = T[0] @ V[0]
         P = np.abs(y[:, :, 0]) ** 2
@@ -149,11 +149,11 @@ class TestNmfUpdates:
     def test_matches_per_source_oracle(self, beta, p):
         T, V = random_model(N=2, I=4, K=3, J=6, seed=11)
         abs_y = source_magnitudes(random_sources(4, 6, 2, seed=12))
-        T_new, _ = update_bases_arrays(T, V, abs_y, beta, p)
+        T_new = update_bases_arrays(T, V, abs_y, beta, p)
         np.testing.assert_allclose(
             T_new, update_bases_reference(T, V, abs_y, beta, p), rtol=1e-12
         )
-        _, V_new = update_activations_arrays(T_new, V, abs_y, beta, p)
+        V_new = update_activations_arrays(T_new, V, abs_y, beta, p)
         np.testing.assert_allclose(
             V_new, update_activations_reference(T_new, V, abs_y, beta, p), rtol=1e-12
         )
@@ -168,10 +168,10 @@ class TestNmfUpdates:
             abs_y = source_magnitudes(y)
             W = np.eye(1, dtype=np.complex128)[None]  # so |W x| = |y| with x = y
             before = ggd_cost_arrays(abs_y, W, T, V, beta, p)
-            T1, V1 = update_bases_arrays(T, V, abs_y, beta, p)
-            mid = ggd_cost_arrays(abs_y, W, T1, V1, beta, p)
-            T2, V2 = update_activations_arrays(T1, V1, abs_y, beta, p)
-            after = ggd_cost_arrays(abs_y, W, T2, V2, beta, p)
+            T1 = update_bases_arrays(T, V, abs_y, beta, p)
+            mid = ggd_cost_arrays(abs_y, W, T1, V, beta, p)
+            V1 = update_activations_arrays(T1, V, abs_y, beta, p)
+            after = ggd_cost_arrays(abs_y, W, T1, V1, beta, p)
             slack = 1e-10 * (1.0 + abs(before))
             if mid > before + slack or after > mid + slack:
                 failures += 1
@@ -180,8 +180,8 @@ class TestNmfUpdates:
     def test_nonnegativity_closure(self):
         T, V = random_model(N=2, I=4, K=2, J=5, seed=3, low=1e-12, high=1e-11)
         abs_y = source_magnitudes(random_sources(4, 5, 2, seed=4))
-        T, V = update_bases_arrays(T, V, abs_y, 1.0, 0.5)
-        T, V = update_activations_arrays(T, V, abs_y, 1.0, 0.5)
+        T = update_bases_arrays(T, V, abs_y, 1.0, 0.5)
+        V = update_activations_arrays(T, V, abs_y, 1.0, 0.5)
         assert np.all(T >= EPS_NMF)
         assert np.all(V >= EPS_NMF)
 
