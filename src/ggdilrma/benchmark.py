@@ -1,14 +1,14 @@
 """Seeded property suite: descent audits, majorizer checks, end-to-end runs.
 
 Exercises the separation stack the way the acceptance tests do, at a
-scale suitable for a quick command-line health check.  Every trial is
-deterministic under the suite seed.
+scale suitable for a quick command-line health check.  The suite runs
+only at the settings below; trial ``t`` of every section uses seed ``t``,
+so each run is deterministic.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
@@ -21,6 +21,19 @@ from .types import GgdConfig, MixtureSpectrogram
 from .workflows import evaluate_separation, separate_audio
 
 DESCENT_BETAS = (1.0, 1.99, 2.0, 4.0)
+
+#: Trials per section; their seeds are ``0 .. TRIALS - 1``.
+TRIALS = 10
+
+#: Length (s), iterations, NMF rank per source and domain parameter of
+#: every end-to-end run.
+E2E_DURATION_S = 3.0
+E2E_ITERATIONS = 120
+E2E_BASES = 2
+E2E_DOMAIN = 0.5
+
+#: Random one-bin problems per majorizer trial.
+MAJORIZER_DRAWS = 1000
 
 #: Sampling rate of every synthetic trial.
 SAMPLE_RATE = 16000
@@ -54,11 +67,11 @@ def _quartic_cost(x: np.ndarray, r: np.ndarray, w: np.ndarray) -> float:
     return float(np.sum(np.abs((x @ w.conj()) / r) ** 4)) / x.shape[0]
 
 
-def majorizer_trial(seed: int, n_draws: int = 1000) -> tuple[float, float]:
+def majorizer_trial(seed: int) -> tuple[float, float]:
     """Monte-Carlo margins for the quartic surrogate bound.
 
-    Each draw is a one-bin problem given to the batched
-    :func:`quartic_majorizer` that the quartic sweep runs.  Returns
+    Each of ``MAJORIZER_DRAWS`` draws is a one-bin problem given to the
+    batched :func:`quartic_majorizer` that the quartic sweep runs.  Returns
     ``(worst_gap, worst_equality)``: the most negative value of
     ``g(w) - f(w)`` over random draws (should be >= -1e-10) and the
     largest relative mismatch of ``g`` and ``f`` at the anchor (should be
@@ -67,7 +80,7 @@ def majorizer_trial(seed: int, n_draws: int = 1000) -> tuple[float, float]:
     rng = np.random.default_rng(seed)
     worst_gap = np.inf
     worst_eq = 0.0
-    for _ in range(n_draws):
+    for _ in range(MAJORIZER_DRAWS):
         N = int(rng.integers(1, 5))
         J = int(rng.choice([1, 2, 5, 50]))
         x = rng.standard_normal((J, N)) + 1j * rng.standard_normal((J, N))
@@ -96,15 +109,15 @@ def make_test_scene(seed: int, duration_s: float):
     return sources, mixture
 
 
-def e2e_trial(
-    seed: int, beta: float, duration_s: float = 3.0, iterations: int = 120
-) -> List[float]:
+def e2e_trial(seed: int, beta: float) -> List[float]:
     """Separate one synthetic mixture; per-source SI-SDR improvements.
 
-    The mixture is framed with the 128/64 ms defaults of
+    The mixture is framed with the default window and hop of
     :func:`separate_audio`."""
-    sources, mixture = make_test_scene(seed, duration_s)
-    cfg = GgdConfig(beta=beta, domain=0.5, n_bases=2, iterations=iterations, seed=seed)
+    sources, mixture = make_test_scene(seed, E2E_DURATION_S)
+    cfg = GgdConfig(
+        beta=beta, domain=E2E_DOMAIN, n_bases=E2E_BASES, iterations=E2E_ITERATIONS, seed=seed
+    )
     estimates, _ = separate_audio(mixture, SAMPLE_RATE, cfg)
     rows = evaluate_separation(
         [estimates[:, n] for n in range(estimates.shape[1])], sources, mixture[:, 0]
@@ -112,74 +125,47 @@ def e2e_trial(
     return [row.sdr_improvement_db for row in rows]
 
 
-@dataclass
-class SuiteCheck:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass
-class SuiteReport:
-    checks: List[SuiteCheck] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def add(self, name: str, passed: bool, detail: str) -> None:
-        self.checks.append(SuiteCheck(name=name, passed=passed, detail=detail))
-
-
-def run_suite(
-    trials: int = 10,
-    seed: int = 0,
-    e2e_duration_s: float = 3.0,
-    e2e_iterations: int = 120,
-) -> SuiteReport:
-    """Run the full property suite and report pass/fail per section."""
-    report = SuiteReport()
+def run_suite() -> List[tuple[str, bool, str]]:
+    """Run the full property suite; one ``(name, passed, detail)`` row per section."""
+    rows = []
 
     for beta in DESCENT_BETAS:
         t0 = time.perf_counter()
         violations = 0
-        for trial in range(trials):
-            violations += len(audit_descent(descent_trial(beta, seed=seed + trial)))
-        ok = violations == 0
-        report.add(
+        for trial in range(TRIALS):
+            violations += len(audit_descent(descent_trial(beta, seed=trial)))
+        rows.append((
             f"descent beta={beta}",
-            ok,
-            f"{violations} cost increases over {trials} trials "
+            violations == 0,
+            f"{violations} cost increases over {TRIALS} trials "
             f"({time.perf_counter() - t0:.1f} s)",
-        )
+        ))
 
     t0 = time.perf_counter()
     worst_gap, worst_eq = np.inf, 0.0
-    for trial in range(trials):
-        gap, eq = majorizer_trial(seed=seed + trial, n_draws=1000)
+    for trial in range(TRIALS):
+        gap, eq = majorizer_trial(seed=trial)
         worst_gap = min(worst_gap, gap)
         worst_eq = max(worst_eq, eq)
-    ok = worst_gap >= -1e-10 and worst_eq <= 1e-10
-    report.add(
+    rows.append((
         "quartic majorizer bound",
-        ok,
+        worst_gap >= -1e-10 and worst_eq <= 1e-10,
         f"min(g-f)={worst_gap:.2e}, max anchor mismatch={worst_eq:.2e} "
         f"({time.perf_counter() - t0:.1f} s)",
-    )
+    ))
 
     t0 = time.perf_counter()
     means = {}
     for beta in (2.0, 4.0):
-        gains = [e2e_trial(seed + t, beta, e2e_duration_s, e2e_iterations) for t in range(trials)]
-        means[beta] = np.mean(gains, axis=0)
+        means[beta] = np.mean([e2e_trial(t, beta) for t in range(TRIALS)], axis=0)
     ok = bool(np.all(means[4.0] > E2E_MIN_GAIN_DB)) and bool(
         np.all(means[4.0] >= means[2.0].min() - 1.0)
     )
-    report.add(
+    rows.append((
         "end-to-end separation",
         ok,
         f"mean gain beta=4: {np.round(means[4.0], 2)} dB, "
-        f"beta=2: {np.round(means[2.0], 2)} dB over {trials} trials "
+        f"beta=2: {np.round(means[2.0], 2)} dB over {TRIALS} trials "
         f"({time.perf_counter() - t0:.1f} s)",
-    )
-    return report
+    ))
+    return rows

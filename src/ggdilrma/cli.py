@@ -3,11 +3,11 @@
 ``simulate`` mixes given or synthesized sources, ``separate`` runs the
 separation on a multichannel WAV, ``evaluate`` scores estimates against
 references by SI-SDR (clamped to [-80, +80] dB), and ``benchmark`` runs
-the seeded property suite, whose checks and pass bounds are fixed.
+the seeded property suite, whose settings, checks and pass bounds are fixed.
 
 Exit codes: 0 success, 1 invalid arguments or inputs (including a NaN,
-infinite or non-positive --p, --win-ms, --hop-ms, --len-s or
---e2e-duration-s, and --trials below 1), 2 I/O failure (an
+infinite or non-positive --p, --win-ms, --hop-ms or --len-s, and a
+--sample-rate below 1), 2 I/O failure (an
 unreadable file, or a WAV that is malformed, cut short or neither 16-bit
 PCM nor 32-bit float), 3 numerical failure during separation (trace
 flushed first), 4 property suite failure.
@@ -45,7 +45,7 @@ from .mixsim import (
     SOURCE_KINDS,
 )
 from .types import GgdConfig
-from .workflows import evaluate_separation, separate_audio
+from .workflows import HOP_MS, WIN_MS, evaluate_separation, separate_audio
 
 
 class _CliArgumentError(Exception):
@@ -67,7 +67,7 @@ def non_negative_int(text: str) -> int:
 
 
 def positive_int(text: str) -> int:
-    """A ``--trials`` value: a section over no trials would pass without checking anything."""
+    """A ``--sample-rate`` value: a rate below 1 Hz gives no samples to synthesize."""
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
     return int(text)
@@ -83,17 +83,19 @@ def positive_seconds(text: str) -> float:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ggdilrma", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    cfg = GgdConfig()
 
     sep = sub.add_parser("separate", help="separate a multichannel WAV into sources")
     sep.add_argument("--input", required=True, help="multichannel input WAV")
     sep.add_argument("--out-dir", required=True, help="directory for source_{n}.wav")
-    sep.add_argument("--beta", type=float, default=4.0, help="GGD shape parameter (default 4)")
-    sep.add_argument("--p", type=float, default=0.5, help="domain parameter (default 0.5)")
-    sep.add_argument("--bases", type=int, default=20, help="NMF rank per source (default 20)")
-    sep.add_argument("--iters", type=int, default=1000, help="iterations (default 1000)")
-    sep.add_argument("--seed", type=non_negative_int, default=0, help="RNG seed (default 0)")
-    sep.add_argument("--win-ms", type=float, default=128.0, help="analysis window (default 128 ms)")
-    sep.add_argument("--hop-ms", type=float, default=64.0, help="hop (default 64 ms)")
+    default = " (default %(default)s)"  # argparse fills in each option's default
+    sep.add_argument("--beta", type=float, default=cfg.beta, help="GGD shape parameter" + default)
+    sep.add_argument("--p", type=float, default=cfg.domain, help="domain parameter" + default)
+    sep.add_argument("--bases", type=int, default=cfg.n_bases, help="NMF rank per source" + default)
+    sep.add_argument("--iters", type=int, default=cfg.iterations, help="iterations" + default)
+    sep.add_argument("--seed", type=non_negative_int, default=cfg.seed, help="RNG seed" + default)
+    sep.add_argument("--win-ms", type=float, default=WIN_MS, help="analysis window, ms" + default)
+    sep.add_argument("--hop-ms", type=float, default=HOP_MS, help="hop, ms" + default)
     sep.add_argument("--ref-channel", type=int, default=1, help="1-based back-projection channel")
     sep.add_argument("--trace", default=None, help="write per-iteration JSONL trace here")
 
@@ -112,8 +114,10 @@ def _build_parser() -> _Parser:
     sim.add_argument(
         "--len-s", type=positive_seconds, default=10.0, help="synthetic length in seconds"
     )
-    sim.add_argument("--seed", type=non_negative_int, default=0, help="RNG seed (default 0)")
-    sim.add_argument("--sample-rate", type=int, default=16000, help="synthetic rate (default 16 kHz)")
+    sim.add_argument("--seed", type=non_negative_int, default=0, help="RNG seed" + default)
+    sim.add_argument(
+        "--sample-rate", type=positive_int, default=16000, help="synthetic rate, Hz" + default
+    )
 
     ev = sub.add_parser("evaluate", help="score separated sources against references")
     ev.add_argument("--est", required=True, help="directory of estimated source WAVs")
@@ -122,15 +126,7 @@ def _build_parser() -> _Parser:
     ev.add_argument("--ref-channel", type=int, default=1, help="1-based mixture channel")
     ev.add_argument("--jsonl", default=None, help="also write rows as JSONL here")
 
-    bench = sub.add_parser("benchmark", help="run the seeded property suite")
-    bench.add_argument(
-        "--trials", type=positive_int, default=10, help="trials per section (default 10)"
-    )
-    bench.add_argument("--seed", type=non_negative_int, default=0, help="suite seed (default 0)")
-    bench.add_argument(
-        "--e2e-duration-s", type=positive_seconds, default=3.0, help="end-to-end audio length"
-    )
-    bench.add_argument("--e2e-iters", type=int, default=120, help="end-to-end iterations")
+    sub.add_parser("benchmark", help="run the seeded property suite at its fixed settings")
     return parser
 
 
@@ -254,15 +250,10 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    report = benchmark.run_suite(
-        trials=args.trials,
-        seed=args.seed,
-        e2e_duration_s=args.e2e_duration_s,
-        e2e_iterations=args.e2e_iters,
-    )
-    for check in report.checks:
-        print(f"[{'PASS' if check.passed else 'FAIL'}] {check.name}: {check.detail}")
-    if not report.ok:
+    rows = benchmark.run_suite()
+    for name, passed, detail in rows:
+        print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
+    if not all(passed for _, passed, _ in rows):
         print("property suite FAILED", file=sys.stderr)
         return 4
     print("property suite passed")

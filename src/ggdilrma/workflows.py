@@ -13,6 +13,10 @@ from .metrics import align_permutation, si_sdr
 from .stft import StftPlan, istft, stft
 from .types import GgdConfig
 
+#: Default analysis window and hop (ms) of :func:`separate_audio`.
+WIN_MS = 128.0
+HOP_MS = 64.0
+
 
 def plan_from_ms(win_ms: float, hop_ms: float, sample_rate: int, n_samples=None) -> StftPlan:
     """Build a Hamming analysis plan from window/hop durations.
@@ -42,8 +46,8 @@ def separate_audio(
     samples: np.ndarray,
     sample_rate: int,
     cfg: GgdConfig,
-    win_ms: float = 128.0,
-    hop_ms: float = 64.0,
+    win_ms: float = WIN_MS,
+    hop_ms: float = HOP_MS,
     reference_channel: int = 0,
     on_record: Optional[Callable] = None,
 ) -> tuple[np.ndarray, "pipeline.RunResult"]:

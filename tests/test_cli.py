@@ -1,6 +1,7 @@
 """Command-line workflows: simulate -> separate -> evaluate compose."""
 
 import builtins
+import inspect
 import json
 
 import numpy as np
@@ -10,6 +11,8 @@ from ggdilrma import cli, errors
 from ggdilrma.cli import main
 from ggdilrma.cost import audit_descent
 from ggdilrma.mixsim import write_wav
+from ggdilrma.types import GgdConfig
+from ggdilrma.workflows import separate_audio
 
 TRACE_KEYS = {"iter", "cost", "elapsed_ms", "skipped_updates"}
 
@@ -40,11 +43,27 @@ def test_simulate_separate_evaluate_compose(tmp_path):
     [
         ["separate", "--input", "in.wav", "--out-dir", "out", "--threads", "1"],
         ["benchmark", "--threads", "1"],
+        # The suite runs only at its fixed settings.
+        ["benchmark", "--trials", "1"],
+        ["benchmark", "--seed", "0"],
+        ["benchmark", "--e2e-duration-s", "1"],
+        ["benchmark", "--e2e-iters", "2"],
     ],
 )
 def test_threads_flag_is_a_usage_error(argv, capsys):
     assert main(argv) == 1
-    assert "--threads" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert argv[-2] in err and len(err.splitlines()) == 1
+
+
+def test_separate_defaults_are_the_library_defaults():
+    args = cli._build_parser().parse_args(["separate", "--input", "a", "--out-dir", "b"])
+    parsed = GgdConfig(
+        beta=args.beta, domain=args.p, n_bases=args.bases, iterations=args.iters, seed=args.seed
+    )
+    assert parsed == GgdConfig()
+    params = inspect.signature(separate_audio).parameters
+    assert (args.win_ms, args.hop_ms) == (params["win_ms"].default, params["hop_ms"].default)
 
 
 def test_inject_fault_flag_is_a_usage_error(capsys):
@@ -87,7 +106,6 @@ def test_hop_longer_than_half_the_window_exits_1(hop_ms, tmp_path, capsys):
     [
         ["separate", "--input", "clip.wav", "--out-dir", "out", "--iters", "2", "--bases", "2"],
         ["simulate", "--out", "mix.wav", "--matrix", "1,0.5;0.5,1", "--len-s", "1"],
-        ["benchmark", "--trials", "1", "--e2e-duration-s", "1", "--e2e-iters", "2"],
     ],
 )
 def test_negative_seed_exits_1(argv, tmp_path, monkeypatch, capsys):
@@ -104,10 +122,8 @@ def test_negative_seed_exits_1(argv, tmp_path, monkeypatch, capsys):
     [
         ["simulate", "--out", "mix.wav", "--matrix", "1,0.5;0.5,1", "--len-s", "nan"],
         ["simulate", "--out", "mix.wav", "--matrix", "1,0.5;0.5,1", "--len-s", "inf"],
-        ["benchmark", "--trials", "1", "--e2e-iters", "2", "--e2e-duration-s", "nan"],
-        ["benchmark", "--trials", "1", "--e2e-iters", "2", "--e2e-duration-s", "inf"],
-        ["benchmark", "--e2e-duration-s", "1", "--e2e-iters", "2", "--trials", "0"],
-        ["benchmark", "--e2e-duration-s", "1", "--e2e-iters", "2", "--trials", "-1"],
+        ["simulate", "--out", "mix.wav", "--matrix", "1,0.5;0.5,1", "--sample-rate", "0"],
+        ["simulate", "--out", "mix.wav", "--matrix", "1,0.5;0.5,1", "--sample-rate", "-8000"],
     ],
 )
 def test_non_finite_duration_or_no_trials_exits_1(argv, tmp_path, monkeypatch, capsys):
