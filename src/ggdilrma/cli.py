@@ -6,11 +6,11 @@ references by SI-SDR (clamped to [-80, +80] dB), and ``benchmark`` runs
 the seeded property suite, whose settings, checks and pass bounds are fixed.
 
 Exit codes: 0 success, 1 invalid arguments or inputs (including a NaN,
-infinite or non-positive --p, --win-ms, --hop-ms or --len-s, and a
---sample-rate below 1), 2 I/O failure (an
-unreadable file, or a WAV that is malformed, cut short or neither 16-bit
-PCM nor 32-bit float), 3 numerical failure during separation (trace
-flushed first), 4 property suite failure.
+infinite or non-positive --p, --win-ms, --hop-ms or --len-s, a
+--sample-rate below 1, and a --len-s under one sample at --sample-rate),
+2 I/O failure (an unreadable file, or a WAV that is malformed, cut short
+or neither 16-bit PCM nor 32-bit float), 3 numerical failure during
+separation (trace flushed first), 4 property suite failure.
 """
 
 from __future__ import annotations
@@ -199,6 +199,10 @@ def _cmd_simulate(args) -> int:
         if len(kinds) != n_sources:
             raise _CliArgumentError(f"{len(kinds)} kinds for {n_sources} sources")
         length = int(round(args.len_s * rate))
+        if length < 1:
+            raise _CliArgumentError(
+                f"--len-s {args.len_s:g} at --sample-rate {rate} gives {length} samples; need at least 1"
+            )
         sources = [
             synth_source(kinds[n], length, seed=args.seed + n) for n in range(n_sources)
         ]

@@ -84,7 +84,7 @@ import numpy as np
 
 from .errors import singular_demixing
 from .source_model import block_scale
-from .types import EPS_DET, _det2, bin_blocks
+from .types import EPS_DET, _adjugate_column, bin_blocks
 
 
 @cache
@@ -194,11 +194,8 @@ def _direction_2x2(G, good, Wb, n, blk):
     """Direction ``w' = G^{-1} W^{-1} e_n`` of source ``n`` for two sources, by
     Cramer's rule, from the entries of :func:`_majorizers_2x2`."""
     g00, g11, g01, det_g = (g[n] for g in G)
-    det_w = _det2(Wb)
-    if np.any(det_w == 0.0):
-        raise singular_demixing(np.abs(det_w), blk.start, n)
     # v = adj(W) e_n; skipped bins divide by 1 and are never written back
-    v0, v1 = (Wb[:, 1, 1], -Wb[:, 1, 0]) if n == 0 else (-Wb[:, 0, 1], Wb[:, 0, 0])
+    (v0, v1), det_w = _adjugate_column(Wb, n, blk.start)
     scale = det_w * np.where(good, det_g, 1.0)
     w_dir = np.stack([g11 * v0 - g01 * v1, g00 * v1 - g01.conj() * v0], axis=1)
     return w_dir / scale[:, None]

@@ -28,7 +28,7 @@ from typing import List
 
 import numpy as np
 
-from .errors import DegenerateShape, NonFiniteInput, UnsupportedBeta
+from .errors import DegenerateShape, NonFiniteInput, UnsupportedBeta, singular_demixing
 
 #: Numerical floors: NMF entries, |y| in denominators, |det| guard.
 EPS_NMF = 1e-12
@@ -39,6 +39,19 @@ EPS_DET = 1e-12
 def _det2(A: np.ndarray) -> np.ndarray:
     """Determinants of a stack of 2 x 2 matrices ``(..., 2, 2)``, in closed form."""
     return A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+
+
+def _adjugate_column(W: np.ndarray, n: int, first_bin: int):
+    """``(adj(W_i) e_n, det W_i)`` for a block of 2 x 2 demixing matrices ``(b, 2, 2)``,
+    so ``W_i^{-1} e_n = adj(W_i) e_n / det W_i``, the column as a pair of ``(b,)``
+    arrays.  Raises ``SingularDemixing`` naming the bin (``W[0]`` is bin
+    ``first_bin``) and the source ``n`` if any ``det W_i`` is zero."""
+    det_w = _det2(W)
+    if np.any(det_w == 0.0):
+        raise singular_demixing(np.abs(det_w), first_bin, n)
+    column = (W[:, 1, 1], -W[:, 1, 0]) if n == 0 else (-W[:, 0, 1], W[:, 0, 0])
+    return column, det_w
+
 
 #: (bin, frame) entries per block of frequency bins in the per-iteration
 #: layers.  Their temporaries then stay cache-sized and are reused from the

@@ -136,6 +136,21 @@ def test_non_finite_duration_or_no_trials_exits_1(argv, tmp_path, monkeypatch, c
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "duration",
+    [["--len-s", "1e-5"], ["--len-s", "0.5", "--sample-rate", "1"]],
+)
+def test_duration_of_no_samples_exits_1_naming_both_flags(duration, tmp_path, monkeypatch, capsys):
+    # Each flag is valid alone; their product rounds to 0 samples.
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--out", "mix.wav", "--matrix", "1,0.5;0.5,1", *duration]) == 1
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert "--len-s" in captured.err and "--sample-rate" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("win_ms", ["1e30", "1e308"])
 def test_window_longer_than_the_signal_exits_1(win_ms, tmp_path, capsys):
     # Checked before any window is built: a 1e30 ms window would need 1.6e31

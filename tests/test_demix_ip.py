@@ -11,7 +11,8 @@ from reference_contractions import magnitudes_einsum
 from reference_ip import am_gm_gap, ip_update_filter, weighted_covariance
 from reference_nmf import scale_field
 
-from ggdilrma.demix_ip import ip_sweep
+from ggdilrma import pipeline
+from ggdilrma.demix_ip import _gram_schmidt_2x2, _ip_weights, ip_sweep
 from ggdilrma.errors import SingularCovariance, UnsupportedBeta
 
 
@@ -174,8 +175,9 @@ class TestIpSweep:
                 failures += 1
         assert failures == 0
 
-    def test_sweep_matches_single_bin_op(self):
-        xd, yd, TV, W = random_instance(I=4, J=10, seed=7)
+    @pytest.mark.parametrize("N", [2, 3])  # the closed-form 2 x 2 path and the QR path
+    def test_sweep_matches_single_bin_op(self, N):
+        xd, yd, TV, W = random_instance(I=4, J=10, M=N, seed=7)
         beta, p = 1.5, 0.5
         yd_in = yd.copy()
         W_sweep = ip_sweep(xd, yd, W.copy(), *TV, beta, p)
@@ -184,7 +186,7 @@ class TestIpSweep:
 
         W_ref = W.copy()
         yd_ref = yd.copy()
-        for n in range(2):
+        for n in range(N):
             F = weighted_covariance(xd, yd_ref, S, beta, p)
             for i in range(4):
                 w = ip_update_filter(W_ref[i], F[i, n], n)
@@ -198,3 +200,32 @@ class TestIpSweep:
         xd, yd, TV, W = random_instance(I=5, J=12, seed=8)
         W_new = ip_sweep(xd, yd, W.copy(), *TV, 1.0, 0.5)
         np.testing.assert_allclose(unit_norm_gaps(xd, yd, TV, W_new, 1.0, 0.5), 0.0, atol=1e-10)
+
+    def test_two_source_factor_is_stable_when_one_frame_dominates(self):
+        # Frame 5 has y_0 = x_0 - x_1 = 0, so its |y| is floored and its weight is
+        # about 1e10 times the others': F is nearly that frame's outer product.
+        rng = np.random.default_rng(11)
+        J, beta, p = 40, 1.2, 0.5
+        xd = rng.standard_normal((1, J, 2)) + 1j * rng.standard_normal((1, J, 2))
+        xd[0, 5] = 1.0 + 0.5j
+        W = np.array([[[1.0, -1.0], [0.3, 1.0]]], dtype=np.complex128)
+        T = rng.uniform(0.5, 1.5, (2, 1, 2))
+        V = rng.uniform(0.5, 1.5, (2, 2, J))
+        yd = pipeline.separate(xd, W)
+        wgt = _ip_weights(np.abs(yd[:, :, 0]), scale_field(T, V)[:, :, 0], beta, p)
+        wgt *= beta / (2.0 * J)
+        assert 1e9 < wgt.max() / np.median(wgt) < 1e11
+
+        # The weighted observation, its Householder R and its condition number.
+        A = xd.conj() * np.sqrt(wgt)[:, :, None]
+        R = np.linalg.qr(A, mode="r")[0]
+        tol = np.linalg.cond(A[0]) * np.finfo(float).eps  # about 3e-12
+        w_qr = np.linalg.solve(R, np.linalg.solve(R.conj().T, np.linalg.inv(W[0])[:, 0]))
+        w_qr /= np.linalg.norm(R @ w_qr)
+
+        # r11 from F_11 - |F_01|^2 / F_00 would put r00 r11 off by 1e-9 to 1e-8 here.
+        r00, _, r11 = _gram_schmidt_2x2(xd, wgt)
+        det_r = abs(R[0, 0] * R[1, 1])
+        assert abs(r00[0] * r11[0] - det_r) <= tol * det_r
+        w = ip_sweep(xd, yd, W.copy(), T, V, beta, p)[0, 0].conj()
+        assert np.linalg.norm(w - w_qr) <= tol * np.linalg.norm(w_qr)

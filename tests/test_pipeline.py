@@ -43,9 +43,10 @@ class LinalgCalled(Exception):
     pass
 
 
+@pytest.mark.parametrize("beta", [4.0, 2.0])
 @pytest.mark.parametrize("N", [2, 3])
-def test_two_source_quartic_iteration_calls_no_linalg(N, monkeypatch):
-    # N = 2 takes the closed-form 2 x 2 sweep and cost; N = 3 shows the patch bites.
+def test_two_source_iteration_calls_no_linalg(N, beta, monkeypatch):
+    # N = 2 takes the closed-form 2 x 2 sweeps and cost; N = 3 shows the patch bites.
     def no_linalg(*args, **kwargs):
         raise LinalgCalled
 
@@ -54,13 +55,14 @@ def test_two_source_quartic_iteration_calls_no_linalg(N, monkeypatch):
             monkeypatch.setattr(np.linalg, name, no_linalg)
     I, J, K = 9, 40, 3
     xd = random_mixture(I, J, N, seed=12).data
-    cfg = GgdConfig(beta=4.0, domain=0.5, n_bases=K, iterations=1, seed=12)
+    cfg = GgdConfig(beta=beta, domain=0.5, n_bases=K, iterations=1, seed=12)
     W, T, V = pipeline.initialize(cfg, ProblemShape(I, J, N, K))
+    gram = mixture_gram(xd) if cfg.update_scheme == "quartic" else None
     if N == 2:
-        pipeline.iteration_step(xd, W, T, V, cfg, mixture_gram(xd))
+        pipeline.iteration_step(xd, W, T, V, cfg, gram)
     else:
         with pytest.raises(LinalgCalled):
-            pipeline.iteration_step(xd, W, T, V, cfg, mixture_gram(xd))
+            pipeline.iteration_step(xd, W, T, V, cfg, gram)
 
 
 @pytest.mark.parametrize("channel", [-1, 2])
@@ -78,8 +80,10 @@ def test_reference_channel_outside_the_mixture_is_rejected_first(channel, monkey
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_ip_runs_clean_on_collapsing_scenes(seed):
     # 2 s property-suite scenes that collapse under IP; an F formed from the
-    # mixture_gram features raises SingularCovariance on each of them, while
-    # the QR assembly of ip_sweep keeps det F above the floor and descends.
+    # mixture_gram features raises SingularCovariance on each of them, and so
+    # does an r11 taken as the Schur complement F_11 - |F_01|^2 / F_00, while
+    # the modified Gram-Schmidt factor of ip_sweep keeps det F above the floor
+    # and descends.
     _, mixture = make_test_scene(seed, 2.0)
     cfg = GgdConfig(beta=2.0, domain=0.5, n_bases=20, iterations=20, seed=seed)
     _, result = separate_audio(mixture, SAMPLE_RATE, cfg, win_ms=64.0, hop_ms=32.0)
