@@ -54,16 +54,17 @@ distinct entries (``g_00``, ``g_11`` real, ``g_01`` complex) come straight
 from the features of ``C`` and ``A`` and ``u``, and the direction is
 Cramer's rule,
 
-    w' = adj(G) adj(W_i) e_n / (det W_i det G),
+    w' = adj(G) (W_i^{-1} e_n) / det G,
 
 which is forward stable for 2 x 2 systems (Higham, *Accuracy and Stability
 of Numerical Algorithms*, 2nd ed., section 1.10.1) and costs a few vector
 operations per block where batched LAPACK pays its per-matrix overhead on
 every bin.  For ``N > 2`` the sweep assembles the ``(b, N, M, M)``
-majorizers, takes ``det G`` from one batched LAPACK call and solves
-``W_i G`` per source.  Both paths skip the same bins and raise
-``SingularDemixing`` naming the bin of the whole problem where ``W_i`` is
-singular.
+majorizers, takes ``det G`` from one batched LAPACK call and solves ``G``
+per source.  ``W_i^{-1} e_n`` comes from
+:func:`~ggdilrma.types._inverse_column`, which the iterative-projection
+sweep shares and which raises ``SingularDemixing`` naming the bin of the
+whole problem where ``W_i`` is singular; both paths skip the same bins.
 
 :func:`quartic_sweep` streams over blocks of bins
 (:func:`~ggdilrma.types.bin_blocks`), every source of a block in turn, so
@@ -82,9 +83,8 @@ from functools import cache
 
 import numpy as np
 
-from .errors import singular_demixing
 from .source_model import block_scale
-from .types import EPS_DET, _adjugate_column, bin_blocks
+from .types import EPS_DET, _inverse_column, bin_blocks
 
 
 @cache
@@ -194,23 +194,17 @@ def _direction_2x2(G, good, Wb, n, blk):
     """Direction ``w' = G^{-1} W^{-1} e_n`` of source ``n`` for two sources, by
     Cramer's rule, from the entries of :func:`_majorizers_2x2`."""
     g00, g11, g01, det_g = (g[n] for g in G)
-    # v = adj(W) e_n; skipped bins divide by 1 and are never written back
-    (v0, v1), det_w = _adjugate_column(Wb, n, blk.start)
-    scale = det_w * np.where(good, det_g, 1.0)
-    w_dir = np.stack([g11 * v0 - g01 * v1, g00 * v1 - g01.conj() * v0], axis=1)
-    return w_dir / scale[:, None]
+    c0, c1 = _inverse_column(Wb, n, blk.start).T
+    w_dir = np.stack([g11 * c0 - g01 * c1, g00 * c1 - g01.conj() * c0], axis=1)
+    # skipped bins divide by 1 and are never written back
+    return w_dir / np.where(good, det_g, 1.0)[:, None]
 
 
 def _direction_lapack(G, good, Wb, n, blk):
     """:func:`_direction_2x2` for any number of sources, from :func:`_majorizers`,
     by batched LAPACK."""
-    N = Wb.shape[1]
-    WG = Wb @ np.where(good[:, None, None], G[:, n], np.eye(N))
-    rhs = np.broadcast_to(np.eye(N)[n][:, None], (len(WG), N, 1))
-    try:
-        return np.linalg.solve(WG, rhs)[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise singular_demixing(np.abs(np.linalg.det(WG)), blk.start, n) from exc
+    Gn = np.where(good[:, None, None], G[:, n], np.eye(Wb.shape[1]))
+    return np.linalg.solve(Gn, _inverse_column(Wb, n, blk.start)[..., None])[..., 0]
 
 
 def quartic_sweep(xd, yd, W, T, V, domain: float, gram: np.ndarray):

@@ -32,24 +32,25 @@ squares the condition number of ``A``, and its ``det F`` drops below
 ``EPS_DET`` or turns negative once a scene collapses (test_pipeline's
 ``test_ip_runs_clean_on_collapsing_scenes``).
 
-For two sources (``N = 2``) ``R`` comes in closed form from two-column
-modified Gram-Schmidt over the block's frames:
+``R`` comes from modified Gram-Schmidt over the ``M`` columns of the
+block's weighted observation, batched over its bins.  With ``u_m`` the
+residual of channel ``m`` (``x_m`` at the start), step ``k`` takes
 
-    r00^2   = sum_j c_j |x_0j|^2
-    r00 r01 = sum_j c_j x_0j conj(x_1j)
-    r11^2   = sum_j c_j |x_1j - x_0j conj(r01) / r00|^2
+    r_kk^2    = sum_j c_j |u_kj|^2
+    r_kk r_km = sum_j c_j u_kj conj(u_mj)        (m > k)
+    u_m      <- u_m - u_k conj(r_km) / r_kk
 
-The last is the weighted norm of the explicit residual, never the Schur
-complement ``F_11 - |F_01|^2 / F_00``: that difference of two large
-numbers loses what a dominant frame contributes to both, the same
-squaring of the condition number, whereas modified Gram-Schmidt gives a
-backward-stable ``R`` like Householder QR (Bjorck, BIT 7, 1967).
-``W_i^{-1} e_n`` is the adjugate's column over ``det W_i``, and the two
-triangular solves are two divisions each; a two-source sweep makes no
-LAPACK call.  For ``N > 2`` ``R`` is a batched ``numpy.linalg.qr`` and the
-solves are batched LAPACK.  Both paths take ``det F = (prod_m r_mm)^2``
-against ``EPS_DET`` before the solves divide by any ``r_mm``; the residual
-reads a silent bin's ``r00 = 0`` as 1, so nothing divides by zero first.
+so each ``r_kk`` is the weighted norm of an explicit residual, never a
+Schur complement such as ``F_11 - |F_01|^2 / F_00``: that difference of
+two large numbers loses what a dominant frame contributes to both, the
+same squaring of the condition number, whereas modified Gram-Schmidt
+gives a backward-stable ``R`` like Householder QR (Bjorck, BIT 7, 1967).
+The residual reads a silent bin's zero ``r_kk`` as 1, and ``det F =
+(prod_k r_kk)^2`` is taken against ``EPS_DET`` before anything divides
+by an ``r_kk``.  ``W_i^{-1} e_n`` comes from
+:func:`~ggdilrma.types._inverse_column`, shared with the quartic sweep, and
+the two triangular systems are solved by substitution; at ``N = 2`` the
+sweep makes no LAPACK call.
 
 The per-filter form of this update (``ip_update_filter``), the weighted
 covariance it solves against (``weighted_covariance``) and the AM-GM gap
@@ -60,72 +61,58 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularCovariance, UnsupportedBeta, singular_demixing
+from .errors import SingularCovariance, UnsupportedBeta
 from .source_model import _whitened_ratio, block_scale
-from .types import EPS_DET, EPS_Y, _adjugate_column, bin_blocks
+from .types import EPS_DET, EPS_Y, _inverse_column, bin_blocks
 
 
-def _ip_weights(abs_y, S, beta, domain):
-    """Per-frame weights ``1 / (|y|^(2-beta) S^(beta/p))`` with |y| floored."""
-    ay = np.maximum(abs_y, EPS_Y)
-    return _whitened_ratio(ay, S, beta, domain) / ay**2
+def _ip_weights(y, S, beta, domain):
+    """Per-frame weights ``S^(-beta/p) |y|^(beta-2)`` with |y| floored; ``y`` is read
+    only when ``beta != 2``."""
+    wgt = _whitened_ratio(1.0, S, beta, domain)
+    if beta != 2.0:
+        wgt *= np.maximum(np.abs(y), EPS_Y) ** (beta - 2.0)
+    return wgt
 
 
-def _check_covariance(det_f, first_bin, n):
-    """Raise ``SingularCovariance`` naming the bin of the smallest ``det F`` in the
-    whole problem (``det_f[0]`` is bin ``first_bin``) if any is below the floor."""
+def _weighted_factor(xb, wgt):
+    """Upper triangular ``R`` ``(b, M, M)``, with a real diagonal, of the weighted
+    observation of a block ``xb`` ``(b, J, M)`` against the weights ``wgt`` ``(b, J)``,
+    by modified Gram-Schmidt over its columns."""
+    b, _, M = xb.shape
+    R = np.zeros((b, M, M), dtype=np.complex128)
+    u = [xb[:, :, m] for m in range(M)]  # the residuals, strided views at first
+    for k in range(M):
+        cu = u[k] * wgt
+        r_sq = np.vecdot(u[k], cu).real
+        f = [np.vecdot(u[m], cu) for m in range(k + 1, M)]  # r_kk r_km
+        del cu  # the residuals below reuse its memory
+        R[:, k, k] = np.sqrt(r_sq)
+        r_sq = np.where(r_sq > 0.0, r_sq, 1.0)  # a silent bin's zero r_kk read as 1
+        for m, f_m in enumerate(f, k + 1):
+            R[:, k, m] = f_m / np.sqrt(r_sq)
+            res = u[k] * (f_m.conj() / r_sq)[:, None]
+            u[m] = np.subtract(u[m], res, out=res)
+    return R
+
+
+def _ip_filter(xb, wgt, Wb, n, first_bin):
+    """Updated filters ``w`` ``(b, M)`` of source ``n``, scaled to ``w^H F w = 1``."""
+    R = _weighted_factor(xb, wgt)
+    r = R.diagonal(axis1=1, axis2=2).real
+    det_f = np.prod(r, axis=1) ** 2
     if np.any(det_f <= EPS_DET):
         bad = first_bin + int(np.argmin(det_f))
         raise SingularCovariance(f"weighted covariance singular at bin {bad}, source {n}")
-
-
-def _gram_schmidt_2x2(xb, wgt):
-    """``(r00, r00 r01, r11)``, ``(b,)`` each, of ``R`` for the weighted observation
-    of a two-channel block ``xb`` ``(b, J, 2)`` against the weights ``wgt``
-    ``(b, J)``, by two-column modified Gram-Schmidt; ``r00`` and ``r11`` are real."""
-    x0, x1 = xb[:, :, 0], xb[:, :, 1]
-    cx0 = x0 * wgt
-    r00_sq, f01 = np.vecdot(x0, cx0).real, np.vecdot(x1, cx0)
-    del cx0
-    # the residual x1 - x0 conj(r01) / r00, a silent bin's zero r00 read as 1
-    res = x0 * (f01.conj() / np.where(r00_sq > 0.0, r00_sq, 1.0))[:, None]
-    np.subtract(x1, res, out=res)
-    res_sq = np.abs(res)
-    res_sq *= res_sq
-    return np.sqrt(r00_sq), f01, np.sqrt(np.vecdot(wgt, res_sq))
-
-
-def _ip_filter_2x2(xb, wgt, Wb, n, first_bin):
-    """Updated filters ``w`` ``(b, 2)`` of source ``n`` for two sources, in closed form."""
-    r00, f01, r11 = _gram_schmidt_2x2(xb, wgt)
-    _check_covariance((r00 * r11) ** 2, first_bin, n)
-    (v0, v1), det_w = _adjugate_column(Wb, n, first_bin)
-    r01 = f01 / r00
-    z0 = v0 / (det_w * r00)  # R^H z = W^{-1} e_n
-    z1 = (v1 / det_w - r01.conj() * z0) / r11
-    w1 = z1 / r11  # R w = z
-    w0 = (z0 - r01 * w1) / r00
-    norm = np.sqrt(z0.real**2 + z0.imag**2 + z1.real**2 + z1.imag**2)  # ||R w||
-    return np.stack([w0, w1], axis=1) / norm[:, None]
-
-
-def _ip_filter_qr(xb, wgt, Wb, n, first_bin):
-    """:func:`_ip_filter_2x2` for any number of sources, through a batched QR."""
-    N = Wb.shape[1]
-    A = xb.conj()
-    A *= np.sqrt(wgt)[:, :, None]
-    R = np.linalg.qr(A, mode="r")
-    _check_covariance(np.prod(np.abs(np.diagonal(R, axis1=1, axis2=2)), axis=1) ** 2, first_bin, n)
-    rhs = np.broadcast_to(np.eye(N, dtype=np.complex128)[n][:, None], (len(R), N, 1))
-    try:
-        c = np.linalg.solve(Wb, rhs)[..., 0]  # W^{-1} e_n
-    except np.linalg.LinAlgError as exc:
-        raise singular_demixing(np.abs(np.linalg.det(Wb)), first_bin, n) from exc
-    z = np.linalg.solve(R.conj().transpose(0, 2, 1), c[:, :, None])
-    w = np.linalg.solve(R, z)[..., 0]
-    Rw = (R @ w[:, :, None])[..., 0]  # w^H F w = ||R w||^2
-    norm = np.sqrt(np.sum(np.abs(Rw) ** 2, axis=1))
-    return w / norm[:, None]
+    c = _inverse_column(Wb, n, first_bin)
+    M = c.shape[1]
+    z = np.empty_like(c)
+    for k in range(M):  # R^H z = W^{-1} e_n
+        z[:, k] = (c[:, k] - np.vecdot(R[:, :k, k], z[:, :k])) / r[:, k]
+    w = np.empty_like(c)
+    for k in reversed(range(M)):  # R w = z
+        w[:, k] = (z[:, k] - np.sum(R[:, k, k + 1 :] * w[:, k + 1 :], axis=1)) / r[:, k]
+    return w / np.sqrt(np.vecdot(z, z).real)[:, None]  # ||R w|| = ||z||
 
 
 def ip_sweep(xd, yd, W, T, V, beta: float, domain: float):
@@ -144,12 +131,11 @@ def ip_sweep(xd, yd, W, T, V, beta: float, domain: float):
     if not (0.0 < beta <= 2.0):
         raise UnsupportedBeta(f"iterative projection requires 0 < beta <= 2, got {beta}")
     I, J, N = yd.shape
-    update = _ip_filter_2x2 if N == 2 else _ip_filter_qr
     for blk in bin_blocks(I, J):
         xb, yb, Wb = xd[blk], yd[blk], W[blk]
         S = block_scale(T, V, blk)
         for n in range(N):
-            wgt = _ip_weights(np.abs(yb[:, :, n]), S[n], beta, domain)
+            wgt = _ip_weights(yb[:, :, n], S[n], beta, domain)
             wgt *= beta / (2.0 * J)
-            Wb[:, n, :] = update(xb, wgt, Wb, n, blk.start).conj()
+            Wb[:, n, :] = _ip_filter(xb, wgt, Wb, n, blk.start).conj()
     return W

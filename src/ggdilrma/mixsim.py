@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateShape, IoFailure, LengthMismatch, UnsupportedFormat
+from .errors import DegenerateShape, IoFailure, LengthMismatch, NonFiniteInput, UnsupportedFormat
 
 SOURCE_KINDS = ("subgaussian", "gaussian", "supergaussian", "low_rank_tonal")
 
@@ -131,14 +131,19 @@ def write_wav(path: str, samples: np.ndarray, sample_rate: int) -> None:
     """Write samples as a 32-bit IEEE float RIFF WAV file.
 
     The layout is the common one for float WAV: an 18-byte ``fmt `` chunk,
-    a ``fact`` chunk holding the frame count, then ``data``.
+    a ``fact`` chunk holding the frame count, then ``data``.  Samples that
+    are not finite as 32-bit floats raise ``UnsupportedFormat`` before the
+    file is opened.
     """
     samples = np.asarray(samples)
     if samples.ndim == 1:
         samples = samples[:, None]
     if samples.ndim != 2:
         raise DegenerateShape("samples must be (n_samples,) or (n_samples, n_channels)")
-    data = samples.astype("<f4")
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        data = samples.astype("<f4")
+    if not np.all(np.isfinite(data)):
+        raise UnsupportedFormat("samples must be finite as 32-bit floats")
     frames, channels = data.shape
     rate, frame_bytes = int(sample_rate), 4 * channels
     fits = 0 < frame_bytes <= 0xFFFF and 0 < rate * frame_bytes <= 0xFFFFFFFF
@@ -221,12 +226,16 @@ class MixingSpec:
             if A is None or np.asarray(A).ndim != 2:
                 raise DegenerateShape("instantaneous mixing needs an (M, N) matrix")
             A = np.asarray(A)
+            if not np.all(np.isfinite(A)):
+                raise NonFiniteInput("mixing gains must be finite")
             if A.shape[0] == A.shape[1] and abs(np.linalg.det(A)) == 0.0:
                 raise DegenerateShape("square mixing matrix must be nonsingular")
         elif self.mode == "convolutive":
             H = self.impulse_responses
             if H is None or np.asarray(H).ndim != 3:
                 raise DegenerateShape("convolutive mixing needs (M, N, taps) responses")
+            if not np.all(np.isfinite(H)):
+                raise NonFiniteInput("impulse-response taps must be finite")
         else:
             raise DegenerateShape(f"unknown mixing mode {self.mode!r}")
 

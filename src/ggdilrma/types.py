@@ -41,16 +41,23 @@ def _det2(A: np.ndarray) -> np.ndarray:
     return A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
 
 
-def _adjugate_column(W: np.ndarray, n: int, first_bin: int):
-    """``(adj(W_i) e_n, det W_i)`` for a block of 2 x 2 demixing matrices ``(b, 2, 2)``,
-    so ``W_i^{-1} e_n = adj(W_i) e_n / det W_i``, the column as a pair of ``(b,)``
-    arrays.  Raises ``SingularDemixing`` naming the bin (``W[0]`` is bin
-    ``first_bin``) and the source ``n`` if any ``det W_i`` is zero."""
-    det_w = _det2(W)
-    if np.any(det_w == 0.0):
-        raise singular_demixing(np.abs(det_w), first_bin, n)
-    column = (W[:, 1, 1], -W[:, 1, 0]) if n == 0 else (-W[:, 0, 1], W[:, 0, 0])
-    return column, det_w
+def _inverse_column(W: np.ndarray, n: int, first_bin: int) -> np.ndarray:
+    """``W_i^{-1} e_n`` ``(b, N)`` for a block of demixing matrices ``(b, N, N)``: the
+    adjugate's column over ``det W_i`` for ``N = 2``, one batched solve otherwise.
+    Raises ``SingularDemixing`` naming the bin (``W[0]`` is bin ``first_bin``) and
+    the source ``n`` if any ``W_i`` is singular."""
+    N = W.shape[1]
+    if N == 2:
+        det_w = _det2(W)
+        if np.any(det_w == 0.0):
+            raise singular_demixing(np.abs(det_w), first_bin, n)
+        column = (W[:, 1, 1], -W[:, 1, 0]) if n == 0 else (-W[:, 0, 1], W[:, 0, 0])
+        return np.stack(column, axis=1) / det_w[:, None]
+    rhs = np.broadcast_to(np.eye(N, dtype=W.dtype)[:, n, None], (len(W), N, 1))
+    try:
+        return np.linalg.solve(W, rhs)[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise singular_demixing(np.abs(np.linalg.det(W)), first_bin, n) from exc
 
 
 #: (bin, frame) entries per block of frequency bins in the per-iteration

@@ -4,9 +4,9 @@ Test oracle for ``ggdilrma.demix_ip``.  It forms each weighted covariance
 ``F_in`` explicitly, with the weights written as direct powers, and updates
 one filter of one bin at a time with a direct solve against ``W_i F_in``.
 The batched ``ip_sweep`` that the pipeline runs never forms ``F_in``: it
-solves through the triangular factor of the weighted observation, taken
-in closed form by two-column modified Gram-Schmidt for two sources and by
-a batched QR for more.
+solves through the triangular factor of the weighted observation, which
+it takes by modified Gram-Schmidt over the observation's columns for any
+number of sources.
 
 Conventions: mixtures and outputs are ``(I, J, M)``/``(I, J, N)``, the scale
 field ``S = r**p`` is ``(I, J, N)``, and a filter ``w`` is the conjugate of

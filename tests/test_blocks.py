@@ -147,8 +147,8 @@ def test_run_trace_is_block_invariant(monkeypatch, bins, beta, p):
 
 @BLOCK_BINS
 def test_singular_bin_is_named_by_its_global_index(monkeypatch, bins):
-    # The closed-form 2 x 2 path (N = 2) and the QR path (N = 3) take det F
-    # before dividing by the silent bin's zero r00, so no RuntimeWarning.
+    # The IP sweep takes det F before dividing by the silent bin's zero r00, at
+    # N = 2 and N = 3 alike, so no RuntimeWarning.
     set_block_bins(monkeypatch, bins)
     for N in (2, 3):
         xd, W, T, V = instance(N, 6, silent_bin=7)
@@ -250,8 +250,8 @@ def test_layer_temporaries_stay_block_sized():
 #: fraction of the mixture's bytes.  Its only full-size arrays are the
 #: separated signal (the sweep's anchor, then the refreshed one: one at a
 #: time) and the magnitudes the NMF updates read: 1.5 in all.  With the
-#: sweeps' block temporaries it reads 1.57 for the quartic sweep, 1.54 for
-#: the QR sweep (N = 3) and 1.50 for the closed-form IP sweep (N = 2).
+#: sweeps' block temporaries it reads 1.57 for the quartic sweep and 1.50
+#: for the IP sweep, at N = 2 and N = 3 alike.
 #: Keeping the scale field, the anchor and the refresh alive together reads 2.7.
 STEP_PEAK_FRACTION = 1.75
 

@@ -151,6 +151,15 @@ def test_duration_of_no_samples_exits_1_naming_both_flags(duration, tmp_path, mo
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("matrix", ["inf,1;1,1", "nan,1;1,1"])
+def test_non_finite_mixing_gain_exits_1_and_writes_nothing(matrix, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--out", "mix.wav", "--matrix", matrix, "--len-s", "0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: NonFiniteInput: mixing gains must be finite"]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("win_ms", ["1e30", "1e308"])
 def test_window_longer_than_the_signal_exits_1(win_ms, tmp_path, capsys):
     # Checked before any window is built: a 1e30 ms window would need 1.6e31

@@ -12,7 +12,7 @@ from reference_ip import am_gm_gap, ip_update_filter, weighted_covariance
 from reference_nmf import scale_field
 
 from ggdilrma import pipeline
-from ggdilrma.demix_ip import _gram_schmidt_2x2, _ip_weights, ip_sweep
+from ggdilrma.demix_ip import _ip_weights, _weighted_factor, ip_sweep
 from ggdilrma.errors import SingularCovariance, UnsupportedBeta
 
 
@@ -175,7 +175,7 @@ class TestIpSweep:
                 failures += 1
         assert failures == 0
 
-    @pytest.mark.parametrize("N", [2, 3])  # the closed-form 2 x 2 path and the QR path
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
     def test_sweep_matches_single_bin_op(self, N):
         xd, yd, TV, W = random_instance(I=4, J=10, M=N, seed=7)
         beta, p = 1.5, 0.5
@@ -201,18 +201,20 @@ class TestIpSweep:
         W_new = ip_sweep(xd, yd, W.copy(), *TV, 1.0, 0.5)
         np.testing.assert_allclose(unit_norm_gaps(xd, yd, TV, W_new, 1.0, 0.5), 0.0, atol=1e-10)
 
-    def test_two_source_factor_is_stable_when_one_frame_dominates(self):
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_factor_is_stable_when_one_frame_dominates(self, N):
         # Frame 5 has y_0 = x_0 - x_1 = 0, so its |y| is floored and its weight is
         # about 1e10 times the others': F is nearly that frame's outer product.
         rng = np.random.default_rng(11)
         J, beta, p = 40, 1.2, 0.5
-        xd = rng.standard_normal((1, J, 2)) + 1j * rng.standard_normal((1, J, 2))
+        xd = rng.standard_normal((1, J, N)) + 1j * rng.standard_normal((1, J, N))
         xd[0, 5] = 1.0 + 0.5j
-        W = np.array([[[1.0, -1.0], [0.3, 1.0]]], dtype=np.complex128)
-        T = rng.uniform(0.5, 1.5, (2, 1, 2))
-        V = rng.uniform(0.5, 1.5, (2, 2, J))
+        W = np.array([[1.0, -1.0, 0.0], [0.3, 1.0, 0.2], [0.1, -0.2, 1.0]], dtype=np.complex128)
+        W = W[None, :N, :N].copy()
+        T = rng.uniform(0.5, 1.5, (N, 1, 2))
+        V = rng.uniform(0.5, 1.5, (N, 2, J))
         yd = pipeline.separate(xd, W)
-        wgt = _ip_weights(np.abs(yd[:, :, 0]), scale_field(T, V)[:, :, 0], beta, p)
+        wgt = _ip_weights(yd[:, :, 0], scale_field(T, V)[:, :, 0], beta, p)
         wgt *= beta / (2.0 * J)
         assert 1e9 < wgt.max() / np.median(wgt) < 1e11
 
@@ -223,9 +225,10 @@ class TestIpSweep:
         w_qr = np.linalg.solve(R, np.linalg.solve(R.conj().T, np.linalg.inv(W[0])[:, 0]))
         w_qr /= np.linalg.norm(R @ w_qr)
 
-        # r11 from F_11 - |F_01|^2 / F_00 would put r00 r11 off by 1e-9 to 1e-8 here.
-        r00, _, r11 = _gram_schmidt_2x2(xd, wgt)
-        det_r = abs(R[0, 0] * R[1, 1])
-        assert abs(r00[0] * r11[0] - det_r) <= tol * det_r
+        # r_kk from a Schur complement such as F_11 - |F_01|^2 / F_00 would put
+        # prod r_kk off by 1e-9 to 1e-8 here.
+        det_r = np.prod(np.abs(np.diagonal(R)))
+        det_mgs = np.prod(np.diagonal(_weighted_factor(xd, wgt)[0]).real)
+        assert abs(det_mgs - det_r) <= tol * det_r
         w = ip_sweep(xd, yd, W.copy(), T, V, beta, p)[0, 0].conj()
         assert np.linalg.norm(w - w_qr) <= tol * np.linalg.norm(w_qr)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ggdilrma.errors import LengthMismatch, UnsupportedFormat
+from ggdilrma.errors import LengthMismatch, NonFiniteInput, UnsupportedFormat
 from ggdilrma.mixsim import (
     MixingSpec,
     load_impulse_responses,
@@ -123,6 +123,13 @@ class TestMix:
         inst = mix(s, MixingSpec(mode="instantaneous", matrix=gains))
         conv = mix(s, MixingSpec(mode="convolutive", impulse_responses=gains[:, :, None]))
         np.testing.assert_allclose(conv, inst, atol=1e-14)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_taps_are_rejected(self, bad):
+        taps = np.ones((2, 2, 3))
+        taps[1, 0, 2] = bad
+        with pytest.raises(NonFiniteInput, match="taps must be finite"):
+            mix([np.zeros(10)] * 2, MixingSpec(mode="convolutive", impulse_responses=taps))
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):

@@ -65,6 +65,19 @@ def test_two_source_iteration_calls_no_linalg(N, beta, monkeypatch):
             pipeline.iteration_step(xd, W, T, V, cfg, gram)
 
 
+def test_three_source_ip_iteration_runs_without_qr(monkeypatch):
+    # Every N takes the triangular factor by modified Gram-Schmidt.
+    def no_qr(*args, **kwargs):
+        raise LinalgCalled
+
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    I, J, K, N = 9, 40, 3, 3
+    xd = random_mixture(I, J, N, seed=12).data
+    cfg = GgdConfig(beta=2.0, domain=0.5, n_bases=K, iterations=1, seed=12)
+    W, T, V = pipeline.initialize(cfg, ProblemShape(I, J, N, K))
+    pipeline.iteration_step(xd, W, T, V, cfg, None)
+
+
 @pytest.mark.parametrize("channel", [-1, 2])
 def test_reference_channel_outside_the_mixture_is_rejected_first(channel, monkeypatch):
     def no_initialize(*args):

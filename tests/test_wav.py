@@ -27,6 +27,12 @@ payloads = st.sampled_from([np.int16, np.float32]).flatmap(
         elements=st.floats(width=32) if dtype is np.float32 else None,
     )
 )
+#: What ``write_wav`` accepts: it refuses samples that are not finite.
+finite_float32 = arrays(
+    np.float32,
+    st.tuples(st.integers(0, 4000), st.integers(1, 6)),
+    elements=st.floats(width=32, allow_nan=False, allow_infinity=False),
+)
 examples = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
@@ -117,7 +123,7 @@ def test_hand_built_headers_read_like_the_plain_file(data, tmp_path):
 
 
 @examples
-@given(data=payloads.filter(lambda a: a.dtype == np.float32))
+@given(data=finite_float32)
 def test_write_wav_is_bit_identical_float32_for_scipy(data, tmp_path):
     path = tmp_path / "out.wav"
     write_wav(str(path), data, RATE)
@@ -196,3 +202,12 @@ def test_other_layouts_raise_unsupported_format(raw, tmp_path):
 def test_rate_or_channels_outside_the_header_fields_are_unsupported(rate, channels, tmp_path):
     with pytest.raises(UnsupportedFormat):
         write_wav(str(tmp_path / "x.wav"), np.zeros((4, channels)), rate)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39], ids=["nan", "inf", "float32-overflow"])
+def test_samples_not_finite_as_float32_are_unsupported_and_write_nothing(bad, tmp_path):
+    samples = np.zeros((4, 2))
+    samples[2, 1] = bad
+    with pytest.raises(UnsupportedFormat, match="finite"):
+        write_wav(str(tmp_path / "x.wav"), samples, 16000)
+    assert list(tmp_path.iterdir()) == []
