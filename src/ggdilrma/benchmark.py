@@ -70,8 +70,10 @@ def _quartic_cost(x: np.ndarray, r: np.ndarray, w: np.ndarray) -> float:
 def majorizer_trial(seed: int) -> tuple[float, float]:
     """Monte-Carlo margins for the quartic surrogate bound.
 
-    Each of ``MAJORIZER_DRAWS`` draws is a one-bin problem given to the
-    batched :func:`quartic_majorizer` that the quartic sweep runs.  Returns
+    Each of ``MAJORIZER_DRAWS`` draws is a one-bin problem of one to four
+    sources given to the batched :func:`quartic_majorizer`, which assembles
+    ``G`` as the quartic sweep does before factoring it, at every source
+    count.  Returns
     ``(worst_gap, worst_equality)``: the most negative value of
     ``g(w) - f(w)`` over random draws (should be >= -1e-10) and the
     largest relative mismatch of ``g`` and ``f`` at the anchor (should be

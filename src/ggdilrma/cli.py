@@ -7,11 +7,13 @@ the seeded property suite, whose settings, checks and pass bounds are fixed.
 
 Exit codes: 0 success, 1 invalid arguments or inputs (including a NaN,
 infinite or non-positive --p, --win-ms, --hop-ms or --len-s, a
---sample-rate below 1, a --len-s under one sample at --sample-rate, and a
-NaN or infinite --matrix gain), 2 I/O failure (an unreadable file, a WAV
-that is malformed, cut short or neither 16-bit PCM nor 32-bit float, or
-samples to write that are not finite as 32-bit floats), 3 numerical
-failure during separation (trace flushed first), 4 property suite failure.
+--sample-rate below 1, a --len-s under one sample at --sample-rate, a
+NaN or infinite --matrix gain, and a simulated mixture that is not finite
+as 32-bit floats, which is checked before anything is written), 2 I/O
+failure (an unreadable file, a WAV that is malformed, cut short or neither
+16-bit PCM nor 32-bit float, or samples to write that are not finite as
+32-bit floats), 3 numerical failure during separation (trace flushed
+first), 4 property suite failure.
 """
 
 from __future__ import annotations
@@ -33,10 +35,12 @@ from .errors import (
     InvalidInput,
     IoFailure,
     LengthMismatch,
+    NonFiniteInput,
     SeparationError,
 )
 from .mixsim import (
     MixingSpec,
+    float32_samples,
     load_impulse_responses,
     mix,
     parse_matrix,
@@ -148,9 +152,16 @@ def _cmd_separate(args) -> int:
         raise DegenerateShape(
             f"--ref-channel {args.ref_channel} outside 1..{samples.shape[1]}"
         )
-    os.makedirs(args.out_dir, exist_ok=True)
-
+    # An unwritable --trace leaves no --out-dir behind, and an unwritable --out-dir
+    # no empty trace file.
     trace_fh = open(args.trace, "w") if args.trace else None
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError:
+        if trace_fh is not None:
+            trace_fh.close()
+            os.remove(args.trace)
+        raise
 
     def on_record(rec):
         trace_fh.write(rec.to_json() + "\n")
@@ -213,6 +224,9 @@ def _cmd_simulate(args) -> int:
     else:
         spec = load_impulse_responses(args.ir_dir, n_channels=len(sources), n_sources=len(sources))
     mixture = mix(sources, spec)
+    if float32_samples(mixture) is None:
+        flag = "--matrix" if args.matrix is not None else "--ir-dir"
+        raise NonFiniteInput(f"{flag} gives a mixture that is not finite as 32-bit floats")
 
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)

@@ -42,29 +42,24 @@ decreases the quartic cost.
 its scale ``r_n`` and its row ``w~_n`` of ``W_i`` on entry; rows ``m != n``
 never enter it, and no other source's update changes any of the three.  So
 :func:`quartic_sweep` assembles the majorizers of every source of a block
-before updating any row: one ``(M^2, J) @ (J, 2N)`` product per bin takes
-the features of every ``A`` and ``C`` at once, and the guards on
-``sum_j |q~_j|^4`` and ``det G`` are taken for all sources together.  Only
-what reads rows already updated stays per source: ``det W_i`` and the
-solve, the direction's cost, the scale and the write-back.
+before updating any row, with :func:`_majorizers`, the assembly
+:func:`quartic_majorizer` uses: one ``(M^2, J) @ (J, 2N)`` product per
+bin takes the features of every ``A`` and ``C`` at once.  It then takes the
+Cholesky factors ``G = R^H R`` of all of them in one pass, and skips a
+source's update where ``sum_j |q~_j|^4`` is zero or not finite, where a
+pivot is not positive, or where ``det G = prod_k r_kk^2`` is at most
+``EPS_DET``.  Only what reads rows already updated stays per source:
+``W_i^{-1} e_n``, the direction, its cost, the scale and the write-back.
 
-For two sources (``N = 2``, the paper's stereo setting) ``G`` and ``W_i``
-are 2 x 2, and the sweep never forms them as matrices: ``G``'s three
-distinct entries (``g_00``, ``g_11`` real, ``g_01`` complex) come straight
-from the features of ``C`` and ``A`` and ``u``, and the direction is
-Cramer's rule,
-
-    w' = adj(G) (W_i^{-1} e_n) / det G,
-
-which is forward stable for 2 x 2 systems (Higham, *Accuracy and Stability
-of Numerical Algorithms*, 2nd ed., section 1.10.1) and costs a few vector
-operations per block where batched LAPACK pays its per-matrix overhead on
-every bin.  For ``N > 2`` the sweep assembles the ``(b, N, M, M)``
-majorizers, takes ``det G`` from one batched LAPACK call and solves ``G``
-per source.  ``W_i^{-1} e_n`` comes from
-:func:`~ggdilrma.types._inverse_column`, which the iterative-projection
-sweep shares and which raises ``SingularDemixing`` naming the bin of the
-whole problem where ``W_i`` is singular; both paths skip the same bins.
+The direction ``w' = G^{-1} W_i^{-1} e_n`` is the two triangular systems
+``R^H z = W_i^{-1} e_n`` and ``R w' = z``, solved by substitution in
+:func:`~ggdilrma.types._substitute`, the step the iterative-projection sweep
+takes with the factor of its weighted covariance; the two rules differ in
+the factor and the scale only.  ``W_i^{-1} e_n`` comes from
+:func:`~ggdilrma.types._inverse_column`, which both sweeps share and which
+raises ``SingularDemixing`` naming the bin of the whole problem where
+``W_i`` is singular.  At ``N = 2`` the sweep makes no LAPACK call; for more
+sources ``W_i^{-1} e_n`` is its only one.
 
 :func:`quartic_sweep` streams over blocks of bins
 (:func:`~ggdilrma.types.bin_blocks`), every source of a block in turn, so
@@ -84,7 +79,7 @@ from functools import cache
 import numpy as np
 
 from .source_model import block_scale
-from .types import EPS_DET, _inverse_column, bin_blocks
+from .types import EPS_DET, _inverse_column, _substitute, bin_blocks
 
 
 @cache
@@ -151,20 +146,6 @@ def _majorizers(fa, fc, denom, w):
     return (C - u[..., :, None] * u.conj()[..., None, :]) / denom.T[:, :, None, None]
 
 
-def _majorizers_2x2(fa, fc, denom, Wb):
-    """The distinct entries ``(g00, g11, g01, det G)``, ``(2, b)`` each, of both
-    sources' 2 x 2 majorizers, whose anchor filters are the rows of ``Wb``."""
-    fa, fc = fa.transpose(1, 2, 0), fc.transpose(1, 2, 0)  # (M**2, S, b)
-    w0, w1 = Wb[:, :, 0].conj().T, Wb[:, :, 1].conj().T  # the anchor filters w~
-    a01 = fa[2] + 1j * fa[3]
-    u0 = fa[0] * w0 + a01 * w1  # u = A w~
-    u1 = a01.conj() * w0 + fa[1] * w1
-    g00 = (fc[0] - (u0.real**2 + u0.imag**2)) / denom
-    g11 = (fc[1] - (u1.real**2 + u1.imag**2)) / denom
-    g01 = (fc[2] + 1j * fc[3] - u0 * u1.conj()) / denom
-    return g00, g11, g01, g00 * g11 - (g01.real**2 + g01.imag**2)
-
-
 def quartic_majorizer(xd: np.ndarray, w: np.ndarray, radius: np.ndarray):
     """Majorizer matrices ``G`` for one source, batched over bins.
 
@@ -190,21 +171,23 @@ def quartic_majorizer(xd: np.ndarray, w: np.ndarray, radius: np.ndarray):
     return _majorizers(fa, fc, denom, w[:, None])[:, 0], good[0]
 
 
-def _direction_2x2(G, good, Wb, n, blk):
-    """Direction ``w' = G^{-1} W^{-1} e_n`` of source ``n`` for two sources, by
-    Cramer's rule, from the entries of :func:`_majorizers_2x2`."""
-    g00, g11, g01, det_g = (g[n] for g in G)
-    c0, c1 = _inverse_column(Wb, n, blk.start).T
-    w_dir = np.stack([g11 * c0 - g01 * c1, g00 * c1 - g01.conj() * c0], axis=1)
-    # skipped bins divide by 1 and are never written back
-    return w_dir / np.where(good, det_g, 1.0)[:, None]
-
-
-def _direction_lapack(G, good, Wb, n, blk):
-    """:func:`_direction_2x2` for any number of sources, from :func:`_majorizers`,
-    by batched LAPACK."""
-    Gn = np.where(good[:, None, None], G[:, n], np.eye(Wb.shape[1]))
-    return np.linalg.solve(Gn, _inverse_column(Wb, n, blk.start)[..., None])[..., 0]
+def _cholesky(G):
+    """Upper triangular ``R`` with a real diagonal and ``G = R^H R``, for Hermitian
+    ``G`` ``(..., M, M)``, and the mask of the factors to solve with: every pivot is
+    positive and their product ``det G`` is above ``EPS_DET``.  A pivot that fails
+    is read as 1, so nothing divides by zero or takes a negative root."""
+    M = G.shape[-1]
+    R = np.zeros_like(G)
+    ok, det_g, schur = True, 1.0, G
+    for k in range(M):
+        ok = ok & (schur[..., 0, 0].real > 0.0)
+        pivot = np.where(ok, schur[..., 0, 0].real, 1.0)
+        det_g = det_g * pivot
+        R[..., k, k] = r_kk = np.sqrt(pivot)
+        if k < M - 1:  # row k of R, then the Schur complement of the pivot
+            R[..., k, k + 1 :] = r = schur[..., 0, 1:] / r_kk[..., None]
+            schur = schur[..., 1:, 1:] - r.conj()[..., :, None] * r[..., None, :]
+    return R, ok & (det_g > EPS_DET)
 
 
 def quartic_sweep(xd, yd, W, T, V, domain: float, gram: np.ndarray):
@@ -245,17 +228,12 @@ def quartic_sweep(xd, yd, W, T, V, domain: float, gram: np.ndarray):
         aq2 *= aq2
         aq2 *= inv_r2
         fa, fc, denom, good, s4 = _block_features(Pb, aq2, wts)
-        # Every source's G reads W on entry only, so all are built before any update.
-        if N == 2:
-            G = _majorizers_2x2(fa, fc, denom, Wb)
-            good &= ~(np.abs(G[3]) <= EPS_DET)
-            direction = _direction_2x2
-        else:
-            G = _majorizers(fa, fc, denom, Wb.conj())
-            good &= ~(np.abs(np.linalg.det(G)) <= EPS_DET).T
-            direction = _direction_lapack
+        # Every source's G reads W on entry only, so all are built and factored at once.
+        R, factored = _cholesky(_majorizers(fa, fc, denom, Wb.conj()))
+        good &= factored.T
         for n in range(N):
-            h_dir = direction(G, good[n], Wb, n, blk).conj()  # the direction's demixing row
+            w_dir, _ = _substitute(R[:, n], _inverse_column(Wb, n, blk.start))
+            h_dir = w_dir.conj()  # the direction's demixing row
             a2 = (_form_coeffs(h_dir)[:, None, :] @ Pb)[:, 0] * inv_r2[n]  # |y_dir|^2 / r^2
             s4_dir = np.vecdot(a2, a2)
             ok = good[n] & np.isfinite(s4_dir) & (s4_dir > 0.0)

@@ -48,9 +48,10 @@ gives a backward-stable ``R`` like Householder QR (Bjorck, BIT 7, 1967).
 The residual reads a silent bin's zero ``r_kk`` as 1, and ``det F =
 (prod_k r_kk)^2`` is taken against ``EPS_DET`` before anything divides
 by an ``r_kk``.  ``W_i^{-1} e_n`` comes from
-:func:`~ggdilrma.types._inverse_column`, shared with the quartic sweep, and
-the two triangular systems are solved by substitution; at ``N = 2`` the
-sweep makes no LAPACK call.
+:func:`~ggdilrma.types._inverse_column`, and the two triangular systems are
+solved by substitution in :func:`~ggdilrma.types._substitute`; the quartic
+sweep shares both, with the Cholesky factor of its majorizer in place of
+``R``.  At ``N = 2`` the sweep makes no LAPACK call.
 
 The per-filter form of this update (``ip_update_filter``), the weighted
 covariance it solves against (``weighted_covariance``) and the AM-GM gap
@@ -63,7 +64,7 @@ import numpy as np
 
 from .errors import SingularCovariance, UnsupportedBeta
 from .source_model import _whitened_ratio, block_scale
-from .types import EPS_DET, EPS_Y, _inverse_column, bin_blocks
+from .types import EPS_DET, EPS_Y, _inverse_column, _substitute, bin_blocks
 
 
 def _ip_weights(y, S, beta, domain):
@@ -99,19 +100,11 @@ def _weighted_factor(xb, wgt):
 def _ip_filter(xb, wgt, Wb, n, first_bin):
     """Updated filters ``w`` ``(b, M)`` of source ``n``, scaled to ``w^H F w = 1``."""
     R = _weighted_factor(xb, wgt)
-    r = R.diagonal(axis1=1, axis2=2).real
-    det_f = np.prod(r, axis=1) ** 2
+    det_f = np.prod(R.diagonal(axis1=1, axis2=2).real, axis=1) ** 2
     if np.any(det_f <= EPS_DET):
         bad = first_bin + int(np.argmin(det_f))
         raise SingularCovariance(f"weighted covariance singular at bin {bad}, source {n}")
-    c = _inverse_column(Wb, n, first_bin)
-    M = c.shape[1]
-    z = np.empty_like(c)
-    for k in range(M):  # R^H z = W^{-1} e_n
-        z[:, k] = (c[:, k] - np.vecdot(R[:, :k, k], z[:, :k])) / r[:, k]
-    w = np.empty_like(c)
-    for k in reversed(range(M)):  # R w = z
-        w[:, k] = (z[:, k] - np.sum(R[:, k, k + 1 :] * w[:, k + 1 :], axis=1)) / r[:, k]
+    w, z = _substitute(R, _inverse_column(Wb, n, first_bin))
     return w / np.sqrt(np.vecdot(z, z).real)[:, None]  # ||R w|| = ||z||
 
 

@@ -127,6 +127,14 @@ def _decode_fmt(raw: bytes, body: int, size: int, order: str) -> Tuple[int, int,
     )
 
 
+def float32_samples(samples: np.ndarray) -> Optional[np.ndarray]:
+    """``samples`` as little-endian 32-bit floats, or ``None`` if any is not finite
+    as one; a sample that overflows the cast raises no warning."""
+    with np.errstate(over="ignore"):  # an overflow reads as inf below
+        data = np.asarray(samples).astype("<f4")
+    return data if np.all(np.isfinite(data)) else None
+
+
 def write_wav(path: str, samples: np.ndarray, sample_rate: int) -> None:
     """Write samples as a 32-bit IEEE float RIFF WAV file.
 
@@ -140,9 +148,8 @@ def write_wav(path: str, samples: np.ndarray, sample_rate: int) -> None:
         samples = samples[:, None]
     if samples.ndim != 2:
         raise DegenerateShape("samples must be (n_samples,) or (n_samples, n_channels)")
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        data = samples.astype("<f4")
-    if not np.all(np.isfinite(data)):
+    data = float32_samples(samples)
+    if data is None:
         raise UnsupportedFormat("samples must be finite as 32-bit floats")
     frames, channels = data.shape
     rate, frame_bytes = int(sample_rate), 4 * channels

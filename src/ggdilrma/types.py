@@ -60,6 +60,25 @@ def _inverse_column(W: np.ndarray, n: int, first_bin: int) -> np.ndarray:
         raise singular_demixing(np.abs(np.linalg.det(W)), first_bin, n) from exc
 
 
+def _substitute(R: np.ndarray, c: np.ndarray):
+    """``(w, z)`` ``(b, M)`` with ``R^H z = c`` and ``R w = z``, by substitution, for a
+    block of upper triangular ``R`` ``(b, M, M)`` with a positive real diagonal: ``w``
+    solves ``R^H R w = c``, and ``w^H R^H R w = ||z||^2``."""
+    r = R.diagonal(axis1=1, axis2=2).real
+    M = c.shape[1]
+    z = c.copy()
+    for k in range(M):  # R^H z = c
+        if k:
+            z[:, k] -= np.vecdot(R[:, :k, k], z[:, :k])
+        z[:, k] /= r[:, k]
+    w = z.copy()
+    for k in reversed(range(M)):  # R w = z
+        if k < M - 1:
+            w[:, k] -= np.sum(R[:, k, k + 1 :] * w[:, k + 1 :], axis=1)
+        w[:, k] /= r[:, k]
+    return w, z
+
+
 #: (bin, frame) entries per block of frequency bins in the per-iteration
 #: layers.  Their temporaries then stay cache-sized and are reused from the
 #: allocator's free lists, instead of full-size arrays whose pages are

@@ -157,7 +157,7 @@ def test_singular_bin_is_named_by_its_global_index(monkeypatch, bins):
 
 
 @BLOCK_BINS
-@pytest.mark.parametrize("N", [2, 3])  # the closed-form 2 x 2 path and batched LAPACK
+@pytest.mark.parametrize("N", [2, 3])  # W^-1 e_n by the adjugate and by batched LAPACK
 def test_singular_demixing_is_named_by_its_global_bin(monkeypatch, bins, N):
     xd, W, T, V = instance(N, 6)
     W[7] = 1.0

@@ -160,6 +160,32 @@ def test_non_finite_mixing_gain_exits_1_and_writes_nothing(matrix, tmp_path, mon
     assert list(tmp_path.iterdir()) == []
 
 
+def test_mixture_overflowing_float32_exits_1_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # The gain is finite, but the mixed samples overflow 32-bit floats.
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--out", "newdir/mix.wav", "--matrix", "1e39,1;1,1", "--len-s", "0.5"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: NonFiniteInput: --matrix gives a mixture that is not finite as 32-bit floats"
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "out_dir, trace, error",
+    [("e4", "nodir/t.jsonl", "FileNotFoundError"), ("mix.wav/e4", "t.jsonl", "NotADirectoryError")],
+)
+def test_unwritable_trace_or_out_dir_exits_2_and_leaves_nothing(
+    out_dir, trace, error, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    write_wav("mix.wav", 0.1 * np.random.default_rng(0).standard_normal((8000, 2)), 16000)
+    argv = ["separate", "--input", "mix.wav", "--out-dir", out_dir, "--trace", trace]
+    assert main(argv + ["--iters", "1", "--bases", "2"]) == 2
+    assert f"I/O error: {error}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mix.wav"]
+
+
 @pytest.mark.parametrize("win_ms", ["1e30", "1e308"])
 def test_window_longer_than_the_signal_exits_1(win_ms, tmp_path, capsys):
     # Checked before any window is built: a 1e30 ms window would need 1.6e31

@@ -5,6 +5,8 @@ per-filter oracle in ``reference_quartic.py``; the oracle's own steps are
 checked against the paper's properties.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from reference_ip import ip_update_filter
@@ -17,7 +19,8 @@ from reference_quartic import (
     quartic_update_filter,
 )
 
-from ggdilrma.demix_homogeneous import mixture_gram, quartic_majorizer, quartic_sweep
+from ggdilrma import demix_homogeneous
+from ggdilrma.demix_homogeneous import _cholesky, mixture_gram, quartic_majorizer, quartic_sweep
 
 
 def random_slab(J, N, seed, r_low=0.5, r_high=2.0):
@@ -147,10 +150,28 @@ class TestQuarticMajorizer:
 
     def test_zero_reference_rejected(self):
         # a zero anchor projection is flagged, so the sweep skips that bin
-        x, r = random_slab(J=4, N=2, seed=5)
-        G, good = batched_majorizer(x, r, np.zeros(2, dtype=np.complex128))
-        assert not good
-        np.testing.assert_array_equal(G, 0.0)
+        for N in (2, 3):
+            x, r = random_slab(J=4, N=N, seed=5)
+            G, good = batched_majorizer(x, r, np.zeros(N, dtype=np.complex128))
+            assert not good
+            np.testing.assert_array_equal(G, 0.0)
+
+
+class TestCholesky:
+    @pytest.mark.parametrize("M", [2, 3])
+    def test_degenerate_g_is_marked_for_skipping(self, M):
+        rng = np.random.default_rng(30 + M)
+        v = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+        indefinite = np.diag(np.arange(1.0, M + 1.0)).astype(complex)
+        indefinite[0, 1] = indefinite[1, 0] = 3.0  # its leading 2 x 2 minor is 2 - 9
+        G = np.stack([np.zeros((M, M), complex), np.outer(v, v.conj()), indefinite])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            R, ok = _cholesky(G)
+        assert not ok.any()
+        # a skipped factor still divides by no zero in the substitution
+        assert np.all(np.isfinite(R))
+        assert np.all(R.diagonal(axis1=1, axis2=2).real > 0.0)
 
 
 class TestDirectionScaleStep:
@@ -275,7 +296,7 @@ class TestQuarticUpdateFilter:
         assert failures == 0
 
     def test_sweep_matches_single_bin_op(self):
-        # N = 2 runs the closed-form 2 x 2 path, N = 3 and 4 batched LAPACK
+        # one Cholesky factor and one substitution at every N; the oracle solves W G
         for N in (2, 3, 4):
             for seed in range(77, 87):
                 xd, radius, W = self.random_state(5, 12, N, seed=seed)
@@ -308,6 +329,30 @@ class TestQuarticUpdateFilter:
                     W_ref[i, n] = quartic_update_filter(xd[i], radius[i, :, n], W_ref[i], n).conj()
         np.testing.assert_allclose(W_sweep, W_ref, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(np.delete(f_check.ravel(), 4 * N), 0.5, rtol=1e-9)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_sweep_factors_the_majorizer_that_quartic_majorizer_returns(self, N, monkeypatch):
+        def no_det(*args, **kwargs):
+            raise AssertionError("np.linalg.det called")
+
+        factors = []
+
+        def spy(G):
+            R, ok = _cholesky(G)
+            factors.append((R, ok))
+            return R, ok
+
+        monkeypatch.setattr(np.linalg, "det", no_det)
+        monkeypatch.setattr(demix_homogeneous, "_cholesky", spy)
+        xd, radius, W = self.random_state(5, 12, N, seed=23)
+        sweep(xd, W.copy(), radius)
+        [(R, ok)] = factors  # every source of the one block, factored at once
+        assert R.shape == (5, N, N, N) and ok.all()
+        for n in range(N):
+            G, good = quartic_majorizer(xd, W[:, n].conj(), radius[:, :, n])
+            assert good.all()
+            RhR = R[:, n].conj().transpose(0, 2, 1) @ R[:, n]
+            np.testing.assert_allclose(RhR, G, rtol=1e-12)
 
     def test_scale_postcondition_across_sweep(self):
         xd, radius, W = self.random_state(6, 20, 2, seed=13)

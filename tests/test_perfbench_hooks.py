@@ -39,9 +39,15 @@ def test_every_wrapped_layer_resolves_to_a_callable(monkeypatch):
 
 
 def test_sweep_and_step_positions_carry_w_and_the_skip_count(monkeypatch):
-    I, J, K, N = 6, 16, 2, 2
+    for N in (2, 3):
+        with monkeypatch.context() as m:
+            check_positions(m, N)
+
+
+def check_positions(monkeypatch, N):
+    I, J, K = 6, 16, 2
     xd = np.array(random_mixture(I, J, N, seed=3).data)
-    xd[4] = 0.0  # one silent bin: both of its sources' updates are skipped
+    xd[4] = 0.0  # one silent bin: every one of its sources' updates is skipped
     cfg = GgdConfig(beta=4.0, domain=0.5, n_bases=K, iterations=1, seed=3)
     W, T, V = pipeline.initialize(cfg, ProblemShape(I, J, N, K))
 
@@ -64,8 +70,8 @@ def test_sweep_and_step_positions_carry_w_and_the_skip_count(monkeypatch):
         tracer.uninstall()
 
     [(args, result)] = sweeps
-    assert args[2].shape == (I, 2, 2)
-    assert result[3] == 2
-    assert (tracer.skipped, tracer.skip_attempts, tracer.absent) == (2, I * N, [])
+    assert args[2].shape == (I, N, N)
+    assert result[3] == N
+    assert (tracer.skipped, tracer.skip_attempts, tracer.absent) == (N, I * N, [])
     [(x_read, W_read)] = steps
     assert x_read is xd and W_read is W_out

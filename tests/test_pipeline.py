@@ -46,7 +46,8 @@ class LinalgCalled(Exception):
 @pytest.mark.parametrize("beta", [4.0, 2.0])
 @pytest.mark.parametrize("N", [2, 3])
 def test_two_source_iteration_calls_no_linalg(N, beta, monkeypatch):
-    # N = 2 takes the closed-form 2 x 2 sweeps and cost; N = 3 shows the patch bites.
+    # N = 2 takes W^-1 e_n and the cost's det W in closed form, and both sweeps solve
+    # by substitution; N = 3 shows the patch bites.
     def no_linalg(*args, **kwargs):
         raise LinalgCalled
 
