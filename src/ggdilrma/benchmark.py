@@ -67,6 +67,12 @@ def _quartic_cost(x: np.ndarray, r: np.ndarray, w: np.ndarray) -> float:
     return float(np.sum(np.abs((x @ w.conj()) / r) ** 4)) / x.shape[0]
 
 
+def _unit_vector(rng, N: int) -> np.ndarray:
+    """A random complex vector of length ``N`` over its Euclidean norm."""
+    w = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    return w / np.sqrt(w.real @ w.real + w.imag @ w.imag)
+
+
 def majorizer_trial(seed: int) -> tuple[float, float]:
     """Monte-Carlo margins for the quartic surrogate bound.
 
@@ -87,10 +93,7 @@ def majorizer_trial(seed: int) -> tuple[float, float]:
         J = int(rng.choice([1, 2, 5, 50]))
         x = rng.standard_normal((J, N)) + 1j * rng.standard_normal((J, N))
         r = rng.uniform(0.5, 2.0, size=J)
-        w_ref = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        w_ref /= np.linalg.norm(w_ref)
-        w = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        w /= np.linalg.norm(w)
+        w_ref, w = _unit_vector(rng, N), _unit_vector(rng, N)
         G, _ = quartic_majorizer(x[None], w_ref[None], r[None])
         g_at = float((w.conj() @ G[0] @ w).real) ** 2
         worst_gap = min(worst_gap, g_at - _quartic_cost(x, r, w))

@@ -55,11 +55,13 @@ The direction ``w' = G^{-1} W_i^{-1} e_n`` is the two triangular systems
 ``R^H z = W_i^{-1} e_n`` and ``R w' = z``, solved by substitution in
 :func:`~ggdilrma.types._substitute`, the step the iterative-projection sweep
 takes with the factor of its weighted covariance; the two rules differ in
-the factor and the scale only.  ``W_i^{-1} e_n`` comes from
-:func:`~ggdilrma.types._inverse_column`, which both sweeps share and which
-raises ``SingularDemixing`` naming the bin of the whole problem where
-``W_i`` is singular.  At ``N = 2`` the sweep makes no LAPACK call; for more
-sources ``W_i^{-1} e_n`` is its only one.
+the factor and the scale only.  ``W_i^{-1} e_n`` is read from the inverse
+that the pipeline carries beside ``W``, and the new row, which multiplies
+``det W_i`` by ``scale ||z||^2``, goes through
+:func:`~ggdilrma.types._replace_row`, which keeps that inverse and
+``log|det W_i|`` in step.  A direction whose cost is zero, as where
+``W_i^{-1} e_n`` vanishes, is skipped like a degenerate majorizer.  The
+sweep makes no LAPACK call.
 
 :func:`quartic_sweep` streams over blocks of bins
 (:func:`~ggdilrma.types.bin_blocks`), every source of a block in turn, so
@@ -79,7 +81,7 @@ from functools import cache
 import numpy as np
 
 from .source_model import block_scale
-from .types import EPS_DET, _inverse_column, _substitute, bin_blocks
+from .types import EPS_DET, _replace_row, _substitute, bin_blocks
 
 
 @cache
@@ -190,13 +192,12 @@ def _cholesky(G):
     return R, ok & (det_g > EPS_DET)
 
 
-def quartic_sweep(xd, yd, W, T, V, domain: float, gram: np.ndarray):
+def quartic_sweep(xd, yd, W, T, V, domain: float, gram: np.ndarray, W_inv, log_det):
     """One full quartic update of all filters, batched over bins.
 
-    Bins whose majorizer is degenerate or below the determinant floor are
-    skipped for the iteration (skipping cannot increase the cost) and
-    counted.  A singular ``W_i`` raises ``SingularDemixing`` naming its bin
-    and the source being updated.
+    Bins whose majorizer or direction is degenerate, or whose majorizer is
+    below the determinant floor, are skipped for the iteration (skipping
+    cannot increase the cost) and counted.
 
     Args:
         xd: mixture ``(I, J, M)``, read only through ``gram``, its :func:`mixture_gram`.
@@ -204,6 +205,8 @@ def quartic_sweep(xd, yd, W, T, V, domain: float, gram: np.ndarray):
         W: demixing matrices ``(I, N, N)``, updated in place.
         T, V: NMF factors; ``S = r**p = T V`` is formed a block at a time.
         domain: the exponent ``p``.
+        W_inv, log_det: ``W^{-1}`` ``(I, N, N)`` and ``log|det W_i|`` ``(I,)``,
+            kept in step with ``W`` in place.
 
     Returns:
         ``(W, yd, f_check, n_skipped)`` with ``yd`` as given, ``f_check[i, n]``
@@ -214,13 +217,13 @@ def quartic_sweep(xd, yd, W, T, V, domain: float, gram: np.ndarray):
     The unused ``xd``, the returned ``yd`` and ``f_check`` stay because the
     benchmark's timing wrapper reads ``W`` at ``args[2]`` and ``n_skipped``
     at ``result[3]`` of this call; they go once it takes the skip count from
-    the trace records instead (ROADMAP Direction 1).
+    the trace records instead (ROADMAP Direction 2 (A)).
     """
     I, J, N = yd.shape
     f_check = np.empty((I, N))
     n_skipped = 0
     for blk in bin_blocks(I, J):
-        Wb, Pb = W[blk], gram[blk]
+        Wb, W_inv_b, log_det_b, Pb = W[blk], W_inv[blk], log_det[blk], gram[blk]
         wts = np.empty((2, N, len(Wb), J))  # 1 / r**2, then |y~|^2 / r**4
         inv_r2 = wts[0]
         np.divide(1.0, (block_scale(T, V, blk) ** (1.0 / domain)) ** 2, out=inv_r2)
@@ -232,7 +235,7 @@ def quartic_sweep(xd, yd, W, T, V, domain: float, gram: np.ndarray):
         R, factored = _cholesky(_majorizers(fa, fc, denom, Wb.conj()))
         good &= factored.T
         for n in range(N):
-            w_dir, _ = _substitute(R[:, n], _inverse_column(Wb, n, blk.start))
+            w_dir, _ = _substitute(R[:, n], W_inv_b[:, :, n])
             h_dir = w_dir.conj()  # the direction's demixing row
             a2 = (_form_coeffs(h_dir)[:, None, :] @ Pb)[:, 0] * inv_r2[n]  # |y_dir|^2 / r^2
             s4_dir = np.vecdot(a2, a2)
@@ -240,7 +243,7 @@ def quartic_sweep(xd, yd, W, T, V, domain: float, gram: np.ndarray):
             scale = (J / (2.0 * np.where(ok, s4_dir, 1.0))) ** 0.25
 
             # Skipped bins keep their filter and anchor cost s4.
-            np.copyto(Wb[:, n, :], h_dir * scale[:, None], where=ok[:, None])
+            _replace_row(Wb, W_inv_b, log_det_b, n, h_dir * scale[:, None], ok)
             f_check[blk, n] = np.where(ok, scale**4 * s4_dir, s4[n]) / J
             n_skipped += int(np.sum(~ok))
     return W, yd, f_check, n_skipped

@@ -9,7 +9,7 @@ For these shapes the weighted arithmetic-geometric-mean inequality
 coordinate-descent update::
 
     F_in = (beta / 2J) sum_j x_ij x_ij^H / (|y_ijn|^(2-beta) S_ijn^(beta/p))
-    w    <- solve(F_in, solve(W_i, e_n))
+    w    <- F_in^{-1} W_i^{-1} e_n
     w    <- w / sqrt(w^H F_in w)
 
 At ``beta = p = 2`` this is exactly the Itakura-Saito variant.  Frequency
@@ -17,8 +17,9 @@ bins are independent; within one bin the sources are updated sequentially
 against the freshest demixing matrix.  The sweep streams over blocks of
 bins (:func:`~ggdilrma.types.bin_blocks`), every source of a block in turn,
 so its temporaries stay cache-sized and its result does not depend on the
-block size; a singular covariance or demixing matrix is reported by its
-bin in the whole problem and the source being updated.
+block size; a singular covariance, or an update that would make ``W_i``
+singular, is reported by its bin in the whole problem and the source being
+updated.
 ``S = T V`` is formed once per block, and only ``W`` is updated: source
 ``n``'s weights read ``y_n`` alone, which no other source's update changes.
 
@@ -47,11 +48,14 @@ same squaring of the condition number, whereas modified Gram-Schmidt
 gives a backward-stable ``R`` like Householder QR (Bjorck, BIT 7, 1967).
 The residual reads a silent bin's zero ``r_kk`` as 1, and ``det F =
 (prod_k r_kk)^2`` is taken against ``EPS_DET`` before anything divides
-by an ``r_kk``.  ``W_i^{-1} e_n`` comes from
-:func:`~ggdilrma.types._inverse_column`, and the two triangular systems are
-solved by substitution in :func:`~ggdilrma.types._substitute`; the quartic
-sweep shares both, with the Cholesky factor of its majorizer in place of
-``R``.  At ``N = 2`` the sweep makes no LAPACK call.
+by an ``r_kk``.  The two triangular systems are solved by substitution in
+:func:`~ggdilrma.types._substitute`, with ``W_i^{-1} e_n`` read from the
+inverse that the pipeline carries beside ``W``.  The new row multiplies
+``det W_i`` by ``||z||``, which is checked to be positive before ``w`` is
+divided by it, and :func:`~ggdilrma.types._replace_row` writes it and
+updates the carried inverse and ``log|det W_i|``.  The quartic sweep shares
+both helpers, with the Cholesky factor of its majorizer in place of ``R``.
+The sweep makes no LAPACK call.
 
 The per-filter form of this update (``ip_update_filter``), the weighted
 covariance it solves against (``weighted_covariance``) and the AM-GM gap
@@ -62,9 +66,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularCovariance, UnsupportedBeta
+from .errors import SingularCovariance, SingularDemixing, UnsupportedBeta
 from .source_model import _whitened_ratio, block_scale
-from .types import EPS_DET, EPS_Y, _inverse_column, _substitute, bin_blocks
+from .types import EPS_DET, EPS_Y, _replace_row, _substitute, bin_blocks
 
 
 def _ip_weights(y, S, beta, domain):
@@ -97,18 +101,23 @@ def _weighted_factor(xb, wgt):
     return R
 
 
-def _ip_filter(xb, wgt, Wb, n, first_bin):
-    """Updated filters ``w`` ``(b, M)`` of source ``n``, scaled to ``w^H F w = 1``."""
+def _ip_filter(xb, wgt, b_n, n, first_bin):
+    """Updated filters ``w`` ``(b, M)`` of source ``n``, scaled to ``w^H F w = 1``, from
+    ``b_n = W_i^{-1} e_n`` ``(b, M)``."""
     R = _weighted_factor(xb, wgt)
     det_f = np.prod(R.diagonal(axis1=1, axis2=2).real, axis=1) ** 2
     if np.any(det_f <= EPS_DET):
         bad = first_bin + int(np.argmin(det_f))
         raise SingularCovariance(f"weighted covariance singular at bin {bad}, source {n}")
-    w, z = _substitute(R, _inverse_column(Wb, n, first_bin))
-    return w / np.sqrt(np.vecdot(z, z).real)[:, None]  # ||R w|| = ||z||
+    w, z = _substitute(R, b_n)
+    norm_z = np.sqrt(np.vecdot(z, z).real)  # ||R w||, and the factor det W_i takes
+    if not np.all(norm_z > 0.0):
+        bad = first_bin + int(np.argmin(norm_z))
+        raise SingularDemixing(f"demixing matrix would turn singular at bin {bad}, source {n}")
+    return w / norm_z[:, None]
 
 
-def ip_sweep(xd, yd, W, T, V, beta: float, domain: float):
+def ip_sweep(xd, yd, W, T, V, beta: float, domain: float, W_inv, log_det):
     """One full update of all filters, batched over frequency bins.
 
     Args:
@@ -116,6 +125,8 @@ def ip_sweep(xd, yd, W, T, V, beta: float, domain: float):
         yd: separated signal ``(I, J, N)`` of ``W`` on entry; read only.
         W: demixing matrices ``(I, N, N)``; updated in place.
         T, V: NMF factors; ``S = r**p = T V`` is formed a block at a time.
+        W_inv, log_det: ``W^{-1}`` ``(I, N, N)`` and ``log|det W_i|`` ``(I,)``,
+            kept in step with ``W`` in place.
 
     Returns:
         ``W``, each updated filter normalized to ``w^H F w = 1`` against the
@@ -125,10 +136,11 @@ def ip_sweep(xd, yd, W, T, V, beta: float, domain: float):
         raise UnsupportedBeta(f"iterative projection requires 0 < beta <= 2, got {beta}")
     I, J, N = yd.shape
     for blk in bin_blocks(I, J):
-        xb, yb, Wb = xd[blk], yd[blk], W[blk]
+        xb, yb, Wb, W_inv_b, log_det_b = xd[blk], yd[blk], W[blk], W_inv[blk], log_det[blk]
         S = block_scale(T, V, blk)
         for n in range(N):
             wgt = _ip_weights(yb[:, :, n], S[n], beta, domain)
             wgt *= beta / (2.0 * J)
-            Wb[:, n, :] = _ip_filter(xb, wgt, Wb, n, blk.start).conj()
+            w = _ip_filter(xb, wgt, W_inv_b[:, :, n], n, blk.start)
+            _replace_row(Wb, W_inv_b, log_det_b, n, w.conj())
     return W

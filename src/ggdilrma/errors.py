@@ -7,8 +7,6 @@ and every other :class:`SeparationError` (a numerical failure) exits 3.
 
 from __future__ import annotations
 
-import numpy as np
-
 
 class SeparationError(Exception):
     """Base class for all toolkit errors."""
@@ -59,17 +57,8 @@ class SingularCovariance(SeparationError):
 
 
 class SingularDemixing(SeparationError):
-    """Demixing matrix not invertible above the determinant floor."""
-
-
-def singular_demixing(absdet, first_bin: int = 0, source: int | None = None) -> SingularDemixing:
-    """The error for a singular demixing matrix, naming the bin of the smallest
-    ``absdet`` in the whole problem (``absdet[0]`` is bin ``first_bin``) and the
-    source being updated, if any."""
-    where = f"bin {first_bin + int(np.argmin(absdet))}"
-    if source is not None:
-        where += f", source {source}"
-    return SingularDemixing(f"demixing matrix singular at {where}")
+    """An iterative-projection update that would make a demixing matrix
+    singular: the factor it multiplies ``det W_i`` by is not positive."""
 
 
 # --- audio I/O: file error, exit 2 ---------------------------------------

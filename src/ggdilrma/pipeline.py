@@ -8,6 +8,12 @@ update, (4) one activation update and (5) the cost; no full-size
 per-iteration array outlives its use.  The cost is recorded after every
 iteration; the final output is rescaled by back-projection onto a
 reference channel.
+
+Beside ``W`` the run carries its inverse and ``log|det W_i|``, from the
+identity and zero.  Each sweep keeps them in step as it replaces rows
+(:func:`~ggdilrma.types._replace_row`), so the sweeps read ``W_i^{-1} e_n``,
+the cost reads the log-determinants and back-projection reads a row of the
+inverse, and a separation makes no LAPACK call.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 from .cost import ggd_cost_arrays
 from .demix_homogeneous import mixture_gram, quartic_sweep
 from .demix_ip import ip_sweep
-from .errors import DegenerateShape, singular_demixing
+from .errors import DegenerateShape
 from .source_model import update_activations_arrays, update_bases_arrays
 from .types import (
     EPS_NMF,
@@ -55,18 +61,21 @@ class RunResult:
 
 
 def initialize(cfg: GgdConfig, shape: ProblemShape):
-    """Identity demixing matrices and uniform-random positive factors.
+    """Identity demixing matrices, their inverses and zero log-determinants, and
+    uniform-random positive factors.
 
     Factor entries are i.i.d. uniform on ``(EPS_NMF, 1]``; the draw is
     deterministic for ``cfg.seed`` (bases first, then activations).
-    Returns ``(W, T, V)``.
+    Returns ``(W, T, V, W_inv, log_det)``.
     """
     I, J, N, K = shape.n_bins, shape.n_frames, shape.n_sources, shape.n_bases
     W = np.tile(np.eye(N, dtype=np.complex128), (I, 1, 1))
     rng = np.random.default_rng(cfg.seed)
     T = EPS_NMF + (1.0 - EPS_NMF) * (1.0 - rng.random((N, I, K)))
     V = EPS_NMF + (1.0 - EPS_NMF) * (1.0 - rng.random((N, K, J)))
-    return W, T, V
+    # W^-1 = I, laid out bins last so that types._replace_row runs along the bins
+    W_inv = np.tile(np.eye(N, dtype=np.complex128)[:, :, None], I).transpose(2, 0, 1)
+    return W, T, V, W_inv, np.zeros(I)
 
 
 def separate(xd: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -74,40 +83,38 @@ def separate(xd: np.ndarray, W: np.ndarray) -> np.ndarray:
     return xd @ W.transpose(0, 2, 1)
 
 
-def back_project(yd: np.ndarray, W: np.ndarray, reference_channel: int = 0) -> np.ndarray:
+def back_project(yd: np.ndarray, W_inv: np.ndarray, reference_channel: int = 0) -> np.ndarray:
     """Fix the per-source scale by projecting onto a reference channel.
 
-    ``y_hat[i, j, n] = inv(W_i)[ref, n] * y[i, j, n]``; summing the result
-    over sources reconstructs the reference channel of the observation.
-    A singular ``W_i`` raises ``SingularDemixing`` naming its bin.
+    ``y_hat[i, j, n] = W_inv[i, ref, n] * y[i, j, n]`` with ``W_inv`` the carried
+    ``W^{-1}``; summing the result over sources reconstructs the reference
+    channel of the observation.
     """
-    try:
-        coeff = np.linalg.inv(W)[:, reference_channel, :]  # (I, N)
-    except np.linalg.LinAlgError as exc:
-        raise singular_demixing(np.abs(np.linalg.det(W))) from exc
-    return yd * coeff[:, None, :]
+    return yd * W_inv[:, None, reference_channel, :]
 
 
-def iteration_step(xd, W, T, V, cfg: GgdConfig, gram: Optional[np.ndarray]):
+def iteration_step(xd, W, T, V, cfg: GgdConfig, gram: Optional[np.ndarray], W_inv, log_det):
     """One alternating-update round on raw state arrays (updated in place).
 
     Order: sweep of ``W`` alone, refresh of the magnitudes ``abs_y``, which
     feed the basis update, the activation update and the cost; no full-size
     array outlives its use.  ``gram`` is
     the quartic scheme's cached :func:`~ggdilrma.demix_homogeneous.mixture_gram`
-    of ``xd``.  Returns ``(W, T, V, cost, skipped)``.
+    of ``xd``.  The sweep keeps ``W_inv`` (``W^{-1}``) and ``log_det``
+    (``log|det W_i|``) in step with ``W``, and the cost reads ``log_det``.
+    Returns ``(W, T, V, cost, skipped)``.
     """
     beta, p = cfg.beta, cfg.domain
     skipped = 0
     if cfg.update_scheme == "ip":
-        W = ip_sweep(xd, separate(xd, W), W, T, V, beta, p)
+        W = ip_sweep(xd, separate(xd, W), W, T, V, beta, p, W_inv, log_det)
     else:
         # [::3] keeps W and the skip count; the anchor outputs are dropped.
-        W, skipped = quartic_sweep(xd, separate(xd, W), W, T, V, p, gram)[::3]
+        W, skipped = quartic_sweep(xd, separate(xd, W), W, T, V, p, gram, W_inv, log_det)[::3]
     abs_y = np.abs(np.moveaxis(separate(xd, W), 2, 0), order="C")  # (N, I, J)
     T = update_bases_arrays(T, V, abs_y, beta, p)
     V = update_activations_arrays(T, V, abs_y, beta, p)
-    cost = ggd_cost_arrays(abs_y, W, T, V, beta, p)
+    cost = ggd_cost_arrays(abs_y, log_det, T, V, beta, p)
     return W, T, V, cost, skipped
 
 
@@ -133,21 +140,21 @@ def run(
         raise DegenerateShape(
             f"reference channel {reference_channel} outside 0..{shape.n_sources - 1}"
         )
-    W, T, V = initialize(cfg, shape)
+    W, T, V, W_inv, log_det = initialize(cfg, shape)
     xd = np.ascontiguousarray(x.data, dtype=np.complex128)
     gram = mixture_gram(xd) if cfg.update_scheme == "quartic" else None
 
     records = []
     for it in range(1, cfg.iterations + 1):
         t0 = time.perf_counter()
-        W, T, V, cost, skipped = iteration_step(xd, W, T, V, cfg, gram)
+        W, T, V, cost, skipped = iteration_step(xd, W, T, V, cfg, gram, W_inv, log_det)
         record = TraceRecord(it, cost, (time.perf_counter() - t0) * 1e3, skipped)
         records.append(record)
         if on_record is not None:
             on_record(record)
 
     del gram
-    projected = back_project(separate(xd, W), W, reference_channel)
+    projected = back_project(separate(xd, W), W_inv, reference_channel)
     return RunResult(
         sources=SourceSpectrogram(data=projected),
         W=W,

@@ -28,7 +28,7 @@ from typing import List
 
 import numpy as np
 
-from .errors import DegenerateShape, NonFiniteInput, UnsupportedBeta, singular_demixing
+from .errors import DegenerateShape, NonFiniteInput, UnsupportedBeta
 
 #: Numerical floors: NMF entries, |y| in denominators, |det| guard.
 EPS_NMF = 1e-12
@@ -36,28 +36,25 @@ EPS_Y = 1e-12
 EPS_DET = 1e-12
 
 
-def _det2(A: np.ndarray) -> np.ndarray:
-    """Determinants of a stack of 2 x 2 matrices ``(..., 2, 2)``, in closed form."""
-    return A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+def _replace_row(W, W_inv, log_det, n, h, where=True) -> None:
+    """Set row ``n`` of each ``W_i`` ``(b, N, N)`` to ``h_i`` ``(b, N)`` where ``where``
+    holds, and keep ``W_inv`` (``W^{-1}``) and ``log_det`` (``log|det W_i|``) in step;
+    all three are updated in place, and the other bins are left untouched.
 
-
-def _inverse_column(W: np.ndarray, n: int, first_bin: int) -> np.ndarray:
-    """``W_i^{-1} e_n`` ``(b, N)`` for a block of demixing matrices ``(b, N, N)``: the
-    adjugate's column over ``det W_i`` for ``N = 2``, one batched solve otherwise.
-    Raises ``SingularDemixing`` naming the bin (``W[0]`` is bin ``first_bin``) and
-    the source ``n`` if any ``W_i`` is singular."""
-    N = W.shape[1]
-    if N == 2:
-        det_w = _det2(W)
-        if np.any(det_w == 0.0):
-            raise singular_demixing(np.abs(det_w), first_bin, n)
-        column = (W[:, 1, 1], -W[:, 1, 0]) if n == 0 else (-W[:, 0, 1], W[:, 0, 0])
-        return np.stack(column, axis=1) / det_w[:, None]
-    rhs = np.broadcast_to(np.eye(N, dtype=W.dtype)[:, n, None], (len(W), N, 1))
-    try:
-        return np.linalg.solve(W, rhs)[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise singular_demixing(np.abs(np.linalg.det(W)), first_bin, n) from exc
+    The new row multiplies ``det W_i`` by ``d = h W_i^{-1} e_n``, which the caller
+    has checked is nonzero, and ``W_i^{-1}`` takes the Sherman-Morrison update
+    ``W^{-1} - W^{-1} e_n (h W^{-1} - e_n^T) / d``: O(N^2) per bin, no solve.
+    The update runs on ``(N, N, b)`` views, so with ``W_inv`` laid out bins last,
+    as :func:`~ggdilrma.pipeline.initialize` lays it out, every operation's
+    inner loop runs over the bins; any layout gives the same numbers."""
+    inv_t = W_inv.transpose(1, 2, 0)
+    g = np.sum(h.T[:, None, :] * inv_t, axis=0)  # h W^-1 (N, b); its row n is d
+    d = np.where(where, g[n], 1.0)
+    g[n] -= 1.0
+    g /= d
+    np.subtract(inv_t, inv_t[:, n, None, :] * g, out=inv_t, where=where)
+    np.add(log_det, np.log(np.abs(d)), out=log_det, where=where)
+    np.copyto(W[:, n].T, h.T, where=where)
 
 
 def _substitute(R: np.ndarray, c: np.ndarray):

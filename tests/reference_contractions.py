@@ -1,7 +1,8 @@
 """The per-iteration contractions written as ``np.einsum`` expressions.
 
 Test oracle for the batched matrix products that ``ggdilrma`` runs in
-``pipeline.separate``, ``cost.ggd_cost_arrays``,
+``pipeline.separate``, ``cost.ggd_cost_arrays``, the inverse and
+log-determinants that ``pipeline.run`` carries beside ``W``,
 ``demix_homogeneous.quartic_majorizer``, ``demix_homogeneous.mixture_gram``
 and the NMF updates in ``source_model``.  Each function spells its sums
 out as an index expression on the raw operands, with the scale ``r``
@@ -27,6 +28,12 @@ def separate_einsum(xd, W):
 def magnitudes_einsum(xd, W):
     """``|y[i, j, n]|`` laid out ``(N, I, J)``, as the cost and NMF updates read it."""
     return np.abs(np.einsum("inm,ijm->nij", W, xd))
+
+
+def inverse_and_log_det(W):
+    """``W^{-1}`` ``(I, N, N)`` and ``log|det W_i|`` ``(I,)`` by LAPACK: the state that
+    the demixing sweeps update beside ``W``, and the cost's log-determinants."""
+    return np.linalg.inv(W), np.linalg.slogdet(W)[1]
 
 
 def mixture_gram_einsum(xd):

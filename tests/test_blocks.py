@@ -12,6 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from reference_contractions import inverse_and_log_det
 from reference_nmf import scale_field
 
 from ggdilrma import pipeline, types
@@ -80,16 +81,26 @@ def test_quartic_sweep_is_block_invariant(monkeypatch, bins, N):
     xd, W, T, V = instance(N, 1, silent_bin=I - 2)
     xd[3, :, 1] = xd[3, :, 0]  # rank-deficient bin: skipped, nonzero output
     gram = mixture_gram(xd)
+    W_inv, log_det = inverse_and_log_det(W)
 
     def sweep():
-        return quartic_sweep(xd, pipeline.separate(xd, W), W.copy(), T, V, 0.5, gram)
+        carried = W_inv.copy(), log_det.copy()
+        W_new, _, f_check, skipped = quartic_sweep(
+            xd, pipeline.separate(xd, W), W.copy(), T, V, 0.5, gram, *carried
+        )
+        return (W_new, *carried, f_check), skipped
 
-    W_ref, _, f_ref, skipped_ref = whole(sweep, monkeypatch)
+    state_ref, skipped_ref = whole(sweep, monkeypatch)
     set_block_bins(monkeypatch, bins)
-    W_new, _, f_new, skipped = sweep()
-    np.testing.assert_array_equal(W_new, W_ref)
-    np.testing.assert_array_equal(f_new, f_ref)
+    state, skipped = sweep()
+    for got, ref in zip(state, state_ref):  # W, W^-1, log|det W|, f_check
+        np.testing.assert_array_equal(got, ref)
     assert skipped == skipped_ref == 2 * N  # every source of both degenerate bins
+    W_new, W_inv_new, log_det_new, f_new = state
+    for i in (3, I - 2):  # the skipped bins' carried state is left as it was
+        np.testing.assert_array_equal(W_inv_new[i], W_inv[i])
+        assert log_det_new[i] == log_det[i]
+    assert_carried(W_new, W_inv_new, log_det_new)
     # f_check is the quartic cost of the updated filters, skipped bins included.
     a2 = np.abs(pipeline.separate(xd, W_new)) ** 2 / scale_field(T, V) ** 4  # r = S**2
     np.testing.assert_allclose(f_new, np.sum(a2 * a2, axis=1) / J, rtol=1e-13)
@@ -102,11 +113,22 @@ def test_ip_sweep_is_block_invariant(monkeypatch, bins, N, beta, p):
     xd, W, T, V = instance(N, 2)
 
     def sweep():
-        return ip_sweep(xd, pipeline.separate(xd, W), W.copy(), T, V, beta, p)
+        carried = inverse_and_log_det(W)
+        return ip_sweep(xd, pipeline.separate(xd, W), W.copy(), T, V, beta, p, *carried), *carried
 
-    W_ref = whole(sweep, monkeypatch)
+    state_ref = whole(sweep, monkeypatch)
     set_block_bins(monkeypatch, bins)
-    np.testing.assert_array_equal(sweep(), W_ref)
+    state = sweep()
+    for got, ref in zip(state, state_ref):  # W, W^-1, log|det W|
+        np.testing.assert_array_equal(got, ref)
+    assert_carried(*state)
+
+
+def assert_carried(W, W_inv, log_det):
+    """The inverse and log-determinants a sweep carried match LAPACK's for its ``W``."""
+    inv_ref, log_det_ref = inverse_and_log_det(W)
+    np.testing.assert_allclose(W_inv, inv_ref, rtol=0, atol=1e-14 * np.max(np.abs(inv_ref)))
+    np.testing.assert_allclose(log_det, log_det_ref, rtol=0, atol=1e-14)
 
 
 @BLOCK_BINS
@@ -119,7 +141,7 @@ def test_nmf_updates_and_cost_are_block_invariant(monkeypatch, bins, beta, p):
         return (
             update_bases_arrays(T, V, abs_y, beta, p),
             update_activations_arrays(T, V, abs_y, beta, p),
-            ggd_cost_arrays(abs_y, W, T, V, beta, p),
+            ggd_cost_arrays(abs_y, inverse_and_log_det(W)[1], T, V, beta, p),
         )
 
     T_ref, V_ref, cost_ref = whole(layers, monkeypatch)
@@ -153,45 +175,43 @@ def test_singular_bin_is_named_by_its_global_index(monkeypatch, bins):
     for N in (2, 3):
         xd, W, T, V = instance(N, 6, silent_bin=7)
         with pytest.raises(SingularCovariance, match=r"at bin 7, source 0$"):
-            ip_sweep(xd, pipeline.separate(xd, W), W, T, V, 2.0, 2.0)
+            ip_sweep(xd, pipeline.separate(xd, W), W, T, V, 2.0, 2.0, *inverse_and_log_det(W))
+
+
+def vanishing_inverse_column(N):
+    """An instance whose carried ``W^-1 e_0`` is zero at bin 7: an update of source 0
+    there would multiply ``det W_7`` by ``h W^-1 e_0 = 0``."""
+    xd, W, T, V = instance(N, 6)
+    W_inv, log_det = inverse_and_log_det(W)
+    W_inv[7, :, 0] = 0.0
+    return xd, W, T, V, W_inv, log_det
 
 
 @BLOCK_BINS
-@pytest.mark.parametrize("N", [2, 3])  # W^-1 e_n by the adjugate and by batched LAPACK
+@pytest.mark.parametrize("N", [2, 3])
 def test_singular_demixing_is_named_by_its_global_bin(monkeypatch, bins, N):
-    xd, W, T, V = instance(N, 6)
-    W[7] = 1.0
+    # The quartic sweep skips and counts that one update, at its global bin: the
+    # direction solved from the zero column is zero, and its cost with it.
+    xd, W, T, V, W_inv, log_det = vanishing_inverse_column(N)
     gram = mixture_gram(xd)
     set_block_bins(monkeypatch, bins)
-    with pytest.raises(SingularDemixing, match=r"at bin 7, source 0$"):
-        quartic_sweep(xd, pipeline.separate(xd, W), W, T, V, 0.5, gram)
+    W_new, _, _, skipped = quartic_sweep(
+        xd, pipeline.separate(xd, W), W.copy(), T, V, 0.5, gram, W_inv, log_det
+    )
+    assert skipped == 1
+    kept = np.all(W_new == W, axis=2)  # (bin, source) pairs left as they were
+    assert np.argwhere(kept).tolist() == [[7, 0]]
 
 
 @BLOCK_BINS
 @pytest.mark.parametrize("N", [2, 3])
 def test_ip_singular_demixing_is_named_by_its_global_bin(monkeypatch, bins, N):
-    xd, W, T, V = instance(N, 6)
-    W[7] = 1.0
+    # IP raises, naming the bin and source; ||z|| = 0 is read before w is divided
+    # by it, so no RuntimeWarning.
+    xd, W, T, V, W_inv, log_det = vanishing_inverse_column(N)
     set_block_bins(monkeypatch, bins)
     with pytest.raises(SingularDemixing, match=r"at bin 7, source 0$"):
-        ip_sweep(xd, pipeline.separate(xd, W), W, T, V, 2.0, 2.0)
-
-
-@pytest.mark.parametrize("N", [2, 3])
-def test_back_projection_names_its_singular_bin(N):
-    xd, W, _, _ = instance(N, 6)
-    W[7] = 1.0
-    with pytest.raises(SingularDemixing, match=r"singular at bin 7$"):
-        pipeline.back_project(pipeline.separate(xd, W), W)
-
-
-@pytest.mark.parametrize("N", [2, 3])  # the closed-form 2 x 2 log-det and slogdet
-def test_cost_names_its_singular_bin(N):
-    xd, W, T, V = instance(N, 6)
-    W[7] = 1.0
-    abs_y = np.abs(np.moveaxis(pipeline.separate(xd, W), 2, 0), order="C")
-    with pytest.raises(SingularDemixing, match=r"singular at bin 7$"):
-        ggd_cost_arrays(abs_y, W, T, V, 4.0, 0.5)
+        ip_sweep(xd, pipeline.separate(xd, W), W, T, V, 2.0, 2.0, W_inv, log_det)
 
 
 @pytest.mark.parametrize(
@@ -226,12 +246,13 @@ def test_layer_temporaries_stay_block_sized():
     yd = pipeline.separate(xd, W)
     abs_y = np.abs(np.moveaxis(yd, 2, 0), order="C")
     gram = mixture_gram(xd)
+    W_inv, log_det = inverse_and_log_det(W)
     calls = {
         update_bases_arrays: (T, V, abs_y, 4.0, 0.5),
         update_activations_arrays: (T, V, abs_y, 4.0, 0.5),
-        ggd_cost_arrays: (abs_y, W, T, V, 4.0, 0.5),
-        quartic_sweep: (xd, yd, W.copy(), T, V, 0.5, gram),
-        ip_sweep: (xd, yd, W.copy(), T, V, 2.0, 2.0),
+        ggd_cost_arrays: (abs_y, log_det, T, V, 4.0, 0.5),
+        quartic_sweep: (xd, yd, W.copy(), T, V, 0.5, gram, W_inv.copy(), log_det.copy()),
+        ip_sweep: (xd, yd, W.copy(), T, V, 2.0, 2.0, W_inv.copy(), log_det.copy()),
     }
     peaks = {}
     for layer, args in calls.items():
@@ -263,12 +284,12 @@ def test_iteration_holds_one_full_size_output_at_a_time(N, beta):
     rng = np.random.default_rng(9)
     xd = rng.standard_normal((bins, frames, N)) + 1j * rng.standard_normal((bins, frames, N))
     cfg = GgdConfig(beta=beta, domain=0.5, n_bases=K, iterations=1, seed=9)
-    W, T, V = pipeline.initialize(cfg, ProblemShape(bins, frames, N, K))
+    state = pipeline.initialize(cfg, ProblemShape(bins, frames, N, K))  # W, T, V, W^-1, log|det W|
     gram = mixture_gram(xd) if cfg.update_scheme == "quartic" else None  # cached per run
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        pipeline.iteration_step(xd, W, T, V, cfg, gram)
+        pipeline.iteration_step(xd, *state[:3], cfg, gram, *state[3:])
         peak = (tracemalloc.get_traced_memory()[1] - base) / xd.nbytes
     finally:
         tracemalloc.stop()

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from reference_contractions import (
     ggd_cost_einsum,
+    inverse_and_log_det,
     magnitudes_einsum,
     mixture_gram_einsum,
     output_power_einsum,
@@ -121,7 +122,7 @@ def test_nmf_updates_match_einsum(N, J, layout, beta, p):
 def test_ggd_cost_matches_einsum(N, J, layout, beta, p):
     xd, W = mixture(I, J, N, layout, 8), demixing(I, N, 9)
     T, V = factors(N, I, K, J, 10)
-    cost = ggd_cost_arrays(magnitudes_einsum(xd, W), W, T, V, beta, p)
+    cost = ggd_cost_arrays(magnitudes_einsum(xd, W), inverse_and_log_det(W)[1], T, V, beta, p)
     assert cost == pytest.approx(ggd_cost_einsum(xd, W, T, V, beta, p), rel=RTOL)
 
 

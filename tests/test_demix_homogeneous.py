@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+from reference_contractions import inverse_and_log_det
 from reference_ip import ip_update_filter
 from reference_quartic import (
     direction_scale_step,
@@ -216,7 +217,7 @@ def sweep(xd, W, radius):
     J, N = radius.shape[1:]
     T, V = np.moveaxis(radius, 2, 0), np.broadcast_to(np.eye(J), (N, J, J))
     yd = np.einsum("inm,ijm->ijn", W, xd)
-    return quartic_sweep(xd, yd, W, T, V, 1.0, mixture_gram(xd))
+    return quartic_sweep(xd, yd, W, T, V, 1.0, mixture_gram(xd), *inverse_and_log_det(W))
 
 
 class TestQuarticUpdateFilter:

@@ -166,12 +166,12 @@ class TestNmfUpdates:
             T, V = random_model(N=1, I=4, K=2, J=5, seed=seed)
             y = random_sources(4, 5, 1, seed=1000 + seed)
             abs_y = source_magnitudes(y)
-            W = np.eye(1, dtype=np.complex128)[None]  # so |W x| = |y| with x = y
-            before = ggd_cost_arrays(abs_y, W, T, V, beta, p)
+            log_det = np.zeros(4)  # W = 1, so |W x| = |y| with x = y
+            before = ggd_cost_arrays(abs_y, log_det, T, V, beta, p)
             T1 = update_bases_arrays(T, V, abs_y, beta, p)
-            mid = ggd_cost_arrays(abs_y, W, T1, V, beta, p)
+            mid = ggd_cost_arrays(abs_y, log_det, T1, V, beta, p)
             V1 = update_activations_arrays(T1, V, abs_y, beta, p)
-            after = ggd_cost_arrays(abs_y, W, T1, V1, beta, p)
+            after = ggd_cost_arrays(abs_y, log_det, T1, V1, beta, p)
             slack = 1e-10 * (1.0 + abs(before))
             if mid > before + slack or after > mid + slack:
                 failures += 1
