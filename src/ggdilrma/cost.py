@@ -5,14 +5,16 @@ The cost (additive constant omitted) is
     -2 J sum_i log|det W_i|
     + sum_{i,j,n} [ |y_ijn|^beta / S_ijn^(beta/p) + (2/p) log S_ijn ]
 
-with ``y = W x`` and ``S = sum_k t v``.  It reads the iteration's ``|y|``,
-which the NMF updates read too, and never forms ``y``.  The log-determinants
+with ``y = W x`` and ``S = sum_k t v``.  It reads the iteration's ``|y|^p``,
+which the NMF updates read too, and never forms ``y``; ``S`` is the scale
+field the pipeline carries, refreshed after the activation update
+(:func:`~ggdilrma.source_model.refresh_scale`).  The log-determinants
 are the ones the pipeline carries beside ``W``: every demixing update
 replaces one row and adds the log of the factor it multiplies ``det W_i``
 by (:func:`~ggdilrma.types._replace_row`), so the cost takes no determinant.
 The model terms are summed over blocks of bins
-(:func:`~ggdilrma.types.bin_blocks`), so ``S`` is never formed at full
-size.  Every update rule in the package is expected to leave this
+(:func:`~ggdilrma.types.bin_blocks`), so their temporaries stay
+cache-sized.  Every update rule in the package is expected to leave this
 non-increasing; :func:`audit_descent` lists the iterations of a recorded
 cost sequence where it rose.
 """
@@ -28,15 +30,14 @@ from .types import bin_blocks
 DESCENT_SLACK = 1e-9
 
 
-def ggd_cost_arrays(abs_y, log_det, T, V, beta, domain) -> float:
-    """Cost of the demixing matrices whose output magnitudes are ``abs_y = |W x|``
-    ``(N, I, J)`` and whose ``log|det W_i|`` are ``log_det`` ``(I,)``; the factors
-    are per-source stacks."""
+def ggd_cost_arrays(yp, log_det, S, beta, domain) -> float:
+    """Cost of the demixing matrices whose outputs ``y = W x`` give ``yp = |y|^p``
+    ``(N, I, J)`` and whose ``log|det W_i|`` are ``log_det`` ``(I,)``, under the
+    scale field ``S = T V`` ``(N, I, J)``."""
     model = 0.0
-    for blk in bin_blocks(*abs_y.shape[1:]):
-        S = T[:, blk] @ V  # (N, b, J)
-        model += np.sum(model_cost_terms(abs_y[:, blk], S, beta, domain))
-    return float(-2.0 * abs_y.shape[2] * np.sum(log_det) + model)
+    for blk in bin_blocks(*yp.shape[1:]):
+        model += np.sum(model_cost_terms(yp[:, blk], S[:, blk], beta, domain))
+    return float(-2.0 * yp.shape[2] * np.sum(log_det) + model)
 
 
 def audit_descent(costs) -> list[int]:

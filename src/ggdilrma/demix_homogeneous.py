@@ -39,7 +39,8 @@ true ``f``, which minimizes the exact cost along the ray, so every update
 decreases the quartic cost.
 
 ``G`` for source ``n`` reads only that source's anchor outputs ``|y~_n|``,
-its scale ``r_n`` and its row ``w~_n`` of ``W_i`` on entry; rows ``m != n``
+its scale ``r_n = S_n^(1/p)``, from the scale field ``S = T V`` that the
+pipeline carries, and its row ``w~_n`` of ``W_i`` on entry; rows ``m != n``
 never enter it, and no other source's update changes any of the three.  So
 :func:`quartic_sweep` assembles the majorizers of every source of a block
 before updating any row, with :func:`_majorizers`, the assembly
@@ -80,7 +81,6 @@ from functools import cache
 
 import numpy as np
 
-from .source_model import block_scale
 from .types import EPS_DET, _replace_row, _substitute, bin_blocks
 
 
@@ -192,7 +192,7 @@ def _cholesky(G):
     return R, ok & (det_g > EPS_DET)
 
 
-def quartic_sweep(xd, yd, W, T, V, domain: float, gram: np.ndarray, W_inv, log_det):
+def quartic_sweep(xd, yd, W, S, domain: float, gram: np.ndarray, W_inv, log_det):
     """One full quartic update of all filters, batched over bins.
 
     Bins whose majorizer or direction is degenerate, or whose majorizer is
@@ -203,7 +203,7 @@ def quartic_sweep(xd, yd, W, T, V, domain: float, gram: np.ndarray, W_inv, log_d
         xd: mixture ``(I, J, M)``, read only through ``gram``, its :func:`mixture_gram`.
         yd: the anchors: separated signal ``(I, J, N)`` of ``W`` on entry.
         W: demixing matrices ``(I, N, N)``, updated in place.
-        T, V: NMF factors; ``S = r**p = T V`` is formed a block at a time.
+        S: the scale field ``r**p = T V`` ``(N, I, J)``; read only.
         domain: the exponent ``p``.
         W_inv, log_det: ``W^{-1}`` ``(I, N, N)`` and ``log|det W_i|`` ``(I,)``,
             kept in step with ``W`` in place.
@@ -226,7 +226,7 @@ def quartic_sweep(xd, yd, W, T, V, domain: float, gram: np.ndarray, W_inv, log_d
         Wb, W_inv_b, log_det_b, Pb = W[blk], W_inv[blk], log_det[blk], gram[blk]
         wts = np.empty((2, N, len(Wb), J))  # 1 / r**2, then |y~|^2 / r**4
         inv_r2 = wts[0]
-        np.divide(1.0, (block_scale(T, V, blk) ** (1.0 / domain)) ** 2, out=inv_r2)
+        np.divide(1.0, (S[:, blk] ** (1.0 / domain)) ** 2, out=inv_r2)
         aq2 = np.abs(yd[blk].transpose(2, 0, 1), order="C")  # the anchors' |y~|^2 / r^2
         aq2 *= aq2
         aq2 *= inv_r2

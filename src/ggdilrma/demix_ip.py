@@ -20,8 +20,10 @@ so its temporaries stay cache-sized and its result does not depend on the
 block size; a singular covariance, or an update that would make ``W_i``
 singular, is reported by its bin in the whole problem and the source being
 updated.
-``S = T V`` is formed once per block, and only ``W`` is updated: source
-``n``'s weights read ``y_n`` alone, which no other source's update changes.
+``S = T V`` is the scale field the pipeline carries, formed once per
+factor update (:func:`~ggdilrma.source_model.refresh_scale`), and only
+``W`` is updated: source ``n``'s weights read ``y_n`` alone, which no other
+source's update changes.
 
 ``F`` is never formed.  It is ``A^H A`` for the weighted observation ``A``
 (row ``j`` is ``c_j^(1/2) x_j^H``, ``c_j`` the weight above), and the sweep
@@ -67,7 +69,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularCovariance, SingularDemixing, UnsupportedBeta
-from .source_model import _whitened_ratio, block_scale
+from .source_model import _whitened_ratio
 from .types import EPS_DET, EPS_Y, _replace_row, _substitute, bin_blocks
 
 
@@ -117,14 +119,14 @@ def _ip_filter(xb, wgt, b_n, n, first_bin):
     return w / norm_z[:, None]
 
 
-def ip_sweep(xd, yd, W, T, V, beta: float, domain: float, W_inv, log_det):
+def ip_sweep(xd, yd, W, S, beta: float, domain: float, W_inv, log_det):
     """One full update of all filters, batched over frequency bins.
 
     Args:
         xd: mixture ``(I, J, M)``.
         yd: separated signal ``(I, J, N)`` of ``W`` on entry; read only.
         W: demixing matrices ``(I, N, N)``; updated in place.
-        T, V: NMF factors; ``S = r**p = T V`` is formed a block at a time.
+        S: the scale field ``r**p = T V`` ``(N, I, J)``; read only.
         W_inv, log_det: ``W^{-1}`` ``(I, N, N)`` and ``log|det W_i|`` ``(I,)``,
             kept in step with ``W`` in place.
 
@@ -137,9 +139,8 @@ def ip_sweep(xd, yd, W, T, V, beta: float, domain: float, W_inv, log_det):
     I, J, N = yd.shape
     for blk in bin_blocks(I, J):
         xb, yb, Wb, W_inv_b, log_det_b = xd[blk], yd[blk], W[blk], W_inv[blk], log_det[blk]
-        S = block_scale(T, V, blk)
         for n in range(N):
-            wgt = _ip_weights(yb[:, :, n], S[n], beta, domain)
+            wgt = _ip_weights(yb[:, :, n], S[n, blk], beta, domain)
             wgt *= beta / (2.0 * J)
             w = _ip_filter(xb, wgt, W_inv_b[:, :, n], n, blk.start)
             _replace_row(Wb, W_inv_b, log_det_b, n, w.conj())

@@ -3,11 +3,17 @@
 Each iteration performs, in order: (1) one demixing sweep of ``W`` alone
 (iterative projection for ``beta <= 2``, quartic majorization on the
 mixture's per-frame outer products, cached per run, for ``beta == 4``), (2)
-recompute the separated magnitudes ``|y|``, which feed (3) one basis
-update, (4) one activation update and (5) the cost; no full-size
-per-iteration array outlives its use.  The cost is recorded after every
-iteration; the final output is rescaled by back-projection onto a
-reference channel.
+recompute the separated outputs' ``|y|^p``, raised to ``p`` once in place,
+which feeds (3) one basis update, (4) one activation update and (5) the
+cost; no full-size per-iteration array outlives its use.  The cost is
+recorded after every iteration; the final output is rescaled by
+back-projection onto a reference channel.
+
+Beside ``T`` and ``V`` the run carries their scale field ``S = T V``
+``(N, I, J)``.  :func:`initialize` forms it, and each iteration refreshes it
+in place once, right after the activation update
+(:func:`~ggdilrma.source_model.refresh_scale`), so this iteration's cost,
+the next sweep and the next basis update all read that one product.
 
 Beside ``W`` the run carries its inverse and ``log|det W_i|``, from the
 identity and zero.  Each sweep keeps them in step as it replaces rows
@@ -28,7 +34,7 @@ from .cost import ggd_cost_arrays
 from .demix_homogeneous import mixture_gram, quartic_sweep
 from .demix_ip import ip_sweep
 from .errors import DegenerateShape
-from .source_model import update_activations_arrays, update_bases_arrays
+from .source_model import refresh_scale, update_activations_arrays, update_bases_arrays
 from .types import (
     EPS_NMF,
     ConvergenceTrace,
@@ -61,12 +67,12 @@ class RunResult:
 
 
 def initialize(cfg: GgdConfig, shape: ProblemShape):
-    """Identity demixing matrices, their inverses and zero log-determinants, and
-    uniform-random positive factors.
+    """Identity demixing matrices, their inverses and zero log-determinants,
+    uniform-random positive factors and their scale field.
 
     Factor entries are i.i.d. uniform on ``(EPS_NMF, 1]``; the draw is
     deterministic for ``cfg.seed`` (bases first, then activations).
-    Returns ``(W, T, V, W_inv, log_det)``.
+    Returns ``(W, T, V, W_inv, log_det, S)`` with ``S = T V`` ``(N, I, J)``.
     """
     I, J, N, K = shape.n_bins, shape.n_frames, shape.n_sources, shape.n_bases
     W = np.tile(np.eye(N, dtype=np.complex128), (I, 1, 1))
@@ -75,7 +81,8 @@ def initialize(cfg: GgdConfig, shape: ProblemShape):
     V = EPS_NMF + (1.0 - EPS_NMF) * (1.0 - rng.random((N, K, J)))
     # W^-1 = I, laid out bins last so that types._replace_row runs along the bins
     W_inv = np.tile(np.eye(N, dtype=np.complex128)[:, :, None], I).transpose(2, 0, 1)
-    return W, T, V, W_inv, np.zeros(I)
+    S = refresh_scale(T, V, np.empty((N, I, J)))
+    return W, T, V, W_inv, np.zeros(I), S
 
 
 def separate(xd: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -93,28 +100,33 @@ def back_project(yd: np.ndarray, W_inv: np.ndarray, reference_channel: int = 0) 
     return yd * W_inv[:, None, reference_channel, :]
 
 
-def iteration_step(xd, W, T, V, cfg: GgdConfig, gram: Optional[np.ndarray], W_inv, log_det):
+def iteration_step(xd, W, T, V, cfg: GgdConfig, gram: Optional[np.ndarray], W_inv, log_det, S):
     """One alternating-update round on raw state arrays (updated in place).
 
-    Order: sweep of ``W`` alone, refresh of the magnitudes ``abs_y``, which
-    feed the basis update, the activation update and the cost; no full-size
+    Order: sweep of ``W`` alone, refresh of the outputs' ``|y|^p``, which
+    feeds the basis update, the activation update and the cost; no full-size
     array outlives its use.  ``gram`` is
     the quartic scheme's cached :func:`~ggdilrma.demix_homogeneous.mixture_gram`
     of ``xd``.  The sweep keeps ``W_inv`` (``W^{-1}``) and ``log_det``
     (``log|det W_i|``) in step with ``W``, and the cost reads ``log_det``.
+    ``S`` is the scale field ``T V`` on entry; the sweep and the basis update
+    read it, and it is refreshed in place after the activation update, for the
+    cost and the next iteration.
     Returns ``(W, T, V, cost, skipped)``.
     """
     beta, p = cfg.beta, cfg.domain
     skipped = 0
     if cfg.update_scheme == "ip":
-        W = ip_sweep(xd, separate(xd, W), W, T, V, beta, p, W_inv, log_det)
+        W = ip_sweep(xd, separate(xd, W), W, S, beta, p, W_inv, log_det)
     else:
         # [::3] keeps W and the skip count; the anchor outputs are dropped.
-        W, skipped = quartic_sweep(xd, separate(xd, W), W, T, V, p, gram, W_inv, log_det)[::3]
-    abs_y = np.abs(np.moveaxis(separate(xd, W), 2, 0), order="C")  # (N, I, J)
-    T = update_bases_arrays(T, V, abs_y, beta, p)
-    V = update_activations_arrays(T, V, abs_y, beta, p)
-    cost = ggd_cost_arrays(abs_y, log_det, T, V, beta, p)
+        W, skipped = quartic_sweep(xd, separate(xd, W), W, S, p, gram, W_inv, log_det)[::3]
+    yp = np.abs(np.moveaxis(separate(xd, W), 2, 0), order="C")  # (N, I, J)
+    yp **= p
+    T = update_bases_arrays(T, V, S, yp, beta, p)
+    V = update_activations_arrays(T, V, yp, beta, p)
+    refresh_scale(T, V, S)
+    cost = ggd_cost_arrays(yp, log_det, S, beta, p)
     return W, T, V, cost, skipped
 
 
@@ -140,14 +152,14 @@ def run(
         raise DegenerateShape(
             f"reference channel {reference_channel} outside 0..{shape.n_sources - 1}"
         )
-    W, T, V, W_inv, log_det = initialize(cfg, shape)
+    W, T, V, W_inv, log_det, S = initialize(cfg, shape)
     xd = np.ascontiguousarray(x.data, dtype=np.complex128)
     gram = mixture_gram(xd) if cfg.update_scheme == "quartic" else None
 
     records = []
     for it in range(1, cfg.iterations + 1):
         t0 = time.perf_counter()
-        W, T, V, cost, skipped = iteration_step(xd, W, T, V, cfg, gram, W_inv, log_det)
+        W, T, V, cost, skipped = iteration_step(xd, W, T, V, cfg, gram, W_inv, log_det, S)
         record = TraceRecord(it, cost, (time.perf_counter() - t0) * 1e3, skipped)
         records.append(record)
         if on_record is not None:

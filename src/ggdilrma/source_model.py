@@ -18,12 +18,19 @@ and ``v`` (and the frame/bin sums) exchanged.  One sweep of both updates
 never increases the negative log-likelihood for a fixed demixing system.
 
 Both updates stream over blocks of frequency bins
-(:func:`~ggdilrma.types.bin_blocks`), so ``S`` and the ratio terms are
-formed one cache-sized block at a time: the bases of a block depend on
-that block alone, and the activations' bin sums are accumulated block by
-block.  The whitened ratio ``(|y|^p / S)^(beta/p)`` is raised by repeated
-squaring when ``beta/p`` is a positive integer (8 at beta = 4, p = 1/2),
-and by the generic power otherwise.
+(:func:`~ggdilrma.types.bin_blocks`), so the ratio terms are formed one
+cache-sized block at a time: the bases of a block depend on that block
+alone, and the activations' bin sums are accumulated block by block.  The
+pipeline carries the full scale field ``S = T V``, which
+:func:`refresh_scale` writes a block at a time after each activation update;
+the basis update, the demixing sweeps and the cost read it, and only the
+activation update, whose bases have just changed, forms its own ``S`` per
+block.  The updates and the cost read ``|y|^p``, which the pipeline raises
+once per iteration; the updates floor it at ``EPS_Y**p``, the same bits as
+flooring ``|y|`` at ``EPS_Y`` first.  The whitened ratio
+``(|y|^p / S)^(beta/p)`` is raised by repeated squaring when ``beta/p`` is a
+positive integer (8 at beta = 4, p = 1/2), and by the generic power
+otherwise.
 
 The per-entry Jensen + tangent-line majorizer behind these updates, and
 its equality auxiliaries, live in ``tests/reference_nmf.py`` as a test
@@ -39,10 +46,12 @@ import numpy as np
 from .types import EPS_NMF, EPS_Y, bin_blocks
 
 
-def block_scale(T: np.ndarray, V: np.ndarray, blk: slice) -> np.ndarray:
-    """Scale field ``(N, b, J)`` of the bins ``blk``, one ``(K,) @ (K, J)`` product
-    per bin, so that a one-bin block rounds as a taller one (BLAS paths differ)."""
-    return (T[:, blk, None] @ V[:, None])[:, :, 0]
+def refresh_scale(T: np.ndarray, V: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Write the scale field ``S = T V`` ``(N, I, J)`` into ``S``, one block of bins at
+    a time, with the ``T[:, blk] @ V`` product the updates form; returns ``S``."""
+    for blk in bin_blocks(*S.shape[1:]):
+        np.matmul(T[:, blk], V, out=S[:, blk])
+    return S
 
 
 def _int_power(x: np.ndarray, k: int) -> np.ndarray:
@@ -57,43 +66,44 @@ def _int_power(x: np.ndarray, k: int) -> np.ndarray:
         x = x * x
 
 
-def _whitened_ratio(abs_y: np.ndarray, S: np.ndarray, beta: float, domain: float) -> np.ndarray:
-    """``|y|^beta / S^(beta/p)`` computed as ``(|y|^p / S)^(beta/p)``.
+def _whitened_ratio(yp, S: np.ndarray, beta: float, domain: float) -> np.ndarray:
+    """``|y|^beta / S^(beta/p)`` computed as ``(|y|^p / S)^(beta/p)`` from ``yp = |y|^p``.
 
     The ratio-first form keeps intermediates near unity; direct powers of
     ``S`` under/overflow when ``beta/p`` is large (e.g. 8 at beta=4, p=0.5).
     An integer ``beta/p`` is raised by repeated squaring, about half the
     time of the generic ``pow`` that a float exponent runs.
     """
-    ratio = abs_y**domain / S
+    ratio = yp / S
     k = beta / domain
     if k >= 1.0 and k == int(k):
         return _int_power(ratio, int(k))
     return ratio**k
 
 
-def update_bases_arrays(T, V, abs_y, beta, domain):
-    """Multiplicative update of every basis matrix; ``abs_y`` is ``(N, I, J)``.
+def update_bases_arrays(T, V, S, yp, beta, domain):
+    """Multiplicative update of every basis matrix, from the scale field ``S = T V``
+    and ``yp = |y|^p``, both ``(N, I, J)``.
 
     Returns:
-        The new bases, shaped as ``T`` and floored at ``EPS_NMF``; ``T`` and
-        ``V`` are not modified.
+        The new bases, shaped as ``T`` and floored at ``EPS_NMF``; ``T``, ``V``
+        and ``S`` are not modified.
     """
     Vt = V.transpose(0, 2, 1)
     T_new = np.empty_like(T)
     for blk in bin_blocks(T.shape[1], V.shape[2]):
-        Tb = T[:, blk]
-        S = Tb @ V  # (N, b, J)
-        ratio = _whitened_ratio(np.maximum(abs_y[:, blk], EPS_Y), S, beta, domain)
-        ratio /= S
+        Sb = S[:, blk]
+        ratio = _whitened_ratio(np.maximum(yp[:, blk], EPS_Y**domain), Sb, beta, domain)
+        ratio /= Sb
         num = beta * (ratio @ Vt)
-        den = 2.0 * ((1.0 / S) @ Vt)
-        T_new[:, blk] = Tb * (num / den) ** (domain / (beta + domain))
+        den = 2.0 * ((1.0 / Sb) @ Vt)
+        T_new[:, blk] = T[:, blk] * (num / den) ** (domain / (beta + domain))
     return np.maximum(T_new, EPS_NMF)
 
 
-def update_activations_arrays(T, V, abs_y, beta, domain):
-    """Multiplicative update of every activation matrix; sums run over bins.
+def update_activations_arrays(T, V, yp, beta, domain):
+    """Multiplicative update of every activation matrix from ``yp = |y|^p``
+    ``(N, I, J)``; sums run over bins.
 
     Returns:
         The new activations, shaped as ``V`` and floored at ``EPS_NMF``;
@@ -104,7 +114,7 @@ def update_activations_arrays(T, V, abs_y, beta, domain):
     for blk in bin_blocks(T.shape[1], V.shape[2]):
         Tb = T[:, blk]
         S = Tb @ V  # (N, b, J)
-        ratio = _whitened_ratio(np.maximum(abs_y[:, blk], EPS_Y), S, beta, domain)
+        ratio = _whitened_ratio(np.maximum(yp[:, blk], EPS_Y**domain), S, beta, domain)
         ratio /= S
         Tt = Tb.transpose(0, 2, 1)
         num += Tt @ ratio
@@ -113,10 +123,10 @@ def update_activations_arrays(T, V, abs_y, beta, domain):
     return np.maximum(V, EPS_NMF)
 
 
-def model_cost_terms(abs_y, S, beta, domain):
-    """Per-entry data-fit plus log-scale terms, ``(N, I, J)``.
+def model_cost_terms(yp, S, beta, domain):
+    """Per-entry data-fit plus log-scale terms, ``(N, I, J)``, from ``yp = |y|^p``.
 
     ``|y|^beta / S^(beta/p) + (2/p) log S`` -- the non-determinant part of
     the negative log-likelihood, additive constant omitted.
     """
-    return _whitened_ratio(abs_y, S, beta, domain) + (2.0 / domain) * np.log(S)
+    return _whitened_ratio(yp, S, beta, domain) + (2.0 / domain) * np.log(S)

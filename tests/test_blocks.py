@@ -22,6 +22,7 @@ from ggdilrma.demix_ip import ip_sweep
 from ggdilrma.errors import SingularCovariance, SingularDemixing
 from ggdilrma.source_model import (
     _whitened_ratio,
+    refresh_scale,
     update_activations_arrays,
     update_bases_arrays,
 )
@@ -48,6 +49,11 @@ def instance(N, seed, silent_bin=None):
     T = rng.uniform(0.2, 1.5, (N, I, K))
     V = rng.uniform(0.2, 1.5, (N, K, J))
     return xd, W, T, V
+
+
+def carried_scale(T, V):
+    """The scale field ``T V`` ``(N, I, J)`` as the pipeline carries it."""
+    return refresh_scale(T, V, np.empty((T.shape[0], T.shape[1], V.shape[2])))
 
 
 def whole(fn, monkeypatch):
@@ -82,11 +88,12 @@ def test_quartic_sweep_is_block_invariant(monkeypatch, bins, N):
     xd[3, :, 1] = xd[3, :, 0]  # rank-deficient bin: skipped, nonzero output
     gram = mixture_gram(xd)
     W_inv, log_det = inverse_and_log_det(W)
+    S = carried_scale(T, V)
 
     def sweep():
         carried = W_inv.copy(), log_det.copy()
         W_new, _, f_check, skipped = quartic_sweep(
-            xd, pipeline.separate(xd, W), W.copy(), T, V, 0.5, gram, *carried
+            xd, pipeline.separate(xd, W), W.copy(), S, 0.5, gram, *carried
         )
         return (W_new, *carried, f_check), skipped
 
@@ -111,10 +118,11 @@ def test_quartic_sweep_is_block_invariant(monkeypatch, bins, N):
 @pytest.mark.parametrize("beta, p", [(2.0, 2.0), (1.0, 0.5)])
 def test_ip_sweep_is_block_invariant(monkeypatch, bins, N, beta, p):
     xd, W, T, V = instance(N, 2)
+    S = carried_scale(T, V)
 
     def sweep():
         carried = inverse_and_log_det(W)
-        return ip_sweep(xd, pipeline.separate(xd, W), W.copy(), T, V, beta, p, *carried), *carried
+        return ip_sweep(xd, pipeline.separate(xd, W), W.copy(), S, beta, p, *carried), *carried
 
     state_ref = whole(sweep, monkeypatch)
     set_block_bins(monkeypatch, bins)
@@ -135,13 +143,14 @@ def assert_carried(W, W_inv, log_det):
 @pytest.mark.parametrize("beta, p", [(4.0, 0.5), (2.0, 2.0), (1.5, 2.0)])
 def test_nmf_updates_and_cost_are_block_invariant(monkeypatch, bins, beta, p):
     xd, W, T, V = instance(2, 3)
-    abs_y = np.abs(np.moveaxis(pipeline.separate(xd, W), 2, 0), order="C")
+    yp = np.abs(np.moveaxis(pipeline.separate(xd, W), 2, 0), order="C") ** p
 
     def layers():
+        S = carried_scale(T, V)  # formed at the block size under test too
         return (
-            update_bases_arrays(T, V, abs_y, beta, p),
-            update_activations_arrays(T, V, abs_y, beta, p),
-            ggd_cost_arrays(abs_y, inverse_and_log_det(W)[1], T, V, beta, p),
+            update_bases_arrays(T, V, S, yp, beta, p),
+            update_activations_arrays(T, V, yp, beta, p),
+            ggd_cost_arrays(yp, inverse_and_log_det(W)[1], S, beta, p),
         )
 
     T_ref, V_ref, cost_ref = whole(layers, monkeypatch)
@@ -175,7 +184,8 @@ def test_singular_bin_is_named_by_its_global_index(monkeypatch, bins):
     for N in (2, 3):
         xd, W, T, V = instance(N, 6, silent_bin=7)
         with pytest.raises(SingularCovariance, match=r"at bin 7, source 0$"):
-            ip_sweep(xd, pipeline.separate(xd, W), W, T, V, 2.0, 2.0, *inverse_and_log_det(W))
+            S = carried_scale(T, V)
+            ip_sweep(xd, pipeline.separate(xd, W), W, S, 2.0, 2.0, *inverse_and_log_det(W))
 
 
 def vanishing_inverse_column(N):
@@ -196,7 +206,7 @@ def test_singular_demixing_is_named_by_its_global_bin(monkeypatch, bins, N):
     gram = mixture_gram(xd)
     set_block_bins(monkeypatch, bins)
     W_new, _, _, skipped = quartic_sweep(
-        xd, pipeline.separate(xd, W), W.copy(), T, V, 0.5, gram, W_inv, log_det
+        xd, pipeline.separate(xd, W), W.copy(), carried_scale(T, V), 0.5, gram, W_inv, log_det
     )
     assert skipped == 1
     kept = np.all(W_new == W, axis=2)  # (bin, source) pairs left as they were
@@ -211,7 +221,7 @@ def test_ip_singular_demixing_is_named_by_its_global_bin(monkeypatch, bins, N):
     xd, W, T, V, W_inv, log_det = vanishing_inverse_column(N)
     set_block_bins(monkeypatch, bins)
     with pytest.raises(SingularDemixing, match=r"at bin 7, source 0$"):
-        ip_sweep(xd, pipeline.separate(xd, W), W, T, V, 2.0, 2.0, W_inv, log_det)
+        ip_sweep(xd, pipeline.separate(xd, W), W, carried_scale(T, V), 2.0, 2.0, W_inv, log_det)
 
 
 @pytest.mark.parametrize(
@@ -224,7 +234,7 @@ def test_whitened_ratio_matches_generic_power(beta, p):
     abs_y = rng.uniform(1e-3, 30.0, (2, 9, 11))
     S = rng.uniform(1e-2, 20.0, (2, 9, 11))
     expected = (abs_y**p / S) ** (beta / p)
-    np.testing.assert_allclose(_whitened_ratio(abs_y, S, beta, p), expected, rtol=1e-14)
+    np.testing.assert_allclose(_whitened_ratio(abs_y**p, S, beta, p), expected, rtol=1e-14)
 
 
 #: Bound on a layer's transient allocation peak, as a fraction of the
@@ -244,15 +254,17 @@ def test_layer_temporaries_stay_block_sized():
     T = rng.uniform(0.2, 1.5, (N, bins, K))
     V = rng.uniform(0.2, 1.5, (N, K, frames))
     yd = pipeline.separate(xd, W)
-    abs_y = np.abs(np.moveaxis(yd, 2, 0), order="C")
+    yp = np.abs(np.moveaxis(yd, 2, 0), order="C") ** 0.5
     gram = mixture_gram(xd)
     W_inv, log_det = inverse_and_log_det(W)
+    S = carried_scale(T, V)
     calls = {
-        update_bases_arrays: (T, V, abs_y, 4.0, 0.5),
-        update_activations_arrays: (T, V, abs_y, 4.0, 0.5),
-        ggd_cost_arrays: (abs_y, log_det, T, V, 4.0, 0.5),
-        quartic_sweep: (xd, yd, W.copy(), T, V, 0.5, gram, W_inv.copy(), log_det.copy()),
-        ip_sweep: (xd, yd, W.copy(), T, V, 2.0, 2.0, W_inv.copy(), log_det.copy()),
+        refresh_scale: (T, V, S),
+        update_bases_arrays: (T, V, S, yp, 4.0, 0.5),
+        update_activations_arrays: (T, V, yp, 4.0, 0.5),
+        ggd_cost_arrays: (yp, log_det, S, 4.0, 0.5),
+        quartic_sweep: (xd, yd, W.copy(), S, 0.5, gram, W_inv.copy(), log_det.copy()),
+        ip_sweep: (xd, yd, W.copy(), S, 2.0, 2.0, W_inv.copy(), log_det.copy()),
     }
     peaks = {}
     for layer, args in calls.items():
@@ -270,9 +282,11 @@ def test_layer_temporaries_stay_block_sized():
 #: Bound on the transient allocation peak of one ``iteration_step``, as a
 #: fraction of the mixture's bytes.  Its only full-size arrays are the
 #: separated signal (the sweep's anchor, then the refreshed one: one at a
-#: time) and the magnitudes the NMF updates read: 1.5 in all.  With the
-#: sweeps' block temporaries it reads 1.57 for the quartic sweep and 1.50
-#: for the IP sweep, at N = 2 and N = 3 alike.
+#: time) and the ``|y|^p`` the NMF updates and the cost read: 1.5 in all.
+#: The scale field ``S`` is carried state, like ``gram``: allocated outside
+#: the step and refreshed in place, so it is not part of this transient.
+#: With the sweeps' block temporaries it reads 1.57 for the quartic sweep
+#: and 1.50 for the IP sweep, at N = 2 and N = 3 alike.
 #: Keeping the scale field, the anchor and the refresh alive together reads 2.7.
 STEP_PEAK_FRACTION = 1.75
 
@@ -284,7 +298,8 @@ def test_iteration_holds_one_full_size_output_at_a_time(N, beta):
     rng = np.random.default_rng(9)
     xd = rng.standard_normal((bins, frames, N)) + 1j * rng.standard_normal((bins, frames, N))
     cfg = GgdConfig(beta=beta, domain=0.5, n_bases=K, iterations=1, seed=9)
-    state = pipeline.initialize(cfg, ProblemShape(bins, frames, N, K))  # W, T, V, W^-1, log|det W|
+    # W, T, V, W^-1, log|det W|, S
+    state = pipeline.initialize(cfg, ProblemShape(bins, frames, N, K))
     gram = mixture_gram(xd) if cfg.update_scheme == "quartic" else None  # cached per run
     tracemalloc.start()
     try:

@@ -108,9 +108,9 @@ def test_nmf_updates_match_einsum(N, J, layout, beta, p):
     yd = separate_einsum(mixture(I, J, N, layout, 6), demixing(I, N, 7))
     abs_y = np.abs(np.moveaxis(yd, 2, 0))
     T0, V0 = T.copy(), V.copy()
-    T_new = update_bases_arrays(T, V, abs_y, beta, p)
+    T_new = update_bases_arrays(T, V, T @ V, abs_y**p, beta, p)
     np.testing.assert_allclose(T_new, update_bases_einsum(T, V, abs_y, beta, p), rtol=RTOL)
-    V_new = update_activations_arrays(T, V, abs_y, beta, p)
+    V_new = update_activations_arrays(T, V, abs_y**p, beta, p)
     np.testing.assert_allclose(V_new, update_activations_einsum(T, V, abs_y, beta, p), rtol=RTOL)
     np.testing.assert_array_equal(T, T0)  # both updates leave their inputs as given
     np.testing.assert_array_equal(V, V0)
@@ -122,7 +122,8 @@ def test_nmf_updates_match_einsum(N, J, layout, beta, p):
 def test_ggd_cost_matches_einsum(N, J, layout, beta, p):
     xd, W = mixture(I, J, N, layout, 8), demixing(I, N, 9)
     T, V = factors(N, I, K, J, 10)
-    cost = ggd_cost_arrays(magnitudes_einsum(xd, W), inverse_and_log_det(W)[1], T, V, beta, p)
+    yp = magnitudes_einsum(xd, W) ** p
+    cost = ggd_cost_arrays(yp, inverse_and_log_det(W)[1], T @ V, beta, p)
     assert cost == pytest.approx(ggd_cost_einsum(xd, W, T, V, beta, p), rel=RTOL)
 
 

@@ -10,17 +10,17 @@ from ggdilrma.types import GgdConfig, _replace_row
 
 class TestGgdCost:
     def test_zero_input_unit_model(self):
-        abs_y = np.zeros((1, 1, 4))  # |W x| for x = 0
+        yp = np.zeros((1, 1, 4))  # |W x|^p for x = 0
         log_det = np.zeros(1)  # W = 1
-        T, V = np.ones((1, 1, 1)), np.ones((1, 1, 4))
-        assert ggd_cost_arrays(abs_y, log_det, T, V, 2.0, 2.0) == pytest.approx(0.0, abs=1e-14)
+        S = np.ones((1, 1, 4))  # T V with unit factors
+        assert ggd_cost_arrays(yp, log_det, S, 2.0, 2.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_unit_instance(self):
         # I=J=N=K=1, |x|=1, t*v=1, beta=p=2 -> cost 1
-        abs_y = np.ones((1, 1, 1))  # |W x| for W = x = 1
+        yp = np.ones((1, 1, 1))  # |W x|^p for W = x = 1
         log_det = np.zeros(1)
-        T, V = np.ones((1, 1, 1)), np.ones((1, 1, 1))
-        assert ggd_cost_arrays(abs_y, log_det, T, V, 2.0, 2.0) == pytest.approx(1.0, rel=1e-14)
+        S = np.ones((1, 1, 1))
+        assert ggd_cost_arrays(yp, log_det, S, 2.0, 2.0) == pytest.approx(1.0, rel=1e-14)
 
     @pytest.mark.parametrize("beta,p", [(2.0, 2.0), (1.0, 0.5), (4.0, 0.5)])
     def test_matches_naive_summation(self, beta, p):
@@ -38,7 +38,7 @@ class TestGgdCost:
             T = rng.uniform(0.2, 1.0, (N, I, K))
             V = rng.uniform(0.2, 1.0, (N, K, J))
             log_det = inverse_and_log_det(W)[1]
-            got = ggd_cost_arrays(magnitudes_einsum(xd, W), log_det, T, V, beta, p)
+            got = ggd_cost_arrays(magnitudes_einsum(xd, W) ** p, log_det, T @ V, beta, p)
 
             naive = 0.0
             for i in range(I):
@@ -60,7 +60,7 @@ class TestGgdCost:
 
         def cost(W):
             return ggd_cost_arrays(
-                magnitudes_einsum(xd, W), inverse_and_log_det(W)[1], T, V, 2.0, 2.0
+                magnitudes_einsum(xd, W) ** 2, inverse_and_log_det(W)[1], T @ V, 2.0, 2.0
             )
 
         base = cost(W)
@@ -85,9 +85,7 @@ class TestGgdCost:
         assert np.all(np.isfinite(log_det))
         np.testing.assert_allclose(log_det, expected, rtol=1e-14)
         np.testing.assert_allclose(W_inv, inv_ref, rtol=1e-14)
-        abs_y = np.zeros((2, 1, 3))
-        T, V = np.ones((2, 1, 1)), np.ones((2, 1, 3))
-        cost = ggd_cost_arrays(abs_y, log_det, T, V, 2.0, 2.0)
+        cost = ggd_cost_arrays(np.zeros((2, 1, 3)), log_det, np.ones((2, 1, 3)), 2.0, 2.0)
         assert cost == pytest.approx(-2.0 * 3 * expected[0], rel=1e-14)
 
 

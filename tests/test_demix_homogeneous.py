@@ -209,15 +209,11 @@ class TestDirectionScaleStep:
 
 
 def sweep(xd, W, radius):
-    """``quartic_sweep`` anchored at ``W``'s outputs, with scale field ``radius``.
-
-    The factors reproduce ``S = radius`` exactly at ``p = 1``: the bases are
-    its frames (``K = J``) and the activations the identity.
-    """
-    J, N = radius.shape[1:]
-    T, V = np.moveaxis(radius, 2, 0), np.broadcast_to(np.eye(J), (N, J, J))
+    """``quartic_sweep`` anchored at ``W``'s outputs, with scale field ``S = radius``
+    at ``p = 1``."""
     yd = np.einsum("inm,ijm->ijn", W, xd)
-    return quartic_sweep(xd, yd, W, T, V, 1.0, mixture_gram(xd), *inverse_and_log_det(W))
+    S = np.moveaxis(radius, 2, 0)
+    return quartic_sweep(xd, yd, W, S, 1.0, mixture_gram(xd), *inverse_and_log_det(W))
 
 
 class TestQuarticUpdateFilter:

@@ -20,13 +20,14 @@ from reference_nmf import (
 )
 
 from ggdilrma.cost import ggd_cost_arrays
+from ggdilrma import types
 from ggdilrma.source_model import (
-    block_scale,
     model_cost_terms,
+    refresh_scale,
     update_activations_arrays,
     update_bases_arrays,
 )
-from ggdilrma.types import EPS_NMF
+from ggdilrma.types import EPS_NMF, EPS_Y
 
 
 def random_model(N, I, K, J, seed, low=0.2, high=1.5):
@@ -82,7 +83,7 @@ class TestModelCostTerms:
         rng = np.random.default_rng(11)
         abs_y = rng.uniform(0.0, 3.0, (2, 3, 4))
         S = rng.uniform(0.2, 2.0, (2, 3, 4))
-        got = model_cost_terms(abs_y, S, beta, p)
+        got = model_cost_terms(abs_y**p, S, beta, p)
         want = [
             -ggd_log_density(a, beta, s ** (1.0 / p)) + log_normalizer(beta)
             for a, s in zip(abs_y.ravel(), S.ravel())
@@ -90,25 +91,41 @@ class TestModelCostTerms:
         np.testing.assert_allclose(got.ravel(), want, rtol=1e-12, atol=1e-12)
 
 
+def scale(T, V):
+    """The package's scale field ``(N, I, J)``, written into a fresh buffer."""
+    return refresh_scale(T, V, np.empty((T.shape[0], T.shape[1], V.shape[2])))
+
+
 class TestScaleField:
-    """The package's scale field ``(N, b, J)`` over a block of bins."""
+    """The scale field ``S = T V`` ``(N, I, J)`` that the pipeline carries."""
 
     def test_single_term(self):
-        field = block_scale(np.full((1, 1, 1), 2.0), np.full((1, 1, 1), 3.0), slice(None))
-        assert field[0, 0, 0] == pytest.approx(6.0)
+        field = scale(np.full((1, 1, 1), 2.0), np.full((1, 1, 1), 3.0))
+        assert field[0, 0, 0] == 6.0
 
     def test_two_term_sum(self):
-        field = block_scale(np.ones((1, 1, 2)), np.ones((1, 2, 1)), slice(None))
-        assert field[0, 0, 0] == pytest.approx(2.0)
+        field = scale(np.ones((1, 1, 2)), np.ones((1, 2, 1)))
+        assert field[0, 0, 0] == 2.0
 
     def test_matches_triple_loop(self):
         T, V = random_model(N=2, I=4, K=3, J=5, seed=0)
-        field = block_scale(T, V, slice(1, 4))
+        field = scale(T, V)
         for n in range(2):
-            for i in range(1, 4):
+            for i in range(4):
                 for j in range(5):
                     direct = sum(T[n, i, k] * V[n, k, j] for k in range(3))
-                    assert abs(field[n, i - 1, j] - direct) <= 1e-14 * direct
+                    assert abs(field[n, i, j] - direct) <= 1e-14 * direct
+
+    @pytest.mark.parametrize("bins", [1, 3, 7])
+    def test_writes_every_block_into_the_given_buffer(self, monkeypatch, bins):
+        # The field is formed a block at a time, with the updates' own product.
+        T, V = random_model(N=2, I=7, K=3, J=5, seed=1)
+        monkeypatch.setattr(types, "BLOCK_ENTRIES", bins * 5)
+        S = np.full((2, 7, 5), np.nan)
+        assert refresh_scale(T, V, S) is S
+        for blk in types.bin_blocks(7, 5):
+            np.testing.assert_array_equal(S[:, blk], T[:, blk] @ V)
+        np.testing.assert_allclose(S, np.moveaxis(scale_field(T, V), 2, 0), rtol=1e-15)
 
 
 class TestNmfUpdates:
@@ -121,23 +138,23 @@ class TestNmfUpdates:
     @pytest.mark.parametrize("beta,p", [(1.0, 0.5), (4.0, 0.5), (1.5, 2.0)])
     def test_equality_case_multiplies_by_constant(self, beta, p):
         T, V, abs_y = self.equal_ratio_instance(beta, p)
-        T_new = update_bases_arrays(T, V, abs_y, beta, p)
+        T_new = update_bases_arrays(T, V, scale(T, V), abs_y**p, beta, p)
         factor = (beta / 2.0) ** (p / (beta + p))
         np.testing.assert_allclose(T_new, T * factor, rtol=1e-12)
 
     def test_gaussian_fixed_point(self):
         # at beta=2 the equality case is a fixed point of both updates
         T, V, abs_y = self.equal_ratio_instance(2.0, 2.0)
-        T_new = update_bases_arrays(T, V, abs_y, 2.0, 2.0)
+        T_new = update_bases_arrays(T, V, scale(T, V), abs_y**2, 2.0, 2.0)
         np.testing.assert_allclose(T_new, T, rtol=1e-12)
-        V_new = update_activations_arrays(T, V, abs_y, 2.0, 2.0)
+        V_new = update_activations_arrays(T, V, abs_y**2, 2.0, 2.0)
         np.testing.assert_allclose(V_new, V, rtol=1e-12)
 
     def test_is_nmf_square_root_exponent(self):
         # beta=p=2 exponent p/(beta+p) = 1/2: ratio**0.5 multiplicative form
         T, V = random_model(N=1, I=4, K=2, J=5, seed=1)
         y = random_sources(4, 5, 1, seed=2)
-        T_new = update_bases_arrays(T, V, source_magnitudes(y), 2.0, 2.0)
+        T_new = update_bases_arrays(T, V, scale(T, V), source_magnitudes(y) ** 2, 2.0, 2.0)
 
         S = T[0] @ V[0]
         P = np.abs(y[:, :, 0]) ** 2
@@ -149,11 +166,11 @@ class TestNmfUpdates:
     def test_matches_per_source_oracle(self, beta, p):
         T, V = random_model(N=2, I=4, K=3, J=6, seed=11)
         abs_y = source_magnitudes(random_sources(4, 6, 2, seed=12))
-        T_new = update_bases_arrays(T, V, abs_y, beta, p)
+        T_new = update_bases_arrays(T, V, scale(T, V), abs_y**p, beta, p)
         np.testing.assert_allclose(
             T_new, update_bases_reference(T, V, abs_y, beta, p), rtol=1e-12
         )
-        V_new = update_activations_arrays(T_new, V, abs_y, beta, p)
+        V_new = update_activations_arrays(T_new, V, abs_y**p, beta, p)
         np.testing.assert_allclose(
             V_new, update_activations_reference(T_new, V, abs_y, beta, p), rtol=1e-12
         )
@@ -165,23 +182,35 @@ class TestNmfUpdates:
         for seed in range(100):
             T, V = random_model(N=1, I=4, K=2, J=5, seed=seed)
             y = random_sources(4, 5, 1, seed=1000 + seed)
-            abs_y = source_magnitudes(y)
+            yp = source_magnitudes(y) ** p
             log_det = np.zeros(4)  # W = 1, so |W x| = |y| with x = y
-            before = ggd_cost_arrays(abs_y, log_det, T, V, beta, p)
-            T1 = update_bases_arrays(T, V, abs_y, beta, p)
-            mid = ggd_cost_arrays(abs_y, log_det, T1, V, beta, p)
-            V1 = update_activations_arrays(T1, V, abs_y, beta, p)
-            after = ggd_cost_arrays(abs_y, log_det, T1, V1, beta, p)
+            before = ggd_cost_arrays(yp, log_det, scale(T, V), beta, p)
+            T1 = update_bases_arrays(T, V, scale(T, V), yp, beta, p)
+            mid = ggd_cost_arrays(yp, log_det, scale(T1, V), beta, p)
+            V1 = update_activations_arrays(T1, V, yp, beta, p)
+            after = ggd_cost_arrays(yp, log_det, scale(T1, V1), beta, p)
             slack = 1e-10 * (1.0 + abs(before))
             if mid > before + slack or after > mid + slack:
                 failures += 1
         assert failures == 0
 
+    @pytest.mark.parametrize("p", [0.1, 0.25, 0.5, 0.7, 1.0, 1.5, 2.0])
+    def test_floor_of_the_power_is_the_power_of_the_floor(self, p):
+        # The updates floor |y|^p, raised in place, at EPS_Y**p: the same bits as
+        # flooring |y| at EPS_Y and then raising it to p.
+        rng = np.random.default_rng(13)
+        near = EPS_Y * rng.uniform(0.0, 2.0, 200_000)
+        edges = [0.0, EPS_Y, np.nextafter(EPS_Y, 0.0), np.nextafter(EPS_Y, 1.0)]
+        abs_y = np.concatenate([near, edges, rng.uniform(0.0, 10.0, 200_000)])
+        yp = abs_y.copy()
+        yp **= p
+        np.testing.assert_array_equal(np.maximum(yp, EPS_Y**p), np.maximum(abs_y, EPS_Y) ** p)
+
     def test_nonnegativity_closure(self):
         T, V = random_model(N=2, I=4, K=2, J=5, seed=3, low=1e-12, high=1e-11)
         abs_y = source_magnitudes(random_sources(4, 5, 2, seed=4))
-        T = update_bases_arrays(T, V, abs_y, 1.0, 0.5)
-        V = update_activations_arrays(T, V, abs_y, 1.0, 0.5)
+        T = update_bases_arrays(T, V, scale(T, V), abs_y**0.5, 1.0, 0.5)
+        V = update_activations_arrays(T, V, abs_y**0.5, 1.0, 0.5)
         assert np.all(T >= EPS_NMF)
         assert np.all(V >= EPS_NMF)
 
@@ -189,8 +218,7 @@ class TestNmfUpdates:
         # T -> cT, V -> V/c leaves the scale field unchanged exactly
         T, V = random_model(N=1, I=4, K=2, J=5, seed=5)
         c = 4.0  # power of two: exact float scaling
-        every = slice(None)
-        np.testing.assert_array_equal(block_scale(T, V, every), block_scale(T * c, V / c, every))
+        np.testing.assert_array_equal(scale(T, V), scale(T * c, V / c))
 
 
 class TestMajorizerGap:
