@@ -14,7 +14,10 @@ replaces one row and adds the log of the factor it multiplies ``det W_i``
 by (:func:`~ggdilrma.types._replace_row`), so the cost takes no determinant.
 The model terms are summed over blocks of bins
 (:func:`~ggdilrma.types.bin_blocks`), so their temporaries stay
-cache-sized.  Every update rule in the package is expected to leave this
+cache-sized: each block's ratio is formed in one new array, and the
+log-scale term is added into it
+(:func:`~ggdilrma.source_model.model_cost_terms`); ``yp`` and ``S`` are not
+modified.  Every update rule in the package is expected to leave this
 non-increasing; :func:`audit_descent` lists the iterations of a recorded
 cost sequence where it rose.
 """

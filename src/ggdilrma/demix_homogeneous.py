@@ -226,7 +226,10 @@ def quartic_sweep(xd, yd, W, S, domain: float, gram: np.ndarray, W_inv, log_det)
         Wb, W_inv_b, log_det_b, Pb = W[blk], W_inv[blk], log_det[blk], gram[blk]
         wts = np.empty((2, N, len(Wb), J))  # 1 / r**2, then |y~|^2 / r**4
         inv_r2 = wts[0]
-        np.divide(1.0, (S[:, blk] ** (1.0 / domain)) ** 2, out=inv_r2)
+        r2 = S[:, blk] ** (1.0 / domain)  # r, then r**2
+        r2 **= 2
+        np.divide(1.0, r2, out=inv_r2)
+        del r2
         aq2 = np.abs(yd[blk].transpose(2, 0, 1), order="C")  # the anchors' |y~|^2 / r^2
         aq2 *= aq2
         aq2 *= inv_r2
@@ -237,7 +240,8 @@ def quartic_sweep(xd, yd, W, S, domain: float, gram: np.ndarray, W_inv, log_det)
         for n in range(N):
             w_dir, _ = _substitute(R[:, n], W_inv_b[:, :, n])
             h_dir = w_dir.conj()  # the direction's demixing row
-            a2 = (_form_coeffs(h_dir)[:, None, :] @ Pb)[:, 0] * inv_r2[n]  # |y_dir|^2 / r^2
+            a2 = (_form_coeffs(h_dir)[:, None, :] @ Pb)[:, 0]  # |y_dir|^2, then over r^2
+            a2 *= inv_r2[n]
             s4_dir = np.vecdot(a2, a2)
             ok = good[n] & np.isfinite(s4_dir) & (s4_dir > 0.0)
             scale = (J / (2.0 * np.where(ok, s4_dir, 1.0))) ** 0.25

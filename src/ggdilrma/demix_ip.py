@@ -78,7 +78,10 @@ def _ip_weights(y, S, beta, domain):
     only when ``beta != 2``."""
     wgt = _whitened_ratio(1.0, S, beta, domain)
     if beta != 2.0:
-        wgt *= np.maximum(np.abs(y), EPS_Y) ** (beta - 2.0)
+        abs_y = np.abs(y)  # floored and raised in place
+        np.maximum(abs_y, EPS_Y, out=abs_y)
+        abs_y **= beta - 2.0
+        wgt *= abs_y
     return wgt
 
 

@@ -32,6 +32,16 @@ flooring ``|y|`` at ``EPS_Y`` first.  The whitened ratio
 positive integer (8 at beta = 4, p = 1/2), and by the generic power
 otherwise.
 
+Each block's elementwise chain runs in place.  Both updates floor the
+block's ``|y|^p`` into one new block buffer, then divide it by ``S``, raise
+it, divide it by ``S`` again and overwrite it with ``1/S``; the activation
+update also forms its block's ``S`` in a buffer of its own.
+:func:`model_cost_terms` writes the ratio into a new array and adds the
+log-scale term into it.  An odd power takes one more buffer for its
+squares (:func:`_int_power`).  No layer writes into ``T``, ``V``, ``S`` or
+the ``|y|^p`` it is given, and every operation has the operands and order
+of the out-of-place form, so the bits are the same.
+
 The per-entry Jensen + tangent-line majorizer behind these updates, and
 its equality auxiliaries, live in ``tests/reference_nmf.py`` as a test
 oracle, together with a per-source loop form of both updates.  The
@@ -55,30 +65,46 @@ def refresh_scale(T: np.ndarray, V: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 
 def _int_power(x: np.ndarray, k: int) -> np.ndarray:
-    """``x**k`` for an integer ``k >= 1`` by repeated squaring (``x`` itself for 1)."""
+    """``x**k`` for an integer ``k >= 1`` by repeated squaring, written into ``x``,
+    which is returned.
+
+    The squares overwrite ``x`` until the result first takes it (the lowest set
+    bit of ``k``); from there they go to one new buffer, squared in place, and
+    the result multiplies into ``x``.  Every product has the operands of the
+    out-of-place squaring, so the bits are the same.
+    """
     result = None
     while True:
         if k & 1:
-            result = x if result is None else result * x
+            if result is None:
+                result = x
+            else:
+                result *= x
         k >>= 1
         if not k:
             return result
-        x = x * x
+        if x is result:
+            x = x * x
+        else:
+            x *= x
 
 
-def _whitened_ratio(yp, S: np.ndarray, beta: float, domain: float) -> np.ndarray:
-    """``|y|^beta / S^(beta/p)`` computed as ``(|y|^p / S)^(beta/p)`` from ``yp = |y|^p``.
+def _whitened_ratio(yp, S: np.ndarray, beta: float, domain: float, out=None) -> np.ndarray:
+    """``|y|^beta / S^(beta/p)`` computed as ``(|y|^p / S)^(beta/p)`` from ``yp = |y|^p``,
+    written into ``out``, which may be ``yp`` itself, or into a new array when
+    ``out`` is ``None``; the array written is returned.
 
     The ratio-first form keeps intermediates near unity; direct powers of
     ``S`` under/overflow when ``beta/p`` is large (e.g. 8 at beta=4, p=0.5).
     An integer ``beta/p`` is raised by repeated squaring, about half the
     time of the generic ``pow`` that a float exponent runs.
     """
-    ratio = yp / S
+    ratio = np.divide(yp, S, out=out)
     k = beta / domain
     if k >= 1.0 and k == int(k):
         return _int_power(ratio, int(k))
-    return ratio**k
+    ratio **= k
+    return ratio
 
 
 def update_bases_arrays(T, V, S, yp, beta, domain):
@@ -86,17 +112,18 @@ def update_bases_arrays(T, V, S, yp, beta, domain):
     and ``yp = |y|^p``, both ``(N, I, J)``.
 
     Returns:
-        The new bases, shaped as ``T`` and floored at ``EPS_NMF``; ``T``, ``V``
-        and ``S`` are not modified.
+        The new bases, shaped as ``T`` and floored at ``EPS_NMF``; ``T``, ``V``,
+        ``S`` and ``yp`` are not modified.
     """
     Vt = V.transpose(0, 2, 1)
     T_new = np.empty_like(T)
     for blk in bin_blocks(T.shape[1], V.shape[2]):
         Sb = S[:, blk]
-        ratio = _whitened_ratio(np.maximum(yp[:, blk], EPS_Y**domain), Sb, beta, domain)
+        ratio = np.maximum(yp[:, blk], EPS_Y**domain)  # the block's one buffer
+        _whitened_ratio(ratio, Sb, beta, domain, out=ratio)
         ratio /= Sb
         num = beta * (ratio @ Vt)
-        den = 2.0 * ((1.0 / Sb) @ Vt)
+        den = 2.0 * (np.divide(1.0, Sb, out=ratio) @ Vt)
         T_new[:, blk] = T[:, blk] * (num / den) ** (domain / (beta + domain))
     return np.maximum(T_new, EPS_NMF)
 
@@ -107,18 +134,19 @@ def update_activations_arrays(T, V, yp, beta, domain):
 
     Returns:
         The new activations, shaped as ``V`` and floored at ``EPS_NMF``;
-        ``T`` and ``V`` are not modified.
+        ``T``, ``V`` and ``yp`` are not modified.
     """
     num = np.zeros_like(V)
     den = np.zeros_like(V)
     for blk in bin_blocks(T.shape[1], V.shape[2]):
         Tb = T[:, blk]
         S = Tb @ V  # (N, b, J)
-        ratio = _whitened_ratio(np.maximum(yp[:, blk], EPS_Y**domain), S, beta, domain)
+        ratio = np.maximum(yp[:, blk], EPS_Y**domain)  # the block's one buffer
+        _whitened_ratio(ratio, S, beta, domain, out=ratio)
         ratio /= S
         Tt = Tb.transpose(0, 2, 1)
         num += Tt @ ratio
-        den += Tt @ (1.0 / S)
+        den += Tt @ np.divide(1.0, S, out=ratio)
     V = V * ((beta * num) / (2.0 * den)) ** (domain / (beta + domain))
     return np.maximum(V, EPS_NMF)
 
@@ -127,6 +155,12 @@ def model_cost_terms(yp, S, beta, domain):
     """Per-entry data-fit plus log-scale terms, ``(N, I, J)``, from ``yp = |y|^p``.
 
     ``|y|^beta / S^(beta/p) + (2/p) log S`` -- the non-determinant part of
-    the negative log-likelihood, additive constant omitted.
+    the negative log-likelihood, additive constant omitted.  The log-scale term
+    is added into the new ratio array, which is returned; ``yp`` and ``S`` are
+    not modified.
     """
-    return _whitened_ratio(yp, S, beta, domain) + (2.0 / domain) * np.log(S)
+    terms = _whitened_ratio(yp, S, beta, domain)
+    log_s = np.log(S)
+    log_s *= 2.0 / domain
+    terms += log_s
+    return terms

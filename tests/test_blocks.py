@@ -3,9 +3,12 @@
 The per-iteration layers run over blocks of bins sized by
 ``types.BLOCK_ENTRIES``.  The demixing sweeps are per-bin, so their result
 must not depend on the block size at all; the NMF updates and the cost sum
-over blocks, so they agree to roundoff.  A ``tracemalloc`` guard keeps every
-layer's temporaries a fraction of the mixture's size, and a second one
-bounds what a whole iteration holds at once.
+over blocks, so they agree to roundoff.  Their per-block chains run in
+place, in buffers of their own: the integer power squares into the buffer it
+is given, and no layer writes into the arrays it reads.  A ``tracemalloc``
+guard keeps every layer's temporaries a fraction of the mixture's size (a
+tighter one for the NMF updates and the cost), and a second one bounds what
+a whole iteration holds at once.
 """
 
 import tracemalloc
@@ -21,12 +24,14 @@ from ggdilrma.demix_homogeneous import mixture_gram, quartic_sweep
 from ggdilrma.demix_ip import ip_sweep
 from ggdilrma.errors import SingularCovariance, SingularDemixing
 from ggdilrma.source_model import (
+    _int_power,
     _whitened_ratio,
+    model_cost_terms,
     refresh_scale,
     update_activations_arrays,
     update_bases_arrays,
 )
-from ggdilrma.types import GgdConfig, MixtureSpectrogram, ProblemShape, bin_blocks
+from ggdilrma.types import EPS_Y, GgdConfig, MixtureSpectrogram, ProblemShape, bin_blocks
 
 RTOL = 1e-12
 I, J, K = 10, 12, 3
@@ -161,6 +166,28 @@ def test_nmf_updates_and_cost_are_block_invariant(monkeypatch, bins, beta, p):
     assert cost == pytest.approx(cost_ref, rel=RTOL)
 
 
+@pytest.mark.parametrize("bins", [1, 3, 7])
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("beta, p", [(4.0, 0.5), (1.5, 0.7)])
+def test_nmf_updates_and_cost_leave_their_inputs_unchanged(monkeypatch, bins, N, beta, p):
+    # The layers overwrite block buffers of their own only: none writes into a
+    # view of the factors, the scale field or |y|^p it was given.
+    xd, W, T, V = instance(N, 10)
+    yp = np.abs(np.moveaxis(pipeline.separate(xd, W), 2, 0), order="C") ** p
+    yp[:, ::4] = 0.5 * EPS_Y**p  # below the updates' floor
+    S = carried_scale(T, V)
+    log_det = inverse_and_log_det(W)[1]
+    inputs = (T, V, S, yp, log_det)
+    before = [a.copy() for a in inputs]
+    set_block_bins(monkeypatch, bins)
+    update_bases_arrays(T, V, S, yp, beta, p)
+    update_activations_arrays(T, V, yp, beta, p)
+    ggd_cost_arrays(yp, log_det, S, beta, p)
+    model_cost_terms(yp, S, beta, p)
+    for got, ref in zip(inputs, before):
+        np.testing.assert_array_equal(got, ref)
+
+
 @BLOCK_BINS
 @pytest.mark.parametrize("beta, p", [(4.0, 0.5), (2.0, 2.0)])
 def test_run_trace_is_block_invariant(monkeypatch, bins, beta, p):
@@ -237,10 +264,56 @@ def test_whitened_ratio_matches_generic_power(beta, p):
     np.testing.assert_allclose(_whitened_ratio(abs_y**p, S, beta, p), expected, rtol=1e-14)
 
 
+def squaring(x, k):
+    """``x**k`` by out-of-place repeated squaring, each product a new array."""
+    result = None
+    while True:
+        if k & 1:
+            result = x if result is None else result * x
+        k >>= 1
+        if not k:
+            return result
+        x = x * x
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_int_power_squares_into_the_given_buffer(k):
+    # At odd k the result takes the buffer before it is squared (k = 3, 5, 7), and
+    # at k = 6 after one square: the squares then go to a buffer of their own.
+    x = np.random.default_rng(11).uniform(0.3, 3.0, (2, 9, 11))
+    buf = x.copy()
+    got = _int_power(buf, k)
+    assert got is buf
+    np.testing.assert_array_equal(got, squaring(x, k))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 6, 7, 8, 0.75, 2.5])
+@pytest.mark.parametrize("into", ["new", "out", "yp"])
+def test_whitened_ratio_writes_into_out(k, into):
+    rng = np.random.default_rng(12)
+    yp = rng.uniform(1e-3, 5.0, (2, 9, 11))
+    S = rng.uniform(1e-2, 20.0, (2, 9, 11))
+    yp_in = yp.copy()
+    out = {"new": None, "out": np.empty_like(yp), "yp": yp_in}[into]
+    got = _whitened_ratio(yp_in, S, 0.5 * k, 0.5, out=out)
+    ratio = yp / S
+    expected = squaring(ratio, k) if k == int(k) else ratio**k
+    np.testing.assert_array_equal(got, expected)
+    if into == "new":
+        np.testing.assert_array_equal(yp_in, yp)
+    else:
+        assert got is out
+
+
 #: Bound on a layer's transient allocation peak, as a fraction of the
 #: mixture's bytes.  Unblocked, each layer holds two to four full-size
 #: temporaries (peaks of 2.0-3.9 times the mixture).
 PEAK_FRACTION = 0.75
+
+#: Tighter bound for the two NMF updates and the cost, whose per-block chains
+#: run in one block buffer each: they read 0.12 (bases), 0.17 (activations) and
+#: 0.11 (cost).  A new block-sized temporary per operation reads 0.29 and 0.34.
+NMF_PEAK_FRACTION = 0.2
 
 
 def test_layer_temporaries_stay_block_sized():
@@ -277,6 +350,9 @@ def test_layer_temporaries_stay_block_sized():
             tracemalloc.stop()
     over = {name: round(peak, 2) for name, peak in peaks.items() if peak >= PEAK_FRACTION}
     assert not over, f"transient peak / xd.nbytes above {PEAK_FRACTION}: {over}"
+    nmf = ("update_bases_arrays", "update_activations_arrays", "ggd_cost_arrays")
+    over = {name: round(peaks[name], 2) for name in nmf if peaks[name] >= NMF_PEAK_FRACTION}
+    assert not over, f"transient peak / xd.nbytes above {NMF_PEAK_FRACTION}: {over}"
 
 
 #: Bound on the transient allocation peak of one ``iteration_step``, as a
