@@ -22,8 +22,12 @@ singular, is reported by its bin in the whole problem and the source being
 updated.
 ``S = T V`` is the scale field the pipeline carries, formed once per
 factor update (:func:`~ggdilrma.source_model.refresh_scale`), and only
-``W`` is updated: source ``n``'s weights read ``y_n`` alone, which no other
-source's update changes.
+``W`` is updated: source ``n``'s weights read ``y_n`` alone, the output of
+the ``W`` the sweep was given, which no other source's update changes.
+The sweep forms that anchor itself, block by block, before any row of the
+block changes, and only where ``beta != 2``: at ``beta = 2`` the AM-GM
+bound is exact, the weights are ``S^(-beta/p) beta/(2J)`` and read no
+``y``, so a Gaussian sweep forms no output at all.
 
 ``F`` is never formed.  It is ``A^H A`` for the weighted observation ``A``
 (row ``j`` is ``c_j^(1/2) x_j^H``, ``c_j`` the weight above), and the sweep
@@ -122,12 +126,11 @@ def _ip_filter(xb, wgt, b_n, n, first_bin):
     return w / norm_z[:, None]
 
 
-def ip_sweep(xd, yd, W, S, beta: float, domain: float, W_inv, log_det):
+def ip_sweep(xd, W, S, beta: float, domain: float, W_inv, log_det):
     """One full update of all filters, batched over frequency bins.
 
     Args:
-        xd: mixture ``(I, J, M)``.
-        yd: separated signal ``(I, J, N)`` of ``W`` on entry; read only.
+        xd: mixture ``(I, J, N)``; read only.
         W: demixing matrices ``(I, N, N)``; updated in place.
         S: the scale field ``r**p = T V`` ``(N, I, J)``; read only.
         W_inv, log_det: ``W^{-1}`` ``(I, N, N)`` and ``log|det W_i|`` ``(I,)``,
@@ -135,15 +138,20 @@ def ip_sweep(xd, yd, W, S, beta: float, domain: float, W_inv, log_det):
 
     Returns:
         ``W``, each updated filter normalized to ``w^H F w = 1`` against the
-        weighted covariance ``F`` of its source's outputs in ``yd``.
+        weighted covariance ``F`` of its source's outputs ``y = W x`` under the
+        ``W`` of entry.  Where ``beta != 2`` each block forms those outputs
+        before any of its rows changes; at ``beta = 2`` the weights do not read
+        them, and none are formed.
     """
     if not (0.0 < beta <= 2.0):
         raise UnsupportedBeta(f"iterative projection requires 0 < beta <= 2, got {beta}")
-    I, J, N = yd.shape
+    I, J, N = xd.shape
     for blk in bin_blocks(I, J):
-        xb, yb, Wb, W_inv_b, log_det_b = xd[blk], yd[blk], W[blk], W_inv[blk], log_det[blk]
+        xb, Wb, W_inv_b, log_det_b = xd[blk], W[blk], W_inv[blk], log_det[blk]
+        # The block's anchor, before any of its rows changes; read only where beta != 2.
+        yb = xb @ Wb.transpose(0, 2, 1) if beta != 2.0 else None
         for n in range(N):
-            wgt = _ip_weights(yb[:, :, n], S[n, blk], beta, domain)
+            wgt = _ip_weights(None if yb is None else yb[:, :, n], S[n, blk], beta, domain)
             wgt *= beta / (2.0 * J)
             w = _ip_filter(xb, wgt, W_inv_b[:, :, n], n, blk.start)
             _replace_row(Wb, W_inv_b, log_det_b, n, w.conj())

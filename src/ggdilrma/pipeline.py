@@ -9,6 +9,10 @@ cost; no full-size per-iteration array outlives its use.  The cost is
 recorded after every iteration; the final output is rescaled by
 back-projection onto a reference channel.
 
+A sweep's anchor is the output of the ``W`` it is given.  The quartic sweep
+is handed it, so its iteration separates twice; the IP sweep forms it per
+block, only where ``beta != 2``, so an IP iteration separates once.
+
 Beside ``T`` and ``V`` the run carries their scale field ``S = T V``
 ``(N, I, J)``.  :func:`initialize` forms it, and each iteration refreshes it
 in place once, right after the activation update
@@ -105,7 +109,9 @@ def iteration_step(xd, W, T, V, cfg: GgdConfig, gram: Optional[np.ndarray], W_in
 
     Order: sweep of ``W`` alone, refresh of the outputs' ``|y|^p``, which
     feeds the basis update, the activation update and the cost; no full-size
-    array outlives its use.  ``gram`` is
+    array outlives its use.  Only the quartic sweep is handed its anchor,
+    :func:`separate` of the entry ``W``; the IP sweep forms its own where
+    ``beta != 2``, so an IP step separates once.  ``gram`` is
     the quartic scheme's cached :func:`~ggdilrma.demix_homogeneous.mixture_gram`
     of ``xd``.  The sweep keeps ``W_inv`` (``W^{-1}``) and ``log_det``
     (``log|det W_i|``) in step with ``W``, and the cost reads ``log_det``.
@@ -117,7 +123,7 @@ def iteration_step(xd, W, T, V, cfg: GgdConfig, gram: Optional[np.ndarray], W_in
     beta, p = cfg.beta, cfg.domain
     skipped = 0
     if cfg.update_scheme == "ip":
-        W = ip_sweep(xd, separate(xd, W), W, S, beta, p, W_inv, log_det)
+        W = ip_sweep(xd, W, S, beta, p, W_inv, log_det)  # forms its own anchor
     else:
         # [::3] keeps W and the skip count; the anchor outputs are dropped.
         W, skipped = quartic_sweep(xd, separate(xd, W), W, S, p, gram, W_inv, log_det)[::3]

@@ -127,7 +127,7 @@ def test_ip_sweep_is_block_invariant(monkeypatch, bins, N, beta, p):
 
     def sweep():
         carried = inverse_and_log_det(W)
-        return ip_sweep(xd, pipeline.separate(xd, W), W.copy(), S, beta, p, *carried), *carried
+        return ip_sweep(xd, W.copy(), S, beta, p, *carried), *carried
 
     state_ref = whole(sweep, monkeypatch)
     set_block_bins(monkeypatch, bins)
@@ -212,7 +212,7 @@ def test_singular_bin_is_named_by_its_global_index(monkeypatch, bins):
         xd, W, T, V = instance(N, 6, silent_bin=7)
         with pytest.raises(SingularCovariance, match=r"at bin 7, source 0$"):
             S = carried_scale(T, V)
-            ip_sweep(xd, pipeline.separate(xd, W), W, S, 2.0, 2.0, *inverse_and_log_det(W))
+            ip_sweep(xd, W, S, 2.0, 2.0, *inverse_and_log_det(W))
 
 
 def vanishing_inverse_column(N):
@@ -248,7 +248,7 @@ def test_ip_singular_demixing_is_named_by_its_global_bin(monkeypatch, bins, N):
     xd, W, T, V, W_inv, log_det = vanishing_inverse_column(N)
     set_block_bins(monkeypatch, bins)
     with pytest.raises(SingularDemixing, match=r"at bin 7, source 0$"):
-        ip_sweep(xd, pipeline.separate(xd, W), W, carried_scale(T, V), 2.0, 2.0, W_inv, log_det)
+        ip_sweep(xd, W, carried_scale(T, V), 2.0, 2.0, W_inv, log_det)
 
 
 @pytest.mark.parametrize(
@@ -331,21 +331,27 @@ def test_layer_temporaries_stay_block_sized():
     gram = mixture_gram(xd)
     W_inv, log_det = inverse_and_log_det(W)
     S = carried_scale(T, V)
+
+    def carried():
+        return W_inv.copy(), log_det.copy()
+
     calls = {
-        refresh_scale: (T, V, S),
-        update_bases_arrays: (T, V, S, yp, 4.0, 0.5),
-        update_activations_arrays: (T, V, yp, 4.0, 0.5),
-        ggd_cost_arrays: (yp, log_det, S, 4.0, 0.5),
-        quartic_sweep: (xd, yd, W.copy(), S, 0.5, gram, W_inv.copy(), log_det.copy()),
-        ip_sweep: (xd, yd, W.copy(), S, 2.0, 2.0, W_inv.copy(), log_det.copy()),
+        "refresh_scale": (refresh_scale, T, V, S),
+        "update_bases_arrays": (update_bases_arrays, T, V, S, yp, 4.0, 0.5),
+        "update_activations_arrays": (update_activations_arrays, T, V, yp, 4.0, 0.5),
+        "ggd_cost_arrays": (ggd_cost_arrays, yp, log_det, S, 4.0, 0.5),
+        "quartic_sweep": (quartic_sweep, xd, yd, W.copy(), S, 0.5, gram, *carried()),
+        # At beta = 2 the weights read no output; at beta = 1 each block forms its anchor.
+        "ip_sweep": (ip_sweep, xd, W.copy(), S, 2.0, 2.0, *carried()),
+        "ip_sweep_beta1": (ip_sweep, xd, W.copy(), S, 1.0, 0.5, *carried()),
     }
     peaks = {}
-    for layer, args in calls.items():
+    for name, (layer, *args) in calls.items():
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             layer(*args)
-            peaks[layer.__name__] = (tracemalloc.get_traced_memory()[1] - base) / xd.nbytes
+            peaks[name] = (tracemalloc.get_traced_memory()[1] - base) / xd.nbytes
         finally:
             tracemalloc.stop()
     over = {name: round(peak, 2) for name, peak in peaks.items() if peak >= PEAK_FRACTION}
@@ -357,17 +363,18 @@ def test_layer_temporaries_stay_block_sized():
 
 #: Bound on the transient allocation peak of one ``iteration_step``, as a
 #: fraction of the mixture's bytes.  Its only full-size arrays are the
-#: separated signal (the sweep's anchor, then the refreshed one: one at a
-#: time) and the ``|y|^p`` the NMF updates and the cost read: 1.5 in all.
+#: separated signal (the quartic sweep's anchor, then the refreshed one: one
+#: at a time; the IP sweep forms block-sized anchors of its own) and the
+#: ``|y|^p`` the NMF updates and the cost read: 1.5 in all.
 #: The scale field ``S`` is carried state, like ``gram``: allocated outside
 #: the step and refreshed in place, so it is not part of this transient.
 #: With the sweeps' block temporaries it reads 1.57 for the quartic sweep
-#: and 1.50 for the IP sweep, at N = 2 and N = 3 alike.
+#: and 1.50 for the IP sweep at beta = 2 and 1, at N = 2 and N = 3 alike.
 #: Keeping the scale field, the anchor and the refresh alive together reads 2.7.
 STEP_PEAK_FRACTION = 1.75
 
 
-@pytest.mark.parametrize("beta", [4.0, 2.0])
+@pytest.mark.parametrize("beta", [4.0, 2.0, 1.0])
 @pytest.mark.parametrize("N", [2, 3])
 def test_iteration_holds_one_full_size_output_at_a_time(N, beta):
     bins, frames = 1025, 158  # paper scale: 128 ms windows of 10 s at 16 kHz

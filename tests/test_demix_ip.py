@@ -91,9 +91,9 @@ class TestWeightedCovariance:
 
     def test_rejects_beta_above_two(self):
         # the AM-GM weights need beta <= 2, so the sweep refuses beta = 4
-        xd, yd, TV, W = random_instance()
+        xd, _, TV, W = random_instance()
         with pytest.raises(UnsupportedBeta):
-            ip_sweep(xd, yd, W, np.matmul(*TV), 4.0, 0.5, *inverse_and_log_det(W))
+            ip_sweep(xd, W, np.matmul(*TV), 4.0, 0.5, *inverse_and_log_det(W))
 
 
 class TestIpUpdateFilter:
@@ -164,14 +164,14 @@ class TestIpSweep:
         p = 0.5
         failures = 0
         for seed in range(30):
-            xd, yd, _, W = random_instance(seed=seed)
+            xd, _, _, W = random_instance(seed=seed)
             rng = np.random.default_rng(1000 + seed)
             T = rng.uniform(0.3, 1.2, size=(2, 3, 2))
             V = rng.uniform(0.3, 1.2, size=(2, 2, 8))
             W_inv, log_det = inverse_and_log_det(W)
             S = T @ V
             before = ggd_cost_arrays(magnitudes_einsum(xd, W) ** p, log_det, S, beta, p)
-            W2 = ip_sweep(xd, yd, W.copy(), S, beta, p, W_inv, log_det)
+            W2 = ip_sweep(xd, W.copy(), S, beta, p, W_inv, log_det)
             after = ggd_cost_arrays(magnitudes_einsum(xd, W2) ** p, log_det, S, beta, p)
             if after > before + 1e-9 * (1 + abs(before)):
                 failures += 1
@@ -181,9 +181,12 @@ class TestIpSweep:
     def test_sweep_matches_single_bin_op(self, N):
         xd, yd, TV, W = random_instance(I=4, J=10, M=N, seed=7)
         beta, p = 1.5, 0.5
-        yd_in = yd.copy()
-        W_sweep = ip_sweep(xd, yd, W.copy(), np.matmul(*TV), beta, p, *inverse_and_log_det(W))
-        np.testing.assert_array_equal(yd, yd_in)  # the anchor outputs, read only
+        S_sweep = np.matmul(*TV)
+        inputs = xd, S_sweep
+        before = [a.copy() for a in inputs]
+        W_sweep = ip_sweep(xd, W.copy(), S_sweep, beta, p, *inverse_and_log_det(W))
+        for got, ref in zip(inputs, before):  # the mixture and the scale field, read only
+            np.testing.assert_array_equal(got, ref)
         S = scale_field(*TV)
 
         W_ref = W.copy()
@@ -200,7 +203,7 @@ class TestIpSweep:
 
     def test_normalization_postcondition(self):
         xd, yd, TV, W = random_instance(I=5, J=12, seed=8)
-        W_new = ip_sweep(xd, yd, W.copy(), np.matmul(*TV), 1.0, 0.5, *inverse_and_log_det(W))
+        W_new = ip_sweep(xd, W.copy(), np.matmul(*TV), 1.0, 0.5, *inverse_and_log_det(W))
         np.testing.assert_allclose(unit_norm_gaps(xd, yd, TV, W_new, 1.0, 0.5), 0.0, atol=1e-10)
 
     @pytest.mark.parametrize("N", [2, 3])
@@ -232,5 +235,5 @@ class TestIpSweep:
         det_r = np.prod(np.abs(np.diagonal(R)))
         det_mgs = np.prod(np.diagonal(_weighted_factor(xd, wgt)[0]).real)
         assert abs(det_mgs - det_r) <= tol * det_r
-        w = ip_sweep(xd, yd, W.copy(), T @ V, beta, p, *inverse_and_log_det(W))[0, 0].conj()
+        w = ip_sweep(xd, W.copy(), T @ V, beta, p, *inverse_and_log_det(W))[0, 0].conj()
         assert np.linalg.norm(w - w_qr) <= tol * np.linalg.norm(w_qr)

@@ -136,6 +136,25 @@ def test_three_source_ip_iteration_runs_without_qr(monkeypatch):
     pipeline.iteration_step(xd, W, T, V, cfg, None, W_inv, log_det, S)
 
 
+@pytest.mark.parametrize("beta, per_iteration", [(2.0, 1), (1.0, 1), (4.0, 2)])
+def test_run_counts_its_separations(beta, per_iteration, monkeypatch):
+    # The IP sweep forms any anchor it reads itself, so an IP iteration separates
+    # once (the refresh of |y|^p); the quartic sweep is handed the outputs of the
+    # entry W as well.  The last separation is back-projection's.
+    calls = []
+    original = pipeline.separate
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(pipeline, "separate", counted)
+    iters = 3
+    x = random_mixture(9, 40, 2, seed=13)
+    pipeline.run(x, GgdConfig(beta=beta, domain=0.5, n_bases=3, iterations=iters, seed=13))
+    assert len(calls) == per_iteration * iters + 1
+
+
 @pytest.mark.parametrize("channel", [-1, 2])
 def test_reference_channel_outside_the_mixture_is_rejected_first(channel, monkeypatch):
     def no_initialize(*args):
