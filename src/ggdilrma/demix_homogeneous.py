@@ -42,14 +42,14 @@ decreases the quartic cost.
 its scale ``r_n = S_n^(1/p)``, from the scale field ``S = T V`` that the
 pipeline carries, and its row ``w~_n`` of ``W_i`` on entry; rows ``m != n``
 never enter it, and no other source's update changes any of the three.  So
-:func:`quartic_sweep` assembles the majorizers of every source of a block
-before updating any row, with :func:`_majorizers`, the assembly
-:func:`quartic_majorizer` uses: one ``(M^2, J) @ (J, 2N)`` product per
-bin takes the features of every ``A`` and ``C`` at once.  It then takes the
-Cholesky factors ``G = R^H R`` of all of them in one pass, and skips a
-source's update where ``sum_j |q~_j|^4`` is zero or not finite, where a
-pivot is not positive, or where ``det G = prod_k r_kk^2`` is at most
-``EPS_DET``.  Only what reads rows already updated stays per source:
+:func:`quartic_sweep` assembles the majorizers of every source before
+updating any row.  One ``(M^2, J) @ (J, 2N)`` product per bin takes the
+features of every ``A`` and ``C`` at once, and :func:`_majorizers`, the
+assembly :func:`quartic_majorizer` uses, builds all ``G`` from them.  The
+sweep then takes the Cholesky factors ``G = R^H R`` of all of them in one
+pass, and skips a source's update where ``sum_j |q~_j|^4`` is zero or not
+finite, where a pivot is not positive, or where ``det G = prod_k r_kk^2`` is
+at most ``EPS_DET``.  Only what reads rows already updated stays per source:
 ``W_i^{-1} e_n``, the direction, its cost, the scale and the write-back.
 
 The direction ``w' = G^{-1} W_i^{-1} e_n`` is the two triangular systems
@@ -64,10 +64,16 @@ that the pipeline carries beside ``W``, and the new row, which multiplies
 ``W_i^{-1} e_n`` vanishes, is skipped like a degenerate majorizer.  The
 sweep makes no LAPACK call.
 
-:func:`quartic_sweep` streams over blocks of bins
-(:func:`~ggdilrma.types.bin_blocks`), every source of a block in turn, so
-its temporaries stay cache-sized and its result does not depend on the
-block size.  It updates ``W`` only.
+:func:`quartic_sweep` runs in two phases, so that numpy's per-call cost is
+paid once per sweep for the small per-bin algebra and its frame-length
+temporaries stay cache-sized.  First it streams over blocks of bins
+(:func:`~ggdilrma.types.bin_blocks`) for the work that runs along the
+frames: ``1 / r^2``, the anchors' ``|q~|^2`` and the features of every
+source's ``A`` and ``C``.  Then it builds and factors every ``G`` over all
+bins at once, and updates the sources in turn, each over all bins: its
+solve, the scale, ``f_check`` and the write-back, with only the direction's
+cost ``a(h) . P`` streamed over the blocks again.  Its result does not
+depend on the block size.  It updates ``W`` only.
 
 The per-filter forms of this update (``quartic_update_filter``,
 ``direction_scale_step``, the homogeneous objectives, ``optimal_scale``)
@@ -192,6 +198,14 @@ def _cholesky(G):
     return R, ok & (det_g > EPS_DET)
 
 
+def _inverse_square_radius(Sb, domain, out=None):
+    """``1 / r**2`` from a block ``Sb`` of the scale field ``r**p``, written into ``out``
+    or, when it is ``None``, into a new array."""
+    r2 = Sb ** (1.0 / domain)  # r, then r**2
+    r2 **= 2
+    return np.divide(1.0, r2, out=r2 if out is None else out)
+
+
 def quartic_sweep(xd, yd, W, S, domain: float, gram: np.ndarray, W_inv, log_det):
     """One full quartic update of all filters, batched over bins.
 
@@ -220,34 +234,40 @@ def quartic_sweep(xd, yd, W, S, domain: float, gram: np.ndarray, W_inv, log_det)
     the trace records instead (ROADMAP Direction 2 (A)).
     """
     I, J, N = yd.shape
-    f_check = np.empty((I, N))
-    n_skipped = 0
+    # Per block, the work along the frames: 1 / r**2, the anchors' |q~|^2 and the
+    # features of every source's A and C, which are kept for all bins.
+    fa, fc = np.empty((2, I, N * N, N))
+    denom, s4 = np.empty((2, N, I))
+    good = np.empty((N, I), dtype=bool)
     for blk in bin_blocks(I, J):
-        Wb, W_inv_b, log_det_b, Pb = W[blk], W_inv[blk], log_det[blk], gram[blk]
-        wts = np.empty((2, N, len(Wb), J))  # 1 / r**2, then |y~|^2 / r**4
-        inv_r2 = wts[0]
-        r2 = S[:, blk] ** (1.0 / domain)  # r, then r**2
-        r2 **= 2
-        np.divide(1.0, r2, out=inv_r2)
-        del r2
+        wts = np.empty((2, N, blk.stop - blk.start, J))  # 1 / r**2, then |y~|^2 / r**4
+        _inverse_square_radius(S[:, blk], domain, out=wts[0])
         aq2 = np.abs(yd[blk].transpose(2, 0, 1), order="C")  # the anchors' |y~|^2 / r^2
         aq2 *= aq2
-        aq2 *= inv_r2
-        fa, fc, denom, good, s4 = _block_features(Pb, aq2, wts)
-        # Every source's G reads W on entry only, so all are built and factored at once.
-        R, factored = _cholesky(_majorizers(fa, fc, denom, Wb.conj()))
-        good &= factored.T
-        for n in range(N):
-            w_dir, _ = _substitute(R[:, n], W_inv_b[:, :, n])
-            h_dir = w_dir.conj()  # the direction's demixing row
-            a2 = (_form_coeffs(h_dir)[:, None, :] @ Pb)[:, 0]  # |y_dir|^2, then over r^2
-            a2 *= inv_r2[n]
-            s4_dir = np.vecdot(a2, a2)
-            ok = good[n] & np.isfinite(s4_dir) & (s4_dir > 0.0)
-            scale = (J / (2.0 * np.where(ok, s4_dir, 1.0))) ** 0.25
+        aq2 *= wts[0]
+        fa[blk], fc[blk], denom[:, blk], good[:, blk], s4[:, blk] = _block_features(
+            gram[blk], aq2, wts
+        )
+    # Every source's G reads W on entry only, so all are built and factored at once,
+    # over all bins; then each source is solved and written back over all bins.
+    R, factored = _cholesky(_majorizers(fa, fc, denom, W.conj()))
+    good &= factored.T
+    f_check = np.empty((I, N))
+    s4_dir = np.empty(I)
+    n_skipped = 0
+    for n in range(N):
+        w_dir, _ = _substitute(R[:, n], W_inv[:, :, n])
+        h_dir = w_dir.conj()  # the direction's demixing row
+        coeffs = _form_coeffs(h_dir)[:, None, :]
+        for blk in bin_blocks(I, J):  # 1 / r**2 again: kept, it would be full-size
+            a2 = (coeffs[blk] @ gram[blk])[:, 0]  # |y_dir|^2, then over r^2
+            a2 *= _inverse_square_radius(S[n, blk], domain)
+            s4_dir[blk] = np.vecdot(a2, a2)
+        ok = good[n] & np.isfinite(s4_dir) & (s4_dir > 0.0)
+        scale = (J / (2.0 * np.where(ok, s4_dir, 1.0))) ** 0.25
 
-            # Skipped bins keep their filter and anchor cost s4.
-            _replace_row(Wb, W_inv_b, log_det_b, n, h_dir * scale[:, None], ok)
-            f_check[blk, n] = np.where(ok, scale**4 * s4_dir, s4[n]) / J
-            n_skipped += int(np.sum(~ok))
+        # Skipped bins keep their filter and anchor cost s4.
+        _replace_row(W, W_inv, log_det, n, h_dir * scale[:, None], ok)
+        f_check[:, n] = np.where(ok, scale**4 * s4_dir, s4[n]) / J
+        n_skipped += int(np.sum(~ok))
     return W, yd, f_check, n_skipped

@@ -14,20 +14,27 @@ coordinate-descent update::
 
 At ``beta = p = 2`` this is exactly the Itakura-Saito variant.  Frequency
 bins are independent; within one bin the sources are updated sequentially
-against the freshest demixing matrix.  The sweep streams over blocks of
-bins (:func:`~ggdilrma.types.bin_blocks`), every source of a block in turn,
-so its temporaries stay cache-sized and its result does not depend on the
-block size; a singular covariance, or an update that would make ``W_i``
-singular, is reported by its bin in the whole problem and the source being
-updated.
+against the freshest demixing matrix.  The sweep runs in two phases.  First
+it streams over blocks of bins (:func:`~ggdilrma.types.bin_blocks`), so its
+frame-length temporaries stay cache-sized, and forms every source's weights
+and weighted factor ``R`` (below) at once: no source's weights read another
+source's row.  A singular covariance is raised there, at the first (block,
+source) that has one, before any row changes.  Then it updates the sources
+in turn, each over all bins at once, so numpy's per-call cost is paid once
+per source, not once per block: the solve, the norm check and the
+write-back.  An update that would make ``W_i`` singular is raised at the
+lowest such bin of the source being updated.  Both errors name the bin in
+the whole problem, and the result does not depend on the block size.
 ``S = T V`` is the scale field the pipeline carries, formed once per
 factor update (:func:`~ggdilrma.source_model.refresh_scale`), and only
 ``W`` is updated: source ``n``'s weights read ``y_n`` alone, the output of
 the ``W`` the sweep was given, which no other source's update changes.
-The sweep forms that anchor itself, block by block, before any row of the
-block changes, and only where ``beta != 2``: at ``beta = 2`` the AM-GM
-bound is exact, the weights are ``S^(-beta/p) beta/(2J)`` and read no
-``y``, so a Gaussian sweep forms no output at all.
+The sweep forms that anchor itself, block by block, before any row
+changes, with the sources-first kernel of :func:`~ggdilrma.pipeline.separate`
+(:func:`~ggdilrma.types._demix`), and only where ``beta != 2``: at
+``beta = 2`` the AM-GM bound is exact, the weights are
+``S^(-beta/p) beta/(2J)`` and read no ``y``, so a Gaussian sweep forms no
+output at all.
 
 ``F`` is never formed.  It is ``A^H A`` for the weighted observation ``A``
 (row ``j`` is ``c_j^(1/2) x_j^H``, ``c_j`` the weight above), and the sweep
@@ -40,8 +47,9 @@ squares the condition number of ``A``, and its ``det F`` drops below
 ``test_ip_runs_clean_on_collapsing_scenes``).
 
 ``R`` comes from modified Gram-Schmidt over the ``M`` columns of the
-block's weighted observation, batched over its bins.  With ``u_m`` the
-residual of channel ``m`` (``x_m`` at the start), step ``k`` takes
+block's weighted observation, batched over its bins and sources.  With
+``u_m`` the residual of channel ``m`` (``x_m`` at the start), step ``k``
+takes
 
     r_kk^2    = sum_j c_j |u_kj|^2
     r_kk r_km = sum_j c_j u_kj conj(u_mj)        (m > k)
@@ -74,7 +82,7 @@ import numpy as np
 
 from .errors import SingularCovariance, SingularDemixing, UnsupportedBeta
 from .source_model import _whitened_ratio
-from .types import EPS_DET, EPS_Y, _replace_row, _substitute, bin_blocks
+from .types import EPS_DET, EPS_Y, _demix, _replace_row, _substitute, bin_blocks
 
 
 def _ip_weights(y, S, beta, domain):
@@ -90,40 +98,24 @@ def _ip_weights(y, S, beta, domain):
 
 
 def _weighted_factor(xb, wgt):
-    """Upper triangular ``R`` ``(b, M, M)``, with a real diagonal, of the weighted
-    observation of a block ``xb`` ``(b, J, M)`` against the weights ``wgt`` ``(b, J)``,
-    by modified Gram-Schmidt over its columns."""
-    b, _, M = xb.shape
-    R = np.zeros((b, M, M), dtype=np.complex128)
+    """Upper triangular ``R`` ``(..., b, M, M)``, with a real diagonal, of the weighted
+    observation of a block ``xb`` ``(b, J, M)`` against each of the weights ``wgt``
+    ``(..., b, J)``, by modified Gram-Schmidt over its columns."""
+    M = xb.shape[2]
+    R = np.zeros(wgt.shape[:-1] + (M, M), dtype=np.complex128)
     u = [xb[:, :, m] for m in range(M)]  # the residuals, strided views at first
     for k in range(M):
         cu = u[k] * wgt
         r_sq = np.vecdot(u[k], cu).real
         f = [np.vecdot(u[m], cu) for m in range(k + 1, M)]  # r_kk r_km
         del cu  # the residuals below reuse its memory
-        R[:, k, k] = np.sqrt(r_sq)
+        R[..., k, k] = np.sqrt(r_sq)
         r_sq = np.where(r_sq > 0.0, r_sq, 1.0)  # a silent bin's zero r_kk read as 1
         for m, f_m in enumerate(f, k + 1):
-            R[:, k, m] = f_m / np.sqrt(r_sq)
-            res = u[k] * (f_m.conj() / r_sq)[:, None]
+            R[..., k, m] = f_m / np.sqrt(r_sq)
+            res = u[k] * (f_m.conj() / r_sq)[..., None]
             u[m] = np.subtract(u[m], res, out=res)
     return R
-
-
-def _ip_filter(xb, wgt, b_n, n, first_bin):
-    """Updated filters ``w`` ``(b, M)`` of source ``n``, scaled to ``w^H F w = 1``, from
-    ``b_n = W_i^{-1} e_n`` ``(b, M)``."""
-    R = _weighted_factor(xb, wgt)
-    det_f = np.prod(R.diagonal(axis1=1, axis2=2).real, axis=1) ** 2
-    if np.any(det_f <= EPS_DET):
-        bad = first_bin + int(np.argmin(det_f))
-        raise SingularCovariance(f"weighted covariance singular at bin {bad}, source {n}")
-    w, z = _substitute(R, b_n)
-    norm_z = np.sqrt(np.vecdot(z, z).real)  # ||R w||, and the factor det W_i takes
-    if not np.all(norm_z > 0.0):
-        bad = first_bin + int(np.argmin(norm_z))
-        raise SingularDemixing(f"demixing matrix would turn singular at bin {bad}, source {n}")
-    return w / norm_z[:, None]
 
 
 def ip_sweep(xd, W, S, beta: float, domain: float, W_inv, log_det):
@@ -140,19 +132,38 @@ def ip_sweep(xd, W, S, beta: float, domain: float, W_inv, log_det):
         ``W``, each updated filter normalized to ``w^H F w = 1`` against the
         weighted covariance ``F`` of its source's outputs ``y = W x`` under the
         ``W`` of entry.  Where ``beta != 2`` each block forms those outputs
-        before any of its rows changes; at ``beta = 2`` the weights do not read
-        them, and none are formed.
+        before any row changes; at ``beta = 2`` the weights do not read them,
+        and none are formed.
+
+    Raises:
+        SingularCovariance: at the first (block, source) whose ``det F`` is at
+            most ``EPS_DET``, before any row changes.
+        SingularDemixing: at the lowest bin where a source's update would make
+            ``W_i`` singular; the sources before it have been updated.
     """
     if not (0.0 < beta <= 2.0):
         raise UnsupportedBeta(f"iterative projection requires 0 < beta <= 2, got {beta}")
     I, J, N = xd.shape
+    # Frame-length work per block: every source's anchor, weights and factor at once.
+    R = np.empty((N, I, N, N), dtype=np.complex128)
     for blk in bin_blocks(I, J):
-        xb, Wb, W_inv_b, log_det_b = xd[blk], W[blk], W_inv[blk], log_det[blk]
-        # The block's anchor, before any of its rows changes; read only where beta != 2.
-        yb = xb @ Wb.transpose(0, 2, 1) if beta != 2.0 else None
+        xb = xd[blk]
+        yb = _demix(xb, W[blk]) if beta != 2.0 else None  # (N, b, J), read where beta != 2
+        wgt = _ip_weights(yb, S[:, blk], beta, domain)
+        wgt *= beta / (2.0 * J)
+        R[:, blk] = Rb = _weighted_factor(xb, wgt)
+        det_f = np.prod(Rb.diagonal(axis1=2, axis2=3).real, axis=2) ** 2  # (N, b)
         for n in range(N):
-            wgt = _ip_weights(None if yb is None else yb[:, :, n], S[n, blk], beta, domain)
-            wgt *= beta / (2.0 * J)
-            w = _ip_filter(xb, wgt, W_inv_b[:, :, n], n, blk.start)
-            _replace_row(Wb, W_inv_b, log_det_b, n, w.conj())
+            if np.any(det_f[n] <= EPS_DET):
+                bad = blk.start + int(np.argmin(det_f[n]))
+                raise SingularCovariance(f"weighted covariance singular at bin {bad}, source {n}")
+    # The per-bin solves, once per source over all bins, against the freshest W^{-1}.
+    for n in range(N):
+        w, z = _substitute(R[n], W_inv[:, :, n])
+        norm_z = np.sqrt(np.vecdot(z, z).real)  # ||R w||, and the factor det W_i takes
+        failed = ~(norm_z > 0.0)
+        if np.any(failed):
+            bad = int(np.argmax(failed))
+            raise SingularDemixing(f"demixing matrix would turn singular at bin {bad}, source {n}")
+        _replace_row(W, W_inv, log_det, n, (w / norm_z[:, None]).conj())
     return W

@@ -12,6 +12,8 @@ back-projection onto a reference channel.
 A sweep's anchor is the output of the ``W`` it is given.  The quartic sweep
 is handed it, so its iteration separates twice; the IP sweep forms it per
 block, only where ``beta != 2``, so an IP iteration separates once.
+:func:`separate` lays its outputs out sources first, so the quartic sweep's
+``|y~|`` and step (2)'s ``|y|^p`` read each source as one contiguous slab.
 
 Beside ``T`` and ``V`` the run carries their scale field ``S = T V``
 ``(N, I, J)``.  :func:`initialize` forms it, and each iteration refreshes it
@@ -47,6 +49,7 @@ from .types import (
     ProblemShape,
     SourceSpectrogram,
     TraceRecord,
+    _demix,
     validate_problem,
 )
 
@@ -90,8 +93,14 @@ def initialize(cfg: GgdConfig, shape: ProblemShape):
 
 
 def separate(xd: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Apply per-bin demixing: ``y[i, j, n] = W[i, n, :] @ x[i, j, :]``."""
-    return xd @ W.transpose(0, 2, 1)
+    """Apply per-bin demixing: ``y[i, j, n] = W[i, n, :] @ x[i, j, :]``.
+
+    The outputs are laid out sources first: the result is the ``(I, J, N)`` view
+    of an ``(N, I, J)`` array (:func:`~ggdilrma.types._demix`), so
+    ``np.moveaxis(y, 2, 0)`` is C-contiguous and each source's ``y[:, :, n]`` is
+    one contiguous ``(I, J)`` slab.
+    """
+    return _demix(xd, W).transpose(1, 2, 0)
 
 
 def back_project(yd: np.ndarray, W_inv: np.ndarray, reference_channel: int = 0) -> np.ndarray:
@@ -99,9 +108,10 @@ def back_project(yd: np.ndarray, W_inv: np.ndarray, reference_channel: int = 0) 
 
     ``y_hat[i, j, n] = W_inv[i, ref, n] * y[i, j, n]`` with ``W_inv`` the carried
     ``W^{-1}``; summing the result over sources reconstructs the reference
-    channel of the observation.
+    channel of the observation.  The result is C-contiguous ``(I, J, N)`` whatever
+    the layout of ``yd``.
     """
-    return yd * W_inv[:, None, reference_channel, :]
+    return np.multiply(yd, W_inv[:, None, reference_channel, :], order="C")
 
 
 def iteration_step(xd, W, T, V, cfg: GgdConfig, gram: Optional[np.ndarray], W_inv, log_det, S):

@@ -9,9 +9,10 @@ Index conventions used throughout the package:
 * ``k`` -- NMF basis, ``0 .. K-1``.
 
 Complex spectrogram tensors are stored ``(I, J, channels)`` in row-major
-order so that a per-frequency slab ``data[i]`` is contiguous.  Demixing
-matrices are stored ``(I, N, N)`` where row ``n`` of ``W[i]`` holds the
-Hermitian transpose of the demixing filter, i.e. ``y[i, j, n] =
+order so that a per-frequency slab ``data[i]`` is contiguous; only the
+separated outputs inside a run are laid out sources first (:func:`_demix`).
+Demixing matrices are stored ``(I, N, N)`` where row ``n`` of ``W[i]``
+holds the Hermitian transpose of the demixing filter, i.e. ``y[i, j, n] =
 W[i, n, :] @ x[i, j, :]``.  NMF factors are per-source stacks: bases
 ``T`` shaped ``(N, I, K)`` and activations ``V`` shaped ``(N, K, J)``.
 
@@ -34,6 +35,19 @@ from .errors import DegenerateShape, NonFiniteInput, UnsupportedBeta
 EPS_NMF = 1e-12
 EPS_Y = 1e-12
 EPS_DET = 1e-12
+
+
+def _demix(xd: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Sources-first outputs ``(N, I, J)`` of ``y[i, j, n] = W[i, n, :] @ x[i, j, :]``
+    for a mixture ``xd`` ``(I, J, M)`` and demixing matrices ``W`` ``(I, N, M)``.
+
+    The product is written through the ``(I, J, N)`` view of that array, a layout
+    no BLAS call takes, so numpy runs one loop over all bins instead of one BLAS
+    call per bin; each source's outputs are then one contiguous ``(I, J)`` slab."""
+    I, J, _ = xd.shape
+    y = np.empty((W.shape[1], I, J), dtype=np.result_type(xd, W))
+    np.matmul(xd, W.transpose(0, 2, 1), out=y.transpose(1, 2, 0))
+    return y
 
 
 def _replace_row(W, W_inv, log_det, n, h, where=True) -> None:

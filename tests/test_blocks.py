@@ -2,8 +2,10 @@
 
 The per-iteration layers run over blocks of bins sized by
 ``types.BLOCK_ENTRIES``.  The demixing sweeps are per-bin, so their result
-must not depend on the block size at all; the NMF updates and the cost sum
-over blocks, so they agree to roundoff.  Their per-block chains run in
+must not depend on the block size at all, and only their work along the
+frames runs per block: their small per-bin algebra runs once over all bins,
+however many blocks there are.  The NMF updates and the cost sum over
+blocks, so they agree to roundoff.  Their per-block chains run in
 place, in buffers of their own: the integer power squares into the buffer it
 is given, and no layer writes into the arrays it reads.  A ``tracemalloc``
 guard keeps every layer's temporaries a fraction of the mixture's size (a
@@ -12,13 +14,14 @@ a whole iteration holds at once.
 """
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from reference_contractions import inverse_and_log_det
 from reference_nmf import scale_field
 
-from ggdilrma import pipeline, types
+from ggdilrma import demix_homogeneous, demix_ip, pipeline, types
 from ggdilrma.cost import ggd_cost_arrays
 from ggdilrma.demix_homogeneous import mixture_gram, quartic_sweep
 from ggdilrma.demix_ip import ip_sweep
@@ -249,6 +252,81 @@ def test_ip_singular_demixing_is_named_by_its_global_bin(monkeypatch, bins, N):
     set_block_bins(monkeypatch, bins)
     with pytest.raises(SingularDemixing, match=r"at bin 7, source 0$"):
         ip_sweep(xd, W, carried_scale(T, V), 2.0, 2.0, W_inv, log_det)
+
+
+def test_ip_singular_covariance_changes_no_row(monkeypatch):
+    # Every source's det F is checked before any row changes, so a singular
+    # covariance in the last block leaves the carried state as it was given.
+    set_block_bins(monkeypatch, 3)
+    for N in (2, 3):
+        xd, W, T, V = instance(N, 6, silent_bin=I - 1)
+        W_inv, log_det = inverse_and_log_det(W)
+        state = W.copy(), W_inv.copy(), log_det.copy()
+        with pytest.raises(SingularCovariance, match=rf"at bin {I - 1}, source 0$"):
+            ip_sweep(xd, state[0], carried_scale(T, V), 2.0, 2.0, *state[1:])
+        for got, given in zip(state, (W, W_inv, log_det)):
+            np.testing.assert_array_equal(got, given)
+
+
+@pytest.mark.parametrize("bins, named", [(3, "bin 1, source 1"), (I, "bin 7, source 0")])
+def test_ip_singular_covariance_names_the_first_block_then_source(monkeypatch, bins, named):
+    # Source 1's covariance is singular at bin 1 (S is huge there, so its weights
+    # vanish) and every source's at the silent bin 7: in blocks of three bins
+    # the first block comes first, in one block the first source does.
+    xd, W, T, V = instance(2, 6, silent_bin=7)
+    S = carried_scale(T, V)
+    S[1, 1] = 1e20
+    set_block_bins(monkeypatch, bins)
+    with pytest.raises(SingularCovariance, match=rf"at {named}$"):
+        ip_sweep(xd, W, S, 2.0, 2.0, *inverse_and_log_det(W))
+
+
+@pytest.mark.parametrize("bins", [3, I])
+def test_ip_singular_demixing_names_the_lowest_bin_of_the_first_source(monkeypatch, bins):
+    # W^-1 e_1 vanishes at bin 1, and W^-1 e_0 at bins 8 and 5.  Source 0 is
+    # solved over all bins before source 1, whatever the blocks.
+    xd, W, T, V = instance(2, 6)
+    W_inv, log_det = inverse_and_log_det(W)
+    W_inv[[8, 5], :, 0] = 0.0
+    W_inv[1, :, 1] = 0.0
+    set_block_bins(monkeypatch, bins)
+    with pytest.raises(SingularDemixing, match=r"at bin 5, source 0$"):
+        ip_sweep(xd, W, carried_scale(T, V), 2.0, 2.0, W_inv, log_det)
+
+
+@pytest.mark.parametrize("bins", [1, 2])  # ten blocks, five blocks
+@pytest.mark.parametrize("N", [2, 3])
+def test_sweeps_take_the_per_bin_algebra_once_over_all_bins(monkeypatch, bins, N):
+    # Only the work along the frames runs per block.  The quartic majorizers and
+    # their Cholesky factors are formed once per sweep, and each source is solved
+    # once, over all bins, in both sweeps: the counts do not follow the blocks.
+    set_block_bins(monkeypatch, bins)
+    assert len(bin_blocks(I, J)) >= 4
+    calls = Counter()
+
+    def spy(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[module.__name__.rsplit(".", 1)[1], name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("_majorizers", "_cholesky", "_substitute"):
+        spy(demix_homogeneous, name)
+    spy(demix_ip, "_substitute")
+    xd, W, T, V = instance(N, 3)
+    S = carried_scale(T, V)
+    yd = pipeline.separate(xd, W)
+    quartic_sweep(xd, yd, W.copy(), S, 0.5, mixture_gram(xd), *inverse_and_log_det(W))
+    ip_sweep(xd, W.copy(), S, 1.0, 0.5, *inverse_and_log_det(W))
+    assert calls == {
+        ("demix_homogeneous", "_majorizers"): 1,
+        ("demix_homogeneous", "_cholesky"): 1,
+        ("demix_homogeneous", "_substitute"): N,
+        ("demix_ip", "_substitute"): N,
+    }
 
 
 @pytest.mark.parametrize(

@@ -29,6 +29,17 @@ def test_gaussian_case_matches_is_ilrma_reference():
 
 
 @pytest.mark.parametrize("beta", [4.0, 2.0])
+def test_run_returns_c_contiguous_sources(beta):
+    # separate lays its outputs out sources first; the projected sources are
+    # (I, J, N) in row-major order all the same.
+    x = random_mixture(9, 40, 3, seed=5)
+    cfg = GgdConfig(beta=beta, domain=0.5, n_bases=2, iterations=2, seed=5)
+    data = pipeline.run(x, cfg).sources.data
+    assert data.shape == (9, 40, 3)
+    assert data.flags.c_contiguous
+
+
+@pytest.mark.parametrize("beta", [4.0, 2.0])
 @pytest.mark.parametrize("N", [2, 3])
 def test_step_reports_the_cost_of_the_state_it_returns(N, beta):
     # The cost reads the magnitudes the NMF updates read: those of the swept W.
