@@ -68,11 +68,12 @@ sweep makes no LAPACK call.
 paid once per sweep for the small per-bin algebra and its frame-length
 temporaries stay cache-sized.  First it streams over blocks of bins
 (:func:`~ggdilrma.types.bin_blocks`) for the work that runs along the
-frames: ``1 / r^2``, the anchors' ``|q~|^2`` and the features of every
-source's ``A`` and ``C``.  Then it builds and factors every ``G`` over all
-bins at once, and updates the sources in turn, each over all bins: its
-solve, the scale, ``f_check`` and the write-back, with only the direction's
-cost ``a(h) . P`` streamed over the blocks again.  Its result does not
+frames: ``1 / r^2 = S^(-2/p)``, by the kernel that raises the IP weights
+(:func:`~ggdilrma.source_model._whitened_ratio`), the anchors' ``|q~|^2``
+and the features of every source's ``A`` and ``C``.  Then it builds and
+factors every ``G`` over all bins at once, and updates the sources in turn,
+each over all bins: its solve, the scale, ``f_check`` and the write-back,
+with only the direction's cost ``a(h) . P`` streamed over the blocks again.  Its result does not
 depend on the block size.  It updates ``W`` only.
 
 The per-filter forms of this update (``quartic_update_filter``,
@@ -87,6 +88,7 @@ from functools import cache
 
 import numpy as np
 
+from .source_model import _whitened_ratio
 from .types import EPS_DET, _replace_row, _substitute, bin_blocks
 
 
@@ -198,15 +200,7 @@ def _cholesky(G):
     return R, ok & (det_g > EPS_DET)
 
 
-def _inverse_square_radius(Sb, domain, out=None):
-    """``1 / r**2`` from a block ``Sb`` of the scale field ``r**p``, written into ``out``
-    or, when it is ``None``, into a new array."""
-    r2 = Sb ** (1.0 / domain)  # r, then r**2
-    r2 **= 2
-    return np.divide(1.0, r2, out=r2 if out is None else out)
-
-
-def quartic_sweep(xd, yd, W, S, domain: float, gram: np.ndarray, W_inv, log_det):
+def quartic_sweep(gram: np.ndarray, yd, W, S, domain: float, W_inv, log_det):
     """One full quartic update of all filters, batched over bins.
 
     Bins whose majorizer or direction is degenerate, or whose majorizer is
@@ -214,7 +208,7 @@ def quartic_sweep(xd, yd, W, S, domain: float, gram: np.ndarray, W_inv, log_det)
     cannot increase the cost) and counted.
 
     Args:
-        xd: mixture ``(I, J, M)``, read only through ``gram``, its :func:`mixture_gram`.
+        gram: the :func:`mixture_gram` of the mixture ``(I, J, M)``.
         yd: the anchors: separated signal ``(I, J, N)`` of ``W`` on entry.
         W: demixing matrices ``(I, N, N)``, updated in place.
         S: the scale field ``r**p = T V`` ``(N, I, J)``; read only.
@@ -228,10 +222,10 @@ def quartic_sweep(xd, yd, W, S, domain: float, gram: np.ndarray, W_inv, log_det)
         anchor's cost where skipped) and ``n_skipped`` the number of
         (bin, source) updates left untouched.
 
-    The unused ``xd``, the returned ``yd`` and ``f_check`` stay because the
-    benchmark's timing wrapper reads ``W`` at ``args[2]`` and ``n_skipped``
-    at ``result[3]`` of this call; they go once it takes the skip count from
-    the trace records instead (ROADMAP Direction 2 (A)).
+    The returned ``yd`` and ``f_check`` stay because the benchmark's timing
+    wrapper reads ``W`` at ``args[2]`` and ``n_skipped`` at ``result[3]`` of
+    this call; they go once it takes the skip count from the trace records
+    instead (ROADMAP Direction 2 (A)).
     """
     I, J, N = yd.shape
     # Per block, the work along the frames: 1 / r**2, the anchors' |q~|^2 and the
@@ -241,7 +235,7 @@ def quartic_sweep(xd, yd, W, S, domain: float, gram: np.ndarray, W_inv, log_det)
     good = np.empty((N, I), dtype=bool)
     for blk in bin_blocks(I, J):
         wts = np.empty((2, N, blk.stop - blk.start, J))  # 1 / r**2, then |y~|^2 / r**4
-        _inverse_square_radius(S[:, blk], domain, out=wts[0])
+        _whitened_ratio(1.0, S[:, blk], 2.0, domain, out=wts[0])  # S^(-2/p) = 1 / r**2
         aq2 = np.abs(yd[blk].transpose(2, 0, 1), order="C")  # the anchors' |y~|^2 / r^2
         aq2 *= aq2
         aq2 *= wts[0]
@@ -261,7 +255,7 @@ def quartic_sweep(xd, yd, W, S, domain: float, gram: np.ndarray, W_inv, log_det)
         coeffs = _form_coeffs(h_dir)[:, None, :]
         for blk in bin_blocks(I, J):  # 1 / r**2 again: kept, it would be full-size
             a2 = (coeffs[blk] @ gram[blk])[:, 0]  # |y_dir|^2, then over r^2
-            a2 *= _inverse_square_radius(S[n, blk], domain)
+            a2 *= _whitened_ratio(1.0, S[n, blk], 2.0, domain)
             s4_dir[blk] = np.vecdot(a2, a2)
         ok = good[n] & np.isfinite(s4_dir) & (s4_dir > 0.0)
         scale = (J / (2.0 * np.where(ok, s4_dir, 1.0))) ** 0.25

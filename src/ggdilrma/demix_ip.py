@@ -29,12 +29,11 @@ the whole problem, and the result does not depend on the block size.
 factor update (:func:`~ggdilrma.source_model.refresh_scale`), and only
 ``W`` is updated: source ``n``'s weights read ``y_n`` alone, the output of
 the ``W`` the sweep was given, which no other source's update changes.
-The sweep forms that anchor itself, block by block, before any row
-changes, with the sources-first kernel of :func:`~ggdilrma.pipeline.separate`
-(:func:`~ggdilrma.types._demix`), and only where ``beta != 2``: at
-``beta = 2`` the AM-GM bound is exact, the weights are
-``S^(-beta/p) beta/(2J)`` and read no ``y``, so a Gaussian sweep forms no
-output at all.
+The sweep reads that anchor as ``|y|^p``, the magnitudes the pipeline
+carries for the NMF updates, floored at ``EPS_Y**p`` as they floor it, and
+raises them to ``(beta - 2)/p``; it forms no output itself.  At
+``beta = 2`` the AM-GM bound is exact, and the weights
+``S^(-beta/p) beta/(2J)`` read no ``y`` at all.
 
 ``F`` is never formed.  It is ``A^H A`` for the weighted observation ``A``
 (row ``j`` is ``c_j^(1/2) x_j^H``, ``c_j`` the weight above), and the sweep
@@ -82,17 +81,16 @@ import numpy as np
 
 from .errors import SingularCovariance, SingularDemixing, UnsupportedBeta
 from .source_model import _whitened_ratio
-from .types import EPS_DET, EPS_Y, _demix, _replace_row, _substitute, bin_blocks
+from .types import EPS_DET, EPS_Y, _replace_row, _substitute, bin_blocks
 
 
-def _ip_weights(y, S, beta, domain):
-    """Per-frame weights ``S^(-beta/p) |y|^(beta-2)`` with |y| floored; ``y`` is read
-    only when ``beta != 2``."""
+def _ip_weights(yp, S, beta, domain):
+    """Per-frame weights ``S^(-beta/p) |y|^(beta-2)`` from ``yp = |y|^p``, floored at
+    ``EPS_Y**p``; ``yp`` is read only when ``beta != 2``."""
     wgt = _whitened_ratio(1.0, S, beta, domain)
     if beta != 2.0:
-        abs_y = np.abs(y)  # floored and raised in place
-        np.maximum(abs_y, EPS_Y, out=abs_y)
-        abs_y **= beta - 2.0
+        abs_y = np.maximum(yp, EPS_Y**domain)  # raised in place
+        abs_y **= (beta - 2.0) / domain
         wgt *= abs_y
     return wgt
 
@@ -118,11 +116,13 @@ def _weighted_factor(xb, wgt):
     return R
 
 
-def ip_sweep(xd, W, S, beta: float, domain: float, W_inv, log_det):
+def ip_sweep(xd, yp, W, S, beta: float, domain: float, W_inv, log_det):
     """One full update of all filters, batched over frequency bins.
 
     Args:
         xd: mixture ``(I, J, N)``; read only.
+        yp: ``|y|^p`` ``(N, I, J)`` of the outputs ``y = W x`` of ``W`` on entry;
+            read only, and only where ``beta != 2``.
         W: demixing matrices ``(I, N, N)``; updated in place.
         S: the scale field ``r**p = T V`` ``(N, I, J)``; read only.
         W_inv, log_det: ``W^{-1}`` ``(I, N, N)`` and ``log|det W_i|`` ``(I,)``,
@@ -131,9 +131,7 @@ def ip_sweep(xd, W, S, beta: float, domain: float, W_inv, log_det):
     Returns:
         ``W``, each updated filter normalized to ``w^H F w = 1`` against the
         weighted covariance ``F`` of its source's outputs ``y = W x`` under the
-        ``W`` of entry.  Where ``beta != 2`` each block forms those outputs
-        before any row changes; at ``beta = 2`` the weights do not read them,
-        and none are formed.
+        ``W`` of entry.
 
     Raises:
         SingularCovariance: at the first (block, source) whose ``det F`` is at
@@ -144,14 +142,12 @@ def ip_sweep(xd, W, S, beta: float, domain: float, W_inv, log_det):
     if not (0.0 < beta <= 2.0):
         raise UnsupportedBeta(f"iterative projection requires 0 < beta <= 2, got {beta}")
     I, J, N = xd.shape
-    # Frame-length work per block: every source's anchor, weights and factor at once.
+    # Frame-length work per block: every source's weights and factor at once.
     R = np.empty((N, I, N, N), dtype=np.complex128)
     for blk in bin_blocks(I, J):
-        xb = xd[blk]
-        yb = _demix(xb, W[blk]) if beta != 2.0 else None  # (N, b, J), read where beta != 2
-        wgt = _ip_weights(yb, S[:, blk], beta, domain)
+        wgt = _ip_weights(yp[:, blk], S[:, blk], beta, domain)
         wgt *= beta / (2.0 * J)
-        R[:, blk] = Rb = _weighted_factor(xb, wgt)
+        R[:, blk] = Rb = _weighted_factor(xd[blk], wgt)
         det_f = np.prod(Rb.diagonal(axis1=2, axis2=3).real, axis=2) ** 2  # (N, b)
         for n in range(N):
             if np.any(det_f[n] <= EPS_DET):

@@ -3,17 +3,23 @@
 Each iteration performs, in order: (1) one demixing sweep of ``W`` alone
 (iterative projection for ``beta <= 2``, quartic majorization on the
 mixture's per-frame outer products, cached per run, for ``beta == 4``), (2)
-recompute the separated outputs' ``|y|^p``, raised to ``p`` once in place,
-which feeds (3) one basis update, (4) one activation update and (5) the
-cost; no full-size per-iteration array outlives its use.  The cost is
-recorded after every iteration; the final output is rescaled by
-back-projection onto a reference channel.
+refresh of the separated outputs' ``|y|^p`` in place, which feeds (3) one
+basis update, (4) one activation update and (5) the cost; no full-size
+per-iteration array outlives its use.  The cost is recorded after every
+iteration; the final output is rescaled by back-projection onto a reference
+channel.
 
-A sweep's anchor is the output of the ``W`` it is given.  The quartic sweep
-is handed it, so its iteration separates twice; the IP sweep forms it per
-block, only where ``beta != 2``, so an IP iteration separates once.
-:func:`separate` lays its outputs out sources first, so the quartic sweep's
-``|y~|`` and step (2)'s ``|y|^p`` read each source as one contiguous slab.
+Only this module forms separated outputs, all through :func:`separate`.
+The run carries ``yp = |y|^p`` ``(N, I, J)`` of its outputs, formed at
+entry as ``|x|^p`` (exact, as ``W = I`` there) and refreshed in place after
+each sweep, so at every iteration boundary it is ``|y|^p`` of the current
+``W``.  The NMF updates and the cost read it, and so does the
+IP sweep, whose weights read the outputs of the ``W`` it is given only
+where ``beta != 2``.  The quartic sweep reads the complex outputs of its
+entry ``W``, separated before the sweep, so a quartic iteration separates
+twice and an IP iteration once.  :func:`separate` lays its outputs out
+sources first, so the quartic sweep's ``|y~|`` and the refresh of
+``|y|^p`` read each source as one contiguous slab.
 
 Beside ``T`` and ``V`` the run carries their scale field ``S = T V``
 ``(N, I, J)``.  :func:`initialize` forms it, and each iteration refreshes it
@@ -49,7 +55,6 @@ from .types import (
     ProblemShape,
     SourceSpectrogram,
     TraceRecord,
-    _demix,
     validate_problem,
 )
 
@@ -73,13 +78,15 @@ class RunResult:
     trace: ConvergenceTrace
 
 
-def initialize(cfg: GgdConfig, shape: ProblemShape):
+def initialize(cfg: GgdConfig, shape: ProblemShape, xd: np.ndarray):
     """Identity demixing matrices, their inverses and zero log-determinants,
-    uniform-random positive factors and their scale field.
+    uniform-random positive factors, their scale field and the outputs'
+    ``|y|^p`` for the mixture ``xd`` ``(I, J, N)``.
 
     Factor entries are i.i.d. uniform on ``(EPS_NMF, 1]``; the draw is
     deterministic for ``cfg.seed`` (bases first, then activations).
-    Returns ``(W, T, V, W_inv, log_det, S)`` with ``S = T V`` ``(N, I, J)``.
+    Returns ``(W, T, V, W_inv, log_det, S, yp)`` with ``S = T V`` and
+    ``yp = |x|^p``, the outputs of ``W = I``, both ``(N, I, J)``.
     """
     I, J, N, K = shape.n_bins, shape.n_frames, shape.n_sources, shape.n_bases
     W = np.tile(np.eye(N, dtype=np.complex128), (I, 1, 1))
@@ -89,18 +96,23 @@ def initialize(cfg: GgdConfig, shape: ProblemShape):
     # W^-1 = I, laid out bins last so that types._replace_row runs along the bins
     W_inv = np.tile(np.eye(N, dtype=np.complex128)[:, :, None], I).transpose(2, 0, 1)
     S = refresh_scale(T, V, np.empty((N, I, J)))
-    return W, T, V, W_inv, np.zeros(I), S
+    yp = np.abs(np.moveaxis(xd, 2, 0), order="C")
+    yp **= cfg.domain
+    return W, T, V, W_inv, np.zeros(I), S, yp
 
 
 def separate(xd: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Apply per-bin demixing: ``y[i, j, n] = W[i, n, :] @ x[i, j, :]``.
 
     The outputs are laid out sources first: the result is the ``(I, J, N)`` view
-    of an ``(N, I, J)`` array (:func:`~ggdilrma.types._demix`), so
-    ``np.moveaxis(y, 2, 0)`` is C-contiguous and each source's ``y[:, :, n]`` is
-    one contiguous ``(I, J)`` slab.
+    of an ``(N, I, J)`` array, so ``np.moveaxis(y, 2, 0)`` is C-contiguous and
+    each source's ``y[:, :, n]`` is one contiguous ``(I, J)`` slab.  No BLAS call
+    takes that layout, so numpy runs one loop over all bins instead of one BLAS
+    call per bin.
     """
-    return _demix(xd, W).transpose(1, 2, 0)
+    I, J, _ = xd.shape
+    y = np.empty((W.shape[1], I, J), dtype=np.result_type(xd, W)).transpose(1, 2, 0)
+    return np.matmul(xd, W.transpose(0, 2, 1), out=y)
 
 
 def back_project(yd: np.ndarray, W_inv: np.ndarray, reference_channel: int = 0) -> np.ndarray:
@@ -114,30 +126,30 @@ def back_project(yd: np.ndarray, W_inv: np.ndarray, reference_channel: int = 0) 
     return np.multiply(yd, W_inv[:, None, reference_channel, :], order="C")
 
 
-def iteration_step(xd, W, T, V, cfg: GgdConfig, gram: Optional[np.ndarray], W_inv, log_det, S):
+def iteration_step(xd, W, T, V, cfg: GgdConfig, gram: Optional[np.ndarray], W_inv, log_det, S, yp):
     """One alternating-update round on raw state arrays (updated in place).
 
-    Order: sweep of ``W`` alone, refresh of the outputs' ``|y|^p``, which
-    feeds the basis update, the activation update and the cost; no full-size
-    array outlives its use.  Only the quartic sweep is handed its anchor,
-    :func:`separate` of the entry ``W``; the IP sweep forms its own where
-    ``beta != 2``, so an IP step separates once.  ``gram`` is
-    the quartic scheme's cached :func:`~ggdilrma.demix_homogeneous.mixture_gram`
-    of ``xd``.  The sweep keeps ``W_inv`` (``W^{-1}``) and ``log_det``
-    (``log|det W_i|``) in step with ``W``, and the cost reads ``log_det``.
-    ``S`` is the scale field ``T V`` on entry; the sweep and the basis update
-    read it, and it is refreshed in place after the activation update, for the
-    cost and the next iteration.
+    Order: sweep of ``W`` alone, refresh of the outputs' ``|y|^p`` in ``yp``,
+    which feeds the basis update, the activation update and the cost; no
+    full-size array outlives its use.  ``yp`` is ``|y|^p`` of the entry ``W``
+    on entry, which the IP sweep reads; the quartic sweep is handed the
+    outputs of the entry ``W`` instead, so a quartic step separates twice and
+    an IP step once.  ``gram`` is the quartic scheme's cached
+    :func:`~ggdilrma.demix_homogeneous.mixture_gram` of ``xd``.  The sweep keeps
+    ``W_inv`` (``W^{-1}``) and ``log_det`` (``log|det W_i|``) in step with ``W``,
+    and the cost reads ``log_det``.  ``S`` is the scale field ``T V`` on entry;
+    the sweep and the basis update read it, and it is refreshed in place after
+    the activation update, for the cost and the next iteration.
     Returns ``(W, T, V, cost, skipped)``.
     """
     beta, p = cfg.beta, cfg.domain
     skipped = 0
     if cfg.update_scheme == "ip":
-        W = ip_sweep(xd, W, S, beta, p, W_inv, log_det)  # forms its own anchor
+        W = ip_sweep(xd, yp, W, S, beta, p, W_inv, log_det)
     else:
         # [::3] keeps W and the skip count; the anchor outputs are dropped.
-        W, skipped = quartic_sweep(xd, separate(xd, W), W, S, p, gram, W_inv, log_det)[::3]
-    yp = np.abs(np.moveaxis(separate(xd, W), 2, 0), order="C")  # (N, I, J)
+        W, skipped = quartic_sweep(gram, separate(xd, W), W, S, p, W_inv, log_det)[::3]
+    np.abs(np.moveaxis(separate(xd, W), 2, 0), out=yp)
     yp **= p
     T = update_bases_arrays(T, V, S, yp, beta, p)
     V = update_activations_arrays(T, V, yp, beta, p)
@@ -168,20 +180,20 @@ def run(
         raise DegenerateShape(
             f"reference channel {reference_channel} outside 0..{shape.n_sources - 1}"
         )
-    W, T, V, W_inv, log_det, S = initialize(cfg, shape)
     xd = np.ascontiguousarray(x.data, dtype=np.complex128)
+    W, T, V, W_inv, log_det, S, yp = initialize(cfg, shape, xd)
     gram = mixture_gram(xd) if cfg.update_scheme == "quartic" else None
 
     records = []
     for it in range(1, cfg.iterations + 1):
         t0 = time.perf_counter()
-        W, T, V, cost, skipped = iteration_step(xd, W, T, V, cfg, gram, W_inv, log_det, S)
+        W, T, V, cost, skipped = iteration_step(xd, W, T, V, cfg, gram, W_inv, log_det, S, yp)
         record = TraceRecord(it, cost, (time.perf_counter() - t0) * 1e3, skipped)
         records.append(record)
         if on_record is not None:
             on_record(record)
 
-    del gram
+    del gram, yp
     projected = back_project(separate(xd, W), W_inv, reference_channel)
     return RunResult(
         sources=SourceSpectrogram(data=projected),

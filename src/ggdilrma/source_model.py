@@ -25,9 +25,10 @@ pipeline carries the full scale field ``S = T V``, which
 :func:`refresh_scale` writes a block at a time after each activation update;
 the basis update, the demixing sweeps and the cost read it, and only the
 activation update, whose bases have just changed, forms its own ``S`` per
-block.  The updates and the cost read ``|y|^p``, which the pipeline raises
-once per iteration; the updates floor it at ``EPS_Y**p``, the same bits as
-flooring ``|y|`` at ``EPS_Y`` first.  The whitened ratio
+block.  The updates and the cost read ``|y|^p``, which the pipeline carries
+and refreshes in place once per iteration; the updates floor it at
+``EPS_Y**p``, the same bits as flooring ``|y|`` at ``EPS_Y`` first, and so do
+the iterative-projection weights.  The whitened ratio
 ``(|y|^p / S)^(beta/p)`` is raised by repeated squaring when ``beta/p`` is a
 positive integer (8 at beta = 4, p = 1/2), and by the generic power
 otherwise.

@@ -213,7 +213,7 @@ def sweep(xd, W, radius):
     at ``p = 1``."""
     yd = np.einsum("inm,ijm->ijn", W, xd)
     S = np.moveaxis(radius, 2, 0)
-    return quartic_sweep(xd, yd, W, S, 1.0, mixture_gram(xd), *inverse_and_log_det(W))
+    return quartic_sweep(mixture_gram(xd), yd, W, S, 1.0, *inverse_and_log_det(W))
 
 
 class TestQuarticUpdateFilter:

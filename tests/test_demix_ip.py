@@ -11,7 +11,6 @@ from reference_contractions import inverse_and_log_det, magnitudes_einsum
 from reference_ip import am_gm_gap, ip_update_filter, weighted_covariance
 from reference_nmf import scale_field
 
-from ggdilrma import pipeline
 from ggdilrma.demix_ip import _ip_weights, _weighted_factor, ip_sweep
 from ggdilrma.errors import SingularCovariance, UnsupportedBeta
 
@@ -92,8 +91,9 @@ class TestWeightedCovariance:
     def test_rejects_beta_above_two(self):
         # the AM-GM weights need beta <= 2, so the sweep refuses beta = 4
         xd, _, TV, W = random_instance()
+        yp = magnitudes_einsum(xd, W) ** 0.5
         with pytest.raises(UnsupportedBeta):
-            ip_sweep(xd, W, np.matmul(*TV), 4.0, 0.5, *inverse_and_log_det(W))
+            ip_sweep(xd, yp, W, np.matmul(*TV), 4.0, 0.5, *inverse_and_log_det(W))
 
 
 class TestIpUpdateFilter:
@@ -170,8 +170,9 @@ class TestIpSweep:
             V = rng.uniform(0.3, 1.2, size=(2, 2, 8))
             W_inv, log_det = inverse_and_log_det(W)
             S = T @ V
-            before = ggd_cost_arrays(magnitudes_einsum(xd, W) ** p, log_det, S, beta, p)
-            W2 = ip_sweep(xd, W.copy(), S, beta, p, W_inv, log_det)
+            yp = magnitudes_einsum(xd, W) ** p
+            before = ggd_cost_arrays(yp, log_det, S, beta, p)
+            W2 = ip_sweep(xd, yp, W.copy(), S, beta, p, W_inv, log_det)
             after = ggd_cost_arrays(magnitudes_einsum(xd, W2) ** p, log_det, S, beta, p)
             if after > before + 1e-9 * (1 + abs(before)):
                 failures += 1
@@ -182,10 +183,10 @@ class TestIpSweep:
         xd, yd, TV, W = random_instance(I=4, J=10, M=N, seed=7)
         beta, p = 1.5, 0.5
         S_sweep = np.matmul(*TV)
-        inputs = xd, S_sweep
+        inputs = xd, magnitudes_einsum(xd, W) ** p, S_sweep
         before = [a.copy() for a in inputs]
-        W_sweep = ip_sweep(xd, W.copy(), S_sweep, beta, p, *inverse_and_log_det(W))
-        for got, ref in zip(inputs, before):  # the mixture and the scale field, read only
+        W_sweep = ip_sweep(*inputs[:2], W.copy(), S_sweep, beta, p, *inverse_and_log_det(W))
+        for got, ref in zip(inputs, before):  # the mixture, |y|^p and the scale field, read only
             np.testing.assert_array_equal(got, ref)
         S = scale_field(*TV)
 
@@ -203,7 +204,8 @@ class TestIpSweep:
 
     def test_normalization_postcondition(self):
         xd, yd, TV, W = random_instance(I=5, J=12, seed=8)
-        W_new = ip_sweep(xd, W.copy(), np.matmul(*TV), 1.0, 0.5, *inverse_and_log_det(W))
+        yp = magnitudes_einsum(xd, W) ** 0.5
+        W_new = ip_sweep(xd, yp, W.copy(), np.matmul(*TV), 1.0, 0.5, *inverse_and_log_det(W))
         np.testing.assert_allclose(unit_norm_gaps(xd, yd, TV, W_new, 1.0, 0.5), 0.0, atol=1e-10)
 
     @pytest.mark.parametrize("N", [2, 3])
@@ -218,8 +220,8 @@ class TestIpSweep:
         W = W[None, :N, :N].copy()
         T = rng.uniform(0.5, 1.5, (N, 1, 2))
         V = rng.uniform(0.5, 1.5, (N, 2, J))
-        yd = pipeline.separate(xd, W)
-        wgt = _ip_weights(yd[:, :, 0], scale_field(T, V)[:, :, 0], beta, p)
+        yp = magnitudes_einsum(xd, W) ** p
+        wgt = _ip_weights(yp[0], scale_field(T, V)[:, :, 0], beta, p)
         wgt *= beta / (2.0 * J)
         assert 1e9 < wgt.max() / np.median(wgt) < 1e11
 
@@ -235,5 +237,5 @@ class TestIpSweep:
         det_r = np.prod(np.abs(np.diagonal(R)))
         det_mgs = np.prod(np.diagonal(_weighted_factor(xd, wgt)[0]).real)
         assert abs(det_mgs - det_r) <= tol * det_r
-        w = ip_sweep(xd, W.copy(), T @ V, beta, p, *inverse_and_log_det(W))[0, 0].conj()
+        w = ip_sweep(xd, yp, W.copy(), T @ V, beta, p, *inverse_and_log_det(W))[0, 0].conj()
         assert np.linalg.norm(w - w_qr) <= tol * np.linalg.norm(w_qr)

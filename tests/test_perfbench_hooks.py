@@ -2,13 +2,13 @@
 
 ``perfbench/layers.py`` wraps each layer by the module attribute its caller
 looks up, and reads positions of some calls: ``W`` at ``args[2]`` and the
-skip count at ``result[3]`` of ``quartic_sweep(xd, yd, W, S, domain,
-gram, W_inv, log_det)``, the mixture at ``args[0]`` and ``W`` at
-``result[0]`` of ``iteration_step(xd, W, T, V, cfg, gram, W_inv,
-log_det, S)``.  The scale field ``S`` takes the place of ``T, V`` in the
-sweep, after ``W``; the carried inverse, log-determinants and, in the step,
-``S`` come after every position it reads.  Its skip count swallows a moved position and reads 0,
-so the positions are pinned here.
+skip count at ``result[3]`` of ``quartic_sweep(gram, yd, W, S, domain,
+W_inv, log_det)``, the mixture at ``args[0]`` and ``W`` at ``result[0]`` of
+``iteration_step(xd, W, T, V, cfg, gram, W_inv, log_det, S, yp)``.  The
+mixture's ``gram`` takes the sweep's first slot, and the scale field ``S``
+follows ``W``; the carried inverse, log-determinants and, in the step, ``S``
+and ``|y|^p`` come after every position it reads.  Its skip count swallows a
+moved position and reads 0, so the positions are pinned here.
 """
 
 import importlib.util
@@ -53,7 +53,7 @@ def check_positions(monkeypatch, N):
     xd = np.array(random_mixture(I, J, N, seed=3).data)
     xd[4] = 0.0  # one silent bin: every one of its sources' updates is skipped
     cfg = GgdConfig(beta=4.0, domain=0.5, n_bases=K, iterations=1, seed=3)
-    W, T, V, W_inv, log_det, S = pipeline.initialize(cfg, ProblemShape(I, J, N, K))
+    state = pipeline.initialize(cfg, ProblemShape(I, J, N, K), xd)
 
     sweeps = []
     sweep = pipeline.quartic_sweep
@@ -69,7 +69,7 @@ def check_positions(monkeypatch, N):
     tracer.step_hook = lambda args, result: steps.append((args[0], result[0]))
     tracer.install(MODULES)
     try:
-        W_out = pipeline.iteration_step(xd, W, T, V, cfg, mixture_gram(xd), W_inv, log_det, S)[0]
+        W_out = pipeline.iteration_step(xd, *state[:3], cfg, mixture_gram(xd), *state[3:])[0]
     finally:
         tracer.uninstall()
 

@@ -1,5 +1,8 @@
 """The general pipeline against the stand-alone IS-ILRMA oracle."""
 
+from dataclasses import replace
+from functools import cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,10 +49,10 @@ def test_step_reports_the_cost_of_the_state_it_returns(N, beta):
     I, J, K = 9, 40, 3
     xd = random_mixture(I, J, N, seed=11).data
     cfg = GgdConfig(beta=beta, domain=0.5, n_bases=K, iterations=3, seed=11)
-    W, T, V, W_inv, log_det, S = pipeline.initialize(cfg, ProblemShape(I, J, N, K))
+    W, T, V, W_inv, log_det, S, yp = pipeline.initialize(cfg, ProblemShape(I, J, N, K), xd)
     gram = mixture_gram(xd) if cfg.update_scheme == "quartic" else None
     for _ in range(cfg.iterations):
-        W, T, V, cost, _ = pipeline.iteration_step(xd, W, T, V, cfg, gram, W_inv, log_det, S)
+        W, T, V, cost, _ = pipeline.iteration_step(xd, W, T, V, cfg, gram, W_inv, log_det, S, yp)
         assert cost == pytest.approx(ggd_cost_einsum(xd, W, T, V, beta, 0.5), rel=1e-12)
 
 
@@ -73,10 +76,10 @@ def test_carried_inverse_and_log_det_match_lapack(N, beta, iterations, seed):
     I, J, K = 5, 24, 2
     xd = random_mixture(I, J, N, seed=seed).data
     cfg = GgdConfig(beta=beta, domain=0.5, n_bases=K, iterations=iterations, seed=seed)
-    W, T, V, W_inv, log_det, S = pipeline.initialize(cfg, ProblemShape(I, J, N, K))
+    W, T, V, W_inv, log_det, S, yp = pipeline.initialize(cfg, ProblemShape(I, J, N, K), xd)
     gram = mixture_gram(xd) if cfg.update_scheme == "quartic" else None
     for _ in range(iterations):
-        W, T, V, _, _ = pipeline.iteration_step(xd, W, T, V, cfg, gram, W_inv, log_det, S)
+        W, T, V, _, _ = pipeline.iteration_step(xd, W, T, V, cfg, gram, W_inv, log_det, S, yp)
     inv_ref, log_det_ref = inverse_and_log_det(W)
     largest = np.max(np.abs(inv_ref), axis=(1, 2), keepdims=True)
     assert np.max(np.abs(W_inv - inv_ref) / largest) <= INVERSE_DRIFT
@@ -99,15 +102,54 @@ SCALE_RTOL = 1e-15
 def test_carried_scale_field_is_the_product_of_the_factors(N, beta, iterations, seed):
     # The step refreshes S in the buffer it was given, after the activation update,
     # so the next sweep and basis update read the T V of the factors it returns.
+    # It refreshes |y|^p in its buffer after the sweep, with the bits a fresh
+    # separation gives: at entry, where W = I, that is |x|^p exactly.
     I, J, K = 5, 24, 2
     xd = random_mixture(I, J, N, seed=seed).data
     cfg = GgdConfig(beta=beta, domain=0.5, n_bases=K, iterations=iterations, seed=seed)
-    W, T, V, W_inv, log_det, S = pipeline.initialize(cfg, ProblemShape(I, J, N, K))
+    W, T, V, W_inv, log_det, S, yp = pipeline.initialize(cfg, ProblemShape(I, J, N, K), xd)
     gram = mixture_gram(xd) if cfg.update_scheme == "quartic" else None
-    np.testing.assert_allclose(S, np.moveaxis(scale_field(T, V), 2, 0), rtol=SCALE_RTOL)
-    for _ in range(iterations):
-        W, T, V, _, _ = pipeline.iteration_step(xd, W, T, V, cfg, gram, W_inv, log_det, S)
+
+    def assert_carried():
         np.testing.assert_allclose(S, np.moveaxis(scale_field(T, V), 2, 0), rtol=SCALE_RTOL)
+        fresh = np.abs(np.moveaxis(pipeline.separate(xd, W), 2, 0)) ** cfg.domain
+        np.testing.assert_array_equal(yp, fresh)
+
+    assert_carried()
+    for _ in range(iterations):
+        W, T, V, _, _ = pipeline.iteration_step(xd, W, T, V, cfg, gram, W_inv, log_det, S, yp)
+        assert_carried()
+
+
+#: Bound on the gap between ``run(c x).sources / c`` and ``run(x).sources``,
+#: relative to the largest source entry.  Over c in [1e-3, 1e4] and the four
+#: settings below the largest was 1.9e-14.
+LOUDNESS_RTOL = 1e-12
+
+LOUDNESS_MIXTURE = random_mixture(16, 24, 2, seed=7)
+
+
+@cache
+def loudness_reference(beta, p):
+    cfg = GgdConfig(beta=beta, domain=p, n_bases=2, iterations=20, seed=7)
+    return cfg, pipeline.run(LOUDNESS_MIXTURE, cfg).sources.data
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log_c=st.floats(-3.0, 4.0),
+    beta_p=st.sampled_from([(4.0, 1.0), (4.0, 0.5), (2.0, 2.0), (2.0, 0.5)]),
+)
+def test_sources_scale_with_the_input(log_c, beta_p):
+    # At these shapes the first sweep's normalisation (IP at beta = 2) or scale step
+    # (quartic) absorbs c into W, so the factors follow the same path at every c and
+    # the sources scale by c.  IP at beta = 1.5, p = 2 does not (ROADMAP, Known
+    # defects).
+    cfg, ref = loudness_reference(*beta_p)
+    c = 10.0**log_c
+    loud = pipeline.run(replace(LOUDNESS_MIXTURE, data=c * LOUDNESS_MIXTURE.data), cfg)
+    gap = np.max(np.abs(loud.sources.data / c - ref))
+    assert gap <= LOUDNESS_RTOL * np.max(np.abs(ref))
 
 
 class LinalgCalled(Exception):
@@ -143,15 +185,15 @@ def test_three_source_ip_iteration_runs_without_qr(monkeypatch):
     I, J, K, N = 9, 40, 3, 3
     xd = random_mixture(I, J, N, seed=12).data
     cfg = GgdConfig(beta=2.0, domain=0.5, n_bases=K, iterations=1, seed=12)
-    W, T, V, W_inv, log_det, S = pipeline.initialize(cfg, ProblemShape(I, J, N, K))
-    pipeline.iteration_step(xd, W, T, V, cfg, None, W_inv, log_det, S)
+    W, T, V, W_inv, log_det, S, yp = pipeline.initialize(cfg, ProblemShape(I, J, N, K), xd)
+    pipeline.iteration_step(xd, W, T, V, cfg, None, W_inv, log_det, S, yp)
 
 
 @pytest.mark.parametrize("beta, per_iteration", [(2.0, 1), (1.0, 1), (4.0, 2)])
 def test_run_counts_its_separations(beta, per_iteration, monkeypatch):
-    # The IP sweep forms any anchor it reads itself, so an IP iteration separates
-    # once (the refresh of |y|^p); the quartic sweep is handed the outputs of the
-    # entry W as well.  The last separation is back-projection's.
+    # The IP sweep reads the carried |y|^p, so an IP iteration separates once (the
+    # refresh of |y|^p); the quartic sweep is handed the outputs of the entry W as
+    # well.  The last separation is back-projection's.
     calls = []
     original = pipeline.separate
 
