@@ -15,7 +15,7 @@ import numpy as np
 
 from . import pipeline
 from .cost import audit_descent
-from .demix_homogeneous import quartic_majorizer
+from .demix_homogeneous import mixture_gram, quartic_majorizer
 from .mixsim import MixingSpec, mix, synth_source
 from .types import GgdConfig, MixtureSpectrogram
 from .workflows import evaluate_separation, separate_audio
@@ -77,13 +77,12 @@ def majorizer_trial(seed: int) -> tuple[float, float]:
     """Monte-Carlo margins for the quartic surrogate bound.
 
     Each of ``MAJORIZER_DRAWS`` draws is a one-bin problem of one to four
-    sources given to the batched :func:`quartic_majorizer`, which assembles
-    ``G`` as the quartic sweep does before factoring it, at every source
-    count.  Returns
-    ``(worst_gap, worst_equality)``: the most negative value of
-    ``g(w) - f(w)`` over random draws (should be >= -1e-10) and the
-    largest relative mismatch of ``g`` and ``f`` at the anchor (should be
-    ~0).
+    channels, with one anchor row, given to :func:`quartic_majorizer`: the
+    assembly whose ``G`` the quartic sweep factors, at ``p = 1`` so that the
+    scale field is ``r`` itself.  Returns ``(worst_gap, worst_equality)``: the
+    most negative value of ``g(w) - f(w)`` over random draws (should be
+    >= -1e-10) and the largest relative mismatch of ``g`` and ``f`` at the
+    anchor (should be ~0).
     """
     rng = np.random.default_rng(seed)
     worst_gap = np.inf
@@ -94,10 +93,13 @@ def majorizer_trial(seed: int) -> tuple[float, float]:
         x = rng.standard_normal((J, N)) + 1j * rng.standard_normal((J, N))
         r = rng.uniform(0.5, 2.0, size=J)
         w_ref, w = _unit_vector(rng, N), _unit_vector(rng, N)
-        G, _ = quartic_majorizer(x[None], w_ref[None], r[None])
-        g_at = float((w.conj() @ G[0] @ w).real) ** 2
+        yd = (x @ w_ref.conj())[None, :, None]  # one bin, one row
+        G = quartic_majorizer(
+            mixture_gram(x[None]), yd, w_ref.conj()[None, None], r[None, None], 1.0
+        )[0][0, 0]
+        g_at = float((w.conj() @ G @ w).real) ** 2
         worst_gap = min(worst_gap, g_at - _quartic_cost(x, r, w))
-        g_ref = float((w_ref.conj() @ G[0] @ w_ref).real) ** 2
+        g_ref = float((w_ref.conj() @ G @ w_ref).real) ** 2
         f_ref = _quartic_cost(x, r, w_ref)
         worst_eq = max(worst_eq, abs(g_ref - f_ref) / max(1.0, f_ref))
     return float(worst_gap), float(worst_eq)

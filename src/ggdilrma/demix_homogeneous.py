@@ -43,14 +43,17 @@ its scale ``r_n = S_n^(1/p)``, from the scale field ``S = T V`` that the
 pipeline carries, and its row ``w~_n`` of ``W_i`` on entry; rows ``m != n``
 never enter it, and no other source's update changes any of the three.  So
 :func:`quartic_sweep` assembles the majorizers of every source before
-updating any row.  One ``(M^2, J) @ (J, 2N)`` product per bin takes the
-features of every ``A`` and ``C`` at once, and :func:`_majorizers`, the
-assembly :func:`quartic_majorizer` uses, builds all ``G`` from them.  The
+updating any row, in :func:`quartic_majorizer`, the one place ``G`` is
+built: one ``(M^2, J) @ (J, 2N)`` product per bin takes the features of
+every ``A`` and ``C`` at once, and every ``G`` follows from them.  The
 sweep then takes the Cholesky factors ``G = R^H R`` of all of them in one
 pass, and skips a source's update where ``sum_j |q~_j|^4`` is zero or not
 finite, where a pivot is not positive, or where ``det G = prod_k r_kk^2`` is
-at most ``EPS_DET``.  Only what reads rows already updated stays per source:
-``W_i^{-1} e_n``, the direction, its cost, the scale and the write-back.
+at most ``EPS_DET`` times ``prod_k G_kk``.  That ratio lies in ``[0, 1]``
+(Hadamard) and does not change when the mixture is scaled, so a quiet input
+is updated as a loud one is.  Only what reads rows already updated stays per
+source: ``W_i^{-1} e_n``, the direction, its cost, the scale and the
+write-back.
 
 The direction ``w' = G^{-1} W_i^{-1} e_n`` is the two triangular systems
 ``R^H z = W_i^{-1} e_n`` and ``R w' = z``, solved by substitution in
@@ -66,20 +69,24 @@ sweep makes no LAPACK call.
 
 :func:`quartic_sweep` runs in two phases, so that numpy's per-call cost is
 paid once per sweep for the small per-bin algebra and its frame-length
-temporaries stay cache-sized.  First it streams over blocks of bins
-(:func:`~ggdilrma.types.bin_blocks`) for the work that runs along the
-frames: ``1 / r^2 = S^(-2/p)``, by the kernel that raises the IP weights
-(:func:`~ggdilrma.source_model._whitened_ratio`), the anchors' ``|q~|^2``
-and the features of every source's ``A`` and ``C``.  Then it builds and
-factors every ``G`` over all bins at once, and updates the sources in turn,
-each over all bins: its solve, the scale, ``f_check`` and the write-back,
-with only the direction's cost ``a(h) . P`` streamed over the blocks again.  Its result does not
-depend on the block size.  It updates ``W`` only.
+temporaries stay cache-sized.  First, :func:`quartic_majorizer` streams over
+blocks of bins (:func:`~ggdilrma.types.bin_blocks`) for the work that runs
+along the frames: ``1 / r^2 = S^(-2/p)``, by the kernel that raises the IP
+weights (:func:`~ggdilrma.source_model._whitened_ratio`), the anchors'
+``|q~|^2`` and the features of every source's ``A`` and ``C``; then it
+builds every ``G`` over all bins at once.  The sweep factors them all, and
+updates the sources in turn, each over all bins: its solve, the scale,
+``f_check`` and the write-back, with only the direction's cost ``a(h) . P``
+streamed over the blocks again.  Its result does not depend on the block
+size.  It updates ``W`` only.
 
 The per-filter forms of this update (``quartic_update_filter``,
 ``direction_scale_step``, the homogeneous objectives, ``optimal_scale``)
 and the direct O(J^2) majorizer live in ``tests/reference_quartic.py`` as
-test oracles for :func:`quartic_majorizer` and :func:`quartic_sweep`.
+test oracles for :func:`quartic_majorizer` and :func:`quartic_sweep`.  The
+property suite (:func:`ggdilrma.benchmark.majorizer_trial`) and the tests
+check the bound on :func:`quartic_majorizer` itself, with one anchor row
+where a single filter is wanted.
 """
 
 from __future__ import annotations
@@ -130,62 +137,57 @@ def _hermitian(feat: np.ndarray, M: int) -> np.ndarray:
     return H
 
 
-def _block_features(Pb: np.ndarray, aq2: np.ndarray, wts: np.ndarray):
-    """Features ``(b, M**2, S)`` of ``A`` and ``C`` for ``S`` sources of a block, from
-    its :func:`mixture_gram` ``Pb``, the anchors' ``aq2 = |q~|^2`` ``(S, b, J)`` and
-    the C-ordered ``(2, S, b, J)`` ``wts`` holding ``1 / r**2`` (``wts[1]`` is
-    overwritten with ``aq2 / r**2``).  Also returns, ``(S, b)`` each, ``G``'s divisor,
-    the mask where ``s4 = sum_j |q~_j|^4`` is finite and nonzero, and ``s4``."""
-    S, b, J = aq2.shape
-    np.multiply(aq2, wts[0], out=wts[1])
-    # one (M^2, J) @ (J, 2S) product per bin, through a strided view of wts
-    feat = Pb @ wts.reshape(2 * S, b, J).transpose(1, 2, 0)
-    fa = feat[..., :S]
-    fc = np.sum(aq2, axis=2).T[:, None, :] * fa + feat[..., S:]  # ||q~||^2 A + ...
-    s4 = np.vecdot(aq2, aq2)
-    good = np.isfinite(s4) & (s4 > 0.0)
-    return fa, fc, np.sqrt(J * np.where(good, s4, 1.0)), good, s4
-
-
-def _majorizers(fa, fc, denom, w):
-    """The majorizers ``G`` ``(b, S, M, M)`` from :func:`_block_features` and the
-    anchor filters ``w~`` ``(b, S, M)``."""
-    M = w.shape[-1]
-    u = (_hermitian(fa.transpose(0, 2, 1), M) @ w[..., None])[..., 0]  # A w~
-    C = _hermitian(fc.transpose(0, 2, 1), M)
-    return (C - u[..., :, None] * u.conj()[..., None, :]) / denom.T[:, :, None, None]
-
-
-def quartic_majorizer(xd: np.ndarray, w: np.ndarray, radius: np.ndarray):
-    """Majorizer matrices ``G`` for one source, batched over bins.
-
-    Built as :func:`quartic_sweep` builds them, from the :func:`mixture_gram`
-    features, without the J x J matrix ``Q~``.
+def quartic_majorizer(gram: np.ndarray, yd, W, S, domain: float):
+    """Majorizers ``G`` of every row, batched over bins: the first phase of
+    :func:`quartic_sweep`, which factors exactly what this returns.
 
     Args:
-        xd: mixture ``(I, J, M)``.
-        w: anchor filters ``w~`` shaped ``(I, M)``, with outputs ``y[i, j] = w~_i^H x_ij``.
-        radius: that source's scale parameters ``r`` shaped ``(I, J)``.
+        gram: the :func:`mixture_gram` ``(I, M**2, J)`` of an ``M``-channel mixture.
+        yd: the anchors: the outputs ``(I, J, N)`` of the rows of ``W``.
+        W: the anchor rows ``w~^H`` ``(I, N, M)``; ``N`` need not equal ``M``.
+        S: the scale field ``r**p`` ``(N, I, J)``.
+        domain: the exponent ``p``.
 
     Returns:
-        ``(G, good)``: ``(I, M, M)`` Hermitian PSD matrices such that
-        ``(w^H G_i w)^2`` upper-bounds the quartic cost at bin ``i``, tight
-        at the anchor, and the mask of bins whose anchor projection ``q~``
-        is finite and nonzero (``G_i`` is not a majorizer elsewhere).
+        ``(G, good, s4)``: ``(I, N, M, M)`` Hermitian PSD matrices such that
+        ``(w^H G w)^2`` upper-bounds row ``n``'s quartic cost at bin ``i``, tight
+        at its anchor; the ``(N, I)`` mask where ``s4 = sum_j |q~_j|^4`` is finite
+        and nonzero (``G`` is not a majorizer elsewhere); and ``s4`` ``(N, I)``.
     """
-    gram = mixture_gram(xd)
-    wts = np.empty((2, 1) + radius.shape)
-    np.divide(1.0, radius**2, out=wts[0, 0])
-    aq2 = (_form_coeffs(w.conj())[:, None, :] @ gram)[:, 0] * wts[0, 0]  # |y~|^2 / r^2
-    fa, fc, denom, good, _ = _block_features(gram, aq2[None], wts)
-    return _majorizers(fa, fc, denom, w[:, None])[:, 0], good[0]
+    I, features, J = gram.shape
+    N, M = yd.shape[2], W.shape[-1]
+    # Per block, the work along the frames: 1 / r**2, the anchors' |q~|^2 and the
+    # features of every row's A and C, which are kept for all bins.
+    fa, fc = np.empty((2, I, features, N))
+    s4 = np.empty((N, I))
+    for blk in bin_blocks(I, J):
+        wts = np.empty((2, N, blk.stop - blk.start, J))  # 1 / r**2, then |y~|^2 / r**4
+        _whitened_ratio(1.0, S[:, blk], 2.0, domain, out=wts[0])  # S^(-2/p) = 1 / r**2
+        aq2 = np.abs(yd[blk].transpose(2, 0, 1), order="C")  # |q~|^2 = |y~|^2 / r^2
+        aq2 *= aq2
+        aq2 *= wts[0]
+        np.multiply(aq2, wts[0], out=wts[1])
+        # one (M^2, J) @ (J, 2N) product per bin, through a strided view of wts
+        feat = gram[blk] @ wts.reshape(2 * N, -1, J).transpose(1, 2, 0)
+        fa[blk] = feat[..., :N]
+        fc[blk] = np.sum(aq2, axis=2).T[:, None, :] * fa[blk] + feat[..., N:]  # ||q~||^2 A + ...
+        s4[:, blk] = np.vecdot(aq2, aq2)
+    good = np.isfinite(s4) & (s4 > 0.0)
+    denom = np.sqrt(J * np.where(good, s4, 1.0))
+    # Then every G over all bins at once.
+    u = (_hermitian(fa.transpose(0, 2, 1), M) @ W.conj()[..., None])[..., 0]  # A w~
+    C = _hermitian(fc.transpose(0, 2, 1), M)
+    G = (C - u[..., :, None] * u.conj()[..., None, :]) / denom.T[:, :, None, None]
+    return G, good, s4
 
 
 def _cholesky(G):
     """Upper triangular ``R`` with a real diagonal and ``G = R^H R``, for Hermitian
     ``G`` ``(..., M, M)``, and the mask of the factors to solve with: every pivot is
-    positive and their product ``det G`` is above ``EPS_DET``.  A pivot that fails
-    is read as 1, so nothing divides by zero or takes a negative root."""
+    positive and their product ``det G`` is above ``EPS_DET`` times the product of
+    ``G``'s diagonal, which bounds it (Hadamard), so the test does not depend on the
+    scale of ``G``.  A pivot that fails is read as 1, so nothing divides by zero or
+    takes a negative root."""
     M = G.shape[-1]
     R = np.zeros_like(G)
     ok, det_g, schur = True, 1.0, G
@@ -197,15 +199,18 @@ def _cholesky(G):
         if k < M - 1:  # row k of R, then the Schur complement of the pivot
             R[..., k, k + 1 :] = r = schur[..., 0, 1:] / r_kk[..., None]
             schur = schur[..., 1:, 1:] - r.conj()[..., :, None] * r[..., None, :]
-    return R, ok & (det_g > EPS_DET)
+    hadamard = np.prod(G.diagonal(axis1=-2, axis2=-1).real, axis=-1)  # bounds det G
+    return R, ok & (det_g > EPS_DET * hadamard)
 
 
 def quartic_sweep(gram: np.ndarray, yd, W, S, domain: float, W_inv, log_det):
-    """One full quartic update of all filters, batched over bins.
+    """One full quartic update of all filters, batched over bins: the
+    :func:`quartic_majorizer` of every source, its Cholesky factor, then per
+    source the solve, the scale and the write-back.
 
-    Bins whose majorizer or direction is degenerate, or whose majorizer is
-    below the determinant floor, are skipped for the iteration (skipping
-    cannot increase the cost) and counted.
+    Bins whose majorizer or direction is degenerate, or whose majorizer's
+    Hadamard ratio ``det G / prod_k G_kk`` is at most ``EPS_DET``, are skipped
+    for the iteration (skipping cannot increase the cost) and counted.
 
     Args:
         gram: the :func:`mixture_gram` of the mixture ``(I, J, M)``.
@@ -228,23 +233,10 @@ def quartic_sweep(gram: np.ndarray, yd, W, S, domain: float, W_inv, log_det):
     instead (ROADMAP Direction 2 (A)).
     """
     I, J, N = yd.shape
-    # Per block, the work along the frames: 1 / r**2, the anchors' |q~|^2 and the
-    # features of every source's A and C, which are kept for all bins.
-    fa, fc = np.empty((2, I, N * N, N))
-    denom, s4 = np.empty((2, N, I))
-    good = np.empty((N, I), dtype=bool)
-    for blk in bin_blocks(I, J):
-        wts = np.empty((2, N, blk.stop - blk.start, J))  # 1 / r**2, then |y~|^2 / r**4
-        _whitened_ratio(1.0, S[:, blk], 2.0, domain, out=wts[0])  # S^(-2/p) = 1 / r**2
-        aq2 = np.abs(yd[blk].transpose(2, 0, 1), order="C")  # the anchors' |y~|^2 / r^2
-        aq2 *= aq2
-        aq2 *= wts[0]
-        fa[blk], fc[blk], denom[:, blk], good[:, blk], s4[:, blk] = _block_features(
-            gram[blk], aq2, wts
-        )
     # Every source's G reads W on entry only, so all are built and factored at once,
     # over all bins; then each source is solved and written back over all bins.
-    R, factored = _cholesky(_majorizers(fa, fc, denom, W.conj()))
+    G, good, s4 = quartic_majorizer(gram, yd, W, S, domain)
+    R, factored = _cholesky(G)
     good &= factored.T
     f_check = np.empty((I, N))
     s4_dir = np.empty(I)

@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import DegenerateShape, NonFiniteInput, UnsupportedBeta
 
-#: Numerical floors: NMF entries, |y| in denominators, |det| guard.
+#: Numerical floors: NMF entries, |y| in denominators, and the determinant guard:
+#: absolute on IP's det F, relative on the quartic det G (over prod_k G_kk).
 EPS_NMF = 1e-12
 EPS_Y = 1e-12
 EPS_DET = 1e-12

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ggdilrma import benchmark
+from ggdilrma import benchmark, demix_homogeneous
 from ggdilrma.cli import main
 
 
@@ -10,6 +10,7 @@ from ggdilrma.cli import main
 def test_majorizer_trial_holds_the_paper_bound(seed, monkeypatch):
     calls = []
     batched = benchmark.quartic_majorizer
+    assert batched is demix_homogeneous.quartic_majorizer  # the G the quartic sweep factors
 
     def spy(*args):
         calls.append(args)
@@ -18,7 +19,7 @@ def test_majorizer_trial_holds_the_paper_bound(seed, monkeypatch):
     monkeypatch.setattr(benchmark, "quartic_majorizer", spy)
     monkeypatch.setattr(benchmark, "MAJORIZER_DRAWS", 200)
     worst_gap, worst_eq = benchmark.majorizer_trial(seed)
-    assert len(calls) == 200  # the same batched majorizer the quartic sweep runs
+    assert len(calls) == 200
     assert worst_gap >= -1e-10
     assert worst_eq <= 1e-10
 

@@ -322,7 +322,7 @@ def test_sweeps_take_the_per_bin_algebra_once_over_all_bins(monkeypatch, bins, N
 
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("_majorizers", "_cholesky", "_substitute"):
+    for name in ("quartic_majorizer", "_cholesky", "_substitute"):
         spy(demix_homogeneous, name)
     spy(demix_ip, "_substitute")
     xd, W, T, V = instance(N, 3)
@@ -331,7 +331,7 @@ def test_sweeps_take_the_per_bin_algebra_once_over_all_bins(monkeypatch, bins, N
     quartic_sweep(mixture_gram(xd), yd, W.copy(), S, 0.5, *inverse_and_log_det(W))
     ip_sweep(xd, carried_magnitudes(xd, W, 0.5), W.copy(), S, 1.0, 0.5, *inverse_and_log_det(W))
     assert calls == {
-        ("demix_homogeneous", "_majorizers"): 1,
+        ("demix_homogeneous", "quartic_majorizer"): 1,
         ("demix_homogeneous", "_cholesky"): 1,
         ("demix_homogeneous", "_substitute"): N,
         ("demix_ip", "_substitute"): N,

@@ -111,8 +111,13 @@ def test_quartic_majorizer_matches_einsum(N, J, layout):
     w = rng.standard_normal((I, N)) + 1j * rng.standard_normal((I, N))
     w[0] = 0.0  # a degenerate anchor: flagged, and G = 0 there
     radius = rng.uniform(0.3, 2.0, (I, J))
-    G, good = quartic_majorizer(xd, w, radius)
-    G_ref, good_ref = quartic_majorizer_einsum(xd, np.einsum("ijm,im->ij", xd, w.conj()), radius)
+    yd = np.einsum("ijm,im->ij", xd, w.conj())
+    # one row, at p = 1 so that the scale field is r
+    G, good, _ = quartic_majorizer(
+        mixture_gram(xd), yd[..., None], w.conj()[:, None], radius[None], 1.0
+    )
+    G, good = G[:, 0], good[0]
+    G_ref, good_ref = quartic_majorizer_einsum(xd, yd, radius)
     np.testing.assert_array_equal(good, good_ref)
     assert not good[0] and good[1:].all()
     np.testing.assert_allclose(G, G_ref, rtol=RTOL)

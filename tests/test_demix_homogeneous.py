@@ -1,14 +1,17 @@
 """Quartic majorizer bound, direction/scale step, and sweep contracts.
 
-The batched ``quartic_majorizer`` and ``quartic_sweep`` are pinned to the
-per-filter oracle in ``reference_quartic.py``; the oracle's own steps are
-checked against the paper's properties.
+The batched ``quartic_majorizer``, whose ``G`` the sweep factors, and
+``quartic_sweep`` are pinned to the per-filter oracle in
+``reference_quartic.py``; the oracle's own steps are checked against the
+paper's properties.
 """
 
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_contractions import inverse_and_log_det
 from reference_ip import ip_update_filter
 from reference_quartic import (
@@ -37,9 +40,13 @@ def unit_complex(N, rng):
 
 
 def batched_majorizer(x_slab, r_col, w_ref):
-    """The pipeline's batched majorizer on a one-bin problem: ``(G, good)``."""
-    G, good = quartic_majorizer(x_slab[None], w_ref[None], r_col[None])
-    return G[0], bool(good[0])
+    """The sweep's majorizer on a one-bin problem with one anchor row, at ``p = 1``
+    so that the scale field is ``r``: ``(G, good)``."""
+    yd = (x_slab @ w_ref.conj())[None, :, None]
+    G, good, _ = quartic_majorizer(
+        mixture_gram(x_slab[None]), yd, w_ref.conj()[None, None], r_col[None, None], 1.0
+    )
+    return G[0, 0], bool(good[0, 0])
 
 
 class TestOptimalScale:
@@ -148,6 +155,31 @@ class TestQuarticMajorizer:
             )
         assert worst_gap >= -1e-10
         assert worst_eq <= 1e-10
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        N=st.integers(1, 4),
+        J=st.sampled_from([1, 2, 5, 50]),
+        log_c=st.floats(-8.0, 4.0),
+    )
+    def test_bound_holds_at_any_loudness_and_scale(self, seed, N, J, log_c):
+        # Every row of a square W, on a mixture of loudness c, with per-frame scales
+        # r log-uniform in [1e-3, 1e3]: g bounds f, with equality at the anchor.
+        rng = np.random.default_rng(seed)
+        x = 10.0**log_c * (rng.standard_normal((J, N)) + 1j * rng.standard_normal((J, N)))
+        r = 10.0 ** rng.uniform(-3.0, 3.0, (N, J))
+        W = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        yd = (x @ W.T)[None]  # the anchors: every row's outputs, one bin
+        G, good, _ = quartic_majorizer(mixture_gram(x[None]), yd, W[None], r[:, None], 1.0)
+        assert good.all()
+        for n in range(N):
+            obj = quartic_objective(x, r[n])
+            w, w_ref = unit_complex(N, rng), W[n].conj()
+            g = float((w.conj() @ G[0, n] @ w).real) ** 2
+            assert g >= obj.evaluate(w) * (1.0 - 1e-10)
+            g_ref = float((w_ref.conj() @ G[0, n] @ w_ref).real) ** 2
+            assert abs(g_ref - obj.evaluate(w_ref)) <= 1e-10 * obj.evaluate(w_ref)
 
     def test_zero_reference_rejected(self):
         # a zero anchor projection is flagged, so the sweep skips that bin
@@ -329,27 +361,35 @@ class TestQuarticUpdateFilter:
 
     @pytest.mark.parametrize("N", [2, 3])
     def test_sweep_factors_the_majorizer_that_quartic_majorizer_returns(self, N, monkeypatch):
+        # The G the sweep factors is quartic_majorizer's, bit for bit: the function
+        # the property suite and the tests above check the bound on.
         def no_det(*args, **kwargs):
             raise AssertionError("np.linalg.det called")
 
-        factors = []
+        factored = []
 
         def spy(G):
-            R, ok = _cholesky(G)
-            factors.append((R, ok))
-            return R, ok
+            factored.append(G.copy())
+            return _cholesky(G)
 
         monkeypatch.setattr(np.linalg, "det", no_det)
         monkeypatch.setattr(demix_homogeneous, "_cholesky", spy)
         xd, radius, W = self.random_state(5, 12, N, seed=23)
-        sweep(xd, W.copy(), radius)
-        [(R, ok)] = factors  # every source of the one block, factored at once
-        assert R.shape == (5, N, N, N) and ok.all()
-        for n in range(N):
-            G, good = quartic_majorizer(xd, W[:, n].conj(), radius[:, :, n])
-            assert good.all()
-            RhR = R[:, n].conj().transpose(0, 2, 1) @ R[:, n]
-            np.testing.assert_allclose(RhR, G, rtol=1e-12)
+        xd[1] = 0.0  # a silent bin
+        xd[3, :, 1] = xd[3, :, 0]  # a rank-deficient bin
+        yd = np.einsum("inm,ijm->ijn", W, xd)
+        S = np.moveaxis(radius, 2, 0)
+        G, good, _ = quartic_majorizer(mixture_gram(xd), yd, W, S, 1.0)
+        _, _, _, skipped = quartic_sweep(
+            mixture_gram(xd), yd, W.copy(), S, 1.0, *inverse_and_log_det(W)
+        )
+        [G_sweep] = factored  # every source over all bins, factored at once
+        np.testing.assert_array_equal(G_sweep, G)
+        assert G.shape == (5, N, N, N)
+        assert not good[:, 1].any() and good[:, [0, 2, 3, 4]].all()
+        _, ok = _cholesky(G)
+        assert not ok[3].any() and ok[[0, 2, 4]].all()
+        assert skipped == 2 * N
 
     def test_scale_postcondition_across_sweep(self):
         xd, radius, W = self.random_state(6, 20, 2, seed=13)

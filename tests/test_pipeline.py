@@ -135,16 +135,29 @@ def loudness_reference(beta, p):
     return cfg, pipeline.run(LOUDNESS_MIXTURE, cfg).sources.data
 
 
+#: log10 of the loudness range per (beta, p).  The quartic Cholesky guard is
+#: relative, so beta = 4 holds down to 1e-8; IP's det F guard is absolute, and
+#: IP at beta = 2 raises SingularCovariance below about 1e-5 (ROADMAP, Known defects).
+LOUDNESS_RANGES = {
+    (4.0, 1.0): (-8.0, 4.0),
+    (4.0, 0.5): (-8.0, 4.0),
+    (2.0, 2.0): (-3.0, 4.0),
+    (2.0, 0.5): (-3.0, 4.0),
+}
+
+
 @settings(max_examples=40, deadline=None)
 @given(
-    log_c=st.floats(-3.0, 4.0),
-    beta_p=st.sampled_from([(4.0, 1.0), (4.0, 0.5), (2.0, 2.0), (2.0, 0.5)]),
+    st.sampled_from(sorted(LOUDNESS_RANGES)).flatmap(
+        lambda beta_p: st.tuples(st.just(beta_p), st.floats(*LOUDNESS_RANGES[beta_p]))
+    )
 )
-def test_sources_scale_with_the_input(log_c, beta_p):
+def test_sources_scale_with_the_input(case):
     # At these shapes the first sweep's normalisation (IP at beta = 2) or scale step
     # (quartic) absorbs c into W, so the factors follow the same path at every c and
     # the sources scale by c.  IP at beta = 1.5, p = 2 does not (ROADMAP, Known
     # defects).
+    beta_p, log_c = case
     cfg, ref = loudness_reference(*beta_p)
     c = 10.0**log_c
     loud = pipeline.run(replace(LOUDNESS_MIXTURE, data=c * LOUDNESS_MIXTURE.data), cfg)
