@@ -52,8 +52,7 @@ finite, where a pivot is not positive, or where ``det G = prod_k r_kk^2`` is
 at most ``EPS_DET`` times ``prod_k G_kk``.  That ratio lies in ``[0, 1]``
 (Hadamard) and does not change when the mixture is scaled, so a quiet input
 is updated as a loud one is.  Only what reads rows already updated stays per
-source: ``W_i^{-1} e_n``, the direction, its cost, the scale and the
-write-back.
+source: ``W_i^{-1} e_n``, the direction and its write-back.
 
 The direction ``w' = G^{-1} W_i^{-1} e_n`` is the two triangular systems
 ``R^H z = W_i^{-1} e_n`` and ``R w' = z``, solved by substitution in
@@ -61,23 +60,34 @@ The direction ``w' = G^{-1} W_i^{-1} e_n`` is the two triangular systems
 takes with the factor of its weighted covariance; the two rules differ in
 the factor and the scale only.  ``W_i^{-1} e_n`` is read from the inverse
 that the pipeline carries beside ``W``, and the new row, which multiplies
-``det W_i`` by ``scale ||z||^2``, goes through
+``det W_i`` by ``||z||^2``, goes through
 :func:`~ggdilrma.types._replace_row`, which keeps that inverse and
-``log|det W_i|`` in step.  A direction whose cost is zero, as where
-``W_i^{-1} e_n`` vanishes, is skipped like a degenerate majorizer.  The
-sweep makes no LAPACK call.
+``log|det W_i|`` in step.  Where ``W_i^{-1} e_n`` vanishes, so does ``z``,
+and that update is skipped like a degenerate majorizer.  The sweep makes no
+LAPACK call.
 
-:func:`quartic_sweep` runs in two phases, so that numpy's per-call cost is
+The scale of row ``n`` multiplies that row alone, so it multiplies
+``det W_i`` by itself and divides column ``n`` of ``W_i^{-1}`` only; the
+columns ``m != n``, which the later sources' directions read, do not depend
+on it.  So the rows are written back unscaled, every direction's cost is
+taken afterwards in one pass over the frames, and the scales come last, in
+closed form.  A bin where a good majorizer gives a direction whose cost is
+zero or not finite gets its entry ``W``, ``W^{-1}`` and ``log|det W_i|``
+back, every source skipped.
+
+:func:`quartic_sweep` runs in three steps, so that numpy's per-call cost is
 paid once per sweep for the small per-bin algebra and its frame-length
 temporaries stay cache-sized.  First, :func:`quartic_majorizer` streams over
 blocks of bins (:func:`~ggdilrma.types.bin_blocks`) for the work that runs
 along the frames: ``1 / r^2 = S^(-2/p)``, by the kernel that raises the IP
 weights (:func:`~ggdilrma.source_model._whitened_ratio`), the anchors'
 ``|q~|^2`` and the features of every source's ``A`` and ``C``; then it
-builds every ``G`` over all bins at once.  The sweep factors them all, and
-updates the sources in turn, each over all bins: its solve, the scale,
-``f_check`` and the write-back, with only the direction's cost ``a(h) . P``
-streamed over the blocks again.  Its result does not depend on the block
+builds every ``G`` over all bins at once, and the sweep factors them all.
+Second, the directions: per source, over all bins, the solve and the
+unscaled write-back.  Third, one more pass over the blocks takes every
+direction's cost ``a(h) . P`` against ``1 / r^2``, formed again, once for all
+sources; then every scale, ``f_check``, and the skipped bins' entry state are
+applied over all bins at once.  Its result does not depend on the block
 size.  It updates ``W`` only.
 
 The per-filter forms of this update (``quartic_update_filter``,
@@ -205,12 +215,16 @@ def _cholesky(G):
 
 def quartic_sweep(gram: np.ndarray, yd, W, S, domain: float, W_inv, log_det):
     """One full quartic update of all filters, batched over bins: the
-    :func:`quartic_majorizer` of every source, its Cholesky factor, then per
-    source the solve, the scale and the write-back.
+    :func:`quartic_majorizer` of every source and its Cholesky factor; then
+    every source's direction, written back unscaled; then every direction's
+    cost, in one pass over the frames; then every scale.
 
-    Bins whose majorizer or direction is degenerate, or whose majorizer's
-    Hadamard ratio ``det G / prod_k G_kk`` is at most ``EPS_DET``, are skipped
-    for the iteration (skipping cannot increase the cost) and counted.
+    Bins whose majorizer is degenerate, whose majorizer's Hadamard ratio
+    ``det G / prod_k G_kk`` is at most ``EPS_DET``, or where ``W_i^{-1} e_n``
+    vanishes, are skipped for that source; a bin where a good majorizer gives a
+    direction whose cost is zero or not finite gets its entry ``W``, ``W^{-1}``
+    and ``log|det W|`` back, every source skipped.  Skipping cannot increase the
+    cost; each skipped (bin, source) update is counted.
 
     Args:
         gram: the :func:`mixture_gram` of the mixture ``(I, J, M)``.
@@ -234,26 +248,37 @@ def quartic_sweep(gram: np.ndarray, yd, W, S, domain: float, W_inv, log_det):
     """
     I, J, N = yd.shape
     # Every source's G reads W on entry only, so all are built and factored at once,
-    # over all bins; then each source is solved and written back over all bins.
+    # over all bins.
     G, good, s4 = quartic_majorizer(gram, yd, W, S, domain)
     R, factored = _cholesky(G)
     good &= factored.T
-    f_check = np.empty((I, N))
-    s4_dir = np.empty(I)
-    n_skipped = 0
+    entry = W.copy(), W_inv.copy(), log_det.copy()
+    # Directions, each over all bins.  Scaling row n would divide only column n of
+    # W^-1, which no later direction reads, so the rows are written unscaled.
     for n in range(N):
-        w_dir, _ = _substitute(R[:, n], W_inv[:, :, n])
-        h_dir = w_dir.conj()  # the direction's demixing row
-        coeffs = _form_coeffs(h_dir)[:, None, :]
-        for blk in bin_blocks(I, J):  # 1 / r**2 again: kept, it would be full-size
-            a2 = (coeffs[blk] @ gram[blk])[:, 0]  # |y_dir|^2, then over r^2
-            a2 *= _whitened_ratio(1.0, S[n, blk], 2.0, domain)
-            s4_dir[blk] = np.vecdot(a2, a2)
-        ok = good[n] & np.isfinite(s4_dir) & (s4_dir > 0.0)
-        scale = (J / (2.0 * np.where(ok, s4_dir, 1.0))) ** 0.25
-
-        # Skipped bins keep their filter and anchor cost s4.
-        _replace_row(W, W_inv, log_det, n, h_dir * scale[:, None], ok)
-        f_check[:, n] = np.where(ok, scale**4 * s4_dir, s4[n]) / J
-        n_skipped += int(np.sum(~ok))
-    return W, yd, f_check, n_skipped
+        w_dir, z = _substitute(R[:, n], W_inv[:, :, n])
+        good[n] &= np.vecdot(z, z).real > 0.0  # ||z||^2 = h W^-1 e_n, the det factor
+        _replace_row(W, W_inv, log_det, n, w_dir.conj(), good[n])
+    # Every direction's cost sum_j |h x_j|^4 / r_j^4 in one pass over the frames, with
+    # 1 / r**2 formed again for all sources: keeping the first pass's would be full-size.
+    coeffs = _form_coeffs(W)
+    s4_dir = np.empty((N, I))
+    for blk in bin_blocks(I, J):
+        a2, inv_r2 = np.empty((2, N, blk.stop - blk.start, J))
+        np.matmul(coeffs[blk], gram[blk], out=a2.transpose(1, 0, 2))  # |y_dir|^2
+        a2 *= _whitened_ratio(1.0, S[:, blk], 2.0, domain, out=inv_r2)  # over r^2
+        s4_dir[:, blk] = np.vecdot(a2, a2)
+    # A good majorizer whose direction has no finite positive cost: the whole bin
+    # returns to its entry state.
+    restored = np.any(good & ~(np.isfinite(s4_dir) & (s4_dir > 0.0)), axis=0)
+    ok = good & ~restored
+    np.copyto(W, entry[0], where=restored[:, None, None])
+    np.copyto(W_inv, entry[1], where=restored[:, None, None])
+    np.copyto(log_det, entry[2], where=restored)
+    # Scales: row n times s multiplies det W_i by s and divides column n of W^-1.
+    scale = np.where(ok, J / (2.0 * np.where(ok, s4_dir, 1.0)), 1.0) ** 0.25
+    W *= scale.T[:, :, None]
+    W_inv /= scale.T[:, None, :]
+    log_det += np.sum(np.log(scale), axis=0)
+    f_check = np.where(ok, scale**4 * s4_dir, s4).T / J
+    return W, yd, f_check, int(np.sum(~ok))

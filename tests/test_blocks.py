@@ -304,13 +304,16 @@ def test_ip_singular_demixing_names_the_lowest_bin_of_the_first_source(monkeypat
 
 
 @pytest.mark.parametrize("bins", [1, 2])  # ten blocks, five blocks
-@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("N", [2, 3, 4])
 def test_sweeps_take_the_per_bin_algebra_once_over_all_bins(monkeypatch, bins, N):
     # Only the work along the frames runs per block.  The quartic majorizers and
     # their Cholesky factors are formed once per sweep, and each source is solved
     # once, over all bins, in both sweeps: the counts do not follow the blocks.
+    # The quartic sweep passes over the frames twice, for the majorizers and then
+    # for every direction's cost, each forming 1 / r**2 once per block.
     set_block_bins(monkeypatch, bins)
-    assert len(bin_blocks(I, J)) >= 4
+    n_blocks = len(bin_blocks(I, J))
+    assert n_blocks >= 4
     calls = Counter()
 
     def spy(module, name):
@@ -322,7 +325,7 @@ def test_sweeps_take_the_per_bin_algebra_once_over_all_bins(monkeypatch, bins, N
 
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("quartic_majorizer", "_cholesky", "_substitute"):
+    for name in ("quartic_majorizer", "_cholesky", "_substitute", "_whitened_ratio"):
         spy(demix_homogeneous, name)
     spy(demix_ip, "_substitute")
     xd, W, T, V = instance(N, 3)
@@ -334,6 +337,7 @@ def test_sweeps_take_the_per_bin_algebra_once_over_all_bins(monkeypatch, bins, N
         ("demix_homogeneous", "quartic_majorizer"): 1,
         ("demix_homogeneous", "_cholesky"): 1,
         ("demix_homogeneous", "_substitute"): N,
+        ("demix_homogeneous", "_whitened_ratio"): 2 * n_blocks,
         ("demix_ip", "_substitute"): N,
     }
 

@@ -359,6 +359,82 @@ class TestQuarticUpdateFilter:
         np.testing.assert_allclose(W_sweep, W_ref, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(np.delete(f_check.ravel(), 4 * N), 0.5, rtol=1e-9)
 
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    @pytest.mark.parametrize("cost", [np.nan, 0.0])
+    def test_degenerate_direction_returns_its_bin_to_the_entry_state(self, N, cost, monkeypatch):
+        # Bin 2's majorizers are good, but its last source's direction is given a cost
+        # that is not finite or is zero, through the contraction's coefficients.  The
+        # rows written before the costs are known go back: that bin's W, W^-1 and
+        # log|det W| are its entry bytes, every source counted as skipped.
+        form_coeffs = demix_homogeneous._form_coeffs
+
+        def degenerate(h):
+            coeffs = form_coeffs(h)
+            coeffs[2, N - 1] = cost
+            return coeffs
+
+        monkeypatch.setattr(demix_homogeneous, "_form_coeffs", degenerate)
+        xd, radius, W = self.random_state(5, 12, N, seed=43)
+        W_inv, log_det = inverse_and_log_det(W)
+        state = W.copy(), W_inv.copy(), log_det.copy()
+        yd = np.einsum("inm,ijm->ijn", W, xd)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, _, f_check, skipped = quartic_sweep(
+                mixture_gram(xd), yd, state[0], np.moveaxis(radius, 2, 0), 1.0, *state[1:]
+            )
+        assert skipped == N
+        for got, given in zip(state, (W, W_inv, log_det)):
+            assert got[2].tobytes() == given[2].tobytes()
+
+        W_ref = W.copy()
+        for n in range(N):
+            for i in (0, 1, 3, 4):
+                W_ref[i, n] = quartic_update_filter(xd[i], radius[i, :, n], W_ref[i], n).conj()
+        np.testing.assert_allclose(state[0], W_ref, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(np.delete(f_check, 2, axis=0), 0.5, rtol=1e-9)
+        anchor_cost = np.mean(np.abs(yd[2] / radius[2]) ** 4, axis=0)
+        np.testing.assert_allclose(f_check[2], anchor_cost, rtol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        N=st.integers(2, 4),
+        silent=st.none() | st.integers(0, 3),
+        duplicated=st.none() | st.integers(0, 3),
+    )
+    def test_sweep_skips_exactly_the_degenerate_bins_and_never_ascends(
+        self, seed, N, silent, duplicated
+    ):
+        # Random mixtures of four bins, one of them optionally silent and one with
+        # its last channel a copy of its first.  The sweep raises nothing, counts
+        # every source of each degenerate bin and no other update, and lowers no
+        # bin's objective -2 log|det W_i| + sum_n f_n(w_n) below what it was.
+        xd, radius, W = self.random_state(4, 12, N, seed=seed)
+        if duplicated is not None:
+            xd[duplicated, :, N - 1] = xd[duplicated, :, 0]
+        if silent is not None:
+            xd[silent] = 0.0
+        degenerate = {silent, duplicated} - {None}
+
+        def objective(W):
+            f = [
+                quartic_objective(xd[i], radius[i, :, n]).evaluate(W[i, n].conj())
+                for i in range(4)
+                for n in range(N)
+            ]
+            return -2.0 * np.linalg.slogdet(W)[1] + np.sum(np.reshape(f, (4, N)), axis=1)
+
+        before = objective(W)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            W_new, _, _, skipped = sweep(xd, W.copy(), radius)
+        assert skipped == N * len(degenerate)
+        for i in degenerate:
+            np.testing.assert_array_equal(W_new[i], W[i])
+        after = objective(W_new)
+        assert np.all(after <= before + 1e-9 * (1.0 + np.abs(before)))
+
     @pytest.mark.parametrize("N", [2, 3])
     def test_sweep_factors_the_majorizer_that_quartic_majorizer_returns(self, N, monkeypatch):
         # The G the sweep factors is quartic_majorizer's, bit for bit: the function
