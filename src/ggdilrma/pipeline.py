@@ -32,6 +32,15 @@ identity and zero.  Each sweep keeps them in step as it replaces rows
 (:func:`~ggdilrma.types._replace_row`), so the sweeps read ``W_i^{-1} e_n``,
 the cost reads the log-determinants and back-projection reads a row of the
 inverse, and a separation makes no LAPACK call.
+
+Every layer but the iterative-projection sweep splits its work on the
+package's thread pool (:func:`~ggdilrma.types.run_parts`), above its measured
+crossover and only where the process may run on more than one CPU:
+:func:`separate` by ranges of bins, the refresh of ``|y|^p`` and the NMF
+updates, the scale refresh and the cost by source, and the quartic sweep's
+passes over the frames by ranges of bins.  The parts run inside the layer
+calls, so every layer is entered and left on the thread that called
+:func:`run`, and the run's bytes do not depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -55,6 +64,9 @@ from .types import (
     ProblemShape,
     SourceSpectrogram,
     TraceRecord,
+    bin_parts,
+    run_parts,
+    source_parts,
     validate_problem,
 )
 
@@ -108,11 +120,20 @@ def separate(xd: np.ndarray, W: np.ndarray) -> np.ndarray:
     of an ``(N, I, J)`` array, so ``np.moveaxis(y, 2, 0)`` is C-contiguous and
     each source's ``y[:, :, n]`` is one contiguous ``(I, J)`` slab.  No BLAS call
     takes that layout, so numpy runs one loop over all bins instead of one BLAS
-    call per bin.
+    call per bin: over each range of bins of :func:`~ggdilrma.types.bin_parts`,
+    one range per part on the thread pool, whose per-bin products are the same.
     """
     I, J, _ = xd.shape
-    y = np.empty((W.shape[1], I, J), dtype=np.result_type(xd, W)).transpose(1, 2, 0)
-    return np.matmul(xd, W.transpose(0, 2, 1), out=y)
+    N = W.shape[1]
+    y = np.empty((N, I, J), dtype=np.result_type(xd, W)).transpose(1, 2, 0)
+    Wt = W.transpose(0, 2, 1)
+
+    def part(blocks):
+        bins = slice(blocks[0].start, blocks[-1].stop)
+        np.matmul(xd[bins], Wt[bins], out=y[bins])
+
+    run_parts(part, bin_parts(I, J, N))
+    return y
 
 
 def back_project(yd: np.ndarray, W_inv: np.ndarray, reference_channel: int = 0) -> np.ndarray:
@@ -129,12 +150,12 @@ def back_project(yd: np.ndarray, W_inv: np.ndarray, reference_channel: int = 0) 
 def iteration_step(xd, W, T, V, cfg: GgdConfig, gram: Optional[np.ndarray], W_inv, log_det, S, yp):
     """One alternating-update round on raw state arrays (updated in place).
 
-    Order: sweep of ``W`` alone, refresh of the outputs' ``|y|^p`` in ``yp``,
-    which feeds the basis update, the activation update and the cost; no
-    full-size array outlives its use.  ``yp`` is ``|y|^p`` of the entry ``W``
-    on entry, which the IP sweep reads; the quartic sweep is handed the
-    outputs of the entry ``W`` instead, so a quartic step separates twice and
-    an IP step once.  ``gram`` is the quartic scheme's cached
+    Order: sweep of ``W`` alone, refresh of the outputs' ``|y|^p`` in ``yp``
+    (by source on the thread pool, above the crossover), which feeds the basis
+    update, the activation update and the cost; no full-size array outlives its
+    use.  ``yp`` is ``|y|^p`` of the entry ``W`` on entry, which the IP sweep
+    reads; the quartic sweep is handed the outputs of the entry ``W`` instead,
+    so a quartic step separates twice and an IP step once.  ``gram`` is the quartic scheme's cached
     :func:`~ggdilrma.demix_homogeneous.mixture_gram` of ``xd``.  The sweep keeps
     ``W_inv`` (``W^{-1}``) and ``log_det`` (``log|det W_i|``) in step with ``W``,
     and the cost reads ``log_det``.  ``S`` is the scale field ``T V`` on entry;
@@ -149,8 +170,16 @@ def iteration_step(xd, W, T, V, cfg: GgdConfig, gram: Optional[np.ndarray], W_in
     else:
         # [::3] keeps W and the skip count; the anchor outputs are dropped.
         W, skipped = quartic_sweep(gram, separate(xd, W), W, S, p, W_inv, log_det)[::3]
-    np.abs(np.moveaxis(separate(xd, W), 2, 0), out=yp)
-    yp **= p
+    y = np.moveaxis(separate(xd, W), 2, 0)
+
+    def refresh(ns):  # |y|^p of the new W, in place, for the sources ns
+        yp_ns = yp[ns]
+        np.abs(y[ns], out=yp_ns)
+        yp_ns **= p
+
+    N, I, J = yp.shape
+    run_parts(refresh, source_parts(N, I * J))
+    del y
     T = update_bases_arrays(T, V, S, yp, beta, p)
     V = update_activations_arrays(T, V, yp, beta, p)
     refresh_scale(T, V, S)

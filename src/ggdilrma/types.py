@@ -20,13 +20,30 @@ W[i, n, :] @ x[i, j, :]``.  NMF factors are per-source stacks: bases
 All containers are frozen dataclasses treated as immutable values after
 construction; invariants are checked once per run by
 :func:`validate_problem` rather than on every construction.
+
+The per-iteration layers run their work as independent parts through
+:func:`run_parts`: the calling thread runs the first part and a pool of
+threads, one per further CPU that the process may run on
+(``os.sched_getaffinity``, so ``taskset`` restricts it), runs the rest.  The
+pool is created on first use.  A layer is cut only along an axis that no sum
+and no BLAS call crosses: by source (:func:`source_parts`), or by ranges of
+bins with every source in each (:func:`bin_parts`).  So each part makes the
+kernel calls, with the operands, that the layer makes on one thread, and the
+results are the same bytes on any number of CPUs.  On one CPU, or where a part
+would hold fewer entries than the layer's measured crossover
+(:data:`POOL_CROSSOVER`), the layer runs as one part that holds every source
+and every bin: the batched code itself.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
+import os
+import queue
+import threading
 from dataclasses import dataclass, field
-from typing import List
+from typing import Callable, List
 
 import numpy as np
 
@@ -86,14 +103,163 @@ def _substitute(R: np.ndarray, c: np.ndarray):
 BLOCK_ENTRIES = 2**15
 
 
-def bin_blocks(n_bins: int, entries_per_bin: int) -> list[slice]:
+def bin_blocks(n_bins: int, entries_per_bin: int, parts: int = 1) -> list[slice]:
     """Fewest consecutive slices covering ``range(n_bins)`` with at most
-    :data:`BLOCK_ENTRIES` entries of ``entries_per_bin`` each (and at least
+    ``BLOCK_ENTRIES // parts`` entries of ``entries_per_bin`` each (and at least
     one bin), their lengths differing by at most one bin."""
-    max_bins = max(1, BLOCK_ENTRIES // max(1, entries_per_bin))
+    max_bins = max(1, BLOCK_ENTRIES // parts // max(1, entries_per_bin))
     n_blocks = -(-n_bins // max_bins)
     stops = [k * n_bins // n_blocks for k in range(1, n_blocks + 1)]
     return [slice(start, stop) for start, stop in zip([0] + stops, stops)]
+
+
+def block_buffers(shape: tuple, blocks: list[slice], n_frames: int) -> np.ndarray:
+    """An uninitialised ``shape + (b, n_frames)`` array, ``b`` the longest of
+    ``blocks``: buffers that a layer allocates once and its parts fill, block after
+    block, through their ``[..., :len(block), :]`` views."""
+    return np.empty(shape + (max([blk.stop - blk.start for blk in blocks]), n_frames))
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity mask, which ``taskset`` sets."""
+    return len(os.sched_getaffinity(0))
+
+
+#: The measured crossovers: the (bin, frame) entries, every source counted, that
+#: one part of a layer must hold for the layer to run its parts on the pool; below
+#: them it runs as one part on the calling thread.  ``"sources"`` gates the layers
+#: split by source (the NMF updates, the scale refresh, the cost's block pass and
+#: the ``|y|^p`` refresh), ``"bins"`` those split by bin range (the separation and
+#: the quartic sweep's two passes over the frames).  Each was measured as whole
+#: iterations across problem sizes (CHANGES.md): waking an idle pool thread costs
+#: a few hundred microseconds, which the parts must outweigh.
+POOL_CROSSOVER = {"sources": 40 * 1024, "bins": 2**16}
+
+
+def _n_parts(items: int, entries_per_item: int, crossover: str) -> int:
+    """How many parts a layer's ``items`` (sources or bins) are cut into: one per
+    CPU, at most one per item, and none with fewer entries than the layer's
+    :data:`POOL_CROSSOVER`; 1 runs the layer on the calling thread."""
+    parts = min(items, items * entries_per_item // POOL_CROSSOVER[crossover])
+    return 1 if parts < 2 else min(parts, _cpu_count())
+
+
+def source_parts(n_sources: int, entries_per_source: int) -> list[slice]:
+    """Every source in one slice, or one slice per source where :func:`_n_parts`
+    cuts them at the ``"sources"`` crossover."""
+    if _n_parts(n_sources, entries_per_source, "sources") == 1:
+        return [slice(0, n_sources)]
+    return [slice(n, n + 1) for n in range(n_sources)]
+
+
+def bin_parts(n_bins: int, n_frames: int, n_sources: int) -> list[list[slice]]:
+    """The bins cut into :func:`_n_parts` consecutive ranges of nearly equal length
+    at the ``"bins"`` crossover, every source in each, and each range as its
+    :func:`bin_blocks` of ``BLOCK_ENTRIES // parts`` entries, so the parts running
+    side by side hold one block's worth of entries between them.  One part is
+    :func:`bin_blocks` itself."""
+    parts = _n_parts(n_bins, n_frames * n_sources, "bins")
+    if parts == 1:
+        return [bin_blocks(n_bins, n_frames)]
+    stops = [k * n_bins // parts for k in range(parts + 1)]
+    return [
+        [slice(a + b.start, a + b.stop) for b in bin_blocks(z - a, n_frames, parts)]
+        for a, z in zip(stops, stops[1:])
+    ]
+
+
+#: The pool: the queue its threads take parts from, and how many threads serve
+#: it, one per CPU beside the caller's.  Created on first use and grown if more
+#: CPUs are found later; a forked child drops its copy, whose threads did not
+#: follow it.
+_pool = None
+
+
+def _forget_pool() -> None:
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+#: Set on the pool's threads, whose parts run any parts of their own themselves.
+_on_pool = threading.local()
+
+
+def _serve(tasks: queue.SimpleQueue) -> None:
+    """A pool thread: run parts until handed ``None``.  It drops its references
+    to a part's arrays before it reports the part done, so that every buffer a
+    layer allocated is freed by the caller, at the point it would be serially."""
+    _on_pool.serving = True
+    while (task := tasks.get()) is not None:
+        fn, part, context, done, k = task
+        del task
+        try:
+            context.run(fn, part)
+            error = None
+        except BaseException as exc:  # handed to the caller, which raises it
+            error = exc
+        del fn, part, context
+        done.put((k, error))
+        del error
+
+
+_pool_lock = threading.Lock()
+
+
+def _tasks() -> queue.SimpleQueue:
+    """The pool's queue, served by one thread per CPU beside the caller's (at least
+    one)."""
+    global _pool
+    size = max(1, _cpu_count() - 1)
+    with _pool_lock:
+        if _pool is None or _pool[1] < size:
+            if _pool is not None:
+                for _ in range(_pool[1]):
+                    _pool[0].put(None)
+            tasks = queue.SimpleQueue()
+            for _ in range(size):
+                threading.Thread(target=_serve, args=(tasks,), name="ggdilrma", daemon=True).start()
+            _pool = (tasks, size)
+        return _pool[0]
+
+
+def run_parts(fn: Callable, parts) -> None:
+    """Call ``fn(part)`` for every part, the first on the calling thread and the rest
+    on the pool, and return once all have finished.
+
+    Each pool thread runs its part in a copy of the caller's context, so an
+    ``np.errstate`` set by the caller holds there too.  The exception of the first
+    part that raised one, in the order of ``parts``, reaches the caller unchanged,
+    after every part has finished.  A pool thread that calls this runs the parts
+    itself.  A layer's parts write into arrays the caller allocated and read only
+    what no other part writes, so their results do not depend on the order in
+    which they run.
+    """
+    if len(parts) == 1:
+        fn(parts[0])
+        return
+    first, *rest = parts
+    if getattr(_on_pool, "serving", False):
+        # Parts of a part on the pool, which, waiting on the pool, could wait on
+        # itself.
+        for part in parts:
+            fn(part)
+        return
+    tasks, done = _tasks(), queue.SimpleQueue()
+    for k, part in enumerate(rest, 1):
+        tasks.put((fn, part, contextvars.copy_context(), done, k))
+    errors = [None] * len(parts)
+    try:
+        fn(first)
+    except BaseException as exc:
+        errors[0] = exc
+    for _ in rest:
+        k, errors[k] = done.get()
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ tighter one for the NMF updates and the cost), and a second one bounds what
 a whole iteration holds at once.
 """
 
+import os
 import tracemalloc
 from collections import Counter
 
@@ -408,6 +409,28 @@ NMF_PEAK_FRACTION = 0.2
 
 
 def test_layer_temporaries_stay_block_sized():
+    peaks_stay_block_sized()
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_layer_temporaries_stay_block_sized_on_the_pool(monkeypatch, cpus):
+    # Each part holds its share of a block: a source's slab of the caller's block
+    # buffer, or a bin range's blocks of BLOCK_ENTRIES // parts entries.
+    calls = use_the_pool(monkeypatch, cpus)
+    peaks_stay_block_sized()
+    assert len(calls) >= 8  # every layer but the IP sweep, the cost once per block
+
+
+def use_the_pool(monkeypatch, cpus):
+    """Let the process run on ``cpus`` CPUs; returns a list that gains an entry each
+    time a layer hands parts to the pool."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    calls, tasks = [], types._tasks
+    monkeypatch.setattr(types, "_tasks", lambda: calls.append(1) or tasks())
+    return calls
+
+
+def peaks_stay_block_sized():
     frames = 256
     bins = 8 * (types.BLOCK_ENTRIES // frames) + 1
     assert len(bin_blocks(bins, frames)) >= 8
@@ -471,6 +494,19 @@ IP_STEP_PEAK_FRACTION = 1.25
 @pytest.mark.parametrize("beta", [4.0, 2.0, 1.0])
 @pytest.mark.parametrize("N", [2, 3])
 def test_iteration_holds_one_full_size_output_at_a_time(N, beta):
+    step_peak_stays_bounded(N, beta)
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+@pytest.mark.parametrize("beta", [4.0, 2.0])
+@pytest.mark.parametrize("N", [2, 3])
+def test_iteration_peak_on_the_pool(monkeypatch, N, beta, cpus):
+    calls = use_the_pool(monkeypatch, cpus)
+    step_peak_stays_bounded(N, beta)
+    assert calls
+
+
+def step_peak_stays_bounded(N, beta):
     bins, frames = 1025, 158  # paper scale: 128 ms windows of 10 s at 16 kHz
     rng = np.random.default_rng(9)
     xd = rng.standard_normal((bins, frames, N)) + 1j * rng.standard_normal((bins, frames, N))

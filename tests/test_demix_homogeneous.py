@@ -6,6 +6,7 @@ The batched ``quartic_majorizer``, whose ``G`` the sweep factors, and
 paper's properties.
 """
 
+import os
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from reference_quartic import (
     quartic_update_filter,
 )
 
-from ggdilrma import demix_homogeneous
+from ggdilrma import demix_homogeneous, types
 from ggdilrma.demix_homogeneous import _cholesky, mixture_gram, quartic_majorizer, quartic_sweep
 
 
@@ -358,6 +359,20 @@ class TestQuarticUpdateFilter:
                     W_ref[i, n] = quartic_update_filter(xd[i], radius[i, :, n], W_ref[i], n).conj()
         np.testing.assert_allclose(W_sweep, W_ref, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(np.delete(f_check.ravel(), 4 * N), 0.5, rtol=1e-9)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_non_finite_scale_skips_only_its_source_on_the_pool(self, N, monkeypatch):
+        # The same sweep with its passes over the frames split into bin ranges on
+        # the pool, whatever their size, under the caller's errstate, and every
+        # warning an error: bin 4's update alone is skipped there too.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setitem(types.POOL_CROSSOVER, "bins", 1)
+        calls, tasks = [], types._tasks
+        monkeypatch.setattr(types, "_tasks", lambda: calls.append(1) or tasks())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.test_non_finite_scale_skips_only_its_source(N)
+        assert len(calls) == 2  # the majorizers' pass and the directions' costs
 
     @pytest.mark.parametrize("N", [2, 3, 4])
     @pytest.mark.parametrize("cost", [np.nan, 0.0])

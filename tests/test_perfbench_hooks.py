@@ -8,16 +8,20 @@ W_inv, log_det)``, the mixture at ``args[0]`` and ``W`` at ``result[0]`` of
 mixture's ``gram`` takes the sweep's first slot, and the scale field ``S``
 follows ``W``; the carried inverse, log-determinants and, in the step, ``S``
 and ``|y|^p`` come after every position it reads.  Its skip count swallows a
-moved position and reads 0, so the positions are pinned here.
+moved position and reads 0, so the positions are pinned here.  Its span
+stack is not thread-safe, so the wrapped layers must also run on the calling
+thread when the layers split their work on the thread pool.
 """
 
 import importlib.util
+import os
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 
-from ggdilrma import cli, pipeline, workflows
+from ggdilrma import cli, pipeline, types, workflows
 from ggdilrma.benchmark import random_mixture
 from ggdilrma.demix_homogeneous import mixture_gram
 from ggdilrma.types import GgdConfig, ProblemShape
@@ -79,3 +83,34 @@ def check_positions(monkeypatch, N):
     assert (tracer.skipped, tracer.skip_attempts, tracer.absent) == (N, I * N, [])
     [(x_read, W_read)] = steps
     assert x_read is xd and W_read is W_out
+
+
+def test_wrapped_layers_stay_on_the_calling_thread_with_the_pool(monkeypatch):
+    # The tracer's span stack is not thread-safe, so every wrapped layer must be
+    # entered and left on the calling thread, inside its iteration step: the pool's
+    # threads run only the layers' own unwrapped parts.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    calls, tasks = [], types._tasks
+    monkeypatch.setattr(types, "_tasks", lambda: calls.append(1) or tasks())
+    I, J, K = 129, 509, 2  # every threaded layer above its crossover
+    x = random_mixture(I, J, 2, seed=6)
+    for beta in (4.0, 2.0):
+        tracer = load_layers(monkeypatch).Tracer()
+        threads = []
+        for method in ("_open", "_close"):
+            traced = getattr(tracer, method)
+            monkeypatch.setattr(tracer, method, lambda arg, f=traced: threads.append(
+                threading.get_ident()) or f(arg))
+        tracer.install(MODULES)
+        try:
+            pipeline.run(x, GgdConfig(beta=beta, domain=0.5, n_bases=K, iterations=2, seed=6))
+        finally:
+            tracer.uninstall()
+        assert set(threads) == {threading.get_ident()}
+        layers = load_layers(monkeypatch)
+        names = [span.name for span in tracer.spans]
+        loose = [s.name for k, s in enumerate(tracer.spans) if not layers.in_loop(tracer.spans, k)]
+        # outside the two steps: the steps, then the final separation and back-projection
+        assert loose == [layers.ITERATION] * 2 + ["pipeline.separate", "pipeline.back_project"]
+        assert names.count("pipeline.separate") == (5 if beta == 4.0 else 3)
+    assert calls
