@@ -14,16 +14,12 @@ replaces one row and adds the log of the factor it multiplies ``det W_i``
 by (:func:`~ggdilrma.types._replace_row`), so the cost takes no determinant.
 The model terms are summed over blocks of bins
 (:func:`~ggdilrma.types.bin_blocks`), so their temporaries stay
-cache-sized: each block's ratio is formed in one array, contiguous as one
-block's, and the log-scale term is added into it
+cache-sized: each block's ratio is formed in one new array, and the
+log-scale term is added into it
 (:func:`~ggdilrma.source_model.model_cost_terms`); ``yp`` and ``S`` are not
-modified.  Above the ``"sources"`` crossover each source's terms are formed
-by a part of their own on the thread pool
-(:func:`~ggdilrma.types.run_parts`), into that source's slab of the block's
-array, and the caller sums the whole block as one, so the sum is the same
-bytes on any number of CPUs.  Every update rule in the package is expected
-to leave this non-increasing; :func:`audit_descent` lists the iterations of
-a recorded cost sequence where it rose.
+modified.  Every update rule in the package is expected to leave this
+non-increasing; :func:`audit_descent` lists the iterations of a recorded
+cost sequence where it rose.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .source_model import model_cost_terms
-from .types import bin_blocks, run_parts, source_parts
+from .types import bin_blocks
 
 #: Relative slack used when flagging cost increases.
 DESCENT_SLACK = 1e-9
@@ -41,21 +37,10 @@ def ggd_cost_arrays(yp, log_det, S, beta, domain) -> float:
     """Cost of the demixing matrices whose outputs ``y = W x`` give ``yp = |y|^p``
     ``(N, I, J)`` and whose ``log|det W_i|`` are ``log_det`` ``(I,)``, under the
     scale field ``S = T V`` ``(N, I, J)``."""
-    N, I, J = yp.shape
-    parts = source_parts(N, I * J)
-    blocks = bin_blocks(I, J)
-    buf = np.empty(2 * N * max(b.stop - b.start for b in blocks) * J)
     model = 0.0
-    for blk in blocks:
-        # the block's terms and its log S, each contiguous, as np.sum reads them
-        out = buf[: 2 * N * (blk.stop - blk.start) * J].reshape(2, N, -1, J)
-
-        def part(ns):
-            model_cost_terms(yp[ns, blk], S[ns, blk], beta, domain, out=out[:, ns])
-
-        run_parts(part, parts)
-        model += np.sum(out[0])
-    return float(-2.0 * J * np.sum(log_det) + model)
+    for blk in bin_blocks(*yp.shape[1:]):
+        model += np.sum(model_cost_terms(yp[:, blk], S[:, blk], beta, domain))
+    return float(-2.0 * yp.shape[2] * np.sum(log_det) + model)
 
 
 def audit_descent(costs) -> list[int]:

@@ -91,14 +91,14 @@ applied over all bins at once.  Its result does not depend on the block
 size.  It updates ``W`` only.
 
 The two passes over the frames are per bin, every source at once, so above
-the ``"bins"`` crossover they run on the package's thread pool
-(:func:`~ggdilrma.types.run_parts`), one range of bins per part
-(:func:`~ggdilrma.types.bin_parts`).  Each part streams over blocks of
-``BLOCK_ENTRIES // parts`` entries, so the parts together hold one block's
-worth at a time, and writes its bins of the features, ``s4`` and the
-directions' costs, which the caller allocated, from block buffers the caller
-allocated too.  Every per-bin product keeps its ``2N`` (or ``N``) columns, so
-the sweep's bytes do not depend on the number of CPUs either.
+the ``"sweep"`` crossover their blocks run on the package's thread pool
+(:func:`~ggdilrma.types.run_parts`), each block a part
+(:func:`~ggdilrma.types.bin_parts`).  The blocks then hold ``BLOCK_ENTRIES //
+threads`` entries, so the threads together hold one block's worth at a time,
+and each block writes its bins of the features, ``s4`` and the directions'
+costs, which the caller allocated.  Every per-bin product keeps its ``2N`` (or
+``N``) columns, so the sweep's bytes do not depend on the number of CPUs
+either.
 
 The per-filter forms of this update (``quartic_update_filter``,
 ``direction_scale_step``, the homogeneous objectives, ``optimal_scale``)
@@ -116,15 +116,7 @@ from functools import cache
 import numpy as np
 
 from .source_model import _whitened_ratio
-from .types import (
-    EPS_DET,
-    _replace_row,
-    _substitute,
-    bin_blocks,
-    bin_parts,
-    block_buffers,
-    run_parts,
-)
+from .types import EPS_DET, _replace_row, _substitute, bin_blocks, bin_parts, run_parts
 
 
 @cache
@@ -188,27 +180,21 @@ def quartic_majorizer(gram: np.ndarray, yd, W, S, domain: float):
     # features of every row's A and C, which are kept for all bins.
     fa, fc = np.empty((2, I, features, N))
     s4 = np.empty((N, I))
-    parts = bin_parts(I, J, N)
-    # each part's 1 / r**2, |y~|^2 / r**4 and |q~|^2
-    scratch = block_buffers((len(parts), 3, N), sum(parts, []), J)
 
-    def frame_pass(k):
-        for blk in parts[k]:
-            b = blk.stop - blk.start
-            wts, aq2 = scratch[k, :2, :, :b], scratch[k, 2, :, :b]
-            _whitened_ratio(1.0, S[:, blk], 2.0, domain, out=wts[0])  # S^(-2/p) = 1 / r**2
-            np.abs(yd[blk].transpose(2, 0, 1), out=aq2)  # |q~|^2 = |y~|^2 / r^2
-            aq2 *= aq2
-            aq2 *= wts[0]
-            np.multiply(aq2, wts[0], out=wts[1])
-            # one (M^2, J) @ (J, 2N) product per bin, through a strided view of wts
-            feat = gram[blk] @ wts.reshape(2 * N, -1, J).transpose(1, 2, 0)
-            fa[blk] = feat[..., :N]
-            # ||q~||^2 A + ...
-            fc[blk] = np.sum(aq2, axis=2).T[:, None, :] * fa[blk] + feat[..., N:]
-            s4[:, blk] = np.vecdot(aq2, aq2)
+    def frame_pass(blk):
+        wts = np.empty((2, N, blk.stop - blk.start, J))  # 1 / r**2, then |y~|^2 / r**4
+        _whitened_ratio(1.0, S[:, blk], 2.0, domain, out=wts[0])  # S^(-2/p) = 1 / r**2
+        aq2 = np.abs(yd[blk].transpose(2, 0, 1), order="C")  # |q~|^2 = |y~|^2 / r^2
+        aq2 *= aq2
+        aq2 *= wts[0]
+        np.multiply(aq2, wts[0], out=wts[1])
+        # one (M^2, J) @ (J, 2N) product per bin, through a strided view of wts
+        feat = gram[blk] @ wts.reshape(2 * N, -1, J).transpose(1, 2, 0)
+        fa[blk] = feat[..., :N]
+        fc[blk] = np.sum(aq2, axis=2).T[:, None, :] * fa[blk] + feat[..., N:]  # ||q~||^2 A + ...
+        s4[:, blk] = np.vecdot(aq2, aq2)
 
-    run_parts(frame_pass, range(len(parts)))
+    run_parts(frame_pass, *bin_parts(I, J, N))
     good = np.isfinite(s4) & (s4 > 0.0)
     denom = np.sqrt(J * np.where(good, s4, 1.0))
     # Then every G over all bins at once.
@@ -290,17 +276,14 @@ def quartic_sweep(gram: np.ndarray, yd, W, S, domain: float, W_inv, log_det):
     # 1 / r**2 formed again for all sources: keeping the first pass's would be full-size.
     coeffs = _form_coeffs(W)
     s4_dir = np.empty((N, I))
-    parts = bin_parts(I, J, N)
-    scratch = block_buffers((len(parts), 2, N), sum(parts, []), J)  # |y_dir|^2, 1 / r**2
 
-    def cost_pass(k):
-        for blk in parts[k]:
-            a2, inv_r2 = scratch[k, :, :, : blk.stop - blk.start]
-            np.matmul(coeffs[blk], gram[blk], out=a2.transpose(1, 0, 2))  # |y_dir|^2
-            a2 *= _whitened_ratio(1.0, S[:, blk], 2.0, domain, out=inv_r2)  # over r^2
-            s4_dir[:, blk] = np.vecdot(a2, a2)
+    def cost_pass(blk):
+        a2, inv_r2 = np.empty((2, N, blk.stop - blk.start, J))
+        np.matmul(coeffs[blk], gram[blk], out=a2.transpose(1, 0, 2))  # |y_dir|^2
+        a2 *= _whitened_ratio(1.0, S[:, blk], 2.0, domain, out=inv_r2)  # over r^2
+        s4_dir[:, blk] = np.vecdot(a2, a2)
 
-    run_parts(cost_pass, range(len(parts)))
+    run_parts(cost_pass, *bin_parts(I, J, N))
     # A good majorizer whose direction has no finite positive cost: the whole bin
     # returns to its entry state.
     restored = np.any(good & ~(np.isfinite(s4_dir) & (s4_dir > 0.0)), axis=0)

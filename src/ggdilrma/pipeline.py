@@ -33,13 +33,13 @@ identity and zero.  Each sweep keeps them in step as it replaces rows
 the cost reads the log-determinants and back-projection reads a row of the
 inverse, and a separation makes no LAPACK call.
 
-Every layer but the iterative-projection sweep splits its work on the
-package's thread pool (:func:`~ggdilrma.types.run_parts`), above its measured
-crossover and only where the process may run on more than one CPU:
-:func:`separate` by ranges of bins, the refresh of ``|y|^p`` and the NMF
-updates, the scale refresh and the cost by source, and the quartic sweep's
-passes over the frames by ranges of bins.  The parts run inside the layer
-calls, so every layer is entered and left on the thread that called
+Three layers that make no large BLAS call split their work on the package's
+thread pool (:func:`~ggdilrma.types.run_parts`), above their measured
+crossovers and only where the process may run on more than one CPU:
+:func:`separate` and the quartic sweep's passes over the frames by bins, and
+the refresh of ``|y|^p`` by source.  The IP sweep, the NMF updates, the scale
+refresh and the cost run on the calling thread.  The parts run inside the
+layer calls, so every layer is entered and left on the thread that called
 :func:`run`, and the run's bytes do not depend on the number of CPUs.
 """
 
@@ -64,7 +64,7 @@ from .types import (
     ProblemShape,
     SourceSpectrogram,
     TraceRecord,
-    bin_parts,
+    bin_ranges,
     run_parts,
     source_parts,
     validate_problem,
@@ -120,7 +120,7 @@ def separate(xd: np.ndarray, W: np.ndarray) -> np.ndarray:
     of an ``(N, I, J)`` array, so ``np.moveaxis(y, 2, 0)`` is C-contiguous and
     each source's ``y[:, :, n]`` is one contiguous ``(I, J)`` slab.  No BLAS call
     takes that layout, so numpy runs one loop over all bins instead of one BLAS
-    call per bin: over each range of bins of :func:`~ggdilrma.types.bin_parts`,
+    call per bin: over each range of bins of :func:`~ggdilrma.types.bin_ranges`,
     one range per part on the thread pool, whose per-bin products are the same.
     """
     I, J, _ = xd.shape
@@ -128,11 +128,10 @@ def separate(xd: np.ndarray, W: np.ndarray) -> np.ndarray:
     y = np.empty((N, I, J), dtype=np.result_type(xd, W)).transpose(1, 2, 0)
     Wt = W.transpose(0, 2, 1)
 
-    def part(blocks):
-        bins = slice(blocks[0].start, blocks[-1].stop)
+    def part(bins):
         np.matmul(xd[bins], Wt[bins], out=y[bins])
 
-    run_parts(part, bin_parts(I, J, N))
+    run_parts(part, bin_ranges(I, J * N, "separate"))
     return y
 
 
@@ -155,7 +154,8 @@ def iteration_step(xd, W, T, V, cfg: GgdConfig, gram: Optional[np.ndarray], W_in
     update, the activation update and the cost; no full-size array outlives its
     use.  ``yp`` is ``|y|^p`` of the entry ``W`` on entry, which the IP sweep
     reads; the quartic sweep is handed the outputs of the entry ``W`` instead,
-    so a quartic step separates twice and an IP step once.  ``gram`` is the quartic scheme's cached
+    so a quartic step separates twice and an IP step once.  ``gram`` is the
+    quartic scheme's cached
     :func:`~ggdilrma.demix_homogeneous.mixture_gram` of ``xd``.  The sweep keeps
     ``W_inv`` (``W^{-1}``) and ``log_det`` (``log|det W_i|``) in step with ``W``,
     and the cost reads ``log_det``.  ``S`` is the scale field ``T V`` on entry;

@@ -34,25 +34,21 @@ positive integer (8 at beta = 4, p = 1/2), and by the generic power
 otherwise.
 
 Each block's elementwise chain runs in place.  Both updates floor the
-block's ``|y|^p`` into one block buffer, then divide it by ``S``, raise
+block's ``|y|^p`` into one new block buffer, then divide it by ``S``, raise
 it, divide it by ``S`` again and overwrite it with ``1/S``; the activation
-update also forms its block's ``S`` in a buffer of its own.  The buffers
-are allocated once per call, for the largest block, and reused block after
-block.  :func:`model_cost_terms` writes the ratio into the array it is given,
-or a new one, and adds the log-scale term into it.  An odd power takes one
-more buffer for its squares (:func:`_int_power`).  No layer writes into
-``T``, ``V``, ``S`` or the ``|y|^p`` it is given, and every operation has
-the operands and order of the out-of-place form, so the bits are the same.
+update also forms its block's ``S`` in a buffer of its own.
+:func:`model_cost_terms` writes the ratio into a new array and adds the
+log-scale term into it.  An odd power takes one more buffer for its
+squares (:func:`_int_power`).  No layer writes into ``T``, ``V``, ``S`` or
+the ``|y|^p`` it is given, and every operation has the operands and order
+of the out-of-place form, so the bits are the same.
 
-No source's bases, activations or scale field read another source, so the
-two updates and :func:`refresh_scale` run one part per source on the
-package's thread pool (:func:`~ggdilrma.types.run_parts`) when each source
-holds at least the ``"sources"`` crossover of (bin, frame) entries, and one
-part of every source otherwise.  A source's part makes the per-source
-matrix products that the batched ones make, and writes its slab of the
-block buffers, which the caller allocates, so the results are the same
-bytes, and the bytes held at once are the same, however the sources are
-cut.
+No source's factors read another source's, yet both updates and
+:func:`refresh_scale` run on the calling thread, every source batched, and not
+on the package's thread pool (:func:`~ggdilrma.types.run_parts`): their
+per-source matrix products are large enough for a threaded BLAS to spread
+over the CPUs itself, and pool threads beside BLAS's own would oversubscribe
+them.
 
 The per-entry Jensen + tangent-line majorizer behind these updates, and
 its equality auxiliaries, live in ``tests/reference_nmf.py`` as a test
@@ -65,19 +61,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .types import EPS_NMF, EPS_Y, bin_blocks, block_buffers, run_parts, source_parts
+from .types import EPS_NMF, EPS_Y, bin_blocks
 
 
 def refresh_scale(T: np.ndarray, V: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Write the scale field ``S = T V`` ``(N, I, J)`` into ``S``, one block of bins at
     a time, with the ``T[:, blk] @ V`` product the updates form; returns ``S``."""
-    N, I, J = S.shape
-
-    def part(ns):
-        for blk in bin_blocks(I, J):
-            np.matmul(T[ns, blk], V[ns], out=S[ns, blk])
-
-    run_parts(part, source_parts(N, I * J))
+    for blk in bin_blocks(*S.shape[1:]):
+        np.matmul(T[:, blk], V, out=S[:, blk])
     return S
 
 
@@ -132,26 +123,17 @@ def update_bases_arrays(T, V, S, yp, beta, domain):
         The new bases, shaped as ``T`` and floored at ``EPS_NMF``; ``T``, ``V``,
         ``S`` and ``yp`` are not modified.
     """
-    N, I, J = S.shape
     Vt = V.transpose(0, 2, 1)
     T_new = np.empty_like(T)
-    blocks = bin_blocks(I, J)
-    buf = block_buffers((N,), blocks, J)  # the block's one buffer
-
-    def part(ns):
-        Vt_ns, T_ns, T_new_ns = Vt[ns], T[ns], T_new[ns]
-        for blk in blocks:
-            Sb = S[ns, blk]
-            ratio = np.maximum(yp[ns, blk], EPS_Y**domain, out=buf[ns, : blk.stop - blk.start])
-            _whitened_ratio(ratio, Sb, beta, domain, out=ratio)
-            ratio /= Sb
-            num = beta * (ratio @ Vt_ns)
-            den = 2.0 * (np.divide(1.0, Sb, out=ratio) @ Vt_ns)
-            T_new_ns[:, blk] = T_ns[:, blk] * (num / den) ** (domain / (beta + domain))
-        np.maximum(T_new_ns, EPS_NMF, out=T_new_ns)
-
-    run_parts(part, source_parts(N, I * J))
-    return T_new
+    for blk in bin_blocks(T.shape[1], V.shape[2]):
+        Sb = S[:, blk]
+        ratio = np.maximum(yp[:, blk], EPS_Y**domain)  # the block's one buffer
+        _whitened_ratio(ratio, Sb, beta, domain, out=ratio)
+        ratio /= Sb
+        num = beta * (ratio @ Vt)
+        den = 2.0 * (np.divide(1.0, Sb, out=ratio) @ Vt)
+        T_new[:, blk] = T[:, blk] * (num / den) ** (domain / (beta + domain))
+    return np.maximum(T_new, EPS_NMF)
 
 
 def update_activations_arrays(T, V, yp, beta, domain):
@@ -162,44 +144,31 @@ def update_activations_arrays(T, V, yp, beta, domain):
         The new activations, shaped as ``V`` and floored at ``EPS_NMF``;
         ``T``, ``V`` and ``yp`` are not modified.
     """
-    N, I, J = yp.shape
     num = np.zeros_like(V)
     den = np.zeros_like(V)
-    V_new = np.empty_like(V)
-    blocks = bin_blocks(I, J)
-    S_buf, buf = block_buffers((2, N), blocks, J)  # the block's S, and its one buffer
-
-    def part(ns):
-        V_ns, num_ns, den_ns, V_new_ns = V[ns], num[ns], den[ns], V_new[ns]
-        for blk in blocks:
-            b = blk.stop - blk.start
-            Tb = T[ns, blk]
-            S = np.matmul(Tb, V_ns, out=S_buf[ns, :b])
-            ratio = np.maximum(yp[ns, blk], EPS_Y**domain, out=buf[ns, :b])
-            _whitened_ratio(ratio, S, beta, domain, out=ratio)
-            ratio /= S
-            Tt = Tb.transpose(0, 2, 1)
-            num_ns += Tt @ ratio
-            den_ns += Tt @ np.divide(1.0, S, out=ratio)
-        step = ((beta * num_ns) / (2.0 * den_ns)) ** (domain / (beta + domain))
-        np.maximum(np.multiply(V_ns, step, out=V_new_ns), EPS_NMF, out=V_new_ns)
-
-    run_parts(part, source_parts(N, I * J))
-    return V_new
+    for blk in bin_blocks(T.shape[1], V.shape[2]):
+        Tb = T[:, blk]
+        S = Tb @ V  # (N, b, J)
+        ratio = np.maximum(yp[:, blk], EPS_Y**domain)  # the block's one buffer
+        _whitened_ratio(ratio, S, beta, domain, out=ratio)
+        ratio /= S
+        Tt = Tb.transpose(0, 2, 1)
+        num += Tt @ ratio
+        den += Tt @ np.divide(1.0, S, out=ratio)
+    V = V * ((beta * num) / (2.0 * den)) ** (domain / (beta + domain))
+    return np.maximum(V, EPS_NMF)
 
 
-def model_cost_terms(yp, S, beta, domain, out=None):
+def model_cost_terms(yp, S, beta, domain):
     """Per-entry data-fit plus log-scale terms, ``(N, I, J)``, from ``yp = |y|^p``.
 
     ``|y|^beta / S^(beta/p) + (2/p) log S`` -- the non-determinant part of
-    the negative log-likelihood, additive constant omitted.  The ratio goes into
-    the first of the two arrays ``out``, the log-scale term into the second and
-    then is added into the first, which is returned; into new arrays when ``out``
-    is ``None``.  ``yp`` and ``S`` are not modified.
+    the negative log-likelihood, additive constant omitted.  The log-scale term
+    is added into the new ratio array, which is returned; ``yp`` and ``S`` are
+    not modified.
     """
-    terms, log_s = (None, None) if out is None else out
-    terms = _whitened_ratio(yp, S, beta, domain, out=terms)
-    log_s = np.log(S, out=log_s)
+    terms = _whitened_ratio(yp, S, beta, domain)
+    log_s = np.log(S)
     log_s *= 2.0 / domain
     terms += log_s
     return terms

@@ -21,18 +21,20 @@ All containers are frozen dataclasses treated as immutable values after
 construction; invariants are checked once per run by
 :func:`validate_problem` rather than on every construction.
 
-The per-iteration layers run their work as independent parts through
-:func:`run_parts`: the calling thread runs the first part and a pool of
+Per-iteration layers that make no large BLAS call run their work as
+independent parts through :func:`run_parts`: the calling thread and a pool of
 threads, one per further CPU that the process may run on
-(``os.sched_getaffinity``, so ``taskset`` restricts it), runs the rest.  The
-pool is created on first use.  A layer is cut only along an axis that no sum
-and no BLAS call crosses: by source (:func:`source_parts`), or by ranges of
-bins with every source in each (:func:`bin_parts`).  So each part makes the
-kernel calls, with the operands, that the layer makes on one thread, and the
-results are the same bytes on any number of CPUs.  On one CPU, or where a part
-would hold fewer entries than the layer's measured crossover
-(:data:`POOL_CROSSOVER`), the layer runs as one part that holds every source
-and every bin: the batched code itself.
+(``os.sched_getaffinity`` where the platform has it, so ``taskset`` restricts
+it; ``os.cpu_count`` elsewhere), take the parts one at a time.  The pool is
+created on first use.  A layer is cut only along an axis that no sum and no
+BLAS call crosses: by source (:func:`source_parts`), or by bins with every
+source in each (:func:`bin_ranges`, :func:`bin_parts`).  So each part makes
+the kernel calls, with the operands, that the layer makes on one thread, and
+the results are the same bytes on any number of CPUs.  On one CPU, or where a
+thread's share would hold fewer entries than the layer's measured crossover
+(:data:`POOL_CROSSOVER`), the layer runs on the calling thread: one part that
+holds every source and every bin, the batched code itself, or the serial
+layer's blocks in order.
 """
 
 from __future__ import annotations
@@ -113,74 +115,76 @@ def bin_blocks(n_bins: int, entries_per_bin: int, parts: int = 1) -> list[slice]
     return [slice(start, stop) for start, stop in zip([0] + stops, stops)]
 
 
-def block_buffers(shape: tuple, blocks: list[slice], n_frames: int) -> np.ndarray:
-    """An uninitialised ``shape + (b, n_frames)`` array, ``b`` the longest of
-    ``blocks``: buffers that a layer allocates once and its parts fill, block after
-    block, through their ``[..., :len(block), :]`` views."""
-    return np.empty(shape + (max([blk.stop - blk.start for blk in blocks]), n_frames))
-
-
 def _cpu_count() -> int:
-    """The CPUs this process may run on: its affinity mask, which ``taskset`` sets."""
-    return len(os.sched_getaffinity(0))
+    """The CPUs this process may run on: its affinity mask, which ``taskset`` sets,
+    where the platform has one (Linux), and every CPU elsewhere."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-#: The measured crossovers: the (bin, frame) entries, every source counted, that
-#: one part of a layer must hold for the layer to run its parts on the pool; below
-#: them it runs as one part on the calling thread.  ``"sources"`` gates the layers
-#: split by source (the NMF updates, the scale refresh, the cost's block pass and
-#: the ``|y|^p`` refresh), ``"bins"`` those split by bin range (the separation and
-#: the quartic sweep's two passes over the frames).  Each was measured as whole
-#: iterations across problem sizes (CHANGES.md): waking an idle pool thread costs
-#: a few hundred microseconds, which the parts must outweigh.
-POOL_CROSSOVER = {"sources": 40 * 1024, "bins": 2**16}
-
-
-def _n_parts(items: int, entries_per_item: int, crossover: str) -> int:
-    """How many parts a layer's ``items`` (sources or bins) are cut into: one per
-    CPU, at most one per item, and none with fewer entries than the layer's
-    :data:`POOL_CROSSOVER`; 1 runs the layer on the calling thread."""
-    parts = min(items, items * entries_per_item // POOL_CROSSOVER[crossover])
-    return 1 if parts < 2 else min(parts, _cpu_count())
+#: The measured crossovers, in (bin, frame) entries, every source counted: a layer
+#: runs on more than one thread only where each thread's share holds at least its
+#: layer's entries; below them it runs on the calling thread.  ``"sources"`` gates
+#: the ``|y|^p`` refresh, split by source; ``"separate"`` and ``"sweep"`` gate the
+#: separation and the quartic sweep's two passes over the frames, split by bins.
+#: Each was measured on whole iterations across problem sizes (CHANGES.md): waking
+#: an idle pool thread costs a few hundred microseconds, which the shares must
+#: outweigh, and the separation, a few multiply-adds per byte, gains least.
+POOL_CROSSOVER = {"sources": 2**17, "separate": 3 * 2**16, "sweep": 2**17}
 
 
 def source_parts(n_sources: int, entries_per_source: int) -> list[slice]:
-    """Every source in one slice, or one slice per source where :func:`_n_parts`
-    cuts them at the ``"sources"`` crossover."""
-    if _n_parts(n_sources, entries_per_source, "sources") == 1:
-        return [slice(0, n_sources)]
-    return [slice(n, n + 1) for n in range(n_sources)]
+    """One slice per source where there are several, each holds the ``"sources"``
+    crossover of entries or more and the process may run on more than one CPU;
+    else one slice of every source."""
+    if n_sources > 1 and entries_per_source >= POOL_CROSSOVER["sources"] and _cpu_count() > 1:
+        return [slice(n, n + 1) for n in range(n_sources)]
+    return [slice(0, n_sources)]
 
 
-def bin_parts(n_bins: int, n_frames: int, n_sources: int) -> list[list[slice]]:
-    """The bins cut into :func:`_n_parts` consecutive ranges of nearly equal length
-    at the ``"bins"`` crossover, every source in each, and each range as its
-    :func:`bin_blocks` of ``BLOCK_ENTRIES // parts`` entries, so the parts running
-    side by side hold one block's worth of entries between them.  One part is
-    :func:`bin_blocks` itself."""
-    parts = _n_parts(n_bins, n_frames * n_sources, "bins")
+def _bin_threads(n_bins: int, entries_per_bin: int, layer: str) -> int:
+    """Threads for a layer split by bins: one per CPU, at most one per bin, and none
+    with a share of fewer entries than the ``layer``'s crossover; at least one."""
+    threads = min(n_bins, n_bins * entries_per_bin // POOL_CROSSOVER[layer])
+    return min(threads, _cpu_count()) if threads > 1 else 1
+
+
+def bin_ranges(n_bins: int, entries_per_bin: int, layer: str) -> list[slice]:
+    """The bins cut into one range per :func:`_bin_threads` thread, of nearly equal
+    length: one range of every bin on one thread."""
+    parts = _bin_threads(n_bins, entries_per_bin, layer)
     if parts == 1:
-        return [bin_blocks(n_bins, n_frames)]
+        return [slice(0, n_bins)]
     stops = [k * n_bins // parts for k in range(parts + 1)]
-    return [
-        [slice(a + b.start, a + b.stop) for b in bin_blocks(z - a, n_frames, parts)]
-        for a, z in zip(stops, stops[1:])
-    ]
+    return [slice(a, z) for a, z in zip(stops, stops[1:])]
 
 
-#: The pool: the queue its threads take parts from, and how many threads serve
-#: it, one per CPU beside the caller's.  Created on first use and grown if more
-#: CPUs are found later; a forked child drops its copy, whose threads did not
-#: follow it.
-_pool = None
+def bin_parts(n_bins: int, n_frames: int, n_sources: int) -> tuple[list[slice], int]:
+    """The quartic sweep's parts and threads: its :func:`bin_blocks` of
+    ``BLOCK_ENTRIES // threads`` entries, so the threads hold one block's worth
+    between them, and the ``"sweep"`` :func:`_bin_threads`.  On one thread, the
+    blocks of the serial passes."""
+    threads = _bin_threads(n_bins, n_frames * n_sources, "sweep")
+    return bin_blocks(n_bins, n_frames, threads), threads
+
+
+#: The pool: one queue of work for the life of the process, and how many threads
+#: serve it, one per CPU beside the caller's.  Created on first use, and given more
+#: threads if more CPUs are found later; a forked child, which has none of its
+#: parent's threads, starts afresh, with a fresh lock.
+_queue = None
+_served = 0
+_pool_lock = threading.Lock()
 
 
 def _forget_pool() -> None:
-    global _pool
-    _pool = None
+    global _queue, _served, _pool_lock
+    _queue, _served, _pool_lock = None, 0, threading.Lock()
 
 
-os.register_at_fork(after_in_child=_forget_pool)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 #: Set on the pool's threads, whose parts run any parts of their own themselves.
@@ -188,78 +192,103 @@ _on_pool = threading.local()
 
 
 def _serve(tasks: queue.SimpleQueue) -> None:
-    """A pool thread: run parts until handed ``None``.  It drops its references
-    to a part's arrays before it reports the part done, so that every buffer a
-    layer allocated is freed by the caller, at the point it would be serially."""
+    """A pool thread: take a share of some call's parts, for the life of the
+    process."""
     _on_pool.serving = True
-    while (task := tasks.get()) is not None:
-        fn, part, context, done, k = task
-        del task
-        try:
-            context.run(fn, part)
-            error = None
-        except BaseException as exc:  # handed to the caller, which raises it
-            error = exc
-        del fn, part, context
-        done.put((k, error))
-        del error
-
-
-_pool_lock = threading.Lock()
+    while True:
+        work, context = tasks.get()
+        context.run(work)
+        del work, context
 
 
 def _tasks() -> queue.SimpleQueue:
     """The pool's queue, served by one thread per CPU beside the caller's (at least
     one)."""
-    global _pool
+    global _queue, _served
     size = max(1, _cpu_count() - 1)
     with _pool_lock:
-        if _pool is None or _pool[1] < size:
-            if _pool is not None:
-                for _ in range(_pool[1]):
-                    _pool[0].put(None)
-            tasks = queue.SimpleQueue()
-            for _ in range(size):
-                threading.Thread(target=_serve, args=(tasks,), name="ggdilrma", daemon=True).start()
-            _pool = (tasks, size)
-        return _pool[0]
+        if _queue is None:
+            _queue = queue.SimpleQueue()
+        for _ in range(_served, size):
+            threading.Thread(target=_serve, args=(_queue,), name="ggdilrma", daemon=True).start()
+            _served += 1
+        return _queue
 
 
-def run_parts(fn: Callable, parts) -> None:
-    """Call ``fn(part)`` for every part, the first on the calling thread and the rest
-    on the pool, and return once all have finished.
+class _Share:
+    """The parts of one :func:`run_parts` call, which its threads take one at a
+    time, each the next that no thread has taken."""
 
-    Each pool thread runs its part in a copy of the caller's context, so an
-    ``np.errstate`` set by the caller holds there too.  The exception of the first
-    part that raised one, in the order of ``parts``, reaches the caller unchanged,
-    after every part has finished.  A pool thread that calls this runs the parts
-    itself.  A layer's parts write into arrays the caller allocated and read only
-    what no other part writes, so their results do not depend on the order in
-    which they run.
+    def __init__(self, fn: Callable, parts) -> None:
+        self.fn, self.parts = fn, parts
+        self.taken = self.running = 0
+        self.errors: dict = {}
+        self.lock = threading.Lock()
+        self.done = threading.Event()
+
+    def work(self) -> None:
+        """Run parts until none is left, or one has raised.  A thread drops its
+        references to a part before it reports the part finished, so every array a
+        layer allocated is freed by the caller, at the point it would be serially."""
+        while True:
+            with self.lock:
+                if self.parts is None or self.taken == len(self.parts) or self.errors:
+                    return
+                k, fn, part = self.taken, self.fn, self.parts[self.taken]
+                self.taken += 1
+                self.running += 1
+            try:
+                fn(part)
+                error = None
+            except BaseException as exc:  # handed to the caller, which raises it
+                error = exc
+            del fn, part
+            with self.lock:
+                self.running -= 1
+                if error is not None:
+                    self.errors[k] = error
+                if not self.running and (self.taken == len(self.parts) or self.errors):
+                    self.done.set()
+            del error
+
+
+def run_parts(fn: Callable, parts, threads: int | None = None) -> None:
+    """Call ``fn(part)`` for every part and return once all have finished.
+
+    The parts run on ``threads`` threads (one per part by default), at most one per
+    CPU: the calling thread and threads of the pool.  Each takes the next part that
+    no thread has taken, so the calling thread goes on with the parts while a pool
+    thread wakes up, and waits only for parts a pool thread has begun.  On one
+    thread the parts run in order on the calling thread; one part is the batched
+    code itself.
+
+    Each pool thread runs in a copy of the caller's context, so an ``np.errstate``
+    set by the caller holds there too.  No part begins after one has raised; the
+    exception of the first part, in the order of ``parts``, that raised one reaches
+    the caller unchanged, after every part begun has finished.  A pool thread that
+    calls this runs the parts itself.  A layer's parts write disjoint pieces of
+    arrays the caller allocated and read only what no part writes, so their
+    results do not depend on which thread runs them, or when.
     """
-    if len(parts) == 1:
-        fn(parts[0])
-        return
-    first, *rest = parts
-    if getattr(_on_pool, "serving", False):
-        # Parts of a part on the pool, which, waiting on the pool, could wait on
-        # itself.
+    threads = min(len(parts) if threads is None else threads, len(parts))
+    if threads > 1 and getattr(_on_pool, "serving", False):
+        threads = 1  # handed to the pool, a pool thread's parts could wait on itself
+    if threads > 1:
+        threads = min(threads, _cpu_count())
+    if threads < 2:
         for part in parts:
             fn(part)
         return
-    tasks, done = _tasks(), queue.SimpleQueue()
-    for k, part in enumerate(rest, 1):
-        tasks.put((fn, part, contextvars.copy_context(), done, k))
-    errors = [None] * len(parts)
-    try:
-        fn(first)
-    except BaseException as exc:
-        errors[0] = exc
-    for _ in rest:
-        k, errors[k] = done.get()
-    for error in errors:
-        if error is not None:
-            raise error
+    share = _Share(fn, parts)
+    tasks = _tasks()
+    for _ in range(threads - 1):
+        tasks.put((share.work, contextvars.copy_context()))
+    share.work()
+    share.done.wait()
+    with share.lock:  # a pool thread that wakes up later finds nothing to take
+        share.fn = share.parts = None
+    if share.errors:
+        raise share.errors[min(share.errors)]
 
 
 @dataclass(frozen=True)

@@ -414,11 +414,13 @@ def test_layer_temporaries_stay_block_sized():
 
 @pytest.mark.parametrize("cpus", [2, 4])
 def test_layer_temporaries_stay_block_sized_on_the_pool(monkeypatch, cpus):
-    # Each part holds its share of a block: a source's slab of the caller's block
-    # buffer, or a bin range's blocks of BLOCK_ENTRIES // parts entries.
+    # Each part of the quartic sweep's passes holds its bin range's blocks of
+    # BLOCK_ENTRIES // parts entries; the separation allocates nothing.
     calls = use_the_pool(monkeypatch, cpus)
     peaks_stay_block_sized()
-    assert len(calls) >= 8  # every layer but the IP sweep, the cost once per block
+    # the separation of its outputs and the quartic sweep's two passes over the
+    # frames; the NMF updates, the scale refresh, the cost and the IP sweep never
+    assert len(calls) == 3
 
 
 def use_the_pool(monkeypatch, cpus):

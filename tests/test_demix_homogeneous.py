@@ -362,11 +362,12 @@ class TestQuarticUpdateFilter:
 
     @pytest.mark.parametrize("N", [2, 3])
     def test_non_finite_scale_skips_only_its_source_on_the_pool(self, N, monkeypatch):
-        # The same sweep with its passes over the frames split into bin ranges on
-        # the pool, whatever their size, under the caller's errstate, and every
-        # warning an error: bin 4's update alone is skipped there too.
+        # The same sweep with its passes over the frames split into one-bin blocks
+        # on the pool, under the caller's errstate, and every warning an error:
+        # bin 4's update alone is skipped there too.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setitem(types.POOL_CROSSOVER, "bins", 1)
+        monkeypatch.setitem(types.POOL_CROSSOVER, "sweep", 1)
+        monkeypatch.setattr(types, "BLOCK_ENTRIES", 2 * 12)  # 12 frames
         calls, tasks = [], types._tasks
         monkeypatch.setattr(types, "_tasks", lambda: calls.append(1) or tasks())
         with warnings.catch_warnings():

@@ -92,7 +92,7 @@ def test_wrapped_layers_stay_on_the_calling_thread_with_the_pool(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     calls, tasks = [], types._tasks
     monkeypatch.setattr(types, "_tasks", lambda: calls.append(1) or tasks())
-    I, J, K = 129, 509, 2  # every threaded layer above its crossover
+    I, J, K = 257, 769, 2  # every threaded layer above its crossover
     x = random_mixture(I, J, 2, seed=6)
     for beta in (4.0, 2.0):
         tracer = load_layers(monkeypatch).Tracer()

@@ -10,6 +10,7 @@ that the pool was given work.
 
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -24,11 +25,10 @@ from ggdilrma.demix_homogeneous import mixture_gram, quartic_sweep
 from ggdilrma.source_model import refresh_scale, update_activations_arrays, update_bases_arrays
 from ggdilrma.types import GgdConfig, MixtureSpectrogram, run_parts
 
-#: (bins, frames): below every crossover, and above both at every N here: each
-#: source holds 65661 entries, and the bins two ranges' worth or more.  The cost
-#: sums blocks of 43 bins, an odd count of entries per source, so a sum split by
-#: source would change its bits.
-SHAPES = {"below": (10, 12), "above": (129, 509)}
+#: (bins, frames): below every crossover, and above all three at every N here:
+#: each source holds 197633 entries, and the bins two ranges' worth or more of the
+#: separation's and the sweep's.
+SHAPES = {"below": (10, 12), "above": (257, 769)}
 K = 4
 
 
@@ -102,10 +102,9 @@ def test_layers_give_the_same_bytes_on_the_pool(monkeypatch, shape, cpus, N):
     set_cpus(monkeypatch, cpus)
     pool_use = count_pool_use(monkeypatch)
     assert_same_bytes(layer_outputs(*state), ref)
-    # separate, the scale refresh, the two NMF updates, the cost's blocks and the
-    # sweep's two passes over the frames, or none of them
-    assert len(pool_use) >= (7 if shape == "above" else 0)
-    assert len(pool_use) == 0 or shape == "above"
+    # separate and the sweep's two passes over the frames, or none of them; the NMF
+    # updates, the scale refresh and the cost never
+    assert len(pool_use) == (3 if shape == "above" else 0)
 
 
 @pytest.mark.parametrize("cpus", [2, 4])
@@ -151,8 +150,8 @@ def test_an_exception_in_a_part_reaches_the_caller_unchanged(monkeypatch):
         if k in raised:
             raise raised[k]
 
-    # Every part runs to its end, and the exception of the first part in their
-    # order that raised one reaches the caller: a pool thread's, then the caller's.
+    # The exception of the first part in their order that raised one reaches the
+    # caller, whichever thread ran it.
     with pytest.raises(ValueError) as info:
         run_parts(part, [0, 2, 1])
     assert info.value is raised[2]
@@ -162,11 +161,14 @@ def test_an_exception_in_a_part_reaches_the_caller_unchanged(monkeypatch):
 
 
 def test_parts_of_a_part_on_the_pool_run_on_its_thread(monkeypatch):
-    # Handed to the pool from its only thread, they would wait on that thread.
+    # Handed to the pool from its only thread, they would wait on that thread.  The
+    # two outer parts wait for each other, so one of them runs on the pool.
     set_cpus(monkeypatch, 2)
+    both = threading.Barrier(2, timeout=30.0)
     ran = []
 
     def outer(k):
+        both.wait()
         run_parts(lambda j: ran.append((k, j, threading.get_ident())), ["a", "b"])
 
     caller = threading.Thread(target=run_parts, args=(outer, [0, 1]), daemon=True)
@@ -174,7 +176,9 @@ def test_parts_of_a_part_on_the_pool_run_on_its_thread(monkeypatch):
     caller.join(timeout=30.0)
     assert not caller.is_alive(), "parts of a part on the pool never ran"
     assert sorted(k_j for *k_j, _ in ran) == [[0, "a"], [0, "b"], [1, "a"], [1, "b"]]
-    assert {t for k, _, t in ran if k == 1} != {caller.ident}  # that part ran on the pool
+    threads = {k: {t for k2, _, t in ran if k2 == k} for k in (0, 1)}
+    assert all(len(t) == 1 for t in threads.values())  # each outer part's own thread
+    assert threads[0] != threads[1] and caller.ident in threads[0] | threads[1]
 
 
 def test_many_parts_on_more_threads_than_cores_all_run_once(monkeypatch):
@@ -209,18 +213,74 @@ def test_many_parts_on_more_threads_than_cores_all_run_once(monkeypatch):
 
 
 def test_the_callers_errstate_holds_in_the_pool(monkeypatch):
-    # Source 1's scale field is zero in one entry: its part, on a pool thread,
-    # divides by it.  The caller's errstate turns that into FloatingPointError,
-    # which reaches the caller; without it the thread would warn instead.
+    # Both parts wait for each other, so one runs on a pool thread, and each divides
+    # by zero.  The caller's errstate turns that into FloatingPointError on both
+    # threads; without it the pool thread would warn instead.
+    set_cpus(monkeypatch, 2)
+    both = threading.Barrier(2, timeout=30.0)
+    raised = {}
+
+    def part(k):
+        both.wait()
+        try:
+            np.divide(1.0, np.zeros(3))
+        except FloatingPointError:
+            raised[k] = threading.get_ident()
+            raise
+
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        run_parts(part, [0, 1])
+    assert sorted(raised) == [0, 1]
+    assert threading.get_ident() in raised.values() and len(set(raised.values())) == 2
+
+
+def test_the_callers_errstate_holds_in_a_layer_on_the_pool(monkeypatch):
+    # Source 1's scale field is zero in one entry, which the quartic sweep's first
+    # pass over the frames divides by, on whichever thread takes its block: the
+    # caller's errstate raises there as it would on the calling thread.
     set_cpus(monkeypatch, 2)
     xd, W, W_inv, log_det, T, V = instance(*SHAPES["above"], 2, seed=8)
     S = refresh_scale(T, V, np.empty((2, xd.shape[0], xd.shape[1])))
-    S[1, 5, 7] = 0.0
-    yp = np.ones_like(S)
+    S[1, -5, 7] = 0.0
+    y = pipeline.separate(xd, W)
     pool_use = count_pool_use(monkeypatch)
     with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
-        update_bases_arrays(T, V, S, yp, 4.0, 0.5)
+        quartic_sweep(mixture_gram(xd), y, W.copy(), S, 0.5, W_inv.copy(), log_det.copy())
     assert pool_use
+
+
+def test_without_an_affinity_mask_or_fork_hooks():
+    # Where os has no sched_getaffinity (macOS, Windows) the pool is sized from
+    # os.cpu_count, and where it has no register_at_fork (Windows) the package
+    # still imports.  A run above the crossovers on two CPUs' worth of pool then
+    # gives the bytes of a run on one CPU.
+    script = """
+import os, sys
+import numpy as np
+del os.sched_getaffinity, os.register_at_fork
+os.cpu_count = lambda: int(sys.argv[1])
+from ggdilrma import pipeline, types
+from ggdilrma.types import GgdConfig, MixtureSpectrogram
+I, J = {shape}
+rng = np.random.default_rng(3)
+xd = rng.standard_normal((I, J, 2)) + 1j * rng.standard_normal((I, J, 2))
+x = MixtureSpectrogram(data=xd, sample_rate=16000, frame_len=2 * (I - 1), hop_len=I - 1)
+used = []
+tasks = types._tasks
+types._tasks = lambda: used.append(1) or tasks()
+cfg = GgdConfig(beta=4.0, domain=0.5, n_bases={K}, iterations=3, seed=2)
+sys.stdout.buffer.write(pipeline.run(x, cfg).sources.data.tobytes())
+assert bool(used) == (int(sys.argv[1]) > 1), used
+""".format(shape=SHAPES["above"], K=K)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    command = [sys.executable, "-c", script]
+    runs = [
+        subprocess.run(command + [cpus], env=env, capture_output=True, timeout=120)
+        for cpus in ("1", "2")
+    ]
+    for run in runs:
+        assert run.returncode == 0, run.stderr.decode()
+    assert runs[0].stdout == runs[1].stdout
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -228,6 +288,8 @@ def test_the_callers_errstate_holds_in_the_pool(monkeypatch):
 def test_a_forked_child_separates_after_the_parent_used_the_pool(monkeypatch):
     # The child has none of the parent's pool threads; it starts its own.  Without
     # that, it would hand its parts to threads that are not there and wait forever.
+    # Another thread holds the pool's lock as the parent forks, and no thread of
+    # the child would release it, so the child takes a fresh lock.
     set_cpus(monkeypatch, 2)
     I, J = SHAPES["above"]
     rng = np.random.default_rng(5)
@@ -237,6 +299,16 @@ def test_a_forked_child_separates_after_the_parent_used_the_pool(monkeypatch):
     pool_use = count_pool_use(monkeypatch)
     expected = pipeline.run(x, cfg).sources.data.tobytes()
     assert pool_use
+    held, release = threading.Event(), threading.Event()
+
+    def hold_the_lock():
+        with types._pool_lock:
+            held.set()
+            release.wait(timeout=60.0)
+
+    holder = threading.Thread(target=hold_the_lock, daemon=True)
+    holder.start()
+    assert held.wait(timeout=30.0)
     pid = os.fork()
     if pid == 0:  # the child: exit 0 if it separates as the parent did
         code = 1
@@ -244,6 +316,8 @@ def test_a_forked_child_separates_after_the_parent_used_the_pool(monkeypatch):
             code = 0 if pipeline.run(x, cfg).sources.data.tobytes() == expected else 2
         finally:
             os._exit(code)
+    release.set()
+    holder.join()
     deadline = time.monotonic() + 60.0
     while not (status := os.waitpid(pid, os.WNOHANG))[0]:
         if time.monotonic() > deadline:
