@@ -17,9 +17,12 @@ The model terms are summed over blocks of bins
 cache-sized: each block's ratio is formed in one new array, and the
 log-scale term is added into it
 (:func:`~ggdilrma.source_model.model_cost_terms`); ``yp`` and ``S`` are not
-modified.  Every update rule in the package is expected to leave this
-non-increasing; :func:`audit_descent` lists the iterations of a recorded
-cost sequence where it rose.
+modified.  Each source sums its own blocks in order, by source on the
+package's thread pool above the ``"sources"`` crossover
+(:func:`~ggdilrma.types.source_parts`), and the sources' sums are added in
+order, so the cost is the same on any number of CPUs.  Every update rule in
+the package is expected to leave this non-increasing; :func:`audit_descent`
+lists the iterations of a recorded cost sequence where it rose.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .source_model import model_cost_terms
-from .types import bin_blocks
+from .types import bin_blocks, run_parts, source_parts
 
 #: Relative slack used when flagging cost increases.
 DESCENT_SLACK = 1e-9
@@ -37,10 +40,16 @@ def ggd_cost_arrays(yp, log_det, S, beta, domain) -> float:
     """Cost of the demixing matrices whose outputs ``y = W x`` give ``yp = |y|^p``
     ``(N, I, J)`` and whose ``log|det W_i|`` are ``log_det`` ``(I,)``, under the
     scale field ``S = T V`` ``(N, I, J)``."""
-    model = 0.0
-    for blk in bin_blocks(*yp.shape[1:]):
-        model += np.sum(model_cost_terms(yp[:, blk], S[:, blk], beta, domain))
-    return float(-2.0 * yp.shape[2] * np.sum(log_det) + model)
+    N, I, J = yp.shape
+    model = np.zeros(N)
+
+    def part(ns):
+        for blk in bin_blocks(I, J):
+            terms = model_cost_terms(yp[ns, blk], S[ns, blk], beta, domain)
+            model[ns] += np.sum(terms.reshape(terms.shape[0], -1), axis=1)
+
+    run_parts(part, source_parts(N, I * J))
+    return float(-2.0 * J * np.sum(log_det) + np.sum(model))
 
 
 def audit_descent(costs) -> list[int]:

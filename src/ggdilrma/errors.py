@@ -49,6 +49,14 @@ class ShapeMismatch(InvalidInput):
     or hop duration that is not finite and positive."""
 
 
+# --- separation: numerical failure, exit 3 -------------------------------
+
+
+class SilentMixture(SeparationError):
+    """A mixture that is zero everywhere: every output, scale and demixing update
+    of it is undefined, so it is refused before any iteration."""
+
+
 # --- demixing updates: numerical failure, exit 3 -------------------------
 
 

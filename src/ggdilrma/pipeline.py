@@ -33,14 +33,14 @@ identity and zero.  Each sweep keeps them in step as it replaces rows
 the cost reads the log-determinants and back-projection reads a row of the
 inverse, and a separation makes no LAPACK call.
 
-Three layers that make no large BLAS call split their work on the package's
-thread pool (:func:`~ggdilrma.types.run_parts`), above their measured
-crossovers and only where the process may run on more than one CPU:
-:func:`separate` and the quartic sweep's passes over the frames by bins, and
-the refresh of ``|y|^p`` by source.  The IP sweep, the NMF updates, the scale
-refresh and the cost run on the calling thread.  The parts run inside the
-layer calls, so every layer is entered and left on the thread that called
-:func:`run`, and the run's bytes do not depend on the number of CPUs.
+Every layer but the IP sweep splits its work on the package's thread pool
+(:func:`~ggdilrma.types.run_parts`), above its measured crossover and only
+where the process may run on more than one CPU: :func:`separate`, the quartic
+sweep's passes over the frames and the basis update by bins; the refresh of
+``|y|^p``, the activation update, the scale refresh and the cost by source.
+The parts run inside the layer calls, so every layer is entered and left on
+the thread that called :func:`run`, and the run's bytes do not depend on the
+number of CPUs.
 """
 
 from __future__ import annotations

@@ -43,12 +43,19 @@ squares (:func:`_int_power`).  No layer writes into ``T``, ``V``, ``S`` or
 the ``|y|^p`` it is given, and every operation has the operands and order
 of the out-of-place form, so the bits are the same.
 
-No source's factors read another source's, yet both updates and
-:func:`refresh_scale` run on the calling thread, every source batched, and not
-on the package's thread pool (:func:`~ggdilrma.types.run_parts`): their
-per-source matrix products are large enough for a threaded BLAS to spread
-over the CPUs itself, and pool threads beside BLAS's own would oversubscribe
-them.
+No source's factors read another source's, so above the ``"sources"``
+crossover both updates and :func:`refresh_scale` run on the package's thread
+pool (:func:`~ggdilrma.types.run_parts`).  The activation update and
+:func:`refresh_scale` split by source (:func:`~ggdilrma.types.source_parts`),
+each source going over the blocks in order.  The basis update splits by
+blocks of bins, every source in each (:func:`~ggdilrma.types.basis_parts`);
+its blocks then hold ``BLOCK_ENTRIES`` entries over all sources on any number
+of CPUs, because a BLAS may pick its kernel by a product's rows (OpenBLAS does
+at 60 rows or fewer for 20 bases), and blocks that shrank with the threads
+would change the bits.  Each part makes the kernel calls, with the operands,
+that one thread makes, so the bytes do not depend on the number of CPUs; and
+at two sources and 20 bases no per-source product is long enough for
+OpenBLAS to wake its own threads beside the pool's.
 
 The per-entry Jensen + tangent-line majorizer behind these updates, and
 its equality auxiliaries, live in ``tests/reference_nmf.py`` as a test
@@ -61,14 +68,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .types import EPS_NMF, EPS_Y, bin_blocks
+from .types import EPS_NMF, EPS_Y, basis_parts, bin_blocks, run_parts, source_parts
 
 
 def refresh_scale(T: np.ndarray, V: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Write the scale field ``S = T V`` ``(N, I, J)`` into ``S``, one block of bins at
-    a time, with the ``T[:, blk] @ V`` product the updates form; returns ``S``."""
-    for blk in bin_blocks(*S.shape[1:]):
-        np.matmul(T[:, blk], V, out=S[:, blk])
+    a time, with the ``T[:, blk] @ V`` product the updates form, by source on the
+    thread pool (:func:`~ggdilrma.types.source_parts`); returns ``S``."""
+    N, I, J = S.shape
+
+    def part(ns):
+        for blk in bin_blocks(I, J):
+            np.matmul(T[ns, blk], V[ns], out=S[ns, blk])
+
+    run_parts(part, source_parts(N, I * J))
     return S
 
 
@@ -117,7 +130,8 @@ def _whitened_ratio(yp, S: np.ndarray, beta: float, domain: float, out=None) -> 
 
 def update_bases_arrays(T, V, S, yp, beta, domain):
     """Multiplicative update of every basis matrix, from the scale field ``S = T V``
-    and ``yp = |y|^p``, both ``(N, I, J)``.
+    and ``yp = |y|^p``, both ``(N, I, J)``, by blocks of bins with every source in
+    each, one block per part on the thread pool (:func:`~ggdilrma.types.basis_parts`).
 
     Returns:
         The new bases, shaped as ``T`` and floored at ``EPS_NMF``; ``T``, ``V``,
@@ -125,38 +139,52 @@ def update_bases_arrays(T, V, S, yp, beta, domain):
     """
     Vt = V.transpose(0, 2, 1)
     T_new = np.empty_like(T)
-    for blk in bin_blocks(T.shape[1], V.shape[2]):
+
+    def part(blk):
         Sb = S[:, blk]
         ratio = np.maximum(yp[:, blk], EPS_Y**domain)  # the block's one buffer
         _whitened_ratio(ratio, Sb, beta, domain, out=ratio)
         ratio /= Sb
         num = beta * (ratio @ Vt)
         den = 2.0 * (np.divide(1.0, Sb, out=ratio) @ Vt)
-        T_new[:, blk] = T[:, blk] * (num / den) ** (domain / (beta + domain))
-    return np.maximum(T_new, EPS_NMF)
+        T_blk = np.multiply(T[:, blk], (num / den) ** (domain / (beta + domain)), out=T_new[:, blk])
+        np.maximum(T_blk, EPS_NMF, out=T_blk)
+
+    run_parts(part, *basis_parts(*S.shape[1:], S.shape[0]))
+    return T_new
 
 
 def update_activations_arrays(T, V, yp, beta, domain):
     """Multiplicative update of every activation matrix from ``yp = |y|^p``
-    ``(N, I, J)``; sums run over bins.
+    ``(N, I, J)``; sums run over bins, block by block, by source on the thread pool
+    (:func:`~ggdilrma.types.source_parts`).
 
     Returns:
         The new activations, shaped as ``V`` and floored at ``EPS_NMF``;
         ``T``, ``V`` and ``yp`` are not modified.
     """
-    num = np.zeros_like(V)
-    den = np.zeros_like(V)
-    for blk in bin_blocks(T.shape[1], V.shape[2]):
-        Tb = T[:, blk]
-        S = Tb @ V  # (N, b, J)
-        ratio = np.maximum(yp[:, blk], EPS_Y**domain)  # the block's one buffer
-        _whitened_ratio(ratio, S, beta, domain, out=ratio)
-        ratio /= S
-        Tt = Tb.transpose(0, 2, 1)
-        num += Tt @ ratio
-        den += Tt @ np.divide(1.0, S, out=ratio)
-    V = V * ((beta * num) / (2.0 * den)) ** (domain / (beta + domain))
-    return np.maximum(V, EPS_NMF)
+    N, I, J = yp.shape
+    V_new = np.empty_like(V)
+
+    def part(ns):
+        Vn = V[ns]
+        num = np.zeros_like(Vn)
+        den = np.zeros_like(Vn)
+        for blk in bin_blocks(I, J):
+            Tb = T[ns, blk]
+            S = Tb @ Vn  # (n, b, J)
+            ratio = np.maximum(yp[ns, blk], EPS_Y**domain)  # the block's one buffer
+            _whitened_ratio(ratio, S, beta, domain, out=ratio)
+            ratio /= S
+            Tt = Tb.transpose(0, 2, 1)
+            num += Tt @ ratio
+            den += Tt @ np.divide(1.0, S, out=ratio)
+        step = ((beta * num) / (2.0 * den)) ** (domain / (beta + domain))
+        V_ns = np.multiply(Vn, step, out=V_new[ns])
+        np.maximum(V_ns, EPS_NMF, out=V_ns)
+
+    run_parts(part, source_parts(N, I * J))
+    return V_new
 
 
 def model_cost_terms(yp, S, beta, domain):

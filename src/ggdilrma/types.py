@@ -21,20 +21,20 @@ All containers are frozen dataclasses treated as immutable values after
 construction; invariants are checked once per run by
 :func:`validate_problem` rather than on every construction.
 
-Per-iteration layers that make no large BLAS call run their work as
-independent parts through :func:`run_parts`: the calling thread and a pool of
-threads, one per further CPU that the process may run on
-(``os.sched_getaffinity`` where the platform has it, so ``taskset`` restricts
-it; ``os.cpu_count`` elsewhere), take the parts one at a time.  The pool is
-created on first use.  A layer is cut only along an axis that no sum and no
-BLAS call crosses: by source (:func:`source_parts`), or by bins with every
-source in each (:func:`bin_ranges`, :func:`bin_parts`).  So each part makes
-the kernel calls, with the operands, that the layer makes on one thread, and
-the results are the same bytes on any number of CPUs.  On one CPU, or where a
-thread's share would hold fewer entries than the layer's measured crossover
-(:data:`POOL_CROSSOVER`), the layer runs on the calling thread: one part that
-holds every source and every bin, the batched code itself, or the serial
-layer's blocks in order.
+Per-iteration layers run their work as independent parts through
+:func:`run_parts`: the calling thread and a pool of threads, one per further
+CPU that the process may run on (``os.sched_getaffinity`` where the platform
+has it, so ``taskset`` restricts it; ``os.cpu_count`` elsewhere), take the
+parts one at a time.  The pool is created on first use.  A layer is cut only
+along an axis that no sum and no BLAS call crosses: by source
+(:func:`source_parts`), or by bins with every source in each
+(:func:`bin_ranges`, :func:`bin_parts`, :func:`basis_parts`).  So each part
+makes the kernel calls, with the operands, that the layer makes on one
+thread, and the results are the same bytes on any number of CPUs.  On one
+CPU, or where a thread's share would hold fewer entries than the layer's
+measured crossover (:data:`POOL_CROSSOVER`), the layer runs on the calling
+thread: one part that holds every source and every bin, the batched code
+itself, or the serial layer's blocks in order.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from typing import Callable, List
 
 import numpy as np
 
-from .errors import DegenerateShape, NonFiniteInput, UnsupportedBeta
+from .errors import DegenerateShape, NonFiniteInput, SilentMixture, UnsupportedBeta
 
 #: Numerical floors: NMF entries, |y| in denominators, and the determinant guard:
 #: absolute on IP's det F, relative on the quartic det G (over prod_k G_kk).
@@ -126,8 +126,10 @@ def _cpu_count() -> int:
 #: The measured crossovers, in (bin, frame) entries, every source counted: a layer
 #: runs on more than one thread only where each thread's share holds at least its
 #: layer's entries; below them it runs on the calling thread.  ``"sources"`` gates
-#: the ``|y|^p`` refresh, split by source; ``"separate"`` and ``"sweep"`` gate the
-#: separation and the quartic sweep's two passes over the frames, split by bins.
+#: the layers split by source (the ``|y|^p`` refresh, the activation update, the
+#: scale refresh and the cost) and the basis update (:func:`basis_parts`);
+#: ``"separate"`` and ``"sweep"`` gate the separation and the quartic sweep's two
+#: passes over the frames, split by bins.
 #: Each was measured on whole iterations across problem sizes (CHANGES.md): waking
 #: an idle pool thread costs a few hundred microseconds, which the shares must
 #: outweigh, and the separation, a few multiply-adds per byte, gains least.
@@ -164,9 +166,22 @@ def bin_parts(n_bins: int, n_frames: int, n_sources: int) -> tuple[list[slice], 
     """The quartic sweep's parts and threads: its :func:`bin_blocks` of
     ``BLOCK_ENTRIES // threads`` entries, so the threads hold one block's worth
     between them, and the ``"sweep"`` :func:`_bin_threads`.  On one thread, the
-    blocks of the serial passes."""
+    blocks of the serial passes.  The blocks follow the threads, which only the
+    sweep's per-bin products may: each has its one bin's rows in any block."""
     threads = _bin_threads(n_bins, n_frames * n_sources, "sweep")
     return bin_blocks(n_bins, n_frames, threads), threads
+
+
+def basis_parts(n_bins: int, n_frames: int, n_sources: int) -> tuple[list[slice], int]:
+    """The basis update's blocks and threads.  At or above the ``"sources"``
+    crossover, :func:`bin_blocks` of ``BLOCK_ENTRIES`` entries over all sources, on
+    as many threads as :func:`source_parts` gives parts, so the threads hold at most
+    one serial block's worth between them; below it, the serial blocks, on one
+    thread.  Unlike :func:`bin_parts`, the blocks follow the shape and never the
+    CPUs: each per-source product then has the rows it has on one CPU."""
+    entries = n_bins * n_frames
+    per_bin = n_frames * n_sources if entries >= POOL_CROSSOVER["sources"] else n_frames
+    return bin_blocks(n_bins, per_bin), len(source_parts(n_sources, entries))
 
 
 #: The pool: one queue of work for the life of the process, and how many threads
@@ -415,7 +430,8 @@ def validate_problem(x: MixtureSpectrogram, cfg: GgdConfig) -> ProblemShape:
     Returns the checked ``(I, J, N, K)`` descriptor with ``N = M``
     (determined case), or raises the error for the first violated
     invariant (mixture first, then configuration) with a message listing
-    all violations.
+    all violations.  A usable problem whose mixture is zero everywhere raises
+    :class:`~ggdilrma.errors.SilentMixture`, at every ``beta``.
     """
     violations: list[tuple[type, str]] = []
 
@@ -427,6 +443,8 @@ def validate_problem(x: MixtureSpectrogram, cfg: GgdConfig) -> ProblemShape:
     if shape_ok and not np.all(np.isfinite(x.data)):
         violations.append((NonFiniteInput, "mixture contains NaN/Inf entries"))
     _raise_violations(violations + cfg.violations())
+    if not np.any(x.data):
+        raise SilentMixture(f"mixture of shape {x.data.shape} is zero everywhere")
 
     I, J, M = x.data.shape
     return ProblemShape(n_bins=I, n_frames=J, n_sources=M, n_bases=cfg.n_bases)

@@ -418,9 +418,10 @@ def test_layer_temporaries_stay_block_sized_on_the_pool(monkeypatch, cpus):
     # BLOCK_ENTRIES // parts entries; the separation allocates nothing.
     calls = use_the_pool(monkeypatch, cpus)
     peaks_stay_block_sized()
-    # the separation of its outputs and the quartic sweep's two passes over the
-    # frames; the NMF updates, the scale refresh, the cost and the IP sweep never
-    assert len(calls) == 3
+    # one hand-off per layer call: the separation of its outputs, the scale refresh
+    # (twice: once for the carried field), the two NMF updates, the cost and the
+    # quartic sweep's two passes over the frames; the IP sweep never
+    assert len(calls) == 8
 
 
 def use_the_pool(monkeypatch, cpus):

@@ -207,6 +207,15 @@ def test_wav_cut_short_inside_its_fmt_chunk_exits_2(tmp_path, capsys):
     assert "UnsupportedFormat" in err and len(err.splitlines()) == 1
 
 
+def test_silent_wav_exits_3_and_writes_no_trace_record(tmp_path, capsys):
+    clip, trace = tmp_path / "silent.wav", tmp_path / "t.jsonl"
+    write_wav(str(clip), np.zeros((16000, 2)), 16000)
+    argv = ["separate", "--input", str(clip), "--out-dir", str(tmp_path / "out")]
+    assert main(argv + ["--iters", "2", "--bases", "2", "--trace", str(trace)]) == 3
+    assert "SilentMixture" in capsys.readouterr().err
+    assert not trace.exists() or trace.read_text() == ""
+
+
 #: The README's exit code of every error the CLI can meet.
 EXIT_CODES = {
     "NonFiniteInput": 1,
@@ -220,6 +229,7 @@ EXIT_CODES = {
     "UnsupportedFormat": 2,
     "IoFailure": 2,
     "FileNotFoundError": 2,
+    "SilentMixture": 3,
     "SingularCovariance": 3,
     "SingularDemixing": 3,
 }

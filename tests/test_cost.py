@@ -5,7 +5,8 @@ import pytest
 from reference_contractions import inverse_and_log_det, magnitudes_einsum
 
 from ggdilrma.cost import audit_descent, ggd_cost_arrays
-from ggdilrma.types import GgdConfig, _replace_row
+from ggdilrma.source_model import model_cost_terms
+from ggdilrma.types import GgdConfig, _replace_row, bin_blocks
 
 
 class TestGgdCost:
@@ -21,6 +22,21 @@ class TestGgdCost:
         log_det = np.zeros(1)
         S = np.ones((1, 1, 1))
         assert ggd_cost_arrays(yp, log_det, S, 2.0, 2.0) == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("bins, frames", [(10, 12), (257, 769), (1025, 158)])
+    @pytest.mark.parametrize("beta,p", [(4.0, 0.5), (1.5, 0.5)])
+    def test_per_source_sums_stay_near_one_sum_per_block(self, beta, p, bins, frames, N):
+        # The model terms are summed per source, then over sources; summed over every
+        # source of a block at once, then over blocks, they differ only by roundoff.
+        rng = np.random.default_rng(bins + N)
+        yp = rng.uniform(0.0, 2.0, (N, bins, frames))
+        S = rng.uniform(1.0, 3.0, (N, bins, frames))  # every term positive: no cancellation
+        per_block = 0.0
+        for blk in bin_blocks(bins, frames):
+            per_block += np.sum(model_cost_terms(yp[:, blk], S[:, blk], beta, p))
+        got = ggd_cost_arrays(yp, np.zeros(bins), S, beta, p)
+        assert got == pytest.approx(per_block, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("beta,p", [(2.0, 2.0), (1.0, 0.5), (4.0, 0.5)])
     def test_matches_naive_summation(self, beta, p):

@@ -15,7 +15,7 @@ from ggdilrma import pipeline
 from ggdilrma.benchmark import SAMPLE_RATE, make_test_scene, random_mixture
 from ggdilrma.cost import audit_descent
 from ggdilrma.demix_homogeneous import mixture_gram
-from ggdilrma.errors import DegenerateShape
+from ggdilrma.errors import DegenerateShape, InvalidInput, SilentMixture
 from ggdilrma.types import GgdConfig, ProblemShape
 from ggdilrma.workflows import separate_audio
 
@@ -231,6 +231,24 @@ def test_reference_channel_outside_the_mixture_is_rejected_first(channel, monkey
     cfg = GgdConfig(beta=2.0, domain=2.0, n_bases=2, iterations=2)
     with pytest.raises(DegenerateShape, match="reference channel"):
         pipeline.run(x, cfg, reference_channel=channel)
+
+
+@pytest.mark.parametrize("beta", [4.0, 2.0, 1.5])
+def test_silent_mixture_is_refused_before_any_iteration(beta, monkeypatch):
+    # Left to the updates, beta = 4 would skip every update and return zeros with a
+    # falling cost, and beta <= 2 would raise SingularCovariance from the first sweep.
+    def no_initialize(*args):
+        raise AssertionError("initialize ran on a silent mixture")
+
+    monkeypatch.setattr(pipeline, "initialize", no_initialize)
+    x = random_mixture(33, 20, 2, seed=0)
+    x.data[:] = 0.0
+    cfg = GgdConfig(beta=beta, domain=0.5, n_bases=2, iterations=3)
+    records = []
+    with pytest.raises(SilentMixture, match="zero everywhere") as info:
+        pipeline.run(x, cfg, on_record=records.append)
+    assert not isinstance(info.value, InvalidInput)  # a numerical failure: CLI exit 3
+    assert records == []
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

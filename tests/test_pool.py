@@ -63,9 +63,9 @@ def instance(I, J, N, seed):
     return xd, W, *inverse_and_log_det(W), T, V
 
 
-def layer_outputs(xd, W, W_inv, log_det, T, V):
+def layer_outputs(xd, W, W_inv, log_det, T, V, beta=4.0):
     """Everything the threaded layers return or write, from fresh copies of their
-    inputs."""
+    inputs; ``beta`` is the NMF updates' and the cost's shape, at ``p = 0.5``."""
     S = refresh_scale(T, V, np.empty((T.shape[0], T.shape[1], V.shape[2])))
     y = pipeline.separate(xd, W)
     yp = np.abs(np.moveaxis(y, 2, 0), order="C") ** 0.5
@@ -74,9 +74,9 @@ def layer_outputs(xd, W, W_inv, log_det, T, V):
     return {
         "S": S,
         "y": y,
-        "T": update_bases_arrays(T, V, S, yp, 4.0, 0.5),
-        "V": update_activations_arrays(T, V, yp, 4.0, 0.5),
-        "cost": np.float64(ggd_cost_arrays(yp, log_det, S, 4.0, 0.5)),
+        "T": update_bases_arrays(T, V, S, yp, beta, 0.5),
+        "V": update_activations_arrays(T, V, yp, beta, 0.5),
+        "cost": np.float64(ggd_cost_arrays(yp, log_det, S, beta, 0.5)),
         "W": W_new,
         "W_inv": carried[0],
         "log_det": carried[1],
@@ -95,16 +95,46 @@ def assert_same_bytes(got, ref):
 @pytest.mark.parametrize("cpus", [2, 4])
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_layers_give_the_same_bytes_on_the_pool(monkeypatch, shape, cpus, N):
+    same_bytes_on_the_pool(monkeypatch, shape, cpus, N, 4.0)
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_odd_power_gives_the_same_bytes_on_the_pool(monkeypatch, cpus, N):
+    # beta / p = 3: each part of the NMF updates and the cost squares into one more
+    # buffer of its own (source_model._int_power)
+    same_bytes_on_the_pool(monkeypatch, "above", cpus, N, 1.5)
+
+
+def same_bytes_on_the_pool(monkeypatch, shape, cpus, N, beta):
     state = instance(*SHAPES[shape], N, seed=N)
     set_cpus(monkeypatch, 1)
-    ref = layer_outputs(*state)
+    ref = layer_outputs(*state, beta)
     assert ref["skipped"] == 2 * N  # both degenerate bins, every source
     set_cpus(monkeypatch, cpus)
     pool_use = count_pool_use(monkeypatch)
-    assert_same_bytes(layer_outputs(*state), ref)
-    # separate and the sweep's two passes over the frames, or none of them; the NMF
-    # updates, the scale refresh and the cost never
-    assert len(pool_use) == (3 if shape == "above" else 0)
+    assert_same_bytes(layer_outputs(*state, beta), ref)
+    # one hand-off per layer call: separate, the sweep's two passes over the frames,
+    # the two NMF updates, the scale refresh and the cost, or none of them
+    assert len(pool_use) == (7 if shape == "above" else 0)
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_basis_blocks_do_not_follow_the_cpus(monkeypatch, cpus):
+    # If the basis update's blocks shrank with the threads, OpenBLAS would take
+    # another kernel for their shorter products at 20 bases, and the bases of this
+    # 10 s, 64 ms-window shape would change in their last bits on two CPUs.
+    rng = np.random.default_rng(13)
+    N, I, J = 2, 513, 313
+    T, V = rng.uniform(0.2, 1.5, (N, I, 20)), rng.uniform(0.2, 1.5, (N, 20, J))
+    yp = rng.uniform(0.0, 2.0, (N, I, J))
+    S = refresh_scale(T, V, np.empty((N, I, J)))
+    set_cpus(monkeypatch, 1)
+    ref = update_bases_arrays(T, V, S, yp, 4.0, 0.5)
+    set_cpus(monkeypatch, cpus)
+    pool_use = count_pool_use(monkeypatch)
+    assert update_bases_arrays(T, V, S, yp, 4.0, 0.5).tobytes() == ref.tobytes()
+    assert pool_use
 
 
 @pytest.mark.parametrize("cpus", [2, 4])
