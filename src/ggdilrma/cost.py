@@ -13,13 +13,13 @@ are the ones the pipeline carries beside ``W``: every demixing update
 replaces one row and adds the log of the factor it multiplies ``det W_i``
 by (:func:`~ggdilrma.types._replace_row`), so the cost takes no determinant.
 The model terms are summed over blocks of bins
-(:func:`~ggdilrma.types.bin_blocks`), so their temporaries stay
+(:func:`~ggdilrma.pool.bin_blocks`), so their temporaries stay
 cache-sized: each block's ratio is formed in one new array, and the
 log-scale term is added into it
 (:func:`~ggdilrma.source_model.model_cost_terms`); ``yp`` and ``S`` are not
 modified.  Each source sums its own blocks in order, by source on the
 package's thread pool above the ``"sources"`` crossover
-(:func:`~ggdilrma.types.source_parts`), and the sources' sums are added in
+(:func:`~ggdilrma.pool.source_parts`), and the sources' sums are added in
 order, so the cost is the same on any number of CPUs.  Every update rule in
 the package is expected to leave this non-increasing; :func:`audit_descent`
 lists the iterations of a recorded cost sequence where it rose.
@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .source_model import model_cost_terms
-from .types import bin_blocks, run_parts, source_parts
+from .pool import bin_blocks, run_parts, source_parts
 
 #: Relative slack used when flagging cost increases.
 DESCENT_SLACK = 1e-9

@@ -78,7 +78,7 @@ back, every source skipped.
 :func:`quartic_sweep` runs in three steps, so that numpy's per-call cost is
 paid once per sweep for the small per-bin algebra and its frame-length
 temporaries stay cache-sized.  First, :func:`quartic_majorizer` streams over
-blocks of bins (:func:`~ggdilrma.types.bin_blocks`) for the work that runs
+blocks of bins (:func:`~ggdilrma.pool.bin_blocks`) for the work that runs
 along the frames: ``1 / r^2 = S^(-2/p)``, by the kernel that raises the IP
 weights (:func:`~ggdilrma.source_model._whitened_ratio`), the anchors'
 ``|q~|^2`` and the features of every source's ``A`` and ``C``; then it
@@ -92,8 +92,8 @@ size.  It updates ``W`` only.
 
 The two passes over the frames are per bin, every source at once, so above
 the ``"sweep"`` crossover their blocks run on the package's thread pool
-(:func:`~ggdilrma.types.run_parts`), each block a part
-(:func:`~ggdilrma.types.bin_parts`).  The blocks then hold ``BLOCK_ENTRIES //
+(:func:`~ggdilrma.pool.run_parts`), each block a part
+(:func:`~ggdilrma.pool.bin_parts`).  The blocks then hold ``BLOCK_ENTRIES //
 threads`` entries, so the threads together hold one block's worth at a time,
 and each block writes its bins of the features, ``s4`` and the directions'
 costs, which the caller allocated.  Every per-bin product keeps its ``2N`` (or
@@ -116,7 +116,8 @@ from functools import cache
 import numpy as np
 
 from .source_model import _whitened_ratio
-from .types import EPS_DET, _replace_row, _substitute, bin_blocks, bin_parts, run_parts
+from .pool import bin_blocks, bin_parts, block_threads, run_parts
+from .types import EPS_DET, _replace_row, _substitute
 
 
 @cache
@@ -128,14 +129,21 @@ def _pairs(M: int):
 def mixture_gram(xd: np.ndarray) -> np.ndarray:
     """Real features ``(I, M**2, J)`` of the outer products ``x_j x_j^H``:
     ``|x_m|^2`` for each channel, then ``Re`` and then ``Im`` of
-    ``x_m conj(x_m')`` for each pair ``m < m'`` in row-major order."""
+    ``x_m conj(x_m')`` for each pair ``m < m'`` in row-major order.  Formed by
+    blocks of bins, on the thread pool above the ``"blocks"`` crossover."""
     I, J, M = xd.shape
     rows, cols = _pairs(M)
     gram = np.empty((I, M * M, J))
-    for blk in bin_blocks(I, J):
+
+    def part(blk):
         xt = xd[blk].transpose(0, 2, 1)
         cross = xt[:, rows] * xt[:, cols].conj()
-        gram[blk] = np.concatenate([xt.real**2 + xt.imag**2, cross.real, cross.imag], axis=1)
+        g = gram[blk]
+        np.add(xt.real**2, xt.imag**2, out=g[:, :M])
+        g[:, M : M + len(rows)] = cross.real
+        g[:, M + len(rows) :] = cross.imag
+
+    run_parts(part, bin_blocks(I, J), block_threads(I, J * M, "blocks"))
     return gram
 
 
@@ -194,7 +202,7 @@ def quartic_majorizer(gram: np.ndarray, yd, W, S, domain: float):
         fc[blk] = np.sum(aq2, axis=2).T[:, None, :] * fa[blk] + feat[..., N:]  # ||q~||^2 A + ...
         s4[:, blk] = np.vecdot(aq2, aq2)
 
-    run_parts(frame_pass, *bin_parts(I, J, N))
+    run_parts(frame_pass, *bin_parts(I, J, N, "sweep"))
     good = np.isfinite(s4) & (s4 > 0.0)
     denom = np.sqrt(J * np.where(good, s4, 1.0))
     # Then every G over all bins at once.
@@ -283,7 +291,7 @@ def quartic_sweep(gram: np.ndarray, yd, W, S, domain: float, W_inv, log_det):
         a2 *= _whitened_ratio(1.0, S[:, blk], 2.0, domain, out=inv_r2)  # over r^2
         s4_dir[:, blk] = np.vecdot(a2, a2)
 
-    run_parts(cost_pass, *bin_parts(I, J, N))
+    run_parts(cost_pass, *bin_parts(I, J, N, "sweep"))
     # A good majorizer whose direction has no finite positive cost: the whole bin
     # returns to its entry state.
     restored = np.any(good & ~(np.isfinite(s4_dir) & (s4_dir > 0.0)), axis=0)

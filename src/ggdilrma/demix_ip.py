@@ -15,16 +15,22 @@ coordinate-descent update::
 At ``beta = p = 2`` this is exactly the Itakura-Saito variant.  Frequency
 bins are independent; within one bin the sources are updated sequentially
 against the freshest demixing matrix.  The sweep runs in two phases.  First
-it streams over blocks of bins (:func:`~ggdilrma.types.bin_blocks`), so its
-frame-length temporaries stay cache-sized, and forms every source's weights
-and weighted factor ``R`` (below) at once: no source's weights read another
-source's row.  A singular covariance is raised there, at the first (block,
-source) that has one, before any row changes.  Then it updates the sources
-in turn, each over all bins at once, so numpy's per-call cost is paid once
-per source, not once per block: the solve, the norm check and the
-write-back.  An update that would make ``W_i`` singular is raised at the
-lowest such bin of the source being updated.  Both errors name the bin in
-the whole problem, and the result does not depend on the block size.
+it streams over blocks of bins (:func:`~ggdilrma.pool.bin_blocks`), so its
+frame-length temporaries stay cache-sized, and forms every source's weights,
+weighted factor ``R`` (below) and ``det F`` at once: no source's weights read
+another source's row.  Above the ``"blocks"`` crossover the blocks run on the
+package's thread pool (:func:`~ggdilrma.pool.run_parts`), with
+``BLOCK_ENTRIES // threads`` entries each (:func:`~ggdilrma.pool.bin_parts`),
+so the threads hold one serial block's worth between them; every per-bin
+product is the same in any block.  A singular covariance is raised after the
+blocks, at the first (block, source) of the serial blocks that has one, so
+the error does not depend on the number of CPUs either, and before any row
+changes.  Then it updates the sources in turn, each over all bins at once,
+on the calling thread, so numpy's per-call cost is paid once per source, not
+once per block: the solve, the norm check and the write-back.  An update
+that would make ``W_i`` singular is raised at the lowest such bin of the
+source being updated.  Both errors name the bin in the whole problem, and
+the result does not depend on the block size.
 ``S = T V`` is the scale field the pipeline carries, formed once per
 factor update (:func:`~ggdilrma.source_model.refresh_scale`), and only
 ``W`` is updated: source ``n``'s weights read ``y_n`` alone, the output of
@@ -81,7 +87,8 @@ import numpy as np
 
 from .errors import SingularCovariance, SingularDemixing, UnsupportedBeta
 from .source_model import _whitened_ratio
-from .types import EPS_DET, EPS_Y, _replace_row, _substitute, bin_blocks
+from .pool import bin_blocks, bin_parts, run_parts
+from .types import EPS_DET, EPS_Y, _replace_row, _substitute
 
 
 def _ip_weights(yp, S, beta, domain):
@@ -144,15 +151,20 @@ def ip_sweep(xd, yp, W, S, beta: float, domain: float, W_inv, log_det):
     I, J, N = xd.shape
     # Frame-length work per block: every source's weights and factor at once.
     R = np.empty((N, I, N, N), dtype=np.complex128)
-    for blk in bin_blocks(I, J):
+    det_f = np.empty((N, I))
+
+    def factor(blk):
         wgt = _ip_weights(yp[:, blk], S[:, blk], beta, domain)
         wgt *= beta / (2.0 * J)
         R[:, blk] = Rb = _weighted_factor(xd[blk], wgt)
-        det_f = np.prod(Rb.diagonal(axis1=2, axis2=3).real, axis=2) ** 2  # (N, b)
-        for n in range(N):
-            if np.any(det_f[n] <= EPS_DET):
-                bad = blk.start + int(np.argmin(det_f[n]))
-                raise SingularCovariance(f"weighted covariance singular at bin {bad}, source {n}")
+        det_f[:, blk] = np.prod(Rb.diagonal(axis1=2, axis2=3).real, axis=2) ** 2
+
+    run_parts(factor, *bin_parts(I, J, N, "blocks"))
+    singular = det_f <= EPS_DET
+    if np.any(singular):  # named by the serial blocks, on any number of CPUs
+        blk, n = next((b, n) for b in bin_blocks(I, J) for n in range(N) if np.any(singular[n, b]))
+        bad = blk.start + int(np.argmin(det_f[n, blk]))
+        raise SingularCovariance(f"weighted covariance singular at bin {bad}, source {n}")
     # The per-bin solves, once per source over all bins, against the freshest W^{-1}.
     for n in range(N):
         w, z = _substitute(R[n], W_inv[:, :, n])

@@ -33,14 +33,17 @@ identity and zero.  Each sweep keeps them in step as it replaces rows
 the cost reads the log-determinants and back-projection reads a row of the
 inverse, and a separation makes no LAPACK call.
 
-Every layer but the IP sweep splits its work on the package's thread pool
-(:func:`~ggdilrma.types.run_parts`), above its measured crossover and only
-where the process may run on more than one CPU: :func:`separate`, the quartic
-sweep's passes over the frames and the basis update by bins; the refresh of
-``|y|^p``, the activation update, the scale refresh and the cost by source.
-The parts run inside the layer calls, so every layer is entered and left on
-the thread that called :func:`run`, and the run's bytes do not depend on the
-number of CPUs.
+Every layer splits its work on the package's thread pool
+(:func:`~ggdilrma.pool.run_parts`), above its measured crossover and only
+where the process may run on more than one CPU: :func:`separate`,
+:func:`back_project`, the mixture's features, the IP sweep's weights and
+factors, the quartic sweep's passes over the frames and the basis update by
+bins; ``|x|^p`` in :func:`initialize`, the refresh of ``|y|^p``, the
+activation update, the scale refresh and the cost by source.  Only the
+sweeps' per-bin algebra and the IP sweep's per-source solves stay on the
+calling thread.  The parts run inside the layer calls, so every layer is
+entered and left on the thread that called :func:`run`, and the run's bytes
+do not depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from .cost import ggd_cost_arrays
 from .demix_homogeneous import mixture_gram, quartic_sweep
 from .demix_ip import ip_sweep
 from .errors import DegenerateShape
+from .pool import bin_ranges, run_parts, source_parts
 from .source_model import refresh_scale, update_activations_arrays, update_bases_arrays
 from .types import (
     EPS_NMF,
@@ -64,9 +68,6 @@ from .types import (
     ProblemShape,
     SourceSpectrogram,
     TraceRecord,
-    bin_ranges,
-    run_parts,
-    source_parts,
     validate_problem,
 )
 
@@ -108,9 +109,22 @@ def initialize(cfg: GgdConfig, shape: ProblemShape, xd: np.ndarray):
     # W^-1 = I, laid out bins last so that types._replace_row runs along the bins
     W_inv = np.tile(np.eye(N, dtype=np.complex128)[:, :, None], I).transpose(2, 0, 1)
     S = refresh_scale(T, V, np.empty((N, I, J)))
-    yp = np.abs(np.moveaxis(xd, 2, 0), order="C")
-    yp **= cfg.domain
+    yp = _powered_magnitudes(np.moveaxis(xd, 2, 0), cfg.domain, np.empty((N, I, J)))
     return W, T, V, W_inv, np.zeros(I), S, yp
+
+
+def _powered_magnitudes(y: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
+    """Write ``|y|^p`` of the outputs ``y`` ``(N, I, J)`` into ``out`` and return it,
+    by source on the thread pool (:func:`~ggdilrma.pool.source_parts`)."""
+
+    def part(ns):
+        out_ns = out[ns]
+        np.abs(y[ns], out=out_ns)
+        out_ns **= p
+
+    N, I, J = out.shape
+    run_parts(part, source_parts(N, I * J))
+    return out
 
 
 def separate(xd: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -120,7 +134,7 @@ def separate(xd: np.ndarray, W: np.ndarray) -> np.ndarray:
     of an ``(N, I, J)`` array, so ``np.moveaxis(y, 2, 0)`` is C-contiguous and
     each source's ``y[:, :, n]`` is one contiguous ``(I, J)`` slab.  No BLAS call
     takes that layout, so numpy runs one loop over all bins instead of one BLAS
-    call per bin: over each range of bins of :func:`~ggdilrma.types.bin_ranges`,
+    call per bin: over each range of bins of :func:`~ggdilrma.pool.bin_ranges`,
     one range per part on the thread pool, whose per-bin products are the same.
     """
     I, J, _ = xd.shape
@@ -141,9 +155,18 @@ def back_project(yd: np.ndarray, W_inv: np.ndarray, reference_channel: int = 0) 
     ``y_hat[i, j, n] = W_inv[i, ref, n] * y[i, j, n]`` with ``W_inv`` the carried
     ``W^{-1}``; summing the result over sources reconstructs the reference
     channel of the observation.  The result is C-contiguous ``(I, J, N)`` whatever
-    the layout of ``yd``.
+    the layout of ``yd``; its ranges of bins (:func:`~ggdilrma.pool.bin_ranges`, at
+    the separation's crossover) are multiplied one per part on the thread pool.
     """
-    return np.multiply(yd, W_inv[:, None, reference_channel, :], order="C")
+    I, J, N = yd.shape
+    projected = np.empty((I, J, N), dtype=np.result_type(yd, W_inv))
+    scale = W_inv[:, None, reference_channel, :]
+
+    def part(bins):
+        np.multiply(yd[bins], scale[bins], out=projected[bins])
+
+    run_parts(part, bin_ranges(I, J * N, "separate"))
+    return projected
 
 
 def iteration_step(xd, W, T, V, cfg: GgdConfig, gram: Optional[np.ndarray], W_inv, log_det, S, yp):
@@ -170,16 +193,7 @@ def iteration_step(xd, W, T, V, cfg: GgdConfig, gram: Optional[np.ndarray], W_in
     else:
         # [::3] keeps W and the skip count; the anchor outputs are dropped.
         W, skipped = quartic_sweep(gram, separate(xd, W), W, S, p, W_inv, log_det)[::3]
-    y = np.moveaxis(separate(xd, W), 2, 0)
-
-    def refresh(ns):  # |y|^p of the new W, in place, for the sources ns
-        yp_ns = yp[ns]
-        np.abs(y[ns], out=yp_ns)
-        yp_ns **= p
-
-    N, I, J = yp.shape
-    run_parts(refresh, source_parts(N, I * J))
-    del y
+    _powered_magnitudes(np.moveaxis(separate(xd, W), 2, 0), p, yp)  # of the new W
     T = update_bases_arrays(T, V, S, yp, beta, p)
     V = update_activations_arrays(T, V, yp, beta, p)
     refresh_scale(T, V, S)

@@ -18,7 +18,7 @@ and ``v`` (and the frame/bin sums) exchanged.  One sweep of both updates
 never increases the negative log-likelihood for a fixed demixing system.
 
 Both updates stream over blocks of frequency bins
-(:func:`~ggdilrma.types.bin_blocks`), so the ratio terms are formed one
+(:func:`~ggdilrma.pool.bin_blocks`), so the ratio terms are formed one
 cache-sized block at a time: the bases of a block depend on that block
 alone, and the activations' bin sums are accumulated block by block.  The
 pipeline carries the full scale field ``S = T V``, which
@@ -45,10 +45,10 @@ of the out-of-place form, so the bits are the same.
 
 No source's factors read another source's, so above the ``"sources"``
 crossover both updates and :func:`refresh_scale` run on the package's thread
-pool (:func:`~ggdilrma.types.run_parts`).  The activation update and
-:func:`refresh_scale` split by source (:func:`~ggdilrma.types.source_parts`),
+pool (:func:`~ggdilrma.pool.run_parts`).  The activation update and
+:func:`refresh_scale` split by source (:func:`~ggdilrma.pool.source_parts`),
 each source going over the blocks in order.  The basis update splits by
-blocks of bins, every source in each (:func:`~ggdilrma.types.basis_parts`);
+blocks of bins, every source in each (:func:`~ggdilrma.pool.basis_parts`);
 its blocks then hold ``BLOCK_ENTRIES`` entries over all sources on any number
 of CPUs, because a BLAS may pick its kernel by a product's rows (OpenBLAS does
 at 60 rows or fewer for 20 bases), and blocks that shrank with the threads
@@ -68,13 +68,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .types import EPS_NMF, EPS_Y, basis_parts, bin_blocks, run_parts, source_parts
+from .pool import basis_parts, bin_blocks, run_parts, source_parts
+from .types import EPS_NMF, EPS_Y
 
 
 def refresh_scale(T: np.ndarray, V: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Write the scale field ``S = T V`` ``(N, I, J)`` into ``S``, one block of bins at
     a time, with the ``T[:, blk] @ V`` product the updates form, by source on the
-    thread pool (:func:`~ggdilrma.types.source_parts`); returns ``S``."""
+    thread pool (:func:`~ggdilrma.pool.source_parts`); returns ``S``."""
     N, I, J = S.shape
 
     def part(ns):
@@ -131,7 +132,7 @@ def _whitened_ratio(yp, S: np.ndarray, beta: float, domain: float, out=None) -> 
 def update_bases_arrays(T, V, S, yp, beta, domain):
     """Multiplicative update of every basis matrix, from the scale field ``S = T V``
     and ``yp = |y|^p``, both ``(N, I, J)``, by blocks of bins with every source in
-    each, one block per part on the thread pool (:func:`~ggdilrma.types.basis_parts`).
+    each, one block per part on the thread pool (:func:`~ggdilrma.pool.basis_parts`).
 
     Returns:
         The new bases, shaped as ``T`` and floored at ``EPS_NMF``; ``T``, ``V``,
@@ -157,7 +158,7 @@ def update_bases_arrays(T, V, S, yp, beta, domain):
 def update_activations_arrays(T, V, yp, beta, domain):
     """Multiplicative update of every activation matrix from ``yp = |y|^p``
     ``(N, I, J)``; sums run over bins, block by block, by source on the thread pool
-    (:func:`~ggdilrma.types.source_parts`).
+    (:func:`~ggdilrma.pool.source_parts`).
 
     Returns:
         The new activations, shaped as ``V`` and floored at ``EPS_NMF``;

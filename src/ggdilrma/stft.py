@@ -10,6 +10,19 @@ holds exactly for every interior sample.  Signals are zero-padded by
 by a full set of frames.  Each frame is transformed at its own length, so
 spectra are one-sided with ``I = frame_len/2 + 1`` bins; conjugate
 symmetry is restored at synthesis.
+
+Both directions transform blocks of frames (:func:`~ggdilrma.pool.bin_blocks`
+along the frames), on the package's thread pool above the ``"blocks"``
+crossover (:func:`~ggdilrma.pool.run_parts`): :func:`stft` writes each
+block's spectra straight into the ``(I, J, C)`` result, and :func:`istft`
+writes each block's windowed frames into one ``(C, J, L)`` buffer.  numpy's
+FFT transforms every frame on its own, so the blocks give the bytes of one
+batch on any number of CPUs.  The overlap-add then takes one vector add per
+hop-long segment of the frames, by channel on the pool: output block ``b``
+takes segment ``k`` of frame ``b - k``, and the segments are added from the
+last to the first, so every sample adds its frames' terms in the order of
+the frames, for any hop.  :func:`istft` returns a ``(length, C)`` view of a
+channels-first buffer, so each channel's samples are contiguous.
 """
 
 from __future__ import annotations
@@ -20,6 +33,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ShapeMismatch, SignalTooShort
+from .pool import bin_blocks, block_threads, run_parts, source_parts
 from .types import MixtureSpectrogram, SourceSpectrogram
 
 
@@ -105,13 +119,17 @@ def stft(signal: np.ndarray, plan: StftPlan, sample_rate: int) -> MixtureSpectro
 
     J = n_frames_for(plan, n_samples)
     total = (J - 1) * hop + L
-    padded = np.zeros((total, n_channels))
-    padded[plan.pad : plan.pad + n_samples] = signal
+    padded = np.zeros((n_channels, total))  # channels first, so each frame is contiguous
+    padded[:, plan.pad : plan.pad + n_samples] = signal.T
 
-    frames = np.lib.stride_tricks.sliding_window_view(padded, L, axis=0)[::hop]
-    # frames: (J, C, L) -> windowed rfft along the last axis
-    spec = np.fft.rfft(frames * plan.window, axis=-1)
-    data = np.ascontiguousarray(spec.transpose(2, 0, 1))  # (I, J, C)
+    frames = np.lib.stride_tricks.sliding_window_view(padded, L, axis=1)[:, ::hop]  # (C, J, L)
+    data = np.empty((plan.n_bins, J, n_channels), dtype=np.complex128)
+
+    def analyze(js):  # the windowed rfft of the frames js, into their columns of data
+        np.fft.rfft(frames[:, js] * plan.window, axis=-1, out=data[:, js].transpose(2, 1, 0))
+
+    threads = block_threads(J, n_channels * plan.n_bins, "blocks")
+    run_parts(analyze, bin_blocks(J, n_channels * L), threads)
     return MixtureSpectrogram(
         data=data, sample_rate=sample_rate, frame_len=L, hop_len=hop
     )
@@ -127,18 +145,34 @@ def istft(
     Inverse of :func:`stft` up to the padded boundary region: the interior
     of a round trip reproduces the input to near machine precision.
     """
-    data = spec.data if hasattr(spec, "data") else np.asarray(spec)
+    if isinstance(spec, (MixtureSpectrogram, SourceSpectrogram)):
+        spec = spec.data
+    data = np.asarray(spec)
     if data.ndim != 3:
         raise ShapeMismatch(f"spectrogram must be (I, J, C), got {data.ndim}-d")
     I, J, C = data.shape
     if I != plan.n_bins:
         raise ShapeMismatch(f"{I} bins incompatible with frame_len {plan.frame_len}")
 
-    frames = np.fft.irfft(data.transpose(1, 2, 0), n=plan.frame_len, axis=-1)  # (J,C,L)
-    frames *= plan.synthesis_window
-    total = (J - 1) * plan.hop + plan.frame_len
-    out = np.zeros((max(total, plan.pad + length), C))  # zeros past the last frame
-    for j in range(J):
-        start = j * plan.hop
-        out[start : start + plan.frame_len] += frames[j].T
-    return out[plan.pad : plan.pad + length]
+    L, hop = plan.frame_len, plan.hop
+    frames = np.empty((C, J, L))
+
+    def synthesize(js):  # the windowed irfft of the frames js
+        np.fft.irfft(data[:, js].transpose(2, 1, 0), n=L, axis=-1, out=frames[:, js])
+        frames[:, js] *= plan.synthesis_window
+
+    run_parts(synthesize, bin_blocks(J, C * L), block_threads(J, C * I, "blocks"))
+    # Overlap-add: hop-long block b of the output sums segment k of frame b - k for
+    # every k, in the order of the frames, so the segments are added from the last
+    # (k = phases - 1) to the first, each with one add over all frames at once.
+    phases = -(-L // hop)
+    n_hops = max(J + phases - 1, -(-(plan.pad + length) // hop))
+    out = np.zeros((C, n_hops, hop))  # zeros past the last frame
+
+    def overlap_add(cs):
+        for k in reversed(range(phases)):
+            seg = min(hop, L - k * hop)
+            out[cs, k : k + J, :seg] += frames[cs, :, k * hop : k * hop + seg]
+
+    run_parts(overlap_add, source_parts(C, J * L))
+    return out.reshape(C, -1)[:, plan.pad : plan.pad + length].T

@@ -1,7 +1,7 @@
 """Block streaming over frequency bins and the integer-power ratio.
 
 The per-iteration layers run over blocks of bins sized by
-``types.BLOCK_ENTRIES``.  The demixing sweeps are per-bin, so their result
+``pool.BLOCK_ENTRIES``.  The demixing sweeps are per-bin, so their result
 must not depend on the block size at all, and only their work along the
 frames runs per block: their small per-bin algebra runs once over all bins,
 however many blocks there are.  The NMF updates and the cost sum over
@@ -22,11 +22,12 @@ import pytest
 from reference_contractions import inverse_and_log_det
 from reference_nmf import scale_field
 
-from ggdilrma import demix_homogeneous, demix_ip, pipeline, types
+from ggdilrma import demix_homogeneous, demix_ip, pipeline, pool
 from ggdilrma.cost import ggd_cost_arrays
 from ggdilrma.demix_homogeneous import mixture_gram, quartic_sweep
 from ggdilrma.demix_ip import ip_sweep
 from ggdilrma.errors import SingularCovariance, SingularDemixing
+from ggdilrma.pool import bin_blocks
 from ggdilrma.source_model import (
     _int_power,
     _whitened_ratio,
@@ -35,7 +36,7 @@ from ggdilrma.source_model import (
     update_activations_arrays,
     update_bases_arrays,
 )
-from ggdilrma.types import EPS_Y, GgdConfig, MixtureSpectrogram, ProblemShape, bin_blocks
+from ggdilrma.types import EPS_Y, GgdConfig, MixtureSpectrogram, ProblemShape
 
 RTOL = 1e-12
 I, J, K = 10, 12, 3
@@ -45,7 +46,7 @@ BLOCK_BINS = pytest.mark.parametrize("bins", [1, 3, I])
 
 
 def set_block_bins(monkeypatch, bins):
-    monkeypatch.setattr(types, "BLOCK_ENTRIES", bins * J)
+    monkeypatch.setattr(pool, "BLOCK_ENTRIES", bins * J)
 
 
 def instance(N, seed, silent_bin=None):
@@ -89,7 +90,7 @@ def whole(fn, monkeypatch):
     ],
 )
 def test_bin_blocks_cover_every_bin_once(monkeypatch, n_bins, frames, budget, lengths):
-    monkeypatch.setattr(types, "BLOCK_ENTRIES", budget)
+    monkeypatch.setattr(pool, "BLOCK_ENTRIES", budget)
     blocks = bin_blocks(n_bins, frames)
     assert sorted(b.stop - b.start for b in blocks) == sorted(lengths)
     assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(n_bins))
@@ -415,27 +416,29 @@ def test_layer_temporaries_stay_block_sized():
 @pytest.mark.parametrize("cpus", [2, 4])
 def test_layer_temporaries_stay_block_sized_on_the_pool(monkeypatch, cpus):
     # Each part of the quartic sweep's passes holds its bin range's blocks of
-    # BLOCK_ENTRIES // parts entries; the separation allocates nothing.
+    # BLOCK_ENTRIES // parts entries, and each part of the IP sweep's factors one
+    # serial block; the separation allocates nothing.
     calls = use_the_pool(monkeypatch, cpus)
     peaks_stay_block_sized()
     # one hand-off per layer call: the separation of its outputs, the scale refresh
-    # (twice: once for the carried field), the two NMF updates, the cost and the
-    # quartic sweep's two passes over the frames; the IP sweep never
-    assert len(calls) == 8
+    # (twice: once for the carried field), the mixture's features, the two NMF
+    # updates, the cost, the quartic sweep's two passes over the frames and both IP
+    # sweeps' factors
+    assert len(calls) == 11
 
 
 def use_the_pool(monkeypatch, cpus):
     """Let the process run on ``cpus`` CPUs; returns a list that gains an entry each
     time a layer hands parts to the pool."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    calls, tasks = [], types._tasks
-    monkeypatch.setattr(types, "_tasks", lambda: calls.append(1) or tasks())
+    calls, tasks = [], pool._tasks
+    monkeypatch.setattr(pool, "_tasks", lambda: calls.append(1) or tasks())
     return calls
 
 
 def peaks_stay_block_sized():
     frames = 256
-    bins = 8 * (types.BLOCK_ENTRIES // frames) + 1
+    bins = 8 * (pool.BLOCK_ENTRIES // frames) + 1
     assert len(bin_blocks(bins, frames)) >= 8
     rng = np.random.default_rng(8)
     N = 2

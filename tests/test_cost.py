@@ -5,8 +5,9 @@ import pytest
 from reference_contractions import inverse_and_log_det, magnitudes_einsum
 
 from ggdilrma.cost import audit_descent, ggd_cost_arrays
+from ggdilrma.pool import bin_blocks
 from ggdilrma.source_model import model_cost_terms
-from ggdilrma.types import GgdConfig, _replace_row, bin_blocks
+from ggdilrma.types import GgdConfig, _replace_row
 
 
 class TestGgdCost:

@@ -24,7 +24,7 @@ from reference_quartic import (
     quartic_update_filter,
 )
 
-from ggdilrma import demix_homogeneous, types
+from ggdilrma import demix_homogeneous, pool
 from ggdilrma.demix_homogeneous import _cholesky, mixture_gram, quartic_majorizer, quartic_sweep
 
 
@@ -366,10 +366,10 @@ class TestQuarticUpdateFilter:
         # on the pool, under the caller's errstate, and every warning an error:
         # bin 4's update alone is skipped there too.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setitem(types.POOL_CROSSOVER, "sweep", 1)
-        monkeypatch.setattr(types, "BLOCK_ENTRIES", 2 * 12)  # 12 frames
-        calls, tasks = [], types._tasks
-        monkeypatch.setattr(types, "_tasks", lambda: calls.append(1) or tasks())
+        monkeypatch.setitem(pool.POOL_CROSSOVER, "sweep", 1)
+        monkeypatch.setattr(pool, "BLOCK_ENTRIES", 2 * 12)  # 12 frames
+        calls, tasks = [], pool._tasks
+        monkeypatch.setattr(pool, "_tasks", lambda: calls.append(1) or tasks())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             self.test_non_finite_scale_skips_only_its_source(N)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ggdilrma import cli, pipeline, types, workflows
+from ggdilrma import cli, pipeline, pool, workflows
 from ggdilrma.benchmark import random_mixture
 from ggdilrma.demix_homogeneous import mixture_gram
 from ggdilrma.types import GgdConfig, ProblemShape
@@ -87,13 +87,13 @@ def check_positions(monkeypatch, N):
 
 def test_wrapped_layers_stay_on_the_calling_thread_with_the_pool(monkeypatch):
     # The tracer's span stack is not thread-safe, so every wrapped layer must be
-    # entered and left on the calling thread, inside its iteration step: the pool's
+    # entered and left on the calling thread, the STFT and the iSTFT too: the pool's
     # threads run only the layers' own unwrapped parts.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    calls, tasks = [], types._tasks
-    monkeypatch.setattr(types, "_tasks", lambda: calls.append(1) or tasks())
-    I, J, K = 257, 769, 2  # every threaded layer above its crossover
-    x = random_mixture(I, J, 2, seed=6)
+    calls, tasks = [], pool._tasks
+    monkeypatch.setattr(pool, "_tasks", lambda: calls.append(1) or tasks())
+    K = 2  # 768 hops of 16 ms: 769 frames of 257 bins, every threaded layer above its crossover
+    samples = np.random.default_rng(6).standard_normal((768 * 256, 2))
     for beta in (4.0, 2.0):
         tracer = load_layers(monkeypatch).Tracer()
         threads = []
@@ -103,14 +103,17 @@ def test_wrapped_layers_stay_on_the_calling_thread_with_the_pool(monkeypatch):
                 threading.get_ident()) or f(arg))
         tracer.install(MODULES)
         try:
-            pipeline.run(x, GgdConfig(beta=beta, domain=0.5, n_bases=K, iterations=2, seed=6))
+            cfg = GgdConfig(beta=beta, domain=0.5, n_bases=K, iterations=2, seed=6)
+            workflows.separate_audio(samples, 16000, cfg, win_ms=32.0, hop_ms=16.0)
         finally:
             tracer.uninstall()
         assert set(threads) == {threading.get_ident()}
         layers = load_layers(monkeypatch)
         names = [span.name for span in tracer.spans]
         loose = [s.name for k, s in enumerate(tracer.spans) if not layers.in_loop(tracer.spans, k)]
-        # outside the two steps: the steps, then the final separation and back-projection
-        assert loose == [layers.ITERATION] * 2 + ["pipeline.separate", "pipeline.back_project"]
+        # outside the two steps: the STFT, the steps, then the final separation, the
+        # back-projection and the iSTFT
+        assert loose == ["stft.stft", *[layers.ITERATION] * 2, "pipeline.separate",
+                         "pipeline.back_project", "stft.istft"]
         assert names.count("pipeline.separate") == (5 if beta == 4.0 else 3)
     assert calls

@@ -3,7 +3,7 @@ errstate and exceptions, and a forked child.
 
 The pool is switched by the CPU set the process may run on, as a user does with
 ``taskset``: the tests replace ``os.sched_getaffinity``.  The shapes sit on
-both sides of the crossovers (``types.POOL_CROSSOVER``), so the layers run as
+both sides of the crossovers (``pool.POOL_CROSSOVER``), so the layers run as
 one part below them and as parts on the pool above them, where the tests check
 that the pool was given work.
 """
@@ -19,11 +19,15 @@ import numpy as np
 import pytest
 from reference_contractions import inverse_and_log_det
 
-from ggdilrma import pipeline, types
+from ggdilrma import pipeline, pool
 from ggdilrma.cost import ggd_cost_arrays
 from ggdilrma.demix_homogeneous import mixture_gram, quartic_sweep
+from ggdilrma.demix_ip import ip_sweep
+from ggdilrma.errors import SingularCovariance
+from ggdilrma.pool import run_parts
 from ggdilrma.source_model import refresh_scale, update_activations_arrays, update_bases_arrays
-from ggdilrma.types import GgdConfig, MixtureSpectrogram, run_parts
+from ggdilrma.stft import StftPlan, istft, stft
+from ggdilrma.types import GgdConfig, MixtureSpectrogram, ProblemShape, SourceSpectrogram
 
 #: (bins, frames): below every crossover, and above all three at every N here:
 #: each source holds 197633 entries, and the bins two ranges' worth or more of the
@@ -40,13 +44,13 @@ def set_cpus(monkeypatch, n):
 def count_pool_use(monkeypatch):
     """A list that gains an entry each time a layer hands parts to the pool."""
     calls = []
-    tasks = types._tasks
+    tasks = pool._tasks
 
     def counted():
         calls.append(1)
         return tasks()
 
-    monkeypatch.setattr(types, "_tasks", counted)
+    monkeypatch.setattr(pool, "_tasks", counted)
     return calls
 
 
@@ -114,9 +118,73 @@ def same_bytes_on_the_pool(monkeypatch, shape, cpus, N, beta):
     set_cpus(monkeypatch, cpus)
     pool_use = count_pool_use(monkeypatch)
     assert_same_bytes(layer_outputs(*state, beta), ref)
-    # one hand-off per layer call: separate, the sweep's two passes over the frames,
-    # the two NMF updates, the scale refresh and the cost, or none of them
-    assert len(pool_use) == (7 if shape == "above" else 0)
+    # one hand-off per layer call: separate, the mixture's features, the sweep's two
+    # passes over the frames, the two NMF updates, the scale refresh and the cost, or
+    # none of them
+    assert len(pool_use) == (8 if shape == "above" else 0)
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+@pytest.mark.parametrize("N", [2, 3])
+def test_setup_and_synthesis_give_the_same_bytes_on_the_pool(monkeypatch, cpus, N):
+    # A separation's once-per-run layers, on a signal whose STFT has the "above"
+    # shape, and the IP sweep at beta = 1.5, whose weights read |y|^p.
+    plan = StftPlan.hamming(2 * (SHAPES["above"][0] - 1), SHAPES["above"][0] - 1)
+    signal = np.random.default_rng(N).standard_normal(((SHAPES["above"][1] - 1) * plan.hop, N))
+
+    def outputs():
+        xd = stft(signal, plan, 16000).data
+        I, J, _ = xd.shape
+        cfg = GgdConfig(beta=1.5, domain=0.5, n_bases=K, seed=N)
+        W, T, V, W_inv, log_det, S, yp = pipeline.initialize(cfg, ProblemShape(I, J, N, K), xd)
+        got = {"x": xd, "T": T, "V": V, "S": S, "yp": yp, "gram": mixture_gram(xd)}
+        got["W"] = ip_sweep(xd, yp, W, S, cfg.beta, cfg.domain, W_inv, log_det)
+        got["W_inv"], got["log_det"] = W_inv, log_det
+        got["sources"] = pipeline.back_project(pipeline.separate(xd, W), W_inv, N - 1)
+        # past the frames' last sample, as the CLI asks for the input's length
+        length = len(signal) + plan.frame_len
+        got["samples"] = istft(SourceSpectrogram(got["sources"]), plan, length)
+        return got
+
+    set_cpus(monkeypatch, 1)
+    ref = outputs()
+    assert ref["x"].shape == (*SHAPES["above"], N)
+    set_cpus(monkeypatch, cpus)
+    pool_use = count_pool_use(monkeypatch)
+    assert_same_bytes(outputs(), ref)
+    # the STFT, the scale refresh and |x|^p of initialize, the mixture's features,
+    # the IP sweep's factors, separate, back_project, and the iSTFT's transforms and
+    # its overlap-add
+    assert len(pool_use) == 9
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_ip_singular_covariance_is_named_by_the_serial_blocks_on_the_pool(monkeypatch, cpus):
+    # Source 1's covariance is singular at the first bin of the second serial block,
+    # source 0's at its last: on one CPU the block names source 0.  On the pool the
+    # blocks are cut smaller, and the two bins fall in different parts; the sweep
+    # still names the serial block's first source, and changes no row.
+    I, J = SHAPES["above"]
+    rng = np.random.default_rng(2)
+    xd = rng.standard_normal((I, J, 2)) + 1j * rng.standard_normal((I, J, 2))
+    W = np.tile(np.eye(2, dtype=complex), (I, 1, 1))
+    W_inv, log_det = W.copy(), np.zeros(I)
+    T, V = rng.uniform(0.2, 1.5, (2, I, K)), rng.uniform(0.2, 1.5, (2, K, J))
+    S = refresh_scale(T, V, np.empty((2, I, J)))
+    blk = pool.bin_blocks(I, J)[1]
+    S[1, blk.start] = S[0, blk.stop - 1] = 1e20  # the weights vanish there
+    yp = np.abs(np.moveaxis(xd, 2, 0), order="C") ** 0.5
+    set_cpus(monkeypatch, cpus)
+    parts = pool.bin_parts(I, J, 2, "blocks")[0]
+    part_of = [k for k, p in enumerate(parts) for _ in range(p.start, p.stop)]
+    assert (part_of[blk.start] != part_of[blk.stop - 1]) == (cpus > 1)
+    state = W.copy(), W_inv.copy(), log_det.copy()
+    pool_use = count_pool_use(monkeypatch)
+    with pytest.raises(SingularCovariance, match=rf"at bin {blk.stop - 1}, source 0$"):
+        ip_sweep(xd, yp, state[0], S, 1.5, 0.5, *state[1:])
+    assert bool(pool_use) == (cpus > 1)
+    for got, given in zip(state, (W, W_inv, log_det)):
+        assert got.tobytes() == given.tobytes()
 
 
 @pytest.mark.parametrize("cpus", [2, 4])
@@ -289,15 +357,15 @@ import os, sys
 import numpy as np
 del os.sched_getaffinity, os.register_at_fork
 os.cpu_count = lambda: int(sys.argv[1])
-from ggdilrma import pipeline, types
+from ggdilrma import pipeline, pool
 from ggdilrma.types import GgdConfig, MixtureSpectrogram
 I, J = {shape}
 rng = np.random.default_rng(3)
 xd = rng.standard_normal((I, J, 2)) + 1j * rng.standard_normal((I, J, 2))
 x = MixtureSpectrogram(data=xd, sample_rate=16000, frame_len=2 * (I - 1), hop_len=I - 1)
 used = []
-tasks = types._tasks
-types._tasks = lambda: used.append(1) or tasks()
+tasks = pool._tasks
+pool._tasks = lambda: used.append(1) or tasks()
 cfg = GgdConfig(beta=4.0, domain=0.5, n_bases={K}, iterations=3, seed=2)
 sys.stdout.buffer.write(pipeline.run(x, cfg).sources.data.tobytes())
 assert bool(used) == (int(sys.argv[1]) > 1), used
@@ -332,7 +400,7 @@ def test_a_forked_child_separates_after_the_parent_used_the_pool(monkeypatch):
     held, release = threading.Event(), threading.Event()
 
     def hold_the_lock():
-        with types._pool_lock:
+        with pool._pool_lock:
             held.set()
             release.wait(timeout=60.0)
 

@@ -20,7 +20,7 @@ from reference_nmf import (
 )
 
 from ggdilrma.cost import ggd_cost_arrays
-from ggdilrma import types
+from ggdilrma import pool
 from ggdilrma.source_model import (
     model_cost_terms,
     refresh_scale,
@@ -120,10 +120,10 @@ class TestScaleField:
     def test_writes_every_block_into_the_given_buffer(self, monkeypatch, bins):
         # The field is formed a block at a time, with the updates' own product.
         T, V = random_model(N=2, I=7, K=3, J=5, seed=1)
-        monkeypatch.setattr(types, "BLOCK_ENTRIES", bins * 5)
+        monkeypatch.setattr(pool, "BLOCK_ENTRIES", bins * 5)
         S = np.full((2, 7, 5), np.nan)
         assert refresh_scale(T, V, S) is S
-        for blk in types.bin_blocks(7, 5):
+        for blk in pool.bin_blocks(7, 5):
             np.testing.assert_array_equal(S[:, blk], T[:, blk] @ V)
         np.testing.assert_allclose(S, np.moveaxis(scale_field(T, V), 2, 0), rtol=1e-15)
 

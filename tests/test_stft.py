@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from reference_stft import istft_by_frames
 
 from ggdilrma.errors import ShapeMismatch, SignalTooShort
 from ggdilrma.stft import StftPlan, istft, n_frames_for, periodic_hamming, stft
+from ggdilrma.types import SourceSpectrogram
 from ggdilrma.workflows import plan_from_ms
 
 
@@ -83,6 +85,35 @@ class TestRoundTrip:
         assert spec.hop_len == 256
         assert spec.data.shape == (512 // 2 + 1, n_frames_for(plan, 4000), 2)
         assert np.iscomplexobj(spec.data) and np.all(np.isfinite(spec.data))
+
+
+class TestSynthesis:
+    @pytest.mark.parametrize("L, hop", [(512, 256), (400, 150), (401, 100)])
+    @pytest.mark.parametrize("C", [1, 2, 3])
+    @pytest.mark.parametrize("beyond", [0, 3])
+    def test_overlap_add_matches_the_frame_by_frame_oracle(self, L, hop, C, beyond):
+        # Each sample takes its frames' terms in the frames' order, also where the hop
+        # does not divide the frame (401/100: the last of five segments is one sample)
+        # and where ``length`` runs ``beyond`` frames past the last frame's end.
+        plan = StftPlan.hamming(L, hop)
+        n_samples = 20 * L + 37
+        J = n_frames_for(plan, n_samples)
+        rng = np.random.default_rng(L + C)
+        shape = (plan.n_bins, J, C)
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        data *= np.exp(rng.uniform(-20.0, 20.0, (1, J, 1)))  # frames of unlike loudness
+        length = n_samples + beyond * L
+        if beyond:
+            assert plan.pad + length > (J - 1) * hop + L
+        got = istft(SourceSpectrogram(data), plan, length)
+        ref = istft_by_frames(data, plan, length)
+        assert got.shape == ref.shape == (length, C)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_istft_takes_a_bare_array(self):
+        plan = StftPlan.hamming(256, 128)
+        spec = stft(white_noise(3000), plan, 8000)
+        assert istft(spec.data, plan, 3000).tobytes() == istft(spec, plan, 3000).tobytes()
 
 
 class TestSpectralProperties:
