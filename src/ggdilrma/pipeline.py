@@ -17,9 +17,9 @@ each sweep, so at every iteration boundary it is ``|y|^p`` of the current
 IP sweep, whose weights read the outputs of the ``W`` it is given only
 where ``beta != 2``.  The quartic sweep reads the complex outputs of its
 entry ``W``, separated before the sweep, so a quartic iteration separates
-twice and an IP iteration once.  :func:`separate` lays its outputs out
-sources first, so the quartic sweep's ``|y~|`` and the refresh of
-``|y|^p`` read each source as one contiguous slab.
+twice and an IP iteration once.  :func:`separate` makes one real matrix
+product per bin, of the mixture's interleaved real and imaginary parts, into
+row-major ``(I, J, N)`` outputs.
 
 Beside ``T`` and ``V`` the run carries their scale field ``S = T V``
 ``(N, I, J)``.  :func:`initialize` forms it, and each iteration refreshes it
@@ -130,20 +130,29 @@ def _powered_magnitudes(y: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
 def separate(xd: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Apply per-bin demixing: ``y[i, j, n] = W[i, n, :] @ x[i, j, :]``.
 
-    The outputs are laid out sources first: the result is the ``(I, J, N)`` view
-    of an ``(N, I, J)`` array, so ``np.moveaxis(y, 2, 0)`` is C-contiguous and
-    each source's ``y[:, :, n]`` is one contiguous ``(I, J)`` slab.  No BLAS call
-    takes that layout, so numpy runs one loop over all bins instead of one BLAS
-    call per bin: over each range of bins of :func:`~ggdilrma.pool.bin_ranges`,
-    one range per part on the thread pool, whose per-bin products are the same.
+    Returns the outputs as a C-contiguous complex ``(I, J, N)`` array.  Each bin
+    is one real product: the mixture's ``(J, M)`` complex rows, read as ``(J, 2M)``
+    interleaved real and imaginary parts, times ``W[i]^T`` written as the real
+    ``(2M, 2N)`` matrix of 2x2 blocks ``[[Re, Im], [-Im, Re]]``, into the outputs
+    read the same way.  A mixture that is not C-contiguous ``complex128`` is
+    copied into one first.  The ranges of bins of
+    :func:`~ggdilrma.pool.bin_ranges` run one per part on the thread pool; each
+    bin's product is the same on any number of CPUs.
     """
-    I, J, _ = xd.shape
+    I, J, M = xd.shape
     N = W.shape[1]
-    y = np.empty((N, I, J), dtype=np.result_type(xd, W)).transpose(1, 2, 0)
+    xr = np.ascontiguousarray(xd, dtype=np.complex128).view(np.float64)
     Wt = W.transpose(0, 2, 1)
+    Wr = np.empty((I, M, 2, N, 2))
+    Wr[:, :, 0, :, 0] = Wr[:, :, 1, :, 1] = Wt.real
+    Wr[:, :, 0, :, 1] = Wt.imag
+    Wr[:, :, 1, :, 0] = -Wt.imag
+    Wr = Wr.reshape(I, 2 * M, 2 * N)
+    y = np.empty((I, J, N), dtype=np.complex128)
+    yr = y.view(np.float64)
 
     def part(bins):
-        np.matmul(xd[bins], Wt[bins], out=y[bins])
+        np.matmul(xr[bins], Wr[bins], out=yr[bins])
 
     run_parts(part, bin_ranges(I, J * N, "separate"))
     return y

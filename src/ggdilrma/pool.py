@@ -65,9 +65,12 @@ def _cpu_count() -> int:
 #: Each was measured across problem sizes (CHANGES.md): a pool thread starts a part
 #: about 10 us after the call right after its last part, but about 200 us after it
 #: has been idle for a few milliseconds, on a two-CPU VM, which the shares must
-#: outweigh; the separation and the back-projection, a few multiply-adds per byte,
-#: gain least.
-POOL_CROSSOVER = {"sources": 2**17, "separate": 3 * 2**16, "sweep": 2**17, "blocks": 2**16}
+#: outweigh.  The separation, one real product per bin, made a whole iteration
+#: 3-6 % faster on two threads from 141 k entries per thread and up to 3 % slower
+#: at 123 k or fewer, so it splits at two sources from 2**18 entries (I = 1025,
+#: J = 158 among them); the back-projection gained on two threads at 162 k entries
+#: each and lost at 122 k.
+POOL_CROSSOVER = {"sources": 2**17, "separate": 2**17, "sweep": 2**17, "blocks": 2**16}
 
 
 def source_parts(n_sources: int, entries_per_source: int) -> list[slice]:

@@ -8,10 +8,9 @@ Index conventions used throughout the package:
 * ``n`` -- source, ``0 .. N-1`` (determined case, ``N == M``),
 * ``k`` -- NMF basis, ``0 .. K-1``.
 
-Complex spectrogram tensors are stored ``(I, J, channels)`` in row-major
-order so that a per-frequency slab ``data[i]`` is contiguous; only the
-separated outputs inside a run are laid out sources first
-(:func:`~ggdilrma.pipeline.separate`).
+Complex spectrogram tensors, the separated outputs inside a run among them
+(:func:`~ggdilrma.pipeline.separate`), are stored ``(I, J, channels)`` in
+row-major order so that a per-frequency slab ``data[i]`` is contiguous.
 Demixing matrices are stored ``(I, N, N)`` where row ``n`` of ``W[i]``
 holds the Hermitian transpose of the demixing filter, i.e. ``y[i, j, n] =
 W[i, n, :] @ x[i, j, :]``.  NMF factors are per-source stacks: bases

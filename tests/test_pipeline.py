@@ -33,8 +33,8 @@ def test_gaussian_case_matches_is_ilrma_reference():
 
 @pytest.mark.parametrize("beta", [4.0, 2.0])
 def test_run_returns_c_contiguous_sources(beta):
-    # separate lays its outputs out sources first; the projected sources are
-    # (I, J, N) in row-major order all the same.
+    # The projected sources are (I, J, N) in row-major order, as separate's
+    # outputs are, whatever the number of sources or the update.
     x = random_mixture(9, 40, 3, seed=5)
     cfg = GgdConfig(beta=beta, domain=0.5, n_bases=2, iterations=2, seed=5)
     data = pipeline.run(x, cfg).sources.data

@@ -158,6 +158,26 @@ def test_setup_and_synthesis_give_the_same_bytes_on_the_pool(monkeypatch, cpus, 
     assert len(pool_use) == 9
 
 
+@pytest.mark.parametrize("cpus", [2, 4])
+@pytest.mark.parametrize("I, J, N", [(1025, 158, 2), (257, 626, 3), (513, 64, 2), (513, 316, 4)])
+def test_separation_and_projection_give_the_same_bytes_on_the_pool(monkeypatch, I, J, N, cpus):
+    # The benchmark workloads' shapes and a four-source one.  Both layers split at
+    # two sources at 1025 x 158 (10 s at 128 ms windows), and stay on the calling
+    # thread at 513 x 64 (2 s at 64 ms windows).
+    xd, W, W_inv, *_ = instance(I, J, N, seed=N)
+
+    def outputs():
+        y = pipeline.separate(xd, W)
+        return {"y": y, "sources": pipeline.back_project(y, W_inv, N - 1)}
+
+    set_cpus(monkeypatch, 1)
+    ref = outputs()
+    set_cpus(monkeypatch, cpus)
+    pool_use = count_pool_use(monkeypatch)
+    assert_same_bytes(outputs(), ref)
+    assert len(pool_use) == (0 if (I, J, N) == (513, 64, 2) else 2)
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 def test_ip_singular_covariance_is_named_by_the_serial_blocks_on_the_pool(monkeypatch, cpus):
     # Source 1's covariance is singular at the first bin of the second serial block,
