@@ -18,7 +18,7 @@ cache-sized: each block's ratio is formed in one new array, and the
 log-scale term is added into it
 (:func:`~ggdilrma.source_model.model_cost_terms`); ``yp`` and ``S`` are not
 modified.  Each source sums its own blocks in order, by source on the
-package's thread pool above the ``"sources"`` crossover
+package's thread pool above the crossover
 (:func:`~ggdilrma.pool.source_parts`), and the sources' sums are added in
 order, so the cost is the same on any number of CPUs.  Every update rule in
 the package is expected to leave this non-increasing; :func:`audit_descent`
@@ -48,7 +48,7 @@ def ggd_cost_arrays(yp, log_det, S, beta, domain) -> float:
             terms = model_cost_terms(yp[ns, blk], S[ns, blk], beta, domain)
             model[ns] += np.sum(terms.reshape(terms.shape[0], -1), axis=1)
 
-    run_parts(part, source_parts(N, I * J))
+    run_parts(part, *source_parts(N, I * J))
     return float(-2.0 * J * np.sum(log_det) + np.sum(model))
 
 

@@ -91,14 +91,13 @@ applied over all bins at once.  Its result does not depend on the block
 size.  It updates ``W`` only.
 
 The two passes over the frames are per bin, every source at once, so above
-the ``"sweep"`` crossover their blocks run on the package's thread pool
-(:func:`~ggdilrma.pool.run_parts`), each block a part
-(:func:`~ggdilrma.pool.bin_parts`).  The blocks then hold ``BLOCK_ENTRIES //
-threads`` entries, so the threads together hold one block's worth at a time,
-and each block writes its bins of the features, ``s4`` and the directions'
-costs, which the caller allocated.  Every per-bin product keeps its ``2N`` (or
-``N``) columns, so the sweep's bytes do not depend on the number of CPUs
-either.
+the crossover their blocks, of ``BLOCK_ENTRIES`` entries over all sources,
+run on the package's thread pool (:func:`~ggdilrma.pool.run_parts`), each
+block a part that writes its bins of the features, ``s4`` and the
+directions' costs, which the caller allocated.  The blocks follow the shape
+alone, as :func:`mixture_gram`'s do, and every per-bin product keeps its
+``2N`` (or ``N``) columns, so the sweep's bytes do not depend on the number
+of CPUs either.
 
 The per-filter forms of this update (``quartic_update_filter``,
 ``direction_scale_step``, the homogeneous objectives, ``optimal_scale``)
@@ -116,7 +115,7 @@ from functools import cache
 import numpy as np
 
 from .source_model import _whitened_ratio
-from .pool import bin_blocks, bin_parts, block_threads, run_parts
+from .pool import bin_blocks, run_parts, threads
 from .types import EPS_DET, _replace_row, _substitute
 
 
@@ -130,20 +129,24 @@ def mixture_gram(xd: np.ndarray) -> np.ndarray:
     """Real features ``(I, M**2, J)`` of the outer products ``x_j x_j^H``:
     ``|x_m|^2`` for each channel, then ``Re`` and then ``Im`` of
     ``x_m conj(x_m')`` for each pair ``m < m'`` in row-major order.  Formed by
-    blocks of bins, on the thread pool above the ``"blocks"`` crossover."""
+    blocks of bins, every channel in each, on the thread pool above the crossover."""
     I, J, M = xd.shape
     rows, cols = _pairs(M)
     gram = np.empty((I, M * M, J))
 
     def part(blk):
         xt = xd[blk].transpose(0, 2, 1)
-        cross = xt[:, rows] * xt[:, cols].conj()
+        # The conjugate goes first: numpy multiplies into a right-hand temporary of
+        # 256 KiB or more in place, with the operands swapped, and a complex product
+        # rounds by its operands' order; so would the bits follow the block's size.
+        cross = xt[:, cols].conj() * xt[:, rows]
         g = gram[blk]
         np.add(xt.real**2, xt.imag**2, out=g[:, :M])
         g[:, M : M + len(rows)] = cross.real
         g[:, M + len(rows) :] = cross.imag
 
-    run_parts(part, bin_blocks(I, J), block_threads(I, J * M, "blocks"))
+    blocks = bin_blocks(I, J * M)
+    run_parts(part, blocks, threads(len(blocks), I * J * M))
     return gram
 
 
@@ -202,7 +205,8 @@ def quartic_majorizer(gram: np.ndarray, yd, W, S, domain: float):
         fc[blk] = np.sum(aq2, axis=2).T[:, None, :] * fa[blk] + feat[..., N:]  # ||q~||^2 A + ...
         s4[:, blk] = np.vecdot(aq2, aq2)
 
-    run_parts(frame_pass, *bin_parts(I, J, N, "sweep"))
+    blocks = bin_blocks(I, J * N)
+    run_parts(frame_pass, blocks, threads(len(blocks), I * J * N))
     good = np.isfinite(s4) & (s4 > 0.0)
     denom = np.sqrt(J * np.where(good, s4, 1.0))
     # Then every G over all bins at once.
@@ -291,7 +295,8 @@ def quartic_sweep(gram: np.ndarray, yd, W, S, domain: float, W_inv, log_det):
         a2 *= _whitened_ratio(1.0, S[:, blk], 2.0, domain, out=inv_r2)  # over r^2
         s4_dir[:, blk] = np.vecdot(a2, a2)
 
-    run_parts(cost_pass, *bin_parts(I, J, N, "sweep"))
+    blocks = bin_blocks(I, J * N)
+    run_parts(cost_pass, blocks, threads(len(blocks), I * J * N))
     # A good majorizer whose direction has no finite positive cost: the whole bin
     # returns to its entry state.
     restored = np.any(good & ~(np.isfinite(s4_dir) & (s4_dir > 0.0)), axis=0)

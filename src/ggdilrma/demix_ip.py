@@ -18,13 +18,12 @@ against the freshest demixing matrix.  The sweep runs in two phases.  First
 it streams over blocks of bins (:func:`~ggdilrma.pool.bin_blocks`), so its
 frame-length temporaries stay cache-sized, and forms every source's weights,
 weighted factor ``R`` (below) and ``det F`` at once: no source's weights read
-another source's row.  Above the ``"blocks"`` crossover the blocks run on the
-package's thread pool (:func:`~ggdilrma.pool.run_parts`), with
-``BLOCK_ENTRIES // threads`` entries each (:func:`~ggdilrma.pool.bin_parts`),
-so the threads hold one serial block's worth between them; every per-bin
-product is the same in any block.  A singular covariance is raised after the
-blocks, at the first (block, source) of the serial blocks that has one, so
-the error does not depend on the number of CPUs either, and before any row
+another source's row.  Its blocks hold ``BLOCK_ENTRIES`` entries over all
+sources, and above the crossover they run one per part on the package's
+thread pool (:func:`~ggdilrma.pool.run_parts`); every per-bin product is the
+same in any block.  A singular covariance is raised after the blocks, at the
+first (block, source) that has one; the blocks follow the shape alone, so
+the error does not depend on the number of CPUs, and it comes before any row
 changes.  Then it updates the sources in turn, each over all bins at once,
 on the calling thread, so numpy's per-call cost is paid once per source, not
 once per block: the solve, the norm check and the write-back.  An update
@@ -87,7 +86,7 @@ import numpy as np
 
 from .errors import SingularCovariance, SingularDemixing, UnsupportedBeta
 from .source_model import _whitened_ratio
-from .pool import bin_blocks, bin_parts, run_parts
+from .pool import bin_blocks, run_parts, threads
 from .types import EPS_DET, EPS_Y, _replace_row, _substitute
 
 
@@ -159,10 +158,11 @@ def ip_sweep(xd, yp, W, S, beta: float, domain: float, W_inv, log_det):
         R[:, blk] = Rb = _weighted_factor(xd[blk], wgt)
         det_f[:, blk] = np.prod(Rb.diagonal(axis1=2, axis2=3).real, axis=2) ** 2
 
-    run_parts(factor, *bin_parts(I, J, N, "blocks"))
+    blocks = bin_blocks(I, J * N)
+    run_parts(factor, blocks, threads(len(blocks), I * J * N))
     singular = det_f <= EPS_DET
-    if np.any(singular):  # named by the serial blocks, on any number of CPUs
-        blk, n = next((b, n) for b in bin_blocks(I, J) for n in range(N) if np.any(singular[n, b]))
+    if np.any(singular):
+        blk, n = next((b, n) for b in blocks for n in range(N) if np.any(singular[n, b]))
         bad = blk.start + int(np.argmin(det_f[n, blk]))
         raise SingularCovariance(f"weighted covariance singular at bin {bad}, source {n}")
     # The per-bin solves, once per source over all bins, against the freshest W^{-1}.

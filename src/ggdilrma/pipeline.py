@@ -34,14 +34,16 @@ the cost reads the log-determinants and back-projection reads a row of the
 inverse, and a separation makes no LAPACK call.
 
 Every layer splits its work on the package's thread pool
-(:func:`~ggdilrma.pool.run_parts`), above its measured crossover and only
-where the process may run on more than one CPU: :func:`separate`,
-:func:`back_project`, the mixture's features, the IP sweep's weights and
-factors, the quartic sweep's passes over the frames and the basis update by
-bins; ``|x|^p`` in :func:`initialize`, the refresh of ``|y|^p``, the
-activation update, the scale refresh and the cost by source.  Only the
-sweeps' per-bin algebra and the IP sweep's per-source solves stay on the
-calling thread.  The parts run inside the layer calls, so every layer is
+(:func:`~ggdilrma.pool.run_parts`), above the measured crossover and only
+where the process may run on more than one CPU.  Its parts follow the shape
+alone: blocks of bins with every source in each for :func:`separate`,
+:func:`back_project`, ``|x|^p`` in :func:`initialize`, the refresh of
+``|y|^p``, the mixture's features, the IP sweep's weights and factors, the
+quartic sweep's passes over the frames and the basis update; by source for
+the activation update, the scale refresh and the cost, whose sums over bins
+and ``(b, K) @ (K, J)`` products would change their bits with their blocks.
+Only the sweeps' per-bin algebra and the IP sweep's per-source solves stay on
+the calling thread.  The parts run inside the layer calls, so every layer is
 entered and left on the thread that called :func:`run`, and the run's bytes
 do not depend on the number of CPUs.
 """
@@ -58,7 +60,7 @@ from .cost import ggd_cost_arrays
 from .demix_homogeneous import mixture_gram, quartic_sweep
 from .demix_ip import ip_sweep
 from .errors import DegenerateShape
-from .pool import bin_ranges, run_parts, source_parts
+from .pool import bin_blocks, run_parts, threads
 from .source_model import refresh_scale, update_activations_arrays, update_bases_arrays
 from .types import (
     EPS_NMF,
@@ -109,21 +111,23 @@ def initialize(cfg: GgdConfig, shape: ProblemShape, xd: np.ndarray):
     # W^-1 = I, laid out bins last so that types._replace_row runs along the bins
     W_inv = np.tile(np.eye(N, dtype=np.complex128)[:, :, None], I).transpose(2, 0, 1)
     S = refresh_scale(T, V, np.empty((N, I, J)))
-    yp = _powered_magnitudes(np.moveaxis(xd, 2, 0), cfg.domain, np.empty((N, I, J)))
+    yp = _powered_magnitudes(xd, cfg.domain, np.empty((N, I, J)))
     return W, T, V, W_inv, np.zeros(I), S, yp
 
 
 def _powered_magnitudes(y: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
-    """Write ``|y|^p`` of the outputs ``y`` ``(N, I, J)`` into ``out`` and return it,
-    by source on the thread pool (:func:`~ggdilrma.pool.source_parts`)."""
+    """Write ``|y|^p`` of the outputs ``y`` ``(I, J, N)`` into ``out`` ``(N, I, J)`` and
+    return it.  Each block of bins reads its contiguous rows of ``y``; the blocks
+    run one per part on the thread pool."""
+    I, J, N = y.shape
 
-    def part(ns):
-        out_ns = out[ns]
-        np.abs(y[ns], out=out_ns)
-        out_ns **= p
+    def part(blk):
+        out_blk = out[:, blk]
+        np.abs(y[blk].transpose(2, 0, 1), out=out_blk)
+        out_blk **= p
 
-    N, I, J = out.shape
-    run_parts(part, source_parts(N, I * J))
+    blocks = bin_blocks(I, J * N)
+    run_parts(part, blocks, threads(len(blocks), I * J * N))
     return out
 
 
@@ -135,9 +139,8 @@ def separate(xd: np.ndarray, W: np.ndarray) -> np.ndarray:
     interleaved real and imaginary parts, times ``W[i]^T`` written as the real
     ``(2M, 2N)`` matrix of 2x2 blocks ``[[Re, Im], [-Im, Re]]``, into the outputs
     read the same way.  A mixture that is not C-contiguous ``complex128`` is
-    copied into one first.  The ranges of bins of
-    :func:`~ggdilrma.pool.bin_ranges` run one per part on the thread pool; each
-    bin's product is the same on any number of CPUs.
+    copied into one first.  The blocks of bins run one per part on the thread
+    pool; each bin's product is the same in any block.
     """
     I, J, M = xd.shape
     N = W.shape[1]
@@ -151,10 +154,11 @@ def separate(xd: np.ndarray, W: np.ndarray) -> np.ndarray:
     y = np.empty((I, J, N), dtype=np.complex128)
     yr = y.view(np.float64)
 
-    def part(bins):
-        np.matmul(xr[bins], Wr[bins], out=yr[bins])
+    def part(blk):
+        np.matmul(xr[blk], Wr[blk], out=yr[blk])
 
-    run_parts(part, bin_ranges(I, J * N, "separate"))
+    blocks = bin_blocks(I, J * N)
+    run_parts(part, blocks, threads(len(blocks), I * J * N))
     return y
 
 
@@ -164,17 +168,18 @@ def back_project(yd: np.ndarray, W_inv: np.ndarray, reference_channel: int = 0) 
     ``y_hat[i, j, n] = W_inv[i, ref, n] * y[i, j, n]`` with ``W_inv`` the carried
     ``W^{-1}``; summing the result over sources reconstructs the reference
     channel of the observation.  The result is C-contiguous ``(I, J, N)`` whatever
-    the layout of ``yd``; its ranges of bins (:func:`~ggdilrma.pool.bin_ranges`, at
-    the separation's crossover) are multiplied one per part on the thread pool.
+    the layout of ``yd``; its blocks of bins are multiplied one per part on the
+    thread pool.
     """
     I, J, N = yd.shape
     projected = np.empty((I, J, N), dtype=np.result_type(yd, W_inv))
     scale = W_inv[:, None, reference_channel, :]
 
-    def part(bins):
-        np.multiply(yd[bins], scale[bins], out=projected[bins])
+    def part(blk):
+        np.multiply(yd[blk], scale[blk], out=projected[blk])
 
-    run_parts(part, bin_ranges(I, J * N, "separate"))
+    blocks = bin_blocks(I, J * N)
+    run_parts(part, blocks, threads(len(blocks), I * J * N))
     return projected
 
 
@@ -182,7 +187,7 @@ def iteration_step(xd, W, T, V, cfg: GgdConfig, gram: Optional[np.ndarray], W_in
     """One alternating-update round on raw state arrays (updated in place).
 
     Order: sweep of ``W`` alone, refresh of the outputs' ``|y|^p`` in ``yp``
-    (by source on the thread pool, above the crossover), which feeds the basis
+    (by blocks of bins on the thread pool, above the crossover), which feeds the basis
     update, the activation update and the cost; no full-size array outlives its
     use.  ``yp`` is ``|y|^p`` of the entry ``W`` on entry, which the IP sweep
     reads; the quartic sweep is handed the outputs of the entry ``W`` instead,
@@ -202,7 +207,7 @@ def iteration_step(xd, W, T, V, cfg: GgdConfig, gram: Optional[np.ndarray], W_in
     else:
         # [::3] keeps W and the skip count; the anchor outputs are dropped.
         W, skipped = quartic_sweep(gram, separate(xd, W), W, S, p, W_inv, log_det)[::3]
-    _powered_magnitudes(np.moveaxis(separate(xd, W), 2, 0), p, yp)  # of the new W
+    _powered_magnitudes(separate(xd, W), p, yp)  # of the new W
     T = update_bases_arrays(T, V, S, yp, beta, p)
     V = update_activations_arrays(T, V, yp, beta, p)
     refresh_scale(T, V, S)

@@ -5,16 +5,16 @@ calling thread and a pool of threads, one per further CPU that the process may
 run on (``os.sched_getaffinity`` where the platform has it, so ``taskset``
 restricts it; ``os.cpu_count`` elsewhere), take the parts one at a time.  The
 pool is created on first use.  A layer is cut only along an axis that no sum
-and no BLAS call crosses: by source or channel (:func:`source_parts`), by bins
-with every source in each (:func:`bin_ranges`, :func:`bin_parts`,
-:func:`basis_parts`), or by frames (:func:`bin_blocks` and
-:func:`block_threads` along the frames).  So each part makes the kernel calls,
-with the operands, that the layer makes on one thread, and the results are the
-same bytes on any number of CPUs.  On one CPU, or where a thread's share would
-hold fewer entries than the layer's measured crossover
-(:data:`POOL_CROSSOVER`), the layer runs on the calling thread: one part that
-holds every source and every bin, the batched code itself, or the serial
-layer's blocks in order.
+and no BLAS call crosses, and by its shape alone, never by the number of CPUs:
+into :func:`bin_blocks` of bins with every source in each, or of frames with
+every channel in each, or by source where its bytes depend on its blocks
+(:func:`source_parts`; each source then goes over its blocks in order).  So
+each part makes the kernel calls, with the operands, that the layer makes on
+one thread, and the results are the same bytes on any number of CPUs.  Only
+the number of threads that take the parts follows the CPUs (:func:`threads`):
+on one CPU, or where a thread's share would hold fewer entries than the
+measured crossover (:data:`POOL_CROSSOVER`), the parts run in order on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -26,18 +26,18 @@ import threading
 from typing import Callable
 
 #: (bin, frame) entries per block of frequency bins in the per-iteration
-#: layers, and per block of frames in the STFT and the iSTFT.  Their
-#: temporaries then stay cache-sized and are reused from the allocator's free
-#: lists, instead of full-size arrays whose pages are handed back to the kernel
-#: and faulted in again on every call.
+#: layers, every source counted, and per block of frames in the STFT and the
+#: iSTFT.  Their temporaries then stay cache-sized and are reused from the
+#: allocator's free lists, instead of full-size arrays whose pages are handed back
+#: to the kernel and faulted in again on every call.
 BLOCK_ENTRIES = 2**15
 
 
-def bin_blocks(n_bins: int, entries_per_bin: int, parts: int = 1) -> list[slice]:
+def bin_blocks(n_bins: int, entries_per_bin: int) -> list[slice]:
     """Fewest consecutive slices covering ``range(n_bins)`` with at most
-    ``BLOCK_ENTRIES // parts`` entries of ``entries_per_bin`` each (and at least
-    one bin), their lengths differing by at most one bin."""
-    max_bins = max(1, BLOCK_ENTRIES // parts // max(1, entries_per_bin))
+    ``BLOCK_ENTRIES`` entries of ``entries_per_bin`` each (and at least one bin),
+    their lengths differing by at most one bin."""
+    max_bins = max(1, BLOCK_ENTRIES // max(1, entries_per_bin))
     n_blocks = -(-n_bins // max_bins)
     stops = [k * n_bins // n_blocks for k in range(1, n_blocks + 1)]
     return [slice(start, stop) for start, stop in zip([0] + stops, stops)]
@@ -51,76 +51,34 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-#: The measured crossovers, in (bin, frame) entries, every source or channel
-#: counted: a layer runs on more than one thread only where each thread's share
-#: holds at least its layer's entries; below them it runs on the calling thread.
-#: ``"sources"`` gates the layers split by source or channel (``|x|^p`` at the
-#: start of a run, the ``|y|^p`` refresh, the activation update, the scale
-#: refresh, the cost and the iSTFT's overlap-add) and the basis update
-#: (:func:`basis_parts`); ``"separate"`` gates the separation and the
-#: back-projection, split by bins; ``"sweep"`` the quartic sweep's two passes
-#: over the frames; ``"blocks"`` the layers cut into blocks of bins or frames:
-#: the STFT's and the iSTFT's transforms, the mixture's features and the IP
-#: sweep's factors.
-#: Each was measured across problem sizes (CHANGES.md): a pool thread starts a part
-#: about 10 us after the call right after its last part, but about 200 us after it
-#: has been idle for a few milliseconds, on a two-CPU VM, which the shares must
-#: outweigh.  The separation, one real product per bin, made a whole iteration
-#: 3-6 % faster on two threads from 141 k entries per thread and up to 3 % slower
-#: at 123 k or fewer, so it splits at two sources from 2**18 entries (I = 1025,
-#: J = 158 among them); the back-projection gained on two threads at 162 k entries
-#: each and lost at 122 k.
-POOL_CROSSOVER = {"sources": 2**17, "separate": 2**17, "sweep": 2**17, "blocks": 2**16}
+#: The measured crossover, in (bin, frame) entries with every source or channel
+#: counted: a layer runs on one more thread for each of these in its entries.  A
+#: pool thread starts a part about 10 us after the call right after its last part,
+#: but about 200 us after it has been idle for a few milliseconds, on a two-CPU VM,
+#: which the shares must outweigh.  The separation, one real product per bin, made
+#: a whole iteration 3-6 % faster on two threads from 141 k entries per thread and
+#: up to 3 % slower at 123 k or fewer; the back-projection gained on two threads at
+#: 162 k entries each and lost at 122 k.  The STFT, the iSTFT, the mixture's
+#: features and the IP sweep's factors, once split from half of it, took 1.00-1.13
+#: times one thread's time on two between 162 k and 237 k entries (CHANGES.md).
+POOL_CROSSOVER = 2**17
 
 
-def source_parts(n_sources: int, entries_per_source: int) -> list[slice]:
-    """One slice per source where there are several, each holds the ``"sources"``
-    crossover of entries or more and the process may run on more than one CPU;
-    else one slice of every source."""
-    if n_sources > 1 and entries_per_source >= POOL_CROSSOVER["sources"] and _cpu_count() > 1:
-        return [slice(n, n + 1) for n in range(n_sources)]
-    return [slice(0, n_sources)]
+def threads(n_parts: int, entries: int) -> int:
+    """Threads for a layer of ``n_parts`` parts and ``entries`` entries in all: one
+    per CPU, at most one per part, and none with a share of fewer than
+    :data:`POOL_CROSSOVER` entries; at least one."""
+    return max(1, min(n_parts, _cpu_count(), entries // POOL_CROSSOVER))
 
 
-def block_threads(n_items: int, entries_per_item: int, layer: str) -> int:
-    """Threads for a layer split into blocks of bins (or of frames): one per CPU, at
-    most one per item, and none with a share of fewer entries than the ``layer``'s
-    crossover; at least one."""
-    threads = min(n_items, n_items * entries_per_item // POOL_CROSSOVER[layer])
-    return min(threads, _cpu_count()) if threads > 1 else 1
-
-
-def bin_ranges(n_bins: int, entries_per_bin: int, layer: str) -> list[slice]:
-    """The bins cut into one range per :func:`block_threads` thread, of nearly equal
-    length: one range of every bin on one thread."""
-    parts = block_threads(n_bins, entries_per_bin, layer)
-    if parts == 1:
-        return [slice(0, n_bins)]
-    stops = [k * n_bins // parts for k in range(parts + 1)]
-    return [slice(a, z) for a, z in zip(stops, stops[1:])]
-
-
-def bin_parts(n_bins: int, n_frames: int, n_sources: int, layer: str) -> tuple[list[slice], int]:
-    """The parts and threads of a sweep's passes over the frames: its
-    :func:`bin_blocks` of ``BLOCK_ENTRIES // threads`` entries, so the threads hold
-    one block's worth between them, and the ``layer``'s :func:`block_threads`.  On
-    one thread, the blocks of the serial passes.  The blocks follow the threads,
-    which only the sweeps' per-bin products may: each has its one bin's rows in any
-    block."""
-    threads = block_threads(n_bins, n_frames * n_sources, layer)
-    return bin_blocks(n_bins, n_frames, threads), threads
-
-
-def basis_parts(n_bins: int, n_frames: int, n_sources: int) -> tuple[list[slice], int]:
-    """The basis update's blocks and threads.  At or above the ``"sources"``
-    crossover, :func:`bin_blocks` of ``BLOCK_ENTRIES`` entries over all sources, on
-    as many threads as :func:`source_parts` gives parts, so the threads hold at most
-    one serial block's worth between them; below it, the serial blocks, on one
-    thread.  Unlike :func:`bin_parts`, the blocks follow the shape and never the
-    CPUs: each per-source product then has the rows it has on one CPU."""
-    entries = n_bins * n_frames
-    per_bin = n_frames * n_sources if entries >= POOL_CROSSOVER["sources"] else n_frames
-    return bin_blocks(n_bins, per_bin), len(source_parts(n_sources, entries))
+def source_parts(n_sources: int, entries_per_source: int) -> tuple[list[slice], int]:
+    """One slice per source (or channel) where their entries hold two crossovers or
+    more, and the :func:`threads` to run them on; else one slice of every source, on
+    the calling thread."""
+    entries = n_sources * entries_per_source
+    if entries // POOL_CROSSOVER > 1:
+        return [slice(n, n + 1) for n in range(n_sources)], threads(n_sources, entries)
+    return [slice(0, n_sources)], 1
 
 
 #: The pool: one queue of work for the life of the process, and how many threads

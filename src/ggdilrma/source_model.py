@@ -43,19 +43,19 @@ squares (:func:`_int_power`).  No layer writes into ``T``, ``V``, ``S`` or
 the ``|y|^p`` it is given, and every operation has the operands and order
 of the out-of-place form, so the bits are the same.
 
-No source's factors read another source's, so above the ``"sources"``
-crossover both updates and :func:`refresh_scale` run on the package's thread
-pool (:func:`~ggdilrma.pool.run_parts`).  The activation update and
-:func:`refresh_scale` split by source (:func:`~ggdilrma.pool.source_parts`),
-each source going over the blocks in order.  The basis update splits by
-blocks of bins, every source in each (:func:`~ggdilrma.pool.basis_parts`);
-its blocks then hold ``BLOCK_ENTRIES`` entries over all sources on any number
-of CPUs, because a BLAS may pick its kernel by a product's rows (OpenBLAS does
-at 60 rows or fewer for 20 bases), and blocks that shrank with the threads
-would change the bits.  Each part makes the kernel calls, with the operands,
-that one thread makes, so the bytes do not depend on the number of CPUs; and
-at two sources and 20 bases no per-source product is long enough for
-OpenBLAS to wake its own threads beside the pool's.
+No source's factors read another source's, so above the crossover both
+updates and :func:`refresh_scale` run on the package's thread pool
+(:func:`~ggdilrma.pool.run_parts`).  The basis update's bases of a block
+depend on that block alone, so it splits into its blocks of bins, every
+source in each.  The activation update sums over bins, and it and
+:func:`refresh_scale` take ``T[:, blk] @ V`` products, whose bits a BLAS may
+pick by the rows of the block (OpenBLAS does at 60 rows or fewer for 20
+bases); so they split by source (:func:`~ggdilrma.pool.source_parts`), each
+source going over its blocks in order.  Every layer's blocks follow its shape
+alone, so each part makes the kernel calls, with the operands, that one
+thread makes, and the bytes do not depend on the number of CPUs; and at two
+sources and 20 bases no per-source product is long enough for OpenBLAS to
+wake its own threads beside the pool's.
 
 The per-entry Jensen + tangent-line majorizer behind these updates, and
 its equality auxiliaries, live in ``tests/reference_nmf.py`` as a test
@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pool import basis_parts, bin_blocks, run_parts, source_parts
+from .pool import bin_blocks, run_parts, source_parts, threads
 from .types import EPS_NMF, EPS_Y
 
 
@@ -82,7 +82,7 @@ def refresh_scale(T: np.ndarray, V: np.ndarray, S: np.ndarray) -> np.ndarray:
         for blk in bin_blocks(I, J):
             np.matmul(T[ns, blk], V[ns], out=S[ns, blk])
 
-    run_parts(part, source_parts(N, I * J))
+    run_parts(part, *source_parts(N, I * J))
     return S
 
 
@@ -132,7 +132,7 @@ def _whitened_ratio(yp, S: np.ndarray, beta: float, domain: float, out=None) -> 
 def update_bases_arrays(T, V, S, yp, beta, domain):
     """Multiplicative update of every basis matrix, from the scale field ``S = T V``
     and ``yp = |y|^p``, both ``(N, I, J)``, by blocks of bins with every source in
-    each, one block per part on the thread pool (:func:`~ggdilrma.pool.basis_parts`).
+    each, one block per part on the thread pool.
 
     Returns:
         The new bases, shaped as ``T`` and floored at ``EPS_NMF``; ``T``, ``V``,
@@ -151,7 +151,9 @@ def update_bases_arrays(T, V, S, yp, beta, domain):
         T_blk = np.multiply(T[:, blk], (num / den) ** (domain / (beta + domain)), out=T_new[:, blk])
         np.maximum(T_blk, EPS_NMF, out=T_blk)
 
-    run_parts(part, *basis_parts(*S.shape[1:], S.shape[0]))
+    N, I, J = S.shape
+    blocks = bin_blocks(I, J * N)
+    run_parts(part, blocks, threads(len(blocks), I * J * N))
     return T_new
 
 
@@ -184,7 +186,7 @@ def update_activations_arrays(T, V, yp, beta, domain):
         V_ns = np.multiply(Vn, step, out=V_new[ns])
         np.maximum(V_ns, EPS_NMF, out=V_ns)
 
-    run_parts(part, source_parts(N, I * J))
+    run_parts(part, *source_parts(N, I * J))
     return V_new
 
 

@@ -12,8 +12,8 @@ spectra are one-sided with ``I = frame_len/2 + 1`` bins; conjugate
 symmetry is restored at synthesis.
 
 Both directions transform blocks of frames (:func:`~ggdilrma.pool.bin_blocks`
-along the frames), on the package's thread pool above the ``"blocks"``
-crossover (:func:`~ggdilrma.pool.run_parts`): :func:`stft` writes each
+along the frames), on the package's thread pool above the crossover
+(:func:`~ggdilrma.pool.run_parts`): :func:`stft` writes each
 block's spectra straight into the ``(I, J, C)`` result, and :func:`istft`
 writes each block's windowed frames into one ``(C, J, L)`` buffer.  numpy's
 FFT transforms every frame on its own, so the blocks give the bytes of one
@@ -33,7 +33,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ShapeMismatch, SignalTooShort
-from .pool import bin_blocks, block_threads, run_parts, source_parts
+from .pool import bin_blocks, run_parts, source_parts, threads
 from .types import MixtureSpectrogram, SourceSpectrogram
 
 
@@ -128,8 +128,8 @@ def stft(signal: np.ndarray, plan: StftPlan, sample_rate: int) -> MixtureSpectro
     def analyze(js):  # the windowed rfft of the frames js, into their columns of data
         np.fft.rfft(frames[:, js] * plan.window, axis=-1, out=data[:, js].transpose(2, 1, 0))
 
-    threads = block_threads(J, n_channels * plan.n_bins, "blocks")
-    run_parts(analyze, bin_blocks(J, n_channels * L), threads)
+    blocks = bin_blocks(J, n_channels * L)
+    run_parts(analyze, blocks, threads(len(blocks), J * n_channels * plan.n_bins))
     return MixtureSpectrogram(
         data=data, sample_rate=sample_rate, frame_len=L, hop_len=hop
     )
@@ -161,7 +161,8 @@ def istft(
         np.fft.irfft(data[:, js].transpose(2, 1, 0), n=L, axis=-1, out=frames[:, js])
         frames[:, js] *= plan.synthesis_window
 
-    run_parts(synthesize, bin_blocks(J, C * L), block_threads(J, C * I, "blocks"))
+    blocks = bin_blocks(J, C * L)
+    run_parts(synthesize, blocks, threads(len(blocks), J * C * I))
     # Overlap-add: hop-long block b of the output sums segment k of frame b - k for
     # every k, in the order of the frames, so the segments are added from the last
     # (k = phases - 1) to the first, each with one add over all frames at once.
@@ -174,5 +175,5 @@ def istft(
             seg = min(hop, L - k * hop)
             out[cs, k : k + J, :seg] += frames[cs, :, k * hop : k * hop + seg]
 
-    run_parts(overlap_add, source_parts(C, J * L))
+    run_parts(overlap_add, *source_parts(C, J * L))
     return out.reshape(C, -1)[:, plan.pad : plan.pad + length].T

@@ -45,8 +45,10 @@ I, J, K = 10, 12, 3
 BLOCK_BINS = pytest.mark.parametrize("bins", [1, 3, I])
 
 
-def set_block_bins(monkeypatch, bins):
-    monkeypatch.setattr(pool, "BLOCK_ENTRIES", bins * J)
+def set_block_bins(monkeypatch, bins, n_sources=1):
+    """Blocks of ``bins`` bins in a layer that holds ``n_sources`` sources in each: the
+    layers split by bins hold every source in a block, those split by source one."""
+    monkeypatch.setattr(pool, "BLOCK_ENTRIES", bins * J * n_sources)
 
 
 def instance(N, seed, silent_bin=None):
@@ -72,9 +74,9 @@ def carried_magnitudes(xd, W, p):
 
 
 def whole(fn, monkeypatch):
-    """``fn()`` with every bin in one block."""
+    """``fn()`` with every bin in one block, at up to four sources."""
     with monkeypatch.context() as m:
-        set_block_bins(m, I)
+        set_block_bins(m, I, 4)
         return fn()
 
 
@@ -113,7 +115,7 @@ def test_quartic_sweep_is_block_invariant(monkeypatch, bins, N):
         return (W_new, *carried, f_check), skipped
 
     state_ref, skipped_ref = whole(sweep, monkeypatch)
-    set_block_bins(monkeypatch, bins)
+    set_block_bins(monkeypatch, bins, N)
     state, skipped = sweep()
     for got, ref in zip(state, state_ref):  # W, W^-1, log|det W|, f_check
         np.testing.assert_array_equal(got, ref)
@@ -126,6 +128,18 @@ def test_quartic_sweep_is_block_invariant(monkeypatch, bins, N):
     # f_check is the quartic cost of the updated filters, skipped bins included.
     a2 = np.abs(pipeline.separate(xd, W_new)) ** 2 / scale_field(T, V) ** 4  # r = S**2
     np.testing.assert_allclose(f_new, np.sum(a2 * a2, axis=1) / J, rtol=1e-13)
+
+
+@pytest.mark.parametrize("M", [2, 3])
+def test_mixture_gram_is_block_invariant(monkeypatch, M):
+    # Whole, each pair's product of a block is a temporary of 256 KiB or more, which
+    # numpy multiplies into in place; in one-bin blocks it is not.
+    rng = np.random.default_rng(14)
+    xd = rng.standard_normal((300, 158, M)) + 1j * rng.standard_normal((300, 158, M))
+    monkeypatch.setattr(pool, "BLOCK_ENTRIES", xd.size)
+    whole_gram = mixture_gram(xd)
+    monkeypatch.setattr(pool, "BLOCK_ENTRIES", 1)
+    assert mixture_gram(xd).tobytes() == whole_gram.tobytes()
 
 
 @BLOCK_BINS
@@ -141,7 +155,7 @@ def test_ip_sweep_is_block_invariant(monkeypatch, bins, N, beta, p):
         return ip_sweep(xd, yp, W.copy(), S, beta, p, *carried), *carried
 
     state_ref = whole(sweep, monkeypatch)
-    set_block_bins(monkeypatch, bins)
+    set_block_bins(monkeypatch, bins, N)
     state = sweep()
     for got, ref in zip(state, state_ref):  # W, W^-1, log|det W|
         np.testing.assert_array_equal(got, ref)
@@ -242,7 +256,7 @@ def test_singular_demixing_is_named_by_its_global_bin(monkeypatch, bins, N):
     # direction solved from the zero column is zero, and its cost with it.
     xd, W, T, V, W_inv, log_det = vanishing_inverse_column(N)
     gram = mixture_gram(xd)
-    set_block_bins(monkeypatch, bins)
+    set_block_bins(monkeypatch, bins, N)
     W_new, _, _, skipped = quartic_sweep(
         gram, pipeline.separate(xd, W), W.copy(), carried_scale(T, V), 0.5, W_inv, log_det
     )
@@ -257,7 +271,7 @@ def test_ip_singular_demixing_is_named_by_its_global_bin(monkeypatch, bins, N):
     # IP raises, naming the bin and source; ||z|| = 0 is read before w is divided
     # by it, so no RuntimeWarning.
     xd, W, T, V, W_inv, log_det = vanishing_inverse_column(N)
-    set_block_bins(monkeypatch, bins)
+    set_block_bins(monkeypatch, bins, N)
     with pytest.raises(SingularDemixing, match=r"at bin 7, source 0$"):
         yp = carried_magnitudes(xd, W, 2.0)
         ip_sweep(xd, yp, W, carried_scale(T, V), 2.0, 2.0, W_inv, log_det)
@@ -286,7 +300,7 @@ def test_ip_singular_covariance_names_the_first_block_then_source(monkeypatch, b
     xd, W, T, V = instance(2, 6, silent_bin=7)
     S = carried_scale(T, V)
     S[1, 1] = 1e20
-    set_block_bins(monkeypatch, bins)
+    set_block_bins(monkeypatch, bins, 2)
     with pytest.raises(SingularCovariance, match=rf"at {named}$"):
         ip_sweep(xd, carried_magnitudes(xd, W, 2.0), W, S, 2.0, 2.0, *inverse_and_log_det(W))
 
@@ -313,8 +327,8 @@ def test_sweeps_take_the_per_bin_algebra_once_over_all_bins(monkeypatch, bins, N
     # once, over all bins, in both sweeps: the counts do not follow the blocks.
     # The quartic sweep passes over the frames twice, for the majorizers and then
     # for every direction's cost, each forming 1 / r**2 once per block.
-    set_block_bins(monkeypatch, bins)
-    n_blocks = len(bin_blocks(I, J))
+    set_block_bins(monkeypatch, bins, N)
+    n_blocks = len(bin_blocks(I, J * N))
     assert n_blocks >= 4
     calls = Counter()
 
@@ -415,9 +429,8 @@ def test_layer_temporaries_stay_block_sized():
 
 @pytest.mark.parametrize("cpus", [2, 4])
 def test_layer_temporaries_stay_block_sized_on_the_pool(monkeypatch, cpus):
-    # Each part of the quartic sweep's passes holds its bin range's blocks of
-    # BLOCK_ENTRIES // parts entries, and each part of the IP sweep's factors one
-    # serial block; the separation allocates nothing.
+    # Each part holds one block of BLOCK_ENTRIES entries, every source counted, as
+    # on one CPU; the separation allocates nothing.
     calls = use_the_pool(monkeypatch, cpus)
     peaks_stay_block_sized()
     # one hand-off per layer call: the separation of its outputs, the scale refresh

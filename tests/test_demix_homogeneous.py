@@ -366,14 +366,14 @@ class TestQuarticUpdateFilter:
         # on the pool, under the caller's errstate, and every warning an error:
         # bin 4's update alone is skipped there too.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setitem(pool.POOL_CROSSOVER, "sweep", 1)
+        monkeypatch.setattr(pool, "POOL_CROSSOVER", 1)
         monkeypatch.setattr(pool, "BLOCK_ENTRIES", 2 * 12)  # 12 frames
         calls, tasks = [], pool._tasks
         monkeypatch.setattr(pool, "_tasks", lambda: calls.append(1) or tasks())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             self.test_non_finite_scale_skips_only_its_source(N)
-        assert len(calls) == 2  # the majorizers' pass and the directions' costs
+        assert len(calls) == 3  # the mixture's features, the majorizers, the costs
 
     @pytest.mark.parametrize("N", [2, 3, 4])
     @pytest.mark.parametrize("cost", [np.nan, 0.0])

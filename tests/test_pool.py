@@ -3,11 +3,12 @@ errstate and exceptions, and a forked child.
 
 The pool is switched by the CPU set the process may run on, as a user does with
 ``taskset``: the tests replace ``os.sched_getaffinity``.  The shapes sit on
-both sides of the crossovers (``pool.POOL_CROSSOVER``), so the layers run as
-one part below them and as parts on the pool above them, where the tests check
-that the pool was given work.
+both sides of the crossover (``pool.POOL_CROSSOVER``), so the layers run on the
+calling thread below it and on the pool above it, where the tests check that
+the pool was given work.  The parts themselves follow the shape alone.
 """
 
+import importlib
 import os
 import signal
 import subprocess
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 from reference_contractions import inverse_and_log_det
 
-from ggdilrma import pipeline, pool
+from ggdilrma import cost, demix_homogeneous, demix_ip, pipeline, pool, source_model
 from ggdilrma.cost import ggd_cost_arrays
 from ggdilrma.demix_homogeneous import mixture_gram, quartic_sweep
 from ggdilrma.demix_ip import ip_sweep
@@ -29,9 +30,8 @@ from ggdilrma.source_model import refresh_scale, update_activations_arrays, upda
 from ggdilrma.stft import StftPlan, istft, stft
 from ggdilrma.types import GgdConfig, MixtureSpectrogram, ProblemShape, SourceSpectrogram
 
-#: (bins, frames): below every crossover, and above all three at every N here:
-#: each source holds 197633 entries, and the bins two ranges' worth or more of the
-#: separation's and the sweep's.
+#: (bins, frames): below the crossover, and above it at every N here: each source
+#: holds 197633 entries, more than the crossover.
 SHAPES = {"below": (10, 12), "above": (257, 769)}
 K = 4
 
@@ -124,38 +124,87 @@ def same_bytes_on_the_pool(monkeypatch, shape, cpus, N, beta):
     assert len(pool_use) == (8 if shape == "above" else 0)
 
 
+def setup_and_synthesis(shape, N):
+    """A separation's once-per-run layers, on a signal whose STFT has the ``shape``,
+    and the IP sweep at beta = 1.5, whose weights read ``|y|^p``."""
+    plan = StftPlan.hamming(2 * (SHAPES[shape][0] - 1), SHAPES[shape][0] - 1)
+    signal = np.random.default_rng(N).standard_normal(((SHAPES[shape][1] - 1) * plan.hop, N))
+    xd = stft(signal, plan, 16000).data
+    I, J, _ = xd.shape
+    cfg = GgdConfig(beta=1.5, domain=0.5, n_bases=K, seed=N)
+    W, T, V, W_inv, log_det, S, yp = pipeline.initialize(cfg, ProblemShape(I, J, N, K), xd)
+    got = {"x": xd, "T": T, "V": V, "S": S, "yp": yp, "gram": mixture_gram(xd)}
+    got["W"] = ip_sweep(xd, yp, W, S, cfg.beta, cfg.domain, W_inv, log_det)
+    got["W_inv"], got["log_det"] = W_inv, log_det
+    got["sources"] = pipeline.back_project(pipeline.separate(xd, W), W_inv, N - 1)
+    # past the frames' last sample, as the CLI asks for the input's length
+    length = len(signal) + plan.frame_len
+    got["samples"] = istft(SourceSpectrogram(got["sources"]), plan, length)
+    return got
+
+
 @pytest.mark.parametrize("cpus", [2, 4])
 @pytest.mark.parametrize("N", [2, 3])
 def test_setup_and_synthesis_give_the_same_bytes_on_the_pool(monkeypatch, cpus, N):
-    # A separation's once-per-run layers, on a signal whose STFT has the "above"
-    # shape, and the IP sweep at beta = 1.5, whose weights read |y|^p.
-    plan = StftPlan.hamming(2 * (SHAPES["above"][0] - 1), SHAPES["above"][0] - 1)
-    signal = np.random.default_rng(N).standard_normal(((SHAPES["above"][1] - 1) * plan.hop, N))
-
-    def outputs():
-        xd = stft(signal, plan, 16000).data
-        I, J, _ = xd.shape
-        cfg = GgdConfig(beta=1.5, domain=0.5, n_bases=K, seed=N)
-        W, T, V, W_inv, log_det, S, yp = pipeline.initialize(cfg, ProblemShape(I, J, N, K), xd)
-        got = {"x": xd, "T": T, "V": V, "S": S, "yp": yp, "gram": mixture_gram(xd)}
-        got["W"] = ip_sweep(xd, yp, W, S, cfg.beta, cfg.domain, W_inv, log_det)
-        got["W_inv"], got["log_det"] = W_inv, log_det
-        got["sources"] = pipeline.back_project(pipeline.separate(xd, W), W_inv, N - 1)
-        # past the frames' last sample, as the CLI asks for the input's length
-        length = len(signal) + plan.frame_len
-        got["samples"] = istft(SourceSpectrogram(got["sources"]), plan, length)
-        return got
-
     set_cpus(monkeypatch, 1)
-    ref = outputs()
+    ref = setup_and_synthesis("above", N)
     assert ref["x"].shape == (*SHAPES["above"], N)
     set_cpus(monkeypatch, cpus)
     pool_use = count_pool_use(monkeypatch)
-    assert_same_bytes(outputs(), ref)
+    assert_same_bytes(setup_and_synthesis("above", N), ref)
     # the STFT, the scale refresh and |x|^p of initialize, the mixture's features,
     # the IP sweep's factors, separate, back_project, and the iSTFT's transforms and
     # its overlap-add
     assert len(pool_use) == 9
+
+
+#: Every layer that hands parts to the pool, by the name of its part.
+LAYERS = {
+    "stft.<locals>.analyze",
+    "istft.<locals>.synthesize",
+    "istft.<locals>.overlap_add",
+    "_powered_magnitudes.<locals>.part",
+    "separate.<locals>.part",
+    "back_project.<locals>.part",
+    "mixture_gram.<locals>.part",
+    "quartic_majorizer.<locals>.frame_pass",
+    "quartic_sweep.<locals>.cost_pass",
+    "ip_sweep.<locals>.factor",
+    "refresh_scale.<locals>.part",
+    "update_bases_arrays.<locals>.part",
+    "update_activations_arrays.<locals>.part",
+    "ggd_cost_arrays.<locals>.part",
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_every_layer_hands_the_pool_the_same_parts_on_any_number_of_cpus(monkeypatch, shape, N):
+    # The blocks of bins or frames, and the sources, of each layer's parts follow the
+    # shape alone; only the number of threads that run them follows the CPUs.
+    def handed(cpus):
+        set_cpus(monkeypatch, cpus)
+        calls = []
+
+        def spy(fn, parts, threads=None):
+            calls.append((fn.__qualname__, [(p.start, p.stop) for p in parts], threads))
+            return run_parts(fn, parts, threads)
+
+        stft_module = importlib.import_module("ggdilrma.stft")  # the package's stft is the function
+        modules = (pipeline, source_model, cost, demix_homogeneous, demix_ip, stft_module)
+        with monkeypatch.context() as m:
+            for module in modules:
+                m.setattr(module, "run_parts", spy)
+            layer_outputs(*instance(*SHAPES[shape], N, seed=N))
+            setup_and_synthesis(shape, N)
+        return calls
+
+    ref = handed(1)
+    assert {name for name, _, _ in ref} == LAYERS
+    for cpus in (2, 4):
+        calls = handed(cpus)
+        assert [call[:2] for call in calls] == [call[:2] for call in ref]
+        assert all((threads > 1) == (shape == "above") for _, _, threads in calls)
 
 
 @pytest.mark.parametrize("cpus", [2, 4])
@@ -180,10 +229,9 @@ def test_separation_and_projection_give_the_same_bytes_on_the_pool(monkeypatch, 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 def test_ip_singular_covariance_is_named_by_the_serial_blocks_on_the_pool(monkeypatch, cpus):
-    # Source 1's covariance is singular at the first bin of the second serial block,
-    # source 0's at its last: on one CPU the block names source 0.  On the pool the
-    # blocks are cut smaller, and the two bins fall in different parts; the sweep
-    # still names the serial block's first source, and changes no row.
+    # Source 1's covariance is singular at the first bin of the factor's second block,
+    # source 0's at its last: the block names source 0, on any number of CPUs, and the
+    # sweep changes no row.
     I, J = SHAPES["above"]
     rng = np.random.default_rng(2)
     xd = rng.standard_normal((I, J, 2)) + 1j * rng.standard_normal((I, J, 2))
@@ -191,13 +239,10 @@ def test_ip_singular_covariance_is_named_by_the_serial_blocks_on_the_pool(monkey
     W_inv, log_det = W.copy(), np.zeros(I)
     T, V = rng.uniform(0.2, 1.5, (2, I, K)), rng.uniform(0.2, 1.5, (2, K, J))
     S = refresh_scale(T, V, np.empty((2, I, J)))
-    blk = pool.bin_blocks(I, J)[1]
+    blk = pool.bin_blocks(I, J * 2)[1]
     S[1, blk.start] = S[0, blk.stop - 1] = 1e20  # the weights vanish there
     yp = np.abs(np.moveaxis(xd, 2, 0), order="C") ** 0.5
     set_cpus(monkeypatch, cpus)
-    parts = pool.bin_parts(I, J, 2, "blocks")[0]
-    part_of = [k for k, p in enumerate(parts) for _ in range(p.start, p.stop)]
-    assert (part_of[blk.start] != part_of[blk.stop - 1]) == (cpus > 1)
     state = W.copy(), W_inv.copy(), log_det.copy()
     pool_use = count_pool_use(monkeypatch)
     with pytest.raises(SingularCovariance, match=rf"at bin {blk.stop - 1}, source 0$"):
