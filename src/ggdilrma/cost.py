@@ -17,10 +17,11 @@ The model terms are summed over blocks of bins
 cache-sized: each block's ratio is formed in one new array, and the
 log-scale term is added into it
 (:func:`~ggdilrma.source_model.model_cost_terms`); ``yp`` and ``S`` are not
-modified.  Each source sums its own blocks in order, by source on the
-package's thread pool above the crossover
-(:func:`~ggdilrma.pool.source_parts`), and the sources' sums are added in
-order, so the cost is the same on any number of CPUs.  Every update rule in
+modified.  Above the crossover each source's blocks are parts of their own on
+the package's thread pool (:func:`~ggdilrma.pool.source_block_parts`); each
+part's sum lands in its (source, block) slot, the slots are added in the
+blocks' order, and the sources' sums in theirs, so the cost is the same on any
+number of CPUs.  Every update rule in
 the package is expected to leave this non-increasing; :func:`audit_descent`
 lists the iterations of a recorded cost sequence where it rose.
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .source_model import model_cost_terms
-from .pool import bin_blocks, run_parts, source_parts
+from .pool import bin_blocks, run_parts, source_block_parts
 
 #: Relative slack used when flagging cost increases.
 DESCENT_SLACK = 1e-9
@@ -41,14 +42,18 @@ def ggd_cost_arrays(yp, log_det, S, beta, domain) -> float:
     ``(N, I, J)`` and whose ``log|det W_i|`` are ``log_det`` ``(I,)``, under the
     scale field ``S = T V`` ``(N, I, J)``."""
     N, I, J = yp.shape
+    blocks = bin_blocks(I, J)
+    sums = np.empty((N, len(blocks)))  # each source's sum over each block
+
+    def part(ns_k):
+        ns, k = ns_k
+        terms = model_cost_terms(yp[ns, blocks[k]], S[ns, blocks[k]], beta, domain)
+        sums[ns, k] = np.sum(terms.reshape(terms.shape[0], -1), axis=1)
+
+    run_parts(part, *source_block_parts(N, len(blocks), N * I * J))
     model = np.zeros(N)
-
-    def part(ns):
-        for blk in bin_blocks(I, J):
-            terms = model_cost_terms(yp[ns, blk], S[ns, blk], beta, domain)
-            model[ns] += np.sum(terms.reshape(terms.shape[0], -1), axis=1)
-
-    run_parts(part, *source_parts(N, I * J))
+    for block_sums in sums.T:  # in the blocks' order
+        model += block_sums
     return float(-2.0 * J * np.sum(log_det) + np.sum(model))
 
 

@@ -39,9 +39,11 @@ where the process may run on more than one CPU.  Its parts follow the shape
 alone: blocks of bins with every source in each for :func:`separate`,
 :func:`back_project`, ``|x|^p`` in :func:`initialize`, the refresh of
 ``|y|^p``, the mixture's features, the IP sweep's weights and factors, the
-quartic sweep's passes over the frames and the basis update; by source for
-the activation update, the scale refresh and the cost, whose sums over bins
-and ``(b, K) @ (K, J)`` products would change their bits with their blocks.
+quartic sweep's passes over the frames and the basis update; by source and
+block of one source's bins for the activation update, the scale refresh and
+the cost, whose ``(b, K) @ (K, J)`` products would change their bits with
+the rows ``b`` of a block, and whose sums over bins are added in the blocks'
+order whichever part finishes first.
 Only the sweeps' per-bin algebra and the IP sweep's per-source solves stay on
 the calling thread.  The parts run inside the layer calls, so every layer is
 entered and left on the thread that called :func:`run`, and the run's bytes

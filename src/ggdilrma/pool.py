@@ -4,16 +4,17 @@ A layer runs its work as independent parts through :func:`run_parts`: the
 calling thread and a pool of threads, one per further CPU that the process may
 run on (``os.sched_getaffinity`` where the platform has it, so ``taskset``
 restricts it; ``os.cpu_count`` elsewhere), take the parts one at a time.  The
-pool is created on first use.  A layer is cut only along an axis that no sum
-and no BLAS call crosses, and by its shape alone, never by the number of CPUs:
-into :func:`bin_blocks` of bins with every source in each, or of frames with
-every channel in each, or by source where its bytes depend on its blocks
-(:func:`source_parts`; each source then goes over its blocks in order).  So
-each part makes the kernel calls, with the operands, that the layer makes on
-one thread, and the results are the same bytes on any number of CPUs.  Only
-the number of threads that take the parts follows the CPUs (:func:`threads`):
-on one CPU, or where a thread's share would hold fewer entries than the
-measured crossover (:data:`POOL_CROSSOVER`), the parts run in order on the
+pool is created on first use.  A layer is cut only along an axis that no BLAS
+call crosses, and by its shape alone, never by the number of CPUs: into
+:func:`bin_blocks` of bins with every source in each, or of frames with every
+channel in each, or into (source, block) parts where a layer's bytes follow
+blocks sized for one source (:func:`source_block_parts`).  A sum across parts
+is added in the parts' order, whichever finishes first.  So each part makes
+the kernel calls, with the operands, that the layer makes on one thread, and
+the results are the same bytes on any number of CPUs.  Only the number of
+threads that take the parts follows the CPUs (:func:`threads`): on one CPU,
+or where a thread's share would hold fewer entries than the measured
+crossover (:data:`POOL_CROSSOVER`), the parts run in order on the
 calling thread.
 """
 
@@ -71,14 +72,18 @@ def threads(n_parts: int, entries: int) -> int:
     return max(1, min(n_parts, _cpu_count(), entries // POOL_CROSSOVER))
 
 
-def source_parts(n_sources: int, entries_per_source: int) -> tuple[list[slice], int]:
-    """One slice per source (or channel) where their entries hold two crossovers or
-    more, and the :func:`threads` to run them on; else one slice of every source, on
-    the calling thread."""
-    entries = n_sources * entries_per_source
+def source_block_parts(n_sources: int, n_blocks: int, entries: int) -> tuple[list, int]:
+    """``(sources, block)`` parts, a slice of sources and the index of one of
+    ``n_blocks`` blocks, and the :func:`threads` to run them on.  Where the
+    ``entries`` of every source hold two crossovers or more, one part per source
+    and block, the blocks of each source in order, on at most one thread per
+    source, so that no more parts hold their block buffers at once than one part
+    per source would; else one part per block with every source in each, in
+    order on the calling thread."""
     if entries // POOL_CROSSOVER > 1:
-        return [slice(n, n + 1) for n in range(n_sources)], threads(n_sources, entries)
-    return [slice(0, n_sources)], 1
+        parts = [(slice(n, n + 1), k) for n in range(n_sources) for k in range(n_blocks)]
+        return parts, threads(n_sources, entries)
+    return [(slice(0, n_sources), k) for k in range(n_blocks)], 1
 
 
 #: The pool: one queue of work for the life of the process, and how many threads

@@ -47,11 +47,13 @@ No source's factors read another source's, so above the crossover both
 updates and :func:`refresh_scale` run on the package's thread pool
 (:func:`~ggdilrma.pool.run_parts`).  The basis update's bases of a block
 depend on that block alone, so it splits into its blocks of bins, every
-source in each.  The activation update sums over bins, and it and
-:func:`refresh_scale` take ``T[:, blk] @ V`` products, whose bits a BLAS may
-pick by the rows of the block (OpenBLAS does at 60 rows or fewer for 20
-bases); so they split by source (:func:`~ggdilrma.pool.source_parts`), each
-source going over its blocks in order.  Every layer's blocks follow its shape
+source in each.  The activation update and :func:`refresh_scale` take
+``T[:, blk] @ V`` products, whose bits a BLAS may pick by the rows of the
+product (OpenBLAS does at 60 rows or fewer for 20 bases); so they keep the
+blocks of one source's bins, ``bin_blocks(I, J)``, and above the crossover
+split by source and block (:func:`~ggdilrma.pool.source_block_parts`).  The
+activation update adds each source's block sums over bins in the blocks'
+order as the parts finish.  Every layer's blocks follow its shape
 alone, so each part makes the kernel calls, with the operands, that one
 thread makes, and the bytes do not depend on the number of CPUs; and at two
 sources and 20 bases no per-source product is long enough for OpenBLAS to
@@ -66,23 +68,27 @@ generalized-Gaussian log density that :func:`model_cost_terms` negates
 
 from __future__ import annotations
 
+import collections
+import threading
+
 import numpy as np
 
-from .pool import bin_blocks, run_parts, source_parts, threads
+from .pool import bin_blocks, run_parts, source_block_parts, threads
 from .types import EPS_NMF, EPS_Y
 
 
 def refresh_scale(T: np.ndarray, V: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Write the scale field ``S = T V`` ``(N, I, J)`` into ``S``, one block of bins at
-    a time, with the ``T[:, blk] @ V`` product the updates form, by source on the
-    thread pool (:func:`~ggdilrma.pool.source_parts`); returns ``S``."""
+    a time, with the ``T[:, blk] @ V`` product the updates form, by source and block
+    on the thread pool (:func:`~ggdilrma.pool.source_block_parts`); returns ``S``."""
     N, I, J = S.shape
+    blocks = bin_blocks(I, J)
 
-    def part(ns):
-        for blk in bin_blocks(I, J):
-            np.matmul(T[ns, blk], V[ns], out=S[ns, blk])
+    def part(ns_k):
+        ns, k = ns_k
+        np.matmul(T[ns, blocks[k]], V[ns], out=S[ns, blocks[k]])
 
-    run_parts(part, *source_parts(N, I * J))
+    run_parts(part, *source_block_parts(N, len(blocks), N * I * J))
     return S
 
 
@@ -157,10 +163,43 @@ def update_bases_arrays(T, V, S, yp, beta, domain):
     return T_new
 
 
+class _InOrderSums:
+    """Sums over blocks of one part's sources' terms, started from zero and added in
+    the blocks' order, whichever block is handed in first."""
+
+    def __init__(self) -> None:
+        self.sums = None
+        self.added = 0  # blocks added, in order
+        self.waiting: dict = {}  # the terms of later blocks handed in first
+
+    def add(self, k: int, terms: tuple) -> int:
+        """Hand in block ``k``'s ``terms``, add every block now next in order, and
+        return the number of blocks added."""
+        self.waiting[k] = terms
+        while self.added in self.waiting:
+            terms = self.waiting.pop(self.added)
+            if self.sums is None:
+                for t in terms:
+                    t += 0.0  # x + 0 is 0 + x bit for bit: the sum from zero
+                self.sums = terms
+            else:
+                for s, t in zip(self.sums, terms):
+                    s += t
+            self.added += 1
+        return self.added
+
+
 def update_activations_arrays(T, V, yp, beta, domain):
     """Multiplicative update of every activation matrix from ``yp = |y|^p``
-    ``(N, I, J)``; sums run over bins, block by block, by source on the thread pool
-    (:func:`~ggdilrma.pool.source_parts`).
+    ``(N, I, J)``; sums run over bins, block by block, by source and block on the
+    thread pool (:func:`~ggdilrma.pool.source_block_parts`).
+
+    Each part forms its block's two products and hands them to its sources'
+    :class:`_InOrderSums` as it finishes: a block that finishes before an earlier
+    one waits there with its products, which a later part adds.  Whichever part
+    adds a source's last block takes its step.  So each sum has the operands and
+    order of one thread's, on any number of CPUs, and only the blocks that
+    finished out of order are held.
 
     Returns:
         The new activations, shaped as ``V`` and floored at ``EPS_NMF``;
@@ -168,25 +207,34 @@ def update_activations_arrays(T, V, yp, beta, domain):
     """
     N, I, J = yp.shape
     V_new = np.empty_like(V)
+    blocks = bin_blocks(I, J)
+    sums = collections.defaultdict(_InOrderSums)  # by a part's first source
+    lock = threading.Lock()
 
-    def part(ns):
-        Vn = V[ns]
-        num = np.zeros_like(Vn)
-        den = np.zeros_like(Vn)
-        for blk in bin_blocks(I, J):
-            Tb = T[ns, blk]
-            S = Tb @ Vn  # (n, b, J)
-            ratio = np.maximum(yp[ns, blk], EPS_Y**domain)  # the block's one buffer
-            _whitened_ratio(ratio, S, beta, domain, out=ratio)
-            ratio /= S
-            Tt = Tb.transpose(0, 2, 1)
-            num += Tt @ ratio
-            den += Tt @ np.divide(1.0, S, out=ratio)
-        step = ((beta * num) / (2.0 * den)) ** (domain / (beta + domain))
-        V_ns = np.multiply(Vn, step, out=V_new[ns])
+    def part(ns_k):
+        ns, k = ns_k
+        Tb = T[ns, blocks[k]]
+        S = Tb @ V[ns]  # (n, b, J)
+        ratio = np.maximum(yp[ns, blocks[k]], EPS_Y**domain)  # the block's one buffer
+        _whitened_ratio(ratio, S, beta, domain, out=ratio)
+        ratio /= S
+        Tt = Tb.transpose(0, 2, 1)
+        num = Tt @ ratio
+        terms = num, Tt @ np.divide(1.0, S, out=ratio)
+        del S, ratio, num
+        with lock:
+            if sums[ns.start].add(k, terms) < len(blocks):
+                return
+            num, den = sums.pop(ns.start).sums
+        # ((beta * num) / (2 * den)) ** (p / (beta + p)), in place
+        num *= beta
+        den *= 2.0
+        num /= den
+        num **= domain / (beta + domain)
+        V_ns = np.multiply(V[ns], num, out=V_new[ns])
         np.maximum(V_ns, EPS_NMF, out=V_ns)
 
-    run_parts(part, *source_parts(N, I * J))
+    run_parts(part, *source_block_parts(N, len(blocks), N * I * J))
     return V_new
 
 

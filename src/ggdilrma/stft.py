@@ -18,11 +18,13 @@ block's spectra straight into the ``(I, J, C)`` result, and :func:`istft`
 writes each block's windowed frames into one ``(C, J, L)`` buffer.  numpy's
 FFT transforms every frame on its own, so the blocks give the bytes of one
 batch on any number of CPUs.  The overlap-add then takes one vector add per
-hop-long segment of the frames, by channel on the pool: output block ``b``
-takes segment ``k`` of frame ``b - k``, and the segments are added from the
-last to the first, so every sample adds its frames' terms in the order of
-the frames, for any hop.  :func:`istft` returns a ``(length, C)`` view of a
-channels-first buffer, so each channel's samples are contiguous.
+hop-long segment of the frames, by channel on the pool
+(:func:`~ggdilrma.pool.source_block_parts`, with one block of all frames):
+output block ``b`` takes segment ``k`` of frame ``b - k``, and the segments
+are added from the last to the first, so every sample adds its frames' terms
+in the order of the frames, for any hop.  :func:`istft` returns a
+``(length, C)`` view of a channels-first buffer, so each channel's samples
+are contiguous.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ShapeMismatch, SignalTooShort
-from .pool import bin_blocks, run_parts, source_parts, threads
+from .pool import bin_blocks, run_parts, source_block_parts, threads
 from .types import MixtureSpectrogram, SourceSpectrogram
 
 
@@ -170,10 +172,11 @@ def istft(
     n_hops = max(J + phases - 1, -(-(plan.pad + length) // hop))
     out = np.zeros((C, n_hops, hop))  # zeros past the last frame
 
-    def overlap_add(cs):
+    def overlap_add(part):
+        cs = part[0]  # every frame's segments, by channel
         for k in reversed(range(phases)):
             seg = min(hop, L - k * hop)
             out[cs, k : k + J, :seg] += frames[cs, :, k * hop : k * hop + seg]
 
-    run_parts(overlap_add, *source_parts(C, J * L))
+    run_parts(overlap_add, *source_block_parts(C, 1, C * J * L))
     return out.reshape(C, -1)[:, plan.pad : plan.pad + length].T

@@ -47,7 +47,8 @@ BLOCK_BINS = pytest.mark.parametrize("bins", [1, 3, I])
 
 def set_block_bins(monkeypatch, bins, n_sources=1):
     """Blocks of ``bins`` bins in a layer that holds ``n_sources`` sources in each: the
-    layers split by bins hold every source in a block, those split by source one."""
+    layers split by bins hold every source in a block, those cut into (source, block)
+    parts size their blocks for one."""
     monkeypatch.setattr(pool, "BLOCK_ENTRIES", bins * J * n_sources)
 
 

@@ -177,6 +177,23 @@ LAYERS = {
 }
 
 
+#: The layers whose parts are (sources, block) pairs, each source's bins summed or
+#: multiplied block by block.
+SOURCE_BLOCK_LAYERS = {
+    "refresh_scale.<locals>.part",
+    "update_activations_arrays.<locals>.part",
+    "ggd_cost_arrays.<locals>.part",
+}
+
+
+def part_record(part):
+    """A part as its bins or frames, or as its sources and its block."""
+    if isinstance(part, slice):
+        return part.start, part.stop
+    sources, block = part
+    return (sources.start, sources.stop), block
+
+
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_every_layer_hands_the_pool_the_same_parts_on_any_number_of_cpus(monkeypatch, shape, N):
@@ -187,7 +204,7 @@ def test_every_layer_hands_the_pool_the_same_parts_on_any_number_of_cpus(monkeyp
         calls = []
 
         def spy(fn, parts, threads=None):
-            calls.append((fn.__qualname__, [(p.start, p.stop) for p in parts], threads))
+            calls.append((fn.__qualname__, [part_record(p) for p in parts], threads))
             return run_parts(fn, parts, threads)
 
         stft_module = importlib.import_module("ggdilrma.stft")  # the package's stft is the function
@@ -205,6 +222,109 @@ def test_every_layer_hands_the_pool_the_same_parts_on_any_number_of_cpus(monkeyp
         calls = handed(cpus)
         assert [call[:2] for call in calls] == [call[:2] for call in ref]
         assert all((threads > 1) == (shape == "above") for _, _, threads in calls)
+    # Above the crossover the layers that sum or multiply over bins source by source
+    # hand the pool each source's blocks, one part each; below it, each block with
+    # every source in it.
+    n_blocks = len(pool.bin_blocks(*SHAPES[shape]))
+    per_source = [(slice(n, n + 1), k) for n in range(N) for k in range(n_blocks)]
+    every_source = [(slice(0, N), k) for k in range(n_blocks)]
+    expected = [part_record(p) for p in (per_source if shape == "above" else every_source)]
+    source_block_calls = [parts for name, parts, _ in ref if name in SOURCE_BLOCK_LAYERS]
+    assert len(source_block_calls) == 4  # the scale refresh twice
+    assert all(parts == expected for parts in source_block_calls)
+
+
+def last_to_first(fn, parts, threads=None):
+    """``run_parts`` with the parts run last to first on the calling thread."""
+    for part in reversed(parts):
+        fn(part)
+
+
+def first_held_back(fn, parts, threads=None):
+    """``run_parts`` on two threads, the first part held back until the others finish."""
+    rest_done = threading.Event()
+
+    def first():
+        assert rest_done.wait(timeout=60.0)
+        fn(parts[0])
+
+    held = threading.Thread(target=first, daemon=True)
+    held.start()
+    try:
+        for part in parts[1:]:
+            fn(part)
+    finally:
+        rest_done.set()
+        held.join(timeout=60.0)
+    assert not held.is_alive(), "the held-back part did not finish"
+
+
+@pytest.mark.parametrize("run_out_of_order", [last_to_first, first_held_back])
+@pytest.mark.parametrize("beta", [4.0, 1.5])
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_source_block_parts_give_the_same_bytes_when_they_finish_out_of_order(
+    monkeypatch, run_out_of_order, beta, N
+):
+    # Each source's block sums are added in the blocks' order whichever part
+    # finishes first, so the sums, the activations and the cost are the bytes of one
+    # CPU.  Seven blocks of bins, the first louder than the rest, so that its sums
+    # are orders of magnitude above theirs, and adding them in the order they
+    # finish rounds differently.
+    xd, W, W_inv, log_det, T, V = instance(*SHAPES["above"], N, seed=N)
+    yp = np.abs(xd.transpose(2, 0, 1), order="C") ** 0.5
+    blocks = pool.bin_blocks(*SHAPES["above"])
+    assert len(blocks) == 7
+    yp[:, blocks[0]] *= 16.0
+
+    def outputs():
+        S = refresh_scale(T, V, np.empty(yp.shape))
+        return {
+            "S": S,
+            "V": update_activations_arrays(T, V, yp, beta, 0.5),
+            "cost": np.float64(ggd_cost_arrays(yp, log_det, S, beta, 0.5)),
+        }
+
+    set_cpus(monkeypatch, 1)
+    ref = outputs()
+    set_cpus(monkeypatch, 2)
+    with monkeypatch.context() as m:
+        for module in (source_model, cost):
+            m.setattr(module, "run_parts", run_out_of_order)
+        assert_same_bytes(outputs(), ref)
+
+
+def test_source_block_parts_on_more_threads_than_cores_give_the_same_bytes(monkeypatch):
+    # Four sources on four threads of this machine's cores, with thread switches as
+    # often as the interpreter allows: an add to a source's sums that was lost, or
+    # made out of the blocks' order, would change the bytes of one CPU.
+    N = 4
+    xd, W, W_inv, log_det, T, V = instance(*SHAPES["above"], N, seed=9)
+    yp = np.abs(xd.transpose(2, 0, 1), order="C") ** 0.5
+    S = refresh_scale(T, V, np.empty(yp.shape))
+
+    def outputs():
+        return {
+            "V": update_activations_arrays(T, V, yp, 4.0, 0.5),
+            "cost": np.float64(ggd_cost_arrays(yp, log_det, S, 4.0, 0.5)),
+        }
+
+    set_cpus(monkeypatch, 1)
+    ref = outputs()
+    set_cpus(monkeypatch, 8)
+    pool_use = count_pool_use(monkeypatch)
+    got = []
+    caller = threading.Thread(target=lambda: got.extend(outputs() for _ in range(5)), daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller.start()
+        caller.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive(), "the layers did not return within 60 s"
+    assert len(got) == 5 and pool_use
+    for outputs_of_a_call in got:
+        assert_same_bytes(outputs_of_a_call, ref)
 
 
 @pytest.mark.parametrize("cpus", [2, 4])
