@@ -95,7 +95,8 @@ def majorizer_trial(seed: int) -> tuple[float, float]:
         w_ref, w = _unit_vector(rng, N), _unit_vector(rng, N)
         yd = (x @ w_ref.conj())[None, :, None]  # one bin, one row
         G = quartic_majorizer(
-            mixture_gram(x[None]), yd, w_ref.conj()[None, None], r[None, None], 1.0
+            mixture_gram(x[None]), yd, w_ref.conj()[None, None], r[None, None], 1.0,
+            np.empty((1, 1, J)),
         )[0][0, 0]
         g_at = float((w.conj() @ G @ w).real) ** 2
         worst_gap = min(worst_gap, g_at - _quartic_cost(x, r, w))

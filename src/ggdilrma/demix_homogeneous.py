@@ -80,24 +80,26 @@ paid once per sweep for the small per-bin algebra and its frame-length
 temporaries stay cache-sized.  First, :func:`quartic_majorizer` streams over
 blocks of bins (:func:`~ggdilrma.pool.bin_blocks`) for the work that runs
 along the frames: ``1 / r^2 = S^(-2/p)``, by the kernel that raises the IP
-weights (:func:`~ggdilrma.source_model._whitened_ratio`), the anchors'
-``|q~|^2`` and the features of every source's ``A`` and ``C``; then it
-builds every ``G`` over all bins at once, and the sweep factors them all.
-Second, the directions: per source, over all bins, the solve and the
-unscaled write-back.  Third, one more pass over the blocks takes every
-direction's cost ``a(h) . P`` against ``1 / r^2``, formed again, once for all
-sources; then every scale, ``f_check``, and the skipped bins' entry state are
-applied over all bins at once.  Its result does not depend on the block
-size.  It updates ``W`` only.
+weights (:func:`~ggdilrma.source_model._whitened_ratio`), which it keeps in
+an ``(N, I, J)`` buffer that the caller provides, the anchors' ``|q~|^2`` and
+the features of every source's ``A`` and ``C``; then it builds every ``G``
+over all bins at once, and the sweep factors them all.  Second, the
+directions: per source, over all bins, the solve and the unscaled
+write-back.  Third, one more pass over the blocks takes every direction's
+cost ``a(h) . P`` against the kept ``1 / r^2``, once for all sources; then
+every scale, ``f_check``, and the skipped bins' entry state are applied over
+all bins at once.  Its result does not depend on the block size.  It updates
+``W`` and the ``1 / r^2`` buffer only; the pipeline lends it the buffer of
+``|y|^p``, which nothing reads between the sweep's start and its refresh.
 
 The two passes over the frames are per bin, every source at once, so above
 the crossover their blocks, of ``BLOCK_ENTRIES`` entries over all sources,
 run on the package's thread pool (:func:`~ggdilrma.pool.run_parts`), each
-block a part that writes its bins of the features, ``s4`` and the
-directions' costs, which the caller allocated.  The blocks follow the shape
-alone, as :func:`mixture_gram`'s do, and every per-bin product keeps its
-``2N`` (or ``N``) columns, so the sweep's bytes do not depend on the number
-of CPUs either.
+block a part that writes its bins of ``1 / r^2``, the features, ``s4`` and
+the directions' costs, which the caller allocated.  The blocks follow the
+shape alone, as :func:`mixture_gram`'s do, and every per-bin product keeps
+its ``2N`` (or ``N``) columns, so the sweep's bytes do not depend on the
+number of CPUs either.
 
 The per-filter forms of this update (``quartic_update_filter``,
 ``direction_scale_step``, the homogeneous objectives, ``optimal_scale``)
@@ -168,7 +170,7 @@ def _hermitian(feat: np.ndarray, M: int) -> np.ndarray:
     return H
 
 
-def quartic_majorizer(gram: np.ndarray, yd, W, S, domain: float):
+def quartic_majorizer(gram: np.ndarray, yd, W, S, domain: float, inv_r2):
     """Majorizers ``G`` of every row, batched over bins: the first phase of
     :func:`quartic_sweep`, which factors exactly what this returns.
 
@@ -178,6 +180,7 @@ def quartic_majorizer(gram: np.ndarray, yd, W, S, domain: float):
         W: the anchor rows ``w~^H`` ``(I, N, M)``; ``N`` need not equal ``M``.
         S: the scale field ``r**p`` ``(N, I, J)``.
         domain: the exponent ``p``.
+        inv_r2: an ``(N, I, J)`` buffer, overwritten with ``1 / r**2 = S^(-2/p)``.
 
     Returns:
         ``(G, good, s4)``: ``(I, N, M, M)`` Hermitian PSD matrices such that
@@ -187,14 +190,15 @@ def quartic_majorizer(gram: np.ndarray, yd, W, S, domain: float):
     """
     I, features, J = gram.shape
     N, M = yd.shape[2], W.shape[-1]
-    # Per block, the work along the frames: 1 / r**2, the anchors' |q~|^2 and the
-    # features of every row's A and C, which are kept for all bins.
+    # Per block, the work along the frames: 1 / r**2, kept in inv_r2, the anchors'
+    # |q~|^2 and the features of every row's A and C, which are kept for all bins.
     fa, fc = np.empty((2, I, features, N))
     s4 = np.empty((N, I))
 
     def frame_pass(blk):
         wts = np.empty((2, N, blk.stop - blk.start, J))  # 1 / r**2, then |y~|^2 / r**4
         _whitened_ratio(1.0, S[:, blk], 2.0, domain, out=wts[0])  # S^(-2/p) = 1 / r**2
+        inv_r2[:, blk] = wts[0]
         aq2 = np.abs(yd[blk].transpose(2, 0, 1), order="C")  # |q~|^2 = |y~|^2 / r^2
         aq2 *= aq2
         aq2 *= wts[0]
@@ -238,7 +242,7 @@ def _cholesky(G):
     return R, ok & (det_g > EPS_DET * hadamard)
 
 
-def quartic_sweep(gram: np.ndarray, yd, W, S, domain: float, W_inv, log_det):
+def quartic_sweep(gram: np.ndarray, yd, W, S, domain: float, W_inv, log_det, inv_r2):
     """One full quartic update of all filters, batched over bins: the
     :func:`quartic_majorizer` of every source and its Cholesky factor; then
     every source's direction, written back unscaled; then every direction's
@@ -259,6 +263,8 @@ def quartic_sweep(gram: np.ndarray, yd, W, S, domain: float, W_inv, log_det):
         domain: the exponent ``p``.
         W_inv, log_det: ``W^{-1}`` ``(I, N, N)`` and ``log|det W_i|`` ``(I,)``,
             kept in step with ``W`` in place.
+        inv_r2: an ``(N, I, J)`` buffer, overwritten with ``1 / r**2 = S^(-2/p)``
+            by the first pass over the frames and read by the second.
 
     Returns:
         ``(W, yd, f_check, n_skipped)`` with ``yd`` as given, ``f_check[i, n]``
@@ -274,7 +280,7 @@ def quartic_sweep(gram: np.ndarray, yd, W, S, domain: float, W_inv, log_det):
     I, J, N = yd.shape
     # Every source's G reads W on entry only, so all are built and factored at once,
     # over all bins.
-    G, good, s4 = quartic_majorizer(gram, yd, W, S, domain)
+    G, good, s4 = quartic_majorizer(gram, yd, W, S, domain, inv_r2)
     R, factored = _cholesky(G)
     good &= factored.T
     entry = W.copy(), W_inv.copy(), log_det.copy()
@@ -284,15 +290,15 @@ def quartic_sweep(gram: np.ndarray, yd, W, S, domain: float, W_inv, log_det):
         w_dir, z = _substitute(R[:, n], W_inv[:, :, n])
         good[n] &= np.vecdot(z, z).real > 0.0  # ||z||^2 = h W^-1 e_n, the det factor
         _replace_row(W, W_inv, log_det, n, w_dir.conj(), good[n])
-    # Every direction's cost sum_j |h x_j|^4 / r_j^4 in one pass over the frames, with
-    # 1 / r**2 formed again for all sources: keeping the first pass's would be full-size.
+    # Every direction's cost sum_j |h x_j|^4 / r_j^4 in one pass over the frames, for
+    # all sources, against the 1 / r**2 that the first pass kept.
     coeffs = _form_coeffs(W)
     s4_dir = np.empty((N, I))
 
     def cost_pass(blk):
-        a2, inv_r2 = np.empty((2, N, blk.stop - blk.start, J))
+        a2 = np.empty((N, blk.stop - blk.start, J))
         np.matmul(coeffs[blk], gram[blk], out=a2.transpose(1, 0, 2))  # |y_dir|^2
-        a2 *= _whitened_ratio(1.0, S[:, blk], 2.0, domain, out=inv_r2)  # over r^2
+        a2 *= inv_r2[:, blk]  # over r^2
         s4_dir[:, blk] = np.vecdot(a2, a2)
 
     blocks = bin_blocks(I, J * N)

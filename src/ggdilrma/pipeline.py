@@ -17,9 +17,10 @@ each sweep, so at every iteration boundary it is ``|y|^p`` of the current
 IP sweep, whose weights read the outputs of the ``W`` it is given only
 where ``beta != 2``.  The quartic sweep reads the complex outputs of its
 entry ``W``, separated before the sweep, so a quartic iteration separates
-twice and an IP iteration once.  :func:`separate` makes one real matrix
-product per bin, of the mixture's interleaved real and imaginary parts, into
-row-major ``(I, J, N)`` outputs.
+twice and an IP iteration once.  It never reads ``yp``, so it borrows that
+buffer for its ``1 / r^2``, which the refresh then overwrites.
+:func:`separate` makes one real matrix product per bin, of the mixture's
+interleaved real and imaginary parts, into row-major ``(I, J, N)`` outputs.
 
 Beside ``T`` and ``V`` the run carries their scale field ``S = T V``
 ``(N, I, J)``.  :func:`initialize` forms it, and each iteration refreshes it
@@ -193,9 +194,9 @@ def iteration_step(xd, W, T, V, cfg: GgdConfig, gram: Optional[np.ndarray], W_in
     update, the activation update and the cost; no full-size array outlives its
     use.  ``yp`` is ``|y|^p`` of the entry ``W`` on entry, which the IP sweep
     reads; the quartic sweep is handed the outputs of the entry ``W`` instead,
-    so a quartic step separates twice and an IP step once.  ``gram`` is the
-    quartic scheme's cached
-    :func:`~ggdilrma.demix_homogeneous.mixture_gram` of ``xd``.  The sweep keeps
+    so a quartic step separates twice and an IP step once, and borrows ``yp``
+    as its ``1 / r^2`` buffer until the refresh.  ``gram`` is the quartic
+    scheme's cached :func:`~ggdilrma.demix_homogeneous.mixture_gram` of ``xd``.  The sweep keeps
     ``W_inv`` (``W^{-1}``) and ``log_det`` (``log|det W_i|``) in step with ``W``,
     and the cost reads ``log_det``.  ``S`` is the scale field ``T V`` on entry;
     the sweep and the basis update read it, and it is refreshed in place after
@@ -207,8 +208,9 @@ def iteration_step(xd, W, T, V, cfg: GgdConfig, gram: Optional[np.ndarray], W_in
     if cfg.update_scheme == "ip":
         W = ip_sweep(xd, yp, W, S, beta, p, W_inv, log_det)
     else:
-        # [::3] keeps W and the skip count; the anchor outputs are dropped.
-        W, skipped = quartic_sweep(gram, separate(xd, W), W, S, p, W_inv, log_det)[::3]
+        # [::3] keeps W and the skip count; the anchor outputs are dropped.  The sweep
+        # borrows yp for its 1 / r**2, and the refresh below overwrites it.
+        W, skipped = quartic_sweep(gram, separate(xd, W), W, S, p, W_inv, log_det, yp)[::3]
     _powered_magnitudes(separate(xd, W), p, yp)  # of the new W
     T = update_bases_arrays(T, V, S, yp, beta, p)
     V = update_activations_arrays(T, V, yp, beta, p)

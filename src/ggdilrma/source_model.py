@@ -33,10 +33,13 @@ the iterative-projection weights.  The whitened ratio
 positive integer (8 at beta = 4, p = 1/2), and by the generic power
 otherwise.
 
-Each block's elementwise chain runs in place.  Both updates floor the
-block's ``|y|^p`` into one new block buffer, then divide it by ``S``, raise
-it, divide it by ``S`` again and overwrite it with ``1/S``; the activation
-update also forms its block's ``S`` in a buffer of its own.
+Each block's elementwise chain runs in place, and each block forms ``1/S``
+once (:func:`_whitened_terms`).  The basis update writes it into a new block
+buffer; the activation update writes it over its block's ``S``, which it
+forms in a buffer of its own.  Both floor the block's ``|y|^p`` into one
+more new block buffer, multiply it by ``1/S``, raise it and multiply it by
+``1/S`` again, and ``1/S`` itself is the denominator's operand: one
+reciprocal and two products in place of two divides and a second reciprocal.
 :func:`model_cost_terms` writes the ratio into a new array and adds the
 log-scale term into it.  An odd power takes one more buffer for its
 squares (:func:`_int_power`).  No layer writes into ``T``, ``V``, ``S`` or
@@ -47,11 +50,13 @@ No source's factors read another source's, so above the crossover both
 updates and :func:`refresh_scale` run on the package's thread pool
 (:func:`~ggdilrma.pool.run_parts`).  The basis update's bases of a block
 depend on that block alone, so it splits into its blocks of bins, every
-source in each.  The activation update and :func:`refresh_scale` take
-``T[:, blk] @ V`` products, whose bits a BLAS may pick by the rows of the
-product (OpenBLAS does at 60 rows or fewer for 20 bases); so they keep the
-blocks of one source's bins, ``bin_blocks(I, J)``, and above the crossover
-split by source and block (:func:`~ggdilrma.pool.source_block_parts`).  The
+source in each, on at most one thread per source, as the activation update:
+each part of either update holds two block buffers.  The activation update
+and :func:`refresh_scale` take ``T[:, blk] @ V`` products, whose bits a BLAS
+may pick by the rows of the product (OpenBLAS does at 60 rows or fewer for 20
+bases); so they keep the blocks of one source's bins, ``bin_blocks(I, J)``,
+and above the crossover split by source and block
+(:func:`~ggdilrma.pool.source_block_parts`).  The
 activation update adds each source's block sums over bins in the blocks'
 order as the parts finish.  Every layer's blocks follow its shape
 alone, so each part makes the kernel calls, with the operands, that one
@@ -117,6 +122,16 @@ def _int_power(x: np.ndarray, k: int) -> np.ndarray:
             x *= x
 
 
+def _power(x: np.ndarray, k: float) -> np.ndarray:
+    """``x**k`` written into ``x``, which is returned: by repeated squaring
+    (:func:`_int_power`) for an integer ``k >= 1``, about half the time of the
+    generic ``pow`` that a float exponent runs, and by ``**`` otherwise."""
+    if k >= 1.0 and k == int(k):
+        return _int_power(x, int(k))
+    x **= k
+    return x
+
+
 def _whitened_ratio(yp, S: np.ndarray, beta: float, domain: float, out=None) -> np.ndarray:
     """``|y|^beta / S^(beta/p)`` computed as ``(|y|^p / S)^(beta/p)`` from ``yp = |y|^p``,
     written into ``out``, which may be ``yp`` itself, or into a new array when
@@ -124,21 +139,29 @@ def _whitened_ratio(yp, S: np.ndarray, beta: float, domain: float, out=None) -> 
 
     The ratio-first form keeps intermediates near unity; direct powers of
     ``S`` under/overflow when ``beta/p`` is large (e.g. 8 at beta=4, p=0.5).
-    An integer ``beta/p`` is raised by repeated squaring, about half the
-    time of the generic ``pow`` that a float exponent runs.
+    The ratio is raised by :func:`_power`.
     """
-    ratio = np.divide(yp, S, out=out)
-    k = beta / domain
-    if k >= 1.0 and k == int(k):
-        return _int_power(ratio, int(k))
-    ratio **= k
+    return _power(np.divide(yp, S, out=out), beta / domain)
+
+
+def _whitened_terms(yp, inv, beta, domain):
+    """The ratio term ``|y|^beta / S^(beta/p + 1)`` of both NMF updates, as
+    ``(max(|y|^p, EPS_Y**p) / S)^(beta/p) / S`` from ``yp = |y|^p`` and ``inv = 1 / S``,
+    in one new array: the floored ``yp`` times ``inv``, raised by :func:`_power`,
+    times ``inv`` again."""
+    ratio = np.maximum(yp, EPS_Y**domain)
+    ratio *= inv
+    _power(ratio, beta / domain)
+    ratio *= inv
     return ratio
 
 
 def update_bases_arrays(T, V, S, yp, beta, domain):
     """Multiplicative update of every basis matrix, from the scale field ``S = T V``
     and ``yp = |y|^p``, both ``(N, I, J)``, by blocks of bins with every source in
-    each, one block per part on the thread pool.
+    each, one block per part on the thread pool.  Each part holds two block
+    buffers, ``1 / S`` and the ratio, so the parts run on at most one thread per
+    source, as the activation update's do.
 
     Returns:
         The new bases, shaped as ``T`` and floored at ``EPS_NMF``; ``T``, ``V``,
@@ -148,18 +171,15 @@ def update_bases_arrays(T, V, S, yp, beta, domain):
     T_new = np.empty_like(T)
 
     def part(blk):
-        Sb = S[:, blk]
-        ratio = np.maximum(yp[:, blk], EPS_Y**domain)  # the block's one buffer
-        _whitened_ratio(ratio, Sb, beta, domain, out=ratio)
-        ratio /= Sb
-        num = beta * (ratio @ Vt)
-        den = 2.0 * (np.divide(1.0, Sb, out=ratio) @ Vt)
+        inv = np.divide(1.0, S[:, blk])
+        num = beta * (_whitened_terms(yp[:, blk], inv, beta, domain) @ Vt)
+        den = 2.0 * (inv @ Vt)
         T_blk = np.multiply(T[:, blk], (num / den) ** (domain / (beta + domain)), out=T_new[:, blk])
         np.maximum(T_blk, EPS_NMF, out=T_blk)
 
     N, I, J = S.shape
     blocks = bin_blocks(I, J * N)
-    run_parts(part, blocks, threads(len(blocks), I * J * N))
+    run_parts(part, blocks, threads(min(len(blocks), N), I * J * N))
     return T_new
 
 
@@ -214,14 +234,11 @@ def update_activations_arrays(T, V, yp, beta, domain):
     def part(ns_k):
         ns, k = ns_k
         Tb = T[ns, blocks[k]]
-        S = Tb @ V[ns]  # (n, b, J)
-        ratio = np.maximum(yp[ns, blocks[k]], EPS_Y**domain)  # the block's one buffer
-        _whitened_ratio(ratio, S, beta, domain, out=ratio)
-        ratio /= S
+        inv = Tb @ V[ns]  # (n, b, J): S, then 1 / S
+        np.divide(1.0, inv, out=inv)
         Tt = Tb.transpose(0, 2, 1)
-        num = Tt @ ratio
-        terms = num, Tt @ np.divide(1.0, S, out=ratio)
-        del S, ratio, num
+        terms = Tt @ _whitened_terms(yp[ns, blocks[k]], inv, beta, domain), Tt @ inv
+        del inv
         with lock:
             if sums[ns.start].add(k, terms) < len(blocks):
                 return

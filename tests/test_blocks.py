@@ -111,7 +111,7 @@ def test_quartic_sweep_is_block_invariant(monkeypatch, bins, N):
     def sweep():
         carried = W_inv.copy(), log_det.copy()
         W_new, _, f_check, skipped = quartic_sweep(
-            gram, pipeline.separate(xd, W), W.copy(), S, 0.5, *carried
+            gram, pipeline.separate(xd, W), W.copy(), S, 0.5, *carried, np.empty_like(S)
         )
         return (W_new, *carried, f_check), skipped
 
@@ -258,8 +258,9 @@ def test_singular_demixing_is_named_by_its_global_bin(monkeypatch, bins, N):
     xd, W, T, V, W_inv, log_det = vanishing_inverse_column(N)
     gram = mixture_gram(xd)
     set_block_bins(monkeypatch, bins, N)
+    S = carried_scale(T, V)
     W_new, _, _, skipped = quartic_sweep(
-        gram, pipeline.separate(xd, W), W.copy(), carried_scale(T, V), 0.5, W_inv, log_det
+        gram, pipeline.separate(xd, W), W.copy(), S, 0.5, W_inv, log_det, np.empty_like(S)
     )
     assert skipped == 1
     kept = np.all(W_new == W, axis=2)  # (bin, source) pairs left as they were
@@ -327,7 +328,8 @@ def test_sweeps_take_the_per_bin_algebra_once_over_all_bins(monkeypatch, bins, N
     # their Cholesky factors are formed once per sweep, and each source is solved
     # once, over all bins, in both sweeps: the counts do not follow the blocks.
     # The quartic sweep passes over the frames twice, for the majorizers and then
-    # for every direction's cost, each forming 1 / r**2 once per block.
+    # for every direction's cost.  The first pass forms 1 / r**2 once per block and
+    # keeps it in the buffer it is given, which the second pass reads.
     set_block_bins(monkeypatch, bins, N)
     n_blocks = len(bin_blocks(I, J * N))
     assert n_blocks >= 4
@@ -348,15 +350,31 @@ def test_sweeps_take_the_per_bin_algebra_once_over_all_bins(monkeypatch, bins, N
     xd, W, T, V = instance(N, 3)
     S = carried_scale(T, V)
     yd = pipeline.separate(xd, W)
-    quartic_sweep(mixture_gram(xd), yd, W.copy(), S, 0.5, *inverse_and_log_det(W))
+    inv_r2 = np.full_like(S, np.nan)
+    quartic_sweep(mixture_gram(xd), yd, W.copy(), S, 0.5, *inverse_and_log_det(W), inv_r2)
     ip_sweep(xd, carried_magnitudes(xd, W, 0.5), W.copy(), S, 1.0, 0.5, *inverse_and_log_det(W))
     assert calls == {
         ("demix_homogeneous", "quartic_majorizer"): 1,
         ("demix_homogeneous", "_cholesky"): 1,
         ("demix_homogeneous", "_substitute"): N,
-        ("demix_homogeneous", "_whitened_ratio"): 2 * n_blocks,
+        ("demix_homogeneous", "_whitened_ratio"): n_blocks,
         ("demix_ip", "_substitute"): N,
     }
+    assert inv_r2.tobytes() == _whitened_ratio(1.0, S, 2.0, 0.5).tobytes()
+
+
+@pytest.mark.parametrize("bins", [1, 3])
+@pytest.mark.parametrize("N", [2, 3])
+def test_quartic_step_leaves_yp_the_powered_outputs_of_the_new_w(monkeypatch, bins, N):
+    # The quartic sweep borrows the carried |y|^p for its 1 / r**2, which the step's
+    # refresh then overwrites with |y|^p of the updated W.
+    set_block_bins(monkeypatch, bins, N)
+    xd = instance(N, 4)[0]
+    cfg = GgdConfig(beta=4.0, domain=0.5, n_bases=K, iterations=1, seed=4)
+    state = pipeline.initialize(cfg, ProblemShape(I, J, N, K), xd)
+    yp = state[-1]
+    W_new = pipeline.iteration_step(xd, *state[:3], cfg, mixture_gram(xd), *state[3:])[0]
+    assert yp.tobytes() == carried_magnitudes(xd, W_new, 0.5).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -419,8 +437,10 @@ def test_whitened_ratio_writes_into_out(k, into):
 PEAK_FRACTION = 0.75
 
 #: Tighter bound for the two NMF updates and the cost, whose per-block chains
-#: run in one block buffer each: they read 0.12 (bases), 0.17 (activations) and
-#: 0.11 (cost).  A new block-sized temporary per operation reads 0.29 and 0.34.
+#: run in place in at most two block buffers each, on at most one thread per
+#: source: they read 0.066 (bases), 0.060 (activations) and 0.056 (cost) on one
+#: CPU, and 0.125, 0.117 and 0.112 on two.  A new block-sized temporary per
+#: operation reads 0.29 and 0.34.
 NMF_PEAK_FRACTION = 0.2
 
 
@@ -474,7 +494,7 @@ def peaks_stay_block_sized():
         "update_bases_arrays": (update_bases_arrays, T, V, S, yp, 4.0, 0.5),
         "update_activations_arrays": (update_activations_arrays, T, V, yp, 4.0, 0.5),
         "ggd_cost_arrays": (ggd_cost_arrays, yp, log_det, S, 4.0, 0.5),
-        "quartic_sweep": (quartic_sweep, gram, yd, W.copy(), S, 0.5, *carried()),
+        "quartic_sweep": (quartic_sweep, gram, yd, W.copy(), S, 0.5, *carried(), np.empty_like(S)),
         # At beta = 2 the weights read no output; at beta = 1 they read |y|^p.
         "ip_sweep": (ip_sweep, xd, yp, W.copy(), S, 2.0, 2.0, *carried()),
         "ip_sweep_beta1": (ip_sweep, xd, yp, W.copy(), S, 1.0, 0.5, *carried()),
@@ -501,8 +521,8 @@ def peaks_stay_block_sized():
 #: at a time.  ``|y|^p`` is carried state, like the scale field ``S`` and
 #: ``gram``: allocated outside the step and refreshed in place, so it is not
 #: part of this transient.  With the sweeps' block temporaries a quartic step
-#: reads 1.53 at N = 2 and 1.59 at N = 3.  Keeping the scale field, the anchor
-#: and the refresh alive together reads 2.7.
+#: reads 1.19 at N = 2 and 1.27 at N = 3 on one CPU, and 1.34 and 1.28 on two.
+#: Keeping the scale field, the anchor and the refresh alive together reads 2.7.
 STEP_PEAK_FRACTION = 1.75
 
 #: Tighter bound for an IP step (beta <= 2), which separates once: it reads

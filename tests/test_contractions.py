@@ -114,7 +114,8 @@ def test_quartic_majorizer_matches_einsum(N, J, layout):
     yd = np.einsum("ijm,im->ij", xd, w.conj())
     # one row, at p = 1 so that the scale field is r
     G, good, _ = quartic_majorizer(
-        mixture_gram(xd), yd[..., None], w.conj()[:, None], radius[None], 1.0
+        mixture_gram(xd), yd[..., None], w.conj()[:, None], radius[None], 1.0,
+        np.empty((1, I, J)),
     )
     G, good = G[:, 0], good[0]
     G_ref, good_ref = quartic_majorizer_einsum(xd, yd, radius)

@@ -45,7 +45,8 @@ def batched_majorizer(x_slab, r_col, w_ref):
     so that the scale field is ``r``: ``(G, good)``."""
     yd = (x_slab @ w_ref.conj())[None, :, None]
     G, good, _ = quartic_majorizer(
-        mixture_gram(x_slab[None]), yd, w_ref.conj()[None, None], r_col[None, None], 1.0
+        mixture_gram(x_slab[None]), yd, w_ref.conj()[None, None], r_col[None, None], 1.0,
+        np.empty((1, 1, len(r_col))),
     )
     return G[0, 0], bool(good[0, 0])
 
@@ -172,7 +173,9 @@ class TestQuarticMajorizer:
         r = 10.0 ** rng.uniform(-3.0, 3.0, (N, J))
         W = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
         yd = (x @ W.T)[None]  # the anchors: every row's outputs, one bin
-        G, good, _ = quartic_majorizer(mixture_gram(x[None]), yd, W[None], r[:, None], 1.0)
+        G, good, _ = quartic_majorizer(
+            mixture_gram(x[None]), yd, W[None], r[:, None], 1.0, np.empty((N, 1, J))
+        )
         assert good.all()
         for n in range(N):
             obj = quartic_objective(x, r[n])
@@ -246,7 +249,9 @@ def sweep(xd, W, radius):
     at ``p = 1``."""
     yd = np.einsum("inm,ijm->ijn", W, xd)
     S = np.moveaxis(radius, 2, 0)
-    return quartic_sweep(mixture_gram(xd), yd, W, S, 1.0, *inverse_and_log_det(W))
+    return quartic_sweep(
+        mixture_gram(xd), yd, W, S, 1.0, *inverse_and_log_det(W), np.empty_like(S)
+    )
 
 
 class TestQuarticUpdateFilter:
@@ -396,8 +401,9 @@ class TestQuarticUpdateFilter:
         yd = np.einsum("inm,ijm->ijn", W, xd)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
+            S = np.moveaxis(radius, 2, 0)
             _, _, f_check, skipped = quartic_sweep(
-                mixture_gram(xd), yd, state[0], np.moveaxis(radius, 2, 0), 1.0, *state[1:]
+                mixture_gram(xd), yd, state[0], S, 1.0, *state[1:], np.empty_like(S)
             )
         assert skipped == N
         for got, given in zip(state, (W, W_inv, log_det)):
@@ -471,9 +477,9 @@ class TestQuarticUpdateFilter:
         xd[3, :, 1] = xd[3, :, 0]  # a rank-deficient bin
         yd = np.einsum("inm,ijm->ijn", W, xd)
         S = np.moveaxis(radius, 2, 0)
-        G, good, _ = quartic_majorizer(mixture_gram(xd), yd, W, S, 1.0)
+        G, good, _ = quartic_majorizer(mixture_gram(xd), yd, W, S, 1.0, np.empty_like(S))
         _, _, _, skipped = quartic_sweep(
-            mixture_gram(xd), yd, W.copy(), S, 1.0, *inverse_and_log_det(W)
+            mixture_gram(xd), yd, W.copy(), S, 1.0, *inverse_and_log_det(W), np.empty_like(S)
         )
         [G_sweep] = factored  # every source over all bins, factored at once
         np.testing.assert_array_equal(G_sweep, G)

@@ -3,11 +3,11 @@
 ``perfbench/layers.py`` wraps each layer by the module attribute its caller
 looks up, and reads positions of some calls: ``W`` at ``args[2]`` and the
 skip count at ``result[3]`` of ``quartic_sweep(gram, yd, W, S, domain,
-W_inv, log_det)``, the mixture at ``args[0]`` and ``W`` at ``result[0]`` of
+W_inv, log_det, inv_r2)``, the mixture at ``args[0]`` and ``W`` at ``result[0]`` of
 ``iteration_step(xd, W, T, V, cfg, gram, W_inv, log_det, S, yp)``.  The
 mixture's ``gram`` takes the sweep's first slot, and the scale field ``S``
-follows ``W``; the carried inverse, log-determinants and, in the step, ``S``
-and ``|y|^p`` come after every position it reads.  Its skip count swallows a
+follows ``W``; the carried inverse, log-determinants, the sweep's ``1 / r**2``
+buffer and, in the step, ``S`` and ``|y|^p`` come after every position it reads.  Its skip count swallows a
 moved position and reads 0, so the positions are pinned here.  Its span
 stack is not thread-safe, so the wrapped layers must also run on the calling
 thread when the layers split their work on the thread pool.

@@ -74,7 +74,10 @@ def layer_outputs(xd, W, W_inv, log_det, T, V, beta=4.0):
     y = pipeline.separate(xd, W)
     yp = np.abs(np.moveaxis(y, 2, 0), order="C") ** 0.5
     carried = W_inv.copy(), log_det.copy()
-    W_new, _, f_check, skipped = quartic_sweep(mixture_gram(xd), y, W.copy(), S, 0.5, *carried)
+    inv_r2 = np.empty_like(S)
+    W_new, _, f_check, skipped = quartic_sweep(
+        mixture_gram(xd), y, W.copy(), S, 0.5, *carried, inv_r2
+    )
     return {
         "S": S,
         "y": y,
@@ -85,6 +88,7 @@ def layer_outputs(xd, W, W_inv, log_det, T, V, beta=4.0):
         "W_inv": carried[0],
         "log_det": carried[1],
         "f_check": f_check,
+        "inv_r2": inv_r2,
         "skipped": np.int64(skipped),
     }
 
@@ -528,7 +532,9 @@ def test_the_callers_errstate_holds_in_a_layer_on_the_pool(monkeypatch):
     y = pipeline.separate(xd, W)
     pool_use = count_pool_use(monkeypatch)
     with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
-        quartic_sweep(mixture_gram(xd), y, W.copy(), S, 0.5, W_inv.copy(), log_det.copy())
+        quartic_sweep(
+            mixture_gram(xd), y, W.copy(), S, 0.5, W_inv.copy(), log_det.copy(), np.empty_like(S)
+        )
     assert pool_use
 
 

@@ -175,6 +175,26 @@ class TestNmfUpdates:
             V_new, update_activations_reference(T_new, V, abs_y, beta, p), rtol=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "beta,p", [(4.0, 0.5), (1.5, 0.5), (1.0, 0.7)], ids=["k=8", "k=3", "k=1.43"]
+    )
+    def test_one_reciprocal_per_block_matches_the_loop_form(self, beta, p):
+        # Each block's 1 / S is formed once, and the ratio multiplied by it twice:
+        # roundoff apart from the oracle's direct powers of S, at an even, an odd
+        # and a non-integer beta / p, with a third of the outputs below EPS_Y.
+        T, V = random_model(N=3, I=5, K=4, J=7, seed=21)
+        abs_y = source_magnitudes(random_sources(5, 7, 3, seed=22))
+        abs_y[:, ::3] *= 1e-13 / abs_y[:, ::3].max()
+        assert (abs_y < EPS_Y).sum() >= abs_y.size // 3
+        T_new = update_bases_arrays(T, V, scale(T, V), abs_y**p, beta, p)
+        np.testing.assert_allclose(
+            T_new, update_bases_reference(T, V, abs_y, beta, p), rtol=1e-14
+        )
+        V_new = update_activations_arrays(T_new, V, abs_y**p, beta, p)
+        np.testing.assert_allclose(
+            V_new, update_activations_reference(T_new, V, abs_y, beta, p), rtol=1e-14
+        )
+
     @pytest.mark.parametrize("beta,p", [(4.0, 0.5), (1.0, 0.5), (2.0, 2.0), (1.99, 0.5)])
     def test_sweep_never_increases_cost(self, beta, p):
         # fixed demixing: a T sweep then V sweep must not increase the cost
