@@ -93,10 +93,10 @@ def majorizer_trial(seed: int) -> tuple[float, float]:
         x = rng.standard_normal((J, N)) + 1j * rng.standard_normal((J, N))
         r = rng.uniform(0.5, 2.0, size=J)
         w_ref, w = _unit_vector(rng, N), _unit_vector(rng, N)
-        yd = (x @ w_ref.conj())[None, :, None]  # one bin, one row
+        yd = np.abs(x @ w_ref.conj())[None, None] ** 2  # one row's |y~|^2, one bin
         G = quartic_majorizer(
-            mixture_gram(x[None]), yd, w_ref.conj()[None, None], r[None, None], 1.0,
-            np.empty((1, 1, J)),
+            mixture_gram(x[None]), yd, w_ref.conj()[None, None], np.divide(1.0, r)[None, None],
+            1.0, np.empty((1, 1, J)),
         )[0][0, 0]
         g_at = float((w.conj() @ G @ w).real) ** 2
         worst_gap = min(worst_gap, g_at - _quartic_cost(x, r, w))

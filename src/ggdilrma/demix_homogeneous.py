@@ -38,18 +38,18 @@ a demixing row ``h`` is a matvec too, as ``|h x_j|^2 = a(h) . P_j`` with
 true ``f``, which minimizes the exact cost along the ray, so every update
 decreases the quartic cost.
 
-``G`` for source ``n`` reads only that source's anchor outputs ``|y~_n|``,
-its scale ``r_n = S_n^(1/p)``, from the scale field ``S = T V`` that the
-pipeline carries, and its row ``w~_n`` of ``W_i`` on entry; rows ``m != n``
-never enter it, and no other source's update changes any of the three.  So
-:func:`quartic_sweep` assembles the majorizers of every source before
-updating any row, in :func:`quartic_majorizer`, the one place ``G`` is
-built: one ``(M^2, J) @ (J, 2N)`` product per bin takes the features of
-every ``A`` and ``C`` at once, and every ``G`` follows from them.  The
-sweep then takes the Cholesky factors ``G = R^H R`` of all of them in one
-pass, and skips a source's update where ``sum_j |q~_j|^4`` is zero or not
-finite, where a pivot is not positive, or where ``det G = prod_k r_kk^2`` is
-at most ``EPS_DET`` times ``prod_k G_kk``.  That ratio lies in ``[0, 1]``
+``G`` for source ``n`` reads only that source's anchor outputs, as their
+``|y~_n|^2``, its scale ``r_n = S_n^(1/p)``, from the ``1 / S`` of the scale
+field ``S = T V`` that the pipeline carries, and its row ``w~_n`` of ``W_i``
+on entry; rows ``m != n`` never enter it, and no other source's update
+changes any of the three.  So :func:`quartic_sweep` assembles the majorizers
+of every source before updating any row, in :func:`quartic_majorizer`, the
+one place ``G`` is built: one ``(M^2, J) @ (J, 2N)`` product per bin takes
+the features of every ``A`` and ``C`` at once, and every ``G`` follows from
+them.  The sweep then takes the Cholesky factors ``G = R^H R`` of all of them
+in one pass, and skips a source's update where ``sum_j |q~_j|^4`` is zero or
+not finite, where a pivot is not positive, or where ``det G = prod_k r_kk^2``
+is at most ``EPS_DET`` times ``prod_k G_kk``.  That ratio lies in ``[0, 1]``
 (Hadamard) and does not change when the mixture is scaled, so a quiet input
 is updated as a loud one is.  Only what reads rows already updated stays per
 source: ``W_i^{-1} e_n``, the direction and its write-back.
@@ -79,10 +79,13 @@ back, every source skipped.
 paid once per sweep for the small per-bin algebra and its frame-length
 temporaries stay cache-sized.  First, :func:`quartic_majorizer` streams over
 blocks of bins (:func:`~ggdilrma.pool.bin_blocks`) for the work that runs
-along the frames: ``1 / r^2 = S^(-2/p)``, by the kernel that raises the IP
-weights (:func:`~ggdilrma.source_model._whitened_ratio`), which it keeps in
-an ``(N, I, J)`` buffer that the caller provides, the anchors' ``|q~|^2`` and
-the features of every source's ``A`` and ``C``; then it builds every ``G``
+along the frames: ``1 / r^2 = S^(-2/p)``, a copy of the block's ``1 / S``
+raised in place by the kernel that raises the IP weights
+(:func:`~ggdilrma.source_model._power`), which it keeps in an ``(N, I, J)``
+buffer that the caller provides, the anchors' ``|q~|^2 = |y~|^2 / r^2``, and
+for every source one product of features, of ``A`` and of the sum in ``C``,
+with ``||q~||^2`` and ``sum_j |q~_j|^4``, each into one array over all bins;
+then it assembles the features of every ``A`` and ``C``, builds every ``G``
 over all bins at once, and the sweep factors them all.  Second, the
 directions: per source, over all bins, the solve and the unscaled
 write-back.  Third, one more pass over the blocks takes every direction's
@@ -95,11 +98,11 @@ all bins at once.  Its result does not depend on the block size.  It updates
 The two passes over the frames are per bin, every source at once, so above
 the crossover their blocks, of ``BLOCK_ENTRIES`` entries over all sources,
 run on the package's thread pool (:func:`~ggdilrma.pool.run_parts`), each
-block a part that writes its bins of ``1 / r^2``, the features, ``s4`` and
-the directions' costs, which the caller allocated.  The blocks follow the
-shape alone, as :func:`mixture_gram`'s do, and every per-bin product keeps
-its ``2N`` (or ``N``) columns, so the sweep's bytes do not depend on the
-number of CPUs either.
+block a part that writes its bins of ``1 / r^2``, the features,
+``||q~||^2``, ``s4`` and the directions' costs, which the caller allocated.
+The blocks follow the shape alone, as :func:`mixture_gram`'s do, and every
+per-bin product keeps its ``2N`` (or ``N``) columns, so the sweep's bytes do
+not depend on the number of CPUs either.
 
 The per-filter forms of this update (``quartic_update_filter``,
 ``direction_scale_step``, the homogeneous objectives, ``optimal_scale``)
@@ -116,7 +119,7 @@ from functools import cache
 
 import numpy as np
 
-from .source_model import _whitened_ratio
+from .source_model import _power
 from .pool import bin_blocks, run_parts, threads
 from .types import EPS_DET, _replace_row, _substitute
 
@@ -170,15 +173,15 @@ def _hermitian(feat: np.ndarray, M: int) -> np.ndarray:
     return H
 
 
-def quartic_majorizer(gram: np.ndarray, yd, W, S, domain: float, inv_r2):
+def quartic_majorizer(gram: np.ndarray, yd, W, inv_S, domain: float, inv_r2):
     """Majorizers ``G`` of every row, batched over bins: the first phase of
     :func:`quartic_sweep`, which factors exactly what this returns.
 
     Args:
         gram: the :func:`mixture_gram` ``(I, M**2, J)`` of an ``M``-channel mixture.
-        yd: the anchors: the outputs ``(I, J, N)`` of the rows of ``W``.
+        yd: the anchors' ``|y~|^2`` ``(N, I, J)``, of the outputs of the rows of ``W``.
         W: the anchor rows ``w~^H`` ``(I, N, M)``; ``N`` need not equal ``M``.
-        S: the scale field ``r**p`` ``(N, I, J)``.
+        inv_S: ``1 / S`` of the scale field ``S = r**p`` ``(N, I, J)``.
         domain: the exponent ``p``.
         inv_r2: an ``(N, I, J)`` buffer, overwritten with ``1 / r**2 = S^(-2/p)``.
 
@@ -189,24 +192,23 @@ def quartic_majorizer(gram: np.ndarray, yd, W, S, domain: float, inv_r2):
         and nonzero (``G`` is not a majorizer elsewhere); and ``s4`` ``(N, I)``.
     """
     I, features, J = gram.shape
-    N, M = yd.shape[2], W.shape[-1]
+    N, M = yd.shape[0], W.shape[-1]
     # Per block, the work along the frames: 1 / r**2, kept in inv_r2, the anchors'
-    # |q~|^2 and the features of every row's A and C, which are kept for all bins.
-    fa, fc = np.empty((2, I, features, N))
-    s4 = np.empty((N, I))
+    # |q~|^2, and every row's features of A and of the sum in C, with ||q~||^2 and
+    # s4, all kept for all bins.
+    feat = np.empty((I, features, 2 * N))
+    q2, s4 = np.empty((2, N, I))
 
     def frame_pass(blk):
         wts = np.empty((2, N, blk.stop - blk.start, J))  # 1 / r**2, then |y~|^2 / r**4
-        _whitened_ratio(1.0, S[:, blk], 2.0, domain, out=wts[0])  # S^(-2/p) = 1 / r**2
+        np.copyto(wts[0], inv_S[:, blk])
+        _power(wts[0], 2.0 / domain)  # S^(-2/p) = 1 / r**2
         inv_r2[:, blk] = wts[0]
-        aq2 = np.abs(yd[blk].transpose(2, 0, 1), order="C")  # |q~|^2 = |y~|^2 / r^2
-        aq2 *= aq2
-        aq2 *= wts[0]
+        aq2 = np.multiply(yd[:, blk], wts[0])  # |q~|^2 = |y~|^2 / r^2
         np.multiply(aq2, wts[0], out=wts[1])
         # one (M^2, J) @ (J, 2N) product per bin, through a strided view of wts
-        feat = gram[blk] @ wts.reshape(2 * N, -1, J).transpose(1, 2, 0)
-        fa[blk] = feat[..., :N]
-        fc[blk] = np.sum(aq2, axis=2).T[:, None, :] * fa[blk] + feat[..., N:]  # ||q~||^2 A + ...
+        np.matmul(gram[blk], wts.reshape(2 * N, -1, J).transpose(1, 2, 0), out=feat[blk])
+        q2[:, blk] = np.sum(aq2, axis=2)
         s4[:, blk] = np.vecdot(aq2, aq2)
 
     blocks = bin_blocks(I, J * N)
@@ -214,6 +216,8 @@ def quartic_majorizer(gram: np.ndarray, yd, W, S, domain: float, inv_r2):
     good = np.isfinite(s4) & (s4 > 0.0)
     denom = np.sqrt(J * np.where(good, s4, 1.0))
     # Then every G over all bins at once.
+    fa = feat[..., :N]
+    fc = q2.T[:, None, :] * fa + feat[..., N:]  # ||q~||^2 A + ...
     u = (_hermitian(fa.transpose(0, 2, 1), M) @ W.conj()[..., None])[..., 0]  # A w~
     C = _hermitian(fc.transpose(0, 2, 1), M)
     G = (C - u[..., :, None] * u.conj()[..., None, :]) / denom.T[:, :, None, None]
@@ -242,7 +246,7 @@ def _cholesky(G):
     return R, ok & (det_g > EPS_DET * hadamard)
 
 
-def quartic_sweep(gram: np.ndarray, yd, W, S, domain: float, W_inv, log_det, inv_r2):
+def quartic_sweep(gram: np.ndarray, yd, W, inv_S, domain: float, W_inv, log_det, inv_r2):
     """One full quartic update of all filters, batched over bins: the
     :func:`quartic_majorizer` of every source and its Cholesky factor; then
     every source's direction, written back unscaled; then every direction's
@@ -257,9 +261,10 @@ def quartic_sweep(gram: np.ndarray, yd, W, S, domain: float, W_inv, log_det, inv
 
     Args:
         gram: the :func:`mixture_gram` of the mixture ``(I, J, M)``.
-        yd: the anchors: separated signal ``(I, J, N)`` of ``W`` on entry.
+        yd: the anchors' ``|y~|^2`` ``(N, I, J)``, of the outputs of ``W`` on entry.
         W: demixing matrices ``(I, N, N)``, updated in place.
-        S: the scale field ``r**p = T V`` ``(N, I, J)``; read only.
+        inv_S: ``1 / S`` of the scale field ``S = r**p = T V`` ``(N, I, J)``; read
+            only.
         domain: the exponent ``p``.
         W_inv, log_det: ``W^{-1}`` ``(I, N, N)`` and ``log|det W_i|`` ``(I,)``,
             kept in step with ``W`` in place.
@@ -277,10 +282,10 @@ def quartic_sweep(gram: np.ndarray, yd, W, S, domain: float, W_inv, log_det, inv
     this call; they go once it takes the skip count from the trace records
     instead (ROADMAP Direction 2 (A)).
     """
-    I, J, N = yd.shape
+    N, I, J = yd.shape
     # Every source's G reads W on entry only, so all are built and factored at once,
     # over all bins.
-    G, good, s4 = quartic_majorizer(gram, yd, W, S, domain, inv_r2)
+    G, good, s4 = quartic_majorizer(gram, yd, W, inv_S, domain, inv_r2)
     R, factored = _cholesky(G)
     good &= factored.T
     entry = W.copy(), W_inv.copy(), log_det.copy()

@@ -30,10 +30,12 @@ once per block: the solve, the norm check and the write-back.  An update
 that would make ``W_i`` singular is raised at the lowest such bin of the
 source being updated.  Both errors name the bin in the whole problem, and
 the result does not depend on the block size.
-``S = T V`` is the scale field the pipeline carries, formed once per
-factor update (:func:`~ggdilrma.source_model.refresh_scale`), and only
-``W`` is updated: source ``n``'s weights read ``y_n`` alone, the output of
-the ``W`` the sweep was given, which no other source's update changes.
+The sweep reads ``1 / S`` of the scale field ``S = T V``, which the
+pipeline carries from the cost pass of the last factor update
+(:func:`~ggdilrma.cost.ggd_cost_arrays`), and raises a copy of it to
+``beta/p`` with no divide; only ``W`` is updated: source ``n``'s weights
+read ``y_n`` alone, the output of the ``W`` the sweep was given, which no
+other source's update changes.
 The sweep reads that anchor as ``|y|^p``, the magnitudes the pipeline
 carries for the NMF updates, floored at ``EPS_Y**p`` as they floor it, and
 raises them to ``(beta - 2)/p``; it forms no output itself.  At
@@ -85,15 +87,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularCovariance, SingularDemixing, UnsupportedBeta
-from .source_model import _whitened_ratio
+from .source_model import _power
 from .pool import bin_blocks, run_parts, threads
 from .types import EPS_DET, EPS_Y, _replace_row, _substitute
 
 
-def _ip_weights(yp, S, beta, domain):
-    """Per-frame weights ``S^(-beta/p) |y|^(beta-2)`` from ``yp = |y|^p``, floored at
-    ``EPS_Y**p``; ``yp`` is read only when ``beta != 2``."""
-    wgt = _whitened_ratio(1.0, S, beta, domain)
+def _ip_weights(yp, inv_S, beta, domain):
+    """Per-frame weights ``S^(-beta/p) |y|^(beta-2)`` from ``inv_S = 1 / S`` and
+    ``yp = |y|^p``, floored at ``EPS_Y**p``; ``yp`` is read only when ``beta != 2``."""
+    wgt = _power(inv_S.copy(), beta / domain)  # S^(-beta/p)
     if beta != 2.0:
         abs_y = np.maximum(yp, EPS_Y**domain)  # raised in place
         abs_y **= (beta - 2.0) / domain
@@ -122,7 +124,7 @@ def _weighted_factor(xb, wgt):
     return R
 
 
-def ip_sweep(xd, yp, W, S, beta: float, domain: float, W_inv, log_det):
+def ip_sweep(xd, yp, W, inv_S, beta: float, domain: float, W_inv, log_det):
     """One full update of all filters, batched over frequency bins.
 
     Args:
@@ -130,7 +132,8 @@ def ip_sweep(xd, yp, W, S, beta: float, domain: float, W_inv, log_det):
         yp: ``|y|^p`` ``(N, I, J)`` of the outputs ``y = W x`` of ``W`` on entry;
             read only, and only where ``beta != 2``.
         W: demixing matrices ``(I, N, N)``; updated in place.
-        S: the scale field ``r**p = T V`` ``(N, I, J)``; read only.
+        inv_S: ``1 / S`` of the scale field ``S = r**p = T V`` ``(N, I, J)``; read
+            only.
         W_inv, log_det: ``W^{-1}`` ``(I, N, N)`` and ``log|det W_i|`` ``(I,)``,
             kept in step with ``W`` in place.
 
@@ -153,7 +156,7 @@ def ip_sweep(xd, yp, W, S, beta: float, domain: float, W_inv, log_det):
     det_f = np.empty((N, I))
 
     def factor(blk):
-        wgt = _ip_weights(yp[:, blk], S[:, blk], beta, domain)
+        wgt = _ip_weights(yp[:, blk], inv_S[:, blk], beta, domain)
         wgt *= beta / (2.0 * J)
         R[:, blk] = Rb = _weighted_factor(xd[blk], wgt)
         det_f[:, blk] = np.prod(Rb.diagonal(axis1=2, axis2=3).real, axis=2) ** 2

@@ -21,38 +21,38 @@ Both updates stream over blocks of frequency bins
 (:func:`~ggdilrma.pool.bin_blocks`), so the ratio terms are formed one
 cache-sized block at a time: the bases of a block depend on that block
 alone, and the activations' bin sums are accumulated block by block.  The
-pipeline carries the full scale field ``S = T V``, which
-:func:`refresh_scale` writes a block at a time after each activation update;
-the basis update, the demixing sweeps and the cost read it, and only the
-activation update, whose bases have just changed, forms its own ``S`` per
-block.  The updates and the cost read ``|y|^p``, which the pipeline carries
-and refreshes in place once per iteration; the updates floor it at
-``EPS_Y**p``, the same bits as flooring ``|y|`` at ``EPS_Y`` first, and so do
-the iterative-projection weights.  The whitened ratio
-``(|y|^p / S)^(beta/p)`` is raised by repeated squaring when ``beta/p`` is a
-positive integer (8 at beta = 4, p = 1/2), and by the generic power
-otherwise.
+pipeline carries ``1 / S`` of the full scale field ``S = T V``, which the
+cost pass writes a block at a time after each activation update
+(:func:`~ggdilrma.cost.ggd_cost_arrays`); the basis update and the demixing
+sweeps read it, and only the activation update, whose bases have just
+changed, forms its own ``S`` per block.  The updates and the cost read
+``|y|^p``, which the pipeline carries and refreshes in place once per
+iteration; the updates floor it at ``EPS_Y**p``, the same bits as flooring
+``|y|`` at ``EPS_Y`` first, and so do the iterative-projection weights.  The
+whitened ratio ``(|y|^p / S)^(beta/p)`` is raised by repeated squaring when
+``beta/p`` is a positive integer (8 at beta = 4, p = 1/2), and by the
+generic power otherwise.
 
-Each block's elementwise chain runs in place, and each block forms ``1/S``
-once (:func:`_whitened_terms`).  The basis update writes it into a new block
-buffer; the activation update writes it over its block's ``S``, which it
+Each block's elementwise chain runs in place, against one ``1/S`` per block
+(:func:`_whitened_terms`).  The basis update reads its block of the carried
+``1/S``; the activation update writes it over its block's ``S``, which it
 forms in a buffer of its own.  Both floor the block's ``|y|^p`` into one
 more new block buffer, multiply it by ``1/S``, raise it and multiply it by
-``1/S`` again, and ``1/S`` itself is the denominator's operand: one
+``1/S`` again, and ``1/S`` itself is the denominator's operand: at most one
 reciprocal and two products in place of two divides and a second reciprocal.
 :func:`model_cost_terms` writes the ratio into a new array and adds the
 log-scale term into it.  An odd power takes one more buffer for its
-squares (:func:`_int_power`).  No layer writes into ``T``, ``V``, ``S`` or
+squares (:func:`_int_power`).  No layer writes into ``T``, ``V``, ``1/S`` or
 the ``|y|^p`` it is given, and every operation has the operands and order
 of the out-of-place form, so the bits are the same.
 
 No source's factors read another source's, so above the crossover both
-updates and :func:`refresh_scale` run on the package's thread pool
-(:func:`~ggdilrma.pool.run_parts`).  The basis update's bases of a block
-depend on that block alone, so it splits into its blocks of bins, every
-source in each, on at most one thread per source, as the activation update:
-each part of either update holds two block buffers.  The activation update
-and :func:`refresh_scale` take ``T[:, blk] @ V`` products, whose bits a BLAS
+updates run on the package's thread pool (:func:`~ggdilrma.pool.run_parts`).
+The basis update's bases of a block depend on that block alone, so it splits
+into its blocks of bins, every source in each, on at most one thread per
+source, as the activation update: a part of the basis update holds one block
+buffer, the ratio, and a part of the activation update two.  The activation
+update and the cost take ``T[:, blk] @ V`` products, whose bits a BLAS
 may pick by the rows of the product (OpenBLAS does at 60 rows or fewer for 20
 bases); so they keep the blocks of one source's bins, ``bin_blocks(I, J)``,
 and above the crossover split by source and block
@@ -80,21 +80,6 @@ import numpy as np
 
 from .pool import bin_blocks, run_parts, source_block_parts, threads
 from .types import EPS_NMF, EPS_Y
-
-
-def refresh_scale(T: np.ndarray, V: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Write the scale field ``S = T V`` ``(N, I, J)`` into ``S``, one block of bins at
-    a time, with the ``T[:, blk] @ V`` product the updates form, by source and block
-    on the thread pool (:func:`~ggdilrma.pool.source_block_parts`); returns ``S``."""
-    N, I, J = S.shape
-    blocks = bin_blocks(I, J)
-
-    def part(ns_k):
-        ns, k = ns_k
-        np.matmul(T[ns, blocks[k]], V[ns], out=S[ns, blocks[k]])
-
-    run_parts(part, *source_block_parts(N, len(blocks), N * I * J))
-    return S
 
 
 def _int_power(x: np.ndarray, k: int) -> np.ndarray:
@@ -156,28 +141,28 @@ def _whitened_terms(yp, inv, beta, domain):
     return ratio
 
 
-def update_bases_arrays(T, V, S, yp, beta, domain):
-    """Multiplicative update of every basis matrix, from the scale field ``S = T V``
-    and ``yp = |y|^p``, both ``(N, I, J)``, by blocks of bins with every source in
-    each, one block per part on the thread pool.  Each part holds two block
-    buffers, ``1 / S`` and the ratio, so the parts run on at most one thread per
+def update_bases_arrays(T, V, inv_S, yp, beta, domain):
+    """Multiplicative update of every basis matrix, from ``inv_S = 1 / S`` of the
+    scale field ``S = T V`` and ``yp = |y|^p``, both ``(N, I, J)``, by blocks of bins
+    with every source in each, one block per part on the thread pool.  Each part
+    holds one block buffer, the ratio, and the parts run on at most one thread per
     source, as the activation update's do.
 
     Returns:
         The new bases, shaped as ``T`` and floored at ``EPS_NMF``; ``T``, ``V``,
-        ``S`` and ``yp`` are not modified.
+        ``inv_S`` and ``yp`` are not modified.
     """
     Vt = V.transpose(0, 2, 1)
     T_new = np.empty_like(T)
 
     def part(blk):
-        inv = np.divide(1.0, S[:, blk])
+        inv = inv_S[:, blk]
         num = beta * (_whitened_terms(yp[:, blk], inv, beta, domain) @ Vt)
         den = 2.0 * (inv @ Vt)
         T_blk = np.multiply(T[:, blk], (num / den) ** (domain / (beta + domain)), out=T_new[:, blk])
         np.maximum(T_blk, EPS_NMF, out=T_blk)
 
-    N, I, J = S.shape
+    N, I, J = inv_S.shape
     blocks = bin_blocks(I, J * N)
     run_parts(part, blocks, threads(min(len(blocks), N), I * J * N))
     return T_new

@@ -4,10 +4,12 @@ The per-iteration layers run over blocks of bins sized by
 ``pool.BLOCK_ENTRIES``.  The demixing sweeps are per-bin, so their result
 must not depend on the block size at all, and only their work along the
 frames runs per block: their small per-bin algebra runs once over all bins,
-however many blocks there are.  The NMF updates and the cost sum over
-blocks, so they agree to roundoff.  Their per-block chains run in
-place, in buffers of their own: the integer power squares into the buffer it
-is given, and no layer writes into the arrays it reads.  A ``tracemalloc``
+however many blocks there are.  So is the separation into ``|y|^p``, byte
+for byte.  The NMF updates and the cost sum over blocks, so they agree to
+roundoff; the cost's ``1 / S`` is the reciprocal of each block's product.
+Their per-block chains run in place, in buffers of their own: the integer
+power squares into the buffer it is given, and no layer writes into the
+arrays it reads.  A ``tracemalloc``
 guard keeps every layer's temporaries a fraction of the mixture's size (a
 tighter one for the NMF updates and the cost), and a second one bounds what
 a whole iteration holds at once.
@@ -32,7 +34,6 @@ from ggdilrma.source_model import (
     _int_power,
     _whitened_ratio,
     model_cost_terms,
-    refresh_scale,
     update_activations_arrays,
     update_bases_arrays,
 )
@@ -64,13 +65,17 @@ def instance(N, seed, silent_bin=None):
     return xd, W, T, V
 
 
-def carried_scale(T, V):
-    """The scale field ``T V`` ``(N, I, J)`` as the pipeline carries it."""
-    return refresh_scale(T, V, np.empty((T.shape[0], T.shape[1], V.shape[2])))
+def carried_inverse_scale(T, V):
+    """``1 / S`` of the scale field ``S = T V`` ``(N, I, J)`` as the pipeline carries
+    it: the reciprocal of each block's product."""
+    inv_S = np.empty((T.shape[0], T.shape[1], V.shape[2]))
+    for blk in bin_blocks(T.shape[1], V.shape[2]):
+        np.divide(1.0, T[:, blk] @ V, out=inv_S[:, blk])
+    return inv_S
 
 
 def carried_magnitudes(xd, W, p):
-    """The outputs' ``|y|^p`` ``(N, I, J)`` of ``W`` as the pipeline carries it."""
+    """The outputs' ``|y|^p`` ``(N, I, J)`` of ``W``, from the complex outputs."""
     return np.abs(np.moveaxis(pipeline.separate(xd, W), 2, 0), order="C") ** p
 
 
@@ -106,12 +111,13 @@ def test_quartic_sweep_is_block_invariant(monkeypatch, bins, N):
     xd[3, :, 1] = xd[3, :, 0]  # rank-deficient bin: skipped, nonzero output
     gram = mixture_gram(xd)
     W_inv, log_det = inverse_and_log_det(W)
-    S = carried_scale(T, V)
+    inv_S = carried_inverse_scale(T, V)
 
     def sweep():
         carried = W_inv.copy(), log_det.copy()
+        anchor = pipeline.separate(xd, W, 2.0)
         W_new, _, f_check, skipped = quartic_sweep(
-            gram, pipeline.separate(xd, W), W.copy(), S, 0.5, *carried, np.empty_like(S)
+            gram, anchor, W.copy(), inv_S, 0.5, *carried, np.empty_like(inv_S)
         )
         return (W_new, *carried, f_check), skipped
 
@@ -148,12 +154,12 @@ def test_mixture_gram_is_block_invariant(monkeypatch, M):
 @pytest.mark.parametrize("beta, p", [(2.0, 2.0), (1.0, 0.5)])
 def test_ip_sweep_is_block_invariant(monkeypatch, bins, N, beta, p):
     xd, W, T, V = instance(N, 2)
-    S = carried_scale(T, V)
+    inv_S = carried_inverse_scale(T, V)
     yp = carried_magnitudes(xd, W, p)
 
     def sweep():
         carried = inverse_and_log_det(W)
-        return ip_sweep(xd, yp, W.copy(), S, beta, p, *carried), *carried
+        return ip_sweep(xd, yp, W.copy(), inv_S, beta, p, *carried), *carried
 
     state_ref = whole(sweep, monkeypatch)
     set_block_bins(monkeypatch, bins, N)
@@ -177,19 +183,21 @@ def test_nmf_updates_and_cost_are_block_invariant(monkeypatch, bins, beta, p):
     yp = carried_magnitudes(xd, W, p)
 
     def layers():
-        S = carried_scale(T, V)  # formed at the block size under test too
+        inv_S = carried_inverse_scale(T, V)
         return (
-            update_bases_arrays(T, V, S, yp, beta, p),
+            update_bases_arrays(T, V, inv_S, yp, beta, p),
             update_activations_arrays(T, V, yp, beta, p),
-            ggd_cost_arrays(yp, inverse_and_log_det(W)[1], S, beta, p),
+            ggd_cost_arrays(yp, inverse_and_log_det(W)[1], T, V, inv_S, beta, p),
+            inv_S,  # written again by the cost, at the block size under test
         )
 
-    T_ref, V_ref, cost_ref = whole(layers, monkeypatch)
+    T_ref, V_ref, cost_ref, inv_S_ref = whole(layers, monkeypatch)
     set_block_bins(monkeypatch, bins)
-    T_new, V_new, cost = layers()
+    T_new, V_new, cost, inv_S = layers()
     np.testing.assert_allclose(T_new, T_ref, rtol=RTOL)
     np.testing.assert_allclose(V_new, V_ref, rtol=RTOL)
     assert cost == pytest.approx(cost_ref, rel=RTOL)
+    np.testing.assert_allclose(inv_S, inv_S_ref, rtol=RTOL)
 
 
 @pytest.mark.parametrize("bins", [1, 3, 7])
@@ -197,19 +205,20 @@ def test_nmf_updates_and_cost_are_block_invariant(monkeypatch, bins, beta, p):
 @pytest.mark.parametrize("beta, p", [(4.0, 0.5), (1.5, 0.7)])
 def test_nmf_updates_and_cost_leave_their_inputs_unchanged(monkeypatch, bins, N, beta, p):
     # The layers overwrite block buffers of their own only: none writes into a
-    # view of the factors, the scale field or |y|^p it was given.
+    # view of the factors, 1 / S or |y|^p it was given.  The cost writes 1 / S of
+    # the factors it is given into its buffer, the bytes it holds already.
     xd, W, T, V = instance(N, 10)
     yp = carried_magnitudes(xd, W, p)
     yp[:, ::4] = 0.5 * EPS_Y**p  # below the updates' floor
-    S = carried_scale(T, V)
     log_det = inverse_and_log_det(W)[1]
-    inputs = (T, V, S, yp, log_det)
-    before = [a.copy() for a in inputs]
     set_block_bins(monkeypatch, bins)
-    update_bases_arrays(T, V, S, yp, beta, p)
+    inv_S = carried_inverse_scale(T, V)  # by the cost's blocks
+    inputs = (T, V, inv_S, yp, log_det)
+    before = [a.copy() for a in inputs]
+    update_bases_arrays(T, V, inv_S, yp, beta, p)
     update_activations_arrays(T, V, yp, beta, p)
-    ggd_cost_arrays(yp, log_det, S, beta, p)
-    model_cost_terms(yp, S, beta, p)
+    model_cost_terms(yp, 1.0 / inv_S, beta, p)
+    ggd_cost_arrays(yp, log_det, T, V, inv_S, beta, p)
     for got, ref in zip(inputs, before):
         np.testing.assert_array_equal(got, ref)
 
@@ -237,8 +246,8 @@ def test_singular_bin_is_named_by_its_global_index(monkeypatch, bins):
     for N in (2, 3):
         xd, W, T, V = instance(N, 6, silent_bin=7)
         with pytest.raises(SingularCovariance, match=r"at bin 7, source 0$"):
-            S = carried_scale(T, V)
-            ip_sweep(xd, carried_magnitudes(xd, W, 2.0), W, S, 2.0, 2.0, *inverse_and_log_det(W))
+            yp, inv_S = carried_magnitudes(xd, W, 2.0), carried_inverse_scale(T, V)
+            ip_sweep(xd, yp, W, inv_S, 2.0, 2.0, *inverse_and_log_det(W))
 
 
 def vanishing_inverse_column(N):
@@ -258,9 +267,10 @@ def test_singular_demixing_is_named_by_its_global_bin(monkeypatch, bins, N):
     xd, W, T, V, W_inv, log_det = vanishing_inverse_column(N)
     gram = mixture_gram(xd)
     set_block_bins(monkeypatch, bins, N)
-    S = carried_scale(T, V)
+    inv_S = carried_inverse_scale(T, V)
     W_new, _, _, skipped = quartic_sweep(
-        gram, pipeline.separate(xd, W), W.copy(), S, 0.5, W_inv, log_det, np.empty_like(S)
+        gram, pipeline.separate(xd, W, 2.0), W.copy(), inv_S, 0.5, W_inv, log_det,
+        np.empty_like(inv_S),
     )
     assert skipped == 1
     kept = np.all(W_new == W, axis=2)  # (bin, source) pairs left as they were
@@ -276,7 +286,7 @@ def test_ip_singular_demixing_is_named_by_its_global_bin(monkeypatch, bins, N):
     set_block_bins(monkeypatch, bins, N)
     with pytest.raises(SingularDemixing, match=r"at bin 7, source 0$"):
         yp = carried_magnitudes(xd, W, 2.0)
-        ip_sweep(xd, yp, W, carried_scale(T, V), 2.0, 2.0, W_inv, log_det)
+        ip_sweep(xd, yp, W, carried_inverse_scale(T, V), 2.0, 2.0, W_inv, log_det)
 
 
 def test_ip_singular_covariance_changes_no_row(monkeypatch):
@@ -289,7 +299,7 @@ def test_ip_singular_covariance_changes_no_row(monkeypatch):
         state = W.copy(), W_inv.copy(), log_det.copy()
         with pytest.raises(SingularCovariance, match=rf"at bin {I - 1}, source 0$"):
             yp = carried_magnitudes(xd, W, 2.0)
-            ip_sweep(xd, yp, state[0], carried_scale(T, V), 2.0, 2.0, *state[1:])
+            ip_sweep(xd, yp, state[0], carried_inverse_scale(T, V), 2.0, 2.0, *state[1:])
         for got, given in zip(state, (W, W_inv, log_det)):
             np.testing.assert_array_equal(got, given)
 
@@ -300,11 +310,11 @@ def test_ip_singular_covariance_names_the_first_block_then_source(monkeypatch, b
     # vanish) and every source's at the silent bin 7: in blocks of three bins
     # the first block comes first, in one block the first source does.
     xd, W, T, V = instance(2, 6, silent_bin=7)
-    S = carried_scale(T, V)
-    S[1, 1] = 1e20
+    inv_S = carried_inverse_scale(T, V)
+    inv_S[1, 1] = 1e-20
     set_block_bins(monkeypatch, bins, 2)
     with pytest.raises(SingularCovariance, match=rf"at {named}$"):
-        ip_sweep(xd, carried_magnitudes(xd, W, 2.0), W, S, 2.0, 2.0, *inverse_and_log_det(W))
+        ip_sweep(xd, carried_magnitudes(xd, W, 2.0), W, inv_S, 2.0, 2.0, *inverse_and_log_det(W))
 
 
 @pytest.mark.parametrize("bins", [3, I])
@@ -318,7 +328,7 @@ def test_ip_singular_demixing_names_the_lowest_bin_of_the_first_source(monkeypat
     set_block_bins(monkeypatch, bins)
     yp = carried_magnitudes(xd, W, 2.0)
     with pytest.raises(SingularDemixing, match=r"at bin 5, source 0$"):
-        ip_sweep(xd, yp, W, carried_scale(T, V), 2.0, 2.0, W_inv, log_det)
+        ip_sweep(xd, yp, W, carried_inverse_scale(T, V), 2.0, 2.0, W_inv, log_det)
 
 
 @pytest.mark.parametrize("bins", [1, 2])  # ten blocks, five blocks
@@ -344,23 +354,74 @@ def test_sweeps_take_the_per_bin_algebra_once_over_all_bins(monkeypatch, bins, N
 
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("quartic_majorizer", "_cholesky", "_substitute", "_whitened_ratio"):
+    for name in ("quartic_majorizer", "_cholesky", "_substitute", "_power"):
         spy(demix_homogeneous, name)
     spy(demix_ip, "_substitute")
     xd, W, T, V = instance(N, 3)
-    S = carried_scale(T, V)
-    yd = pipeline.separate(xd, W)
-    inv_r2 = np.full_like(S, np.nan)
-    quartic_sweep(mixture_gram(xd), yd, W.copy(), S, 0.5, *inverse_and_log_det(W), inv_r2)
-    ip_sweep(xd, carried_magnitudes(xd, W, 0.5), W.copy(), S, 1.0, 0.5, *inverse_and_log_det(W))
+    inv_S = carried_inverse_scale(T, V)
+    yd = pipeline.separate(xd, W, 2.0)
+    inv_r2 = np.full_like(inv_S, np.nan)
+    quartic_sweep(mixture_gram(xd), yd, W.copy(), inv_S, 0.5, *inverse_and_log_det(W), inv_r2)
+    yp = carried_magnitudes(xd, W, 0.5)
+    ip_sweep(xd, yp, W.copy(), inv_S, 1.0, 0.5, *inverse_and_log_det(W))
     assert calls == {
         ("demix_homogeneous", "quartic_majorizer"): 1,
         ("demix_homogeneous", "_cholesky"): 1,
         ("demix_homogeneous", "_substitute"): N,
-        ("demix_homogeneous", "_whitened_ratio"): n_blocks,
+        ("demix_homogeneous", "_power"): n_blocks,
         ("demix_ip", "_substitute"): N,
     }
-    assert inv_r2.tobytes() == _whitened_ratio(1.0, S, 2.0, 0.5).tobytes()
+    # S^(-2/p) = (1 / S)^4, raised from the carried 1 / S with no divide
+    assert inv_r2.tobytes() == squaring(inv_S, 4).tobytes()
+
+
+@pytest.mark.parametrize("bins", [1, 3])
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("p", [2.0, 0.5, 1.5])
+def test_separate_writes_the_powered_outputs_block_by_block(monkeypatch, bins, N, p):
+    # Each block's outputs go to a block temporary, and from there to their bins of
+    # the (N, I, J) result as |y| raised to p in place: the bytes of the powered
+    # complex outputs, at any block size.
+    xd, W = instance(N, 5)[:2]
+    set_block_bins(monkeypatch, bins, N)
+    expected = np.abs(pipeline.separate(xd, W)).transpose(2, 0, 1) ** p
+    out = np.full((N, I, J), np.nan)
+    assert pipeline.separate(xd, W, p, out) is out
+    assert out.tobytes() == expected.tobytes()
+    fresh = pipeline.separate(xd, W, p)
+    assert fresh.shape == (N, I, J) and fresh.tobytes() == expected.tobytes()
+
+
+def fresh_scale_cost(yp, log_det, T, V, beta, p):
+    """The cost from a fresh ``S = T V``, formed a block at a time, each block's
+    terms summed per source and the sums added in the blocks' order."""
+    N, I, J = yp.shape
+    model = np.zeros(N)
+    for blk in bin_blocks(I, J):
+        terms = model_cost_terms(yp[:, blk], T[:, blk] @ V, beta, p)
+        model += np.sum(terms.reshape(N, -1), axis=1)
+    return float(-2.0 * J * np.sum(log_det) + np.sum(model))
+
+
+@pytest.mark.parametrize("bins", [1, 3])
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("beta", [4.0, 2.0, 1.5])
+def test_step_carries_the_reciprocal_scale_of_the_factors_it_returns(monkeypatch, bins, N, beta):
+    # The cost pass forms S = T V of the updated factors, takes the cost from it and
+    # writes 1 / S over it: after every step the carried field is the reciprocal of
+    # each block's product, and the cost is the one a fresh S gives, byte for byte.
+    set_block_bins(monkeypatch, bins)
+    xd = instance(N, 6)[0]
+    cfg = GgdConfig(beta=beta, domain=0.5, n_bases=K, iterations=3, seed=6)
+    W, T, V, W_inv, log_det, inv_S, yp = pipeline.initialize(cfg, ProblemShape(I, J, N, K), xd)
+    gram = mixture_gram(xd) if cfg.update_scheme == "quartic" else None
+    assert inv_S.tobytes() == carried_inverse_scale(T, V).tobytes()
+    for _ in range(cfg.iterations):
+        W, T, V, cost, _ = pipeline.iteration_step(
+            xd, W, T, V, cfg, gram, W_inv, log_det, inv_S, yp
+        )
+        assert inv_S.tobytes() == carried_inverse_scale(T, V).tobytes()
+        assert cost == fresh_scale_cost(yp, log_det, T, V, beta, 0.5)
 
 
 @pytest.mark.parametrize("bins", [1, 3])
@@ -437,10 +498,11 @@ def test_whitened_ratio_writes_into_out(k, into):
 PEAK_FRACTION = 0.75
 
 #: Tighter bound for the two NMF updates and the cost, whose per-block chains
-#: run in place in at most two block buffers each, on at most one thread per
-#: source: they read 0.066 (bases), 0.060 (activations) and 0.056 (cost) on one
-#: CPU, and 0.125, 0.117 and 0.112 on two.  A new block-sized temporary per
-#: operation reads 0.29 and 0.34.
+#: run in place in at most two block buffers each (one in the basis update,
+#: which reads the carried 1 / S), on at most one thread per source: they read
+#: 0.036 (bases), 0.060 (activations) and 0.056 (cost) on one CPU, and
+#: 0.037-0.066, 0.100-0.120 and 0.056-0.084 on two (three runs).  A new
+#: block-sized temporary per operation reads 0.29 and 0.34.
 NMF_PEAK_FRACTION = 0.2
 
 
@@ -451,13 +513,13 @@ def test_layer_temporaries_stay_block_sized():
 @pytest.mark.parametrize("cpus", [2, 4])
 def test_layer_temporaries_stay_block_sized_on_the_pool(monkeypatch, cpus):
     # Each part holds one block of BLOCK_ENTRIES entries, every source counted, as
-    # on one CPU; the separation allocates nothing.
+    # on one CPU.
     calls = use_the_pool(monkeypatch, cpus)
     peaks_stay_block_sized()
-    # one hand-off per layer call: the separation of its outputs, the scale refresh
-    # (twice: once for the carried field), the mixture's features, the two NMF
-    # updates, the cost, the quartic sweep's two passes over the frames and both IP
-    # sweeps' factors
+    # one hand-off per layer call: the separation of the anchor's |y|^2, of |y|^p and
+    # of |y|^p again under the tracer, the mixture's features, the two NMF updates,
+    # the cost, the quartic sweep's two passes over the frames and both IP sweeps'
+    # factors
     assert len(calls) == 11
 
 
@@ -480,24 +542,27 @@ def peaks_stay_block_sized():
     W = np.eye(N) + 0.1 * rng.standard_normal((bins, N, N)).astype(complex)
     T = rng.uniform(0.2, 1.5, (N, bins, K))
     V = rng.uniform(0.2, 1.5, (N, K, frames))
-    yd = pipeline.separate(xd, W)
-    yp = np.abs(np.moveaxis(yd, 2, 0), order="C") ** 0.5
+    yd = pipeline.separate(xd, W, 2.0)
+    yp = pipeline.separate(xd, W, 0.5)
     gram = mixture_gram(xd)
     W_inv, log_det = inverse_and_log_det(W)
-    S = carried_scale(T, V)
+    inv_S = carried_inverse_scale(T, V)
 
     def carried():
         return W_inv.copy(), log_det.copy()
 
     calls = {
-        "refresh_scale": (refresh_scale, T, V, S),
-        "update_bases_arrays": (update_bases_arrays, T, V, S, yp, 4.0, 0.5),
+        # |y|^p into the carried buffer: one block of outputs per part
+        "separate": (pipeline.separate, xd, W, 0.5, np.empty_like(yp)),
+        "update_bases_arrays": (update_bases_arrays, T, V, inv_S, yp, 4.0, 0.5),
         "update_activations_arrays": (update_activations_arrays, T, V, yp, 4.0, 0.5),
-        "ggd_cost_arrays": (ggd_cost_arrays, yp, log_det, S, 4.0, 0.5),
-        "quartic_sweep": (quartic_sweep, gram, yd, W.copy(), S, 0.5, *carried(), np.empty_like(S)),
+        "ggd_cost_arrays": (ggd_cost_arrays, yp, log_det, T, V, np.empty_like(inv_S), 4.0, 0.5),
+        "quartic_sweep": (
+            quartic_sweep, gram, yd, W.copy(), inv_S, 0.5, *carried(), np.empty_like(inv_S)
+        ),
         # At beta = 2 the weights read no output; at beta = 1 they read |y|^p.
-        "ip_sweep": (ip_sweep, xd, yp, W.copy(), S, 2.0, 2.0, *carried()),
-        "ip_sweep_beta1": (ip_sweep, xd, yp, W.copy(), S, 1.0, 0.5, *carried()),
+        "ip_sweep": (ip_sweep, xd, yp, W.copy(), inv_S, 2.0, 2.0, *carried()),
+        "ip_sweep_beta1": (ip_sweep, xd, yp, W.copy(), inv_S, 1.0, 0.5, *carried()),
     }
     peaks = {}
     for name, (layer, *args) in calls.items():
@@ -516,18 +581,22 @@ def peaks_stay_block_sized():
 
 
 #: Bound on the transient allocation peak of one ``iteration_step``, as a
-#: fraction of the mixture's bytes.  Its only full-size arrays are the
-#: separated signal: the quartic sweep's anchor, then the refreshed one, one
-#: at a time.  ``|y|^p`` is carried state, like the scale field ``S`` and
-#: ``gram``: allocated outside the step and refreshed in place, so it is not
-#: part of this transient.  With the sweeps' block temporaries a quartic step
-#: reads 1.19 at N = 2 and 1.27 at N = 3 on one CPU, and 1.34 and 1.28 on two.
-#: Keeping the scale field, the anchor and the refresh alive together reads 2.7.
+#: fraction of the mixture's bytes.  Its only full-size array is the quartic
+#: sweep's anchor ``|y~|^2``, real ``(N, I, J)``: half the bytes of a complex
+#: separation.  ``|y|^p`` is carried state, like ``1 / S`` and ``gram``:
+#: allocated outside the step and written in place, so it is not part of this
+#: transient.  With the block temporaries a quartic step reads 0.68 at N = 2
+#: and 0.80 at N = 3 on one CPU, and 0.78-0.84 and 0.80 on two (three runs).
+#: A complex anchor, with the refresh of ``|y|^p`` from a complex separation,
+#: read 1.19 to 1.34.  Keeping the scale field, a complex anchor and the
+#: refresh alive together reads 2.7.
 STEP_PEAK_FRACTION = 1.75
 
-#: Tighter bound for an IP step (beta <= 2), which separates once: it reads
-#: 1.00 at beta = 2 and 1, at N = 2 and N = 3 alike.  A step that forms
-#: ``|y|^p`` in a new array, or an IP sweep that forms an anchor, reads 1.50.
+#: Tighter bound for an IP step (beta <= 2), which separates once, straight
+#: into the carried ``|y|^p``: it reads 0.31 at N = 2 and 0.32 at N = 3, at
+#: beta = 2 and 1 alike, on one CPU, and 0.36-0.59 on two (three runs).  The
+#: refresh from a complex separation read 1.00; a step that forms ``|y|^p`` in
+#: a new array, or an IP sweep that forms an anchor, reads 1.50.
 IP_STEP_PEAK_FRACTION = 1.25
 
 

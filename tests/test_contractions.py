@@ -112,9 +112,9 @@ def test_quartic_majorizer_matches_einsum(N, J, layout):
     w[0] = 0.0  # a degenerate anchor: flagged, and G = 0 there
     radius = rng.uniform(0.3, 2.0, (I, J))
     yd = np.einsum("ijm,im->ij", xd, w.conj())
-    # one row, at p = 1 so that the scale field is r
+    # one row, its anchor's |y~|^2, at p = 1 so that the scale field is r
     G, good, _ = quartic_majorizer(
-        mixture_gram(xd), yd[..., None], w.conj()[:, None], radius[None], 1.0,
+        mixture_gram(xd), np.abs(yd[None]) ** 2, w.conj()[:, None], 1.0 / radius[None], 1.0,
         np.empty((1, I, J)),
     )
     G, good = G[:, 0], good[0]
@@ -132,7 +132,7 @@ def test_nmf_updates_match_einsum(N, J, layout, beta, p):
     yd = separate_einsum(mixture(I, J, N, layout, 6), demixing(I, N, 7))
     abs_y = np.abs(np.moveaxis(yd, 2, 0))
     T0, V0 = T.copy(), V.copy()
-    T_new = update_bases_arrays(T, V, T @ V, abs_y**p, beta, p)
+    T_new = update_bases_arrays(T, V, 1.0 / (T @ V), abs_y**p, beta, p)
     np.testing.assert_allclose(T_new, update_bases_einsum(T, V, abs_y, beta, p), rtol=RTOL)
     V_new = update_activations_arrays(T, V, abs_y**p, beta, p)
     np.testing.assert_allclose(V_new, update_activations_einsum(T, V, abs_y, beta, p), rtol=RTOL)
@@ -147,8 +147,10 @@ def test_ggd_cost_matches_einsum(N, J, layout, beta, p):
     xd, W = mixture(I, J, N, layout, 8), demixing(I, N, 9)
     T, V = factors(N, I, K, J, 10)
     yp = magnitudes_einsum(xd, W) ** p
-    cost = ggd_cost_arrays(yp, inverse_and_log_det(W)[1], T @ V, beta, p)
+    inv_S = np.empty_like(yp)
+    cost = ggd_cost_arrays(yp, inverse_and_log_det(W)[1], T, V, inv_S, beta, p)
     assert cost == pytest.approx(ggd_cost_einsum(xd, W, T, V, beta, p), rel=RTOL)
+    np.testing.assert_allclose(inv_S * np.einsum("nik,nkj->nij", T, V), 1.0, rtol=RTOL)
 
 
 # Modules whose functions run on every iteration, and the matmul form that

@@ -10,19 +10,28 @@ from ggdilrma.source_model import model_cost_terms
 from ggdilrma.types import GgdConfig, _replace_row
 
 
+def cost(yp, log_det, T, V, beta, p):
+    """The cost under the scale field of ``T`` and ``V``, its ``1 / S`` dropped."""
+    return ggd_cost_arrays(yp, log_det, T, V, np.empty(yp.shape), beta, p)
+
+
+def unit_factors(N, I, J):
+    """Bases and activations of one unit basis each: ``T V = 1``."""
+    return np.ones((N, I, 1)), np.ones((N, 1, J))
+
+
 class TestGgdCost:
     def test_zero_input_unit_model(self):
         yp = np.zeros((1, 1, 4))  # |W x|^p for x = 0
         log_det = np.zeros(1)  # W = 1
-        S = np.ones((1, 1, 4))  # T V with unit factors
-        assert ggd_cost_arrays(yp, log_det, S, 2.0, 2.0) == pytest.approx(0.0, abs=1e-14)
+        T, V = unit_factors(1, 1, 4)
+        assert cost(yp, log_det, T, V, 2.0, 2.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_unit_instance(self):
         # I=J=N=K=1, |x|=1, t*v=1, beta=p=2 -> cost 1
         yp = np.ones((1, 1, 1))  # |W x|^p for W = x = 1
         log_det = np.zeros(1)
-        S = np.ones((1, 1, 1))
-        assert ggd_cost_arrays(yp, log_det, S, 2.0, 2.0) == pytest.approx(1.0, rel=1e-14)
+        assert cost(yp, log_det, *unit_factors(1, 1, 1), 2.0, 2.0) == pytest.approx(1.0, rel=1e-14)
 
     @pytest.mark.parametrize("N", [2, 3])
     @pytest.mark.parametrize("bins, frames", [(10, 12), (257, 769), (1025, 158)])
@@ -32,11 +41,13 @@ class TestGgdCost:
         # source of a block at once, then over blocks, they differ only by roundoff.
         rng = np.random.default_rng(bins + N)
         yp = rng.uniform(0.0, 2.0, (N, bins, frames))
-        S = rng.uniform(1.0, 3.0, (N, bins, frames))  # every term positive: no cancellation
+        T = rng.uniform(0.5, 1.0, (N, bins, 3))
+        V = rng.uniform(0.7, 1.0, (N, 3, frames))
+        S = T @ V  # above 1, so every term is positive: no cancellation
         per_block = 0.0
         for blk in bin_blocks(bins, frames):
             per_block += np.sum(model_cost_terms(yp[:, blk], S[:, blk], beta, p))
-        got = ggd_cost_arrays(yp, np.zeros(bins), S, beta, p)
+        got = cost(yp, np.zeros(bins), T, V, beta, p)
         assert got == pytest.approx(per_block, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("beta,p", [(2.0, 2.0), (1.0, 0.5), (4.0, 0.5)])
@@ -55,7 +66,7 @@ class TestGgdCost:
             T = rng.uniform(0.2, 1.0, (N, I, K))
             V = rng.uniform(0.2, 1.0, (N, K, J))
             log_det = inverse_and_log_det(W)[1]
-            got = ggd_cost_arrays(magnitudes_einsum(xd, W) ** p, log_det, T @ V, beta, p)
+            got = cost(magnitudes_einsum(xd, W) ** p, log_det, T, V, beta, p)
 
             naive = 0.0
             for i in range(I):
@@ -75,20 +86,18 @@ class TestGgdCost:
         T = rng.uniform(0.2, 1.0, (N, I, K))
         V = rng.uniform(0.2, 1.0, (N, K, J))
 
-        def cost(W):
-            return ggd_cost_arrays(
-                magnitudes_einsum(xd, W) ** 2, inverse_and_log_det(W)[1], T @ V, 2.0, 2.0
-            )
+        def cost_of(W):
+            return cost(magnitudes_einsum(xd, W) ** 2, inverse_and_log_det(W)[1], T, V, 2.0, 2.0)
 
-        base = cost(W)
+        base = cost_of(W)
         # exactly representable unitary diagonal: entries in {1, -1, i, -i}
         D = np.diag([1j, -1.0])
-        exact = cost(np.einsum("ab,ibc->iac", D, W))
+        exact = cost_of(np.einsum("ab,ibc->iac", D, W))
         assert exact == base  # multiplication by ±1/±i permutes re/im exactly
 
         theta = rng.uniform(0, 2 * np.pi, N)
         Dg = np.diag(np.exp(1j * theta))
-        generic = cost(np.einsum("ab,ibc->iac", Dg, W))
+        generic = cost_of(np.einsum("ab,ibc->iac", Dg, W))
         assert generic == pytest.approx(base, rel=1e-12)
 
     @pytest.mark.parametrize("scale", [1e-170, 1e160])
@@ -102,8 +111,8 @@ class TestGgdCost:
         assert np.all(np.isfinite(log_det))
         np.testing.assert_allclose(log_det, expected, rtol=1e-14)
         np.testing.assert_allclose(W_inv, inv_ref, rtol=1e-14)
-        cost = ggd_cost_arrays(np.zeros((2, 1, 3)), log_det, np.ones((2, 1, 3)), 2.0, 2.0)
-        assert cost == pytest.approx(-2.0 * 3 * expected[0], rel=1e-14)
+        got = cost(np.zeros((2, 1, 3)), log_det, *unit_factors(2, 1, 3), 2.0, 2.0)
+        assert got == pytest.approx(-2.0 * 3 * expected[0], rel=1e-14)
 
 
 class TestAuditDescent:

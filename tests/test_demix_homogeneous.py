@@ -43,12 +43,18 @@ def unit_complex(N, rng):
 def batched_majorizer(x_slab, r_col, w_ref):
     """The sweep's majorizer on a one-bin problem with one anchor row, at ``p = 1``
     so that the scale field is ``r``: ``(G, good)``."""
-    yd = (x_slab @ w_ref.conj())[None, :, None]
+    yd = np.abs(x_slab @ w_ref.conj())[None, None] ** 2  # the anchor's |y~|^2
     G, good, _ = quartic_majorizer(
-        mixture_gram(x_slab[None]), yd, w_ref.conj()[None, None], r_col[None, None], 1.0,
-        np.empty((1, 1, len(r_col))),
+        mixture_gram(x_slab[None]), yd, w_ref.conj()[None, None], 1.0 / r_col[None, None],
+        1.0, np.empty((1, 1, len(r_col))),
     )
     return G[0, 0], bool(good[0, 0])
+
+
+def anchor_power(W, xd):
+    """``|y~|^2`` ``(N, I, J)`` of the outputs of ``W`` ``(I, N, M)``: the anchors a
+    quartic sweep or majorizer at ``W`` reads."""
+    return np.abs(np.einsum("inm,ijm->nij", W, xd)) ** 2
 
 
 class TestOptimalScale:
@@ -172,9 +178,9 @@ class TestQuarticMajorizer:
         x = 10.0**log_c * (rng.standard_normal((J, N)) + 1j * rng.standard_normal((J, N)))
         r = 10.0 ** rng.uniform(-3.0, 3.0, (N, J))
         W = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-        yd = (x @ W.T)[None]  # the anchors: every row's outputs, one bin
         G, good, _ = quartic_majorizer(
-            mixture_gram(x[None]), yd, W[None], r[:, None], 1.0, np.empty((N, 1, J))
+            mixture_gram(x[None]), anchor_power(W[None], x[None]), W[None], 1.0 / r[:, None],
+            1.0, np.empty((N, 1, J)),
         )
         assert good.all()
         for n in range(N):
@@ -247,10 +253,10 @@ class TestDirectionScaleStep:
 def sweep(xd, W, radius):
     """``quartic_sweep`` anchored at ``W``'s outputs, with scale field ``S = radius``
     at ``p = 1``."""
-    yd = np.einsum("inm,ijm->ijn", W, xd)
-    S = np.moveaxis(radius, 2, 0)
+    inv_S = 1.0 / np.moveaxis(radius, 2, 0)
     return quartic_sweep(
-        mixture_gram(xd), yd, W, S, 1.0, *inverse_and_log_det(W), np.empty_like(S)
+        mixture_gram(xd), anchor_power(W, xd), W, inv_S, 1.0, *inverse_and_log_det(W),
+        np.empty_like(inv_S),
     )
 
 
@@ -348,7 +354,7 @@ class TestQuarticUpdateFilter:
 
     @pytest.mark.parametrize("N", [2, 3])
     def test_non_finite_scale_skips_only_its_source(self, N):
-        # Source 0's r**2 at bin 4 overflows to inf: that update alone is
+        # Source 0's 1 / r**2 at bin 4 underflows to zero: that update alone is
         # skipped, and every other filter still matches the oracle.
         xd, radius, W = self.random_state(5, 12, N, seed=41)
         radius[4, :, 0] = 1e300
@@ -401,9 +407,10 @@ class TestQuarticUpdateFilter:
         yd = np.einsum("inm,ijm->ijn", W, xd)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            S = np.moveaxis(radius, 2, 0)
+            inv_S = 1.0 / np.moveaxis(radius, 2, 0)
             _, _, f_check, skipped = quartic_sweep(
-                mixture_gram(xd), yd, state[0], S, 1.0, *state[1:], np.empty_like(S)
+                mixture_gram(xd), anchor_power(W, xd), state[0], inv_S, 1.0, *state[1:],
+                np.empty_like(inv_S),
             )
         assert skipped == N
         for got, given in zip(state, (W, W_inv, log_det)):
@@ -475,11 +482,12 @@ class TestQuarticUpdateFilter:
         xd, radius, W = self.random_state(5, 12, N, seed=23)
         xd[1] = 0.0  # a silent bin
         xd[3, :, 1] = xd[3, :, 0]  # a rank-deficient bin
-        yd = np.einsum("inm,ijm->ijn", W, xd)
-        S = np.moveaxis(radius, 2, 0)
-        G, good, _ = quartic_majorizer(mixture_gram(xd), yd, W, S, 1.0, np.empty_like(S))
+        yd = anchor_power(W, xd)
+        inv_S = 1.0 / np.moveaxis(radius, 2, 0)
+        G, good, _ = quartic_majorizer(mixture_gram(xd), yd, W, inv_S, 1.0, np.empty_like(inv_S))
         _, _, _, skipped = quartic_sweep(
-            mixture_gram(xd), yd, W.copy(), S, 1.0, *inverse_and_log_det(W), np.empty_like(S)
+            mixture_gram(xd), yd, W.copy(), inv_S, 1.0, *inverse_and_log_det(W),
+            np.empty_like(inv_S),
         )
         [G_sweep] = factored  # every source over all bins, factored at once
         np.testing.assert_array_equal(G_sweep, G)
@@ -491,9 +499,9 @@ class TestQuarticUpdateFilter:
 
     def test_scale_postcondition_across_sweep(self):
         xd, radius, W = self.random_state(6, 20, 2, seed=13)
-        yd = np.einsum("inm,ijm->ijn", W, xd)
+        yd = anchor_power(W, xd)
         W_new, yd_out, f_check, _ = sweep(xd, W, radius)
-        np.testing.assert_array_equal(yd_out, yd)  # the anchor outputs, untouched
+        np.testing.assert_array_equal(yd_out, yd)  # the anchors' |y~|^2, untouched
         np.testing.assert_allclose(f_check, 0.5, rtol=1e-9)
         # f_check is the quartic cost of the updated filters' outputs.
         y_new = np.einsum("inm,ijm->ijn", W_new, xd)

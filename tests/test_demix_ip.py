@@ -93,7 +93,7 @@ class TestWeightedCovariance:
         xd, _, TV, W = random_instance()
         yp = magnitudes_einsum(xd, W) ** 0.5
         with pytest.raises(UnsupportedBeta):
-            ip_sweep(xd, yp, W, np.matmul(*TV), 4.0, 0.5, *inverse_and_log_det(W))
+            ip_sweep(xd, yp, W, 1.0 / np.matmul(*TV), 4.0, 0.5, *inverse_and_log_det(W))
 
 
 class TestIpUpdateFilter:
@@ -169,11 +169,12 @@ class TestIpSweep:
             T = rng.uniform(0.3, 1.2, size=(2, 3, 2))
             V = rng.uniform(0.3, 1.2, size=(2, 2, 8))
             W_inv, log_det = inverse_and_log_det(W)
-            S = T @ V
+            inv_S = np.empty((2, 3, 8))
             yp = magnitudes_einsum(xd, W) ** p
-            before = ggd_cost_arrays(yp, log_det, S, beta, p)
-            W2 = ip_sweep(xd, yp, W.copy(), S, beta, p, W_inv, log_det)
-            after = ggd_cost_arrays(magnitudes_einsum(xd, W2) ** p, log_det, S, beta, p)
+            before = ggd_cost_arrays(yp, log_det, T, V, inv_S, beta, p)  # writes 1 / S
+            W2 = ip_sweep(xd, yp, W.copy(), inv_S, beta, p, W_inv, log_det)
+            yp2 = magnitudes_einsum(xd, W2) ** p
+            after = ggd_cost_arrays(yp2, log_det, T, V, inv_S, beta, p)
             if after > before + 1e-9 * (1 + abs(before)):
                 failures += 1
         assert failures == 0
@@ -182,11 +183,11 @@ class TestIpSweep:
     def test_sweep_matches_single_bin_op(self, N):
         xd, yd, TV, W = random_instance(I=4, J=10, M=N, seed=7)
         beta, p = 1.5, 0.5
-        S_sweep = np.matmul(*TV)
-        inputs = xd, magnitudes_einsum(xd, W) ** p, S_sweep
+        inv_S = 1.0 / np.matmul(*TV)
+        inputs = xd, magnitudes_einsum(xd, W) ** p, inv_S
         before = [a.copy() for a in inputs]
-        W_sweep = ip_sweep(*inputs[:2], W.copy(), S_sweep, beta, p, *inverse_and_log_det(W))
-        for got, ref in zip(inputs, before):  # the mixture, |y|^p and the scale field, read only
+        W_sweep = ip_sweep(*inputs[:2], W.copy(), inv_S, beta, p, *inverse_and_log_det(W))
+        for got, ref in zip(inputs, before):  # the mixture, |y|^p and 1 / S, read only
             np.testing.assert_array_equal(got, ref)
         S = scale_field(*TV)
 
@@ -205,7 +206,7 @@ class TestIpSweep:
     def test_normalization_postcondition(self):
         xd, yd, TV, W = random_instance(I=5, J=12, seed=8)
         yp = magnitudes_einsum(xd, W) ** 0.5
-        W_new = ip_sweep(xd, yp, W.copy(), np.matmul(*TV), 1.0, 0.5, *inverse_and_log_det(W))
+        W_new = ip_sweep(xd, yp, W.copy(), 1.0 / np.matmul(*TV), 1.0, 0.5, *inverse_and_log_det(W))
         np.testing.assert_allclose(unit_norm_gaps(xd, yd, TV, W_new, 1.0, 0.5), 0.0, atol=1e-10)
 
     @pytest.mark.parametrize("N", [2, 3])
@@ -221,7 +222,7 @@ class TestIpSweep:
         T = rng.uniform(0.5, 1.5, (N, 1, 2))
         V = rng.uniform(0.5, 1.5, (N, 2, J))
         yp = magnitudes_einsum(xd, W) ** p
-        wgt = _ip_weights(yp[0], scale_field(T, V)[:, :, 0], beta, p)
+        wgt = _ip_weights(yp[0], 1.0 / scale_field(T, V)[:, :, 0], beta, p)
         wgt *= beta / (2.0 * J)
         assert 1e9 < wgt.max() / np.median(wgt) < 1e11
 
@@ -237,5 +238,6 @@ class TestIpSweep:
         det_r = np.prod(np.abs(np.diagonal(R)))
         det_mgs = np.prod(np.diagonal(_weighted_factor(xd, wgt)[0]).real)
         assert abs(det_mgs - det_r) <= tol * det_r
-        w = ip_sweep(xd, yp, W.copy(), T @ V, beta, p, *inverse_and_log_det(W))[0, 0].conj()
+        inv_S = 1.0 / (T @ V)
+        w = ip_sweep(xd, yp, W.copy(), inv_S, beta, p, *inverse_and_log_det(W))[0, 0].conj()
         assert np.linalg.norm(w - w_qr) <= tol * np.linalg.norm(w_qr)

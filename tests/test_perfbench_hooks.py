@@ -2,12 +2,13 @@
 
 ``perfbench/layers.py`` wraps each layer by the module attribute its caller
 looks up, and reads positions of some calls: ``W`` at ``args[2]`` and the
-skip count at ``result[3]`` of ``quartic_sweep(gram, yd, W, S, domain,
-W_inv, log_det, inv_r2)``, the mixture at ``args[0]`` and ``W`` at ``result[0]`` of
-``iteration_step(xd, W, T, V, cfg, gram, W_inv, log_det, S, yp)``.  The
-mixture's ``gram`` takes the sweep's first slot, and the scale field ``S``
-follows ``W``; the carried inverse, log-determinants, the sweep's ``1 / r**2``
-buffer and, in the step, ``S`` and ``|y|^p`` come after every position it reads.  Its skip count swallows a
+skip count at ``result[3]`` of ``quartic_sweep(gram, yd, W, inv_S, domain,
+W_inv, log_det, inv_r2)``, the mixture at ``args[0]`` and ``W`` at ``result[0]``
+of ``iteration_step(xd, W, T, V, cfg, gram, W_inv, log_det, inv_S, yp)``.  The
+mixture's ``gram`` takes the sweep's first slot, the anchors' ``|y~|^2`` its
+second, and ``1 / S`` of the scale field follows ``W``; the carried inverse,
+log-determinants, the sweep's ``1 / r**2`` buffer and, in the step, ``1 / S``
+and ``|y|^p`` come after every position it reads.  Its skip count swallows a
 moved position and reads 0, so the positions are pinned here.  Its span
 stack is not thread-safe, so the wrapped layers must also run on the calling
 thread when the layers split their work on the thread pool.
@@ -111,9 +112,9 @@ def test_wrapped_layers_stay_on_the_calling_thread_with_the_pool(monkeypatch):
         layers = load_layers(monkeypatch)
         names = [span.name for span in tracer.spans]
         loose = [s.name for k, s in enumerate(tracer.spans) if not layers.in_loop(tracer.spans, k)]
-        # outside the two steps: the STFT, the steps, then the final separation, the
-        # back-projection and the iSTFT
-        assert loose == ["stft.stft", *[layers.ITERATION] * 2, "pipeline.separate",
-                         "pipeline.back_project", "stft.istft"]
+        # outside the two steps: the STFT, the cost pass that writes the first 1 / S,
+        # the steps, then the final separation, the back-projection and the iSTFT
+        assert loose == ["stft.stft", "cost.ggd_cost", *[layers.ITERATION] * 2,
+                         "pipeline.separate", "pipeline.back_project", "stft.istft"]
         assert names.count("pipeline.separate") == (5 if beta == 4.0 else 3)
     assert calls

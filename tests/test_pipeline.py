@@ -49,10 +49,12 @@ def test_step_reports_the_cost_of_the_state_it_returns(N, beta):
     I, J, K = 9, 40, 3
     xd = random_mixture(I, J, N, seed=11).data
     cfg = GgdConfig(beta=beta, domain=0.5, n_bases=K, iterations=3, seed=11)
-    W, T, V, W_inv, log_det, S, yp = pipeline.initialize(cfg, ProblemShape(I, J, N, K), xd)
+    W, T, V, W_inv, log_det, inv_S, yp = pipeline.initialize(cfg, ProblemShape(I, J, N, K), xd)
     gram = mixture_gram(xd) if cfg.update_scheme == "quartic" else None
     for _ in range(cfg.iterations):
-        W, T, V, cost, _ = pipeline.iteration_step(xd, W, T, V, cfg, gram, W_inv, log_det, S, yp)
+        W, T, V, cost, _ = pipeline.iteration_step(
+            xd, W, T, V, cfg, gram, W_inv, log_det, inv_S, yp
+        )
         assert cost == pytest.approx(ggd_cost_einsum(xd, W, T, V, beta, 0.5), rel=1e-12)
 
 
@@ -76,19 +78,20 @@ def test_carried_inverse_and_log_det_match_lapack(N, beta, iterations, seed):
     I, J, K = 5, 24, 2
     xd = random_mixture(I, J, N, seed=seed).data
     cfg = GgdConfig(beta=beta, domain=0.5, n_bases=K, iterations=iterations, seed=seed)
-    W, T, V, W_inv, log_det, S, yp = pipeline.initialize(cfg, ProblemShape(I, J, N, K), xd)
+    W, T, V, W_inv, log_det, inv_S, yp = pipeline.initialize(cfg, ProblemShape(I, J, N, K), xd)
     gram = mixture_gram(xd) if cfg.update_scheme == "quartic" else None
     for _ in range(iterations):
-        W, T, V, _, _ = pipeline.iteration_step(xd, W, T, V, cfg, gram, W_inv, log_det, S, yp)
+        W, T, V, _, _ = pipeline.iteration_step(xd, W, T, V, cfg, gram, W_inv, log_det, inv_S, yp)
     inv_ref, log_det_ref = inverse_and_log_det(W)
     largest = np.max(np.abs(inv_ref), axis=(1, 2), keepdims=True)
     assert np.max(np.abs(W_inv - inv_ref) / largest) <= INVERSE_DRIFT
     assert np.max(np.abs(log_det - log_det_ref)) <= LOG_DET_DRIFT
 
 
-#: Bound on the carried scale field's gap to the einsum oracle of ``T V``,
-#: relative per entry: both are sums of K = 2 positive products.  Over 600
-#: draws of this strategy the largest gap was 2.2e-16.
+#: Bound on the carried ``1 / S`` field's gap to the reciprocal of the einsum
+#: oracle of ``S = T V``, relative per entry: both are reciprocals of sums of
+#: K = 2 positive products.  Over 600 draws of this strategy the largest gap was
+#: 3.1e-16.
 SCALE_RTOL = 1e-15
 
 
@@ -100,24 +103,26 @@ SCALE_RTOL = 1e-15
     seed=st.integers(0, 2**16),
 )
 def test_carried_scale_field_is_the_product_of_the_factors(N, beta, iterations, seed):
-    # The step refreshes S in the buffer it was given, after the activation update,
-    # so the next sweep and basis update read the T V of the factors it returns.
+    # The step's cost pass writes 1 / S in the buffer it was given, after the
+    # activation update, so the next sweep and basis update read 1 / (T V) of the
+    # factors it returns.
     # It refreshes |y|^p in its buffer after the sweep, with the bits a fresh
     # separation gives: at entry, where W = I, that is |x|^p exactly.
     I, J, K = 5, 24, 2
     xd = random_mixture(I, J, N, seed=seed).data
     cfg = GgdConfig(beta=beta, domain=0.5, n_bases=K, iterations=iterations, seed=seed)
-    W, T, V, W_inv, log_det, S, yp = pipeline.initialize(cfg, ProblemShape(I, J, N, K), xd)
+    W, T, V, W_inv, log_det, inv_S, yp = pipeline.initialize(cfg, ProblemShape(I, J, N, K), xd)
     gram = mixture_gram(xd) if cfg.update_scheme == "quartic" else None
 
     def assert_carried():
-        np.testing.assert_allclose(S, np.moveaxis(scale_field(T, V), 2, 0), rtol=SCALE_RTOL)
+        S = np.moveaxis(scale_field(T, V), 2, 0)
+        np.testing.assert_allclose(inv_S, 1.0 / S, rtol=SCALE_RTOL)
         fresh = np.abs(np.moveaxis(pipeline.separate(xd, W), 2, 0)) ** cfg.domain
         np.testing.assert_array_equal(yp, fresh)
 
     assert_carried()
     for _ in range(iterations):
-        W, T, V, _, _ = pipeline.iteration_step(xd, W, T, V, cfg, gram, W_inv, log_det, S, yp)
+        W, T, V, _, _ = pipeline.iteration_step(xd, W, T, V, cfg, gram, W_inv, log_det, inv_S, yp)
         assert_carried()
 
 
@@ -198,15 +203,15 @@ def test_three_source_ip_iteration_runs_without_qr(monkeypatch):
     I, J, K, N = 9, 40, 3, 3
     xd = random_mixture(I, J, N, seed=12).data
     cfg = GgdConfig(beta=2.0, domain=0.5, n_bases=K, iterations=1, seed=12)
-    W, T, V, W_inv, log_det, S, yp = pipeline.initialize(cfg, ProblemShape(I, J, N, K), xd)
-    pipeline.iteration_step(xd, W, T, V, cfg, None, W_inv, log_det, S, yp)
+    W, T, V, W_inv, log_det, inv_S, yp = pipeline.initialize(cfg, ProblemShape(I, J, N, K), xd)
+    pipeline.iteration_step(xd, W, T, V, cfg, None, W_inv, log_det, inv_S, yp)
 
 
 @pytest.mark.parametrize("beta, per_iteration", [(2.0, 1), (1.0, 1), (4.0, 2)])
 def test_run_counts_its_separations(beta, per_iteration, monkeypatch):
     # The IP sweep reads the carried |y|^p, so an IP iteration separates once (the
-    # refresh of |y|^p); the quartic sweep is handed the outputs of the entry W as
-    # well.  The last separation is back-projection's.
+    # refresh of |y|^p); the quartic sweep is handed |y~|^2 of the entry W as well.
+    # The last separation is back-projection's.
     calls = []
     original = pipeline.separate
 

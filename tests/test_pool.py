@@ -26,7 +26,7 @@ from ggdilrma.demix_homogeneous import mixture_gram, quartic_sweep
 from ggdilrma.demix_ip import ip_sweep
 from ggdilrma.errors import SingularCovariance
 from ggdilrma.pool import run_parts
-from ggdilrma.source_model import refresh_scale, update_activations_arrays, update_bases_arrays
+from ggdilrma.source_model import update_activations_arrays, update_bases_arrays
 from ggdilrma.stft import StftPlan, istft, stft
 from ggdilrma.types import GgdConfig, MixtureSpectrogram, ProblemShape, SourceSpectrogram
 
@@ -70,20 +70,24 @@ def instance(I, J, N, seed):
 def layer_outputs(xd, W, W_inv, log_det, T, V, beta=4.0):
     """Everything the threaded layers return or write, from fresh copies of their
     inputs; ``beta`` is the NMF updates' and the cost's shape, at ``p = 0.5``."""
-    S = refresh_scale(T, V, np.empty((T.shape[0], T.shape[1], V.shape[2])))
     y = pipeline.separate(xd, W)
-    yp = np.abs(np.moveaxis(y, 2, 0), order="C") ** 0.5
+    yp = pipeline.separate(xd, W, 0.5)
+    anchor = pipeline.separate(xd, W, 2.0)
+    inv_S = np.empty_like(yp)
+    cost = np.float64(ggd_cost_arrays(yp, log_det, T, V, inv_S, beta, 0.5))
     carried = W_inv.copy(), log_det.copy()
-    inv_r2 = np.empty_like(S)
+    inv_r2 = np.empty_like(inv_S)
     W_new, _, f_check, skipped = quartic_sweep(
-        mixture_gram(xd), y, W.copy(), S, 0.5, *carried, inv_r2
+        mixture_gram(xd), anchor, W.copy(), inv_S, 0.5, *carried, inv_r2
     )
     return {
-        "S": S,
         "y": y,
-        "T": update_bases_arrays(T, V, S, yp, beta, 0.5),
+        "yp": yp,
+        "anchor": anchor,
+        "inv_S": inv_S,
+        "T": update_bases_arrays(T, V, inv_S, yp, beta, 0.5),
         "V": update_activations_arrays(T, V, yp, beta, 0.5),
-        "cost": np.float64(ggd_cost_arrays(yp, log_det, S, beta, 0.5)),
+        "cost": cost,
         "W": W_new,
         "W_inv": carried[0],
         "log_det": carried[1],
@@ -122,10 +126,10 @@ def same_bytes_on_the_pool(monkeypatch, shape, cpus, N, beta):
     set_cpus(monkeypatch, cpus)
     pool_use = count_pool_use(monkeypatch)
     assert_same_bytes(layer_outputs(*state, beta), ref)
-    # one hand-off per layer call: separate, the mixture's features, the sweep's two
-    # passes over the frames, the two NMF updates, the scale refresh and the cost, or
-    # none of them
-    assert len(pool_use) == (8 if shape == "above" else 0)
+    # one hand-off per layer call: separate (its outputs, |y|^p and the anchor's
+    # |y|^2), the cost, the mixture's features, the sweep's two passes over the
+    # frames and the two NMF updates, or none of them
+    assert len(pool_use) == (9 if shape == "above" else 0)
 
 
 def setup_and_synthesis(shape, N):
@@ -136,9 +140,9 @@ def setup_and_synthesis(shape, N):
     xd = stft(signal, plan, 16000).data
     I, J, _ = xd.shape
     cfg = GgdConfig(beta=1.5, domain=0.5, n_bases=K, seed=N)
-    W, T, V, W_inv, log_det, S, yp = pipeline.initialize(cfg, ProblemShape(I, J, N, K), xd)
-    got = {"x": xd, "T": T, "V": V, "S": S, "yp": yp, "gram": mixture_gram(xd)}
-    got["W"] = ip_sweep(xd, yp, W, S, cfg.beta, cfg.domain, W_inv, log_det)
+    W, T, V, W_inv, log_det, inv_S, yp = pipeline.initialize(cfg, ProblemShape(I, J, N, K), xd)
+    got = {"x": xd, "T": T, "V": V, "inv_S": inv_S, "yp": yp, "gram": mixture_gram(xd)}
+    got["W"] = ip_sweep(xd, yp, W, inv_S, cfg.beta, cfg.domain, W_inv, log_det)
     got["W_inv"], got["log_det"] = W_inv, log_det
     got["sources"] = pipeline.back_project(pipeline.separate(xd, W), W_inv, N - 1)
     # past the frames' last sample, as the CLI asks for the input's length
@@ -156,7 +160,7 @@ def test_setup_and_synthesis_give_the_same_bytes_on_the_pool(monkeypatch, cpus, 
     set_cpus(monkeypatch, cpus)
     pool_use = count_pool_use(monkeypatch)
     assert_same_bytes(setup_and_synthesis("above", N), ref)
-    # the STFT, the scale refresh and |x|^p of initialize, the mixture's features,
+    # the STFT, |x|^p and the cost of initialize, the mixture's features,
     # the IP sweep's factors, separate, back_project, and the iSTFT's transforms and
     # its overlap-add
     assert len(pool_use) == 9
@@ -174,7 +178,6 @@ LAYERS = {
     "quartic_majorizer.<locals>.frame_pass",
     "quartic_sweep.<locals>.cost_pass",
     "ip_sweep.<locals>.factor",
-    "refresh_scale.<locals>.part",
     "update_bases_arrays.<locals>.part",
     "update_activations_arrays.<locals>.part",
     "ggd_cost_arrays.<locals>.part",
@@ -184,7 +187,6 @@ LAYERS = {
 #: The layers whose parts are (sources, block) pairs, each source's bins summed or
 #: multiplied block by block.
 SOURCE_BLOCK_LAYERS = {
-    "refresh_scale.<locals>.part",
     "update_activations_arrays.<locals>.part",
     "ggd_cost_arrays.<locals>.part",
 }
@@ -234,7 +236,7 @@ def test_every_layer_hands_the_pool_the_same_parts_on_any_number_of_cpus(monkeyp
     every_source = [(slice(0, N), k) for k in range(n_blocks)]
     expected = [part_record(p) for p in (per_source if shape == "above" else every_source)]
     source_block_calls = [parts for name, parts, _ in ref if name in SOURCE_BLOCK_LAYERS]
-    assert len(source_block_calls) == 4  # the scale refresh twice
+    assert len(source_block_calls) == 3  # the cost twice: once in initialize
     assert all(parts == expected for parts in source_block_calls)
 
 
@@ -281,11 +283,11 @@ def test_source_block_parts_give_the_same_bytes_when_they_finish_out_of_order(
     yp[:, blocks[0]] *= 16.0
 
     def outputs():
-        S = refresh_scale(T, V, np.empty(yp.shape))
+        inv_S = np.empty(yp.shape)
         return {
-            "S": S,
             "V": update_activations_arrays(T, V, yp, beta, 0.5),
-            "cost": np.float64(ggd_cost_arrays(yp, log_det, S, beta, 0.5)),
+            "cost": np.float64(ggd_cost_arrays(yp, log_det, T, V, inv_S, beta, 0.5)),
+            "inv_S": inv_S,
         }
 
     set_cpus(monkeypatch, 1)
@@ -304,12 +306,13 @@ def test_source_block_parts_on_more_threads_than_cores_give_the_same_bytes(monke
     N = 4
     xd, W, W_inv, log_det, T, V = instance(*SHAPES["above"], N, seed=9)
     yp = np.abs(xd.transpose(2, 0, 1), order="C") ** 0.5
-    S = refresh_scale(T, V, np.empty(yp.shape))
 
     def outputs():
+        inv_S = np.empty(yp.shape)
         return {
             "V": update_activations_arrays(T, V, yp, 4.0, 0.5),
-            "cost": np.float64(ggd_cost_arrays(yp, log_det, S, 4.0, 0.5)),
+            "cost": np.float64(ggd_cost_arrays(yp, log_det, T, V, inv_S, 4.0, 0.5)),
+            "inv_S": inv_S,
         }
 
     set_cpus(monkeypatch, 1)
@@ -362,15 +365,15 @@ def test_ip_singular_covariance_is_named_by_the_serial_blocks_on_the_pool(monkey
     W = np.tile(np.eye(2, dtype=complex), (I, 1, 1))
     W_inv, log_det = W.copy(), np.zeros(I)
     T, V = rng.uniform(0.2, 1.5, (2, I, K)), rng.uniform(0.2, 1.5, (2, K, J))
-    S = refresh_scale(T, V, np.empty((2, I, J)))
+    inv_S = np.divide(1.0, T @ V)
     blk = pool.bin_blocks(I, J * 2)[1]
-    S[1, blk.start] = S[0, blk.stop - 1] = 1e20  # the weights vanish there
+    inv_S[1, blk.start] = inv_S[0, blk.stop - 1] = 1e-20  # the weights vanish there
     yp = np.abs(np.moveaxis(xd, 2, 0), order="C") ** 0.5
     set_cpus(monkeypatch, cpus)
     state = W.copy(), W_inv.copy(), log_det.copy()
     pool_use = count_pool_use(monkeypatch)
     with pytest.raises(SingularCovariance, match=rf"at bin {blk.stop - 1}, source 0$"):
-        ip_sweep(xd, yp, state[0], S, 1.5, 0.5, *state[1:])
+        ip_sweep(xd, yp, state[0], inv_S, 1.5, 0.5, *state[1:])
     assert bool(pool_use) == (cpus > 1)
     for got, given in zip(state, (W, W_inv, log_det)):
         assert got.tobytes() == given.tobytes()
@@ -385,12 +388,12 @@ def test_basis_blocks_do_not_follow_the_cpus(monkeypatch, cpus):
     N, I, J = 2, 513, 313
     T, V = rng.uniform(0.2, 1.5, (N, I, 20)), rng.uniform(0.2, 1.5, (N, 20, J))
     yp = rng.uniform(0.0, 2.0, (N, I, J))
-    S = refresh_scale(T, V, np.empty((N, I, J)))
+    inv_S = np.divide(1.0, T @ V)
     set_cpus(monkeypatch, 1)
-    ref = update_bases_arrays(T, V, S, yp, 4.0, 0.5)
+    ref = update_bases_arrays(T, V, inv_S, yp, 4.0, 0.5)
     set_cpus(monkeypatch, cpus)
     pool_use = count_pool_use(monkeypatch)
-    assert update_bases_arrays(T, V, S, yp, 4.0, 0.5).tobytes() == ref.tobytes()
+    assert update_bases_arrays(T, V, inv_S, yp, 4.0, 0.5).tobytes() == ref.tobytes()
     assert pool_use
 
 
@@ -409,7 +412,7 @@ def test_runs_give_the_same_bytes_on_the_pool(monkeypatch, beta, cpus):
 
         def spy(*args):
             result = step(*args)
-            carried.update(zip(("W_inv", "log_det", "S", "yp"), args[6:]))
+            carried.update(zip(("W_inv", "log_det", "inv_S", "yp"), args[6:]))
             return result
 
         with monkeypatch.context() as m:
@@ -522,18 +525,19 @@ def test_the_callers_errstate_holds_in_the_pool(monkeypatch):
 
 
 def test_the_callers_errstate_holds_in_a_layer_on_the_pool(monkeypatch):
-    # Source 1's scale field is zero in one entry, which the quartic sweep's first
-    # pass over the frames divides by, on whichever thread takes its block: the
-    # caller's errstate raises there as it would on the calling thread.
+    # Source 1's scale field is 1e-100 in one entry, whose 1 / r**2 = S^-4 the
+    # quartic sweep's first pass over the frames overflows, on whichever thread takes
+    # its block: the caller's errstate raises there as it would on the calling thread.
     set_cpus(monkeypatch, 2)
     xd, W, W_inv, log_det, T, V = instance(*SHAPES["above"], 2, seed=8)
-    S = refresh_scale(T, V, np.empty((2, xd.shape[0], xd.shape[1])))
-    S[1, -5, 7] = 0.0
-    y = pipeline.separate(xd, W)
+    inv_S = np.divide(1.0, T @ V)
+    inv_S[1, -5, 7] = 1e100
+    anchor = pipeline.separate(xd, W, 2.0)
     pool_use = count_pool_use(monkeypatch)
-    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         quartic_sweep(
-            mixture_gram(xd), y, W.copy(), S, 0.5, W_inv.copy(), log_det.copy(), np.empty_like(S)
+            mixture_gram(xd), anchor, W.copy(), inv_S, 0.5, W_inv.copy(), log_det.copy(),
+            np.empty_like(inv_S),
         )
     assert pool_use
 

@@ -23,7 +23,6 @@ from ggdilrma.cost import ggd_cost_arrays
 from ggdilrma import pool
 from ggdilrma.source_model import (
     model_cost_terms,
-    refresh_scale,
     update_activations_arrays,
     update_bases_arrays,
 )
@@ -91,41 +90,55 @@ class TestModelCostTerms:
         np.testing.assert_allclose(got.ravel(), want, rtol=1e-12, atol=1e-12)
 
 
-def scale(T, V):
-    """The package's scale field ``(N, I, J)``, written into a fresh buffer."""
-    return refresh_scale(T, V, np.empty((T.shape[0], T.shape[1], V.shape[2])))
+def inverse_scale(T, V):
+    """``1 / S`` of the scale field ``S = T V`` ``(N, I, J)``, as the cost pass writes
+    it, in a fresh buffer."""
+    inv_S = np.empty((T.shape[0], T.shape[1], V.shape[2]))
+    ggd_cost_arrays(np.ones(inv_S.shape), np.zeros(T.shape[1]), T, V, inv_S, 2.0, 2.0)
+    return inv_S
+
+
+def cost(yp, log_det, T, V, beta, p):
+    """The cost under the scale field of ``T`` and ``V``, its ``1 / S`` dropped."""
+    return ggd_cost_arrays(yp, log_det, T, V, np.empty(yp.shape), beta, p)
 
 
 class TestScaleField:
-    """The scale field ``S = T V`` ``(N, I, J)`` that the pipeline carries."""
+    """The reciprocal ``1 / S`` of the scale field ``S = T V`` ``(N, I, J)`` that the
+    cost pass writes and the pipeline carries."""
 
     def test_single_term(self):
-        field = scale(np.full((1, 1, 1), 2.0), np.full((1, 1, 1), 3.0))
-        assert field[0, 0, 0] == 6.0
+        field = inverse_scale(np.full((1, 1, 1), 2.0), np.full((1, 1, 1), 4.0))
+        assert field[0, 0, 0] == 0.125
 
     def test_two_term_sum(self):
-        field = scale(np.ones((1, 1, 2)), np.ones((1, 2, 1)))
-        assert field[0, 0, 0] == 2.0
+        field = inverse_scale(np.ones((1, 1, 2)), np.ones((1, 2, 1)))
+        assert field[0, 0, 0] == 0.5
 
     def test_matches_triple_loop(self):
         T, V = random_model(N=2, I=4, K=3, J=5, seed=0)
-        field = scale(T, V)
+        field = inverse_scale(T, V)
         for n in range(2):
             for i in range(4):
                 for j in range(5):
                     direct = sum(T[n, i, k] * V[n, k, j] for k in range(3))
-                    assert abs(field[n, i, j] - direct) <= 1e-14 * direct
+                    assert abs(field[n, i, j] * direct - 1.0) <= 2e-15
 
     @pytest.mark.parametrize("bins", [1, 3, 7])
     def test_writes_every_block_into_the_given_buffer(self, monkeypatch, bins):
-        # The field is formed a block at a time, with the updates' own product.
+        # The cost forms S a block at a time, with the updates' own product, takes its
+        # terms from it, then writes 1 / S over it.
         T, V = random_model(N=2, I=7, K=3, J=5, seed=1)
+        yp = source_magnitudes(random_sources(7, 5, 2, seed=2)) ** 0.5
         monkeypatch.setattr(pool, "BLOCK_ENTRIES", bins * 5)
-        S = np.full((2, 7, 5), np.nan)
-        assert refresh_scale(T, V, S) is S
+        inv_S = np.full((2, 7, 5), np.nan)
+        got = ggd_cost_arrays(yp, np.zeros(7), T, V, inv_S, 4.0, 0.5)
         for blk in pool.bin_blocks(7, 5):
-            np.testing.assert_array_equal(S[:, blk], T[:, blk] @ V)
-        np.testing.assert_allclose(S, np.moveaxis(scale_field(T, V), 2, 0), rtol=1e-15)
+            np.testing.assert_array_equal(inv_S[:, blk], np.divide(1.0, T[:, blk] @ V))
+        np.testing.assert_allclose(inv_S, 1.0 / np.moveaxis(scale_field(T, V), 2, 0), rtol=1e-15)
+        S = np.moveaxis(scale_field(T, V), 2, 0)
+        want = np.sum((yp / S) ** 8 + 4.0 * np.log(S))
+        assert got == pytest.approx(want, rel=1e-13)
 
 
 class TestNmfUpdates:
@@ -138,14 +151,14 @@ class TestNmfUpdates:
     @pytest.mark.parametrize("beta,p", [(1.0, 0.5), (4.0, 0.5), (1.5, 2.0)])
     def test_equality_case_multiplies_by_constant(self, beta, p):
         T, V, abs_y = self.equal_ratio_instance(beta, p)
-        T_new = update_bases_arrays(T, V, scale(T, V), abs_y**p, beta, p)
+        T_new = update_bases_arrays(T, V, inverse_scale(T, V), abs_y**p, beta, p)
         factor = (beta / 2.0) ** (p / (beta + p))
         np.testing.assert_allclose(T_new, T * factor, rtol=1e-12)
 
     def test_gaussian_fixed_point(self):
         # at beta=2 the equality case is a fixed point of both updates
         T, V, abs_y = self.equal_ratio_instance(2.0, 2.0)
-        T_new = update_bases_arrays(T, V, scale(T, V), abs_y**2, 2.0, 2.0)
+        T_new = update_bases_arrays(T, V, inverse_scale(T, V), abs_y**2, 2.0, 2.0)
         np.testing.assert_allclose(T_new, T, rtol=1e-12)
         V_new = update_activations_arrays(T, V, abs_y**2, 2.0, 2.0)
         np.testing.assert_allclose(V_new, V, rtol=1e-12)
@@ -154,7 +167,7 @@ class TestNmfUpdates:
         # beta=p=2 exponent p/(beta+p) = 1/2: ratio**0.5 multiplicative form
         T, V = random_model(N=1, I=4, K=2, J=5, seed=1)
         y = random_sources(4, 5, 1, seed=2)
-        T_new = update_bases_arrays(T, V, scale(T, V), source_magnitudes(y) ** 2, 2.0, 2.0)
+        T_new = update_bases_arrays(T, V, inverse_scale(T, V), source_magnitudes(y) ** 2, 2.0, 2.0)
 
         S = T[0] @ V[0]
         P = np.abs(y[:, :, 0]) ** 2
@@ -166,7 +179,7 @@ class TestNmfUpdates:
     def test_matches_per_source_oracle(self, beta, p):
         T, V = random_model(N=2, I=4, K=3, J=6, seed=11)
         abs_y = source_magnitudes(random_sources(4, 6, 2, seed=12))
-        T_new = update_bases_arrays(T, V, scale(T, V), abs_y**p, beta, p)
+        T_new = update_bases_arrays(T, V, inverse_scale(T, V), abs_y**p, beta, p)
         np.testing.assert_allclose(
             T_new, update_bases_reference(T, V, abs_y, beta, p), rtol=1e-12
         )
@@ -186,7 +199,7 @@ class TestNmfUpdates:
         abs_y = source_magnitudes(random_sources(5, 7, 3, seed=22))
         abs_y[:, ::3] *= 1e-13 / abs_y[:, ::3].max()
         assert (abs_y < EPS_Y).sum() >= abs_y.size // 3
-        T_new = update_bases_arrays(T, V, scale(T, V), abs_y**p, beta, p)
+        T_new = update_bases_arrays(T, V, inverse_scale(T, V), abs_y**p, beta, p)
         np.testing.assert_allclose(
             T_new, update_bases_reference(T, V, abs_y, beta, p), rtol=1e-14
         )
@@ -204,11 +217,11 @@ class TestNmfUpdates:
             y = random_sources(4, 5, 1, seed=1000 + seed)
             yp = source_magnitudes(y) ** p
             log_det = np.zeros(4)  # W = 1, so |W x| = |y| with x = y
-            before = ggd_cost_arrays(yp, log_det, scale(T, V), beta, p)
-            T1 = update_bases_arrays(T, V, scale(T, V), yp, beta, p)
-            mid = ggd_cost_arrays(yp, log_det, scale(T1, V), beta, p)
+            before = cost(yp, log_det, T, V, beta, p)
+            T1 = update_bases_arrays(T, V, inverse_scale(T, V), yp, beta, p)
+            mid = cost(yp, log_det, T1, V, beta, p)
             V1 = update_activations_arrays(T1, V, yp, beta, p)
-            after = ggd_cost_arrays(yp, log_det, scale(T1, V1), beta, p)
+            after = cost(yp, log_det, T1, V1, beta, p)
             slack = 1e-10 * (1.0 + abs(before))
             if mid > before + slack or after > mid + slack:
                 failures += 1
@@ -229,7 +242,7 @@ class TestNmfUpdates:
     def test_nonnegativity_closure(self):
         T, V = random_model(N=2, I=4, K=2, J=5, seed=3, low=1e-12, high=1e-11)
         abs_y = source_magnitudes(random_sources(4, 5, 2, seed=4))
-        T = update_bases_arrays(T, V, scale(T, V), abs_y**0.5, 1.0, 0.5)
+        T = update_bases_arrays(T, V, inverse_scale(T, V), abs_y**0.5, 1.0, 0.5)
         V = update_activations_arrays(T, V, abs_y**0.5, 1.0, 0.5)
         assert np.all(T >= EPS_NMF)
         assert np.all(V >= EPS_NMF)
@@ -238,7 +251,7 @@ class TestNmfUpdates:
         # T -> cT, V -> V/c leaves the scale field unchanged exactly
         T, V = random_model(N=1, I=4, K=2, J=5, seed=5)
         c = 4.0  # power of two: exact float scaling
-        np.testing.assert_array_equal(scale(T, V), scale(T * c, V / c))
+        np.testing.assert_array_equal(inverse_scale(T, V), inverse_scale(T * c, V / c))
 
 
 class TestMajorizerGap:
