@@ -4,26 +4,27 @@ A layer runs its work as independent parts through :func:`run_parts`: the
 calling thread and a pool of threads, one per further CPU that the process may
 run on (``os.sched_getaffinity`` where the platform has it, so ``taskset``
 restricts it; ``os.cpu_count`` elsewhere), take the parts one at a time.  The
-pool is created on first use.  A layer is cut only along an axis that no BLAS
-call crosses, and by its shape alone, never by the number of CPUs: into
-:func:`bin_blocks` of bins with every source in each, or of frames with every
-channel in each, or into (source, block) parts where a layer's bytes follow
-blocks sized for one source (:func:`source_block_parts`).  A sum across parts
-is added in the parts' order, whichever finishes first.  So each part makes
-the kernel calls, with the operands, that the layer makes on one thread, and
-the results are the same bytes on any number of CPUs.  Only the number of
-threads that take the parts follows the CPUs (:func:`threads`): on one CPU,
-or where a thread's share would hold fewer entries than the measured
-crossover (:data:`POOL_CROSSOVER`), the parts run in order on the
-calling thread.
+pool is the standard library's :class:`~concurrent.futures.ThreadPoolExecutor`,
+made on first use; its threads are joined at interpreter exit.  A layer is cut
+only along an axis that no BLAS call crosses, and by its shape alone, never by
+the number of CPUs: into :func:`bin_blocks` of bins with every source in each,
+or of frames with every channel in each, or into (source, block) parts where a
+layer's bytes follow blocks sized for one source (:func:`source_block_parts`).
+A sum across parts is added in the parts' order, whichever finishes first.  So
+each part makes the kernel calls, with the operands, that the layer makes on
+one thread, and the results are the same bytes on any number of CPUs.  Only the
+number of threads that take the parts follows the CPUs (:func:`threads`): on
+one CPU, or where a thread's share would hold fewer entries than the measured
+crossover (:data:`POOL_CROSSOVER`), the parts run in order on the calling
+thread.
 """
 
 from __future__ import annotations
 
 import contextvars
 import os
-import queue
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 #: (bin, frame) entries per block of frequency bins in the per-iteration
@@ -86,18 +87,17 @@ def source_block_parts(n_sources: int, n_blocks: int, entries: int) -> tuple[lis
     return [(slice(0, n_sources), k) for k in range(n_blocks)], 1
 
 
-#: The pool: one queue of work for the life of the process, and how many threads
-#: serve it, one per CPU beside the caller's.  Created on first use, and given more
-#: threads if more CPUs are found later; a forked child, which has none of its
-#: parent's threads, starts afresh, with a fresh lock.
-_queue = None
-_served = 0
+#: The pool: one executor for the life of the process, with one thread per CPU
+#: beside the caller's.  Made on first use, and made again with more threads, the
+#: old one shut down, if more CPUs are found later; a forked child, which has none
+#: of its parent's threads, starts afresh, with a fresh lock.
+_executor: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 
 
 def _forget_pool() -> None:
-    global _queue, _served, _pool_lock
-    _queue, _served, _pool_lock = None, 0, threading.Lock()
+    global _executor, _pool_lock
+    _executor, _pool_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -108,65 +108,21 @@ if hasattr(os, "register_at_fork"):
 _on_pool = threading.local()
 
 
-def _serve(tasks: queue.SimpleQueue) -> None:
-    """A pool thread: take a share of some call's parts, for the life of the
-    process."""
+def _serving() -> None:
     _on_pool.serving = True
-    while True:
-        work, context = tasks.get()
-        context.run(work)
-        del work, context
 
 
-def _tasks() -> queue.SimpleQueue:
-    """The pool's queue, served by one thread per CPU beside the caller's (at least
-    one)."""
-    global _queue, _served
+def _tasks() -> ThreadPoolExecutor:
+    """The pool, with one thread per CPU beside the caller's (at least one).  Called
+    with ``_pool_lock`` held, so that no other call shuts it down before this one
+    has submitted its helpers."""
+    global _executor
     size = max(1, _cpu_count() - 1)
-    with _pool_lock:
-        if _queue is None:
-            _queue = queue.SimpleQueue()
-        for _ in range(_served, size):
-            threading.Thread(target=_serve, args=(_queue,), name="ggdilrma", daemon=True).start()
-            _served += 1
-        return _queue
-
-
-class _Share:
-    """The parts of one :func:`run_parts` call, which its threads take one at a
-    time, each the next that no thread has taken."""
-
-    def __init__(self, fn: Callable, parts) -> None:
-        self.fn, self.parts = fn, parts
-        self.taken = self.running = 0
-        self.errors: dict = {}
-        self.lock = threading.Lock()
-        self.done = threading.Event()
-
-    def work(self) -> None:
-        """Run parts until none is left, or one has raised.  A thread drops its
-        references to a part before it reports the part finished, so every array a
-        layer allocated is freed by the caller, at the point it would be serially."""
-        while True:
-            with self.lock:
-                if self.parts is None or self.taken == len(self.parts) or self.errors:
-                    return
-                k, fn, part = self.taken, self.fn, self.parts[self.taken]
-                self.taken += 1
-                self.running += 1
-            try:
-                fn(part)
-                error = None
-            except BaseException as exc:  # handed to the caller, which raises it
-                error = exc
-            del fn, part
-            with self.lock:
-                self.running -= 1
-                if error is not None:
-                    self.errors[k] = error
-                if not self.running and (self.taken == len(self.parts) or self.errors):
-                    self.done.set()
-            del error
+    if _executor is None or _executor._max_workers < size:
+        if _executor is not None:
+            _executor.shutdown(wait=False)  # its threads finish what is queued, then end
+        _executor = ThreadPoolExecutor(size, "ggdilrma", initializer=_serving)
+    return _executor
 
 
 def run_parts(fn: Callable, parts, threads: int | None = None) -> None:
@@ -175,34 +131,58 @@ def run_parts(fn: Callable, parts, threads: int | None = None) -> None:
     The parts run on ``threads`` threads (one per part by default), at most one per
     CPU: the calling thread and threads of the pool.  Each takes the next part that
     no thread has taken, so the calling thread goes on with the parts while a pool
-    thread wakes up, and waits only for parts a pool thread has begun.  On one
-    thread the parts run in order on the calling thread; one part is the batched
-    code itself.
+    thread wakes up.  Once the calling thread finds no part left, it cancels each
+    helper that no pool thread has begun, and waits only for those that have.  On
+    one thread the parts run in order on the calling thread; one part is the
+    batched code itself.
 
     Each pool thread runs in a copy of the caller's context, so an ``np.errstate``
     set by the caller holds there too.  No part begins after one has raised; the
     exception of the first part, in the order of ``parts``, that raised one reaches
     the caller unchanged, after every part begun has finished.  A pool thread that
-    calls this runs the parts itself.  A layer's parts write disjoint pieces of
-    arrays the caller allocated and read only what no part writes, so their
-    results do not depend on which thread runs them, or when.
+    calls this runs the parts itself, and so does a call made while the interpreter
+    exits, once the pool's threads are joined.  A layer's parts write disjoint
+    pieces of arrays the caller allocated and read only what no part writes, so
+    their results do not depend on which thread runs them, or when.  No reference to
+    ``fn`` or to a part outlives the call.
     """
     threads = min(len(parts) if threads is None else threads, len(parts))
     if threads > 1 and getattr(_on_pool, "serving", False):
         threads = 1  # handed to the pool, a pool thread's parts could wait on itself
+    if threads > 1 and not threading.main_thread().is_alive():
+        threads = 1  # the interpreter is exiting, and its executors take no more work
     if threads > 1:
         threads = min(threads, _cpu_count())
     if threads < 2:
         for part in parts:
             fn(part)
         return
-    share = _Share(fn, parts)
-    tasks = _tasks()
-    for _ in range(threads - 1):
-        tasks.put((share.work, contextvars.copy_context()))
-    share.work()
-    share.done.wait()
-    with share.lock:  # a pool thread that wakes up later finds nothing to take
-        share.fn = share.parts = None
-    if share.errors:
-        raise share.errors[min(share.errors)]
+    todo, errors, lock = enumerate(parts), {}, threading.Lock()
+
+    def work() -> None:
+        # Run parts until none is left, or one has raised.  A thread drops its
+        # references to a part before it takes the next or returns, so every array a
+        # layer allocated is freed by the caller, at the point it would be serially.
+        while True:
+            with lock:
+                taken = None if errors else next(todo, None)
+                if taken is None:
+                    return
+            k, part = taken
+            try:
+                fn(part)
+            except BaseException as exc:  # handed to the caller, which raises it
+                with lock:
+                    errors[k] = exc
+            del taken, part
+
+    with _pool_lock:
+        executor = _tasks()
+        helpers = [executor.submit(contextvars.copy_context().run, work) for _ in range(threads - 1)]
+    work()
+    for helper in helpers:
+        if not helper.cancel():
+            helper.result()
+    fn = todo = None  # a cancelled helper is held in the queue until a pool thread skips it
+    if errors:
+        raise errors[min(errors)]

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -450,6 +451,51 @@ def test_an_exception_in_a_part_reaches_the_caller_unchanged(monkeypatch):
     assert info.value is raised[1]
 
 
+def test_a_call_holds_no_reference_to_its_function_or_parts_on_return(monkeypatch):
+    # The pool's one thread waits on an event, so the caller takes every part and
+    # the helper it handed the pool has not begun when the caller cancels it.  That
+    # helper is held in the pool's queue until the thread is free: it must not hold
+    # the call's function or parts, and it must run no part once the thread takes
+    # it.  More CPUs found later make a larger pool, which the next call runs on.
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(pool, "_executor", None)
+    release = threading.Event()
+    with pool._pool_lock:
+        held = pool._tasks().submit(release.wait, 60.0)
+
+    class Part:
+        pass
+
+    ran = []
+
+    def fn(part):
+        ran.append(threading.get_ident())
+
+    parts = [Part() for _ in range(3)]
+    refs = weakref.ref(fn), weakref.ref(parts[1])
+    run_parts(fn, parts)
+    assert ran == [threading.get_ident()] * 3
+    del fn, parts
+    assert [ref() for ref in refs] == [None, None]
+    release.set()
+    assert held.result(timeout=60.0)
+    with pool._pool_lock:  # queued after the cancelled helper, so it runs after it
+        pool._tasks().submit(lambda: None).result(timeout=60.0)
+    assert len(ran) == 3
+
+    set_cpus(monkeypatch, 4)
+    all_four = threading.Barrier(4, timeout=30.0)
+    names = set()
+
+    def wait_for_all(k):
+        names.add(threading.current_thread().name)
+        all_four.wait()
+
+    run_parts(wait_for_all, range(4))
+    pool_threads = names - {threading.current_thread().name}
+    assert len(pool_threads) == 3 and all(name.startswith("ggdilrma") for name in pool_threads)
+
+
 def test_parts_of_a_part_on_the_pool_run_on_its_thread(monkeypatch):
     # Handed to the pool from its only thread, they would wait on that thread.  The
     # two outer parts wait for each other, so one of them runs on the pool.
@@ -574,6 +620,23 @@ assert bool(used) == (int(sys.argv[1]) > 1), used
     for run in runs:
         assert run.returncode == 0, run.stderr.decode()
     assert runs[0].stdout == runs[1].stdout
+
+
+def test_parts_run_on_the_calling_thread_at_interpreter_exit():
+    # The pool's threads are joined, and its executor takes no more work, before
+    # the atexit handlers run: a layer called from one runs its parts itself.
+    script = """
+import atexit, os, threading
+from ggdilrma.pool import run_parts
+os.sched_getaffinity = lambda pid: {0, 1}
+ran = []
+run_parts(lambda k: None, range(4))  # the pool's thread is started
+atexit.register(lambda: run_parts(ran.append, range(4)) or print(ran, threading.active_count()))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=60)
+    assert run.returncode == 0 and run.stderr == b"", run.stderr.decode()
+    assert run.stdout == b"[0, 1, 2, 3] 1\n"  # every part, and no thread but the main one
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
