@@ -95,8 +95,7 @@ def majorizer_trial(seed: int) -> tuple[float, float]:
         w_ref, w = _unit_vector(rng, N), _unit_vector(rng, N)
         yd = np.abs(x @ w_ref.conj())[None, None] ** 2  # one row's |y~|^2, one bin
         G = quartic_majorizer(
-            mixture_gram(x[None]), yd, w_ref.conj()[None, None], np.divide(1.0, r)[None, None],
-            1.0, np.empty((1, 1, J)),
+            mixture_gram(x[None]), yd, w_ref.conj()[None, None], np.divide(1.0, r)[None, None], 1.0
         )[0][0, 0]
         g_at = float((w.conj() @ G @ w).real) ** 2
         worst_gap = min(worst_gap, g_at - _quartic_cost(x, r, w))

@@ -7,13 +7,13 @@ the seeded property suite, whose settings, checks and pass bounds are fixed.
 
 Exit codes: 0 success, 1 invalid arguments or inputs (including a NaN,
 infinite or non-positive --p, --win-ms, --hop-ms or --len-s, a
---sample-rate below 1, a --len-s under one sample at --sample-rate, a
-NaN or infinite --matrix gain, and a simulated mixture that is not finite
-as 32-bit floats, which is checked before anything is written), 2 I/O
-failure (an unreadable file, a WAV that is malformed, cut short or neither
-16-bit PCM nor 32-bit float, or samples to write that are not finite as
-32-bit floats), 3 numerical failure during separation (trace flushed
-first), 4 property suite failure.
+--sample-rate below 1, a --len-s under one sample at --sample-rate,
+--sources WAVs of no samples, a NaN or infinite --matrix gain, and a
+simulated mixture that is not finite as 32-bit floats, which is checked
+before anything is written), 2 I/O failure (an unreadable file, a WAV that
+is malformed, cut short or neither 16-bit PCM nor 32-bit float, or samples
+to write that are not finite as 32-bit floats), 3 numerical failure during
+separation (trace flushed first), 4 property suite failure.
 """
 
 from __future__ import annotations

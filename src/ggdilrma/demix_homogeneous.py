@@ -81,8 +81,8 @@ temporaries stay cache-sized.  First, :func:`quartic_majorizer` streams over
 blocks of bins (:func:`~ggdilrma.pool.bin_blocks`) for the work that runs
 along the frames: ``1 / r^2 = S^(-2/p)``, a copy of the block's ``1 / S``
 raised in place by the kernel that raises the IP weights
-(:func:`~ggdilrma.source_model._power`), which it keeps in an ``(N, I, J)``
-buffer that the caller provides, the anchors' ``|q~|^2 = |y~|^2 / r^2``, and
+(:func:`~ggdilrma.source_model._power`), the anchors' ``|q~|^2 = |y~|^2 / r^2``,
+after which it writes the block's ``1 / r^2`` over its anchors, and
 for every source one product of features, of ``A`` and of the sum in ``C``,
 with ``||q~||^2`` and ``sum_j |q~_j|^4``, each into one array over all bins;
 then it assembles the features of every ``A`` and ``C``, builds every ``G``
@@ -91,14 +91,13 @@ directions: per source, over all bins, the solve and the unscaled
 write-back.  Third, one more pass over the blocks takes every direction's
 cost ``a(h) . P`` against the kept ``1 / r^2``, once for all sources; then
 every scale, ``f_check``, and the skipped bins' entry state are applied over
-all bins at once.  Its result does not depend on the block size.  It updates
-``W`` and the ``1 / r^2`` buffer only; the pipeline lends it the buffer of
-``|y|^p``, which nothing reads between the sweep's start and its refresh.
+all bins at once.  Its result does not depend on the block size.  It writes
+``W`` and the anchors' buffer only, so it needs no full-size scratch.
 
 The two passes over the frames are per bin, every source at once, so above
 the crossover their blocks, of ``BLOCK_ENTRIES`` entries over all sources,
 run on the package's thread pool (:func:`~ggdilrma.pool.run_parts`), each
-block a part that writes its bins of ``1 / r^2``, the features,
+block a part that writes its bins of ``1 / r^2`` over the anchors, the features,
 ``||q~||^2``, ``s4`` and the directions' costs, which the caller allocated.
 The blocks follow the shape alone, as :func:`mixture_gram`'s do, and every
 per-bin product keeps its ``2N`` (or ``N``) columns, so the sweep's bytes do
@@ -173,17 +172,18 @@ def _hermitian(feat: np.ndarray, M: int) -> np.ndarray:
     return H
 
 
-def quartic_majorizer(gram: np.ndarray, yd, W, inv_S, domain: float, inv_r2):
+def quartic_majorizer(gram: np.ndarray, yd, W, inv_S, domain: float):
     """Majorizers ``G`` of every row, batched over bins: the first phase of
     :func:`quartic_sweep`, which factors exactly what this returns.
 
     Args:
         gram: the :func:`mixture_gram` ``(I, M**2, J)`` of an ``M``-channel mixture.
-        yd: the anchors' ``|y~|^2`` ``(N, I, J)``, of the outputs of the rows of ``W``.
+        yd: the anchors' ``|y~|^2`` ``(N, I, J)``, of the outputs of the rows of
+            ``W``; each block of bins is read, then overwritten with its
+            ``1 / r**2 = S^(-2/p)``.
         W: the anchor rows ``w~^H`` ``(I, N, M)``; ``N`` need not equal ``M``.
         inv_S: ``1 / S`` of the scale field ``S = r**p`` ``(N, I, J)``.
         domain: the exponent ``p``.
-        inv_r2: an ``(N, I, J)`` buffer, overwritten with ``1 / r**2 = S^(-2/p)``.
 
     Returns:
         ``(G, good, s4)``: ``(I, N, M, M)`` Hermitian PSD matrices such that
@@ -193,9 +193,9 @@ def quartic_majorizer(gram: np.ndarray, yd, W, inv_S, domain: float, inv_r2):
     """
     I, features, J = gram.shape
     N, M = yd.shape[0], W.shape[-1]
-    # Per block, the work along the frames: 1 / r**2, kept in inv_r2, the anchors'
-    # |q~|^2, and every row's features of A and of the sum in C, with ||q~||^2 and
-    # s4, all kept for all bins.
+    # Per block, the work along the frames: 1 / r**2, the anchors' |q~|^2, then
+    # 1 / r**2 over the anchors, and every row's features of A and of the sum in C,
+    # with ||q~||^2 and s4, all kept for all bins.
     feat = np.empty((I, features, 2 * N))
     q2, s4 = np.empty((2, N, I))
 
@@ -203,8 +203,8 @@ def quartic_majorizer(gram: np.ndarray, yd, W, inv_S, domain: float, inv_r2):
         wts = np.empty((2, N, blk.stop - blk.start, J))  # 1 / r**2, then |y~|^2 / r**4
         np.copyto(wts[0], inv_S[:, blk])
         _power(wts[0], 2.0 / domain)  # S^(-2/p) = 1 / r**2
-        inv_r2[:, blk] = wts[0]
         aq2 = np.multiply(yd[:, blk], wts[0])  # |q~|^2 = |y~|^2 / r^2
+        yd[:, blk] = wts[0]  # the block's anchors are read: keep 1 / r**2 there
         np.multiply(aq2, wts[0], out=wts[1])
         # one (M^2, J) @ (J, 2N) product per bin, through a strided view of wts
         np.matmul(gram[blk], wts.reshape(2 * N, -1, J).transpose(1, 2, 0), out=feat[blk])
@@ -246,7 +246,7 @@ def _cholesky(G):
     return R, ok & (det_g > EPS_DET * hadamard)
 
 
-def quartic_sweep(gram: np.ndarray, yd, W, inv_S, domain: float, W_inv, log_det, inv_r2):
+def quartic_sweep(gram: np.ndarray, yd, W, inv_S, domain: float, W_inv, log_det):
     """One full quartic update of all filters, batched over bins: the
     :func:`quartic_majorizer` of every source and its Cholesky factor; then
     every source's direction, written back unscaled; then every direction's
@@ -261,18 +261,18 @@ def quartic_sweep(gram: np.ndarray, yd, W, inv_S, domain: float, W_inv, log_det,
 
     Args:
         gram: the :func:`mixture_gram` of the mixture ``(I, J, M)``.
-        yd: the anchors' ``|y~|^2`` ``(N, I, J)``, of the outputs of ``W`` on entry.
+        yd: the anchors' ``|y~|^2`` ``(N, I, J)``, of the outputs of ``W`` on entry;
+            overwritten with ``1 / r**2 = S^(-2/p)`` by the first pass over the
+            frames and read by the second.
         W: demixing matrices ``(I, N, N)``, updated in place.
         inv_S: ``1 / S`` of the scale field ``S = r**p = T V`` ``(N, I, J)``; read
             only.
         domain: the exponent ``p``.
         W_inv, log_det: ``W^{-1}`` ``(I, N, N)`` and ``log|det W_i|`` ``(I,)``,
             kept in step with ``W`` in place.
-        inv_r2: an ``(N, I, J)`` buffer, overwritten with ``1 / r**2 = S^(-2/p)``
-            by the first pass over the frames and read by the second.
 
     Returns:
-        ``(W, yd, f_check, n_skipped)`` with ``yd`` as given, ``f_check[i, n]``
+        ``(W, yd, f_check, n_skipped)`` with ``yd`` holding ``1 / r**2``, ``f_check[i, n]``
         the quartic cost of each updated filter (1/2 up to roundoff; the
         anchor's cost where skipped) and ``n_skipped`` the number of
         (bin, source) updates left untouched.
@@ -285,7 +285,7 @@ def quartic_sweep(gram: np.ndarray, yd, W, inv_S, domain: float, W_inv, log_det,
     N, I, J = yd.shape
     # Every source's G reads W on entry only, so all are built and factored at once,
     # over all bins.
-    G, good, s4 = quartic_majorizer(gram, yd, W, inv_S, domain, inv_r2)
+    G, good, s4 = quartic_majorizer(gram, yd, W, inv_S, domain)
     R, factored = _cholesky(G)
     good &= factored.T
     entry = W.copy(), W_inv.copy(), log_det.copy()
@@ -296,14 +296,14 @@ def quartic_sweep(gram: np.ndarray, yd, W, inv_S, domain: float, W_inv, log_det,
         good[n] &= np.vecdot(z, z).real > 0.0  # ||z||^2 = h W^-1 e_n, the det factor
         _replace_row(W, W_inv, log_det, n, w_dir.conj(), good[n])
     # Every direction's cost sum_j |h x_j|^4 / r_j^4 in one pass over the frames, for
-    # all sources, against the 1 / r**2 that the first pass kept.
+    # all sources, against the 1 / r**2 that the first pass kept in yd.
     coeffs = _form_coeffs(W)
     s4_dir = np.empty((N, I))
 
     def cost_pass(blk):
         a2 = np.empty((N, blk.stop - blk.start, J))
         np.matmul(coeffs[blk], gram[blk], out=a2.transpose(1, 0, 2))  # |y_dir|^2
-        a2 *= inv_r2[:, blk]  # over r^2
+        a2 *= yd[:, blk]  # over r^2
         s4_dir[:, blk] = np.vecdot(a2, a2)
 
     blocks = bin_blocks(I, J * N)

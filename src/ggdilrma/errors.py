@@ -45,8 +45,9 @@ class SignalTooShort(InvalidInput):
 
 
 class ShapeMismatch(InvalidInput):
-    """Spectrogram shape inconsistent with the transform plan, or a window
-    or hop duration that is not finite and positive."""
+    """Spectrogram shape inconsistent with the transform plan, a window or
+    hop duration that is not finite and positive, or an iSTFT length that is
+    not a non-negative integer."""
 
 
 # --- separation: numerical failure, exit 3 -------------------------------

@@ -257,7 +257,8 @@ def mix(sources: Sequence[np.ndarray], spec: MixingSpec) -> np.ndarray:
 
     Instantaneous: ``x_m = sum_n A[m, n] s_n``.  Convolutive: full
     convolution with each pair's FIR, truncated to the source length.
-    Returns samples shaped ``(n_samples, M)``.
+    Returns samples shaped ``(n_samples, M)``.  Sources of no samples raise
+    :class:`~ggdilrma.errors.DegenerateShape` in either mode.
     """
     spec.validate()
     sources = [np.asarray(s, dtype=np.float64).ravel() for s in sources]
@@ -266,6 +267,8 @@ def mix(sources: Sequence[np.ndarray], spec: MixingSpec) -> np.ndarray:
     length = len(sources[0])
     if any(len(s) != length for s in sources):
         raise LengthMismatch("sources must share one length")
+    if length < 1:
+        raise DegenerateShape("sources must have at least one sample")
     S = np.stack(sources, axis=1)  # (T, N)
     if spec.mode == "instantaneous":
         return S @ np.asarray(spec.matrix, dtype=np.float64).T

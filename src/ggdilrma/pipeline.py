@@ -5,9 +5,9 @@ Each iteration performs, in order: (1) one demixing sweep of ``W`` alone
 mixture's per-frame outer products, cached per run, for ``beta == 4``), (2)
 refresh of the separated outputs' ``|y|^p`` in place, which feeds (3) one
 basis update, (4) one activation update and (5) the cost; no full-size
-complex output is formed in an iteration.  The cost is recorded after every
-iteration; the final output is rescaled by back-projection onto a reference
-channel.
+array is formed in an iteration.  The cost is recorded after every
+iteration; the final complex output is rescaled in place by back-projection
+onto a reference channel.
 
 Only this module forms separated outputs, all through :func:`separate`,
 which makes one real matrix product per bin, of the mixture's interleaved
@@ -19,10 +19,10 @@ place by :func:`separate` after each sweep, so at every iteration boundary it
 is ``|y|^p`` of the current ``W``.  The NMF updates and the cost read it, and
 so does the IP sweep, whose weights read the outputs of the ``W`` it is
 given only where ``beta != 2``.  The quartic sweep reads ``|y~|^2`` of its
-entry ``W``, separated before the sweep into a real array of its own, so a
-quartic iteration separates twice and an IP iteration once.  It never reads
-``yp``, so it borrows that buffer for its ``1 / r^2``, which the refresh
-then overwrites.
+entry ``W`` instead, separated before the sweep into the buffer of ``yp``,
+which it then overwrites with its ``1 / r^2`` and the refresh with ``|y|^p``,
+so a quartic iteration separates twice and an IP iteration once, and neither
+forms a full-size array.
 
 Beside ``T`` and ``V`` the run carries ``inv_S = 1 / S`` of their scale
 field ``S = T V`` ``(N, I, J)``.  The cost pass forms ``S`` of the factors
@@ -190,24 +190,22 @@ def separate(
 
 
 def back_project(yd: np.ndarray, W_inv: np.ndarray, reference_channel: int = 0) -> np.ndarray:
-    """Fix the per-source scale by projecting onto a reference channel.
+    """Fix the per-source scale by projecting onto a reference channel, in place.
 
-    ``y_hat[i, j, n] = W_inv[i, ref, n] * y[i, j, n]`` with ``W_inv`` the carried
-    ``W^{-1}``; summing the result over sources reconstructs the reference
-    channel of the observation.  The result is C-contiguous ``(I, J, N)`` whatever
-    the layout of ``yd``; its blocks of bins are multiplied one per part on the
-    thread pool.
+    ``y[i, j, n] *= W_inv[i, ref, n]`` with ``W_inv`` the carried ``W^{-1}``;
+    summing the result over sources reconstructs the reference channel of the
+    observation.  Returns ``yd``, the complex ``(I, J, N)`` outputs, scaled; its
+    blocks of bins are multiplied one per part on the thread pool.
     """
     I, J, N = yd.shape
-    projected = np.empty((I, J, N), dtype=np.result_type(yd, W_inv))
     scale = W_inv[:, None, reference_channel, :]
 
     def part(blk):
-        np.multiply(yd[blk], scale[blk], out=projected[blk])
+        np.multiply(yd[blk], scale[blk], out=yd[blk])
 
     blocks = bin_blocks(I, J * N)
     run_parts(part, blocks, threads(len(blocks), I * J * N))
-    return projected
+    return yd
 
 
 def iteration_step(
@@ -217,11 +215,11 @@ def iteration_step(
 
     Order: sweep of ``W`` alone, refresh of the outputs' ``|y|^p`` in ``yp``
     (:func:`separate` with ``p``), which feeds the basis update, the activation
-    update and the cost; no full-size complex array is formed.  ``yp`` is
-    ``|y|^p`` of the entry ``W`` on entry, which the IP sweep reads; the quartic
-    sweep is handed ``|y~|^2`` of the entry ``W`` instead, in a real array of its
-    own, so a quartic step separates twice and an IP step once, and borrows
-    ``yp`` as its ``1 / r^2`` buffer until the refresh.  ``gram`` is the quartic
+    update and the cost; no full-size array is formed.  ``yp`` is ``|y|^p`` of
+    the entry ``W`` on entry, which the IP sweep reads; the quartic sweep reads
+    ``|y~|^2`` of the entry ``W`` instead, separated into ``yp``, whose buffer it
+    then overwrites with its ``1 / r^2`` until the refresh, so a quartic step
+    separates twice and an IP step once.  ``gram`` is the quartic
     scheme's cached :func:`~ggdilrma.demix_homogeneous.mixture_gram` of ``xd``.
     The sweep keeps ``W_inv`` (``W^{-1}``) and ``log_det`` (``log|det W_i|``) in
     step with ``W``, and the cost reads ``log_det``.  ``inv_S`` is ``1 / S`` of
@@ -235,11 +233,9 @@ def iteration_step(
     if cfg.update_scheme == "ip":
         W = ip_sweep(xd, yp, W, inv_S, beta, p, W_inv, log_det)
     else:
-        # The anchor is |y~|^2 of the entry W; [::3] keeps W and the skip count.  The
-        # sweep borrows yp for its 1 / r**2, and the refresh below overwrites it.
-        W, skipped = quartic_sweep(
-            gram, separate(xd, W, 2.0), W, inv_S, p, W_inv, log_det, yp
-        )[::3]
+        # The anchor is |y~|^2 of the entry W, in yp; the sweep writes its 1 / r**2
+        # there and the refresh below overwrites it.  [::3] keeps W and the skip count.
+        W, skipped = quartic_sweep(gram, separate(xd, W, 2.0, yp), W, inv_S, p, W_inv, log_det)[::3]
     separate(xd, W, p, yp)  # |y|^p of the new W
     T = update_bases_arrays(T, V, inv_S, yp, beta, p)
     V = update_activations_arrays(T, V, yp, beta, p)
@@ -283,9 +279,8 @@ def run(
             on_record(record)
 
     del gram, inv_S, yp
-    projected = back_project(separate(xd, W), W_inv, reference_channel)
     return RunResult(
-        sources=SourceSpectrogram(data=projected),
+        sources=SourceSpectrogram(data=back_project(separate(xd, W), W_inv, reference_channel)),
         W=W,
         T=T,
         V=V,

@@ -145,8 +145,12 @@ def istft(
     """Resynthesize ``length`` samples from a one-sided spectrogram.
 
     Inverse of :func:`stft` up to the padded boundary region: the interior
-    of a round trip reproduces the input to near machine precision.
+    of a round trip reproduces the input to near machine precision.  Raises
+    :class:`~ggdilrma.errors.ShapeMismatch` unless ``length`` is a non-negative
+    integer.
     """
+    if not isinstance(length, (int, np.integer)) or length < 0:
+        raise ShapeMismatch(f"length must be a non-negative integer, got {length!r}")
     if isinstance(spec, (MixtureSpectrogram, SourceSpectrogram)):
         spec = spec.data
     data = np.asarray(spec)

@@ -116,9 +116,7 @@ def test_quartic_sweep_is_block_invariant(monkeypatch, bins, N):
     def sweep():
         carried = W_inv.copy(), log_det.copy()
         anchor = pipeline.separate(xd, W, 2.0)
-        W_new, _, f_check, skipped = quartic_sweep(
-            gram, anchor, W.copy(), inv_S, 0.5, *carried, np.empty_like(inv_S)
-        )
+        W_new, _, f_check, skipped = quartic_sweep(gram, anchor, W.copy(), inv_S, 0.5, *carried)
         return (W_new, *carried, f_check), skipped
 
     state_ref, skipped_ref = whole(sweep, monkeypatch)
@@ -269,8 +267,7 @@ def test_singular_demixing_is_named_by_its_global_bin(monkeypatch, bins, N):
     set_block_bins(monkeypatch, bins, N)
     inv_S = carried_inverse_scale(T, V)
     W_new, _, _, skipped = quartic_sweep(
-        gram, pipeline.separate(xd, W, 2.0), W.copy(), inv_S, 0.5, W_inv, log_det,
-        np.empty_like(inv_S),
+        gram, pipeline.separate(xd, W, 2.0), W.copy(), inv_S, 0.5, W_inv, log_det
     )
     assert skipped == 1
     kept = np.all(W_new == W, axis=2)  # (bin, source) pairs left as they were
@@ -339,7 +336,7 @@ def test_sweeps_take_the_per_bin_algebra_once_over_all_bins(monkeypatch, bins, N
     # once, over all bins, in both sweeps: the counts do not follow the blocks.
     # The quartic sweep passes over the frames twice, for the majorizers and then
     # for every direction's cost.  The first pass forms 1 / r**2 once per block and
-    # keeps it in the buffer it is given, which the second pass reads.
+    # writes it over the block's anchors, from where the second pass reads it.
     set_block_bins(monkeypatch, bins, N)
     n_blocks = len(bin_blocks(I, J * N))
     assert n_blocks >= 4
@@ -360,8 +357,7 @@ def test_sweeps_take_the_per_bin_algebra_once_over_all_bins(monkeypatch, bins, N
     xd, W, T, V = instance(N, 3)
     inv_S = carried_inverse_scale(T, V)
     yd = pipeline.separate(xd, W, 2.0)
-    inv_r2 = np.full_like(inv_S, np.nan)
-    quartic_sweep(mixture_gram(xd), yd, W.copy(), inv_S, 0.5, *inverse_and_log_det(W), inv_r2)
+    returned = quartic_sweep(mixture_gram(xd), yd, W.copy(), inv_S, 0.5, *inverse_and_log_det(W))[1]
     yp = carried_magnitudes(xd, W, 0.5)
     ip_sweep(xd, yp, W.copy(), inv_S, 1.0, 0.5, *inverse_and_log_det(W))
     assert calls == {
@@ -372,7 +368,7 @@ def test_sweeps_take_the_per_bin_algebra_once_over_all_bins(monkeypatch, bins, N
         ("demix_ip", "_substitute"): N,
     }
     # S^(-2/p) = (1 / S)^4, raised from the carried 1 / S with no divide
-    assert inv_r2.tobytes() == squaring(inv_S, 4).tobytes()
+    assert returned is yd and yd.tobytes() == squaring(inv_S, 4).tobytes()
 
 
 @pytest.mark.parametrize("bins", [1, 3])
@@ -557,9 +553,7 @@ def peaks_stay_block_sized():
         "update_bases_arrays": (update_bases_arrays, T, V, inv_S, yp, 4.0, 0.5),
         "update_activations_arrays": (update_activations_arrays, T, V, yp, 4.0, 0.5),
         "ggd_cost_arrays": (ggd_cost_arrays, yp, log_det, T, V, np.empty_like(inv_S), 4.0, 0.5),
-        "quartic_sweep": (
-            quartic_sweep, gram, yd, W.copy(), inv_S, 0.5, *carried(), np.empty_like(inv_S)
-        ),
+        "quartic_sweep": (quartic_sweep, gram, yd, W.copy(), inv_S, 0.5, *carried()),
         # At beta = 2 the weights read no output; at beta = 1 they read |y|^p.
         "ip_sweep": (ip_sweep, xd, yp, W.copy(), inv_S, 2.0, 2.0, *carried()),
         "ip_sweep_beta1": (ip_sweep, xd, yp, W.copy(), inv_S, 1.0, 0.5, *carried()),
@@ -580,23 +574,26 @@ def peaks_stay_block_sized():
     assert not over, f"transient peak / xd.nbytes above {NMF_PEAK_FRACTION}: {over}"
 
 
-#: Bound on the transient allocation peak of one ``iteration_step``, as a
-#: fraction of the mixture's bytes.  Its only full-size array is the quartic
-#: sweep's anchor ``|y~|^2``, real ``(N, I, J)``: half the bytes of a complex
-#: separation.  ``|y|^p`` is carried state, like ``1 / S`` and ``gram``:
-#: allocated outside the step and written in place, so it is not part of this
-#: transient.  With the block temporaries a quartic step reads 0.68 at N = 2
-#: and 0.80 at N = 3 on one CPU, and 0.78-0.84 and 0.80 on two (three runs).
-#: A complex anchor, with the refresh of ``|y|^p`` from a complex separation,
-#: read 1.19 to 1.34.  Keeping the scale field, a complex anchor and the
-#: refresh alive together reads 2.7.
-STEP_PEAK_FRACTION = 1.75
+#: Bound on the transient allocation peak of one ``iteration_step`` of the
+#: quartic scheme, as a fraction of the mixture's bytes.  The step forms no
+#: full-size array: the anchor ``|y~|^2`` is separated into the carried
+#: ``|y|^p``, whose buffer the sweep then overwrites with its ``1 / r^2`` and the
+#: refresh with ``|y|^p``.  ``|y|^p`` is carried state, like ``1 / S`` and
+#: ``gram``: allocated outside the step and written in place, so it is not part
+#: of this transient.  With the block temporaries and the sweep's per-bin
+#: algebra a quartic step reads 0.18 at N = 2 and 0.30 at N = 3 on one CPU,
+#: 0.33 and 0.30 on two and 0.33 and 0.37 on four (three runs each).  An anchor
+#: in a real array of its own, ``(N, I, J)``, read 0.68 and 0.80 on one CPU and
+#: 0.83-0.87 on two and four; a complex anchor, with the refresh of ``|y|^p``
+#: from a complex separation, read 1.19 to 1.34.
+STEP_PEAK_FRACTION = 0.5
 
-#: Tighter bound for an IP step (beta <= 2), which separates once, straight
-#: into the carried ``|y|^p``: it reads 0.31 at N = 2 and 0.32 at N = 3, at
-#: beta = 2 and 1 alike, on one CPU, and 0.36-0.59 on two (three runs).  The
-#: refresh from a complex separation read 1.00; a step that forms ``|y|^p`` in
-#: a new array, or an IP sweep that forms an anchor, reads 1.50.
+#: Bound for an IP step (beta <= 2), which separates once, straight into the
+#: carried ``|y|^p``: it reads 0.31 at N = 2 and 0.32 at N = 3, at beta = 2 and
+#: 1 alike, on one CPU, 0.36-0.59 on two and 0.49-0.83 on four (three runs):
+#: above the quartic bound.  The refresh from a complex separation read 1.00; a
+#: step that forms ``|y|^p`` in a new array, or an IP sweep that forms an anchor,
+#: reads 1.50.
 IP_STEP_PEAK_FRACTION = 1.25
 
 

@@ -151,6 +151,28 @@ def test_duration_of_no_samples_exits_1_naming_both_flags(duration, tmp_path, mo
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "mixing", [["--matrix", "1,0.5;0.5,1"], ["--ir-dir", "irs"]], ids=["matrix", "ir-dir"]
+)
+def test_empty_source_wavs_exit_1_and_write_nothing(mixing, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "irs").mkdir()
+    for m in (1, 2):
+        for n in (1, 2):
+            write_wav(f"irs/ir_m{m}_n{n}.wav", np.array([1.0, 0.5, 0.25]), 16000)
+    for name in ("e1.wav", "e2.wav"):
+        write_wav(name, np.zeros(0), 16000)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    argv = ["simulate", "--sources", "e1.wav", "e2.wav", *mixing, "--out", "out/m.wav"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: DegenerateShape: sources must have at least one sample"
+    ]
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("matrix", ["inf,1;1,1", "nan,1;1,1"])
 def test_non_finite_mixing_gain_exits_1_and_writes_nothing(matrix, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

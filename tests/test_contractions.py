@@ -114,8 +114,7 @@ def test_quartic_majorizer_matches_einsum(N, J, layout):
     yd = np.einsum("ijm,im->ij", xd, w.conj())
     # one row, its anchor's |y~|^2, at p = 1 so that the scale field is r
     G, good, _ = quartic_majorizer(
-        mixture_gram(xd), np.abs(yd[None]) ** 2, w.conj()[:, None], 1.0 / radius[None], 1.0,
-        np.empty((1, I, J)),
+        mixture_gram(xd), np.abs(yd[None]) ** 2, w.conj()[:, None], 1.0 / radius[None], 1.0
     )
     G, good = G[:, 0], good[0]
     G_ref, good_ref = quartic_majorizer_einsum(xd, yd, radius)

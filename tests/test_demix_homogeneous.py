@@ -45,8 +45,7 @@ def batched_majorizer(x_slab, r_col, w_ref):
     so that the scale field is ``r``: ``(G, good)``."""
     yd = np.abs(x_slab @ w_ref.conj())[None, None] ** 2  # the anchor's |y~|^2
     G, good, _ = quartic_majorizer(
-        mixture_gram(x_slab[None]), yd, w_ref.conj()[None, None], 1.0 / r_col[None, None],
-        1.0, np.empty((1, 1, len(r_col))),
+        mixture_gram(x_slab[None]), yd, w_ref.conj()[None, None], 1.0 / r_col[None, None], 1.0
     )
     return G[0, 0], bool(good[0, 0])
 
@@ -179,8 +178,7 @@ class TestQuarticMajorizer:
         r = 10.0 ** rng.uniform(-3.0, 3.0, (N, J))
         W = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
         G, good, _ = quartic_majorizer(
-            mixture_gram(x[None]), anchor_power(W[None], x[None]), W[None], 1.0 / r[:, None],
-            1.0, np.empty((N, 1, J)),
+            mixture_gram(x[None]), anchor_power(W[None], x[None]), W[None], 1.0 / r[:, None], 1.0
         )
         assert good.all()
         for n in range(N):
@@ -255,8 +253,7 @@ def sweep(xd, W, radius):
     at ``p = 1``."""
     inv_S = 1.0 / np.moveaxis(radius, 2, 0)
     return quartic_sweep(
-        mixture_gram(xd), anchor_power(W, xd), W, inv_S, 1.0, *inverse_and_log_det(W),
-        np.empty_like(inv_S),
+        mixture_gram(xd), anchor_power(W, xd), W, inv_S, 1.0, *inverse_and_log_det(W)
     )
 
 
@@ -409,8 +406,7 @@ class TestQuarticUpdateFilter:
             warnings.simplefilter("error", RuntimeWarning)
             inv_S = 1.0 / np.moveaxis(radius, 2, 0)
             _, _, f_check, skipped = quartic_sweep(
-                mixture_gram(xd), anchor_power(W, xd), state[0], inv_S, 1.0, *state[1:],
-                np.empty_like(inv_S),
+                mixture_gram(xd), anchor_power(W, xd), state[0], inv_S, 1.0, *state[1:]
             )
         assert skipped == N
         for got, given in zip(state, (W, W_inv, log_det)):
@@ -484,10 +480,10 @@ class TestQuarticUpdateFilter:
         xd[3, :, 1] = xd[3, :, 0]  # a rank-deficient bin
         yd = anchor_power(W, xd)
         inv_S = 1.0 / np.moveaxis(radius, 2, 0)
-        G, good, _ = quartic_majorizer(mixture_gram(xd), yd, W, inv_S, 1.0, np.empty_like(inv_S))
+        # each call writes 1 / r**2 over the anchors it reads, so each gets its own
+        G, good, _ = quartic_majorizer(mixture_gram(xd), yd.copy(), W, inv_S, 1.0)
         _, _, _, skipped = quartic_sweep(
-            mixture_gram(xd), yd, W.copy(), inv_S, 1.0, *inverse_and_log_det(W),
-            np.empty_like(inv_S),
+            mixture_gram(xd), yd, W.copy(), inv_S, 1.0, *inverse_and_log_det(W)
         )
         [G_sweep] = factored  # every source over all bins, factored at once
         np.testing.assert_array_equal(G_sweep, G)
@@ -499,9 +495,10 @@ class TestQuarticUpdateFilter:
 
     def test_scale_postcondition_across_sweep(self):
         xd, radius, W = self.random_state(6, 20, 2, seed=13)
-        yd = anchor_power(W, xd)
-        W_new, yd_out, f_check, _ = sweep(xd, W, radius)
-        np.testing.assert_array_equal(yd_out, yd)  # the anchors' |y~|^2, untouched
+        W_new, inv_r2, f_check, _ = sweep(xd, W, radius)
+        # the anchors' buffer returns holding 1 / r**2, here (1 / S)**2 at p = 1
+        inv_S = 1.0 / np.moveaxis(radius, 2, 0)
+        np.testing.assert_array_equal(inv_r2, inv_S * inv_S)
         np.testing.assert_allclose(f_check, 0.5, rtol=1e-9)
         # f_check is the quartic cost of the updated filters' outputs.
         y_new = np.einsum("inm,ijm->ijn", W_new, xd)

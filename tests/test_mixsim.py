@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ggdilrma.errors import LengthMismatch, NonFiniteInput, UnsupportedFormat
+from ggdilrma.errors import DegenerateShape, LengthMismatch, NonFiniteInput, UnsupportedFormat
 from ggdilrma.mixsim import (
     MixingSpec,
     load_impulse_responses,
@@ -137,6 +137,18 @@ class TestMix:
                 [np.zeros(10), np.zeros(11)],
                 MixingSpec(mode="instantaneous", matrix=np.eye(2)),
             )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            MixingSpec(mode="instantaneous", matrix=np.eye(2)),
+            MixingSpec(mode="convolutive", impulse_responses=np.ones((2, 2, 3))),
+        ],
+        ids=["instantaneous", "convolutive"],
+    )
+    def test_sources_of_no_samples_are_rejected(self, spec):
+        with pytest.raises(DegenerateShape, match="at least one sample"):
+            mix([np.zeros(0)] * 2, spec)
 
     def test_ir_directory_loading(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -1,5 +1,6 @@
 """The general pipeline against the stand-alone IS-ILRMA oracle."""
 
+import os
 from dataclasses import replace
 from functools import cache
 
@@ -192,6 +193,24 @@ def test_separation_calls_no_linalg(N, beta, monkeypatch):
     reference = x.data[:, :, N - 1]
     atol = 1e-12 * np.abs(reference).max()
     np.testing.assert_allclose(projected.sum(axis=2), reference, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("I, J, N", [(9, 40, 3), (1025, 158, 2)])
+def test_back_project_scales_its_input_in_place(I, J, N, cpus, monkeypatch):
+    # run back-projects separate's complex outputs with no second full-size array:
+    # each output times its source's entry of the reference row of W^-1, the bytes
+    # of the out-of-place product, on the pool above the crossover as below it.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    rng = np.random.default_rng(I + N)
+    xd = rng.standard_normal((I, J, N)) + 1j * rng.standard_normal((I, J, N))
+    W = np.eye(N) + 0.3 * (rng.standard_normal((I, N, N)) + 1j * rng.standard_normal((I, N, N)))
+    W_inv, _ = inverse_and_log_det(W)
+    y = pipeline.separate(xd, W)
+    expected = y * W_inv[:, None, N - 1, :]
+    projected = pipeline.back_project(y, W_inv, N - 1)
+    assert projected is y
+    assert projected.tobytes() == expected.tobytes()
 
 
 def test_three_source_ip_iteration_runs_without_qr(monkeypatch):

@@ -77,9 +77,9 @@ def layer_outputs(xd, W, W_inv, log_det, T, V, beta=4.0):
     inv_S = np.empty_like(yp)
     cost = np.float64(ggd_cost_arrays(yp, log_det, T, V, inv_S, beta, 0.5))
     carried = W_inv.copy(), log_det.copy()
-    inv_r2 = np.empty_like(inv_S)
+    inv_r2 = anchor.copy()  # the sweep's anchors, which it overwrites with 1 / r**2
     W_new, _, f_check, skipped = quartic_sweep(
-        mixture_gram(xd), anchor, W.copy(), inv_S, 0.5, *carried, inv_r2
+        mixture_gram(xd), inv_r2, W.copy(), inv_S, 0.5, *carried
     )
     return {
         "y": y,
@@ -345,7 +345,7 @@ def test_separation_and_projection_give_the_same_bytes_on_the_pool(monkeypatch, 
 
     def outputs():
         y = pipeline.separate(xd, W)
-        return {"y": y, "sources": pipeline.back_project(y, W_inv, N - 1)}
+        return {"y": y.copy(), "sources": pipeline.back_project(y, W_inv, N - 1)}
 
     set_cpus(monkeypatch, 1)
     ref = outputs()
@@ -582,8 +582,7 @@ def test_the_callers_errstate_holds_in_a_layer_on_the_pool(monkeypatch):
     pool_use = count_pool_use(monkeypatch)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         quartic_sweep(
-            mixture_gram(xd), anchor, W.copy(), inv_S, 0.5, W_inv.copy(), log_det.copy(),
-            np.empty_like(inv_S),
+            mixture_gram(xd), anchor, W.copy(), inv_S, 0.5, W_inv.copy(), log_det.copy()
         )
     assert pool_use
 

@@ -77,6 +77,14 @@ class TestRoundTrip:
         with pytest.raises(ShapeMismatch):
             istft(np.zeros((64, 4, 1), dtype=np.complex128), plan, length=256)
 
+    @pytest.mark.parametrize("length", [-5, 10.5, 256.0, None])
+    def test_istft_length_must_be_a_non_negative_integer(self, length):
+        plan = StftPlan.hamming(256, 128)
+        spec = np.zeros((129, 4, 1), dtype=np.complex128)
+        with pytest.raises(ShapeMismatch, match="non-negative integer"):
+            istft(spec, plan, length)
+        assert istft(spec, plan, np.int64(0)).shape == (0, 1)
+
     def test_metadata(self):
         plan = StftPlan.hamming(512, 256)
         spec = stft(white_noise(4000), plan, 44100)
