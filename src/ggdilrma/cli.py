@@ -13,7 +13,9 @@ simulated mixture that is not finite as 32-bit floats, which is checked
 before anything is written), 2 I/O failure (an unreadable file, a WAV that
 is malformed, cut short or neither 16-bit PCM nor 32-bit float, or samples
 to write that are not finite as 32-bit floats), 3 numerical failure during
-separation (trace flushed first), 4 property suite failure.
+separation (trace flushed first; including a mixture that is zero everywhere
+and an iteration whose cost is not finite, as at --p 1e-3, which is stopped
+before its trace record is written), 4 property suite failure.
 """
 
 from __future__ import annotations

@@ -70,12 +70,13 @@ def ggd_cost_arrays(yp, log_det, T, V, inv_S, beta, domain) -> float:
 def audit_descent(costs) -> list[int]:
     """Iterations (1-based) whose cost rose beyond tolerance.
 
-    ``costs[k]`` is the cost after iteration ``k + 1``.  An increase counts
-    when ``cost_k > cost_{k-1} + DESCENT_SLACK * (1 + |cost_{k-1}|)``.
+    ``costs[k]`` is the cost after iteration ``k + 1``.  An iteration counts
+    unless ``cost_k <= cost_{k-1} + DESCENT_SLACK * (1 + |cost_{k-1}|)``, so a
+    NaN cost counts, and so does the iteration after it.
     """
     costs = np.asarray(costs, dtype=np.float64)
     return [
         k + 1
         for k in range(1, len(costs))
-        if costs[k] > costs[k - 1] + DESCENT_SLACK * (1.0 + abs(costs[k - 1]))
+        if not costs[k] <= costs[k - 1] + DESCENT_SLACK * (1.0 + abs(costs[k - 1]))
     ]

@@ -2,7 +2,8 @@
 
 Each class's parent names its category, and the CLI maps the category to
 its exit code: :class:`InvalidInput` exits 1, :class:`FileError` exits 2,
-and every other :class:`SeparationError` (a numerical failure) exits 3.
+and every other :class:`SeparationError` (a numerical failure, such as a
+silent mixture or a cost that is not finite) exits 3.
 """
 
 from __future__ import annotations
@@ -56,6 +57,12 @@ class ShapeMismatch(InvalidInput):
 class SilentMixture(SeparationError):
     """A mixture that is zero everywhere: every output, scale and demixing update
     of it is undefined, so it is refused before any iteration."""
+
+
+class NonFiniteCost(SeparationError):
+    """An iteration whose cost is NaN or infinite, as when ``beta / p`` is so
+    large that the whitened ratio overflows: its updates are undefined, so the
+    run stops there, before the iteration's record is handed on."""
 
 
 # --- demixing updates: numerical failure, exit 3 -------------------------

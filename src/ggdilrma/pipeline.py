@@ -47,9 +47,9 @@ the mixture's features, the IP sweep's weights and factors, the quartic
 sweep's passes over the frames and the basis update; by source and block of
 one source's bins for the activation update and the cost, with its
 ``1 / S``, whose ``(b, K) @ (K, J)`` products would change their bits with
-the rows ``b`` of a block, and whose sums over bins are added in the blocks'
-order whichever part finishes first.  Only the sweeps' per-bin algebra and
-the IP sweep's per-source solves stay on the calling thread.  The parts run
+the rows ``b`` of a block, and whose sums over bins the calling thread adds
+in the blocks' order once every part has finished.  Only the sweeps' per-bin
+algebra and the IP sweep's per-source solves stay on the calling thread.  The parts run
 inside the layer calls, so every layer is entered and left on the thread
 that called :func:`run`, and the run's bytes do not depend on the number of
 CPUs.
@@ -66,7 +66,7 @@ import numpy as np
 from .cost import ggd_cost_arrays
 from .demix_homogeneous import mixture_gram, quartic_sweep
 from .demix_ip import ip_sweep
-from .errors import DegenerateShape
+from .errors import DegenerateShape, NonFiniteCost
 from .pool import bin_blocks, run_parts, threads
 from .source_model import update_activations_arrays, update_bases_arrays
 from .types import (
@@ -259,6 +259,9 @@ def run(
     ``reference_channel`` must index a channel of ``x``
     (:class:`~ggdilrma.errors.DegenerateShape` otherwise, before any
     iteration runs).
+    The first iteration whose cost is not finite raises
+    :class:`~ggdilrma.errors.NonFiniteCost`, before its record is handed to
+    ``on_record``.
     """
     shape = validate_problem(x, cfg)
     if not 0 <= reference_channel < shape.n_sources:
@@ -273,6 +276,10 @@ def run(
     for it in range(1, cfg.iterations + 1):
         t0 = time.perf_counter()
         W, T, V, cost, skipped = iteration_step(xd, W, T, V, cfg, gram, W_inv, log_det, inv_S, yp)
+        if not np.isfinite(cost):
+            raise NonFiniteCost(
+                f"iteration {it} has cost {cost}; beta/p = {cfg.beta / cfg.domain:g} may overflow the model"
+            )
         record = TraceRecord(it, cost, (time.perf_counter() - t0) * 1e3, skipped)
         records.append(record)
         if on_record is not None:

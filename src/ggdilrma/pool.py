@@ -10,9 +10,11 @@ only along an axis that no BLAS call crosses, and by its shape alone, never by
 the number of CPUs: into :func:`bin_blocks` of bins with every source in each,
 or of frames with every channel in each, or into (source, block) parts where a
 layer's bytes follow blocks sized for one source (:func:`source_block_parts`).
-A sum across parts is added in the parts' order, whichever finishes first.  So
-each part makes the kernel calls, with the operands, that the layer makes on
-one thread, and the results are the same bytes on any number of CPUs.  Only the
+Parts write disjoint slots of arrays the caller owns and read nothing that
+another part writes; a sum across parts is added by the caller from its parts'
+slots, in the parts' order, once :func:`run_parts` returns.  So each part makes
+the kernel calls, with the operands, that the layer makes on one thread, and the
+results are the same bytes on any number of CPUs.  Only the
 number of threads that take the parts follows the CPUs (:func:`threads`): on
 one CPU, or where a thread's share would hold fewer entries than the measured
 crossover (:data:`POOL_CROSSOVER`), the parts run in order on the calling

@@ -20,7 +20,7 @@ never increases the negative log-likelihood for a fixed demixing system.
 Both updates stream over blocks of frequency bins
 (:func:`~ggdilrma.pool.bin_blocks`), so the ratio terms are formed one
 cache-sized block at a time: the bases of a block depend on that block
-alone, and the activations' bin sums are accumulated block by block.  The
+alone, and the activations' bin sums are added block by block.  The
 pipeline carries ``1 / S`` of the full scale field ``S = T V``, which the
 cost pass writes a block at a time after each activation update
 (:func:`~ggdilrma.cost.ggd_cost_arrays`); the basis update and the demixing
@@ -56,9 +56,11 @@ update and the cost take ``T[:, blk] @ V`` products, whose bits a BLAS
 may pick by the rows of the product (OpenBLAS does at 60 rows or fewer for 20
 bases); so they keep the blocks of one source's bins, ``bin_blocks(I, J)``,
 and above the crossover split by source and block
-(:func:`~ggdilrma.pool.source_block_parts`).  The
-activation update adds each source's block sums over bins in the blocks'
-order as the parts finish.  Every layer's blocks follow its shape
+(:func:`~ggdilrma.pool.source_block_parts`).  Each
+part of the activation update writes its block's two products into a slot of
+its own, and once every part has finished the calling thread adds the slots
+in the blocks' order and takes every source's step, as the cost pass adds its
+per-(source, block) sums.  Every layer's blocks follow its shape
 alone, so each part makes the kernel calls, with the operands, that one
 thread makes, and the bytes do not depend on the number of CPUs; and at two
 sources and 20 bases no per-source product is long enough for OpenBLAS to
@@ -72,9 +74,6 @@ generalized-Gaussian log density that :func:`model_cost_terms` negates
 """
 
 from __future__ import annotations
-
-import collections
-import threading
 
 import numpy as np
 
@@ -168,53 +167,25 @@ def update_bases_arrays(T, V, inv_S, yp, beta, domain):
     return T_new
 
 
-class _InOrderSums:
-    """Sums over blocks of one part's sources' terms, started from zero and added in
-    the blocks' order, whichever block is handed in first."""
-
-    def __init__(self) -> None:
-        self.sums = None
-        self.added = 0  # blocks added, in order
-        self.waiting: dict = {}  # the terms of later blocks handed in first
-
-    def add(self, k: int, terms: tuple) -> int:
-        """Hand in block ``k``'s ``terms``, add every block now next in order, and
-        return the number of blocks added."""
-        self.waiting[k] = terms
-        while self.added in self.waiting:
-            terms = self.waiting.pop(self.added)
-            if self.sums is None:
-                for t in terms:
-                    t += 0.0  # x + 0 is 0 + x bit for bit: the sum from zero
-                self.sums = terms
-            else:
-                for s, t in zip(self.sums, terms):
-                    s += t
-            self.added += 1
-        return self.added
-
-
 def update_activations_arrays(T, V, yp, beta, domain):
     """Multiplicative update of every activation matrix from ``yp = |y|^p``
     ``(N, I, J)``; sums run over bins, block by block, by source and block on the
     thread pool (:func:`~ggdilrma.pool.source_block_parts`).
 
-    Each part forms its block's two products and hands them to its sources'
-    :class:`_InOrderSums` as it finishes: a block that finishes before an earlier
-    one waits there with its products, which a later part adds.  Whichever part
-    adds a source's last block takes its step.  So each sum has the operands and
-    order of one thread's, on any number of CPUs, and only the blocks that
-    finished out of order are held.
+    Each part writes its block's two products, ``T^T`` times the ratio term and
+    ``T^T`` times ``1/S``, into its (block, sources) slot of one array.  Once every
+    part has finished, the calling thread adds the slots from zero in the blocks'
+    order and takes every source's step, as the cost pass folds its sums
+    (:func:`~ggdilrma.cost.ggd_cost_arrays`).  So each sum has the operands and
+    order of one thread's, on any number of CPUs.
 
     Returns:
         The new activations, shaped as ``V`` and floored at ``EPS_NMF``;
         ``T``, ``V`` and ``yp`` are not modified.
     """
     N, I, J = yp.shape
-    V_new = np.empty_like(V)
     blocks = bin_blocks(I, J)
-    sums = collections.defaultdict(_InOrderSums)  # by a part's first source
-    lock = threading.Lock()
+    products = np.empty((len(blocks), 2) + V.shape)  # each block's numerator and denominator
 
     def part(ns_k):
         ns, k = ns_k
@@ -222,21 +193,21 @@ def update_activations_arrays(T, V, yp, beta, domain):
         inv = Tb @ V[ns]  # (n, b, J): S, then 1 / S
         np.divide(1.0, inv, out=inv)
         Tt = Tb.transpose(0, 2, 1)
-        terms = Tt @ _whitened_terms(yp[ns, blocks[k]], inv, beta, domain), Tt @ inv
-        del inv
-        with lock:
-            if sums[ns.start].add(k, terms) < len(blocks):
-                return
-            num, den = sums.pop(ns.start).sums
-        # ((beta * num) / (2 * den)) ** (p / (beta + p)), in place
-        num *= beta
-        den *= 2.0
-        num /= den
-        num **= domain / (beta + domain)
-        V_ns = np.multiply(V[ns], num, out=V_new[ns])
-        np.maximum(V_ns, EPS_NMF, out=V_ns)
+        np.matmul(Tt, _whitened_terms(yp[ns, blocks[k]], inv, beta, domain), out=products[k, 0, ns])
+        np.matmul(Tt, inv, out=products[k, 1, ns])
 
     run_parts(part, *source_block_parts(N, len(blocks), N * I * J))
+    sums = np.zeros((2,) + V.shape)
+    for block_products in products:  # in the blocks' order
+        sums += block_products
+    num, den = sums
+    # ((beta * num) / (2 * den)) ** (p / (beta + p)), in place
+    num *= beta
+    den *= 2.0
+    num /= den
+    num **= domain / (beta + domain)
+    V_new = np.multiply(V, num)
+    np.maximum(V_new, EPS_NMF, out=V_new)
     return V_new
 
 

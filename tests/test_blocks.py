@@ -495,10 +495,11 @@ PEAK_FRACTION = 0.75
 
 #: Tighter bound for the two NMF updates and the cost, whose per-block chains
 #: run in place in at most two block buffers each (one in the basis update,
-#: which reads the carried 1 / S), on at most one thread per source: they read
-#: 0.036 (bases), 0.060 (activations) and 0.056 (cost) on one CPU, and
-#: 0.037-0.066, 0.100-0.120 and 0.056-0.084 on two (three runs).  A new
-#: block-sized temporary per operation reads 0.29 and 0.34.
+#: which reads the carried 1 / S), on at most one thread per source, and the
+#: activation update's per-block products, (K, J) per source: they read 0.036
+#: (bases), 0.082 (activations) and 0.056 (cost) on one CPU, and 0.037-0.066,
+#: 0.083-0.138 and 0.056-0.112 on two (four runs).  A new block-sized temporary
+#: per operation reads 0.29 and 0.34.
 NMF_PEAK_FRACTION = 0.2
 
 

@@ -238,6 +238,19 @@ def test_silent_wav_exits_3_and_writes_no_trace_record(tmp_path, capsys):
     assert not trace.exists() or trace.read_text() == ""
 
 
+def test_cost_that_is_not_finite_exits_3_and_writes_no_trace_record(tmp_path, capsys):
+    # At --p 1e-3 the whitened ratio is raised to beta / p = 4000 and overflows in
+    # the first iteration, whose cost is then not finite.
+    mixture, out, trace = tmp_path / "mix.wav", tmp_path / "out", tmp_path / "t.jsonl"
+    assert main(["simulate", "--out", str(mixture), "--matrix", "1,0.6;0.5,1", "--len-s", "1"]) == 0
+    argv = ["separate", "--input", str(mixture), "--out-dir", str(out), "--p", "1e-3"]
+    with pytest.warns(RuntimeWarning):
+        assert main(argv + ["--iters", "3", "--trace", str(trace)]) == 3
+    assert "NonFiniteCost" in capsys.readouterr().err
+    assert trace.read_text() == ""
+    assert not list(out.glob("source_*.wav"))
+
+
 #: The README's exit code of every error the CLI can meet.
 EXIT_CODES = {
     "NonFiniteInput": 1,
@@ -252,6 +265,7 @@ EXIT_CODES = {
     "IoFailure": 2,
     "FileNotFoundError": 2,
     "SilentMixture": 3,
+    "NonFiniteCost": 3,
     "SingularCovariance": 3,
     "SingularDemixing": 3,
 }

@@ -128,6 +128,11 @@ class TestAuditDescent:
         costs = [10.0, 5.0, 5.0 + 1e-12, 4.0]
         assert audit_descent(costs) == []
 
+    def test_flags_a_nan_cost_and_the_iteration_after_it(self):
+        # A NaN compares false with every bound: neither it nor the next cost is
+        # at or below the cost before it.
+        assert audit_descent([3.0, float("nan"), 1.0]) == [2, 3]
+
     def test_full_quartic_run_audits_clean(self):
         from ggdilrma import pipeline
         from ggdilrma.benchmark import random_mixture

@@ -16,7 +16,7 @@ from ggdilrma import pipeline
 from ggdilrma.benchmark import SAMPLE_RATE, make_test_scene, random_mixture
 from ggdilrma.cost import audit_descent
 from ggdilrma.demix_homogeneous import mixture_gram
-from ggdilrma.errors import DegenerateShape, InvalidInput, SilentMixture
+from ggdilrma.errors import DegenerateShape, InvalidInput, NonFiniteCost, SilentMixture
 from ggdilrma.types import GgdConfig, ProblemShape
 from ggdilrma.workflows import separate_audio
 
@@ -270,6 +270,18 @@ def test_silent_mixture_is_refused_before_any_iteration(beta, monkeypatch):
     cfg = GgdConfig(beta=beta, domain=0.5, n_bases=2, iterations=3)
     records = []
     with pytest.raises(SilentMixture, match="zero everywhere") as info:
+        pipeline.run(x, cfg, on_record=records.append)
+    assert not isinstance(info.value, InvalidInput)  # a numerical failure: CLI exit 3
+    assert records == []
+
+
+def test_a_cost_that_is_not_finite_stops_the_run_before_its_record():
+    # At p = 1e-3 the whitened ratio is raised to beta / p = 4000 and overflows, so
+    # the first iteration's cost is not finite.
+    x = random_mixture(9, 40, 2, seed=3)
+    cfg = GgdConfig(beta=4.0, domain=1e-3, n_bases=3, iterations=3, seed=3)
+    records = []
+    with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteCost, match="iteration 1 ") as info:
         pipeline.run(x, cfg, on_record=records.append)
     assert not isinstance(info.value, InvalidInput)  # a numerical failure: CLI exit 3
     assert records == []

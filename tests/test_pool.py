@@ -272,7 +272,8 @@ def first_held_back(fn, parts, threads=None):
 def test_source_block_parts_give_the_same_bytes_when_they_finish_out_of_order(
     monkeypatch, run_out_of_order, beta, N
 ):
-    # Each source's block sums are added in the blocks' order whichever part
+    # Each part writes its block sums into a slot of its own, and the calling thread
+    # adds the slots in the blocks' order after the last part, whichever part
     # finishes first, so the sums, the activations and the cost are the bytes of one
     # CPU.  Seven blocks of bins, the first louder than the rest, so that its sums
     # are orders of magnitude above theirs, and adding them in the order they
