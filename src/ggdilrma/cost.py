@@ -14,7 +14,8 @@ reciprocal scale field that the pipeline carries into the next sweep and
 basis update, so no other pass forms the field.  The log-determinants
 are the ones the pipeline carries beside ``W``: every demixing update
 replaces one row and adds the log of the factor it multiplies ``det W_i``
-by (:func:`~ggdilrma.types._replace_row`), so the cost takes no determinant.
+by (:func:`~ggdilrma.demix_homogeneous._replace_row`), so the cost takes no
+determinant.
 The model terms are summed over blocks of bins
 (:func:`~ggdilrma.pool.bin_blocks`), so their temporaries stay
 cache-sized: each block's ratio is formed in one new array, and the
@@ -74,7 +75,8 @@ def audit_descent(costs) -> list[int]:
     unless ``cost_k <= cost_{k-1} + DESCENT_SLACK * (1 + |cost_{k-1}|)``, so a
     NaN cost counts, and so does the iteration after it.
     """
-    costs = np.asarray(costs, dtype=np.float64)
+    # Python floats: the bound after a -inf cost, -inf + inf, is NaN with no warning.
+    costs = np.asarray(costs, dtype=np.float64).tolist()
     return [
         k + 1
         for k in range(1, len(costs))

@@ -1,4 +1,5 @@
-"""Direction/scale-decomposed demixing update for the quartic source cost.
+"""Direction/scale-decomposed demixing updates: the phases both rules share,
+and the quartic source cost's sweep.
 
 When the per-filter cost ``f_in`` is differentiable, has convex sublevel
 sets, and is homogeneous of degree ``d`` (``f(c w) = c^d f(w)``), the
@@ -54,26 +55,37 @@ is at most ``EPS_DET`` times ``prod_k G_kk``.  That ratio lies in ``[0, 1]``
 is updated as a loud one is.  Only what reads rows already updated stays per
 source: ``W_i^{-1} e_n``, the direction and its write-back.
 
-The direction ``w' = G^{-1} W_i^{-1} e_n`` is the two triangular systems
-``R^H z = W_i^{-1} e_n`` and ``R w' = z``, solved by substitution in
-:func:`~ggdilrma.types._substitute`, the step the iterative-projection sweep
-takes with the factor of its weighted covariance; the two rules differ in
-the factor and the scale only.  ``W_i^{-1} e_n`` is read from the inverse
-that the pipeline carries beside ``W``, and the new row, which multiplies
-``det W_i`` by ``||z||^2``, goes through
-:func:`~ggdilrma.types._replace_row`, which keeps that inverse and
-``log|det W_i|`` in step.  Where ``W_i^{-1} e_n`` vanishes, so does ``z``,
-and that update is skipped like a degenerate majorizer.  The sweep makes no
-LAPACK call.
+The direction and scale phases are shared by both demixing rules.
+Iterative projection (:mod:`~ggdilrma.demix_ip`) is the ``d = 2`` member of
+this family: its surrogate is ``f(w) = w^H F w``, so its direction is
+``w' = F^{-1} W_i^{-1} e_n`` and its scale ``1 / sqrt(f(w'))``.  Each rule
+brings the upper triangular factor ``R`` of its quadratic form (``G = R^H R``
+here, ``F = R^H R`` there), with a positive real diagonal, and the mask of
+the (bin, source) updates its factor allows.  The direction phase,
+:func:`_row_sweep`, takes the sources in turn, each over all bins against
+the freshest ``W_i^{-1}``, which the pipeline carries beside ``W``: it
+solves the two triangular systems ``R^H z = W_i^{-1} e_n`` and ``R w' = z``
+by substitution, so ``f(w') = ||z||^2`` for IP, and writes ``w'^H`` back
+unscaled through :func:`_replace_row`, which keeps ``W_i^{-1}`` and
+``log|det W_i|`` in step by a Sherman-Morrison update.  The new row
+multiplies ``det W_i`` by ``||z||^2``.  Where that is not positive, because
+``W_i^{-1} e_n`` vanishes or the factor is not finite, the update is
+skipped.  Both rules follow one policy: a degenerate (bin, source) update
+keeps its row and is counted in the sweep's skip count, which the pipeline
+records in each iteration's trace record; none is raised.
 
 The scale of row ``n`` multiplies that row alone, so it multiplies
 ``det W_i`` by itself and divides column ``n`` of ``W_i^{-1}`` only; the
 columns ``m != n``, which the later sources' directions read, do not depend
-on it.  So the rows are written back unscaled, every direction's cost is
-taken afterwards in one pass over the frames, and the scales come last, in
-closed form.  A bin where a good majorizer gives a direction whose cost is
-zero or not finite gets its entry ``W``, ``W^{-1}`` and ``log|det W_i|``
-back, every source skipped.
+on it.  So every direction is written back before any scale, and the scale
+phase, :func:`_scale_rows`, applies every scale at once over all bins:
+``W``'s rows times ``s``, ``W^{-1}``'s columns divided by ``s``, and
+``sum log s`` added to ``log|det W_i|``; a skipped update's scale is 1.
+IP's scale ``1 / ||z||`` comes from the direction phase itself.  The
+quartic scale needs each direction's true cost, which one more pass over the
+frames takes, and a bin where a good majorizer gives a direction whose cost
+is zero or not finite gets its entry ``W``, ``W^{-1}`` and ``log|det W_i|``
+back, every source skipped.  Neither phase makes a LAPACK call.
 
 :func:`quartic_sweep` runs in three steps, so that numpy's per-call cost is
 paid once per sweep for the small per-bin algebra and its frame-length
@@ -87,10 +99,9 @@ for every source one product of features, of ``A`` and of the sum in ``C``,
 with ``||q~||^2`` and ``sum_j |q~_j|^4``, each into one array over all bins;
 then it assembles the features of every ``A`` and ``C``, builds every ``G``
 over all bins at once, and the sweep factors them all.  Second, the
-directions: per source, over all bins, the solve and the unscaled
-write-back.  Third, one more pass over the blocks takes every direction's
+direction phase.  Third, one more pass over the blocks takes every direction's
 cost ``a(h) . P`` against the kept ``1 / r^2``, once for all sources; then
-every scale, ``f_check``, and the skipped bins' entry state are applied over
+the skipped bins' entry state, then the scale phase and ``f_check``, over
 all bins at once.  Its result does not depend on the block size.  It writes
 ``W`` and the anchors' buffer only, so it needs no full-size scratch.
 
@@ -120,7 +131,7 @@ import numpy as np
 
 from .source_model import _power
 from .pool import bin_blocks, run_parts, threads
-from .types import EPS_DET, _replace_row, _substitute
+from .types import EPS_DET
 
 
 @cache
@@ -246,6 +257,64 @@ def _cholesky(G):
     return R, ok & (det_g > EPS_DET * hadamard)
 
 
+def _replace_row(W, W_inv, log_det, n, h, where=True) -> None:
+    """Set row ``n`` of each ``W_i`` ``(b, N, N)`` to ``h_i`` ``(b, N)`` where ``where``
+    holds, and keep ``W_inv`` (``W^{-1}``) and ``log_det`` (``log|det W_i|``) in step;
+    all three are updated in place, and the other bins are left untouched.
+
+    The new row multiplies ``det W_i`` by ``d = h W_i^{-1} e_n``, which the caller
+    has checked is nonzero, and ``W_i^{-1}`` takes the Sherman-Morrison update
+    ``W^{-1} - W^{-1} e_n (h W^{-1} - e_n^T) / d``: O(N^2) per bin, no solve.
+    The update runs on ``(N, N, b)`` views, so with ``W_inv`` laid out bins last,
+    as :func:`~ggdilrma.pipeline.initialize` lays it out, every operation's
+    inner loop runs over the bins; any layout gives the same numbers."""
+    inv_t = W_inv.transpose(1, 2, 0)
+    g = np.sum(h.T[:, None, :] * inv_t, axis=0)  # h W^-1 (N, b); its row n is d
+    d = np.where(where, g[n], 1.0)
+    g[n] -= 1.0
+    g /= d
+    np.subtract(inv_t, inv_t[:, n, None, :] * g, out=inv_t, where=where)
+    np.add(log_det, np.log(np.abs(d)), out=log_det, where=where)
+    np.copyto(W[:, n].T, h.T, where=where)
+
+
+def _row_sweep(R, good, W, W_inv, log_det):
+    """The direction phase of both sweeps: for each source ``n`` in turn, over all
+    bins and against the freshest ``W^{-1}``, ``R_n^H z = W_i^{-1} e_n`` and
+    ``R_n w = z`` by substitution, for the upper triangular factors ``R`` ``(N, I,
+    M, M)`` of ``F = R^H R``, with a positive real diagonal; then ``w^H`` is row
+    ``n``, unscaled, wherever ``good`` ``(N, I)`` holds and ``||z||^2`` is positive.
+    ``good`` is cleared where ``||z||^2`` is not.  Returns ``||z||^2 = w^H F w``
+    ``(N, I)``, the factor that the new row multiplies ``det W_i`` by."""
+    N, I, M = R.shape[:3]
+    z2 = np.empty((N, I))
+    for n in range(N):
+        r = R[n].diagonal(axis1=1, axis2=2).real
+        z = W_inv[:, :, n].copy()
+        for k in range(M):  # R^H z = W^-1 e_n
+            if k:
+                z[:, k] -= np.vecdot(R[n, :, :k, k], z[:, :k])
+            z[:, k] /= r[:, k]
+        w = z.copy()
+        for k in reversed(range(M)):  # R w = z
+            if k < M - 1:
+                w[:, k] -= np.sum(R[n, :, k, k + 1 :] * w[:, k + 1 :], axis=1)
+            w[:, k] /= r[:, k]
+        z2[n] = np.vecdot(z, z).real
+        good[n] &= z2[n] > 0.0
+        _replace_row(W, W_inv, log_det, n, w.conj(), good[n])
+    return z2
+
+
+def _scale_rows(W, W_inv, log_det, scale) -> None:
+    """The scale phase of both sweeps: row ``n`` of each ``W_i`` times ``scale[n, i]``
+    ``(N, I)``, which divides column ``n`` of ``W_i^{-1}`` by it and adds its log to
+    ``log|det W_i|``; all three in place."""
+    W *= scale.T[:, :, None]
+    W_inv /= scale.T[:, None, :]
+    log_det += np.sum(np.log(scale), axis=0)
+
+
 def quartic_sweep(gram: np.ndarray, yd, W, inv_S, domain: float, W_inv, log_det):
     """One full quartic update of all filters, batched over bins: the
     :func:`quartic_majorizer` of every source and its Cholesky factor; then
@@ -289,12 +358,8 @@ def quartic_sweep(gram: np.ndarray, yd, W, inv_S, domain: float, W_inv, log_det)
     R, factored = _cholesky(G)
     good &= factored.T
     entry = W.copy(), W_inv.copy(), log_det.copy()
-    # Directions, each over all bins.  Scaling row n would divide only column n of
-    # W^-1, which no later direction reads, so the rows are written unscaled.
-    for n in range(N):
-        w_dir, z = _substitute(R[:, n], W_inv[:, :, n])
-        good[n] &= np.vecdot(z, z).real > 0.0  # ||z||^2 = h W^-1 e_n, the det factor
-        _replace_row(W, W_inv, log_det, n, w_dir.conj(), good[n])
+    # Directions, each over all bins, written back unscaled.
+    _row_sweep(R.swapaxes(0, 1), good, W, W_inv, log_det)
     # Every direction's cost sum_j |h x_j|^4 / r_j^4 in one pass over the frames, for
     # all sources, against the 1 / r**2 that the first pass kept in yd.
     coeffs = _form_coeffs(W)
@@ -315,10 +380,7 @@ def quartic_sweep(gram: np.ndarray, yd, W, inv_S, domain: float, W_inv, log_det)
     np.copyto(W, entry[0], where=restored[:, None, None])
     np.copyto(W_inv, entry[1], where=restored[:, None, None])
     np.copyto(log_det, entry[2], where=restored)
-    # Scales: row n times s multiplies det W_i by s and divides column n of W^-1.
     scale = np.where(ok, J / (2.0 * np.where(ok, s4_dir, 1.0)), 1.0) ** 0.25
-    W *= scale.T[:, :, None]
-    W_inv /= scale.T[:, None, :]
-    log_det += np.sum(np.log(scale), axis=0)
+    _scale_rows(W, W_inv, log_det, scale)
     f_check = np.where(ok, scale**4 * s4_dir, s4).T / J
     return W, yd, f_check, int(np.sum(~ok))

@@ -12,44 +12,32 @@ coordinate-descent update::
     w    <- F_in^{-1} W_i^{-1} e_n
     w    <- w / sqrt(w^H F_in w)
 
-At ``beta = p = 2`` this is exactly the Itakura-Saito variant.  Frequency
-bins are independent; within one bin the sources are updated sequentially
-against the freshest demixing matrix.  The sweep runs in two phases.  First
-it streams over blocks of bins (:func:`~ggdilrma.pool.bin_blocks`), so its
-frame-length temporaries stay cache-sized, and forms every source's weights,
-weighted factor ``R`` (below) and ``det F`` at once: no source's weights read
-another source's row.  Its blocks hold ``BLOCK_ENTRIES`` entries over all
-sources, and above the crossover they run one per part on the package's
-thread pool (:func:`~ggdilrma.pool.run_parts`); every per-bin product is the
-same in any block.  A singular covariance is raised after the blocks, at the
-first (block, source) that has one; the blocks follow the shape alone, so
-the error does not depend on the number of CPUs, and it comes before any row
-changes.  Then it updates the sources in turn, each over all bins at once,
-on the calling thread, so numpy's per-call cost is paid once per source, not
-once per block: the solve, the norm check and the write-back.  An update
-that would make ``W_i`` singular is raised at the lowest such bin of the
-source being updated.  Both errors name the bin in the whole problem, and
-the result does not depend on the block size.
-The sweep reads ``1 / S`` of the scale field ``S = T V``, which the
+At ``beta = p = 2`` this is exactly the Itakura-Saito variant.  ``w^H F w``
+is homogeneous of degree 2, so this is the ``d = 2`` case of the
+direction-and-scale update of :mod:`~ggdilrma.demix_homogeneous`, whose
+direction and scale phases the sweep shares: this module brings the weights,
+the factor ``R`` of ``F = R^H R`` and the scale ``1 / ||z||``, with
+``w^H F w = ||R w||^2 = ||z||^2`` from the direction phase.  A direction the
+phase skips is counted and its row kept, as in the quartic sweep.
+
+The weights read ``1 / S`` of the scale field ``S = T V``, which the
 pipeline carries from the cost pass of the last factor update
-(:func:`~ggdilrma.cost.ggd_cost_arrays`), and raises a copy of it to
-``beta/p`` with no divide; only ``W`` is updated: source ``n``'s weights
-read ``y_n`` alone, the output of the ``W`` the sweep was given, which no
-other source's update changes.
-The sweep reads that anchor as ``|y|^p``, the magnitudes the pipeline
-carries for the NMF updates, floored at ``EPS_Y**p`` as they floor it, and
-raises them to ``(beta - 2)/p``; it forms no output itself.  At
-``beta = 2`` the AM-GM bound is exact, and the weights
-``S^(-beta/p) beta/(2J)`` read no ``y`` at all.
+(:func:`~ggdilrma.cost.ggd_cost_arrays`), and raise a copy of it to
+``beta/p`` with no divide.  Where ``beta != 2`` they also read the anchor
+outputs ``y`` of the ``W`` the sweep was given, as ``|y|^p``, the
+magnitudes the pipeline carries for the NMF updates, floored at ``EPS_Y**p``
+as they floor it, and raised to ``(beta - 2)/p``; the sweep forms no output
+itself.  At ``beta = 2`` the AM-GM bound is exact, and the weights
+``S^(-beta/p) beta/(2J)`` read no ``y`` at all.  Source ``n``'s weights read
+``y_n`` alone, which no other source's update changes.
 
 ``F`` is never formed.  It is ``A^H A`` for the weighted observation ``A``
 (row ``j`` is ``c_j^(1/2) x_j^H``, ``c_j`` the weight above), and the sweep
-solves through the triangular factor ``R`` of ``A``: ``F = R^H R``, so
-``w = R^{-1} z`` with ``z = R^{-H} W_i^{-1} e_n`` and ``w^H F w = ||R w||^2
-= ||z||^2`` is nonnegative by construction, even when a single floored
-frame dominates ``F``.  An ``F`` formed from the outer products instead
-squares the condition number of ``A``, and its ``det F`` drops below
-``EPS_DET`` or turns negative once a scene collapses (test_pipeline's
+works with the triangular factor ``R`` of ``A``, so ``||z||^2`` is
+nonnegative by construction, even when a single floored frame dominates
+``F``.  An ``F`` formed from the outer products instead squares the
+condition number of ``A``, and its ``det F`` drops below ``EPS_DET`` or
+turns negative once a scene collapses (test_pipeline's
 ``test_ip_runs_clean_on_collapsing_scenes``).
 
 ``R`` comes from modified Gram-Schmidt over the ``M`` columns of the
@@ -68,14 +56,20 @@ same squaring of the condition number, whereas modified Gram-Schmidt
 gives a backward-stable ``R`` like Householder QR (Bjorck, BIT 7, 1967).
 The residual reads a silent bin's zero ``r_kk`` as 1, and ``det F =
 (prod_k r_kk)^2`` is taken against ``EPS_DET`` before anything divides
-by an ``r_kk``.  The two triangular systems are solved by substitution in
-:func:`~ggdilrma.types._substitute`, with ``W_i^{-1} e_n`` read from the
-inverse that the pipeline carries beside ``W``.  The new row multiplies
-``det W_i`` by ``||z||``, which is checked to be positive before ``w`` is
-divided by it, and :func:`~ggdilrma.types._replace_row` writes it and
-updates the carried inverse and ``log|det W_i|``.  The quartic sweep shares
-both helpers, with the Cholesky factor of its majorizer in place of ``R``.
-The sweep makes no LAPACK call.
+by an ``r_kk``.
+
+The sweep streams over blocks of bins (:func:`~ggdilrma.pool.bin_blocks`),
+so its frame-length temporaries stay cache-sized, and forms every source's
+weights, factor ``R`` and ``det F`` at once: no source's weights read
+another source's row.  Its blocks hold ``BLOCK_ENTRIES`` entries over all
+sources, and above the crossover they run one per part on the package's
+thread pool (:func:`~ggdilrma.pool.run_parts`); every per-bin product is the
+same in any block.  A singular covariance is raised after the blocks, at the
+first (block, source) that has one, naming the bin in the whole problem; the
+blocks follow the shape alone, so the error does not depend on the number of
+CPUs, and it comes before any row changes.  The direction and scale phases
+then run on the calling thread over all bins at once, so the result does not
+depend on the block size.
 
 The per-filter form of this update (``ip_update_filter``), the weighted
 covariance it solves against (``weighted_covariance``) and the AM-GM gap
@@ -86,10 +80,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularCovariance, SingularDemixing, UnsupportedBeta
+from .demix_homogeneous import _row_sweep, _scale_rows
+from .errors import SingularCovariance, UnsupportedBeta
 from .source_model import _power
 from .pool import bin_blocks, run_parts, threads
-from .types import EPS_DET, EPS_Y, _replace_row, _substitute
+from .types import EPS_DET, EPS_Y
 
 
 def _ip_weights(yp, inv_S, beta, domain):
@@ -138,15 +133,15 @@ def ip_sweep(xd, yp, W, inv_S, beta: float, domain: float, W_inv, log_det):
             kept in step with ``W`` in place.
 
     Returns:
-        ``W``, each updated filter normalized to ``w^H F w = 1`` against the
-        weighted covariance ``F`` of its source's outputs ``y = W x`` under the
-        ``W`` of entry.
+        ``(W, n_skipped)``: ``W`` with each updated filter normalized to
+        ``w^H F w = 1`` against the weighted covariance ``F`` of its source's
+        outputs ``y = W x`` under the ``W`` of entry, and the number of
+        (bin, source) updates skipped because their direction was degenerate
+        (``||z||^2`` not positive), whose rows are left as they were.
 
     Raises:
         SingularCovariance: at the first (block, source) whose ``det F`` is at
             most ``EPS_DET``, before any row changes.
-        SingularDemixing: at the lowest bin where a source's update would make
-            ``W_i`` singular; the sources before it have been updated.
     """
     if not (0.0 < beta <= 2.0):
         raise UnsupportedBeta(f"iterative projection requires 0 < beta <= 2, got {beta}")
@@ -168,13 +163,8 @@ def ip_sweep(xd, yp, W, inv_S, beta: float, domain: float, W_inv, log_det):
         blk, n = next((b, n) for b in blocks for n in range(N) if np.any(singular[n, b]))
         bad = blk.start + int(np.argmin(det_f[n, blk]))
         raise SingularCovariance(f"weighted covariance singular at bin {bad}, source {n}")
-    # The per-bin solves, once per source over all bins, against the freshest W^{-1}.
-    for n in range(N):
-        w, z = _substitute(R[n], W_inv[:, :, n])
-        norm_z = np.sqrt(np.vecdot(z, z).real)  # ||R w||, and the factor det W_i takes
-        failed = ~(norm_z > 0.0)
-        if np.any(failed):
-            bad = int(np.argmax(failed))
-            raise SingularDemixing(f"demixing matrix would turn singular at bin {bad}, source {n}")
-        _replace_row(W, W_inv, log_det, n, (w / norm_z[:, None]).conj())
-    return W
+    # The directions, then the degree-2 scale 1 / ||z||, where w^H F w = ||z||^2.
+    good = np.ones((N, I), dtype=bool)
+    z2 = _row_sweep(R, good, W, W_inv, log_det)
+    _scale_rows(W, W_inv, log_det, 1.0 / np.sqrt(np.where(good, z2, 1.0)))
+    return W, int(np.sum(~good))

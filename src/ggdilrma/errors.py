@@ -72,11 +72,6 @@ class SingularCovariance(SeparationError):
     """Weighted covariance not invertible above the determinant floor."""
 
 
-class SingularDemixing(SeparationError):
-    """An iterative-projection update that would make a demixing matrix
-    singular: the factor it multiplies ``det W_i`` by is not positive."""
-
-
 # --- audio I/O: file error, exit 2 ---------------------------------------
 
 

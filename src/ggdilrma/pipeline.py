@@ -34,9 +34,9 @@ the factors that iteration returns, with no divide of their own.
 
 Beside ``W`` the run carries its inverse and ``log|det W_i|``, from the
 identity and zero.  Each sweep keeps them in step as it replaces rows
-(:func:`~ggdilrma.types._replace_row`), so the sweeps read ``W_i^{-1} e_n``,
-the cost reads the log-determinants and back-projection reads a row of the
-inverse, and a separation makes no LAPACK call.
+(:func:`~ggdilrma.demix_homogeneous._replace_row`), so the sweeps read
+``W_i^{-1} e_n``, the cost reads the log-determinants and back-projection
+reads a row of the inverse, and a separation makes no LAPACK call.
 
 Every layer splits its work on the package's thread pool
 (:func:`~ggdilrma.pool.run_parts`), above the measured crossover and only
@@ -49,10 +49,10 @@ one source's bins for the activation update and the cost, with its
 ``1 / S``, whose ``(b, K) @ (K, J)`` products would change their bits with
 the rows ``b`` of a block, and whose sums over bins the calling thread adds
 in the blocks' order once every part has finished.  Only the sweeps' per-bin
-algebra and the IP sweep's per-source solves stay on the calling thread.  The parts run
-inside the layer calls, so every layer is entered and left on the thread
-that called :func:`run`, and the run's bytes do not depend on the number of
-CPUs.
+algebra, their shared per-source direction phase among it, stays on the
+calling thread.  The parts run inside the layer calls, so every layer is
+entered and left on the thread that called :func:`run`, and the run's bytes
+do not depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def initialize(cfg: GgdConfig, shape: ProblemShape, xd: np.ndarray):
     rng = np.random.default_rng(cfg.seed)
     T = EPS_NMF + (1.0 - EPS_NMF) * (1.0 - rng.random((N, I, K)))
     V = EPS_NMF + (1.0 - EPS_NMF) * (1.0 - rng.random((N, K, J)))
-    # W^-1 = I, laid out bins last so that types._replace_row runs along the bins
+    # W^-1 = I, laid out bins last so that the sweeps' row replacements run along the bins
     W_inv = np.tile(np.eye(N, dtype=np.complex128)[:, :, None], I).transpose(2, 0, 1)
     log_det = np.zeros(I)
     yp = _powered_magnitudes(xd, cfg.domain, np.empty((N, I, J)))
@@ -226,12 +226,12 @@ def iteration_step(
     the scale field ``S = T V`` on entry; the sweep and the basis update read it,
     and the cost pass, which forms ``S`` of the updated factors, writes its
     reciprocal there for the next iteration.
-    Returns ``(W, T, V, cost, skipped)``.
+    Returns ``(W, T, V, cost, skipped)``, ``skipped`` the number of (bin, source)
+    updates the sweep left untouched, under either rule.
     """
     beta, p = cfg.beta, cfg.domain
-    skipped = 0
     if cfg.update_scheme == "ip":
-        W = ip_sweep(xd, yp, W, inv_S, beta, p, W_inv, log_det)
+        W, skipped = ip_sweep(xd, yp, W, inv_S, beta, p, W_inv, log_det)
     else:
         # The anchor is |y~|^2 of the entry W, in yp; the sweep writes its 1 / r**2
         # there and the refresh below overwrites it.  [::3] keeps W and the skip count.

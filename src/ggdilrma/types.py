@@ -41,46 +41,6 @@ EPS_Y = 1e-12
 EPS_DET = 1e-12
 
 
-def _replace_row(W, W_inv, log_det, n, h, where=True) -> None:
-    """Set row ``n`` of each ``W_i`` ``(b, N, N)`` to ``h_i`` ``(b, N)`` where ``where``
-    holds, and keep ``W_inv`` (``W^{-1}``) and ``log_det`` (``log|det W_i|``) in step;
-    all three are updated in place, and the other bins are left untouched.
-
-    The new row multiplies ``det W_i`` by ``d = h W_i^{-1} e_n``, which the caller
-    has checked is nonzero, and ``W_i^{-1}`` takes the Sherman-Morrison update
-    ``W^{-1} - W^{-1} e_n (h W^{-1} - e_n^T) / d``: O(N^2) per bin, no solve.
-    The update runs on ``(N, N, b)`` views, so with ``W_inv`` laid out bins last,
-    as :func:`~ggdilrma.pipeline.initialize` lays it out, every operation's
-    inner loop runs over the bins; any layout gives the same numbers."""
-    inv_t = W_inv.transpose(1, 2, 0)
-    g = np.sum(h.T[:, None, :] * inv_t, axis=0)  # h W^-1 (N, b); its row n is d
-    d = np.where(where, g[n], 1.0)
-    g[n] -= 1.0
-    g /= d
-    np.subtract(inv_t, inv_t[:, n, None, :] * g, out=inv_t, where=where)
-    np.add(log_det, np.log(np.abs(d)), out=log_det, where=where)
-    np.copyto(W[:, n].T, h.T, where=where)
-
-
-def _substitute(R: np.ndarray, c: np.ndarray):
-    """``(w, z)`` ``(b, M)`` with ``R^H z = c`` and ``R w = z``, by substitution, for a
-    block of upper triangular ``R`` ``(b, M, M)`` with a positive real diagonal: ``w``
-    solves ``R^H R w = c``, and ``w^H R^H R w = ||z||^2``."""
-    r = R.diagonal(axis1=1, axis2=2).real
-    M = c.shape[1]
-    z = c.copy()
-    for k in range(M):  # R^H z = c
-        if k:
-            z[:, k] -= np.vecdot(R[:, :k, k], z[:, :k])
-        z[:, k] /= r[:, k]
-    w = z.copy()
-    for k in reversed(range(M)):  # R w = z
-        if k < M - 1:
-            w[:, k] -= np.sum(R[:, k, k + 1 :] * w[:, k + 1 :], axis=1)
-        w[:, k] /= r[:, k]
-    return w, z
-
-
 @dataclass(frozen=True)
 class MixtureSpectrogram:
     """Complex STFT tensor of an M-channel observation.

@@ -28,7 +28,7 @@ from ggdilrma import demix_homogeneous, demix_ip, pipeline, pool
 from ggdilrma.cost import ggd_cost_arrays
 from ggdilrma.demix_homogeneous import mixture_gram, quartic_sweep
 from ggdilrma.demix_ip import ip_sweep
-from ggdilrma.errors import SingularCovariance, SingularDemixing
+from ggdilrma.errors import SingularCovariance
 from ggdilrma.pool import bin_blocks
 from ggdilrma.source_model import (
     _int_power,
@@ -157,7 +157,7 @@ def test_ip_sweep_is_block_invariant(monkeypatch, bins, N, beta, p):
 
     def sweep():
         carried = inverse_and_log_det(W)
-        return ip_sweep(xd, yp, W.copy(), inv_S, beta, p, *carried), *carried
+        return ip_sweep(xd, yp, W.copy(), inv_S, beta, p, *carried)[0], *carried
 
     state_ref = whole(sweep, monkeypatch)
     set_block_bins(monkeypatch, bins, N)
@@ -257,33 +257,50 @@ def vanishing_inverse_column(N):
     return xd, W, T, V, W_inv, log_det
 
 
+def sweep_rules(xd, T, V):
+    """Both rules' sweeps of a state ``(W, W^-1, log|det W|)``, each updated in place
+    and returning ``(W, skipped)``: quartic at ``p = 1/2``, IP at ``beta = p = 2``."""
+    gram, inv_S = mixture_gram(xd), carried_inverse_scale(T, V)
+
+    def quartic(W, W_inv, log_det):
+        anchor = pipeline.separate(xd, W, 2.0)
+        return quartic_sweep(gram, anchor, W, inv_S, 0.5, W_inv, log_det)[::3]
+
+    def ip(W, W_inv, log_det):
+        return ip_sweep(xd, carried_magnitudes(xd, W, 2.0), W, inv_S, 2.0, 2.0, W_inv, log_det)
+
+    return {"quartic": quartic, "ip": ip}
+
+
 @BLOCK_BINS
 @pytest.mark.parametrize("N", [2, 3])
 def test_singular_demixing_is_named_by_its_global_bin(monkeypatch, bins, N):
-    # The quartic sweep skips and counts that one update, at its global bin: the
-    # direction solved from the zero column is zero, and its cost with it.
+    # Both rules skip and count that one update, at its global bin: the direction
+    # solved from the zero column is zero, and ||z||^2 with it, which is read
+    # before anything divides by it, so no RuntimeWarning.
     xd, W, T, V, W_inv, log_det = vanishing_inverse_column(N)
-    gram = mixture_gram(xd)
     set_block_bins(monkeypatch, bins, N)
-    inv_S = carried_inverse_scale(T, V)
-    W_new, _, _, skipped = quartic_sweep(
-        gram, pipeline.separate(xd, W, 2.0), W.copy(), inv_S, 0.5, W_inv, log_det
-    )
-    assert skipped == 1
-    kept = np.all(W_new == W, axis=2)  # (bin, source) pairs left as they were
-    assert np.argwhere(kept).tolist() == [[7, 0]]
+    for rule, sweep in sweep_rules(xd, T, V).items():
+        W_new, skipped = sweep(W.copy(), W_inv.copy(), log_det.copy())
+        assert skipped == 1, rule
+        kept = np.all(W_new == W, axis=2)  # (bin, source) pairs left as they were
+        assert np.argwhere(kept).tolist() == [[7, 0]], rule
 
 
 @BLOCK_BINS
 @pytest.mark.parametrize("N", [2, 3])
 def test_ip_singular_demixing_is_named_by_its_global_bin(monkeypatch, bins, N):
-    # IP raises, naming the bin and source; ||z|| = 0 is read before w is divided
-    # by it, so no RuntimeWarning.
+    # Every bin but the skipped update's is written as a sweep from the true
+    # inverse writes it, byte for byte: the skip touches its own bin only.
     xd, W, T, V, W_inv, log_det = vanishing_inverse_column(N)
     set_block_bins(monkeypatch, bins, N)
-    with pytest.raises(SingularDemixing, match=r"at bin 7, source 0$"):
-        yp = carried_magnitudes(xd, W, 2.0)
-        ip_sweep(xd, yp, W, carried_inverse_scale(T, V), 2.0, 2.0, W_inv, log_det)
+    ip = sweep_rules(xd, T, V)["ip"]
+    W_ref = ip(W.copy(), *inverse_and_log_det(W))[0]
+    W_new, skipped = ip(W.copy(), W_inv, log_det)
+    assert skipped == 1
+    others = np.arange(I) != 7
+    np.testing.assert_array_equal(W_new[others], W_ref[others])
+    np.testing.assert_array_equal(W_new[7, 0], W[7, 0])
 
 
 def test_ip_singular_covariance_changes_no_row(monkeypatch):
@@ -315,25 +332,29 @@ def test_ip_singular_covariance_names_the_first_block_then_source(monkeypatch, b
 
 
 @pytest.mark.parametrize("bins", [3, I])
-def test_ip_singular_demixing_names_the_lowest_bin_of_the_first_source(monkeypatch, bins):
-    # W^-1 e_1 vanishes at bin 1, and W^-1 e_0 at bins 8 and 5.  Source 0 is
-    # solved over all bins before source 1, whatever the blocks.
+def test_ip_skips_and_counts_each_vanishing_direction(monkeypatch, bins):
+    # W^-1 e_1 vanishes at bin 1, and W^-1 e_0 at bins 8 and 5.  Source 0's row
+    # replacement at bin 1 keeps column 1 of W^-1 zero, so all three updates are
+    # skipped, whatever the blocks, and every other one is taken.
     xd, W, T, V = instance(2, 6)
     W_inv, log_det = inverse_and_log_det(W)
     W_inv[[8, 5], :, 0] = 0.0
     W_inv[1, :, 1] = 0.0
     set_block_bins(monkeypatch, bins)
     yp = carried_magnitudes(xd, W, 2.0)
-    with pytest.raises(SingularDemixing, match=r"at bin 5, source 0$"):
-        ip_sweep(xd, yp, W, carried_inverse_scale(T, V), 2.0, 2.0, W_inv, log_det)
+    W_new, skipped = ip_sweep(xd, yp, W.copy(), carried_inverse_scale(T, V), 2.0, 2.0, W_inv, log_det)
+    assert skipped == 3
+    kept = np.all(W_new == W, axis=2)
+    assert np.argwhere(kept).tolist() == [[1, 1], [5, 0], [8, 0]]
 
 
 @pytest.mark.parametrize("bins", [1, 2])  # ten blocks, five blocks
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_sweeps_take_the_per_bin_algebra_once_over_all_bins(monkeypatch, bins, N):
     # Only the work along the frames runs per block.  The quartic majorizers and
-    # their Cholesky factors are formed once per sweep, and each source is solved
-    # once, over all bins, in both sweeps: the counts do not follow the blocks.
+    # their Cholesky factors are formed once per sweep, and both sweeps take the
+    # shared row phase once, which solves each source over all bins: the counts do
+    # not follow the blocks.
     # The quartic sweep passes over the frames twice, for the majorizers and then
     # for every direction's cost.  The first pass forms 1 / r**2 once per block and
     # writes it over the block's anchors, from where the second pass reads it.
@@ -351,9 +372,9 @@ def test_sweeps_take_the_per_bin_algebra_once_over_all_bins(monkeypatch, bins, N
 
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("quartic_majorizer", "_cholesky", "_substitute", "_power"):
+    for name in ("quartic_majorizer", "_cholesky", "_row_sweep", "_power"):
         spy(demix_homogeneous, name)
-    spy(demix_ip, "_substitute")
+    spy(demix_ip, "_row_sweep")
     xd, W, T, V = instance(N, 3)
     inv_S = carried_inverse_scale(T, V)
     yd = pipeline.separate(xd, W, 2.0)
@@ -363,9 +384,9 @@ def test_sweeps_take_the_per_bin_algebra_once_over_all_bins(monkeypatch, bins, N
     assert calls == {
         ("demix_homogeneous", "quartic_majorizer"): 1,
         ("demix_homogeneous", "_cholesky"): 1,
-        ("demix_homogeneous", "_substitute"): N,
+        ("demix_homogeneous", "_row_sweep"): 1,
         ("demix_homogeneous", "_power"): n_blocks,
-        ("demix_ip", "_substitute"): N,
+        ("demix_ip", "_row_sweep"): 1,
     }
     # S^(-2/p) = (1 / S)^4, raised from the carried 1 / S with no divide
     assert returned is yd and yd.tobytes() == squaring(inv_S, 4).tobytes()

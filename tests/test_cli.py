@@ -267,7 +267,6 @@ EXIT_CODES = {
     "SilentMixture": 3,
     "NonFiniteCost": 3,
     "SingularCovariance": 3,
-    "SingularDemixing": 3,
 }
 
 

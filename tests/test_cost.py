@@ -1,13 +1,16 @@
 """Cost evaluation oracle checks and descent auditing."""
 
+import warnings
+
 import numpy as np
 import pytest
 from reference_contractions import inverse_and_log_det, magnitudes_einsum
 
 from ggdilrma.cost import audit_descent, ggd_cost_arrays
+from ggdilrma.demix_homogeneous import _replace_row
 from ggdilrma.pool import bin_blocks
 from ggdilrma.source_model import model_cost_terms
-from ggdilrma.types import GgdConfig, _replace_row
+from ggdilrma.types import GgdConfig
 
 
 def cost(yp, log_det, T, V, beta, p):
@@ -132,6 +135,17 @@ class TestAuditDescent:
         # A NaN compares false with every bound: neither it nor the next cost is
         # at or below the cost before it.
         assert audit_descent([3.0, float("nan"), 1.0]) == [2, 3]
+
+    @pytest.mark.parametrize(
+        "costs, flagged",
+        [([-np.inf, 1.0], [2]), ([1.0, -np.inf, 2.0], [3])],
+        ids=["first", "middle"],
+    )
+    def test_flags_the_iteration_after_a_minus_infinite_cost_without_a_warning(self, costs, flagged):
+        # The bound after -inf is -inf + inf: a NaN, taken without a RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert audit_descent(costs) == flagged
 
     def test_full_quartic_run_audits_clean(self):
         from ggdilrma import pipeline

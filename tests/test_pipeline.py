@@ -287,6 +287,26 @@ def test_a_cost_that_is_not_finite_stops_the_run_before_its_record():
     assert records == []
 
 
+@pytest.mark.parametrize("beta", [2.0, 4.0])
+def test_a_vanishing_direction_is_skipped_and_recorded_by_both_rules(beta, monkeypatch):
+    # Column 0 of the carried W^-1 is zero at bin 7, so source 0's direction there
+    # vanishes; source 1's row replacements keep that column zero.  Both rules skip
+    # that one update in every sweep and the trace counts it.
+    initialize = pipeline.initialize
+
+    def vanishing_column(*args):
+        state = initialize(*args)
+        state[3][7, :, 0] = 0.0  # W^-1
+        return state
+
+    monkeypatch.setattr(pipeline, "initialize", vanishing_column)
+    x = random_mixture(9, 40, 2, seed=3)
+    cfg = GgdConfig(beta=beta, domain=0.5, n_bases=2, iterations=3, seed=3)
+    result = pipeline.run(x, cfg)
+    assert [r.skipped_updates for r in result.trace.records] == [1, 1, 1]
+    assert np.all(result.W[7, 0] == np.eye(2)[0])  # the row initialize gave it
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_ip_runs_clean_on_collapsing_scenes(seed):
     # 2 s property-suite scenes that collapse under IP; an F formed from the

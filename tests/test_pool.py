@@ -143,7 +143,7 @@ def setup_and_synthesis(shape, N):
     cfg = GgdConfig(beta=1.5, domain=0.5, n_bases=K, seed=N)
     W, T, V, W_inv, log_det, inv_S, yp = pipeline.initialize(cfg, ProblemShape(I, J, N, K), xd)
     got = {"x": xd, "T": T, "V": V, "inv_S": inv_S, "yp": yp, "gram": mixture_gram(xd)}
-    got["W"] = ip_sweep(xd, yp, W, inv_S, cfg.beta, cfg.domain, W_inv, log_det)
+    got["W"] = ip_sweep(xd, yp, W, inv_S, cfg.beta, cfg.domain, W_inv, log_det)[0]
     got["W_inv"], got["log_det"] = W_inv, log_det
     got["sources"] = pipeline.back_project(pipeline.separate(xd, W), W_inv, N - 1)
     # past the frames' last sample, as the CLI asks for the input's length
