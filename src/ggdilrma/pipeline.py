@@ -1,11 +1,15 @@
 """Full separation runs: init, alternating updates, projection, tracing.
 
-Each iteration performs, in order: (1) one demixing sweep of ``W`` alone
+Each iteration runs two stages, each a majorize-minimize step on the cost.
+The demixing stage, :func:`sweep_step`, makes (1) one sweep of ``W`` alone
 (iterative projection for ``beta <= 2``, quartic majorization on the
-mixture's per-frame outer products, cached per run, for ``beta == 4``), (2)
-refresh of the separated outputs' ``|y|^p`` in place, which feeds (3) one
-basis update, (4) one activation update and (5) the cost; no full-size
-array is formed in an iteration.  The cost is recorded after every
+mixture's per-frame outer products, cached per run, for ``beta == 4``) and
+(2) the refresh of the separated outputs' ``|y|^p`` in place.  The
+source-model stage, :func:`model_step`, makes (3) one basis update, (4) one
+activation update and (5) the cost pass.  :func:`iteration_step` runs the
+two in that order, and this module is the only place that writes the order
+down; a different schedule is a different loop over the two stages.  No
+full-size array is formed in an iteration.  The cost is recorded after every
 iteration; the final complex output is rescaled in place by back-projection
 onto a reference channel.
 
@@ -74,7 +78,6 @@ from .types import (
     ConvergenceTrace,
     GgdConfig,
     MixtureSpectrogram,
-    ProblemShape,
     SourceSpectrogram,
     TraceRecord,
     validate_problem,
@@ -100,10 +103,11 @@ class RunResult:
     trace: ConvergenceTrace
 
 
-def initialize(cfg: GgdConfig, shape: ProblemShape, xd: np.ndarray):
+def initialize(cfg: GgdConfig, xd: np.ndarray):
     """Identity demixing matrices, their inverses and zero log-determinants,
     uniform-random positive factors, the reciprocal of their scale field and the
-    outputs' ``|y|^p`` for the mixture ``xd`` ``(I, J, N)``.
+    outputs' ``|y|^p`` for the mixture ``xd`` ``(I, J, N)``, with ``K =
+    cfg.n_bases`` bases per source.
 
     Factor entries are i.i.d. uniform on ``(EPS_NMF, 1]``; the draw is
     deterministic for ``cfg.seed`` (bases first, then activations).
@@ -111,7 +115,7 @@ def initialize(cfg: GgdConfig, shape: ProblemShape, xd: np.ndarray):
     written by the cost pass of this state, whose cost is not recorded, and
     ``yp = |x|^p``, the outputs of ``W = I``, both ``(N, I, J)``.
     """
-    I, J, N, K = shape.n_bins, shape.n_frames, shape.n_sources, shape.n_bases
+    I, J, N, K = *xd.shape, cfg.n_bases
     W = np.tile(np.eye(N, dtype=np.complex128), (I, 1, 1))
     rng = np.random.default_rng(cfg.seed)
     T = EPS_NMF + (1.0 - EPS_NMF) * (1.0 - rng.random((N, I, K)))
@@ -208,38 +212,59 @@ def back_project(yd: np.ndarray, W_inv: np.ndarray, reference_channel: int = 0) 
     return yd
 
 
-def iteration_step(
-    xd, W, T, V, cfg: GgdConfig, gram: Optional[np.ndarray], W_inv, log_det, inv_S, yp
-):
-    """One alternating-update round on raw state arrays (updated in place).
+def sweep_step(xd, W, cfg: GgdConfig, gram: Optional[np.ndarray], W_inv, log_det, inv_S, yp):
+    """The demixing stage on raw state arrays (updated in place): one sweep of ``W``
+    alone, then the refresh of the outputs' ``|y|^p`` in ``yp`` (:func:`separate`
+    with ``p``).
 
-    Order: sweep of ``W`` alone, refresh of the outputs' ``|y|^p`` in ``yp``
-    (:func:`separate` with ``p``), which feeds the basis update, the activation
-    update and the cost; no full-size array is formed.  ``yp`` is ``|y|^p`` of
-    the entry ``W`` on entry, which the IP sweep reads; the quartic sweep reads
-    ``|y~|^2`` of the entry ``W`` instead, separated into ``yp``, whose buffer it
-    then overwrites with its ``1 / r^2`` until the refresh, so a quartic step
-    separates twice and an IP step once.  ``gram`` is the quartic
-    scheme's cached :func:`~ggdilrma.demix_homogeneous.mixture_gram` of ``xd``.
-    The sweep keeps ``W_inv`` (``W^{-1}``) and ``log_det`` (``log|det W_i|``) in
-    step with ``W``, and the cost reads ``log_det``.  ``inv_S`` is ``1 / S`` of
-    the scale field ``S = T V`` on entry; the sweep and the basis update read it,
-    and the cost pass, which forms ``S`` of the updated factors, writes its
-    reciprocal there for the next iteration.
-    Returns ``(W, T, V, cost, skipped)``, ``skipped`` the number of (bin, source)
-    updates the sweep left untouched, under either rule.
+    ``yp`` is ``|y|^p`` of the entry ``W`` on entry, which the IP sweep reads; the
+    quartic sweep reads ``|y~|^2`` of the entry ``W`` instead, separated into
+    ``yp``, whose buffer it then overwrites with its ``1 / r^2`` until the
+    refresh, so a quartic stage separates twice and an IP stage once.  ``gram`` is
+    the quartic scheme's cached :func:`~ggdilrma.demix_homogeneous.mixture_gram`
+    of ``xd``.  ``inv_S`` is ``1 / S`` of the scale field ``S = T V``; the sweep
+    reads it.  The sweep keeps ``W_inv`` (``W^{-1}``) and ``log_det``
+    (``log|det W_i|``) in step with ``W``.
+    Returns ``(W, skipped)``, ``skipped`` the number of (bin, source) updates the
+    sweep left untouched, under either rule.
     """
-    beta, p = cfg.beta, cfg.domain
     if cfg.update_scheme == "ip":
-        W, skipped = ip_sweep(xd, yp, W, inv_S, beta, p, W_inv, log_det)
+        W, skipped = ip_sweep(xd, yp, W, inv_S, cfg.beta, cfg.domain, W_inv, log_det)
     else:
         # The anchor is |y~|^2 of the entry W, in yp; the sweep writes its 1 / r**2
         # there and the refresh below overwrites it.  [::3] keeps W and the skip count.
-        W, skipped = quartic_sweep(gram, separate(xd, W, 2.0, yp), W, inv_S, p, W_inv, log_det)[::3]
-    separate(xd, W, p, yp)  # |y|^p of the new W
-    T = update_bases_arrays(T, V, inv_S, yp, beta, p)
-    V = update_activations_arrays(T, V, yp, beta, p)
-    cost = ggd_cost_arrays(yp, log_det, T, V, inv_S, beta, p)
+        anchor = separate(xd, W, 2.0, yp)
+        W, skipped = quartic_sweep(gram, anchor, W, inv_S, cfg.domain, W_inv, log_det)[::3]
+    separate(xd, W, cfg.domain, yp)  # |y|^p of the new W
+    return W, skipped
+
+
+def model_step(T, V, cfg: GgdConfig, log_det, inv_S, yp):
+    """The source-model stage on raw state arrays: one basis update, one
+    activation update and the cost pass, against the outputs' ``|y|^p`` in ``yp``
+    and ``log_det`` (``log|det W_i|``), both read only.
+
+    ``inv_S`` is ``1 / S`` of the scale field ``S = T V`` on entry; the basis
+    update reads it, and the cost pass, which forms ``S`` of the updated factors,
+    writes its reciprocal there for the next stage.  Returns ``(T, V, cost)``.
+    """
+    T = update_bases_arrays(T, V, inv_S, yp, cfg.beta, cfg.domain)
+    V = update_activations_arrays(T, V, yp, cfg.beta, cfg.domain)
+    return T, V, ggd_cost_arrays(yp, log_det, T, V, inv_S, cfg.beta, cfg.domain)
+
+
+def iteration_step(
+    xd, W, T, V, cfg: GgdConfig, gram: Optional[np.ndarray], W_inv, log_det, inv_S, yp
+):
+    """One alternating-update round on raw state arrays (updated in place): the
+    demixing stage (:func:`sweep_step`), then the source-model stage
+    (:func:`model_step`), whose cost is that of the state returned.
+
+    The arguments are the two stages'.  Returns ``(W, T, V, cost, skipped)``,
+    ``skipped`` the number of (bin, source) updates the sweep left untouched.
+    """
+    W, skipped = sweep_step(xd, W, cfg, gram, W_inv, log_det, inv_S, yp)
+    T, V, cost = model_step(T, V, cfg, log_det, inv_S, yp)
     return W, T, V, cost, skipped
 
 
@@ -263,13 +288,12 @@ def run(
     :class:`~ggdilrma.errors.NonFiniteCost`, before its record is handed to
     ``on_record``.
     """
-    shape = validate_problem(x, cfg)
-    if not 0 <= reference_channel < shape.n_sources:
-        raise DegenerateShape(
-            f"reference channel {reference_channel} outside 0..{shape.n_sources - 1}"
-        )
+    validate_problem(x, cfg)
     xd = np.ascontiguousarray(x.data, dtype=np.complex128)
-    W, T, V, W_inv, log_det, inv_S, yp = initialize(cfg, shape, xd)
+    N = xd.shape[2]
+    if not 0 <= reference_channel < N:
+        raise DegenerateShape(f"reference channel {reference_channel} outside 0..{N - 1}")
+    W, T, V, W_inv, log_det, inv_S, yp = initialize(cfg, xd)
     gram = mixture_gram(xd) if cfg.update_scheme == "quartic" else None
 
     records = []

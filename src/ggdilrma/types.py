@@ -112,16 +112,6 @@ class GgdConfig:
 
 
 @dataclass(frozen=True)
-class ProblemShape:
-    """Checked dimensions of a separation problem."""
-
-    n_bins: int
-    n_frames: int
-    n_sources: int
-    n_bases: int
-
-
-@dataclass(frozen=True)
 class TraceRecord:
     """Cost and timing snapshot for one iteration."""
 
@@ -159,14 +149,15 @@ def _raise_violations(violations: list[tuple[type, str]]) -> None:
         raise err_cls("; ".join(msg for _, msg in violations))
 
 
-def validate_problem(x: MixtureSpectrogram, cfg: GgdConfig) -> ProblemShape:
+def validate_problem(x: MixtureSpectrogram, cfg: GgdConfig) -> None:
     """Check every invariant of a separation problem.
 
-    Returns the checked ``(I, J, N, K)`` descriptor with ``N = M``
-    (determined case), or raises the error for the first violated
-    invariant (mixture first, then configuration) with a message listing
-    all violations.  A usable problem whose mixture is zero everywhere raises
-    :class:`~ggdilrma.errors.SilentMixture`, at every ``beta``.
+    Returns nothing, or raises the error for the first violated invariant
+    (mixture first, then configuration) with a message listing all
+    violations.  The problem is determined: its ``N`` sources are the
+    mixture's ``M`` channels.  A usable problem whose mixture is zero
+    everywhere raises :class:`~ggdilrma.errors.SilentMixture`, at every
+    ``beta``.
     """
     violations: list[tuple[type, str]] = []
 
@@ -180,6 +171,3 @@ def validate_problem(x: MixtureSpectrogram, cfg: GgdConfig) -> ProblemShape:
     _raise_violations(violations + cfg.violations())
     if not np.any(x.data):
         raise SilentMixture(f"mixture of shape {x.data.shape} is zero everywhere")
-
-    I, J, M = x.data.shape
-    return ProblemShape(n_bins=I, n_frames=J, n_sources=M, n_bases=cfg.n_bases)

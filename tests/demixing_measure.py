@@ -14,9 +14,6 @@ from itertools import permutations
 import numpy as np
 
 from ggdilrma import pipeline
-from ggdilrma.cost import ggd_cost_arrays
-from ggdilrma.source_model import update_activations_arrays, update_bases_arrays
-from ggdilrma.types import ProblemShape
 
 
 def alignment(W, A, source_stfts):
@@ -56,19 +53,16 @@ def oracle_gap(xd, A, cfg, blind_cost, updates=300):
     costs.
 
     The fit starts from :func:`~ggdilrma.pipeline.initialize`'s factors for ``cfg``
-    on the mixture ``xd`` ``(I, J, N)`` and makes ``updates`` basis, activation and
-    cost updates in the order an iteration makes them, with ``|y|^p`` of the
-    fixed ``A^-1``.
+    on the mixture ``xd`` ``(I, J, N)`` and makes ``updates`` source-model stages
+    (:func:`~ggdilrma.pipeline.model_step`), with ``|y|^p`` of the fixed ``A^-1``.
     """
-    I, J, N = xd.shape
-    shape = ProblemShape(I, J, N, cfg.n_bases)
-    _, T, V, _, _, inv_S, _ = pipeline.initialize(cfg, shape, xd)
+    I, _, N = xd.shape
+    _, T, V, _, _, inv_S, _ = pipeline.initialize(cfg, xd)
     W = np.broadcast_to(np.linalg.inv(A).astype(np.complex128), (I, N, N))
     yp = pipeline.separate(xd, W, cfg.domain)
     log_det = np.linalg.slogdet(W)[1]
     costs = []
     for _ in range(updates):
-        T = update_bases_arrays(T, V, inv_S, yp, cfg.beta, cfg.domain)
-        V = update_activations_arrays(T, V, yp, cfg.beta, cfg.domain)
-        costs.append(ggd_cost_arrays(yp, log_det, T, V, inv_S, cfg.beta, cfg.domain))
+        T, V, cost = pipeline.model_step(T, V, cfg, log_det, inv_S, yp)
+        costs.append(cost)
     return blind_cost - costs[-1], costs

@@ -37,7 +37,7 @@ from ggdilrma.source_model import (
     update_activations_arrays,
     update_bases_arrays,
 )
-from ggdilrma.types import EPS_Y, GgdConfig, MixtureSpectrogram, ProblemShape
+from ggdilrma.types import EPS_Y, GgdConfig, MixtureSpectrogram
 
 RTOL = 1e-12
 I, J, K = 10, 12, 3
@@ -430,7 +430,7 @@ def test_step_carries_the_reciprocal_scale_of_the_factors_it_returns(monkeypatch
     set_block_bins(monkeypatch, bins)
     xd = instance(N, 6)[0]
     cfg = GgdConfig(beta=beta, domain=0.5, n_bases=K, iterations=3, seed=6)
-    W, T, V, W_inv, log_det, inv_S, yp = pipeline.initialize(cfg, ProblemShape(I, J, N, K), xd)
+    W, T, V, W_inv, log_det, inv_S, yp = pipeline.initialize(cfg, xd)
     gram = mixture_gram(xd) if cfg.update_scheme == "quartic" else None
     assert inv_S.tobytes() == carried_inverse_scale(T, V).tobytes()
     for _ in range(cfg.iterations):
@@ -449,7 +449,7 @@ def test_quartic_step_leaves_yp_the_powered_outputs_of_the_new_w(monkeypatch, bi
     set_block_bins(monkeypatch, bins, N)
     xd = instance(N, 4)[0]
     cfg = GgdConfig(beta=4.0, domain=0.5, n_bases=K, iterations=1, seed=4)
-    state = pipeline.initialize(cfg, ProblemShape(I, J, N, K), xd)
+    state = pipeline.initialize(cfg, xd)
     yp = state[-1]
     W_new = pipeline.iteration_step(xd, *state[:3], cfg, mixture_gram(xd), *state[3:])[0]
     assert yp.tobytes() == carried_magnitudes(xd, W_new, 0.5).tobytes()
@@ -640,7 +640,7 @@ def step_peak_stays_bounded(N, beta):
     xd = rng.standard_normal((bins, frames, N)) + 1j * rng.standard_normal((bins, frames, N))
     cfg = GgdConfig(beta=beta, domain=0.5, n_bases=K, iterations=1, seed=9)
     # W, T, V, W^-1, log|det W|, S, |y|^p
-    state = pipeline.initialize(cfg, ProblemShape(bins, frames, N, K), xd)
+    state = pipeline.initialize(cfg, xd)
     gram = mixture_gram(xd) if cfg.update_scheme == "quartic" else None  # cached per run
     tracemalloc.start()
     try:

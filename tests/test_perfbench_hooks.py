@@ -25,7 +25,7 @@ import numpy as np
 from ggdilrma import cli, pipeline, pool, workflows
 from ggdilrma.benchmark import random_mixture
 from ggdilrma.demix_homogeneous import mixture_gram
-from ggdilrma.types import GgdConfig, ProblemShape
+from ggdilrma.types import GgdConfig
 
 LAYERS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 MODULES = {"pipeline": pipeline, "workflows": workflows, "cli": cli}
@@ -58,7 +58,7 @@ def check_positions(monkeypatch, N):
     xd = np.array(random_mixture(I, J, N, seed=3).data)
     xd[4] = 0.0  # one silent bin: every one of its sources' updates is skipped
     cfg = GgdConfig(beta=4.0, domain=0.5, n_bases=K, iterations=1, seed=3)
-    state = pipeline.initialize(cfg, ProblemShape(I, J, N, K), xd)
+    state = pipeline.initialize(cfg, xd)
 
     sweeps = []
     sweep = pipeline.quartic_sweep

@@ -17,7 +17,7 @@ from ggdilrma.benchmark import SAMPLE_RATE, make_test_scene, random_mixture
 from ggdilrma.cost import audit_descent
 from ggdilrma.demix_homogeneous import mixture_gram
 from ggdilrma.errors import DegenerateShape, InvalidInput, NonFiniteCost, SilentMixture
-from ggdilrma.types import GgdConfig, ProblemShape
+from ggdilrma.types import GgdConfig
 from ggdilrma.workflows import separate_audio
 
 
@@ -50,13 +50,55 @@ def test_step_reports_the_cost_of_the_state_it_returns(N, beta):
     I, J, K = 9, 40, 3
     xd = random_mixture(I, J, N, seed=11).data
     cfg = GgdConfig(beta=beta, domain=0.5, n_bases=K, iterations=3, seed=11)
-    W, T, V, W_inv, log_det, inv_S, yp = pipeline.initialize(cfg, ProblemShape(I, J, N, K), xd)
+    W, T, V, W_inv, log_det, inv_S, yp = pipeline.initialize(cfg, xd)
     gram = mixture_gram(xd) if cfg.update_scheme == "quartic" else None
     for _ in range(cfg.iterations):
         W, T, V, cost, _ = pipeline.iteration_step(
             xd, W, T, V, cfg, gram, W_inv, log_det, inv_S, yp
         )
         assert cost == pytest.approx(ggd_cost_einsum(xd, W, T, V, beta, 0.5), rel=1e-12)
+
+
+def run_schedule(xd, cfg, prefit=0):
+    """``(W, costs, skips)`` of ``prefit`` source-model stages from
+    ``initialize``'s state, then ``cfg.iterations`` rounds of the demixing stage
+    followed by the source-model stage; ``costs`` has one entry per model stage."""
+    W, T, V, W_inv, log_det, inv_S, yp = pipeline.initialize(cfg, xd)
+    gram = mixture_gram(xd) if cfg.update_scheme == "quartic" else None
+    costs, skips = [], []
+    for _ in range(prefit):
+        T, V, cost = pipeline.model_step(T, V, cfg, log_det, inv_S, yp)
+        costs.append(cost)
+    for _ in range(cfg.iterations):
+        W, skipped = pipeline.sweep_step(xd, W, cfg, gram, W_inv, log_det, inv_S, yp)
+        T, V, cost = pipeline.model_step(T, V, cfg, log_det, inv_S, yp)
+        costs.append(cost)
+        skips.append(skipped)
+    return W, costs, skips
+
+
+@pytest.mark.parametrize("beta", [4.0, 2.0, 1.5])
+@pytest.mark.parametrize("N", [2, 3])
+def test_the_two_stages_in_turn_give_the_bytes_of_run(N, beta):
+    x = random_mixture(17, 40, N, seed=21)
+    cfg = GgdConfig(beta=beta, domain=0.5, n_bases=3, iterations=4, seed=21)
+    result = pipeline.run(x, cfg)
+    W, costs, skips = run_schedule(x.data, cfg)
+    assert np.array(costs).tobytes() == result.trace.costs().tobytes()
+    assert skips == [r.skipped_updates for r in result.trace.records]
+    assert W.tobytes() == result.W.tobytes()
+
+
+@pytest.mark.parametrize("beta", [4.0, 2.0])
+def test_a_source_model_prefit_before_the_first_sweep_descends(beta):
+    # Three source-model stages ahead of the first demixing stage: each stage is a
+    # majorize-minimize step on the same cost, so the costs never rise.
+    x = random_mixture(17, 40, 2, seed=22)
+    cfg = GgdConfig(beta=beta, domain=0.5, n_bases=3, iterations=10, seed=22)
+    _, costs, skips = run_schedule(x.data, cfg, prefit=3)
+    assert len(costs) == 13
+    assert audit_descent(costs) == []
+    assert skips == [0] * 10
 
 
 #: Bounds on the drift of the carried state from LAPACK's, after up to 20
@@ -79,7 +121,7 @@ def test_carried_inverse_and_log_det_match_lapack(N, beta, iterations, seed):
     I, J, K = 5, 24, 2
     xd = random_mixture(I, J, N, seed=seed).data
     cfg = GgdConfig(beta=beta, domain=0.5, n_bases=K, iterations=iterations, seed=seed)
-    W, T, V, W_inv, log_det, inv_S, yp = pipeline.initialize(cfg, ProblemShape(I, J, N, K), xd)
+    W, T, V, W_inv, log_det, inv_S, yp = pipeline.initialize(cfg, xd)
     gram = mixture_gram(xd) if cfg.update_scheme == "quartic" else None
     for _ in range(iterations):
         W, T, V, _, _ = pipeline.iteration_step(xd, W, T, V, cfg, gram, W_inv, log_det, inv_S, yp)
@@ -112,7 +154,7 @@ def test_carried_scale_field_is_the_product_of_the_factors(N, beta, iterations, 
     I, J, K = 5, 24, 2
     xd = random_mixture(I, J, N, seed=seed).data
     cfg = GgdConfig(beta=beta, domain=0.5, n_bases=K, iterations=iterations, seed=seed)
-    W, T, V, W_inv, log_det, inv_S, yp = pipeline.initialize(cfg, ProblemShape(I, J, N, K), xd)
+    W, T, V, W_inv, log_det, inv_S, yp = pipeline.initialize(cfg, xd)
     gram = mixture_gram(xd) if cfg.update_scheme == "quartic" else None
 
     def assert_carried():
@@ -222,7 +264,7 @@ def test_three_source_ip_iteration_runs_without_qr(monkeypatch):
     I, J, K, N = 9, 40, 3, 3
     xd = random_mixture(I, J, N, seed=12).data
     cfg = GgdConfig(beta=2.0, domain=0.5, n_bases=K, iterations=1, seed=12)
-    W, T, V, W_inv, log_det, inv_S, yp = pipeline.initialize(cfg, ProblemShape(I, J, N, K), xd)
+    W, T, V, W_inv, log_det, inv_S, yp = pipeline.initialize(cfg, xd)
     pipeline.iteration_step(xd, W, T, V, cfg, None, W_inv, log_det, inv_S, yp)
 
 

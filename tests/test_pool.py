@@ -29,7 +29,7 @@ from ggdilrma.errors import SingularCovariance
 from ggdilrma.pool import run_parts
 from ggdilrma.source_model import update_activations_arrays, update_bases_arrays
 from ggdilrma.stft import StftPlan, istft, stft
-from ggdilrma.types import GgdConfig, MixtureSpectrogram, ProblemShape, SourceSpectrogram
+from ggdilrma.types import GgdConfig, MixtureSpectrogram, SourceSpectrogram
 
 #: (bins, frames): below the crossover, and above it at every N here: each source
 #: holds 197633 entries, more than the crossover.
@@ -139,9 +139,8 @@ def setup_and_synthesis(shape, N):
     plan = StftPlan.hamming(2 * (SHAPES[shape][0] - 1), SHAPES[shape][0] - 1)
     signal = np.random.default_rng(N).standard_normal(((SHAPES[shape][1] - 1) * plan.hop, N))
     xd = stft(signal, plan, 16000).data
-    I, J, _ = xd.shape
     cfg = GgdConfig(beta=1.5, domain=0.5, n_bases=K, seed=N)
-    W, T, V, W_inv, log_det, inv_S, yp = pipeline.initialize(cfg, ProblemShape(I, J, N, K), xd)
+    W, T, V, W_inv, log_det, inv_S, yp = pipeline.initialize(cfg, xd)
     got = {"x": xd, "T": T, "V": V, "inv_S": inv_S, "yp": yp, "gram": mixture_gram(xd)}
     got["W"] = ip_sweep(xd, yp, W, inv_S, cfg.beta, cfg.domain, W_inv, log_det)[0]
     got["W_inv"], got["log_det"] = W_inv, log_det
