@@ -265,15 +265,19 @@ def _replace_row(W, W_inv, log_det, n, h, where=True) -> None:
     The new row multiplies ``det W_i`` by ``d = h W_i^{-1} e_n``, which the caller
     has checked is nonzero, and ``W_i^{-1}`` takes the Sherman-Morrison update
     ``W^{-1} - W^{-1} e_n (h W^{-1} - e_n^T) / d``: O(N^2) per bin, no solve.
+    Its column ``n`` is written directly as ``W^{-1} e_n / d``: the difference
+    form reaches that column only through a cancellation that leaves a relative
+    error near ``eps |d|``, which the next row's ``log|d|`` would read.
     The update runs on ``(N, N, b)`` views, so with ``W_inv`` laid out bins last,
     as :func:`~ggdilrma.pipeline.initialize` lays it out, every operation's
     inner loop runs over the bins; any layout gives the same numbers."""
     inv_t = W_inv.transpose(1, 2, 0)
     g = np.sum(h.T[:, None, :] * inv_t, axis=0)  # h W^-1 (N, b); its row n is d
     d = np.where(where, g[n], 1.0)
-    g[n] -= 1.0
+    g[n] = 0.0  # column n is divided by d below
     g /= d
     np.subtract(inv_t, inv_t[:, n, None, :] * g, out=inv_t, where=where)
+    inv_t[:, n] /= d
     np.add(log_det, np.log(np.abs(d)), out=log_det, where=where)
     np.copyto(W[:, n].T, h.T, where=where)
 

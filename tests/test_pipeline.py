@@ -6,7 +6,7 @@ from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_contractions import ggd_cost_einsum, inverse_and_log_det
 from reference_is_ilrma import is_ilrma_reference
@@ -116,6 +116,13 @@ LOG_DET_DRIFT = 1e-13
     iterations=st.integers(1, 20),
     seed=st.integers(0, 2**16),
 )
+# Draws whose carried log|det W| drifted by 2e-13 to 1.6e-12 while the row update
+# formed the new column n of W^-1 by a cancelling difference.
+@example(N=4, beta=4.0, iterations=3, seed=30)
+@example(N=4, beta=4.0, iterations=3, seed=60)
+@example(N=4, beta=4.0, iterations=3, seed=119)
+@example(N=4, beta=4.0, iterations=3, seed=206)
+@example(N=4, beta=4.0, iterations=3, seed=6041)
 def test_carried_inverse_and_log_det_match_lapack(N, beta, iterations, seed):
     # No re-sync: each update's Sherman-Morrison step and log|d| stay at roundoff.
     I, J, K = 5, 24, 2
