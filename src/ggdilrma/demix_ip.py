@@ -141,7 +141,8 @@ def ip_sweep(xd, yp, W, inv_S, beta: float, domain: float, W_inv, log_det):
 
     Raises:
         SingularCovariance: at the first (block, source) whose ``det F`` is at
-            most ``EPS_DET``, before any row changes.
+            most ``EPS_DET``, before any row changes; the message gives
+            ``beta/p``, as a large one underflows the weights ``S^(-beta/p)``.
     """
     if not (0.0 < beta <= 2.0):
         raise UnsupportedBeta(f"iterative projection requires 0 < beta <= 2, got {beta}")
@@ -162,7 +163,10 @@ def ip_sweep(xd, yp, W, inv_S, beta: float, domain: float, W_inv, log_det):
     if np.any(singular):
         blk, n = next((b, n) for b in blocks for n in range(N) if np.any(singular[n, b]))
         bad = blk.start + int(np.argmin(det_f[n, blk]))
-        raise SingularCovariance(f"weighted covariance singular at bin {bad}, source {n}")
+        raise SingularCovariance(
+            f"weighted covariance singular (its weights are S^(-beta/p), beta/p ="
+            f" {beta / domain:g}) at bin {bad}, source {n}"
+        )
     # The directions, then the degree-2 scale 1 / ||z||, where w^H F w = ||z||^2.
     good = np.ones((N, I), dtype=bool)
     z2 = _row_sweep(R, good, W, W_inv, log_det)

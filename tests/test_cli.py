@@ -251,6 +251,18 @@ def test_cost_that_is_not_finite_exits_3_and_writes_no_trace_record(tmp_path, ca
     assert not list(out.glob("source_*.wav"))
 
 
+def test_weights_underflowing_at_a_large_beta_over_p_exit_3_naming_it(tmp_path, capsys):
+    # At beta = 2, --p 1e-3 raises 1 / S to beta / p = 2000: every IP weight
+    # underflows to zero, so the first sweep's covariance is singular.
+    mixture, out = tmp_path / "mix.wav", tmp_path / "out"
+    assert main(["simulate", "--out", str(mixture), "--matrix", "1,0.6;0.5,1", "--len-s", "1"]) == 0
+    argv = ["separate", "--input", str(mixture), "--out-dir", str(out), "--beta", "2"]
+    assert main(argv + ["--p", "1e-3", "--iters", "3"]) == 3
+    err = capsys.readouterr().err
+    assert "SingularCovariance" in err and "beta/p = 2000" in err
+    assert not list(out.glob("*.wav"))
+
+
 #: The README's exit code of every error the CLI can meet.
 EXIT_CODES = {
     "NonFiniteInput": 1,
