@@ -116,8 +116,8 @@ LOG_DET_DRIFT = 1e-13
     iterations=st.integers(1, 20),
     seed=st.integers(0, 2**16),
 )
-# Draws whose carried log|det W| drifted by 2e-13 to 1.6e-12 while the row update
-# formed the new column n of W^-1 by a cancelling difference.
+# Ill-conditioned draws whose log|det W| drifts by 2e-13 to 1.6e-12 unless the row
+# update writes column n of W^-1 as W^-1 e_n / d, with no cancelling difference.
 @example(N=4, beta=4.0, iterations=3, seed=30)
 @example(N=4, beta=4.0, iterations=3, seed=60)
 @example(N=4, beta=4.0, iterations=3, seed=119)
