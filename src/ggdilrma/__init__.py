@@ -11,13 +11,12 @@ and the command-line interface take and return.  The update layers it
 calls stay importable from their modules.
 """
 
-from .cost import audit_descent
 from .errors import SeparationError
 from .metrics import align_permutation, si_sdr
 from .mixsim import MixingSpec, mix, read_wav, synth_source, write_wav
 from .pipeline import RunResult, run
 from .stft import StftPlan, istft, stft
-from .types import ConvergenceTrace, GgdConfig, MixtureSpectrogram, SourceSpectrogram
+from .types import ConvergenceTrace, GgdConfig, MixtureSpectrogram, SourceSpectrogram, audit_descent
 
 __version__ = "0.1.0"
 

@@ -14,10 +14,9 @@ from typing import List
 import numpy as np
 
 from . import pipeline
-from .cost import audit_descent
 from .demix_homogeneous import mixture_gram, quartic_majorizer
 from .mixsim import MixingSpec, mix, synth_source
-from .types import GgdConfig, MixtureSpectrogram
+from .types import GgdConfig, MixtureSpectrogram, audit_descent
 from .workflows import evaluate_separation, separate_audio
 
 DESCENT_BETAS = (1.0, 1.99, 2.0, 4.0)

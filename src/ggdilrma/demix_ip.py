@@ -22,7 +22,7 @@ phase skips is counted and its row kept, as in the quartic sweep.
 
 The weights read ``1 / S`` of the scale field ``S = T V``, which the
 pipeline carries from the cost pass of the last factor update
-(:func:`~ggdilrma.cost.ggd_cost_arrays`), and raise a copy of it to
+(:func:`~ggdilrma.source_model.ggd_cost_arrays`), and raise a copy of it to
 ``beta/p`` with no divide.  Where ``beta != 2`` they also read the anchor
 outputs ``y`` of the ``W`` the sweep was given, as ``|y|^p``, the
 magnitudes the pipeline carries for the NMF updates, floored at ``EPS_Y**p``

@@ -29,12 +29,10 @@ so a quartic iteration separates twice and an IP iteration once, and neither
 forms a full-size array.
 
 Beside ``T`` and ``V`` the run carries ``inv_S = 1 / S`` of their scale
-field ``S = T V`` ``(N, I, J)``.  The cost pass forms ``S`` of the factors
-it is given a block at a time, takes the cost from it and writes its
-reciprocal over it (:func:`~ggdilrma.cost.ggd_cost_arrays`): in
-:func:`initialize`, whose cost is not recorded, and at the end of each
-iteration, so the next sweep and the next basis update read ``1 / S`` of
-the factors that iteration returns, with no divide of their own.
+field ``S = T V`` ``(N, I, J)``, which the cost pass writes
+(:mod:`~ggdilrma.source_model`): in :func:`initialize`, whose cost is not
+recorded, and at the end of each iteration, so the next sweep and the next
+basis update read ``1 / S`` of the factors that iteration returns.
 
 Beside ``W`` the run carries its inverse and ``log|det W_i|``, from the
 identity and zero.  Each sweep keeps them in step as it replaces rows
@@ -67,12 +65,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cost import ggd_cost_arrays
 from .demix_homogeneous import mixture_gram, quartic_sweep
 from .demix_ip import ip_sweep
 from .errors import DegenerateShape, NonFiniteCost
 from .pool import bin_blocks, run_parts, threads
-from .source_model import update_activations_arrays, update_bases_arrays
+from .source_model import ggd_cost_arrays, update_activations_arrays, update_bases_arrays
 from .types import (
     EPS_NMF,
     ConvergenceTrace,

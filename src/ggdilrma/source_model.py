@@ -1,4 +1,4 @@
-"""Generalized-Gaussian source model and its low-rank (NMF) updates.
+"""Generalized-Gaussian source model, its low-rank (NMF) updates and its cost.
 
 Each source spectrogram entry is modeled by an isotropic complex
 generalized Gaussian with shape ``beta`` and a time-frequency-varying
@@ -15,20 +15,37 @@ updates::
 
 with ``S = sum_k t v``; activations mirror the rule with roles of ``t``
 and ``v`` (and the frame/bin sums) exchanged.  One sweep of both updates
-never increases the negative log-likelihood for a fixed demixing system.
+never increases the negative log-likelihood for a fixed demixing system,
+whose value (additive constant omitted) :func:`ggd_cost_arrays` takes::
 
-Both updates stream over blocks of frequency bins
+    -2 J sum_i log|det W_i|
+    + sum_{i,j,n} [ |y_ijn|^beta / S_ijn^(beta/p) + (2/p) log S_ijn ]
+
+with ``y = W x``.  Its log-determinants are the ones the pipeline carries
+beside ``W``: every demixing update replaces one row and adds the log of the
+factor it multiplies ``det W_i`` by
+(:func:`~ggdilrma.demix_homogeneous._replace_row`), so the cost takes no
+determinant.  Every update rule in the package is expected to leave the cost
+non-increasing, which :func:`~ggdilrma.types.audit_descent` checks.
+
+This module is the only one that forms the scale field ``S = T V``.  The
+pipeline carries its reciprocal ``1 / S`` beside ``T`` and ``V``, and the
+cost pass writes it: after each activation update it forms ``S`` of the
+factors a block at a time, with the ``T[:, blk] @ V`` product the activation
+update forms, into the caller's ``1 / S`` buffer, takes the block's terms
+from that ``S`` and then writes ``1 / S`` over it.  The basis update and the
+demixing sweeps read the carried ``1 / S`` with no divide of their own, and
+only the activation update, whose bases have just changed, forms its own
+``S`` per block, in a buffer of its own.
+
+The updates and the cost stream over blocks of frequency bins
 (:func:`~ggdilrma.pool.bin_blocks`), so the ratio terms are formed one
 cache-sized block at a time: the bases of a block depend on that block
-alone, and the activations' bin sums are added block by block.  The
-pipeline carries ``1 / S`` of the full scale field ``S = T V``, which the
-cost pass writes a block at a time after each activation update
-(:func:`~ggdilrma.cost.ggd_cost_arrays`); the basis update and the demixing
-sweeps read it, and only the activation update, whose bases have just
-changed, forms its own ``S`` per block.  The updates and the cost read
-``|y|^p``, which the pipeline carries and refreshes in place once per
-iteration; the updates floor it at ``EPS_Y**p``, the same bits as flooring
-``|y|`` at ``EPS_Y`` first, and so do the iterative-projection weights.  The
+alone, and the activations' bin sums and the cost's terms are added block by
+block.  They read ``|y|^p``, which the pipeline carries and refreshes in
+place once per iteration, and never form ``y``; the updates floor it at
+``EPS_Y**p``, the same bits as flooring ``|y|`` at ``EPS_Y`` first, and so do
+the iterative-projection weights.  The
 whitened ratio ``(|y|^p / S)^(beta/p)`` is raised by repeated squaring when
 ``beta/p`` is a positive integer (8 at beta = 4, p = 1/2), and by the
 generic power otherwise.
@@ -42,12 +59,14 @@ more new block buffer, multiply it by ``1/S``, raise it and multiply it by
 reciprocal and two products in place of two divides and a second reciprocal.
 :func:`model_cost_terms` writes the ratio into a new array and adds the
 log-scale term into it.  An odd power takes one more buffer for its
-squares (:func:`_int_power`).  No layer writes into ``T``, ``V``, ``1/S`` or
-the ``|y|^p`` it is given, and every operation has the operands and order
-of the out-of-place form, so the bits are the same.
+squares (:func:`_int_power`).  No layer writes into ``T``, ``V`` or the
+``|y|^p`` it is given, and only the cost pass writes ``1/S``; every operation
+has the operands and order of the out-of-place form, so the bits are the
+same.
 
-No source's factors read another source's, so above the crossover both
-updates run on the package's thread pool (:func:`~ggdilrma.pool.run_parts`).
+No source's factors read another source's, so above the crossover the
+updates and the cost run on the package's thread pool
+(:func:`~ggdilrma.pool.run_parts`).
 The basis update's bases of a block depend on that block alone, so it splits
 into its blocks of bins, every source in each, on at most one thread per
 source, as the activation update: a part of the basis update holds one block
@@ -176,7 +195,7 @@ def update_activations_arrays(T, V, yp, beta, domain):
     ``T^T`` times ``1/S``, into its (block, sources) slot of one array.  Once every
     part has finished, the calling thread adds the slots from zero in the blocks'
     order and takes every source's step, as the cost pass folds its sums
-    (:func:`~ggdilrma.cost.ggd_cost_arrays`).  So each sum has the operands and
+    (:func:`ggd_cost_arrays`).  So each sum has the operands and
     order of one thread's, on any number of CPUs.
 
     Returns:
@@ -209,6 +228,32 @@ def update_activations_arrays(T, V, yp, beta, domain):
     V_new = np.multiply(V, num)
     np.maximum(V_new, EPS_NMF, out=V_new)
     return V_new
+
+
+def ggd_cost_arrays(yp, log_det, T, V, inv_S, beta, domain) -> float:
+    """Cost of the demixing matrices whose outputs ``y = W x`` give ``yp = |y|^p``
+    ``(N, I, J)`` and whose ``log|det W_i|`` are ``log_det`` ``(I,)``, under the
+    scale field ``S = T V`` ``(N, I, J)`` of the bases ``T`` and activations ``V``.
+
+    Each (source, block) part forms its block of ``S`` in ``inv_S``, takes its
+    terms from that ``S``, then writes ``1 / S`` over it, so on return ``inv_S``
+    holds the reciprocal of the whole field."""
+    N, I, J = yp.shape
+    blocks = bin_blocks(I, J)
+    sums = np.empty((N, len(blocks)))  # each source's sum over each block
+
+    def part(ns_k):
+        ns, k = ns_k
+        S = np.matmul(T[ns, blocks[k]], V[ns], out=inv_S[ns, blocks[k]])  # S, then 1 / S
+        terms = model_cost_terms(yp[ns, blocks[k]], S, beta, domain)
+        sums[ns, k] = np.sum(terms.reshape(terms.shape[0], -1), axis=1)
+        np.divide(1.0, S, out=S)
+
+    run_parts(part, *source_block_parts(N, len(blocks), N * I * J))
+    model = np.zeros(N)
+    for block_sums in sums.T:  # in the blocks' order
+        model += block_sums
+    return float(-2.0 * J * np.sum(log_det) + np.sum(model))
 
 
 def model_cost_terms(yp, S, beta, domain):

@@ -1,4 +1,5 @@
-"""Shared tensor containers, index conventions, and problem validation.
+"""Shared tensor containers, index conventions, problem validation, and the
+descent audit of a run's costs.
 
 Index conventions used throughout the package:
 
@@ -19,6 +20,11 @@ W[i, n, :] @ x[i, j, :]``.  NMF factors are per-source stacks: bases
 All containers are frozen dataclasses treated as immutable values after
 construction; invariants are checked once per run by
 :func:`validate_problem` rather than on every construction.
+
+Every update rule in the package is expected to leave the cost
+(:func:`~ggdilrma.source_model.ggd_cost_arrays`) non-increasing;
+:func:`audit_descent` lists the iterations of a recorded cost sequence, such
+as :meth:`ConvergenceTrace.costs`, where it rose.
 
 The thread pool that the layers share, and the blocks they cut their work
 into, live in :mod:`ggdilrma.pool`.
@@ -140,6 +146,26 @@ class ConvergenceTrace:
 
     def costs(self) -> np.ndarray:
         return np.array([r.cost for r in self.records], dtype=np.float64)
+
+
+#: Relative slack used when flagging cost increases.
+DESCENT_SLACK = 1e-9
+
+
+def audit_descent(costs) -> list[int]:
+    """Iterations (1-based) whose cost rose beyond tolerance.
+
+    ``costs[k]`` is the cost after iteration ``k + 1``.  An iteration counts
+    unless ``cost_k <= cost_{k-1} + DESCENT_SLACK * (1 + |cost_{k-1}|)``, so a
+    NaN cost counts, and so does the iteration after it.
+    """
+    # Python floats: the bound after a -inf cost, -inf + inf, is NaN with no warning.
+    costs = np.asarray(costs, dtype=np.float64).tolist()
+    return [
+        k + 1
+        for k in range(1, len(costs))
+        if not costs[k] <= costs[k - 1] + DESCENT_SLACK * (1.0 + abs(costs[k - 1]))
+    ]
 
 
 def _raise_violations(violations: list[tuple[type, str]]) -> None:

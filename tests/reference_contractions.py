@@ -1,7 +1,7 @@
 """The per-iteration contractions written as ``np.einsum`` expressions.
 
 Test oracle for the batched matrix products that ``ggdilrma`` runs in
-``pipeline.separate``, ``cost.ggd_cost_arrays``, the inverse and
+``pipeline.separate``, ``source_model.ggd_cost_arrays``, the inverse and
 log-determinants that ``pipeline.run`` carries beside ``W``,
 ``demix_homogeneous.quartic_majorizer``, ``demix_homogeneous.mixture_gram``
 and the NMF updates in ``source_model``.  Each function spells its sums

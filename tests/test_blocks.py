@@ -25,7 +25,6 @@ from reference_contractions import inverse_and_log_det
 from reference_nmf import scale_field
 
 from ggdilrma import demix_homogeneous, demix_ip, pipeline, pool
-from ggdilrma.cost import ggd_cost_arrays
 from ggdilrma.demix_homogeneous import mixture_gram, quartic_sweep
 from ggdilrma.demix_ip import ip_sweep
 from ggdilrma.errors import SingularCovariance
@@ -33,6 +32,7 @@ from ggdilrma.pool import bin_blocks
 from ggdilrma.source_model import (
     _int_power,
     _whitened_ratio,
+    ggd_cost_arrays,
     model_cost_terms,
     update_activations_arrays,
     update_bases_arrays,

@@ -9,9 +9,8 @@ import pytest
 
 from ggdilrma import cli, errors
 from ggdilrma.cli import main
-from ggdilrma.cost import audit_descent
 from ggdilrma.mixsim import write_wav
-from ggdilrma.types import GgdConfig
+from ggdilrma.types import GgdConfig, audit_descent
 from ggdilrma.workflows import separate_audio
 
 TRACE_KEYS = {"iter", "cost", "elapsed_ms", "skipped_updates"}

@@ -26,10 +26,13 @@ from reference_contractions import (
 )
 
 import ggdilrma
-from ggdilrma.cost import ggd_cost_arrays
 from ggdilrma.demix_homogeneous import _form_coeffs, mixture_gram, quartic_majorizer
 from ggdilrma.pipeline import separate
-from ggdilrma.source_model import update_activations_arrays, update_bases_arrays
+from ggdilrma.source_model import (
+    ggd_cost_arrays,
+    update_activations_arrays,
+    update_bases_arrays,
+)
 
 RTOL = 1e-12
 I, K = 5, 3
@@ -156,7 +159,6 @@ def test_ggd_cost_matches_einsum(N, J, layout, beta, p):
 # replaces each einsum subscript they used to carry.
 HOT_PATH_MODULES = [
     "pipeline.py",
-    "cost.py",
     "demix_homogeneous.py",
     "demix_ip.py",
     "source_model.py",

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from reference_contractions import inverse_and_log_det, magnitudes_einsum
 
-from ggdilrma.cost import audit_descent, ggd_cost_arrays
 from ggdilrma.demix_homogeneous import _replace_row
 from ggdilrma.pool import bin_blocks
-from ggdilrma.source_model import model_cost_terms
-from ggdilrma.types import GgdConfig
+from ggdilrma.source_model import ggd_cost_arrays, model_cost_terms
+from ggdilrma.types import GgdConfig, audit_descent
 
 
 def cost(yp, log_det, T, V, beta, p):

@@ -159,7 +159,7 @@ class TestAmGmGap:
 class TestIpSweep:
     @pytest.mark.parametrize("beta", [1.0, 1.5, 1.99, 2.0])
     def test_sweep_descends_cost(self, beta):
-        from ggdilrma.cost import ggd_cost_arrays
+        from ggdilrma.source_model import ggd_cost_arrays
 
         p = 0.5
         failures = 0

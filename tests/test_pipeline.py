@@ -14,10 +14,9 @@ from reference_nmf import scale_field
 
 from ggdilrma import pipeline
 from ggdilrma.benchmark import SAMPLE_RATE, make_test_scene, random_mixture
-from ggdilrma.cost import audit_descent
 from ggdilrma.demix_homogeneous import mixture_gram
 from ggdilrma.errors import DegenerateShape, InvalidInput, NonFiniteCost, SilentMixture
-from ggdilrma.types import GgdConfig
+from ggdilrma.types import GgdConfig, audit_descent
 from ggdilrma.workflows import separate_audio
 
 

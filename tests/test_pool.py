@@ -21,13 +21,12 @@ import numpy as np
 import pytest
 from reference_contractions import inverse_and_log_det
 
-from ggdilrma import cost, demix_homogeneous, demix_ip, pipeline, pool, source_model
-from ggdilrma.cost import ggd_cost_arrays
+from ggdilrma import demix_homogeneous, demix_ip, pipeline, pool, source_model
 from ggdilrma.demix_homogeneous import mixture_gram, quartic_sweep
 from ggdilrma.demix_ip import ip_sweep
 from ggdilrma.errors import SingularCovariance
 from ggdilrma.pool import run_parts
-from ggdilrma.source_model import update_activations_arrays, update_bases_arrays
+from ggdilrma.source_model import ggd_cost_arrays, update_activations_arrays, update_bases_arrays
 from ggdilrma.stft import StftPlan, istft, stft
 from ggdilrma.types import GgdConfig, MixtureSpectrogram, SourceSpectrogram
 
@@ -214,7 +213,7 @@ def test_every_layer_hands_the_pool_the_same_parts_on_any_number_of_cpus(monkeyp
             return run_parts(fn, parts, threads)
 
         stft_module = importlib.import_module("ggdilrma.stft")  # the package's stft is the function
-        modules = (pipeline, source_model, cost, demix_homogeneous, demix_ip, stft_module)
+        modules = (pipeline, source_model, demix_homogeneous, demix_ip, stft_module)
         with monkeypatch.context() as m:
             for module in modules:
                 m.setattr(module, "run_parts", spy)
@@ -295,8 +294,7 @@ def test_source_block_parts_give_the_same_bytes_when_they_finish_out_of_order(
     ref = outputs()
     set_cpus(monkeypatch, 2)
     with monkeypatch.context() as m:
-        for module in (source_model, cost):
-            m.setattr(module, "run_parts", run_out_of_order)
+        m.setattr(source_model, "run_parts", run_out_of_order)
         assert_same_bytes(outputs(), ref)
 
 

@@ -19,9 +19,9 @@ from reference_nmf import (
     update_bases_reference,
 )
 
-from ggdilrma.cost import ggd_cost_arrays
 from ggdilrma import pool
 from ggdilrma.source_model import (
+    ggd_cost_arrays,
     model_cost_terms,
     update_activations_arrays,
     update_bases_arrays,
