@@ -56,7 +56,9 @@ same squaring of the condition number, whereas modified Gram-Schmidt
 gives a backward-stable ``R`` like Householder QR (Bjorck, BIT 7, 1967).
 The residual reads a silent bin's zero ``r_kk`` as 1, and ``det F =
 (prod_k r_kk)^2`` is taken against ``EPS_DET`` before anything divides
-by an ``r_kk``.
+by an ``r_kk``.  A factor that is not finite, as where a large ``beta/p``
+overflows the weights, is singular too; numpy's warnings on the way to it are
+silenced, as the raise names it.
 
 The sweep streams over blocks of bins (:func:`~ggdilrma.pool.bin_blocks`),
 so its frame-length temporaries stay cache-sized, and forms every source's
@@ -140,9 +142,10 @@ def ip_sweep(xd, yp, W, inv_S, beta: float, domain: float, W_inv, log_det):
         (``||z||^2`` not positive), whose rows are left as they were.
 
     Raises:
-        SingularCovariance: at the first (block, source) whose ``det F`` is at
-            most ``EPS_DET``, before any row changes; the message gives
-            ``beta/p``, as a large one underflows the weights ``S^(-beta/p)``.
+        SingularCovariance: at the first (block, source) whose factor ``R`` is
+            not finite or whose ``det F`` is at most ``EPS_DET``, before any row
+            changes; the message gives ``beta/p``, as a large one underflows or
+            overflows the weights ``S^(-beta/p)``.
     """
     if not (0.0 < beta <= 2.0):
         raise UnsupportedBeta(f"iterative projection requires 0 < beta <= 2, got {beta}")
@@ -154,8 +157,11 @@ def ip_sweep(xd, yp, W, inv_S, beta: float, domain: float, W_inv, log_det):
     def factor(blk):
         wgt = _ip_weights(yp[:, blk], inv_S[:, blk], beta, domain)
         wgt *= beta / (2.0 * J)
-        R[:, blk] = Rb = _weighted_factor(xd[blk], wgt)
-        det_f[:, blk] = np.prod(Rb.diagonal(axis1=2, axis2=3).real, axis=2) ** 2
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            R[:, blk] = Rb = _weighted_factor(xd[blk], wgt)
+            det = np.prod(Rb.diagonal(axis1=2, axis2=3).real, axis=2) ** 2
+        # A factor that is not finite is singular, and named before a finite one.
+        det_f[:, blk] = np.where(np.isfinite(Rb).all(axis=(2, 3)), det, -np.inf)
 
     blocks = bin_blocks(I, J * N)
     run_parts(factor, blocks, threads(len(blocks), I * J * N))

@@ -262,6 +262,24 @@ def test_weights_underflowing_at_a_large_beta_over_p_exit_3_naming_it(tmp_path, 
     assert not list(out.glob("*.wav"))
 
 
+def test_weights_overflowing_at_a_large_beta_over_p_exit_3_naming_it_without_warning(
+    tmp_path, capsys
+):
+    # At beta = 1.5, --p 1e-3 raises 1 / S to beta / p = 1500: the IP weights
+    # overflow, so the factor of the first sweep is not finite in some bins.  That
+    # is a singular covariance, raised with no numpy warning on the way (the suite
+    # turns a RuntimeWarning into an error).
+    mixture, out = tmp_path / "mix.wav", tmp_path / "out"
+    assert main(["simulate", "--out", str(mixture), "--matrix", "1,0.6;0.5,1", "--len-s", "1"]) == 0
+    argv = ["separate", "--input", str(mixture), "--out-dir", str(out), "--beta", "1.5"]
+    assert main(argv + ["--p", "1e-3", "--iters", "3"]) == 3
+    err = capsys.readouterr().err
+    assert "SingularCovariance" in err and "beta/p = 1500" in err
+    assert err.rstrip().endswith("at bin 496, source 0")
+    assert "Warning" not in err
+    assert not list(out.glob("*.wav"))
+
+
 #: The README's exit code of every error the CLI can meet.
 EXIT_CODES = {
     "NonFiniteInput": 1,
