@@ -1,6 +1,7 @@
 """The general pipeline against the stand-alone IS-ILRMA oracle."""
 
 import os
+import warnings
 from dataclasses import replace
 from functools import cache
 
@@ -217,6 +218,45 @@ def test_sources_scale_with_the_input(case):
     loud = pipeline.run(replace(LOUDNESS_MIXTURE, data=c * LOUDNESS_MIXTURE.data), cfg)
     gap = np.max(np.abs(loud.sources.data / c - ref))
     assert gap <= LOUDNESS_RTOL * np.max(np.abs(ref))
+
+
+@st.composite
+def degenerate_mixtures(draw):
+    """``(N, silent, x)``: a random 12-bin, 30-frame mixture of N = 2 or 3 channels
+    with, each optionally, a silent bin (``silent``, else ``None``), one channel
+    copied onto another in a random subset of bins, and a run of up to 8 all-zero
+    frames."""
+    N = draw(st.sampled_from([2, 3]))
+    x = random_mixture(12, 30, N, draw(st.integers(0, 2**16)))
+    xd = x.data
+    silent = draw(st.none() | st.integers(0, 11))
+    if draw(st.booleans()):
+        src, dst = draw(st.permutations(range(N)))[:2]
+        bins = draw(st.lists(st.integers(0, 11), min_size=1, max_size=12, unique=True))
+        xd[bins, :, dst] = xd[bins, :, src]
+    if draw(st.booleans()):
+        start = draw(st.integers(0, 29))
+        xd[:, start : start + draw(st.integers(1, 8))] = 0.0
+    if silent is not None:
+        xd[silent] = 0.0
+    return N, silent, x
+
+
+@settings(max_examples=40, deadline=None)
+@given(degenerate_mixtures())
+def test_quartic_runs_clean_on_degenerate_input(case):
+    # A silent bin, a channel copied onto another and all-zero frames reach a whole
+    # beta = 4 run: it raises and warns nothing, its cost never rises, and every
+    # sweep skips and counts each source of a silent bin.  IP is left out: its
+    # factor raises SingularCovariance on a silent bin (ROADMAP, Direction 3).
+    N, silent, x = case
+    cfg = GgdConfig(beta=4.0, domain=0.5, n_bases=2, iterations=30, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = pipeline.run(x, cfg)
+    assert audit_descent(result.trace.costs()) == []
+    if silent is not None:
+        assert all(rec.skipped_updates >= N for rec in result.trace.records)
 
 
 class LinalgCalled(Exception):
