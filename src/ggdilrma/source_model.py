@@ -45,10 +45,9 @@ alone, and the activations' bin sums and the cost's terms are added block by
 block.  They read ``|y|^p``, which the pipeline carries and refreshes in
 place once per iteration, and never form ``y``; the updates floor it at
 ``EPS_Y**p``, the same bits as flooring ``|y|`` at ``EPS_Y`` first, and so do
-the iterative-projection weights.  The
-whitened ratio ``(|y|^p / S)^(beta/p)`` is raised by repeated squaring when
-``beta/p`` is a positive integer (8 at beta = 4, p = 1/2), and by the
-generic power otherwise.
+the iterative-projection weights.  The whitened ratio ``(|y|^p / S)^(beta/p)``
+is raised by repeated squaring when ``beta/p`` is a positive integer (8 at
+beta = 4, p = 1/2), and by the generic power otherwise.
 
 Each block's elementwise chain runs in place, against one ``1/S`` per block
 (:func:`_whitened_terms`).  The basis update reads its block of the carried
@@ -195,8 +194,8 @@ def update_activations_arrays(T, V, yp, beta, domain):
     ``T^T`` times ``1/S``, into its (block, sources) slot of one array.  Once every
     part has finished, the calling thread adds the slots from zero in the blocks'
     order and takes every source's step, as the cost pass folds its sums
-    (:func:`ggd_cost_arrays`).  So each sum has the operands and
-    order of one thread's, on any number of CPUs.
+    (:func:`ggd_cost_arrays`).  So each sum has the operands and order of one
+    thread's, on any number of CPUs.
 
     Returns:
         The new activations, shaped as ``V`` and floored at ``EPS_NMF``;

@@ -28,11 +28,7 @@ from reference_contractions import (
 import ggdilrma
 from ggdilrma.demix_homogeneous import _form_coeffs, mixture_gram, quartic_majorizer
 from ggdilrma.pipeline import separate
-from ggdilrma.source_model import (
-    ggd_cost_arrays,
-    update_activations_arrays,
-    update_bases_arrays,
-)
+from ggdilrma.source_model import ggd_cost_arrays, update_activations_arrays, update_bases_arrays
 
 RTOL = 1e-12
 I, K = 5, 3
