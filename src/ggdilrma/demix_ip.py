@@ -157,14 +157,14 @@ def ip_sweep(xd, yp, W, inv_S, beta: float, domain: float, W_inv, log_det):
     def factor(blk):
         wgt = _ip_weights(yp[:, blk], inv_S[:, blk], beta, domain)
         wgt *= beta / (2.0 * J)
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        with np.errstate(over="ignore", invalid="ignore"):  # a factor not finite raises below
             R[:, blk] = Rb = _weighted_factor(xd[blk], wgt)
-            det = np.prod(Rb.diagonal(axis1=2, axis2=3).real, axis=2) ** 2
-        # A factor that is not finite is singular, and named before a finite one.
-        det_f[:, blk] = np.where(np.isfinite(Rb).all(axis=(2, 3)), det, -np.inf)
+            det_f[:, blk] = np.prod(Rb.diagonal(axis1=2, axis2=3).real, axis=2) ** 2
 
     blocks = bin_blocks(I, J * N)
     run_parts(factor, blocks, threads(len(blocks), I * J * N))
+    if not np.isfinite(R).all():  # singular, and named before a finite one
+        det_f[~np.isfinite(R).all(axis=(2, 3))] = -np.inf
     singular = det_f <= EPS_DET
     if np.any(singular):
         blk, n = next((b, n) for b in blocks for n in range(N) if np.any(singular[n, b]))
